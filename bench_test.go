@@ -33,7 +33,7 @@ func benchExperiment(b *testing.B, id string) {
 	}
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		tb, err := r.Run(42)
+		tb, err := r.RunSession(experiments.NewSession(42))
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -277,7 +277,9 @@ func BenchmarkTransportRTOHeavy(b *testing.B) {
 		LinkDelay: 10 * time.Microsecond, QueueLimit: 16 << 20, ECNThreshold: 4 << 20,
 	})
 	for a := 0; a < 8; a++ {
-		f.InjectLoss(0, a, 0.02)
+		if err := f.SetFault(fabric.Uplink(0, a), fabric.Fault{DropProb: 0.02}); err != nil {
+			b.Fatal(err)
+		}
 	}
 	src := transport.NewEndpoint(f, 0, transport.Config{MaxWindow: 8 << 20})
 	dst := transport.NewEndpoint(f, 2, transport.Config{})

@@ -10,9 +10,6 @@
 //	stellarbench -exp all -checkpoint ckpt          # crash-safe run
 //	stellarbench -exp all -checkpoint ckpt -resume  # fast-forward
 //	stellarbench -jobgraph examples/jobgraph/pingpong.json
-//	stellarbench -bench-json BENCH.json
-//	stellarbench -bench-json BENCH.json -bench-reps 5     # median of 5
-//	stellarbench -bench-diff BENCH_OLD.json,BENCH_NEW.json
 //	stellarbench -exp fig9 -cpuprofile cpu.pb.gz -memprofile mem.pb.gz
 //
 // Each experiment prints an aligned table plus notes stating what the
@@ -73,21 +70,13 @@ func run() int {
 		chaosFlag    = flag.String("chaos", "", "play a chaos scenario JSON file against every fabric the experiments build")
 		parallelFlag = flag.Int("parallel", runtime.GOMAXPROCS(0), "experiment worker count (tracing forces 1)")
 		graphFlag    = flag.String("jobgraph", "", "replay a job-graph JSON file as an extra experiment")
-		benchFlag    = flag.String("bench-json", "", "write a performance snapshot (key experiments + allreduce micro-bench) to this file and exit")
 		shardsFlag   = flag.Int("shards", 1, "engine shards per fabric (pod-granular; results are byte-identical at any count)")
 		ckptFlag     = flag.String("checkpoint", "", "checkpoint directory: commit each completed experiment so an aborted run can resume")
 		resumeFlag   = flag.Bool("resume", false, "with -checkpoint, replay experiments already committed there instead of recomputing them")
-		diffFlag     = flag.String("bench-diff", "", "compare two bench snapshots OLD,NEW: print per-metric percent deltas, exit 1 on a gated events/sec regression")
-		gateFlag     = flag.Float64("bench-gate", experiments.DefaultRegressionPct, "events/sec regression percent that fails -bench-diff")
-		repsFlag     = flag.Int("bench-reps", 1, "with -bench-json, run each experiment this many times and record the median wall/events-per-sec")
 		cpuProfFlag  = flag.String("cpuprofile", "", "write a CPU profile to this file (per-experiment pprof labels; read with go tool pprof)")
 		memProfFlag  = flag.String("memprofile", "", "write an allocation profile to this file at exit (after a final GC)")
 	)
 	flag.Parse()
-
-	if *diffFlag != "" {
-		return benchDiff(*diffFlag, *gateFlag)
-	}
 
 	mode, err := sim.ParseSchedulerMode(*schedFlag)
 	if err != nil {
@@ -101,25 +90,6 @@ func run() int {
 		return 2
 	}
 	defer stopProfiles()
-
-	if *benchFlag != "" {
-		session := experiments.NewSession(*seedFlag)
-		session.Sched = mode
-		session.Shards = *shardsFlag
-		session.BenchReps = *repsFlag
-		rep, err := experiments.RunBench(session, nil)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "stellarbench: bench: %v\n", err)
-			return 1
-		}
-		if err := os.WriteFile(*benchFlag, rep.JSON(), 0o644); err != nil {
-			fmt.Fprintf(os.Stderr, "stellarbench: %v\n", err)
-			return 1
-		}
-		fmt.Print(rep.Summary())
-		fmt.Printf("wrote %s\n", *benchFlag)
-		return 0
-	}
 
 	if *listFlag || (*expFlag == "" && *graphFlag == "") {
 		fmt.Println("available experiments:")
@@ -340,36 +310,4 @@ func runFingerprint(seed uint64, mode sim.SchedulerMode, shards int, runners []e
 		Workload: strings.Join(ids, ","),
 		Extra:    extra.String(),
 	}, nil
-}
-
-// benchDiff handles -bench-diff OLD,NEW: parse both snapshots, print
-// the per-metric delta table (markdown, ready for a CI job summary),
-// exit 1 when a gated events/sec metric regressed beyond gatePct.
-func benchDiff(arg string, gatePct float64) int {
-	parts := strings.Split(arg, ",")
-	if len(parts) != 2 {
-		fmt.Fprintf(os.Stderr, "stellarbench: -bench-diff wants OLD,NEW (two files), got %q\n", arg)
-		return 2
-	}
-	oldB, err := os.ReadFile(parts[0])
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "stellarbench: %v\n", err)
-		return 2
-	}
-	newB, err := os.ReadFile(parts[1])
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "stellarbench: %v\n", err)
-		return 2
-	}
-	d, err := experiments.DiffBench(oldB, newB, gatePct)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "stellarbench: bench-diff: %v\n", err)
-		return 2
-	}
-	fmt.Print(d.Markdown())
-	if d.Regressed() {
-		fmt.Fprintf(os.Stderr, "stellarbench: bench-diff: events/sec regression beyond %.0f%%\n", d.ThresholdPct)
-		return 1
-	}
-	return 0
 }

@@ -215,7 +215,9 @@ func (e *Engine) setDown(refs []fabric.LinkRef, down bool) {
 	}
 }
 
-// apply executes one fault action at its fire time.
+// apply executes one fault action at its fire time. Play's bindCheck
+// has already resolved every link the event names, so the fabric calls
+// here cannot fail.
 func (e *Engine) apply(ev Event, phase Phase) {
 	detail := ""
 	clear := phase == PhaseClear
@@ -250,13 +252,13 @@ func (e *Engine) apply(ev Event, phase Phase) {
 		e.setDown(refs, !clear)
 	case FailReroute:
 		if clear {
-			e.fab.RestoreLink(ev.Segment, ev.Agg)
+			_ = e.fab.ClearFault(fabric.Uplink(ev.Segment, ev.Agg))
 			e.fab.RestoreRoute(ev.Segment, ev.Agg)
 		} else {
-			e.fab.FailLinkWithReroute(ev.Segment, ev.Agg)
+			_ = e.fab.FailLinkWithReroute(ev.Segment, ev.Agg)
 		}
 	case Repair:
-		e.fab.RestoreLink(ev.Segment, ev.Agg)
+		_ = e.fab.ClearFault(fabric.Uplink(ev.Segment, ev.Agg))
 		e.fab.RestoreRoute(ev.Segment, ev.Agg)
 	case NICFlushATC:
 		n := 0

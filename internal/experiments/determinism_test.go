@@ -22,11 +22,11 @@ func TestExperimentsDeterministic(t *testing.T) {
 			if !ok {
 				t.Fatalf("unknown experiment %s", id)
 			}
-			a, err := r.Run(7)
+			a, err := r.RunSession(NewSession(7))
 			if err != nil {
 				t.Fatal(err)
 			}
-			b, err := r.Run(7)
+			b, err := r.RunSession(NewSession(7))
 			if err != nil {
 				t.Fatal(err)
 			}

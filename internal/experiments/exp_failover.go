@@ -50,7 +50,8 @@ func LinkFailRecovery(s *Session) (*Table, error) {
 		c.Send(1<<30, nil) // effectively unbounded for the timeline
 		conns = append(conns, c)
 	}
-	eng.After(sim.Duration(failAt), func() { f.FailLinkWithReroute(0, 0) })
+	var failErr error
+	eng.After(sim.Duration(failAt), func() { failErr = f.FailLinkWithReroute(0, 0) })
 
 	received := func() uint64 {
 		var sum uint64
@@ -84,6 +85,9 @@ func LinkFailRecovery(s *Session) (*Table, error) {
 			fmt.Sprintf("%.1f", gp/1e9),
 			fmt.Sprintf("%d", nowRetx-prevRetx))
 		prevBytes, prevRetx = nowBytes, nowRetx
+	}
+	if failErr != nil {
+		return nil, failErr
 	}
 	for _, c := range conns {
 		c.Close()

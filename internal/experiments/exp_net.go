@@ -204,7 +204,9 @@ func Fig11(s *Session) (*Table, error) {
 			eps = append(eps, transport.NewEndpoint(f, fabric.HostID(h), transport.Config{MTU: 16 << 10, InitialWindow: 1 << 20}))
 		}
 		if loss > 0 {
-			f.InjectLoss(0, 0, loss)
+			if err := f.SetFault(fabric.Uplink(0, 0), fabric.Fault{DropProb: loss}); err != nil {
+				return 0, err
+			}
 		}
 		members := interleave(eps, 24, 24)
 		ring, err := collective.NewRing(members, 100, alg, paths)
@@ -500,7 +502,9 @@ func AblationRTO(s *Session) (*Table, error) {
 			eps = append(eps, transport.NewEndpoint(f, fabric.HostID(h), transport.Config{RTO: rto}))
 		}
 		for a := 0; a < 8; a++ {
-			f.InjectLoss(0, a, 0.01)
+			if err := f.SetFault(fabric.Uplink(0, a), fabric.Fault{DropProb: 0.01}); err != nil {
+				return nil, err
+			}
 		}
 		c, err := transport.Connect(eps[0], eps[4], 1, multipath.OBS, 8)
 		if err != nil {

@@ -54,7 +54,9 @@ func LBTaxonomy(s *Session) (*Table, error) {
 			eps = append(eps, transport.NewEndpoint(f, fabric.HostID(h), transport.Config{}))
 		}
 		if failLink {
-			f.FailLink(0, 3)
+			if err := f.SetFault(fabric.Uplink(0, 3), fabric.Fault{Down: true}); err != nil {
+				return result{}, err
+			}
 		}
 		done, total := 0, 0
 		var last sim.Time

@@ -18,14 +18,11 @@ import (
 // the flight recorder, the chaos scenario to arm on every fabric, the
 // scheduler mode for every engine the run builds, and the worker bound
 // for cell-parallel sweeps. Each concurrent run owns its Session, so
-// two runs can never alias each other's tracer, scenario or engines —
-// the property the old package-level activeTracer/activeScenario
-// globals could not provide.
+// two runs can never alias each other's tracer, scenario or engines.
 //
 // A Session also records every engine it builds, which is what makes
 // per-run event accounting possible: Fired sums events over exactly the
-// engines this run created, where the process-global sim.TotalFired
-// delta is wrong the moment two runs overlap.
+// engines this run created, correct even while other runs overlap.
 type Session struct {
 	// Seed drives every deterministic RNG the run forks.
 	Seed uint64
@@ -54,21 +51,13 @@ type Session struct {
 	// it computes. A tracer or chaos scenario forces 1 shard: both bind
 	// to a single engine's clock.
 	Shards int
-	// BenchReps is how many times RunBench executes each snapshot
-	// experiment, recording the median wall clock and events/sec per
-	// experiment. Values below 2 mean a single run. Only wall-clock
-	// figures vary between reps — every rep is the same deterministic
-	// simulation — so the median tames scheduler noise without touching
-	// results.
-	BenchReps int
 
 	mu      sync.Mutex
 	engines []*sim.Engine
 }
 
 // NewSession returns a serial Session with the process-default
-// scheduler mode, no tracer and no chaos scenario — the configuration
-// the legacy Runner.Run(seed) entry point implies.
+// scheduler mode, no tracer and no chaos scenario.
 func NewSession(seed uint64) *Session {
 	return &Session{Seed: seed, Sched: sim.DefaultSchedulerMode(), Parallelism: 1}
 }
@@ -77,7 +66,7 @@ func NewSession(seed uint64) *Session {
 // giving one run of a larger batch its own accounting scope.
 func (s *Session) fork() *Session {
 	return &Session{Seed: s.Seed, Tracer: s.Tracer, Chaos: s.Chaos, Sched: s.Sched,
-		Parallelism: s.Parallelism, Shards: s.Shards, BenchReps: s.BenchReps}
+		Parallelism: s.Parallelism, Shards: s.Shards}
 }
 
 // newEngine is the experiments' engine constructor: an engine seeded
@@ -253,37 +242,4 @@ func (s *Session) runCells(n int, fn func(i int) error) error {
 		}
 	}
 	return nil
-}
-
-// ---------------------------------------------------------------------
-// Legacy shims. The globals below exist only so pre-Session callers
-// (Runner.Run(seed), WithTracer/WithChaos wrappers) keep working; no
-// experiment reads them. Concurrent runs must use explicit Sessions —
-// the shims are process-wide state and serialize by construction.
-// ---------------------------------------------------------------------
-
-// activeTracer feeds Runner.Run's implicit session; set via WithTracer.
-var activeTracer *trace.Tracer
-
-// WithTracer runs fn with every session Runner.Run builds tracing into
-// t. A nil t is the untraced default. The previous tracer is restored
-// on return, so calls nest. New code should set Session.Tracer instead.
-func WithTracer(t *trace.Tracer, fn func() error) error {
-	prev := activeTracer
-	activeTracer = t
-	defer func() { activeTracer = prev }()
-	return fn()
-}
-
-// activeScenario feeds Runner.Run's implicit session; set via WithChaos.
-var activeScenario *chaos.Scenario
-
-// WithChaos runs fn with every session Runner.Run builds playing sc
-// against its fabrics. A nil sc is the fault-free default. The previous
-// scenario is restored on return. New code should set Session.Chaos.
-func WithChaos(sc *chaos.Scenario, fn func() error) error {
-	prev := activeScenario
-	activeScenario = sc
-	defer func() { activeScenario = prev }()
-	return fn()
 }

@@ -3,7 +3,6 @@ package experiments
 import (
 	"context"
 	"fmt"
-	"runtime"
 	"runtime/pprof"
 	"strings"
 	"sync"
@@ -17,19 +16,11 @@ import (
 type RunStats struct {
 	// Events is the number of sim events the run's engines dispatched,
 	// summed over exactly the engines the run built — correct even
-	// while other runs execute concurrently, unlike a process-global
-	// sim.TotalFired delta. Analytic (host-side) experiments build no
-	// engines and report zero.
+	// while other runs execute concurrently. Analytic (host-side)
+	// experiments build no engines and report zero.
 	Events uint64
 	// Elapsed is wall-clock run time.
 	Elapsed time.Duration
-	// Allocs and AllocBytes are the process heap-allocation deltas
-	// (runtime.MemStats Mallocs / TotalAlloc) across the run. The
-	// counters are process-wide, so the deltas attribute cleanly only
-	// when cells run serially — which the bench snapshot guarantees;
-	// under a parallel batch they include concurrent cells' traffic.
-	Allocs     uint64
-	AllocBytes uint64
 }
 
 // EventsPerSec reports the run's simulation throughput, zero for
@@ -141,19 +132,11 @@ func RunAllCheckpointed(ctx context.Context, session *Session, runners []Runner,
 				run := session.fork()
 				// Each cell runs under a pprof label so a -cpuprofile of a
 				// batch can be sliced per experiment with -tagfocus.
-				var before, after runtime.MemStats
-				runtime.ReadMemStats(&before)
 				start := time.Now()
 				pprof.Do(ctx, pprof.Labels("experiment", r.ID), func(context.Context) {
 					res.Table, res.Err = r.RunSession(run)
 				})
-				elapsed := time.Since(start)
-				runtime.ReadMemStats(&after)
-				res.Stats = RunStats{
-					Events: run.Fired(), Elapsed: elapsed,
-					Allocs:     after.Mallocs - before.Mallocs,
-					AllocBytes: after.TotalAlloc - before.TotalAlloc,
-				}
+				res.Stats = RunStats{Events: run.Fired(), Elapsed: time.Since(start)}
 				if store != nil && res.Err == nil {
 					meta := checkpoint.CellMeta{
 						Events:    res.Stats.Events,

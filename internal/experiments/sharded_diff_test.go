@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"repro/internal/collective"
+	"repro/internal/fabric"
 	"repro/internal/multipath"
 	"repro/internal/sim"
 )
@@ -105,8 +106,12 @@ func TestScalePermutationFaultShardInvariant(t *testing.T) {
 		s.Sched = mode
 		s.Shards = shards
 		se, f, eps := scaleCluster(s, scaleConfig(8, 8, 2, 16, 4))
-		f.FailLink(0, 3)
-		f.InjectLoss(5, 7, 0.002)
+		if err := f.SetFault(fabric.Uplink(0, 3), fabric.Fault{Down: true}); err != nil {
+			t.Fatal(err)
+		}
+		if err := f.SetFault(fabric.Uplink(5, 7), fabric.Fault{DropProb: 0.002}); err != nil {
+			t.Fatal(err)
+		}
 		res, err := collective.RunPermutation(se.Shard(0), f, eps, collective.PermutationConfig{
 			Alg: multipath.OBS, Paths: 64, BytesPerFlow: 512 << 10,
 			SamplePeriod: sim.Duration(50 * time.Microsecond), Seed: 14,

@@ -145,21 +145,10 @@ type Runner struct {
 	Fn func(s *Session) (*Table, error)
 }
 
-// RunSession executes the experiment under an explicit session — the
-// real entry point; concurrent runs each pass their own Session so no
-// state is shared between them.
+// RunSession executes the experiment under an explicit session;
+// concurrent runs each pass their own Session so no state is shared
+// between them.
 func (r Runner) RunSession(s *Session) (*Table, error) {
-	return r.Fn(s)
-}
-
-// Run is the legacy (seed -> Table) entry point: a serial session
-// configured from the WithTracer/WithChaos process globals and the
-// process-default scheduler mode. Kept for callers that run one
-// experiment at a time; concurrent callers must use RunSession.
-func (r Runner) Run(seed uint64) (*Table, error) {
-	s := NewSession(seed)
-	s.Tracer = activeTracer
-	s.Chaos = activeScenario
 	return r.Fn(s)
 }
 

@@ -693,9 +693,19 @@ func (f *Fabric) route(p *Packet, path *[maxRouteHops]*link) (int, error) {
 // FailLinkWithReroute takes a ToR→Agg uplink down and schedules the
 // control plane to steer traffic to an adjacent aggregation switch
 // after Config.RerouteDelay (§7.2's two-stage recovery: the short RTO
-// repaths instantly; BGP fixes the routing afterwards).
-func (f *Fabric) FailLinkWithReroute(segment, agg int) {
-	f.FailLink(segment, agg)
+// repaths instantly; BGP fixes the routing afterwards). Any gray state
+// on the link is kept. A nonexistent uplink is an error and schedules
+// nothing.
+func (f *Fabric) FailLinkWithReroute(segment, agg int) error {
+	ref := Uplink(segment, agg)
+	ft, err := f.FaultOf(ref)
+	if err != nil {
+		return err
+	}
+	ft.Down = true
+	if err := f.SetFault(ref, ft); err != nil {
+		return err
+	}
 	delay := f.cfg.RerouteDelay
 	if delay == 0 {
 		delay = sim.Duration(500 * time.Millisecond)
@@ -717,6 +727,7 @@ func (f *Fabric) FailLinkWithReroute(segment, agg int) {
 			trace.I("segment", int64(segment)), trace.I("agg", int64(agg)),
 			trace.I("via", int64(f.aggOverride[segment][agg])))
 	})
+	return nil
 }
 
 // RestoreRoute clears a reroute override (after repair), cancelling any
@@ -954,28 +965,4 @@ func (f *Fabric) Imbalance(segment int) float64 {
 		return 0
 	}
 	return float64(maxB-minB) / (float64(total) / float64(f.cfg.Aggs))
-}
-
-// InjectLoss sets a random drop probability on one ToR→Agg uplink (the
-// Figure 11 failure model). It is a legacy wrapper over SetFault.
-func (f *Fabric) InjectLoss(segment, agg int, p float64) {
-	ref := Uplink(segment, agg)
-	ft, _ := f.FaultOf(ref)
-	ft.DropProb = p
-	_ = f.SetFault(ref, ft)
-}
-
-// FailLink takes a ToR→Agg uplink fully down. It is a legacy wrapper
-// over SetFault.
-func (f *Fabric) FailLink(segment, agg int) {
-	ref := Uplink(segment, agg)
-	ft, _ := f.FaultOf(ref)
-	ft.Down = true
-	_ = f.SetFault(ref, ft)
-}
-
-// RestoreLink clears all fault state on an uplink. It is a legacy
-// wrapper over SetFault.
-func (f *Fabric) RestoreLink(segment, agg int) {
-	_ = f.ClearFault(Uplink(segment, agg))
 }

@@ -22,6 +22,15 @@ func smallFabric(eng *sim.Engine) *Fabric {
 	})
 }
 
+// setUplink installs ft on uplink (seg, agg), failing the test if the
+// fabric has no such link.
+func setUplink(t testing.TB, f *Fabric, seg, agg int, ft Fault) {
+	t.Helper()
+	if err := f.SetFault(Uplink(seg, agg), ft); err != nil {
+		t.Fatal(err)
+	}
+}
+
 func TestDeliveryIntraSegment(t *testing.T) {
 	eng := sim.NewEngine(1)
 	f := smallFabric(eng)
@@ -149,7 +158,7 @@ func TestInjectLoss(t *testing.T) {
 	f := smallFabric(eng)
 	delivered := 0
 	f.Handle(4, func(*Packet) { delivered++ })
-	f.InjectLoss(0, 0, 0.5)
+	setUplink(t, f, 0, 0, Fault{DropProb: 0.5})
 	const n = 2000
 	for i := 0; i < n; i++ {
 		f.Send(&Packet{Src: 0, Dst: 4, Size: 100, PathID: 0})
@@ -159,12 +168,12 @@ func TestInjectLoss(t *testing.T) {
 	if lossRate < 0.4 || lossRate > 0.6 {
 		t.Errorf("loss rate = %.2f, want ~0.5", lossRate)
 	}
-	f.RestoreLink(0, 0)
+	setUplink(t, f, 0, 0, Fault{})
 	before := delivered
 	f.Send(&Packet{Src: 0, Dst: 4, Size: 100, PathID: 0})
 	eng.RunAll()
 	if delivered != before+1 {
-		t.Error("RestoreLink did not clear loss")
+		t.Error("clearing the fault did not clear loss")
 	}
 }
 
@@ -173,7 +182,7 @@ func TestFailLink(t *testing.T) {
 	f := smallFabric(eng)
 	delivered := 0
 	f.Handle(4, func(*Packet) { delivered++ })
-	f.FailLink(0, 1)
+	setUplink(t, f, 0, 1, Fault{Down: true})
 	f.Send(&Packet{Src: 0, Dst: 4, Size: 100, PathID: 1})
 	f.Send(&Packet{Src: 0, Dst: 4, Size: 100, PathID: 0}) // other path fine
 	eng.RunAll()
@@ -283,7 +292,7 @@ func TestConservationProperty(t *testing.T) {
 		for h := 0; h < fb.NumHosts(); h++ {
 			fb.Handle(HostID(h), func(*Packet) { delivered++ })
 		}
-		fb.InjectLoss(0, 0, float64(lossPct%50)/100)
+		setUplink(t, fb, 0, 0, Fault{DropProb: float64(lossPct%50) / 100})
 		rng := sim.NewRNG(seed + 1)
 		sent := int(nPkts%500) + 1
 		for i := 0; i < sent; i++ {

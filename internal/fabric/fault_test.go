@@ -82,6 +82,28 @@ func TestDropAccountingPerTier(t *testing.T) {
 	}
 }
 
+// TestFaultOnMissingUplinkErrors: a fault aimed at a segment or agg the
+// topology does not have must fail loudly, not run fault-free.
+func TestFaultOnMissingUplinkErrors(t *testing.T) {
+	eng := sim.NewEngine(1)
+	f := smallFabric(eng) // 2 segments, 4 aggs
+	for _, l := range []struct{ seg, agg int }{{2, 0}, {-1, 0}, {0, 4}, {0, -1}} {
+		ref := Uplink(l.seg, l.agg)
+		if err := f.SetFault(ref, Fault{DropProb: 0.5}); err == nil {
+			t.Errorf("SetFault(%v) accepted a nonexistent uplink", ref)
+		}
+		if err := f.ClearFault(ref); err == nil {
+			t.Errorf("ClearFault(%v) accepted a nonexistent uplink", ref)
+		}
+		if err := f.FailLinkWithReroute(l.seg, l.agg); err == nil {
+			t.Errorf("FailLinkWithReroute(%d, %d) accepted a nonexistent uplink", l.seg, l.agg)
+		}
+	}
+	if n := eng.Pending(); n != 0 {
+		t.Errorf("%d reroute timers scheduled for nonexistent uplinks", n)
+	}
+}
+
 // TestRestoreRouteCancelsPendingReroute is the regression test for the
 // repair-during-convergence race: RestoreRoute inside the BGP window
 // must cancel the pending reroute timer, or the stale timer fires later
@@ -94,10 +116,12 @@ func TestRestoreRouteCancelsPendingReroute(t *testing.T) {
 		LinkDelay: time.Microsecond, QueueLimit: 1 << 20, ECNThreshold: 64 << 10,
 		RerouteDelay: sim.Duration(time.Millisecond),
 	})
-	f.FailLinkWithReroute(0, 1)
+	if err := f.FailLinkWithReroute(0, 1); err != nil {
+		t.Fatal(err)
+	}
 	// Repair well inside the 1 ms convergence window.
 	eng.After(sim.Duration(100*time.Microsecond), func() {
-		f.RestoreLink(0, 1)
+		setUplink(t, f, 0, 1, Fault{})
 		f.RestoreRoute(0, 1)
 	})
 	eng.Run(sim.Time(10 * time.Millisecond))
@@ -125,8 +149,14 @@ func TestRepeatedFailureSupersedesReroute(t *testing.T) {
 		LinkDelay: time.Microsecond, QueueLimit: 1 << 20, ECNThreshold: 64 << 10,
 		RerouteDelay: sim.Duration(time.Millisecond),
 	})
-	f.FailLinkWithReroute(0, 1)
-	eng.After(sim.Duration(500*time.Microsecond), func() { f.FailLinkWithReroute(0, 1) })
+	if err := f.FailLinkWithReroute(0, 1); err != nil {
+		t.Fatal(err)
+	}
+	eng.After(sim.Duration(500*time.Microsecond), func() {
+		if err := f.FailLinkWithReroute(0, 1); err != nil {
+			t.Error(err)
+		}
+	})
 	// At 1 ms only the superseded timer would have fired; the live one
 	// lands at 1.5 ms.
 	eng.Run(sim.Time(1200 * time.Microsecond))

@@ -136,7 +136,9 @@ func TestFailLinkWithReroute(t *testing.T) {
 	delivered := 0
 	f.Handle(2, func(*Packet) { delivered++ })
 
-	f.FailLinkWithReroute(0, 1)
+	if err := f.FailLinkWithReroute(0, 1); err != nil {
+		t.Fatal(err)
+	}
 	// Before the control plane converges: path 1 drops.
 	f.Send(&Packet{Src: 0, Dst: 2, Size: 100, PathID: 1})
 	eng.Run(eng.Now().Add(5 * time.Millisecond))
@@ -155,7 +157,7 @@ func TestFailLinkWithReroute(t *testing.T) {
 	}
 	// Repair restores the original mapping (which is still failed, so
 	// this is a pure routing-table check).
-	f.RestoreLink(0, 1)
+	setUplink(t, f, 0, 1, Fault{})
 	f.RestoreRoute(0, 1)
 	f.Send(&Packet{Src: 0, Dst: 2, Size: 100, PathID: 1})
 	eng.RunAll()

@@ -45,13 +45,25 @@ func randomFaults(rng *sim.RNG, segs, aggs int) fuzzFaults {
 	return fp
 }
 
-func (fp fuzzFaults) apply(f *fabric.Fabric) {
+func (fp fuzzFaults) apply(f *fabric.Fabric) error {
 	for _, l := range fp.loss {
-		f.InjectLoss(l.seg, l.agg, l.p)
+		if err := f.SetFault(fabric.Uplink(l.seg, l.agg), fabric.Fault{DropProb: l.p}); err != nil {
+			return err
+		}
 	}
+	// A failure drawn on a lossy link keeps its loss rate underneath.
 	for _, fl := range fp.fail {
-		f.FailLink(fl.seg, fl.agg)
+		ref := fabric.Uplink(fl.seg, fl.agg)
+		ft, err := f.FaultOf(ref)
+		if err != nil {
+			return err
+		}
+		ft.Down = true
+		if err := f.SetFault(ref, ft); err != nil {
+			return err
+		}
 	}
+	return nil
 }
 
 // randomGraph emits a layered DAG over ranks: each round every rank
@@ -174,7 +186,9 @@ func TestFuzzReplayShardInvariant(t *testing.T) {
 				for i := range spread {
 					spread[i] = eps[i*2]
 				}
-				fp.apply(f)
+				if err := fp.apply(f); err != nil {
+					return Result{}, err
+				}
 				return RunSharded(se, spread, g, Options{
 					Alg: multipath.OBS, Paths: 16, FlowBase: 1,
 				})

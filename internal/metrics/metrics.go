@@ -5,10 +5,8 @@
 package metrics
 
 import (
-	"fmt"
 	"math"
 	"sort"
-	"strings"
 	"sync"
 	"sync/atomic"
 )
@@ -171,80 +169,4 @@ func (h *Histogram) Reset() {
 	h.sum = 0
 	h.sorted = true
 	h.mu.Unlock()
-}
-
-// Registry is a named collection of metrics so components can expose
-// counters by path ("rnic0/atc_miss") and harnesses can print them all.
-type Registry struct {
-	mu         sync.Mutex
-	counters   map[string]*Counter
-	gauges     map[string]*Gauge
-	histograms map[string]*Histogram
-}
-
-// NewRegistry returns an empty registry.
-func NewRegistry() *Registry {
-	return &Registry{
-		counters:   make(map[string]*Counter),
-		gauges:     make(map[string]*Gauge),
-		histograms: make(map[string]*Histogram),
-	}
-}
-
-// Counter returns the counter registered under name, creating it on first
-// use.
-func (r *Registry) Counter(name string) *Counter {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	c, ok := r.counters[name]
-	if !ok {
-		c = &Counter{}
-		r.counters[name] = c
-	}
-	return c
-}
-
-// Gauge returns the gauge registered under name, creating it on first use.
-func (r *Registry) Gauge(name string) *Gauge {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	g, ok := r.gauges[name]
-	if !ok {
-		g = &Gauge{}
-		r.gauges[name] = g
-	}
-	return g
-}
-
-// Histogram returns the histogram registered under name, creating it on
-// first use.
-func (r *Registry) Histogram(name string) *Histogram {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	h, ok := r.histograms[name]
-	if !ok {
-		h = &Histogram{}
-		r.histograms[name] = h
-	}
-	return h
-}
-
-// Dump renders every metric as "name value" lines sorted by name,
-// suitable for test logs and CLI output.
-func (r *Registry) Dump() string {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	var lines []string
-	for name, c := range r.counters {
-		lines = append(lines, fmt.Sprintf("counter %s %d", name, c.Value()))
-	}
-	for name, g := range r.gauges {
-		lines = append(lines, fmt.Sprintf("gauge %s %d max=%d", name, g.Value(), g.Max()))
-	}
-	for name, h := range r.histograms {
-		lines = append(lines, fmt.Sprintf("hist %s n=%d mean=%.3f p50=%.3f p99=%.3f max=%.3f",
-			name, h.Count(), h.Mean(), h.Quantile(0.5), h.Quantile(0.99), h.Max()))
-	}
-	sort.Strings(lines)
-	return strings.Join(lines, "\n")
 }

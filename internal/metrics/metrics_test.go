@@ -1,7 +1,6 @@
 package metrics
 
 import (
-	"strings"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -122,23 +121,5 @@ func TestHistogramQuantileMonotone(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
-	}
-}
-
-func TestRegistryIdentityAndDump(t *testing.T) {
-	r := NewRegistry()
-	c1 := r.Counter("a/x")
-	c2 := r.Counter("a/x")
-	if c1 != c2 {
-		t.Error("same name returned different counters")
-	}
-	c1.Add(3)
-	r.Gauge("a/g").Set(7)
-	r.Histogram("a/h").Observe(1.5)
-	dump := r.Dump()
-	for _, want := range []string{"counter a/x 3", "gauge a/g 7", "hist a/h n=1"} {
-		if !strings.Contains(dump, want) {
-			t.Errorf("Dump missing %q:\n%s", want, dump)
-		}
 	}
 }

@@ -113,17 +113,6 @@ func SetDefaultSchedulerMode(m SchedulerMode) { defaultMode.Store(int32(m)) }
 // DefaultSchedulerMode reports the mode NewEngine uses.
 func DefaultSchedulerMode() SchedulerMode { return SchedulerMode(defaultMode.Load()) }
 
-// totalFired accumulates events dispatched across every engine in the
-// process, updated once per Run/Step, not per event. CLIs report it as
-// an end-to-end events/sec figure.
-var totalFired atomic.Uint64
-
-// TotalFired reports events dispatched process-wide across all engines.
-// With concurrent engines the delta between two reads attributes other
-// runs' events to the caller; per-run accounting should sum
-// Engine.Fired over the engines that run built instead.
-func TotalFired() uint64 { return totalFired.Load() }
-
 // Timer-wheel geometry: 8192 buckets of 512 ns cover a ~4.2 ms
 // horizon. The bucket is deliberately finer than a packet's
 // serialization time (655 ns for 4 KiB at 50 Gbps), so back-to-back
@@ -769,7 +758,6 @@ func (e *Engine) Run(horizon Time) Time {
 	}
 	tr.End("sim", "engine",
 		trace.U("fired", e.fired-firedBefore), trace.B("halted", e.halted))
-	totalFired.Add(e.fired - firedBefore)
 	return e.now
 }
 
@@ -784,7 +772,6 @@ func (e *Engine) Step() bool {
 		return false
 	}
 	e.dispatch(ev)
-	totalFired.Add(1)
 	return true
 }
 

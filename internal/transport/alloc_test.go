@@ -4,6 +4,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/fabric"
 	"repro/internal/multipath"
 	"repro/internal/sim"
 )
@@ -23,9 +24,7 @@ func TestRTOPathAllocBudget(t *testing.T) {
 	})
 	// Cross-segment pair with every uplink fully lossy: the single
 	// MTU-sized packet below retransmits forever, one cycle per RTO.
-	for a := 0; a < 8; a++ {
-		r.f.InjectLoss(0, a, 1.0)
-	}
+	faultSegment(t, r.f, 0, fabric.Fault{DropProb: 1.0})
 	c, err := Connect(r.eps[0], r.eps[4], 1, multipath.OBS, 8)
 	if err != nil {
 		t.Fatal(err)

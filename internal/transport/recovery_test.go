@@ -6,23 +6,16 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/fabric"
 	"repro/internal/multipath"
 	"repro/internal/sim"
 )
 
 // blackhole fails every segment-0 uplink so nothing the sender
 // transmits can reach the receiver (and no acks come back).
-func blackhole(r *rig) {
-	for a := 0; a < r.f.Config().Aggs; a++ {
-		r.f.FailLink(0, a)
-	}
-}
+func blackhole(t *testing.T, r *rig) { faultSegment(t, r.f, 0, fabric.Fault{Down: true}) }
 
-func restore(r *rig) {
-	for a := 0; a < r.f.Config().Aggs; a++ {
-		r.f.RestoreLink(0, a)
-	}
-}
+func restore(t *testing.T, r *rig) { faultSegment(t, r.f, 0, fabric.Fault{}) }
 
 func TestRTOBackoffGrowthAndCap(t *testing.T) {
 	r := newRig(t, 1, smallCfg(), Config{
@@ -67,7 +60,7 @@ func TestRTOJitterBoundedAndFirstTransmitExact(t *testing.T) {
 
 func TestRetryBudgetExhaustionSurfacesError(t *testing.T) {
 	r := newRig(t, 4, smallCfg(), Config{RetryBudget: 2})
-	blackhole(r)
+	blackhole(t, r)
 	c, _ := Connect(r.eps[0], r.eps[4], 1, multipath.OBS, 8)
 	var transitions []FlowState
 	c.OnStateChange(func(_, s FlowState) { transitions = append(transitions, s) })
@@ -96,9 +89,7 @@ func TestRetryBudgetExhaustionSurfacesError(t *testing.T) {
 func TestDegradedReturnsToActiveOnAck(t *testing.T) {
 	r := newRig(t, 5, smallCfg(), Config{})
 	// 20% loss forces RTOs (Degraded) but the transfer still completes.
-	for a := 0; a < 8; a++ {
-		r.f.InjectLoss(0, a, 0.20)
-	}
+	faultSegment(t, r.f, 0, fabric.Fault{DropProb: 0.20})
 	c, _ := Connect(r.eps[0], r.eps[4], 1, multipath.OBS, 8)
 	sawDegraded := false
 	c.OnStateChange(func(_, s FlowState) {
@@ -175,7 +166,7 @@ func TestFailWithoutReconnectStaysError(t *testing.T) {
 // them. Detach severs the reference, so the drained events are inert.
 func TestCloseDuringPendingRTOIsInert(t *testing.T) {
 	r := newRig(t, 9, smallCfg(), Config{})
-	blackhole(r)
+	blackhole(t, r)
 	c, _ := Connect(r.eps[0], r.eps[4], 1, multipath.OBS, 8)
 	c.Send(256<<10, nil)
 	r.eng.Run(sim.Time(100 * time.Microsecond)) // in flight, RTOs armed
@@ -208,7 +199,7 @@ func TestRecoveryDeterministicAcrossSchedulers(t *testing.T) {
 		r := newRig(t, 11, smallCfg(), Config{
 			RetryBudget: 2, RTOBackoff: 2, RTOMax: time.Millisecond, RTOJitter: 0.1,
 		})
-		blackhole(r)
+		blackhole(t, r)
 		c, _ := Connect(r.eps[0], r.eps[4], 1, multipath.OBS, 8)
 		var res result
 		c.OnStateChange(func(_, s FlowState) {
@@ -216,7 +207,7 @@ func TestRecoveryDeterministicAcrossSchedulers(t *testing.T) {
 			res.At = append(res.At, r.eng.Now())
 			if s == FlowError {
 				r.eng.After(200*time.Microsecond, func() {
-					restore(r)
+					restore(t, r)
 					c.Reconnect()
 				})
 			}

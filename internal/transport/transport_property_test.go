@@ -30,9 +30,7 @@ func TestEveryByteDeliveredExactlyOnce(t *testing.T) {
 		src := NewEndpoint(fb, 0, Config{})
 		dst := NewEndpoint(fb, 2, Config{})
 		if lossy {
-			for a := 0; a < 8; a++ {
-				fb.InjectLoss(0, a, 0.05)
-			}
+			faultSegment(t, fb, 0, fabric.Fault{DropProb: 0.05})
 		}
 		c, err := Connect(src, dst, 1, alg, paths)
 		if err != nil {
@@ -94,10 +92,7 @@ func TestInflightAccountingBalances(t *testing.T) {
 		})
 		src := NewEndpoint(fb, 0, Config{})
 		dst := NewEndpoint(fb, 2, Config{})
-		p := float64(loss%30) / 100
-		for a := 0; a < 4; a++ {
-			fb.InjectLoss(0, a, p)
-		}
+		faultSegment(t, fb, 0, fabric.Fault{DropProb: float64(loss%30) / 100})
 		c, err := Connect(src, dst, 1, multipath.RoundRobin, 4)
 		if err != nil {
 			return false
@@ -124,9 +119,7 @@ func TestPerPathInflightBalances(t *testing.T) {
 	cfg := Config{PerPathCC: true}
 	src := NewEndpoint(fb, 0, cfg)
 	dst := NewEndpoint(fb, 2, cfg)
-	for a := 0; a < 4; a++ {
-		fb.InjectLoss(0, a, 0.1)
-	}
+	faultSegment(t, fb, 0, fabric.Fault{DropProb: 0.1})
 	c, err := Connect(src, dst, 1, multipath.RoundRobin, 4)
 	if err != nil {
 		t.Fatal(err)
@@ -154,8 +147,7 @@ func TestLossBetaBackoffEngages(t *testing.T) {
 		cfg := Config{LossBeta: lossBeta}
 		src := NewEndpoint(fb, 0, cfg)
 		dst := NewEndpoint(fb, 2, cfg)
-		fb.InjectLoss(0, 0, 0.2)
-		fb.InjectLoss(0, 1, 0.2)
+		faultSegment(t, fb, 0, fabric.Fault{DropProb: 0.2})
 		c, _ := Connect(src, dst, 1, multipath.RoundRobin, 2)
 		c.Send(4<<20, nil)
 		eng.RunAll()

@@ -27,6 +27,17 @@ func newRig(t *testing.T, seed uint64, fcfg fabric.Config, tcfg Config) *rig {
 	return r
 }
 
+// faultSegment installs ft on every ToR→Agg uplink of segment seg,
+// failing the test if the fabric has no such uplink.
+func faultSegment(t testing.TB, f *fabric.Fabric, seg int, ft fabric.Fault) {
+	t.Helper()
+	for a := 0; a < f.Config().Aggs; a++ {
+		if err := f.SetFault(fabric.Uplink(seg, a), ft); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
 func smallCfg() fabric.Config {
 	return fabric.Config{
 		Segments: 2, HostsPerSegment: 4, Aggs: 8,
@@ -105,9 +116,7 @@ func TestThroughputApproachesLineRate(t *testing.T) {
 func TestRetransmitRecoversFromLoss(t *testing.T) {
 	r := newRig(t, 4, smallCfg(), Config{})
 	// 10% loss on every uplink path 0..7 for segment 0.
-	for a := 0; a < 8; a++ {
-		r.f.InjectLoss(0, a, 0.10)
-	}
+	faultSegment(t, r.f, 0, fabric.Fault{DropProb: 0.10})
 	c, _ := Connect(r.eps[0], r.eps[4], 1, multipath.OBS, 8)
 	var doneAt sim.Time
 	c.Send(4<<20, func(at sim.Time) { doneAt = at })
@@ -140,7 +149,9 @@ func TestRetransmitMovesPath(t *testing.T) {
 		}
 		cc.Close()
 	}
-	r.f.FailLink(0, 3)
+	if err := r.f.SetFault(fabric.Uplink(0, 3), fabric.Fault{Down: true}); err != nil {
+		t.Fatal(err)
+	}
 	var doneAt sim.Time
 	c.Send(64<<10, func(at sim.Time) { doneAt = at })
 	r.eng.RunAll()
@@ -349,9 +360,7 @@ func TestTransportHeapWheelEquivalent(t *testing.T) {
 		f := fabric.New(eng, smallCfg())
 		src := NewEndpoint(f, 0, Config{})
 		dst := NewEndpoint(f, 4, Config{})
-		for a := 0; a < 8; a++ {
-			f.InjectLoss(0, a, 0.05)
-		}
+		faultSegment(t, f, 0, fabric.Fault{DropProb: 0.05})
 		c, err := Connect(src, dst, 1, multipath.OBS, 8)
 		if err != nil {
 			t.Fatal(err)
