@@ -70,7 +70,7 @@ func run() int {
 		chaosFlag    = flag.String("chaos", "", "play a chaos scenario JSON file against every fabric the experiments build")
 		parallelFlag = flag.Int("parallel", runtime.GOMAXPROCS(0), "experiment worker count (tracing forces 1)")
 		graphFlag    = flag.String("jobgraph", "", "replay a job-graph JSON file as an extra experiment")
-		shardsFlag   = flag.Int("shards", 1, "engine shards per fabric (pod-granular; results are byte-identical at any count)")
+		shardsFlag   = flag.Int("shards", 1, "engine shards for the multi-pod scale fabrics and fig6-fleet, at most one per pod or host (results are byte-identical at any count)")
 		ckptFlag     = flag.String("checkpoint", "", "checkpoint directory: commit each completed experiment so an aborted run can resume")
 		resumeFlag   = flag.Bool("resume", false, "with -checkpoint, replay experiments already committed there instead of recomputing them")
 		cpuProfFlag  = flag.String("cpuprofile", "", "write a CPU profile to this file (per-experiment pprof labels; read with go tool pprof)")

@@ -55,7 +55,7 @@ func main() {
 		seed      = flag.Uint64("seed", 42, "simulation seed (drives chaos jitter and any seeded machinery)")
 		chaosFlag = flag.String("chaos", "", "play a chaos scenario JSON file (NIC faults) against this host's RNICs")
 		graphFlag = flag.String("jobgraph", "", "validate a job-graph JSON file and print its stats, then exit")
-		shards    = flag.Int("shards", 1, "engine shards for the chaos run (results are byte-identical at any count)")
+		shards    = flag.Int("shards", 1, "engine shards for the -churn fleet, at most one per host (results are byte-identical at any count)")
 		churnFlag = flag.Int("churn", 0, "run a serverless churn fleet across N hosts and print cold-start stats, then exit")
 		ckptFlag  = flag.String("checkpoint", "", "checkpoint directory for the -churn fleet report (crash-safe commit at the drained boundary)")
 		resume    = flag.Bool("resume", false, "with -checkpoint, replay a committed fleet report instead of recomputing it")
@@ -197,10 +197,7 @@ func main() {
 		if err != nil {
 			fail(err)
 		}
-		// Chaos binds to one engine's clock; with -shards the scenario
-		// still lives on shard 0 and the merged loop drives the run.
-		se := sim.NewShardedEngine(*seed, mode, *shards)
-		eng := se.Shard(0)
+		eng := sim.NewEngineMode(*seed, mode)
 		if tr != nil {
 			eng.SetTracer(tr)
 		}
@@ -211,7 +208,7 @@ func main() {
 		if err := ce.Play(sc); err != nil {
 			fail(err)
 		}
-		se.RunAll()
+		eng.RunAll()
 		fmt.Printf("\nchaos scenario %q (seed %d): %d actions\n", sc.Name, *seed, len(ce.Log()))
 		for _, f := range ce.Log() {
 			fmt.Printf("  t=%v %-7s %-14s %s\n", f.At, f.Phase, f.Event.Kind, f.Detail)
@@ -297,8 +294,7 @@ func churnReport(hosts int, seed uint64, mode sim.SchedulerMode, shards int, ckp
 		defer stop()
 	}
 
-	se := sim.NewShardedEngine(seed, mode, shards)
-	se.SetParallel(shards > 1)
+	se := sim.NewShardedEngine(seed, mode, min(shards, hosts))
 	rep, err := churn.Run(se, cfg)
 	if err != nil {
 		fail(err)

@@ -329,8 +329,8 @@ func Run(se *sim.ShardedEngine, cfg Config) (*Report, error) {
 		h.start()
 	}
 	// Hosts never interact, so any lookahead is safe; one window wider
-	// than any reachable virtual time lets parallel mode run each shard
-	// to completion in a single round.
+	// than any reachable virtual time runs each shard to completion in a
+	// single round.
 	se.SetLookahead(sim.Duration(1) << 40)
 	se.RunAll()
 
@@ -434,10 +434,10 @@ func (h *host) nextGap(t sim.Time) sim.Duration {
 func (h *host) sample() {
 	t := sim.Duration(h.eng.Now())
 	h.stats.Series = append(h.stats.Series, SeriesPoint{
-		T:         t,
-		Occupancy: h.pool.InUse(),
-		Queued:    h.pool.Waiting(),
-		Active:    h.active,
+		T:           t,
+		Occupancy:   h.pool.InUse(),
+		Queued:      h.pool.Waiting(),
+		Active:      h.active,
 		PinnedBytes: h.pinned,
 	})
 	if t < h.cfg.Window {

@@ -28,10 +28,9 @@ func testConfig() churn.Config {
 	return cfg
 }
 
-func runFleet(t *testing.T, cfg churn.Config, seed uint64, mode sim.SchedulerMode, shards int, parallel bool) *churn.Report {
+func runFleet(t *testing.T, cfg churn.Config, seed uint64, mode sim.SchedulerMode, shards int) *churn.Report {
 	t.Helper()
 	se := sim.NewShardedEngine(seed, mode, shards)
-	se.SetParallel(parallel)
 	rep, err := churn.Run(se, cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -40,7 +39,7 @@ func runFleet(t *testing.T, cfg churn.Config, seed uint64, mode sim.SchedulerMod
 }
 
 func TestFleetSmoke(t *testing.T) {
-	rep := runFleet(t, testConfig(), 42, sim.SchedulerWheel, 1, false)
+	rep := runFleet(t, testConfig(), 42, sim.SchedulerWheel, 1)
 	if rep.ColdStarts < 100 {
 		t.Fatalf("only %d cold starts; fleet barely ran", rep.ColdStarts)
 	}
@@ -70,23 +69,20 @@ func TestFleetSmoke(t *testing.T) {
 	}
 }
 
-// TestFleetShardInvariant pins the tentpole's determinism contract: the
+// TestFleetShardInvariant pins the fleet's determinism contract: the
 // full report (every sample, every series point) is byte-identical
-// across schedulers, shard counts and serial/parallel windows.
+// across schedulers and shard counts.
 func TestFleetShardInvariant(t *testing.T) {
 	cfg := testConfig()
-	ref := runFleet(t, cfg, 7, sim.SchedulerWheel, 1, false)
+	ref := runFleet(t, cfg, 7, sim.SchedulerWheel, 1)
 	shardCounts := []int{2, 4}
 	if testing.Short() {
 		shardCounts = []int{4}
 	}
 	for _, mode := range []sim.SchedulerMode{sim.SchedulerWheel, sim.SchedulerHeap} {
 		for _, shards := range shardCounts {
-			for _, par := range []bool{false, true} {
-				got := runFleet(t, cfg, 7, mode, shards, par)
-				if !reflect.DeepEqual(got, ref) {
-					t.Errorf("%v shards=%d parallel=%v diverged from wheel shards=1", mode, shards, par)
-				}
+			if got := runFleet(t, cfg, 7, mode, shards); !reflect.DeepEqual(got, ref) {
+				t.Errorf("%v shards=%d diverged from wheel shards=1", mode, shards)
 			}
 		}
 	}
@@ -95,8 +91,8 @@ func TestFleetShardInvariant(t *testing.T) {
 // TestFleetSeedSensitivity: distinct seeds take distinct paths.
 func TestFleetSeedSensitivity(t *testing.T) {
 	cfg := testConfig()
-	a := runFleet(t, cfg, 1, sim.SchedulerWheel, 1, false)
-	b := runFleet(t, cfg, 2, sim.SchedulerWheel, 1, false)
+	a := runFleet(t, cfg, 1, sim.SchedulerWheel, 1)
+	b := runFleet(t, cfg, 2, sim.SchedulerWheel, 1)
 	if reflect.DeepEqual(a, b) {
 		t.Error("seeds 1 and 2 produced identical fleets")
 	}
@@ -104,9 +100,9 @@ func TestFleetSeedSensitivity(t *testing.T) {
 
 func TestFleetTraceInvariance(t *testing.T) {
 	cfg := testConfig()
-	plain := runFleet(t, cfg, 11, sim.SchedulerWheel, 1, false)
+	plain := runFleet(t, cfg, 11, sim.SchedulerWheel, 1)
 	cfg.Tracer = trace.New(1 << 16)
-	traced := runFleet(t, cfg, 11, sim.SchedulerWheel, 1, false)
+	traced := runFleet(t, cfg, 11, sim.SchedulerWheel, 1)
 	if cfg.Tracer.Len() == 0 {
 		t.Fatal("tracer recorded nothing")
 	}
@@ -121,7 +117,7 @@ func TestFleetTraceInvariance(t *testing.T) {
 func TestExclusivePoolQueueing(t *testing.T) {
 	cfg := testConfig()
 	cfg.Pool = rnic.DevPoolConfig{Mode: rnic.DeviceExclusive, Capacity: 8, Devices: 8, Queue: true}
-	rep := runFleet(t, cfg, 42, sim.SchedulerWheel, 2, true)
+	rep := runFleet(t, cfg, 42, sim.SchedulerWheel, 2)
 	if rep.WaitedGrants == 0 {
 		t.Fatal("no grant ever queued; pool not saturated")
 	}
@@ -145,7 +141,7 @@ func TestExclusivePoolQueueing(t *testing.T) {
 func TestExclusivePoolFailMode(t *testing.T) {
 	cfg := testConfig()
 	cfg.Pool = rnic.DevPoolConfig{Mode: rnic.DeviceExclusive, Capacity: 8, Devices: 8, Queue: false}
-	rep := runFleet(t, cfg, 42, sim.SchedulerWheel, 1, false)
+	rep := runFleet(t, cfg, 42, sim.SchedulerWheel, 1)
 	if rep.PoolFailures == 0 {
 		t.Fatal("no pool rejections in fail mode")
 	}
@@ -158,7 +154,7 @@ func TestExclusivePoolFailMode(t *testing.T) {
 func TestRecycleFleet(t *testing.T) {
 	cfg := testConfig()
 	cfg.Recycle = true
-	rep := runFleet(t, cfg, 42, sim.SchedulerWheel, 2, true)
+	rep := runFleet(t, cfg, 42, sim.SchedulerWheel, 2)
 	if rep.Recycled == 0 {
 		t.Fatal("recycle mode never restarted a container")
 	}
@@ -169,7 +165,7 @@ func TestRecycleFleet(t *testing.T) {
 		t.Errorf("recycle produced %d start failures", rep.MemFailures)
 	}
 	// Recycling must not break determinism.
-	again := runFleet(t, cfg, 42, sim.SchedulerWheel, 4, false)
+	again := runFleet(t, cfg, 42, sim.SchedulerWheel, 4)
 	if !reflect.DeepEqual(rep, again) {
 		t.Error("recycle fleet diverged across shard counts")
 	}
@@ -181,15 +177,15 @@ func TestBurstyProfile(t *testing.T) {
 	cfg.BurstEvery = 4 * time.Second
 	cfg.BurstLen = 1 * time.Second
 	cfg.BurstFactor = 6
-	rep := runFleet(t, cfg, 42, sim.SchedulerWheel, 1, false)
-	pois := runFleet(t, testConfig(), 42, sim.SchedulerWheel, 1, false)
+	rep := runFleet(t, cfg, 42, sim.SchedulerWheel, 1)
+	pois := runFleet(t, testConfig(), 42, sim.SchedulerWheel, 1)
 	if reflect.DeepEqual(rep, pois) {
 		t.Error("bursty profile indistinguishable from poisson")
 	}
 	if rep.ColdStarts == 0 || rep.Teardowns != rep.ColdStarts {
 		t.Errorf("bursty fleet broken: %d starts, %d teardowns", rep.ColdStarts, rep.Teardowns)
 	}
-	again := runFleet(t, cfg, 42, sim.SchedulerHeap, 4, true)
+	again := runFleet(t, cfg, 42, sim.SchedulerHeap, 4)
 	if !reflect.DeepEqual(rep, again) {
 		t.Error("bursty fleet diverged across scheduler/shards")
 	}
@@ -200,7 +196,7 @@ func TestBurstyProfile(t *testing.T) {
 func TestPinFullFleet(t *testing.T) {
 	cfg := testConfig()
 	cfg.Mode = rund.PinFull
-	rep := runFleet(t, cfg, 42, sim.SchedulerWheel, 2, false)
+	rep := runFleet(t, cfg, 42, sim.SchedulerWheel, 2)
 	if rep.ColdStarts == 0 || rep.Teardowns != rep.ColdStarts {
 		t.Fatalf("pin-all fleet broken: %d starts, %d teardowns", rep.ColdStarts, rep.Teardowns)
 	}
@@ -210,7 +206,7 @@ func TestPinFullFleet(t *testing.T) {
 	if rep.PeakPinned < 2<<30 {
 		t.Errorf("peak pinned %d below one container", rep.PeakPinned)
 	}
-	pvd := runFleet(t, testConfig(), 42, sim.SchedulerWheel, 2, false)
+	pvd := runFleet(t, testConfig(), 42, sim.SchedulerWheel, 2)
 	if rep.ColdStart.P50 <= pvd.ColdStart.P50 {
 		t.Errorf("pin-all p50 %.2fs not slower than pvdma p50 %.2fs",
 			rep.ColdStart.P50, pvd.ColdStart.P50)

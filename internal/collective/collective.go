@@ -51,8 +51,8 @@ type reduceOp struct {
 	next      *reduceOp // free-list link
 }
 
-// launchArg carries one flow's share of a reduceOp through the engine's
-// arg-style callbacks.
+// launchArg carries one flow's share of a reduceOp through the
+// transport's arg-style completion.
 type launchArg struct {
 	op *reduceOp
 	c  *transport.Conn
@@ -73,14 +73,6 @@ func (r *Ring) releaseOp(op *reduceOp) {
 	op.tr = nil
 	op.next = r.freeOps
 	r.freeOps = op
-}
-
-// launchFlow starts one ring flow's volume at the op's start instant;
-// the a-style signature lets cross-engine launches ride AtArg with no
-// closure.
-func launchFlow(a any) {
-	la := a.(*launchArg)
-	la.c.SendArg(la.op.vol, flowDone, la)
 }
 
 // flowDone is the shared completion for every ring flow of every op.
@@ -147,12 +139,8 @@ func VolumePerFlow(n int, size uint64) uint64 {
 
 // Reduce launches one AllReduce of size bytes at the current virtual
 // time of eng; done fires when every ring flow has fully acknowledged.
-// The completion state is shared across all ring members, so on a
-// sharded fabric whose ring spans pods this must run under the serial
-// merge (the default), not parallel windows. Flows whose source lives
-// on a different shard than eng are launched via an event pinned to the
-// start instant on their own engine (whose local clock may lag eng's
-// under the merge); same-engine flows launch inline, exactly as before.
+// Every ring member's conn must run on eng: the completion state is
+// shared across the ring, so a ring never spans engine shards.
 func (r *Ring) Reduce(eng *sim.Engine, size uint64, done func(Result)) {
 	op := r.allocOp()
 	op.size = size
@@ -172,11 +160,7 @@ func (r *Ring) Reduce(eng *sim.Engine, size uint64, done func(Result)) {
 	for i, c := range r.conns {
 		la := &op.launches[i]
 		la.op, la.c = op, c
-		if ceng := c.Engine(); ceng != eng {
-			ceng.AtArg(op.start, launchFlow, la)
-		} else {
-			launchFlow(la)
-		}
+		c.SendArg(op.vol, flowDone, la)
 	}
 }
 
@@ -268,9 +252,9 @@ type PermutationResult struct {
 //
 // Every piece of mutable state is partitioned by pod — completion
 // counters, queue samplers, histograms — and each pod's sampler runs on
-// the engine that owns it, so the function is safe under a sharded
-// fabric in parallel mode and produces identical results at any shard
-// count (per-pod sampling is the structure even on one engine).
+// the engine that owns it, so the function is safe on a sharded fabric
+// and produces identical results at any shard count (per-pod sampling
+// is the structure even on one engine).
 func RunPermutation(eng *sim.Engine, f *fabric.Fabric, eps []*transport.Endpoint, cfg PermutationConfig) (PermutationResult, error) {
 	if cfg.SamplePeriod == 0 {
 		cfg.SamplePeriod = 50_000 // 50 µs
@@ -307,7 +291,7 @@ func RunPermutation(eng *sim.Engine, f *fabric.Fabric, eps []*transport.Endpoint
 	}
 
 	pods := f.Pods()
-	remaining := make([]int, pods)  // flows sourced per pod; owner-shard writes only
+	remaining := make([]int, pods)         // flows sourced per pod; owner-shard writes only
 	doneAt := make([]sim.Time, len(pairs)) // per-conn slot: no shared max
 	conns := make([]*transport.Conn, 0, len(pairs))
 	start := eng.Now()

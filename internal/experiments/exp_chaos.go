@@ -49,13 +49,12 @@ func FailureSweep(s *Session) (*Table, error) {
 	}
 	const aggs = 60
 	run := func(alg multipath.Algorithm, paths int, sc *chaos.Scenario) (float64, []chaos.FlowRecovery, int, uint64, error) {
-		se := s.newShardedEngine()
-		f := fabric.NewSharded(se, fabric.Config{
+		eng := s.newEngine()
+		f := fabric.New(eng, fabric.Config{
 			Segments: 2, HostsPerSegment: flows, Aggs: aggs,
 			HostLinkBW: 50e9, FabricLinkBW: 50e9,
 			LinkDelay: 2 * time.Microsecond, QueueLimit: 16 << 20, ECNThreshold: 512 << 10,
 		})
-		eng := se.Shard(0)
 		var eps []*transport.Endpoint
 		for h := 0; h < f.NumHosts(); h++ {
 			eps = append(eps, transport.NewEndpoint(f, fabric.HostID(h),

@@ -70,16 +70,15 @@ func churnCells() []churnCell {
 
 // runChurnFleet executes every cell under the session and returns the
 // reports in cell order. Cells are independent fleets, so they run
-// under the session's worker bound; each builds its own sharded engine
-// with parallel windows enabled whenever it actually has shards (churn
-// hosts never interact, which is what makes the windows legal).
+// under the session's worker bound; each builds its own sharded engine,
+// at most one shard per host (churn hosts never interact, which is what
+// makes the windows legal).
 func runChurnFleet(s *Session) ([]churnCell, []*churn.Report, error) {
 	cells := churnCells()
 	reps := make([]*churn.Report, len(cells))
 	err := s.runCells(len(cells), func(i int) error {
-		se := s.newShardedEngine()
-		se.SetParallel(se.NumShards() > 1)
 		cfg := cells[i].cfg
+		se := s.newShardedEngine(cfg.Hosts)
 		cfg.Tracer = s.Tracer
 		rep, err := churn.Run(se, cfg)
 		if err != nil {

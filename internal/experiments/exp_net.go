@@ -15,18 +15,14 @@ import (
 // cluster builds a two-segment fabric with transport endpoints. The
 // production topology's 60 aggregation switches are kept; host counts
 // are scaled to simulator size (documented in DESIGN.md). The fabric is
-// built through the sharded constructor so Session.Shards applies to
-// every experiment that uses this helper — with a single pod all
-// components land on shard 0 and the returned engine drives the run
-// exactly as before, so results are byte-identical at any shard count.
+// one pod, so it runs on one engine whatever Session.Shards says.
 func cluster(s *Session, hostsPerSeg, aggs int) (*sim.Engine, *fabric.Fabric, []*transport.Endpoint) {
-	se := s.newShardedEngine()
-	f := fabric.NewSharded(se, fabric.Config{
+	eng := s.newEngine()
+	f := fabric.New(eng, fabric.Config{
 		Segments: 2, HostsPerSegment: hostsPerSeg, Aggs: aggs,
 		HostLinkBW: 50e9, FabricLinkBW: 50e9,
 		LinkDelay: 2 * time.Microsecond, QueueLimit: 16 << 20, ECNThreshold: 512 << 10,
 	})
-	eng := se.Shard(0)
 	s.armChaos(eng, f)
 	var eps []*transport.Endpoint
 	for h := 0; h < f.NumHosts(); h++ {

@@ -29,13 +29,13 @@ func scaleConfig(hostsPerSeg, segs, segsPerPod, aggs, cores int) fabric.Config {
 func fleetConfig() fabric.Config { return scaleConfig(128, 32, 8, 60, 16) }
 
 // scaleCluster builds a multi-pod fabric partitioned across the
-// session's engine shards, with one endpoint per host. With
-// Session.Shards < 2 (or a tracer/chaos scenario attached) the whole
-// fleet lands on a single engine and the numbers are — by the
-// differential tests' guarantee — byte-identical to any other shard
-// count.
+// session's engine shards, at most one shard per pod, with one endpoint
+// per host. With Session.Shards < 2 (or a tracer/chaos scenario
+// attached) the whole fleet lands on a single engine and the numbers
+// are — by the differential tests' guarantee — byte-identical to any
+// other shard count.
 func scaleCluster(s *Session, cfg fabric.Config) (*sim.ShardedEngine, *fabric.Fabric, []*transport.Endpoint) {
-	se := s.newShardedEngine()
+	se := s.newShardedEngine(cfg.Pods())
 	f := fabric.NewSharded(se, cfg)
 	s.armChaos(se.Shard(0), f)
 	eps := make([]*transport.Endpoint, 0, f.NumHosts())

@@ -44,8 +44,10 @@ type Session struct {
 	// results are assembled in cell order, so the output is
 	// byte-identical at any setting.
 	Parallelism int
-	// Shards is the number of event-engine shards each fabric the run
-	// builds is partitioned across (pod-granular; see sim.ShardedEngine).
+	// Shards bounds the event-engine shards a sharded model runs on in
+	// parallel windows (see sim.ShardedEngine). Each model clamps it to
+	// its independent units: pods for the multi-pod scale fabrics, hosts
+	// for fig6-fleet; single-pod fabrics always run on one engine.
 	// Values below 2 mean one engine. Results are byte-identical at any
 	// setting — sharding changes how the event loop is driven, not what
 	// it computes. A tracer or chaos scenario forces 1 shard: both bind
@@ -92,14 +94,14 @@ func (s *Session) shards() int {
 	return s.Shards
 }
 
-// newShardedEngine builds the session's sharded engine group: every
-// shard seeded and scheduled per the session (identical seeds keep the
-// RNG fork tree shard-invariant) and recorded for per-run event
-// accounting. With an effective shard count of 1 this is newEngine
-// wrapped in a trivial group, and experiments that pass the group to
-// fabric.NewSharded compute exactly what they did unsharded.
-func (s *Session) newShardedEngine() *sim.ShardedEngine {
-	se := sim.NewShardedEngine(s.Seed, s.Sched, s.shards())
+// newShardedEngine builds the session's sharded engine group for a
+// model of units independent partitions: the effective shard count,
+// clamped to units since a shard with no unit would only idle through
+// every window. Every shard is seeded and scheduled per the session
+// (identical seeds keep the RNG fork tree shard-invariant) and recorded
+// for per-run event accounting.
+func (s *Session) newShardedEngine(units int) *sim.ShardedEngine {
+	se := sim.NewShardedEngine(s.Seed, s.Sched, min(s.shards(), units))
 	s.mu.Lock()
 	for _, eng := range se.Engines() {
 		if s.Tracer != nil {

@@ -11,13 +11,12 @@ import (
 	"repro/internal/sim"
 )
 
-// TestExperimentsShardInvariant is the sharded-engine differential
-// suite over registered experiments: the same experiment run at shard
-// counts {1,2,4,8} under both schedulers (and alternating session
-// parallelism) must produce byte-identical tables. These experiments
-// build single-pod fabrics, so the assertion is that threading the
-// sharded constructor and merge loop through the whole stack perturbs
-// nothing; the multi-pod tests below exercise real cross-shard traffic.
+// TestExperimentsShardInvariant: registered experiments must not change
+// with the session's shard count, scheduler or cell parallelism. These
+// experiments build single-pod fabrics, so Shards=8 clamps to one
+// engine; the check guards that clamp and, on the heap side, the
+// scheduler and worker dimensions. The multi-pod tests below exercise
+// real cross-shard traffic.
 func TestExperimentsShardInvariant(t *testing.T) {
 	ids := []string{"fig12"}
 	if !testing.Short() {
@@ -30,28 +29,20 @@ func TestExperimentsShardInvariant(t *testing.T) {
 			if !ok {
 				t.Fatalf("unknown experiment %s", id)
 			}
-			var ref [][]string
-			for _, mode := range []sim.SchedulerMode{sim.SchedulerWheel, sim.SchedulerHeap} {
-				for _, shards := range []int{1, 2, 4, 8} {
-					s := NewSession(7)
-					s.Sched = mode
-					s.Shards = shards
-					if shards%2 == 0 {
-						s.Parallelism = 4 // cover the cell-parallel dimension too
-					}
-					tb, err := r.RunSession(s)
-					if err != nil {
-						t.Fatalf("%v shards=%d: %v", mode, shards, err)
-					}
-					if ref == nil {
-						ref = tb.Rows
-						continue
-					}
-					if !reflect.DeepEqual(tb.Rows, ref) {
-						t.Errorf("%v shards=%d diverged from wheel shards=1:\n got %v\nwant %v",
-							mode, shards, tb.Rows, ref)
-					}
+			run := func(mode sim.SchedulerMode, shards, workers int) [][]string {
+				s := NewSession(7)
+				s.Sched = mode
+				s.Shards = shards
+				s.Parallelism = workers
+				tb, err := r.RunSession(s)
+				if err != nil {
+					t.Fatalf("%v shards=%d: %v", mode, shards, err)
 				}
+				return tb.Rows
+			}
+			ref := run(sim.SchedulerWheel, 1, 1)
+			if got := run(sim.SchedulerHeap, 8, 4); !reflect.DeepEqual(got, ref) {
+				t.Errorf("heap shards=8 diverged from wheel shards=1:\n got %v\nwant %v", got, ref)
 			}
 		})
 	}
@@ -62,35 +53,33 @@ func TestExperimentsShardInvariant(t *testing.T) {
 // cross-pod permutation load, where every flow crosses the core seam and
 // is handed off between shards. Results must be byte-identical at every
 // (scheduler, shard count) — the property the conservative-lookahead
-// merge and the canonical entry-link drain exist to provide.
+// windows and the canonical entry-link drain exist to provide. Shard
+// count 8 clamps to the 4 pods.
 func TestScalePermutationShardInvariant(t *testing.T) {
-	run := func(mode sim.SchedulerMode, shards int, par bool) collective.PermutationResult {
+	run := func(mode sim.SchedulerMode, shards int) collective.PermutationResult {
 		s := NewSession(11)
 		s.Sched = mode
 		s.Shards = shards
 		se, f, eps := scaleCluster(s, scaleConfig(8, 8, 2, 16, 4))
-		se.SetParallel(par)
 		res, err := collective.RunPermutation(se.Shard(0), f, eps, collective.PermutationConfig{
 			Alg: multipath.OBS, Paths: 64, BytesPerFlow: 1 << 20,
 			SamplePeriod: sim.Duration(50 * time.Microsecond), Seed: 12,
 		})
 		if err != nil {
-			t.Fatalf("%v shards=%d parallel=%v: %v", mode, shards, par, err)
+			t.Fatalf("%v shards=%d: %v", mode, shards, err)
 		}
 		return res
 	}
-	ref := run(sim.SchedulerWheel, 1, false)
+	ref := run(sim.SchedulerWheel, 1)
 	shardCounts := []int{2, 4, 8}
 	if testing.Short() {
 		shardCounts = []int{4}
 	}
 	for _, mode := range []sim.SchedulerMode{sim.SchedulerWheel, sim.SchedulerHeap} {
 		for _, shards := range shardCounts {
-			for _, par := range []bool{false, true} {
-				if got := run(mode, shards, par); !reflect.DeepEqual(got, ref) {
-					t.Errorf("%v shards=%d parallel=%v diverged from wheel shards=1:\n got %+v\nwant %+v",
-						mode, shards, par, got, ref)
-				}
+			if got := run(mode, shards); !reflect.DeepEqual(got, ref) {
+				t.Errorf("%v shards=%d diverged from wheel shards=1:\n got %+v\nwant %+v",
+					mode, shards, got, ref)
 			}
 		}
 	}
@@ -150,22 +139,32 @@ func TestFig12ScaleShardInvariant(t *testing.T) {
 	}
 }
 
-// TestShardedSessionAccounting: the session must record every shard
-// engine it builds so Fired() covers the whole run.
+// TestShardedSessionAccounting: the session clamps its shard count to
+// the model's pods, and records every shard engine it builds so Fired()
+// covers the whole run.
 func TestShardedSessionAccounting(t *testing.T) {
 	s := NewSession(3)
-	s.Shards = 4
-	se := s.newShardedEngine()
-	if got := s.Engines(); got != 4 {
-		t.Fatalf("Engines() = %d after a 4-shard build, want 4", got)
+	s.Shards = 8
+	cluster(s, 2, 4)
+	if got := s.Engines(); got != 1 {
+		t.Fatalf("Engines() = %d after a single-pod cluster, want 1", got)
 	}
-	se.Shard(2).At(10, func() {})
+	se, _, _ := scaleCluster(s, scaleConfig(2, 8, 2, 4, 2))
+	if got := se.NumShards(); got != 4 {
+		t.Fatalf("NumShards() = %d on a 4-pod fabric at Shards=8, want 4", got)
+	}
+	if got := s.Engines(); got != 5 {
+		t.Fatalf("Engines() = %d after cluster + 4-pod scaleCluster, want 5", got)
+	}
+	for i := 0; i < se.NumShards(); i++ {
+		se.Shard(i).At(10, func() {})
+	}
 	se.RunAll()
-	if got := s.Fired(); got != 1 {
-		t.Fatalf("Fired() = %d, want 1", got)
+	if got := s.Fired(); got != 4 {
+		t.Fatalf("Fired() = %d, want 4 (one event per shard)", got)
 	}
 	// A fork carries the shard count.
-	if f := s.fork(); f.Shards != 4 {
+	if f := s.fork(); f.Shards != 8 {
 		t.Fatalf("fork dropped Shards: %d", f.Shards)
 	}
 }

@@ -99,6 +99,16 @@ type Config struct {
 	AdaptiveRouting bool
 }
 
+// Pods reports how many pods the configuration's segments form: the
+// partition atoms NewSharded spreads across shards, so a group of more
+// shards than pods leaves the extra shards idle. Segments must be set.
+func (c Config) Pods() int {
+	if c.SegmentsPerPod > 0 && c.SegmentsPerPod < c.Segments {
+		return (c.Segments + c.SegmentsPerPod - 1) / c.SegmentsPerPod
+	}
+	return 1
+}
+
 // DefaultConfig sizes a two-segment slice of the production network:
 // 2×200 Gbps hosts, 400 Gbps fabric links, 60 aggregation switches.
 func DefaultConfig() Config {
@@ -307,10 +317,9 @@ func New(eng *sim.Engine, cfg Config) *Fabric {
 // NewSharded builds the fabric across the shards of se, assigning each
 // pod to shard pod·N/pods and declaring the cross-shard lookahead
 // (LinkDelay: a handoff departs no earlier than one propagation delay
-// after its emitting event, and faults only ever add delay). With one
-// pod every component lands on shard 0 and the other shards idle; the
-// merge still runs, so the output must — and differential tests verify
-// it does — match New on one engine byte-for-byte.
+// after its emitting event, and faults only ever add delay). The output
+// must — and differential tests verify it does — match New on one
+// engine byte-for-byte.
 func NewSharded(se *sim.ShardedEngine, cfg Config) *Fabric {
 	f := build(se.Engines(), se, cfg)
 	se.SetLookahead(f.cfg.LinkDelay)
@@ -347,10 +356,9 @@ func build(engs []*sim.Engine, se *sim.ShardedEngine, cfg Config) *Fabric {
 
 	f := &Fabric{cfg: cfg, eng: engs[0], engs: engs, se: se}
 	f.segsPod = cfg.Segments
-	f.pods = 1
-	if cfg.SegmentsPerPod > 0 && cfg.SegmentsPerPod < cfg.Segments {
+	f.pods = cfg.Pods()
+	if f.pods > 1 {
 		f.segsPod = cfg.SegmentsPerPod
-		f.pods = (cfg.Segments + f.segsPod - 1) / f.segsPod
 	}
 	// Pods are the partition atoms: every link and host of pod p lives
 	// on one shard. (With one pod the whole fabric lands on shard 0.)

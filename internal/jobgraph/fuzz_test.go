@@ -15,10 +15,10 @@ import (
 
 // The differential fuzz harness: seeded random job graphs replayed on a
 // multi-pod fleet with seeded random fault plans, asserted byte-identical
-// across every (scheduler mode × shard count) engine configuration. The
-// graphs are small but adversarial — same-instant completions, send/recv
-// cross-pod chains, collectives spanning every pod — exactly the shapes
-// that expose ordering differences between engine configurations.
+// across scheduler modes and harness parallelism. The graphs are small
+// but adversarial — same-instant completions, send/recv cross-pod
+// chains, collectives spanning every pod — exactly the shapes that
+// expose ordering differences between engine configurations.
 
 // fuzzFaults is a pre-drawn fault plan, applied identically to every
 // fabric of one comparison (drawing inside the run would entangle the
@@ -130,11 +130,12 @@ func randomGraph(t *testing.T, rng *sim.RNG, ranks, rounds int) *Graph {
 	return g
 }
 
-// fuzzFleet builds a 4-pod fleet (8 segments × 4 hosts) across n shards.
-func fuzzFleet(t *testing.T, seed uint64, mode sim.SchedulerMode, shards int) (*sim.ShardedEngine, *fabric.Fabric, []*transport.Endpoint) {
+// fuzzFleet builds a 4-pod fleet (8 segments × 4 hosts) on one engine:
+// a replay's control state spans ranks, so it never runs sharded.
+func fuzzFleet(t *testing.T, seed uint64, mode sim.SchedulerMode) (*sim.Engine, *fabric.Fabric, []*transport.Endpoint) {
 	t.Helper()
-	se := sim.NewShardedEngine(seed, mode, shards)
-	f := fabric.NewSharded(se, fabric.Config{
+	eng := sim.NewEngineMode(seed, mode)
+	f := fabric.New(eng, fabric.Config{
 		Segments: 8, HostsPerSegment: 4, Aggs: 8,
 		SegmentsPerPod: 2, CoreSwitches: 4,
 		HostLinkBW: 12.5e9, FabricLinkBW: 12.5e9,
@@ -144,33 +145,23 @@ func fuzzFleet(t *testing.T, seed uint64, mode sim.SchedulerMode, shards int) (*
 	for h := 0; h < f.NumHosts(); h++ {
 		eps = append(eps, transport.NewEndpoint(f, fabric.HostID(h), transport.Config{}))
 	}
-	return se, f, eps
+	return eng, f, eps
 }
 
-// TestFuzzReplayShardInvariant is the sharded-engine differential fuzz:
-// for each seed, one random graph and one random fault plan replayed
-// under wheel × heap schedulers and 1, 2, 4 shards must produce
-// byte-identical Results. Every rank count straddles all four pods, so
-// the replay's control flow constantly crosses the shard seam. The
-// comparison runs at parallelism 1 and 4 — each configuration builds a
-// private fleet, so concurrent replays must not see each other (the
-// race detector holds the harness to that when run with -race).
+// TestFuzzReplayShardInvariant is the replay differential fuzz: for
+// each seed, one random graph and one random fault plan replayed under
+// the wheel and heap schedulers must produce byte-identical Results.
+// The ranks straddle all four pods, so traffic crosses the core layer.
+// The comparison runs at parallelism 1 and 4 — each configuration
+// builds a private fleet, so concurrent replays must not see each other
+// (the race detector holds the harness to that when run with -race).
 func TestFuzzReplayShardInvariant(t *testing.T) {
 	seeds := []uint64{3, 17, 101, 9001, 77777}
 	if testing.Short() {
 		seeds = seeds[:2]
 	}
 	const ranks = 16 // hosts 0..15: segments 0..3, pods 0 and 1
-	type config struct {
-		mode   sim.SchedulerMode
-		shards int
-	}
-	var configs []config
-	for _, mode := range []sim.SchedulerMode{sim.SchedulerWheel, sim.SchedulerHeap} {
-		for _, shards := range []int{1, 2, 4} {
-			configs = append(configs, config{mode, shards})
-		}
-	}
+	modes := []sim.SchedulerMode{sim.SchedulerWheel, sim.SchedulerHeap}
 	for _, seed := range seeds {
 		seed := seed
 		t.Run(fmt.Sprintf("seed%d", seed), func(t *testing.T) {
@@ -178,8 +169,8 @@ func TestFuzzReplayShardInvariant(t *testing.T) {
 			g := randomGraph(t, grng, ranks, 3)
 			fp := randomFaults(grng, 8, 8)
 
-			replay := func(c config) (Result, error) {
-				se, f, eps := fuzzFleet(t, seed, c.mode, c.shards)
+			replay := func(mode sim.SchedulerMode) (Result, error) {
+				eng, f, eps := fuzzFleet(t, seed, mode)
 				// Spread the ranks across all pods: host stride 2
 				// puts 16 ranks on every segment of the fleet.
 				spread := make([]*transport.Endpoint, ranks)
@@ -189,33 +180,33 @@ func TestFuzzReplayShardInvariant(t *testing.T) {
 				if err := fp.apply(f); err != nil {
 					return Result{}, err
 				}
-				return RunSharded(se, spread, g, Options{
+				return Run(eng, spread, g, Options{
 					Alg: multipath.OBS, Paths: 16, FlowBase: 1,
 				})
 			}
 			for _, workers := range []int{1, 4} {
-				results := make([]Result, len(configs))
-				errs := make([]error, len(configs))
+				results := make([]Result, len(modes))
+				errs := make([]error, len(modes))
 				sem := make(chan struct{}, workers)
 				var wg sync.WaitGroup
-				for ci, c := range configs {
-					ci, c := ci, c
+				for mi, mode := range modes {
+					mi, mode := mi, mode
 					wg.Add(1)
 					go func() {
 						defer wg.Done()
 						sem <- struct{}{}
 						defer func() { <-sem }()
-						results[ci], errs[ci] = replay(c)
+						results[mi], errs[mi] = replay(mode)
 					}()
 				}
 				wg.Wait()
-				for ci, c := range configs {
-					if errs[ci] != nil {
-						t.Fatalf("workers=%d %v shards=%d: %v", workers, c.mode, c.shards, errs[ci])
+				for mi, mode := range modes {
+					if errs[mi] != nil {
+						t.Fatalf("workers=%d %v: %v", workers, mode, errs[mi])
 					}
-					if !reflect.DeepEqual(results[ci], results[0]) {
-						t.Errorf("workers=%d %v shards=%d diverged from wheel shards=1:\n got %+v\nwant %+v",
-							workers, c.mode, c.shards, results[ci], results[0])
+					if !reflect.DeepEqual(results[mi], results[0]) {
+						t.Errorf("workers=%d %v diverged from wheel:\n got %+v\nwant %+v",
+							workers, mode, results[mi], results[0])
 					}
 				}
 			}

@@ -238,70 +238,35 @@ func Run(eng *sim.Engine, eps []*transport.Endpoint, g *Graph, opts Options) (Re
 	return res, nil
 }
 
-// RunSharded is Run on a sharded fleet: the replay's control state
-// lives on shard 0's engine (where eps' completion callbacks fan in),
-// and the sharded engine is driven under the serial merge — forced
-// here, because the replay's cross-rank completions schedule onto peer
-// engines with zero lookahead (a freed op launches at the instant that
-// freed it), which parallel windows cannot honor: the target shard may
-// already be past that instant inside its window. Fabric traffic is
-// window-safe (it crosses shards through Handoff, delayed by at least
-// LinkDelay); the replay's control plane is not.
-func RunSharded(se *sim.ShardedEngine, eps []*transport.Endpoint, g *Graph, opts Options) (Result, error) {
-	se.SetParallel(false)
-	rp, err := NewReplay(se.Shard(0), eps, g, opts)
-	if err != nil {
-		return Result{}, err
-	}
-	defer rp.Close()
-	var res Result
-	var got bool
-	rp.Start(func(r Result) { res, got = r, true })
-	se.RunAll()
-	if !got {
-		return Result{}, fmt.Errorf("%w: %d/%d ops pending: %s",
-			ErrIncomplete, rp.remain, len(g.Ops), rp.pendingDetail())
-	}
-	return res, nil
-}
-
-// engFor is the engine owning a rank's endpoint: where that rank's ops
-// must run. One engine everywhere on an unsharded fleet.
-func (r *Replay) engFor(rank int) *sim.Engine { return r.eps[rank].Engine() }
-
 // exec launches one ready op at instant t — the completion time of its
-// last dependency (or the replay start). The op's work is always pinned
-// to t on the owning rank's engine with an explicit At: under a sharded
-// fleet the completion that freed this op may have fired on another
-// shard whose merge position is ahead of the rank's local clock, and
-// launching inline there would start the op in the rank's past.
-// Deferring unconditionally (rather than only when the clock lags)
-// keeps the per-engine event order a pure function of the model at
-// every shard count.
+// last dependency (or the replay start). The op's work is always
+// deferred through an explicit At rather than started inline, which
+// fixes the event order: ops freed together launch in op-index order
+// behind any events already queued at t.
 func (r *Replay) exec(i int, t sim.Time) {
 	op := r.g.Ops[i]
 	a := &r.args[i]
 	switch op.Kind {
 	case OpCompute:
 		a.t = t.Add(op.Duration)
-		r.engFor(op.Rank).AtArg(a.t, opDeferredDone, a)
+		r.eng.AtArg(a.t, opDeferredDone, a)
 	case OpSend:
 		r.wire += op.Bytes
-		r.engFor(op.Rank).AtArg(t, opSendLaunch, a)
+		r.eng.AtArg(t, opSendLaunch, a)
 	case OpRecv:
 		si := r.sendIdx[recvKey(op)]
 		if r.sendDone[si] {
 			// Data already arrived; the recv completes at t (still via
 			// the event queue for uniform ordering).
 			a.t = t
-			r.engFor(op.Rank).AtArg(t, opDeferredDone, a)
+			r.eng.AtArg(t, opDeferredDone, a)
 			return
 		}
 		r.recvWait[i] = true
 	case OpCollective:
 		r.wire += uint64(len(op.Ranks)) * collective.VolumePerFlow(len(op.Ranks), op.Bytes)
 		a.t = t
-		r.engFor(op.Ranks[0]).AtArg(t, opCollectiveLaunch, a)
+		r.eng.AtArg(t, opCollectiveLaunch, a)
 	}
 }
 
@@ -312,7 +277,7 @@ func opDeferredDone(v any) {
 	a.r.completeBatch(a.t, a.i)
 }
 
-// opSendLaunch starts a send op's transfer on the owning rank's engine.
+// opSendLaunch starts a send op's transfer.
 func opSendLaunch(v any) {
 	a := v.(*opArg)
 	op := a.r.g.Ops[a.i]
@@ -344,7 +309,7 @@ func opCollectiveLaunch(v any) {
 	r := a.r
 	op := r.g.Ops[a.i]
 	i := a.i
-	r.rings[i].Reduce(r.engFor(op.Ranks[0]), op.Bytes, func(cres collective.Result) {
+	r.rings[i].Reduce(r.eng, op.Bytes, func(cres collective.Result) {
 		r.completeBatch(cres.End, i)
 	})
 }

@@ -13,21 +13,14 @@ import (
 // concurrently inside windows of that width without ever delivering an
 // event into a shard's past.
 //
-// Two execution modes share the same API:
-//
-//   - Serial merge (the default). One goroutine peeks every shard and
-//     dispatches the globally earliest event, merging by (time, shard,
-//     seq); handoffs inject into the destination immediately. This is
-//     exactly the single-engine semantics — safe for any model,
-//     including ones with cross-shard shared state driven by callbacks
-//     (collective reductions, job-graph replay) — just partitioned.
-//   - Parallel windows (SetParallel(true)). Each round picks
-//     T = min next-event time across shards and runs every shard to
-//     T+lookahead-1 on its own goroutine; handoffs buffer in per-shard
-//     outboxes and inject at the barrier, sorted by (when, src shard,
-//     emit order) so destination-side scheduling order is a pure
-//     function of the model, not of goroutine interleaving. Only valid
-//     for models whose event callbacks touch shard-local state.
+// Each round picks T = min next-event time across shards and runs every
+// shard to T+lookahead-1 on its own goroutine; handoffs buffer in
+// per-shard outboxes and inject at the barrier, sorted by (when, src
+// shard, emit order) so destination-side scheduling order is a pure
+// function of the model, not of goroutine interleaving. Event callbacks
+// must therefore touch only shard-local state: a model with shared
+// control state (collective reductions, job-graph replay) runs on one
+// engine.
 //
 // Seeding every shard with the same root seed keeps RNG forks
 // shard-invariant: the engine root RNG is only ever forked (never
@@ -36,12 +29,11 @@ import (
 type ShardedEngine struct {
 	engs      []*Engine
 	lookahead Duration
-	parallel  bool
 	halted    bool
 	last      Time
 
 	// outbox[src][dst] buffers handoffs emitted by shard src for shard
-	// dst during a parallel window; each is appended only by its source
+	// dst during a window; each is appended only by its source
 	// shard's goroutine, so no locking. emitSeq orders handoffs from
 	// one source deterministically.
 	outbox  [][][]handoff
@@ -106,7 +98,7 @@ func (se *ShardedEngine) Engines() []*Engine { return se.engs }
 
 // SetLookahead declares the minimum cross-shard latency: every Handoff
 // must be scheduled at least this far after the emitting shard's
-// current time. The parallel-window width. Must be positive.
+// current time. The window width. Must be positive.
 func (se *ShardedEngine) SetLookahead(d Duration) {
 	if d <= 0 {
 		panic("sim: sharded lookahead must be positive")
@@ -117,18 +109,11 @@ func (se *ShardedEngine) SetLookahead(d Duration) {
 // Lookahead reports the declared minimum cross-shard latency.
 func (se *ShardedEngine) Lookahead() Duration { return se.lookahead }
 
-// SetParallel switches to parallel-window execution. Only valid when
-// every event callback touches exclusively shard-local state; the
-// serial merge (default) is safe for any model.
-func (se *ShardedEngine) SetParallel(on bool) { se.parallel = on }
-
 // Handoff delivers fn(arg) to shard dst at virtual time when — the only
-// legal way for one shard's event to cause work on another. In parallel
-// mode when must be at least lookahead past the source shard's clock;
-// the serial merge only needs when to not precede the destination's
-// clock, which holds for any when not in the source's past.
+// legal way for one shard's event to cause work on another. Across
+// shards when must be at least lookahead past the source shard's clock.
 func (se *ShardedEngine) Handoff(src, dst int, when Time, afn func(any), arg any) {
-	if !se.parallel || src == dst {
+	if src == dst {
 		se.engs[dst].AtArg(when, afn, arg)
 		return
 	}
@@ -168,7 +153,7 @@ func (se *ShardedEngine) flush() {
 	}
 }
 
-// Halt stops Run before the next event (serial) or window (parallel).
+// Halt stops Run before the next window.
 func (se *ShardedEngine) Halt() { se.halted = true }
 
 // Fired reports events executed across all shards.
@@ -227,61 +212,18 @@ func (se *ShardedEngine) Now() Time {
 
 // Run drains all shards until no events remain, Halt is called, or the
 // clock would pass horizon. Returns the time of the last dispatched
-// event (or the merged clock if none ran).
+// event (or the merged clock if none ran). A model Halt on any shard
+// stops that shard at once and the group at the end of the window.
+//
+// No handoff emitted inside a window can land before its end, so the
+// shards run it concurrently; the WaitGroup barrier provides the
+// happens-before edge for handoff payloads crossing goroutines.
 func (se *ShardedEngine) Run(horizon Time) Time {
 	se.halted = false
-	for _, e := range se.engs {
-		e.resetHalt()
-	}
-	if len(se.engs) == 1 && !se.parallel {
+	if len(se.engs) == 1 {
 		se.last = se.engs[0].Run(horizon)
 		return se.last
 	}
-	if se.parallel {
-		return se.runParallel(horizon)
-	}
-	return se.runSerial(horizon)
-}
-
-// RunAll drains all shards with no horizon.
-func (se *ShardedEngine) RunAll() Time { return se.Run(Forever) }
-
-// runSerial dispatches one event at a time: the globally earliest by
-// (time, shard index, seq). Exactly the single-engine order with shard
-// index breaking cross-shard ties.
-func (se *ShardedEngine) runSerial(horizon Time) Time {
-	for !se.halted {
-		best := -1
-		var when Time
-		for i, e := range se.engs {
-			w, _, ok := e.PeekTime()
-			if !ok {
-				continue
-			}
-			if best < 0 || w < when {
-				best, when = i, w
-			}
-		}
-		if best < 0 || when > horizon {
-			break
-		}
-		e := se.engs[best]
-		e.Step()
-		se.last = when
-		if e.Halted() {
-			se.halted = true
-		}
-	}
-	return se.last
-}
-
-// runParallel runs conservative windows: each round picks the minimum
-// next-event time T, runs every shard concurrently to T+lookahead-1
-// (no handoff emitted inside the window can land before its end), then
-// injects buffered handoffs at the barrier. The WaitGroup barrier
-// provides the happens-before edge for handoff payloads crossing
-// goroutines.
-func (se *ShardedEngine) runParallel(horizon Time) Time {
 	var wg sync.WaitGroup
 	fired := make([]uint64, len(se.engs))
 	for !se.halted {
@@ -318,8 +260,10 @@ func (se *ShardedEngine) runParallel(horizon Time) Time {
 			if e.Halted() {
 				se.halted = true
 			}
-			e.resetHalt()
 		}
 	}
 	return se.last
 }
+
+// RunAll drains all shards with no horizon.
+func (se *ShardedEngine) RunAll() Time { return se.Run(Forever) }

@@ -2,6 +2,7 @@ package sim
 
 import (
 	"fmt"
+	"sort"
 	"testing"
 	"time"
 )
@@ -99,22 +100,23 @@ func TestAtInstantEndReopensInstant(t *testing.T) {
 
 // shardRing is the synthetic cross-shard model the sharded tests drive:
 // a token ring where each hop is a Handoff of the declared lookahead,
-// and every k-th hop also does shard-local busywork (extra same-instant
-// events) to exercise the merge order.
-func shardRing(se *ShardedEngine, hops int, log *[]string) {
+// and every third hop also does shard-local busywork (extra
+// same-instant events) to exercise per-shard ordering. Each shard logs
+// to its own slice, since shards run concurrently inside a window.
+func shardRing(se *ShardedEngine, hops int) (logs [][]stamped) {
 	n := se.NumShards()
 	const hop = 2 * time.Microsecond
 	se.SetLookahead(hop)
-	var fire func(any)
+	logs = make([][]stamped, n)
 	type token struct{ hop, shard int }
+	var fire func(any)
 	fire = func(arg any) {
 		tk := arg.(*token)
 		eng := se.Shard(tk.shard)
-		*log = append(*log, fmt.Sprintf("%v hop%d", eng.Now(), tk.hop))
+		logs[tk.shard] = append(logs[tk.shard], stamped{eng.Now(), fmt.Sprintf("hop%d", tk.hop)})
 		if tk.hop%3 == 0 {
-			// Shard-local same-instant churn.
 			eng.At(eng.Now(), func() {
-				*log = append(*log, fmt.Sprintf("%v local%d", eng.Now(), tk.hop))
+				logs[tk.shard] = append(logs[tk.shard], stamped{eng.Now(), fmt.Sprintf("local%d", tk.hop)})
 			})
 		}
 		if tk.hop >= hops {
@@ -124,74 +126,53 @@ func shardRing(se *ShardedEngine, hops int, log *[]string) {
 		se.Handoff(tk.shard, next.shard, eng.Now().Add(hop), fire, next)
 	}
 	se.Shard(0).AtArg(0, fire, &token{hop: 1, shard: 0})
+	return logs
 }
 
-// TestShardedSerialMatchesSingle: the same model run on 1, 2, 4 shards
-// under the serial merge produces an identical event log.
-func TestShardedSerialMatchesSingle(t *testing.T) {
+// stamped is one log line with the virtual time it was written.
+type stamped struct {
+	at  Time
+	msg string
+}
+
+// merged flattens per-shard logs into one timeline. The ring's token
+// sits on one shard at a time, so ordering by time (stable within a
+// shard) recovers the order a single engine logs.
+func merged(logs [][]stamped) []stamped {
+	var all []stamped
+	for _, l := range logs {
+		all = append(all, l...)
+	}
+	sort.SliceStable(all, func(i, j int) bool { return all[i].at < all[j].at })
+	return all
+}
+
+// TestShardedWindowsMatchSingle: the same model run on 2, 4 and 8
+// shards produces the event log of one shard, under both schedulers.
+func TestShardedWindowsMatchSingle(t *testing.T) {
 	for _, mode := range []SchedulerMode{SchedulerWheel, SchedulerHeap} {
-		var ref []string
-		for _, n := range []int{1, 2, 4} {
+		var ref []stamped
+		for _, n := range []int{1, 2, 4, 8} {
 			se := NewShardedEngine(7, mode, n)
-			var log []string
-			shardRing(se, 40, &log)
+			logs := shardRing(se, 60)
 			last := se.RunAll()
-			if n == 1 {
-				ref = log
-				continue
-			}
-			if fmt.Sprint(log) != fmt.Sprint(ref) {
-				t.Fatalf("%v shards=%d: log diverged\n got %v\nwant %v", mode, n, log, ref)
-			}
-			if want := Time(39 * 2 * int64(time.Microsecond)); last != want {
+			got := merged(logs)
+			if want := Time(59 * 2 * int64(time.Microsecond)); last != want {
 				t.Fatalf("%v shards=%d: last=%v want %v", mode, n, last, want)
 			}
-		}
-	}
-}
-
-// TestShardedParallelMatchesSerial: parallel windows produce the same
-// per-shard logs as the serial merge when state is shard-local. Logs
-// are kept per-shard (parallel callbacks on different shards race on a
-// shared slice by design) and compared shard-by-shard.
-func TestShardedParallelMatchesSerial(t *testing.T) {
-	run := func(n int, par bool) []string {
-		se := NewShardedEngine(7, SchedulerWheel, n)
-		se.SetParallel(par)
-		const hop = 2 * time.Microsecond
-		se.SetLookahead(hop)
-		logs := make([][]string, n)
-		type token struct{ hop, shard int }
-		var fire func(any)
-		fire = func(arg any) {
-			tk := arg.(*token)
-			eng := se.Shard(tk.shard)
-			logs[tk.shard] = append(logs[tk.shard], fmt.Sprintf("%v hop%d", eng.Now(), tk.hop))
-			if tk.hop >= 60 {
-				return
+			if n == 1 {
+				ref = got
+				continue
 			}
-			next := &token{hop: tk.hop + 1, shard: (tk.shard + 1) % n}
-			se.Handoff(tk.shard, next.shard, eng.Now().Add(hop), fire, next)
-		}
-		se.Shard(0).AtArg(0, fire, &token{hop: 1, shard: 0})
-		se.RunAll()
-		var flat []string
-		for i, l := range logs {
-			flat = append(flat, fmt.Sprintf("shard%d %v", i, l))
-		}
-		return flat
-	}
-	for _, n := range []int{2, 4, 8} {
-		serial, parallel := run(n, false), run(n, true)
-		if fmt.Sprint(serial) != fmt.Sprint(parallel) {
-			t.Fatalf("shards=%d: parallel diverged from serial\n got %v\nwant %v", n, parallel, serial)
+			if fmt.Sprint(got) != fmt.Sprint(ref) {
+				t.Fatalf("%v shards=%d: log diverged\n got %v\nwant %v", mode, n, got, ref)
+			}
 		}
 	}
 }
 
 func TestHandoffInsideLookaheadPanics(t *testing.T) {
 	se := NewShardedEngine(1, SchedulerWheel, 2)
-	se.SetParallel(true)
 	se.SetLookahead(time.Microsecond)
 	defer func() {
 		if recover() == nil {
@@ -201,18 +182,21 @@ func TestHandoffInsideLookaheadPanics(t *testing.T) {
 	se.Handoff(0, 1, se.Shard(0).Now().Add(time.Nanosecond), func(any) {}, nil)
 }
 
-// TestShardedHalt: a model Halt on any shard stops the merged run.
+// TestShardedHalt: a model Halt stops its own shard at once and the
+// group at the end of the window. Other shards finish the window.
 func TestShardedHalt(t *testing.T) {
 	se := NewShardedEngine(1, SchedulerWheel, 2)
 	se.SetLookahead(time.Microsecond)
-	ran := 0
-	se.Shard(1).At(10, func() { ran++; se.Shard(1).Halt() })
-	se.Shard(0).At(20, func() { ran++ })
+	var ran [2]int // per shard: shards run concurrently inside a window
+	se.Shard(1).At(10, func() { ran[1]++; se.Shard(1).Halt() })
+	se.Shard(1).At(30, func() { ran[1]++ })   // same shard, after Halt
+	se.Shard(0).At(20, func() { ran[0]++ })   // same window, other shard
+	se.Shard(0).At(5000, func() { ran[0]++ }) // next window
 	se.RunAll()
-	if ran != 1 {
-		t.Fatalf("events after Halt still ran: ran=%d", ran)
+	if ran != [2]int{1, 1} {
+		t.Fatalf("ran per shard = %v, want [1 1]", ran)
 	}
-	if se.Pending() != 1 {
-		t.Fatalf("Pending() = %d, want 1", se.Pending())
+	if se.Pending() != 2 {
+		t.Fatalf("Pending() = %d, want 2", se.Pending())
 	}
 }

@@ -687,13 +687,8 @@ func (e *Engine) dispatch(ev *Event) {
 func (e *Engine) Halt() { e.halted = true }
 
 // Halted reports whether Halt was called since the last Run started.
-// ShardedEngine steps shard engines directly (bypassing Run) and needs
-// to observe a model's Halt without losing it to Run's reset.
+// ShardedEngine reads it after each window to stop the whole group.
 func (e *Engine) Halted() bool { return e.halted }
-
-// resetHalt clears the halted flag, as Run does on entry; the sharded
-// driver calls it when it begins draining on a shard's behalf.
-func (e *Engine) resetHalt() { e.halted = false }
 
 // PeekTime reports the (time, seq) of the next live event without
 // dispatching it, and whether one exists. Instant-end callbacks may run

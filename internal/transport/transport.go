@@ -166,10 +166,6 @@ func NewEndpoint(f *fabric.Fabric, h fabric.HostID, cfg Config) *Endpoint {
 // Host returns the endpoint's fabric host.
 func (e *Endpoint) Host() fabric.HostID { return e.host }
 
-// Engine returns the engine the endpoint schedules on: its host's shard
-// engine — components driving this endpoint must schedule there too.
-func (e *Endpoint) Engine() *sim.Engine { return e.eng }
-
 // Config returns the endpoint's transport configuration.
 func (e *Endpoint) Config() Config { return e.cfg }
 
@@ -355,12 +351,6 @@ func (r *ackRing) each(fn func(*outstanding)) {
 
 // reset drops every entry and the backing store.
 func (r *ackRing) reset() { *r = ackRing{} }
-
-// Engine is the engine owning the connection's source endpoint; all of
-// the conn's work (transmissions, RTOs, completion callbacks) runs
-// there. Callers driving a conn from another shard's event must
-// schedule onto this engine rather than calling Send inline.
-func (c *Conn) Engine() *sim.Engine { return c.eng }
 
 // Connect establishes a one-directional flow from src to dst using the
 // given path-selection algorithm and fan-out.
