@@ -127,6 +127,20 @@ func BenchmarkTLBInsertEvict(b *testing.B) {
 	}
 }
 
+// BenchmarkTLBInvalidateRange: one uncached 2 MiB range on a full
+// IOTLB, the pvdma block-eviction path.
+func BenchmarkTLBInvalidateRange(b *testing.B) {
+	tlb := pagetable.NewTLB(8192, addr.PageSize4K)
+	for p := uint64(0); p < 8192; p++ {
+		tlb.Insert(p*addr.PageSize4K, p*addr.PageSize4K)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		tlb.InvalidateRange(1<<40+uint64(i%64)*addr.PageSize2M, addr.PageSize2M)
+	}
+}
+
 func BenchmarkEngineEventChurn(b *testing.B) {
 	eng := sim.NewEngine(1)
 	b.ReportAllocs()

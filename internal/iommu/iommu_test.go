@@ -122,6 +122,30 @@ func TestUnmapInvalidatesIOTLB(t *testing.T) {
 	}
 }
 
+func TestUnmapKeepsRegionNeighbourCached(t *testing.T) {
+	// Two 4 KiB mappings in one 2 MiB region: unmapping one must drop
+	// only its own IOTLB page.
+	u := newTestIOMMU(t, Config{Mode: ModeNoPT})
+	u.Map(addr.NewDARange(0x3000, addr.PageSize4K), addr.HPA(0xC000))
+	u.Map(addr.NewDARange(0x4000, addr.PageSize4K), addr.HPA(0xD000))
+	u.Translate(0x3000)
+	u.Translate(0x4000)
+	if err := u.Unmap(0x3000); err != nil {
+		t.Fatal(err)
+	}
+	walks, hits := u.Walks(), u.IOTLB().Hits()
+	hpa, _, err := u.Translate(0x4010)
+	if err != nil || hpa != 0xD010 {
+		t.Fatalf("neighbour Translate = %v,%v", hpa, err)
+	}
+	if u.Walks() != walks || u.IOTLB().Hits() != hits+1 {
+		t.Errorf("neighbour not an IOTLB hit: walks %d->%d, hits %d->%d", walks, u.Walks(), hits, u.IOTLB().Hits())
+	}
+	if u.IOTLB().Len() != 1 {
+		t.Errorf("IOTLB Len = %d, want 1", u.IOTLB().Len())
+	}
+}
+
 func TestIOTLBThrashRaisesWalks(t *testing.T) {
 	// Working set larger than IOTLB: every sequential access walks. This
 	// is the mechanism behind Figure 8's >32 MB degradation.

@@ -1,6 +1,7 @@
 package pagetable
 
 import (
+	"slices"
 	"testing"
 
 	"repro/internal/addr"
@@ -57,34 +58,80 @@ func FuzzTableOps(f *testing.F) {
 	})
 }
 
-// FuzzTLB drives the LRU cache with arbitrary lookups/inserts and
-// checks it never exceeds capacity and never returns a translation that
-// was not inserted for that page.
+// FuzzTLB drives the LRU cache with arbitrary inserts, lookups,
+// invalidations and flushes against a slice-backed LRU model. Pages sit
+// within 32 pages of the boundaries between five 2 MiB regions, and
+// invalidated ranges run from one byte to 1<<40, so ranges straddle and
+// span regions. After every op the cache must hold exactly the model's
+// pages, translate as the model does, and keep its region index in step.
 func FuzzTLB(f *testing.F) {
 	f.Add([]byte{1, 2, 3, 4, 5, 6})
 	f.Add([]byte{0, 0, 0, 0})
+	f.Add([]byte{0, 31, 1, 0, 32, 2, 0, 95, 3, 3, 31, 16, 1, 32, 0, 1, 95, 0})
+	f.Add([]byte{0, 10, 1, 0, 200, 2, 4, 0, 0, 1, 10, 0, 0, 70, 3, 3, 0, 48, 1, 70, 0})
 	f.Fuzz(func(t *testing.T, ops []byte) {
 		const cap = 8
-		c := NewTLB(cap, addr.PageSize4K)
-		truth := make(map[uint64]uint64) // page -> dst page last inserted
-		for i := 0; i+1 < len(ops); i += 2 {
-			page := uint64(ops[i]%32) * addr.PageSize4K
-			if ops[i+1]%2 == 0 {
-				dst := uint64(ops[i+1]) * addr.PageSize4K
-				c.Insert(page, dst)
-				truth[page] = dst
-			} else if got, ok := c.Lookup(page + 3); ok {
-				want, known := truth[page]
-				if !known {
-					t.Fatalf("TLB returned %#x for never-inserted page %#x", got, page)
+		const page = addr.PageSize4K
+		sizes := []uint64{1, page, 2*page + 1, addr.PageSize2M, addr.PageSize2M + page, 3 * addr.PageSize2M, 1 << 40}
+		pageAt := func(x byte) uint64 {
+			return (uint64(x>>6)*regionPages + regionPages - 32 + uint64(x&63)) * page
+		}
+		c := NewTLB(cap, page)
+		var model []tlbEntry // most recently used first
+		find := func(p uint64) int {
+			return slices.IndexFunc(model, func(e tlbEntry) bool { return e.key == p })
+		}
+		for i := 0; i+2 < len(ops); i += 3 {
+			a, b := ops[i+1], ops[i+2]
+			switch ops[i] % 5 {
+			case 0: // insert
+				p, dst := pageAt(a), uint64(i)*page
+				c.Insert(p+uint64(b), dst)
+				if j := find(p); j >= 0 {
+					model = slices.Delete(model, j, j+1)
+				} else if len(model) == cap {
+					model = model[:cap-1]
 				}
-				if got != want+3 {
-					t.Fatalf("TLB stale: got %#x want %#x", got, want+3)
+				model = slices.Insert(model, 0, tlbEntry{p, dst})
+			case 1: // lookup
+				p := pageAt(a)
+				got, ok := c.Lookup(p + uint64(b))
+				j := find(p)
+				if ok != (j >= 0) {
+					t.Fatalf("Lookup(%#x) hit=%v, model hit=%v", p+uint64(b), ok, j >= 0)
 				}
+				if ok {
+					if want := model[j].dst + uint64(b); got != want {
+						t.Fatalf("Lookup(%#x) = %#x, want %#x", p+uint64(b), got, want)
+					}
+					e := model[j]
+					model = slices.Insert(slices.Delete(model, j, j+1), 0, e)
+				}
+			case 2: // invalidate one page
+				p := pageAt(a)
+				c.Invalidate(p + uint64(b))
+				if j := find(p); j >= 0 {
+					model = slices.Delete(model, j, j+1)
+				}
+			case 3: // invalidate a range
+				start, size := pageAt(a)+uint64(b&7)*0x123, sizes[int(b>>3)%len(sizes)]
+				c.InvalidateRange(start, size)
+				model = slices.DeleteFunc(model, func(e tlbEntry) bool {
+					return e.key+page > start && e.key < start+size
+				})
+				for _, probe := range []uint64{start, start + size/2, start + size - 1} {
+					if _, ok := c.Lookup(probe); ok {
+						t.Fatalf("Lookup(%#x) hit inside invalidated [%#x, +%#x)", probe, start, size)
+					}
+				}
+			case 4:
+				c.Flush()
+				model = model[:0]
 			}
-			if c.Len() > cap {
-				t.Fatalf("TLB exceeded capacity: %d > %d", c.Len(), cap)
+			if c.Len() != len(model) {
+				t.Fatalf("op %d: Len = %d, model holds %d", i/3, c.Len(), len(model))
 			}
+			checkTLBIndexes(t, c)
 		}
 	})
 }

@@ -2,6 +2,9 @@ package pagetable
 
 import (
 	"errors"
+	"maps"
+	"math/rand/v2"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -290,5 +293,129 @@ func TestTLBWorkingSetBehaviour(t *testing.T) {
 	}
 	if c2.Hits() != 0 {
 		t.Errorf("sequential over-capacity scan hits = %d, want 0 (LRU thrash)", c2.Hits())
+	}
+}
+
+// checkTLBIndexes fails unless the LRU list, the entry map and the region
+// index describe the same set of cached pages.
+func checkTLBIndexes(t *testing.T, c *TLB) {
+	t.Helper()
+	want := make(map[uint64]int)
+	n := 0
+	for e := c.head; e != nil; e = e.next {
+		if c.entries[e.key] != e {
+			t.Fatalf("LRU node %#x not in entries", e.key)
+		}
+		want[c.region(e.key)]++
+		n++
+	}
+	if n != len(c.entries) {
+		t.Fatalf("LRU list holds %d nodes, entries %d", n, len(c.entries))
+	}
+	if !maps.Equal(want, c.regions) {
+		t.Fatalf("region index %v, want %v", c.regions, want)
+	}
+}
+
+// invalidateRangeRef is the per-page/per-entry InvalidateRange the region
+// index replaced: the reference the region walk must match.
+func invalidateRangeRef(c *TLB, start, size uint64) {
+	if size == 0 {
+		return
+	}
+	pages := (c.page(start+size-1)-c.page(start))/c.pageSize + 1
+	if pages <= uint64(len(c.entries)) {
+		for p := c.page(start); p <= c.page(start+size-1); p += c.pageSize {
+			c.Invalidate(p)
+		}
+		return
+	}
+	end := start + size
+	for key := range c.entries {
+		if key+c.pageSize > start && key < end {
+			c.Invalidate(key)
+		}
+	}
+}
+
+type tlbEntry struct{ key, dst uint64 }
+
+// tlbState is everything InvalidateRange may affect: the entries in LRU
+// order (most recent first) and the counters.
+func tlbState(c *TLB) ([]tlbEntry, [3]uint64) {
+	var es []tlbEntry
+	for e := c.head; e != nil; e = e.next {
+		es = append(es, tlbEntry{e.key, e.dst})
+	}
+	return es, [3]uint64{c.hits, c.misses, c.evicts}
+}
+
+func TestTLBInvalidateRangeMatchesReference(t *testing.T) {
+	const page, region = addr.PageSize4K, addr.PageSize2M
+	// Cached keys start at base, eight regions up, so a range from zero
+	// can span more regions than are occupied and still end mid-way
+	// through an occupied one.
+	const base = 8 * region
+	ranges := []struct {
+		name        string
+		start, size uint64
+	}{
+		{"empty", base + 5*page, 0},
+		{"one byte", base + 5*page + 7, 1},
+		{"one page unaligned", base + 3*page + 100, page},
+		{"straddle boundary", base + region - 3*page, 6 * page},
+		{"one region aligned", base + region, region},
+		{"region unaligned start", base + 2*region + 100, region},
+		{"five regions", base + region/2, 5 * region},
+		{"many regions, ending mid-region", 0, base + 2*region + region/2},
+		{"from zero, many regions", 0, 1 << 40},
+		{"mid-region, many regions", base + 3*region/2, 1 << 40},
+		{"beyond cached", 1 << 40, region},
+	}
+	// Key spreads: dense across three regions, and sparse across 4096.
+	spreads := []uint64{3 * regionPages, 4096 * regionPages}
+	var walked, ranged int
+	for seed := uint64(1); seed <= 8; seed++ {
+		for _, capacity := range []int{8, 64, 1024} {
+			for _, spread := range spreads {
+				// fill replays one random insert/lookup history.
+				fill := func(c *TLB, state uint64) {
+					rng := rand.New(rand.NewPCG(seed, state))
+					for i := 0; i < 3*capacity; i++ {
+						p := base + rng.Uint64N(spread)*page
+						if rng.IntN(4) == 0 {
+							c.Lookup(p)
+						} else {
+							c.Insert(p, uint64(i)*page)
+						}
+					}
+				}
+				for i, rg := range ranges {
+					got, ref := NewTLB(capacity, page), NewTLB(capacity, page)
+					state := uint64(capacity)<<32 | spread<<8 | uint64(i)
+					fill(got, state)
+					fill(ref, state)
+					if rg.size > 0 {
+						if span := got.region(rg.start+rg.size-1) - got.region(rg.start) + 1; span <= uint64(len(got.regions)) {
+							walked++
+						} else {
+							ranged++
+						}
+					}
+					got.InvalidateRange(rg.start, rg.size)
+					invalidateRangeRef(ref, rg.start, rg.size)
+					checkTLBIndexes(t, got)
+					ge, gc := tlbState(got)
+					re, rc := tlbState(ref)
+					if !slices.Equal(ge, re) || gc != rc {
+						t.Fatalf("seed %d cap %d spread %d %s: got %d entries %v, reference %d entries %v",
+							seed, capacity, spread, rg.name, len(ge), gc, len(re), rc)
+					}
+				}
+			}
+		}
+	}
+	if walked == 0 || ranged == 0 {
+		t.Fatalf("region walk ran %d times, region-map range %d times: both paths must be covered", walked, ranged)
 	}
 }

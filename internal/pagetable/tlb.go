@@ -1,17 +1,28 @@
 package pagetable
 
+import "math/bits"
+
+// regionPages is how many pages one occupancy-index region covers: 2 MiB
+// of 4 KiB pages, the block size PVDMA registers and evicts.
+const regionPages = 512
+
 // TLB is a bounded, page-granular translation cache with LRU eviction.
 // The IOMMU's IOTLB and the PCIe devices' Address Translation Caches
 // (ATC) are both instances: Figure 8's GDR performance collapse is this
 // structure overflowing. Capacity is in entries ("tens of thousands of
 // memory pages" per §6); each entry caches the translation of one page.
 type TLB struct {
-	capacity int
-	pageSize uint64
+	capacity    int
+	pageSize    uint64
+	regionShift uint // log2(pageSize * regionPages)
 
 	entries map[uint64]*tlbNode // page-aligned source -> node
-	head    *tlbNode            // most recently used
-	tail    *tlbNode            // least recently used
+	// regions counts the cached pages of each occupied region (source >>
+	// regionShift), so InvalidateRange skips empty regions without
+	// probing their pages.
+	regions map[uint64]int
+	head    *tlbNode // most recently used
+	tail    *tlbNode // least recently used
 
 	hits   uint64
 	misses uint64
@@ -31,9 +42,11 @@ func NewTLB(capacity int, pageSize uint64) *TLB {
 		capacity = 1
 	}
 	return &TLB{
-		capacity: capacity,
-		pageSize: pageSize,
-		entries:  make(map[uint64]*tlbNode, capacity),
+		capacity:    capacity,
+		pageSize:    pageSize,
+		regionShift: uint(bits.TrailingZeros64(pageSize * regionPages)),
+		entries:     make(map[uint64]*tlbNode, capacity),
+		regions:     make(map[uint64]int),
 	}
 }
 
@@ -57,6 +70,8 @@ func (c *TLB) Evictions() uint64 { return c.evicts }
 
 func (c *TLB) page(a uint64) uint64 { return a &^ (c.pageSize - 1) }
 
+func (c *TLB) region(a uint64) uint64 { return a >> c.regionShift }
+
 func (c *TLB) detach(n *tlbNode) {
 	if n.prev != nil {
 		n.prev.next = n.next
@@ -79,6 +94,18 @@ func (c *TLB) pushFront(n *tlbNode) {
 	c.head = n
 	if c.tail == nil {
 		c.tail = n
+	}
+}
+
+// drop removes n from the LRU list and both indexes.
+func (c *TLB) drop(n *tlbNode) {
+	c.detach(n)
+	delete(c.entries, n.key)
+	r := c.region(n.key)
+	if k := c.regions[r]; k > 1 {
+		c.regions[r] = k - 1
+	} else {
+		delete(c.regions, r)
 	}
 }
 
@@ -112,51 +139,82 @@ func (c *TLB) Insert(src, dst uint64) {
 		}
 		return
 	}
+	var n *tlbNode
 	if len(c.entries) >= c.capacity {
-		lru := c.tail
-		c.detach(lru)
-		delete(c.entries, lru.key)
+		n = c.tail // reused for the new entry
+		c.drop(n)
 		c.evicts++
+	} else {
+		n = new(tlbNode)
 	}
-	n := &tlbNode{key: key, dst: c.page(dst)}
+	n.key, n.dst = key, c.page(dst)
 	c.entries[key] = n
+	c.regions[c.region(key)]++
 	c.pushFront(n)
 }
 
 // Invalidate drops the cached translation for the page containing a, if
 // present.
 func (c *TLB) Invalidate(a uint64) {
-	key := c.page(a)
-	if n, ok := c.entries[key]; ok {
-		c.detach(n)
-		delete(c.entries, key)
+	if n, ok := c.entries[c.page(a)]; ok {
+		c.drop(n)
 	}
 }
 
 // InvalidateRange drops every cached page overlapping [start, start+size).
+// It visits only occupied regions: it walks the range's regions when the
+// range spans no more regions than are occupied, and otherwise ranges
+// over the occupied ones.
 func (c *TLB) InvalidateRange(start, size uint64) {
 	if size == 0 {
 		return
 	}
-	// For small ranges walk pages; for huge ranges walk entries.
-	pages := (c.page(start+size-1)-c.page(start))/c.pageSize + 1
-	if pages <= uint64(len(c.entries)) {
-		for p := c.page(start); p <= c.page(start+size-1); p += c.pageSize {
-			c.Invalidate(p)
+	first, last := c.page(start), c.page(start+size-1)
+	r0, r1 := c.region(first), c.region(last)
+	if r1-r0 < uint64(len(c.regions)) {
+		for r := r0; ; r++ {
+			if k, ok := c.regions[r]; ok {
+				c.invalidateRegion(r, k, first, last)
+			}
+			if r == r1 {
+				return
+			}
 		}
-		return
 	}
-	end := start + size
-	for key := range c.entries {
-		if key+c.pageSize > start && key < end {
-			c.Invalidate(key)
+	for r, k := range c.regions {
+		if r >= r0 && r <= r1 {
+			c.invalidateRegion(r, k, first, last)
 		}
+	}
+}
+
+// invalidateRegion drops the cached pages of region r, which holds k,
+// that lie in [first, last], stopping once the region is empty. It
+// updates r's count once, not per dropped page.
+func (c *TLB) invalidateRegion(r uint64, k int, first, last uint64) {
+	lo := max(first, r<<c.regionShift)
+	hi := min(last, r<<c.regionShift+(c.pageSize*regionPages-c.pageSize))
+	for p := lo; k > 0; p += c.pageSize {
+		if n, ok := c.entries[p]; ok {
+			c.detach(n)
+			delete(c.entries, p)
+			k--
+		}
+		if p >= hi {
+			break
+		}
+	}
+	if k == 0 {
+		delete(c.regions, r)
+	} else {
+		c.regions[r] = k
 	}
 }
 
 // Flush drops every entry (counters persist).
 func (c *TLB) Flush() {
-	c.entries = make(map[uint64]*tlbNode, c.capacity)
+	clear(c.entries)
+	clear(c.regions)
 	c.head, c.tail = nil, nil
 }
 
