@@ -151,6 +151,32 @@ func BenchmarkEngineEventChurn(b *testing.B) {
 	}
 }
 
+// BenchmarkEngineBurst is the dense-bucket shape of the 4096-host fleet
+// run: thousands of Posts per 512 ns wheel bucket, each carrying a
+// record from an 8 MiB working set (larger than L2) in random order, so
+// the callback's record is a cache miss as in a large fabric. ns/op is
+// per event.
+func BenchmarkEngineBurst(b *testing.B) {
+	const perBucket = 4096
+	type record struct {
+		n uint64
+		_ [56]byte
+	}
+	recs := make([]record, 1<<17)
+	order := sim.NewRNG(1).Perm(len(recs))
+	fn := func(a any) { a.(*record).n++ }
+	eng := sim.NewEngineMode(1, sim.SchedulerWheel)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; {
+		bucket := sim.Time((int64(eng.Now())/512 + 2) * 512)
+		for j := 0; j < perBucket && i < b.N; j, i = j+1, i+1 {
+			eng.Post(bucket+sim.Time(j%512), fn, &recs[order[i%len(order)]])
+		}
+		eng.RunAll()
+	}
+}
+
 // benchSchedulerRTO emulates the transport's per-packet timer pattern:
 // every "packet" arms an RTO 250 µs out and cancels it ~1 µs later when
 // the "ack" arrives, with a standing population of armed timers — the

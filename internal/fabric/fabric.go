@@ -877,7 +877,7 @@ func (f *Fabric) arrive(l *link, t *transit) {
 			return
 		}
 	}
-	l.eng.AtArg(depart, f.hopFn, t)
+	l.eng.Post(depart, f.hopFn, t)
 }
 
 // sortTransits orders buffered arrivals by canonical packet key:

@@ -87,7 +87,7 @@ type Replay struct {
 // opArg is one op's launch/completion argument. Each op executes
 // exactly once, so one record per op — pre-allocated in NewReplay —
 // lets exec schedule through the engine's arg-style entry points
-// (AtArg, SendArg) with package-level functions instead of minting
+// (Post, SendArg) with package-level functions instead of minting
 // per-op closures on the replay hot path.
 type opArg struct {
 	r *Replay
@@ -240,7 +240,7 @@ func Run(eng *sim.Engine, eps []*transport.Endpoint, g *Graph, opts Options) (Re
 
 // exec launches one ready op at instant t — the completion time of its
 // last dependency (or the replay start). The op's work is always
-// deferred through an explicit At rather than started inline, which
+// deferred through an explicit Post rather than started inline, which
 // fixes the event order: ops freed together launch in op-index order
 // behind any events already queued at t.
 func (r *Replay) exec(i int, t sim.Time) {
@@ -249,24 +249,24 @@ func (r *Replay) exec(i int, t sim.Time) {
 	switch op.Kind {
 	case OpCompute:
 		a.t = t.Add(op.Duration)
-		r.eng.AtArg(a.t, opDeferredDone, a)
+		r.eng.Post(a.t, opDeferredDone, a)
 	case OpSend:
 		r.wire += op.Bytes
-		r.eng.AtArg(t, opSendLaunch, a)
+		r.eng.Post(t, opSendLaunch, a)
 	case OpRecv:
 		si := r.sendIdx[recvKey(op)]
 		if r.sendDone[si] {
 			// Data already arrived; the recv completes at t (still via
 			// the event queue for uniform ordering).
 			a.t = t
-			r.eng.AtArg(t, opDeferredDone, a)
+			r.eng.Post(t, opDeferredDone, a)
 			return
 		}
 		r.recvWait[i] = true
 	case OpCollective:
 		r.wire += uint64(len(op.Ranks)) * collective.VolumePerFlow(len(op.Ranks), op.Bytes)
 		a.t = t
-		r.eng.AtArg(t, opCollectiveLaunch, a)
+		r.eng.Post(t, opCollectiveLaunch, a)
 	}
 }
 

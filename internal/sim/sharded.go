@@ -46,7 +46,7 @@ type handoff struct {
 	when Time
 	src  int
 	seq  uint64
-	afn  func(any)
+	fn   func(any)
 	arg  any
 }
 
@@ -112,16 +112,16 @@ func (se *ShardedEngine) Lookahead() Duration { return se.lookahead }
 // Handoff delivers fn(arg) to shard dst at virtual time when — the only
 // legal way for one shard's event to cause work on another. Across
 // shards when must be at least lookahead past the source shard's clock.
-func (se *ShardedEngine) Handoff(src, dst int, when Time, afn func(any), arg any) {
+func (se *ShardedEngine) Handoff(src, dst int, when Time, fn func(any), arg any) {
 	if src == dst {
-		se.engs[dst].AtArg(when, afn, arg)
+		se.engs[dst].Post(when, fn, arg)
 		return
 	}
 	if min := se.engs[src].Now().Add(se.lookahead); when < min {
 		panic("sim: Handoff inside the lookahead window")
 	}
 	se.outbox[src][dst] = append(se.outbox[src][dst], handoff{
-		when: when, src: src, seq: se.emitSeq[src], afn: afn, arg: arg,
+		when: when, src: src, seq: se.emitSeq[src], fn: fn, arg: arg,
 	})
 	se.emitSeq[src]++
 }
@@ -145,8 +145,8 @@ func (se *ShardedEngine) flush() {
 		sort.Sort(&se.sorter)
 		for i := range buf {
 			h := &buf[i]
-			se.engs[dst].AtArg(h.when, h.afn, h.arg)
-			h.afn = nil
+			se.engs[dst].Post(h.when, h.fn, h.arg)
+			h.fn = nil
 			h.arg = nil
 		}
 		se.sorter.s = buf[:0]

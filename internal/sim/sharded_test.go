@@ -125,7 +125,7 @@ func shardRing(se *ShardedEngine, hops int) (logs [][]stamped) {
 		next := &token{hop: tk.hop + 1, shard: (tk.shard + 1) % n}
 		se.Handoff(tk.shard, next.shard, eng.Now().Add(hop), fire, next)
 	}
-	se.Shard(0).AtArg(0, fire, &token{hop: 1, shard: 0})
+	se.Shard(0).Post(0, fire, &token{hop: 1, shard: 0})
 	return logs
 }
 

@@ -4,32 +4,32 @@
 // repository is reproducible from a seed.
 //
 // Virtual time is an int64 nanosecond count starting at zero. Components
-// schedule callbacks with At/After; Engine.Run drains the queue in time
-// order (ties broken by scheduling order) until the queue is empty or a
-// horizon is reached.
+// schedule callbacks with Post, At or After; Engine.Run drains the queue
+// in time order (ties broken by scheduling order) until the queue is
+// empty or a horizon is reached.
 //
 // # Scheduler
 //
 // The engine is a two-tier scheduler. Short-horizon events — per-hop
 // packet departures, the transport's 250 µs RTOs, anything within the
-// next ~2 ms of virtual time — land in a timer wheel of fixed-width
+// next ~4 ms of virtual time — land in a timer wheel of fixed-width
 // buckets: O(1) insert, O(1) cancel, and lazy reaping of canceled
 // events when their bucket's time arrives, so an RTO that is armed and
 // canceled on every packet never touches the heap at all. Far or
-// irregular events go straight into a binary heap. Buckets are flushed
-// into the heap strictly in time order before any event they could
-// precede is popped, so the dispatch order — (time, then scheduling
-// sequence) — is byte-identical to a plain heap; SchedulerHeap disables
-// the wheel for differential testing.
+// irregular events go straight into a binary heap. Queues hold events
+// by value, and buckets are flushed strictly in time order before any
+// event they could precede is popped, so the dispatch order — (time,
+// then scheduling sequence) — is byte-identical to a plain heap;
+// SchedulerHeap disables the wheel for differential testing.
 //
-// Event objects are recycled through a per-engine free list (safe
-// because the engine is single-threaded). Consequently an *Event must
-// not be retained after its callback has run: Cancel on a fired event
-// is harmless only until the engine reuses the object.
+// Post needs no cancel handle. The *Event handles At, After and AfterArg
+// return are recycled through a per-engine free list (safe because the
+// engine is single-threaded), so an *Event must not be retained after
+// its callback has run: Cancel on a fired event is harmless only until
+// the engine reuses the handle.
 package sim
 
 import (
-	"container/heap"
 	"fmt"
 	"math"
 	"slices"
@@ -123,6 +123,7 @@ func DefaultSchedulerMode() SchedulerMode { return SchedulerMode(defaultMode.Loa
 // actually produces. 64 KiB of slot pointers per engine.
 const (
 	bucketBits = 9 // 512 ns per bucket
+	bucketNs   = 1 << bucketBits
 	wheelSlots = 8192
 	wheelMask  = wheelSlots - 1
 )
@@ -130,17 +131,13 @@ const (
 // bucketOf maps a virtual time to its absolute wheel bucket.
 func bucketOf(t Time) uint64 { return uint64(t) >> bucketBits }
 
-// Event is a scheduled callback.
+// Event is the cancel handle of an event scheduled with At, After or
+// AfterArg. The callback lives in the queued entry; the queue reads the
+// handle only for cancelable events.
 type Event struct {
-	when Time
-	seq  uint64
-	fn   func()
-	afn  func(any) // arg-style callback: lets hot paths avoid a closure
-	arg  any
-
-	index    int // heap index, -1 when not queued
+	when     Time
 	canceled bool
-	next     *Event // wheel-bucket chain / free-list link
+	next     *Event // free-list link
 }
 
 // When reports the virtual time the event fires at.
@@ -148,8 +145,8 @@ func (e *Event) When() Time { return e.when }
 
 // Cancel prevents the event from firing. Safe to call multiple times;
 // on an event that already fired it is a no-op, but only until the
-// engine recycles the object — do not retain event pointers past their
-// firing time.
+// engine recycles the handle — do not retain event pointers past their
+// firing time. The entry keeps its arg until reaped but never runs.
 func (e *Event) Cancel() {
 	e.canceled = true
 }
@@ -157,47 +154,41 @@ func (e *Event) Cancel() {
 // Canceled reports whether Cancel was called.
 func (e *Event) Canceled() bool { return e.canceled }
 
-// Detach cancels the event and drops its callback and argument
-// references immediately instead of waiting for the lazy reap. Cancel
-// alone leaves the Event holding its arg until the wheel bucket (or
-// heap head) is next visited — up to the full wheel horizon — which
-// pins pooled payload objects the caller has already recycled to a
-// free list and may since have reused. Like Cancel, Detach must not be
-// called on an event that has already fired.
-func (e *Event) Detach() {
-	e.canceled = true
-	e.fn = nil
-	e.afn = nil
-	e.arg = nil
+// entry is one queued event, held by value in the wheel blocks, the run
+// and the heap. ev is its cancel handle, nil for Post.
+type entry struct {
+	when Time
+	seq  uint64
+	fn   func(any)
+	arg  any
+	ev   *Event
 }
 
-type eventQueue []*Event
-
-func (q eventQueue) Len() int { return len(q) }
-func (q eventQueue) Less(i, j int) bool {
-	if q[i].when != q[j].when {
-		return q[i].when < q[j].when
+// before is the engine's total dispatch order: time, then scheduling
+// sequence.
+func (x *entry) before(y *entry) bool {
+	if x.when != y.when {
+		return x.when < y.when
 	}
-	return q[i].seq < q[j].seq
+	return x.seq < y.seq
 }
-func (q eventQueue) Swap(i, j int) {
-	q[i], q[j] = q[j], q[i]
-	q[i].index = i
-	q[j].index = j
-}
-func (q *eventQueue) Push(x any) {
-	e := x.(*Event)
-	e.index = len(*q)
-	*q = append(*q, e)
-}
-func (q *eventQueue) Pop() any {
-	old := *q
-	n := len(old)
-	e := old[n-1]
-	old[n-1] = nil
-	e.index = -1
-	*q = old[:n-1]
-	return e
+
+// dead reports whether the event was canceled; a Post has no handle to load.
+func (x *entry) dead() bool { return x.ev != nil && x.ev.canceled }
+
+// blockLen is the entry capacity of a wheel block: small enough that a
+// sparse bucket (one RTO, one departure) wastes little memory, large
+// enough that a dense one is a short chain of contiguous entries.
+const blockLen = 16
+
+// block is one link of a wheel bucket's chain, newest first; its entries
+// are in scheduling order. Pooled blocks keep stale entries until reused
+// (zeroing costs the single-event path ~10%), pinning at most the
+// engine's peak bucket population of spent callbacks and args.
+type block struct {
+	n    int
+	next *block
+	ents [blockLen]entry
 }
 
 // Engine is a single-threaded discrete-event simulator. It is not safe for
@@ -205,7 +196,6 @@ func (q *eventQueue) Pop() any {
 // goroutine, which is what makes the simulation deterministic.
 type Engine struct {
 	now    Time
-	queue  eventQueue
 	seq    uint64
 	rng    *RNG
 	fired  uint64
@@ -213,20 +203,22 @@ type Engine struct {
 	tracer *trace.Tracer
 
 	mode       SchedulerMode
-	wheel      [wheelSlots]*Event
+	wheel      [wheelSlots]*block
 	wheelCount int
 	// flushed is the absolute bucket index up to which (inclusive) every
 	// wheel bucket has been drained. Events scheduled at or before it go
-	// straight to the heap; the wheel covers the next wheelSlots buckets.
+	// to the run or the heap; the wheel covers the next wheelSlots buckets.
 	flushed uint64
-	// run holds flushed, live events sorted by (when, seq), consumed
+	// run holds flushed events sorted by (when, seq), consumed
 	// sequentially from runHead. Bucket time ranges are disjoint, so a
 	// newly flushed bucket sorts after everything already in the run and
 	// appending sorted chunks keeps the whole run sorted — the bulk of
 	// traffic flows wheel → run → dispatch without ever touching the
 	// heap, which is left to same-bucket reschedules and far events.
-	run     []*Event
+	run     []entry
 	runHead int
+	// queue is the binary min-heap by (when, seq).
+	queue []entry
 
 	// atEnd holds instant-end callbacks (AtInstantEnd): work deferred to
 	// the moment the current instant has no live event left, consumed
@@ -235,13 +227,8 @@ type Engine struct {
 	atEnd     []instantCall
 	atEndHead int
 
-	free *Event // recycled Event objects (single-threaded free list)
-
-	// sortKeys/sortTmp are sortChunk's reusable scratch: packed
-	// (when-delta, position) keys and the pre-permutation copy of the
-	// chunk. They grow to the largest bucket ever flushed and stay.
-	sortKeys []uint64
-	sortTmp  []*Event
+	free      *Event // recycled cancel handles (single-threaded free list)
+	freeBlock *block // recycled wheel blocks
 }
 
 // instantCall is one deferred instant-end callback.
@@ -317,35 +304,22 @@ func (e *Engine) Snapshot() EngineSnapshot {
 	return EngineSnapshot{Now: e.now, Fired: e.fired, Pending: e.Pending(), RNG: e.rng.State()}
 }
 
-// alloc takes an Event from the free list (or the heap allocator) and
-// initialises it for scheduling at t.
-func (e *Engine) alloc(t Time, fn func(), afn func(any), arg any) *Event {
+// handle takes a cancel handle from the free list (or the allocator)
+// for an event at t.
+func (e *Engine) handle(t Time) *Event {
 	ev := e.free
 	if ev == nil {
-		ev = &Event{}
-	} else {
-		e.free = ev.next
-		ev.next = nil
+		return &Event{when: t}
 	}
-	ev.when = t
-	ev.seq = e.seq
-	e.seq++
-	ev.fn = fn
-	ev.afn = afn
-	ev.arg = arg
-	ev.index = -1
-	ev.canceled = false
+	e.free = ev.next
+	*ev = Event{when: t}
 	return ev
 }
 
-// recycle returns a popped or reaped event to the free list. The
+// recycle returns a fired or reaped handle to the free list. The
 // canceled flag is deliberately left as-is so Canceled() stays truthful
-// on a pointer the caller still holds; alloc resets it on reuse.
+// on a pointer the caller still holds; handle resets it on reuse.
 func (e *Engine) recycle(ev *Event) {
-	ev.fn = nil
-	ev.afn = nil
-	ev.arg = nil
-	ev.index = -1
 	ev.next = e.free
 	e.free = ev
 }
@@ -357,180 +331,157 @@ func (e *Engine) recycle(ev *Event) {
 // the cheap path.
 const maxRunShift = 64
 
-// schedule places an initialised event in the run, the wheel or the
-// heap. Events due inside an already-flushed bucket — the sub-bucket
-// hop departures that dominate fabric traffic — are binary-inserted
-// into the sorted run when the shift is small, so the heap is left
-// with same-bucket overflow and far-horizon work.
-func (e *Engine) schedule(ev *Event) {
-	if e.mode == SchedulerWheel {
-		b := bucketOf(ev.when)
-		switch {
-		case b <= e.flushed:
-			// Inline binary search: sort.Search would cost an indirect
-			// closure call per probe on the hottest insert path.
-			lo, hi := e.runHead, len(e.run)
-			for lo < hi {
-				mid := int(uint(lo+hi) >> 1)
-				if eventBefore(ev, e.run[mid]) {
-					hi = mid
-				} else {
-					lo = mid + 1
-				}
-			}
-			i := lo
-			if len(e.run)-i <= maxRunShift {
-				e.run = append(e.run, nil)
-				copy(e.run[i+1:], e.run[i:])
-				e.run[i] = ev
-				return
-			}
-		case b <= e.flushed+wheelSlots:
-			slot := b & wheelMask
-			ev.next = e.wheel[slot]
-			e.wheel[slot] = ev
-			e.wheelCount++
-			return
-		}
-	}
-	heap.Push(&e.queue, ev)
-}
-
-// At schedules fn to run at virtual time t. Scheduling in the past panics:
-// that is always a model bug and silently reordering time would corrupt
-// results.
-func (e *Engine) At(t Time, fn func()) *Event {
+// schedule queues fn(arg) at t in the wheel, the run or the heap.
+// Events due inside an already-flushed bucket — the sub-bucket hop
+// departures that dominate fabric traffic — are binary-inserted into the
+// sorted run when the shift is small, leaving the heap same-bucket
+// overflow and far events. The entry is written field by field: building
+// it on the stack and copying it in costs a store-forwarding stall.
+func (e *Engine) schedule(t Time, fn func(any), arg any, ev *Event) {
 	if t < e.now {
 		panic(fmt.Sprintf("sim: scheduling event at %v before now %v", t, e.now))
 	}
-	ev := e.alloc(t, fn, nil, nil)
-	e.schedule(ev)
+	var x *entry
+	switch b := bucketOf(t); {
+	case e.mode != SchedulerWheel || b > e.flushed+wheelSlots:
+	case b > e.flushed:
+		slot := b & wheelMask
+		blk := e.wheel[slot]
+		if blk == nil || blk.n == blockLen {
+			blk = e.newBlock(blk)
+			e.wheel[slot] = blk
+		}
+		x = &blk.ents[blk.n]
+		blk.n++
+		e.wheelCount++
+	default:
+		// After every entry with when ≤ t (the new seq is the largest).
+		// Inline binary search: sort.Search would cost an indirect
+		// closure call per probe on the hottest insert path.
+		lo, hi := e.runHead, len(e.run)
+		for lo < hi {
+			mid := int(uint(lo+hi) >> 1)
+			if t < e.run[mid].when {
+				hi = mid
+			} else {
+				lo = mid + 1
+			}
+		}
+		if len(e.run)-lo <= maxRunShift {
+			x = e.openRun(lo)
+		}
+	}
+	heaped := x == nil
+	if heaped {
+		e.queue = append(e.queue, entry{})
+		x = &e.queue[len(e.queue)-1]
+	}
+	x.when, x.seq, x.fn, x.arg, x.ev = t, e.seq, fn, arg, ev
+	e.seq++
+	if heaped {
+		e.up(len(e.queue) - 1)
+	}
+}
+
+// openRun opens a slot in the run at position i for the caller to fill.
+func (e *Engine) openRun(i int) *entry {
+	n := len(e.run)
+	e.run = slices.Grow(e.run, 1)[:n+1]
+	if i < n {
+		copy(e.run[i+1:], e.run[i:n])
+	}
+	return &e.run[i]
+}
+
+// newBlock takes an empty block from the pool, linked ahead of next. Ten
+// blocks (7840 bytes) fill an 8 KiB size class; a lone 784-byte block
+// would waste an eighth of its 896-byte class.
+func (e *Engine) newBlock(next *block) *block {
+	if e.freeBlock == nil {
+		slab := new([10]block)
+		for i := range slab {
+			slab[i].next = e.freeBlock
+			e.freeBlock = &slab[i]
+		}
+	}
+	b := e.freeBlock
+	e.freeBlock = b.next
+	b.next = next
+	return b
+}
+
+// up restores the heap order above position i.
+func (e *Engine) up(i int) {
+	q := e.queue
+	for i > 0 {
+		p := (i - 1) / 2
+		if !q[i].before(&q[p]) {
+			break
+		}
+		q[i], q[p] = q[p], q[i]
+		i = p
+	}
+}
+
+// pop removes the heap's top entry.
+func (e *Engine) pop() {
+	q := e.queue
+	n := len(q) - 1
+	q[0], q[n] = q[n], entry{}
+	q = q[:n]
+	e.queue = q
+	for i := 0; 2*i+1 < n; {
+		m := 2*i + 1
+		if m+1 < n && q[m+1].before(&q[m]) {
+			m++
+		}
+		if !q[m].before(&q[i]) {
+			break
+		}
+		q[i], q[m] = q[m], q[i]
+		i = m
+	}
+}
+
+// Post schedules fn(arg) at virtual time t, with no cancel handle: the
+// cheapest way to schedule an event that always fires. Hot paths pass
+// one long-lived fn so that posting allocates nothing. Scheduling in the
+// past panics: that is always a model bug and silently reordering time
+// would corrupt results.
+func (e *Engine) Post(t Time, fn func(any), arg any) {
+	e.schedule(t, fn, arg, nil)
+}
+
+// At schedules fn to run at virtual time t and returns its cancel
+// handle. Scheduling in the past panics, as for Post.
+func (e *Engine) At(t Time, fn func()) *Event {
+	ev := e.handle(t)
+	e.schedule(t, callFunc, fn, ev)
 	return ev
 }
+
+// callFunc runs an At callback. A func value is pointer-shaped, so
+// carrying it as the entry's arg does not allocate.
+func callFunc(fn any) { fn.(func())() }
 
 // After schedules fn to run d from now. Negative d panics via At.
 func (e *Engine) After(d Duration, fn func()) *Event {
 	return e.At(e.now.Add(d), fn)
 }
 
-// AtArg schedules fn(arg) at virtual time t. Hot paths use it with one
-// long-lived fn so that scheduling allocates nothing (no closure; the
-// Event itself comes from the free list).
-func (e *Engine) AtArg(t Time, fn func(any), arg any) *Event {
-	if t < e.now {
-		panic(fmt.Sprintf("sim: scheduling event at %v before now %v", t, e.now))
-	}
-	ev := e.alloc(t, nil, fn, arg)
-	e.schedule(ev)
+// AfterArg schedules fn(arg) to run d from now and returns its cancel
+// handle: the closure-free form of After, for timers like the RTO.
+func (e *Engine) AfterArg(d Duration, fn func(any), arg any) *Event {
+	t := e.now.Add(d)
+	ev := e.handle(t)
+	e.schedule(t, fn, arg, ev)
 	return ev
 }
 
-// AfterArg schedules fn(arg) to run d from now.
-func (e *Engine) AfterArg(d Duration, fn func(any), arg any) *Event {
-	return e.AtArg(e.now.Add(d), fn, arg)
-}
-
-// eventBefore is the engine's total dispatch order: time, then
-// scheduling sequence.
-func eventBefore(a, b *Event) bool {
-	if a.when != b.when {
-		return a.when < b.when
-	}
-	return a.seq < b.seq
-}
-
-// sortIdxBits is the low-bit budget sortChunk packs a chunk position
-// into; the rest of the uint64 key holds the event's time offset from
-// the chunk minimum.
-const sortIdxBits = 20
-
-// sortChunk orders a freshly flushed bucket chunk by eventBefore.
-// Bucket chains are built LIFO, so the chunk arrives nearly
-// reverse-ordered; reversing it first makes the common
-// all-in-schedule-order case a single already-sorted scan and — the
-// property the large-chunk path leans on — puts same-when events in
-// ascending seq order (bucket pushes happen in schedule order, and seq
-// is assigned at schedule time). Small chunks take a direct insertion
-// sort. Large ones sort packed uint64 keys, (when-min)<<20 | position,
-// with slices.Sort: position is unique so the key order is exactly
-// (when, position) = (when, seq), and sorting machine words is
-// branch-predictable and call-free where a *Event comparison sort
-// spends ~20% of a permutation workload's cycles in the comparator
-// (measured on fig10a). Chunks too large or too time-spread for the
-// packing (≥2^20 events, ≥2^44 ns spread — neither occurs in any
-// experiment) fall back to slices.SortFunc. (when, seq) is a strict
-// total order — every correct sort produces the same permutation, so
-// the algorithm choice cannot change results.
-func (e *Engine) sortChunk(s []*Event) {
-	for i, j := 0, len(s)-1; i < j; i, j = i+1, j-1 {
-		s[i], s[j] = s[j], s[i]
-	}
-	if len(s) <= 32 {
-		for i := 1; i < len(s); i++ {
-			ev := s[i]
-			j := i
-			for j > 0 && eventBefore(ev, s[j-1]) {
-				s[j] = s[j-1]
-				j--
-			}
-			s[j] = ev
-		}
-		return
-	}
-	if len(s) < 1<<sortIdxBits {
-		base := s[0].when
-		for _, ev := range s[1:] {
-			if ev.when < base {
-				base = ev.when
-			}
-		}
-		keys := e.sortKeys[:0]
-		ok := true
-		for i, ev := range s {
-			d := uint64(ev.when - base)
-			if d >= 1<<(64-sortIdxBits) {
-				ok = false
-				break
-			}
-			keys = append(keys, d<<sortIdxBits|uint64(i))
-		}
-		e.sortKeys = keys
-		if ok {
-			slices.Sort(keys)
-			tmp := append(e.sortTmp[:0], s...)
-			e.sortTmp = tmp
-			for i, k := range keys {
-				s[i] = tmp[k&(1<<sortIdxBits-1)]
-			}
-			return
-		}
-	}
-	slices.SortFunc(s, eventCompare)
-}
-
-// eventCompare is eventBefore as a three-way comparison. seq is unique
-// per engine, so 0 is unreachable for distinct events.
-func eventCompare(a, b *Event) int {
-	if a.when != b.when {
-		if a.when < b.when {
-			return -1
-		}
-		return 1
-	}
-	if a.seq < b.seq {
-		return -1
-	}
-	return 1
-}
-
 // flushBucketsTo drains wheel buckets (flushed, target] into the sorted
-// run, reaping canceled events as it goes — this is where a canceled
-// RTO's storage is reclaimed without ever costing a heap operation.
+// run.
 func (e *Engine) flushBucketsTo(target uint64) {
-	limit := e.flushed + wheelSlots
-	if target < limit {
-		limit = target
-	}
+	limit := min(target, e.flushed+wheelSlots)
 	if e.runHead > 0 {
 		// Compact the consumed prefix so the run never grows unboundedly.
 		e.run = e.run[:copy(e.run, e.run[e.runHead:])]
@@ -538,28 +489,79 @@ func (e *Engine) flushBucketsTo(target uint64) {
 	}
 	for b := e.flushed + 1; b <= limit; b++ {
 		slot := b & wheelMask
-		ev := e.wheel[slot]
-		if ev == nil {
-			continue
+		if head := e.wheel[slot]; head != nil {
+			e.wheel[slot] = nil
+			e.flushBucket(head)
 		}
-		e.wheel[slot] = nil
-		start := len(e.run)
-		for ev != nil {
-			next := ev.next
-			ev.next = nil
-			e.wheelCount--
-			if ev.canceled {
-				e.recycle(ev)
-			} else {
-				e.run = append(e.run, ev)
-			}
-			ev = next
-		}
-		// Buckets cover disjoint time ranges, so sorting just this
-		// bucket's chunk keeps the whole run sorted.
-		e.sortChunk(e.run[start:])
 	}
 	e.flushed = limit
+}
+
+// flushBucket appends one bucket's live entries to the run in (when,
+// seq) order and returns its blocks to the pool, reaping canceled
+// entries on the way — this is where a canceled RTO's handle is
+// reclaimed without ever costing a heap operation. Buckets cover
+// disjoint time ranges and entries arrive in seq order, so a stable sort
+// of this bucket by when keeps the whole run sorted. A single block is
+// insertion-sorted; a longer chain is counting-sorted on the 512 offsets
+// within the bucket, scattering newest first to just below each offset's
+// end so that every offset's entries land in ascending seq.
+func (e *Engine) flushBucket(head *block) {
+	start := len(e.run)
+	if head.next == nil {
+		for i := range head.ents[:head.n] {
+			x := &head.ents[i]
+			if x.dead() {
+				e.recycle(x.ev)
+			} else {
+				j := len(e.run)
+				for j > start && x.when < e.run[j-1].when {
+					j--
+				}
+				*e.openRun(j) = *x
+			}
+		}
+	} else {
+		var ends [bucketNs]int
+		n, lo, hi := 0, bucketNs, 0
+		for b := head; b != nil; b = b.next {
+			for i := range b.ents[:b.n] {
+				x := &b.ents[i]
+				if x.dead() {
+					e.recycle(x.ev)
+					x.fn = nil // the scatter skips it
+					continue
+				}
+				k := int(x.when) & (bucketNs - 1)
+				ends[k]++
+				lo, hi = min(lo, k), max(hi, k)
+				n++
+			}
+		}
+		r := slices.Grow(e.run, n)[:start+n]
+		for k, end := lo, start; k <= hi; k++ {
+			end += ends[k]
+			ends[k] = end
+		}
+		for b := head; b != nil; b = b.next {
+			for i := b.n - 1; i >= 0; i-- {
+				if x := &b.ents[i]; x.fn != nil {
+					k := int(x.when) & (bucketNs - 1)
+					ends[k]--
+					r[ends[k]] = *x
+				}
+			}
+		}
+		e.run = r
+	}
+	for b := head; b != nil; {
+		next := b.next
+		e.wheelCount -= b.n
+		b.n = 0
+		b.next = e.freeBlock
+		e.freeBlock = b
+		b = next
+	}
 }
 
 // peek returns the earliest live event without removing it, reaping
@@ -567,27 +569,29 @@ func (e *Engine) flushBucketsTo(target uint64) {
 // precede them. Returns nil when nothing live is queued. Instant-end
 // callbacks run here, one per iteration, once no live event remains at
 // the current instant — so a callback that schedules new work at the
-// current instant re-opens it and the remaining callbacks wait.
-func (e *Engine) peek() *Event {
+// current instant re-opens it and the remaining callbacks wait. The
+// result points into the run or the heap and is valid until the next
+// schedule.
+func (e *Engine) peek() *entry {
 	for {
 		// Candidate: the smaller of the run head and the heap top.
-		var c *Event
+		var c *entry
 		if e.runHead < len(e.run) {
-			c = e.run[e.runHead]
-			if c.canceled {
+			c = &e.run[e.runHead]
+			if c.dead() {
 				e.runHead++
-				e.recycle(c)
+				e.recycle(c.ev)
 				continue
 			}
 		}
 		if len(e.queue) > 0 {
-			top := e.queue[0]
-			if top.canceled {
-				heap.Pop(&e.queue)
-				e.recycle(top)
+			top := &e.queue[0]
+			if top.dead() {
+				e.recycle(top.ev)
+				e.pop()
 				continue
 			}
-			if c == nil || eventBefore(top, c) {
+			if c == nil || top.before(c) {
 				c = top
 			}
 		}
@@ -643,7 +647,7 @@ func (e *Engine) AtInstantEnd(fn func(any), arg any) {
 // stepInstantEnd runs the oldest queued instant-end callback if the
 // current instant is over (the next live candidate c, possibly nil, is
 // not at now). Reports whether a callback ran.
-func (e *Engine) stepInstantEnd(c *Event) bool {
+func (e *Engine) stepInstantEnd(c *entry) bool {
 	if e.atEndHead >= len(e.atEnd) || (c != nil && c.when == e.now) {
 		return false
 	}
@@ -658,29 +662,32 @@ func (e *Engine) stepInstantEnd(c *Event) bool {
 	return true
 }
 
-// dispatch removes ev (which must be peek's result) from its tier,
-// advances the clock, recycles the event and runs its callback.
-// Recycling first lets a callback that immediately re-schedules reuse
-// the hot object.
-func (e *Engine) dispatch(ev *Event) {
-	if e.runHead < len(e.run) && e.run[e.runHead] == ev {
+// dispatch removes x (which must be peek's result) from its tier and
+// fires it.
+func (e *Engine) dispatch(x *entry) {
+	when, fn, arg, ev := x.when, x.fn, x.arg, x.ev
+	if e.runHead < len(e.run) && x == &e.run[e.runHead] {
 		e.runHead++
 		if e.runHead == len(e.run) {
 			e.run = e.run[:0]
 			e.runHead = 0
 		}
 	} else {
-		heap.Pop(&e.queue)
+		e.pop()
 	}
-	e.now = ev.when
+	e.fire(when, fn, arg, ev)
+}
+
+// fire advances the clock and runs one dequeued event. Recycling the
+// handle first lets a callback that immediately re-arms reuse the hot
+// object.
+func (e *Engine) fire(when Time, fn func(any), arg any, ev *Event) {
+	e.now = when
 	e.fired++
-	fn, afn, arg := ev.fn, ev.afn, ev.arg
-	e.recycle(ev)
-	if fn != nil {
-		fn()
-	} else {
-		afn(arg)
+	if ev != nil {
+		e.recycle(ev)
 	}
+	fn(arg)
 }
 
 // Halt stops Run before the next event is dispatched.
@@ -695,11 +702,11 @@ func (e *Engine) Halted() bool { return e.halted }
 // (exactly as they would on the next Step), so after PeekTime returns
 // the reported event really is the next to dispatch.
 func (e *Engine) PeekTime() (Time, uint64, bool) {
-	ev := e.peek()
-	if ev == nil {
+	x := e.peek()
+	if x == nil {
 		return 0, 0, false
 	}
-	return ev.when, ev.seq, true
+	return x.when, x.seq, true
 }
 
 // Run drains the event queue until it is empty, Halt is called, or the
@@ -711,11 +718,11 @@ func (e *Engine) Run(horizon Time) Time {
 	firedBefore := e.fired
 	tr.Begin("sim", "engine", "sim", "run", trace.U("pending", uint64(e.Pending())))
 	for !e.halted {
-		ev := e.peek()
-		if ev == nil || ev.when > horizon {
+		x := e.peek()
+		if x == nil || x.when > horizon {
 			break
 		}
-		e.dispatch(ev)
+		e.dispatch(x)
 		// Batched fast path: every run-buffer event sits in a bucket
 		// ≤ flushed, and every wheel event in a bucket > flushed, so
 		// while the run is non-empty nothing in the wheel can precede
@@ -724,31 +731,24 @@ func (e *Engine) Run(horizon Time) Time {
 		// that needs the slow path (heap precedence, a canceled heap
 		// head, pending instant-end work, the horizon) breaks out.
 		for !e.halted && e.runHead < len(e.run) {
-			nv := e.run[e.runHead]
-			if nv.canceled {
+			x := &e.run[e.runHead]
+			if x.dead() {
 				e.runHead++
-				e.recycle(nv)
+				e.recycle(x.ev)
 				continue
 			}
-			if nv.when > horizon ||
-				(len(e.queue) > 0 && eventBefore(e.queue[0], nv)) ||
-				(e.atEndHead < len(e.atEnd) && nv.when != e.now) {
+			if x.when > horizon ||
+				(len(e.queue) > 0 && e.queue[0].before(x)) ||
+				(e.atEndHead < len(e.atEnd) && x.when != e.now) {
 				break
 			}
+			when, fn, arg, ev := x.when, x.fn, x.arg, x.ev
 			e.runHead++
 			if e.runHead == len(e.run) {
 				e.run = e.run[:0]
 				e.runHead = 0
 			}
-			e.now = nv.when
-			e.fired++
-			fn, afn, arg := nv.fn, nv.afn, nv.arg
-			e.recycle(nv)
-			if fn != nil {
-				fn()
-			} else {
-				afn(arg)
-			}
+			e.fire(when, fn, arg, ev)
 		}
 	}
 	tr.End("sim", "engine",
@@ -762,11 +762,11 @@ func (e *Engine) RunAll() Time { return e.Run(Forever) }
 // Step executes exactly one (non-canceled) event if any is queued, and
 // reports whether one ran.
 func (e *Engine) Step() bool {
-	ev := e.peek()
-	if ev == nil {
+	x := e.peek()
+	if x == nil {
 		return false
 	}
-	e.dispatch(ev)
+	e.dispatch(x)
 	return true
 }
 
@@ -777,7 +777,7 @@ func (e *Engine) Step() bool {
 // the advance.
 func (e *Engine) Advance(d Duration) {
 	target := e.now.Add(d)
-	if ev := e.peek(); ev != nil && ev.when < target {
+	if x := e.peek(); x != nil && x.when < target {
 		panic("sim: Advance would skip a pending event")
 	}
 	e.now = target

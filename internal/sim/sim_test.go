@@ -166,12 +166,12 @@ func TestAdvancePastOnlyCanceledEvents(t *testing.T) {
 	}
 }
 
-func TestAtArgRunsWithArgument(t *testing.T) {
+func TestPostRunsWithArgument(t *testing.T) {
 	e := NewEngine(1)
 	var got []int
 	fn := func(a any) { got = append(got, a.(int)) }
-	e.AtArg(20, fn, 2)
-	e.AtArg(10, fn, 1)
+	e.Post(20, fn, 2)
+	e.Post(10, fn, 1)
 	e.AfterArg(30*time.Nanosecond, fn, 3)
 	e.RunAll()
 	if len(got) != 3 || got[0] != 1 || got[1] != 2 || got[2] != 3 {
@@ -179,20 +179,35 @@ func TestAtArgRunsWithArgument(t *testing.T) {
 	}
 }
 
+// TestEventPoolingIsAllocationFree pins the steady state at zero
+// allocations per operation: cancel handles, wheel blocks and the run
+// are all reused once warm.
 func TestEventPoolingIsAllocationFree(t *testing.T) {
-	e := NewEngine(1)
+	e := NewEngineMode(1, SchedulerWheel)
 	fn := func(any) {}
-	// Warm the free list and the heap's backing array.
-	for i := 0; i < 64; i++ {
-		e.AfterArg(time.Microsecond, fn, nil)
-	}
-	e.RunAll()
-	allocs := testing.AllocsPerRun(1000, func() {
-		e.AfterArg(time.Microsecond, fn, nil)
-		e.Step()
-	})
-	if allocs != 0 {
-		t.Errorf("schedule+fire allocated %.1f objects/op, want 0", allocs)
+	nop := func() {}
+	for _, tc := range []struct {
+		name string
+		runs int
+		op   func()
+	}{
+		{"AfterArg", 1000, func() { e.AfterArg(time.Microsecond, fn, nil); e.Step() }},
+		{"After", 1000, func() { e.After(time.Microsecond, nop); e.Step() }},
+		{"Post", 1000, func() { e.Post(e.Now().Add(time.Microsecond), fn, nil); e.Step() }},
+		{"burst", 5, func() {
+			// 16 k events in one future bucket, every offset in it used:
+			// a 1024-block chain flushed by the counting sort.
+			base := Time(bucketOf(e.Now())+2) << bucketBits
+			for i := 0; i < 16<<10; i++ {
+				e.Post(base+Time(i%bucketNs), fn, nil)
+			}
+			e.RunAll()
+		}},
+	} {
+		// AllocsPerRun's own warm-up call fills the pools.
+		if allocs := testing.AllocsPerRun(tc.runs, tc.op); allocs != 0 {
+			t.Errorf("%s: schedule+fire allocated %.1f objects/op, want 0", tc.name, allocs)
+		}
 	}
 }
 
@@ -390,28 +405,30 @@ func TestTimeHelpers(t *testing.T) {
 	}
 }
 
-func TestEventDetachClearsReferences(t *testing.T) {
-	e := NewEngine(1)
+// TestCanceledAfterArgRecycled: a canceled AfterArg never fires, and its
+// handle goes back to the free list when its bucket flushes, not before.
+func TestCanceledAfterArgRecycled(t *testing.T) {
+	e := NewEngineMode(1, SchedulerWheel)
 	fired := false
 	type payload struct{ n int }
-	arg := &payload{n: 42}
-	ev := e.AfterArg(100, func(any) { fired = true }, arg)
-	ev.Detach()
-	if ev.fn != nil || ev.afn != nil || ev.arg != nil {
-		t.Error("Detach left callback or arg references pinned")
-	}
+	ev := e.AfterArg(10*time.Microsecond, func(any) { fired = true }, &payload{n: 42})
+	ev.Cancel()
 	if !ev.Canceled() {
-		t.Error("detached event not canceled")
+		t.Error("Canceled() = false after Cancel")
+	}
+	if other := e.After(time.Millisecond, func() {}); other == ev {
+		t.Fatal("handle reused while its canceled entry is still queued")
+	}
+	e.Advance(20 * time.Microsecond) // flushes the canceled event's bucket
+	ok := false
+	if got := e.After(time.Millisecond, func() { ok = true }); got != ev {
+		t.Error("handle not recycled after its bucket flushed")
 	}
 	e.RunAll()
 	if fired {
-		t.Error("detached event fired")
+		t.Error("canceled event fired")
 	}
-	// The reaped event must be recyclable: later scheduling still works.
-	ok := false
-	e.After(50, func() { ok = true })
-	e.RunAll()
-	if !ok {
-		t.Error("engine broken after detaching an event")
+	if !ok || e.Fired() != 2 {
+		t.Errorf("engine broken after reaping: ok=%v fired=%d, want true/2", ok, e.Fired())
 	}
 }

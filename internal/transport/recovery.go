@@ -134,12 +134,14 @@ func (c *Conn) Reconnect() {
 	c.pump()
 }
 
-// detachRTO cancels and drops the packet's pending RTO, clearing the
-// event's reference to the outstanding record so a lazily-reaped
-// canceled timer cannot alias a recycled record (see sim.Event.Detach).
+// detachRTO cancels and drops the packet's pending RTO. The canceled
+// queue entry still holds the outstanding record until the engine
+// reaps it, but it never fires, so recycling the record is safe;
+// dropping the handle keeps a later detach from canceling whatever
+// event the engine reuses it for.
 func (c *Conn) detachRTO(o *outstanding) {
 	if o.rto != nil {
-		o.rto.Detach()
+		o.rto.Cancel()
 		o.rto = nil
 	}
 }

@@ -163,7 +163,7 @@ func TestFailWithoutReconnectStaysError(t *testing.T) {
 // TestCloseDuringPendingRTOIsInert is the regression test for the
 // free-list aliasing hazard: Close used to return outstanding records
 // to the pool while their lazily-canceled RTO events still referenced
-// them. Detach severs the reference, so the drained events are inert.
+// them. A canceled RTO never fires, so the drained events are inert.
 func TestCloseDuringPendingRTOIsInert(t *testing.T) {
 	r := newRig(t, 9, smallCfg(), Config{})
 	blackhole(t, r)
@@ -176,7 +176,7 @@ func TestCloseDuringPendingRTOIsInert(t *testing.T) {
 	c.Close()
 	r.eng.RunAll() // pending RTO events must drain without firing
 	if c.Retransmits != 0 {
-		t.Errorf("Retransmits = %d after Close; detached RTO fired", c.Retransmits)
+		t.Errorf("Retransmits = %d after Close; canceled RTO fired", c.Retransmits)
 	}
 }
 
