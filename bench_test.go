@@ -165,7 +165,7 @@ func BenchmarkEngineBurst(b *testing.B) {
 	recs := make([]record, 1<<17)
 	order := sim.NewRNG(1).Perm(len(recs))
 	fn := func(a any) { a.(*record).n++ }
-	eng := sim.NewEngineMode(1, sim.SchedulerWheel)
+	eng := sim.NewEngine(1)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; {
@@ -177,12 +177,12 @@ func BenchmarkEngineBurst(b *testing.B) {
 	}
 }
 
-// benchSchedulerRTO emulates the transport's per-packet timer pattern:
-// every "packet" arms an RTO 250 µs out and cancels it ~1 µs later when
-// the "ack" arrives, with a standing population of armed timers — the
-// cancel-heavy workload the timer wheel exists for.
-func benchSchedulerRTO(b *testing.B, mode sim.SchedulerMode) {
-	eng := sim.NewEngineMode(1, mode)
+// BenchmarkSchedulerRTOWheel emulates the transport's per-packet timer
+// pattern: every "packet" arms an RTO 250 µs out and cancels it ~1 µs
+// later when the "ack" arrives, with a standing population of armed
+// timers — the cancel-heavy workload the timer wheel exists for.
+func BenchmarkSchedulerRTOWheel(b *testing.B) {
+	eng := sim.NewEngine(1)
 	// Concurrently armed timers, like packets in flight. Each iteration
 	// advances virtual time ~1 µs, so a timer is canceled well before
 	// its 250 µs expiry — like an RTO on a healthy network.
@@ -202,9 +202,6 @@ func benchSchedulerRTO(b *testing.B, mode sim.SchedulerMode) {
 		ring[slot] = eng.AfterArg(250*time.Microsecond, nop, nil)
 	}
 }
-
-func BenchmarkSchedulerRTOWheel(b *testing.B) { benchSchedulerRTO(b, sim.SchedulerWheel) }
-func BenchmarkSchedulerRTOHeap(b *testing.B)  { benchSchedulerRTO(b, sim.SchedulerHeap) }
 
 func BenchmarkSelectorOBS(b *testing.B) {
 	s := multipath.New(multipath.OBS, 128, sim.NewRNG(1))

@@ -50,7 +50,6 @@ import (
 	"repro/internal/checkpoint"
 	"repro/internal/experiments"
 	"repro/internal/jobgraph"
-	"repro/internal/sim"
 	"repro/internal/trace"
 )
 
@@ -66,7 +65,6 @@ func run() int {
 		csvFlag      = flag.Bool("csv", false, "emit CSV instead of aligned tables")
 		jsonFlag     = flag.Bool("json", false, "emit JSON table objects instead of aligned tables")
 		traceFlag    = flag.String("trace", "", "write a Chrome trace-event JSON file covering the run (load in Perfetto)")
-		schedFlag    = flag.String("sched", "wheel", "event scheduler: wheel (timer wheel over heap) or heap (reference)")
 		chaosFlag    = flag.String("chaos", "", "play a chaos scenario JSON file against every fabric the experiments build")
 		parallelFlag = flag.Int("parallel", runtime.GOMAXPROCS(0), "experiment worker count (tracing forces 1)")
 		graphFlag    = flag.String("jobgraph", "", "replay a job-graph JSON file as an extra experiment")
@@ -77,12 +75,6 @@ func run() int {
 		memProfFlag  = flag.String("memprofile", "", "write an allocation profile to this file at exit (after a final GC)")
 	)
 	flag.Parse()
-
-	mode, err := sim.ParseSchedulerMode(*schedFlag)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "stellarbench: %v\n", err)
-		return 2
-	}
 
 	stopProfiles, err := startProfiles(*cpuProfFlag, *memProfFlag)
 	if err != nil {
@@ -136,7 +128,6 @@ func run() int {
 	session := experiments.NewSession(*seedFlag)
 	session.Tracer = tr
 	session.Chaos = sc
-	session.Sched = mode
 	session.Parallelism = *parallelFlag
 	session.Shards = *shardsFlag
 
@@ -149,7 +140,7 @@ func run() int {
 		if tr != nil {
 			fmt.Fprintln(os.Stderr, "stellarbench: -trace disables -checkpoint (replaying a cell would drop its trace events)")
 		} else {
-			fp, ferr := runFingerprint(*seedFlag, mode, *shardsFlag, runners, *chaosFlag, *graphFlag)
+			fp, ferr := runFingerprint(*seedFlag, *shardsFlag, runners, *chaosFlag, *graphFlag)
 			if ferr != nil {
 				fmt.Fprintf(os.Stderr, "stellarbench: %v\n", ferr)
 				return 1
@@ -198,15 +189,15 @@ func run() int {
 				fmt.Printf("(%s resumed from checkpoint; %d sim events recorded)\n\n",
 					res.ID, res.Stats.Events)
 			} else {
-				fmt.Printf("(%s completed in %.1fs wall time; %d sim events, %.2gM events/s, %s scheduler)\n\n",
+				fmt.Printf("(%s completed in %.1fs wall time; %d sim events, %.2gM events/s)\n\n",
 					res.ID, res.Stats.Elapsed.Seconds(), res.Stats.Events,
-					res.Stats.EventsPerSec()/1e6, mode)
+					res.Stats.EventsPerSec()/1e6)
 			}
 		}
 	}
 	if !*jsonFlag && !*csvFlag && len(results) > 1 && !interrupted {
 		fmt.Printf("(batch: %d experiments in %.1fs wall time on %d workers)\n",
-			len(results), time.Since(start).Seconds(), *parallelFlag)
+			len(results), time.Since(start).Seconds(), experiments.Workers(session, *parallelFlag, len(runners)))
 	}
 	if tr != nil {
 		if err := tr.WriteJSONFile(*traceFlag); err != nil {
@@ -283,11 +274,11 @@ func startProfiles(cpuPath, memPath string) (stop func(), err error) {
 }
 
 // runFingerprint derives the checkpoint identity of this invocation:
-// seed, scheduler, shard count, the experiment list in run order, and
+// seed, shard count, the experiment list in run order, and
 // the content hash of any chaos scenario or job-graph input. Anything
 // that changes the output must land here, or resume would splice a
 // different run's tables into this one.
-func runFingerprint(seed uint64, mode sim.SchedulerMode, shards int, runners []experiments.Runner, chaosPath, graphPath string) (checkpoint.Fingerprint, error) {
+func runFingerprint(seed uint64, shards int, runners []experiments.Runner, chaosPath, graphPath string) (checkpoint.Fingerprint, error) {
 	ids := make([]string, len(runners))
 	for i, r := range runners {
 		ids[i] = r.ID
@@ -305,7 +296,6 @@ func runFingerprint(seed uint64, mode sim.SchedulerMode, shards int, runners []e
 	}
 	return checkpoint.Fingerprint{
 		Seed:     seed,
-		Sched:    mode.String(),
 		Shards:   shards,
 		Workload: strings.Join(ids, ","),
 		Extra:    extra.String(),

@@ -51,7 +51,6 @@ func main() {
 		tcp       = flag.Bool("tcp", false, "compare the non-RDMA (TCP) datapaths")
 		traceOut  = flag.String("trace", "", "write a Chrome trace-event JSON file (load in Perfetto)")
 		traceTxt  = flag.String("trace-txt", "", "write a plain-text event timeline")
-		sched     = flag.String("sched", "wheel", "event scheduler: wheel (timer wheel over heap) or heap (reference)")
 		seed      = flag.Uint64("seed", 42, "simulation seed (drives chaos jitter and any seeded machinery)")
 		chaosFlag = flag.String("chaos", "", "play a chaos scenario JSON file (NIC faults) against this host's RNICs")
 		graphFlag = flag.String("jobgraph", "", "validate a job-graph JSON file and print its stats, then exit")
@@ -67,14 +66,8 @@ func main() {
 		return
 	}
 
-	mode, err := sim.ParseSchedulerMode(*sched)
-	if err != nil {
-		fail(err)
-	}
-	sim.SetDefaultSchedulerMode(mode)
-
 	if *churnFlag > 0 {
-		churnReport(*churnFlag, *seed, mode, *shards, *ckptFlag, *resume)
+		churnReport(*churnFlag, *seed, *shards, *ckptFlag, *resume)
 		return
 	}
 
@@ -197,7 +190,7 @@ func main() {
 		if err != nil {
 			fail(err)
 		}
-		eng := sim.NewEngineMode(*seed, mode)
+		eng := sim.NewEngine(*seed)
 		if tr != nil {
 			eng.SetTracer(tr)
 		}
@@ -220,13 +213,15 @@ func main() {
 			if err := tr.WriteJSONFile(*traceOut); err != nil {
 				fail(err)
 			}
-			fmt.Printf("\ntrace: %d events -> %s (open in ui.perfetto.dev)\n", tr.Len(), *traceOut)
+			fmt.Printf("\ntrace: %d events (%d recorded, %d overwritten) -> %s (open in ui.perfetto.dev)\n",
+				tr.Len(), tr.Total(), tr.Dropped(), *traceOut)
 		}
 		if *traceTxt != "" {
 			if err := tr.WriteTextFile(*traceTxt); err != nil {
 				fail(err)
 			}
-			fmt.Printf("trace: %d events -> %s\n", tr.Len(), *traceTxt)
+			fmt.Printf("trace: %d events (%d recorded, %d overwritten) -> %s\n",
+				tr.Len(), tr.Total(), tr.Dropped(), *traceTxt)
 		}
 	}
 }
@@ -261,7 +256,7 @@ func graphReport(path string) {
 // drained edge — so a SIGINT mid-run cannot save partial work, but one
 // arriving before the commit still checkpoints the finished report
 // before exiting.
-func churnReport(hosts int, seed uint64, mode sim.SchedulerMode, shards int, ckptDir string, resume bool) {
+func churnReport(hosts int, seed uint64, shards int, ckptDir string, resume bool) {
 	cfg := churn.DefaultConfig()
 	cfg.Hosts = hosts
 	cfg.Window = 20 * time.Second
@@ -272,7 +267,6 @@ func churnReport(hosts int, seed uint64, mode sim.SchedulerMode, shards int, ckp
 	if ckptDir != "" {
 		fp := checkpoint.Fingerprint{
 			Seed:     seed,
-			Sched:    mode.String(),
 			Shards:   shards,
 			Workload: fmt.Sprintf("churn:hosts=%d,window=%v", hosts, cfg.Window),
 		}
@@ -294,7 +288,7 @@ func churnReport(hosts int, seed uint64, mode sim.SchedulerMode, shards int, ckp
 		defer stop()
 	}
 
-	se := sim.NewShardedEngine(seed, mode, min(shards, hosts))
+	se := sim.NewShardedEngine(seed, sim.SchedulerWheel, min(shards, hosts))
 	rep, err := churn.Run(se, cfg)
 	if err != nil {
 		fail(err)

@@ -146,14 +146,11 @@ func TestPlaybackAppliesAndClears(t *testing.T) {
 	}
 }
 
-// TestPlaybackDeterministicAcrossSchedulers: the fired fault timeline —
-// times, order, jitter draws — must be byte-identical under the wheel
-// and heap schedulers for the same (scenario, seed).
-func TestPlaybackDeterministicAcrossSchedulers(t *testing.T) {
-	timeline := func(mode sim.SchedulerMode) []Firing {
-		prev := sim.DefaultSchedulerMode()
-		sim.SetDefaultSchedulerMode(mode)
-		defer sim.SetDefaultSchedulerMode(prev)
+// TestPlaybackJitterDeterministic: jitter moves the nominal fault times,
+// and the fired timeline — times, order, jitter draws — is identical
+// across two playbacks of the same (scenario, seed).
+func TestPlaybackJitterDeterministic(t *testing.T) {
+	timeline := func() []Firing {
 		eng := sim.NewEngine(42)
 		f := testFabric(eng)
 		ce := New(eng, f)
@@ -168,16 +165,15 @@ func TestPlaybackDeterministicAcrossSchedulers(t *testing.T) {
 		eng.RunAll()
 		return ce.Log()
 	}
-	wheel := timeline(sim.SchedulerWheel)
-	heap := timeline(sim.SchedulerHeap)
-	if !reflect.DeepEqual(wheel, heap) {
-		t.Errorf("fault timelines differ across schedulers:\nwheel: %+v\nheap:  %+v", wheel, heap)
+	first, second := timeline(), timeline()
+	if !reflect.DeepEqual(first, second) {
+		t.Errorf("fault timelines differ across playbacks:\nfirst:  %+v\nsecond: %+v", first, second)
 	}
-	if len(wheel) == 0 {
+	if len(first) == 0 {
 		t.Fatal("empty timeline")
 	}
 	// Jitter must actually move the nominal times.
-	if wheel[0].At == sim.Time(0).Add(time.Millisecond) {
+	if first[0].At == sim.Time(0).Add(time.Millisecond) {
 		t.Error("jitter not applied")
 	}
 }

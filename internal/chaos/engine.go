@@ -55,8 +55,8 @@ type Firing struct {
 // Engine binds scenarios to one fabric (and any registered NICs) on one
 // sim engine. Jitter is drawn from a forked RNG stream at Play time, in
 // scenario order, so the failure timeline is a pure function of
-// (scenario, seed) — independent of scheduler mode and of everything
-// else the simulation does with randomness.
+// (scenario, seed) — independent of event-dispatch interleaving and of
+// everything else the simulation does with randomness.
 type Engine struct {
 	eng *sim.Engine
 	fab *fabric.Fabric // nil: link faults are rejected at Play

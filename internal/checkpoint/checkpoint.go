@@ -71,8 +71,9 @@ var (
 	// different format revision.
 	ErrSchemaVersion = errors.New("checkpoint: manifest schema version mismatch")
 	// ErrFingerprint: the checkpoint belongs to a different run
-	// configuration (seed, scheduler, shards, workload...). Replaying it
-	// would splice another run's results into this one.
+	// configuration (seed, shards, workload, extra). Replaying it would
+	// splice another run's results into this one. A manifest written
+	// under an older fingerprint layout lands here too and re-runs.
 	ErrFingerprint = errors.New("checkpoint: config fingerprint mismatch")
 	// ErrCorrupt: an integrity hash does not match its data — the
 	// manifest's cell list, or a payload at Lookup time.
@@ -86,8 +87,6 @@ var (
 type Fingerprint struct {
 	// Seed is the run's root RNG seed.
 	Seed uint64
-	// Sched is the event-scheduler mode ("wheel" or "heap").
-	Sched string
 	// Shards is the engine shard count.
 	Shards int
 	// Workload names the work: for stellarbench, the comma-joined
@@ -105,7 +104,6 @@ func (f Fingerprint) Hash() string {
 	h := sha256.New()
 	for _, part := range []string{
 		fmt.Sprintf("seed=%d", f.Seed),
-		"sched=" + f.Sched,
 		fmt.Sprintf("shards=%d", f.Shards),
 		"workload=" + f.Workload,
 		"extra=" + f.Extra,

@@ -10,7 +10,7 @@ import (
 )
 
 func testFP() Fingerprint {
-	return Fingerprint{Seed: 42, Sched: "wheel", Shards: 4, Workload: "fig9,fig12"}
+	return Fingerprint{Seed: 42, Shards: 4, Workload: "fig9,fig12"}
 }
 
 // mustCreate opens a fresh store with two committed cells.
@@ -143,16 +143,15 @@ func TestResumeWrongSchema(t *testing.T) {
 }
 
 // TestResumeStaleFingerprint: a checkpoint from a different run
-// configuration (seed, sched, shards, workload, extra) never replays.
+// configuration (seed, shards, workload, extra) never replays.
 func TestResumeStaleFingerprint(t *testing.T) {
 	dir := t.TempDir()
 	mustCreate(t, dir)
 	for name, fp := range map[string]Fingerprint{
-		"seed":     {Seed: 43, Sched: "wheel", Shards: 4, Workload: "fig9,fig12"},
-		"sched":    {Seed: 42, Sched: "heap", Shards: 4, Workload: "fig9,fig12"},
-		"shards":   {Seed: 42, Sched: "wheel", Shards: 1, Workload: "fig9,fig12"},
-		"workload": {Seed: 42, Sched: "wheel", Shards: 4, Workload: "fig9"},
-		"extra":    {Seed: 42, Sched: "wheel", Shards: 4, Workload: "fig9,fig12", Extra: "chaos:x"},
+		"seed":     {Seed: 43, Shards: 4, Workload: "fig9,fig12"},
+		"shards":   {Seed: 42, Shards: 1, Workload: "fig9,fig12"},
+		"workload": {Seed: 42, Shards: 4, Workload: "fig9"},
+		"extra":    {Seed: 42, Shards: 4, Workload: "fig9,fig12", Extra: "chaos:x"},
 	} {
 		if _, err := Resume(dir, fp); !errors.Is(err, ErrFingerprint) {
 			t.Errorf("%s changed: %v, want ErrFingerprint", name, err)
@@ -249,6 +248,19 @@ func TestOpenDegradesGracefully(t *testing.T) {
 		"truncated": func(t *testing.T, dir string) {
 			mustCreate(t, dir)
 			if err := os.WriteFile(filepath.Join(dir, manifestName), []byte(`{"schema`), 0o644); err != nil {
+				t.Fatal(err)
+			}
+		},
+		"stale fingerprint": func(t *testing.T, dir string) {
+			// One field off: the path a checkpoint written under an
+			// older fingerprint layout takes.
+			stale := testFP()
+			stale.Shards = 1
+			s, err := Create(dir, stale)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := s.Commit("fig9", []byte(`{"id":"fig9"}`), CellMeta{}); err != nil {
 				t.Fatal(err)
 			}
 		},

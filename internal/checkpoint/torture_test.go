@@ -20,7 +20,6 @@ import (
 	"repro/internal/checkpoint"
 	"repro/internal/experiments"
 	"repro/internal/fabric"
-	"repro/internal/sim"
 )
 
 // tortureRunners is the cheap-but-diverse subset the torture trials
@@ -51,7 +50,6 @@ func batchJSON(t *testing.T, results []experiments.Result) string {
 
 type tortureConfig struct {
 	seed   uint64
-	sched  sim.SchedulerMode
 	shards int
 	chaos  *chaos.Scenario
 	extra  string
@@ -60,7 +58,6 @@ type tortureConfig struct {
 
 func (c tortureConfig) session() *experiments.Session {
 	s := experiments.NewSession(c.seed)
-	s.Sched = c.sched
 	s.Shards = c.shards
 	s.Chaos = c.chaos
 	return s
@@ -69,7 +66,6 @@ func (c tortureConfig) session() *experiments.Session {
 func (c tortureConfig) fingerprint() checkpoint.Fingerprint {
 	return checkpoint.Fingerprint{
 		Seed:     c.seed,
-		Sched:    c.sched.String(),
 		Shards:   c.shards,
 		Workload: strings.Join(c.ids, ","),
 		Extra:    c.extra,
@@ -237,24 +233,21 @@ func runTortureTrial(t *testing.T, cfg tortureConfig, abortAfter int, dmg damage
 	}
 }
 
-// TestTortureKillAndResume is the harness entry point: seeded trials
-// across scheduler × shard configurations, each aborting at a
-// randomized commit boundary with randomized post-abort damage.
+// TestTortureKillAndResume is the harness entry point: seeded trials at
+// 1 and 4 shards, each aborting at a randomized commit boundary with
+// randomized post-abort damage.
 func TestTortureKillAndResume(t *testing.T) {
 	configs := []tortureConfig{
-		{seed: 7, sched: sim.SchedulerWheel, shards: 1, ids: tortureIDs},
-		{seed: 7, sched: sim.SchedulerWheel, shards: 4, ids: tortureIDs},
-		{seed: 7, sched: sim.SchedulerHeap, shards: 1, ids: tortureIDs},
-		{seed: 7, sched: sim.SchedulerHeap, shards: 4, ids: tortureIDs},
+		{seed: 7, shards: 1, ids: tortureIDs},
+		{seed: 7, shards: 4, ids: tortureIDs},
 	}
 	trials := 3
 	if testing.Short() {
-		configs = configs[:2]
 		trials = 2
 	}
 	for _, cfg := range configs {
 		cfg := cfg
-		t.Run(cfg.sched.String()+"-shards"+string(rune('0'+cfg.shards)), func(t *testing.T) {
+		t.Run("wheel-shards"+string(rune('0'+cfg.shards)), func(t *testing.T) {
 			t.Parallel()
 			wantJSON, wantDigests := baseline(t, cfg)
 			rng := rand.New(rand.NewSource(int64(cfg.seed)*1000 + int64(cfg.shards)))
@@ -277,7 +270,6 @@ func TestTortureChaosRun(t *testing.T) {
 		LinkDown(time.Millisecond, fabric.Uplink(0, 0), 0)
 	cfg := tortureConfig{
 		seed:  11,
-		sched: sim.SchedulerWheel,
 		chaos: sc,
 		extra: "chaos:torture-chaos",
 		ids:   []string{"fig12", "table1"},

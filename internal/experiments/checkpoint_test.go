@@ -22,7 +22,7 @@ func checkpointFixture(t *testing.T) ([]Runner, checkpoint.Fingerprint) {
 		ids[i] = r.ID
 	}
 	return runners, checkpoint.Fingerprint{
-		Seed: 1, Sched: "wheel", Shards: 1, Workload: strings.Join(ids, ","),
+		Seed: 1, Shards: 1, Workload: strings.Join(ids, ","),
 	}
 }
 
@@ -141,7 +141,7 @@ func TestRunAllCheckpointedTracerBypass(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fp := checkpoint.Fingerprint{Seed: 1, Sched: "wheel", Shards: 1, Workload: "fig12"}
+	fp := checkpoint.Fingerprint{Seed: 1, Shards: 1, Workload: "fig12"}
 	dir := t.TempDir()
 	store, err := checkpoint.Create(dir, fp)
 	if err != nil {

@@ -3,8 +3,6 @@ package experiments
 import (
 	"reflect"
 	"testing"
-
-	"repro/internal/sim"
 )
 
 // TestExperimentsDeterministic guards the repository's core promise:
@@ -34,31 +32,6 @@ func TestExperimentsDeterministic(t *testing.T) {
 				t.Errorf("same seed produced different tables:\n%v\nvs\n%v", a.Rows, b.Rows)
 			}
 		})
-	}
-}
-
-// TestFailureSweepDeterministicAcrossSchedulers guards the chaos
-// subsystem's promise: the same (scenario, seed) produces a
-// byte-identical table under the timer-wheel and heap schedulers.
-// Jitter is drawn at Play time in scenario order, so the fault timeline
-// cannot depend on event-execution interleaving.
-func TestFailureSweepDeterministicAcrossSchedulers(t *testing.T) {
-	if testing.Short() {
-		t.Skip("failure sweep is seconds-long; skipped in -short")
-	}
-	run := func(mode sim.SchedulerMode) [][]string {
-		s := NewSession(7)
-		s.Sched = mode
-		tb, err := FailureSweep(s)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return tb.Rows
-	}
-	wheel := run(sim.SchedulerWheel)
-	heap := run(sim.SchedulerHeap)
-	if !reflect.DeepEqual(wheel, heap) {
-		t.Errorf("failure-sweep tables differ across schedulers:\nwheel: %v\nheap:  %v", wheel, heap)
 	}
 }
 

@@ -3,8 +3,6 @@ package experiments
 import (
 	"math"
 	"testing"
-
-	"repro/internal/sim"
 )
 
 // TestChurnFleetScale pins the fig6-fleet acceptance floor: at least
@@ -51,12 +49,11 @@ func TestChurnFleetScale(t *testing.T) {
 }
 
 // TestChurnFleetInvariant: the registered experiment's table is
-// byte-identical across schedulers, shard counts and cell-parallel
-// worker bounds — the property the CI identity jobs diff on.
+// byte-identical across shard counts and cell-parallel worker bounds —
+// the property the CI identity job diffs on.
 func TestChurnFleetInvariant(t *testing.T) {
-	run := func(mode sim.SchedulerMode, shards, workers int) string {
+	run := func(shards, workers int) string {
 		s := NewSession(42)
-		s.Sched = mode
 		s.Shards = shards
 		s.Parallelism = workers
 		tab, err := ChurnFleet(s)
@@ -65,21 +62,7 @@ func TestChurnFleetInvariant(t *testing.T) {
 		}
 		return tab.JSON()
 	}
-	ref := run(sim.SchedulerWheel, 1, 1)
-	combos := []struct {
-		mode            sim.SchedulerMode
-		shards, workers int
-	}{
-		{sim.SchedulerHeap, 4, 4},
-		{sim.SchedulerWheel, 4, 4},
-		{sim.SchedulerHeap, 1, 1},
-	}
-	if testing.Short() {
-		combos = combos[:1]
-	}
-	for _, c := range combos {
-		if got := run(c.mode, c.shards, c.workers); got != ref {
-			t.Errorf("%v shards=%d workers=%d diverged from wheel/1/1", c.mode, c.shards, c.workers)
-		}
+	if got, ref := run(4, 4), run(1, 1); got != ref {
+		t.Error("shards=4 workers=4 diverged from shards=1 workers=1")
 	}
 }

@@ -6,17 +6,15 @@ import (
 	"testing"
 
 	"repro/internal/jobgraph"
-	"repro/internal/sim"
 )
 
-// TestContendedCluster covers the experiment's whole contract in three
-// runs — one reference (shape + slowdown invariants), one on the heap
-// scheduler, one on 4 workers — because each run replays 20 fleets and
-// the raced CI suite pays for every extra one.
+// TestContendedCluster covers the experiment's whole contract in two
+// runs — one reference (shape + slowdown invariants) and one on 4
+// workers — because each run replays 20 fleets and the raced CI suite
+// pays for every extra one.
 func TestContendedCluster(t *testing.T) {
-	run := func(mode sim.SchedulerMode, parallelism int) (*Table, string) {
+	run := func(parallelism int) (*Table, string) {
 		s := NewSession(7)
-		s.Sched = mode
 		s.Parallelism = parallelism
 		tb, err := ContendedCluster(s)
 		if err != nil {
@@ -24,7 +22,7 @@ func TestContendedCluster(t *testing.T) {
 		}
 		return tb, tb.String()
 	}
-	tb, ref := run(sim.SchedulerWheel, 1)
+	tb, ref := run(1)
 
 	// Shape: 2 placements x 2 stacks x 4 jobs, all three job kinds.
 	if len(tb.Rows) != 16 {
@@ -53,11 +51,8 @@ func TestContendedCluster(t *testing.T) {
 		t.Error("no job in any cell observed contention")
 	}
 
-	// Byte identity across schedulers and harness parallelism.
-	if _, heap := run(sim.SchedulerHeap, 1); heap != ref {
-		t.Errorf("wheel/heap output differs:\n--- wheel\n%s\n--- heap\n%s", ref, heap)
-	}
-	if _, par := run(sim.SchedulerWheel, 4); par != ref {
+	// Byte identity across harness parallelism.
+	if _, par := run(4); par != ref {
 		t.Errorf("serial/parallel output differs:\n--- serial\n%s\n--- parallel\n%s", ref, par)
 	}
 }

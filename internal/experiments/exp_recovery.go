@@ -33,8 +33,7 @@ import (
 // flow on an unaffected host rides along as the control. The watchdog
 // observes both flows' goodput for stalls. With recovery the faulted
 // flow must complete every message; without it the flow must end the
-// run parked in FlowError — the assertions in exp_recovery_test.go, and
-// byte-identical under both schedulers.
+// run parked in FlowError — the assertions in exp_recovery_test.go.
 func ChaosRecovery(s *Session) (*Table, error) {
 	t := &Table{
 		ID:    "chaos-recovery",

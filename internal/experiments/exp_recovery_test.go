@@ -1,11 +1,6 @@
 package experiments
 
-import (
-	"reflect"
-	"testing"
-
-	"repro/internal/sim"
-)
+import "testing"
 
 // TestChaosRecoveryOutcomes is the acceptance check for the recovery
 // arc: a chaos scenario that resets QPs (or exhausts the retry budget)
@@ -57,27 +52,5 @@ func TestChaosRecoveryOutcomes(t *testing.T) {
 	}
 	if checked != 4 {
 		t.Fatalf("checked %d faulted-flow rows, want 4 (2 conditions x on/off)", checked)
-	}
-}
-
-// TestChaosRecoveryDeterministicAcrossSchedulers extends the
-// scheduler-equivalence guarantee to the recovery machinery: backoff
-// jitter, budget exhaustion, QP recovery and watchdog sampling must
-// produce a byte-identical table under the wheel and heap schedulers.
-func TestChaosRecoveryDeterministicAcrossSchedulers(t *testing.T) {
-	run := func(mode sim.SchedulerMode) [][]string {
-		prev := sim.DefaultSchedulerMode()
-		sim.SetDefaultSchedulerMode(mode)
-		defer sim.SetDefaultSchedulerMode(prev)
-		tb, err := ChaosRecovery(NewSession(7))
-		if err != nil {
-			t.Fatal(err)
-		}
-		return tb.Rows
-	}
-	wheel := run(sim.SchedulerWheel)
-	heap := run(sim.SchedulerHeap)
-	if !reflect.DeepEqual(wheel, heap) {
-		t.Errorf("chaos-recovery differs across schedulers:\nwheel: %v\nheap:  %v", wheel, heap)
 	}
 }

@@ -15,9 +15,8 @@ import (
 )
 
 // Session is the per-run state an experiment executes under: the seed,
-// the flight recorder, the chaos scenario to arm on every fabric, the
-// scheduler mode for every engine the run builds, and the worker bound
-// for cell-parallel sweeps. Each concurrent run owns its Session, so
+// the flight recorder, the chaos scenario to arm on every fabric, and
+// the worker and shard bounds. Each concurrent run owns its Session, so
 // two runs can never alias each other's tracer, scenario or engines.
 //
 // A Session also records every engine it builds, which is what makes
@@ -35,10 +34,6 @@ type Session struct {
 	// Scenarios are read-only during playback, so one scenario may be
 	// shared across concurrent sessions and cells.
 	Chaos *chaos.Scenario
-	// Sched is the scheduler mode for every engine the run builds —
-	// session state, not the mutated sim.SetDefaultSchedulerMode
-	// global, so concurrent sessions can run different schedulers.
-	Sched sim.SchedulerMode
 	// Parallelism bounds the worker pool used by cell-parallel sweeps
 	// (FailureSweep, Fig11, Fig12). Values below 2 mean serial. Cell
 	// results are assembled in cell order, so the output is
@@ -58,24 +53,24 @@ type Session struct {
 	engines []*sim.Engine
 }
 
-// NewSession returns a serial Session with the process-default
-// scheduler mode, no tracer and no chaos scenario.
+// NewSession returns a serial, unsharded Session with no tracer and no
+// chaos scenario.
 func NewSession(seed uint64) *Session {
-	return &Session{Seed: seed, Sched: sim.DefaultSchedulerMode(), Parallelism: 1}
+	return &Session{Seed: seed, Parallelism: 1}
 }
 
 // fork clones the session's configuration with a private engine list,
 // giving one run of a larger batch its own accounting scope.
 func (s *Session) fork() *Session {
-	return &Session{Seed: s.Seed, Tracer: s.Tracer, Chaos: s.Chaos, Sched: s.Sched,
+	return &Session{Seed: s.Seed, Tracer: s.Tracer, Chaos: s.Chaos,
 		Parallelism: s.Parallelism, Shards: s.Shards}
 }
 
 // newEngine is the experiments' engine constructor: an engine seeded
-// and scheduled per the session, attached to the session's tracer, and
-// recorded for per-run event accounting.
+// per the session, attached to the session's tracer, and recorded for
+// per-run event accounting.
 func (s *Session) newEngine() *sim.Engine {
-	eng := sim.NewEngineMode(s.Seed, s.Sched)
+	eng := sim.NewEngine(s.Seed)
 	if s.Tracer != nil {
 		eng.SetTracer(s.Tracer)
 	}
@@ -97,11 +92,11 @@ func (s *Session) shards() int {
 // newShardedEngine builds the session's sharded engine group for a
 // model of units independent partitions: the effective shard count,
 // clamped to units since a shard with no unit would only idle through
-// every window. Every shard is seeded and scheduled per the session
-// (identical seeds keep the RNG fork tree shard-invariant) and recorded
-// for per-run event accounting.
+// every window. Every shard is seeded per the session (identical seeds
+// keep the RNG fork tree shard-invariant) and recorded for per-run
+// event accounting.
 func (s *Session) newShardedEngine(units int) *sim.ShardedEngine {
-	se := sim.NewShardedEngine(s.Seed, s.Sched, min(s.shards(), units))
+	se := sim.NewShardedEngine(s.Seed, sim.SchedulerWheel, min(s.shards(), units))
 	s.mu.Lock()
 	for _, eng := range se.Engines() {
 		if s.Tracer != nil {

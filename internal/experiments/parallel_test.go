@@ -14,7 +14,6 @@ import (
 
 	"repro/internal/chaos"
 	"repro/internal/fabric"
-	"repro/internal/sim"
 	"repro/internal/trace"
 )
 
@@ -44,33 +43,31 @@ func batchJSON(t *testing.T, results []Result) string {
 }
 
 // TestRunAllParallelByteIdentical is the tentpole contract: the batch
-// output is byte-identical at any parallelism, under both schedulers.
+// output is byte-identical at any parallelism.
 func TestRunAllParallelByteIdentical(t *testing.T) {
 	runners, err := Select(strings.Join(fastIDs(testing.Short()), ","))
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, mode := range []sim.SchedulerMode{sim.SchedulerWheel, sim.SchedulerHeap} {
-		mode := mode
-		t.Run(mode.String(), func(t *testing.T) {
-			run := func(parallelism int) string {
-				s := NewSession(7)
-				s.Sched = mode
-				s.Parallelism = parallelism
-				results, err := RunAll(context.Background(), s, runners, parallelism)
-				if err != nil {
-					t.Fatal(err)
-				}
-				return batchJSON(t, results)
+	// The subtest is named for the event wheel, the scheduler every
+	// session runs on.
+	t.Run("wheel", func(t *testing.T) {
+		run := func(parallelism int) string {
+			s := NewSession(7)
+			s.Parallelism = parallelism
+			results, err := RunAll(context.Background(), s, runners, parallelism)
+			if err != nil {
+				t.Fatal(err)
 			}
-			serial := run(1)
-			for _, p := range []int{4, runtime.GOMAXPROCS(0)} {
-				if got := run(p); got != serial {
-					t.Errorf("parallelism %d output differs from serial", p)
-				}
+			return batchJSON(t, results)
+		}
+		serial := run(1)
+		for _, p := range []int{4, runtime.GOMAXPROCS(0)} {
+			if got := run(p); got != serial {
+				t.Errorf("parallelism %d output differs from serial", p)
 			}
-		})
-	}
+		}
+	})
 }
 
 // TestSweepsParallelIdentity runs the internally-parallelized sweeps
@@ -219,6 +216,28 @@ func TestRunAllTracerForcesSerial(t *testing.T) {
 	}
 	if got := maxInFlight.Load(); got != 1 {
 		t.Errorf("traced batch reached concurrency %d, want 1", got)
+	}
+}
+
+// TestWorkers pins the worker count a batch reports: the requested
+// parallelism clamped to [1, runners], and 1 under a tracer.
+func TestWorkers(t *testing.T) {
+	plain, traced := NewSession(1), NewSession(1)
+	traced.Tracer = trace.New(1 << 10)
+	for _, c := range []struct {
+		s              *Session
+		parallelism, n int
+		want           int
+	}{
+		{plain, 4, 30, 4},
+		{plain, 8, 3, 3},
+		{plain, 0, 3, 1},
+		{traced, 4, 30, 1},
+	} {
+		if got := Workers(c.s, c.parallelism, c.n); got != c.want {
+			t.Errorf("Workers(tracer=%v, %d, %d) = %d, want %d",
+				c.s.Tracer != nil, c.parallelism, c.n, got, c.want)
+		}
 	}
 }
 

@@ -56,12 +56,12 @@ type Result struct {
 
 // RunAll executes runners concurrently on a bounded worker pool, each
 // under a private fork of session (same seed, tracer, scenario and
-// scheduler mode; its own engine list, so Stats.Events is per-run).
+// bounds; its own engine list, so Stats.Events is per-run).
 // parallelism bounds the pool; values below 1 mean one worker, and a
 // session with a tracer attached forces one worker because the tracer
 // is single-threaded. Results are collected by input index, so output
-// order — and, since every run is deterministic in (seed, scenario,
-// scheduler), output bytes — are identical at any parallelism.
+// order — and, since every run is deterministic in (seed, scenario),
+// output bytes — are identical at any parallelism.
 //
 // A runner's failure does not cancel its siblings: every runner whose
 // start precedes a ctx cancellation still executes, which keeps the
@@ -70,6 +70,16 @@ type Result struct {
 // slice.
 func RunAll(ctx context.Context, session *Session, runners []Runner, parallelism int) ([]Result, error) {
 	return RunAllCheckpointed(ctx, session, runners, parallelism, nil)
+}
+
+// Workers is the worker count RunAll and RunAllCheckpointed actually
+// use for a batch of n runners: parallelism clamped to [1, n], and 1
+// when the session carries a tracer.
+func Workers(session *Session, parallelism, n int) int {
+	if session.Tracer != nil {
+		return 1
+	}
+	return max(1, min(parallelism, n))
 }
 
 // RunAllCheckpointed is RunAll with a crash-safe run lifecycle: when
@@ -88,16 +98,10 @@ func RunAll(ctx context.Context, session *Session, runners []Runner, parallelism
 // bypasses the store entirely — replaying a cell would silently drop
 // its trace events.
 func RunAllCheckpointed(ctx context.Context, session *Session, runners []Runner, parallelism int, store *checkpoint.Store) ([]Result, error) {
-	if parallelism < 1 {
-		parallelism = 1
-	}
 	if session.Tracer != nil {
-		parallelism = 1
 		store = nil
 	}
-	if parallelism > len(runners) {
-		parallelism = len(runners)
-	}
+	parallelism = Workers(session, parallelism, len(runners))
 	results := make([]Result, len(runners))
 	var next atomic.Int64
 	var wg sync.WaitGroup

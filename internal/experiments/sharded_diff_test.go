@@ -12,11 +12,10 @@ import (
 )
 
 // TestExperimentsShardInvariant: registered experiments must not change
-// with the session's shard count, scheduler or cell parallelism. These
-// experiments build single-pod fabrics, so Shards=8 clamps to one
-// engine; the check guards that clamp and, on the heap side, the
-// scheduler and worker dimensions. The multi-pod tests below exercise
-// real cross-shard traffic.
+// with the session's shard count or cell parallelism. These experiments
+// build single-pod fabrics, so Shards=8 clamps to one engine; the check
+// guards that clamp and the worker dimension. The multi-pod tests below
+// exercise real cross-shard traffic.
 func TestExperimentsShardInvariant(t *testing.T) {
 	ids := []string{"fig12"}
 	if !testing.Short() {
@@ -29,20 +28,19 @@ func TestExperimentsShardInvariant(t *testing.T) {
 			if !ok {
 				t.Fatalf("unknown experiment %s", id)
 			}
-			run := func(mode sim.SchedulerMode, shards, workers int) [][]string {
+			run := func(shards, workers int) [][]string {
 				s := NewSession(7)
-				s.Sched = mode
 				s.Shards = shards
 				s.Parallelism = workers
 				tb, err := r.RunSession(s)
 				if err != nil {
-					t.Fatalf("%v shards=%d: %v", mode, shards, err)
+					t.Fatalf("shards=%d: %v", shards, err)
 				}
 				return tb.Rows
 			}
-			ref := run(sim.SchedulerWheel, 1, 1)
-			if got := run(sim.SchedulerHeap, 8, 4); !reflect.DeepEqual(got, ref) {
-				t.Errorf("heap shards=8 diverged from wheel shards=1:\n got %v\nwant %v", got, ref)
+			ref := run(1, 1)
+			if got := run(8, 4); !reflect.DeepEqual(got, ref) {
+				t.Errorf("shards=8 workers=4 diverged from shards=1:\n got %v\nwant %v", got, ref)
 			}
 		})
 	}
@@ -52,13 +50,12 @@ func TestExperimentsShardInvariant(t *testing.T) {
 // a reduced multi-pod fleet (8 segments × 8 hosts in 4 pods) under
 // cross-pod permutation load, where every flow crosses the core seam and
 // is handed off between shards. Results must be byte-identical at every
-// (scheduler, shard count) — the property the conservative-lookahead
+// shard count — the property the conservative-lookahead
 // windows and the canonical entry-link drain exist to provide. Shard
 // count 8 clamps to the 4 pods.
 func TestScalePermutationShardInvariant(t *testing.T) {
-	run := func(mode sim.SchedulerMode, shards int) collective.PermutationResult {
+	run := func(shards int) collective.PermutationResult {
 		s := NewSession(11)
-		s.Sched = mode
 		s.Shards = shards
 		se, f, eps := scaleCluster(s, scaleConfig(8, 8, 2, 16, 4))
 		res, err := collective.RunPermutation(se.Shard(0), f, eps, collective.PermutationConfig{
@@ -66,21 +63,18 @@ func TestScalePermutationShardInvariant(t *testing.T) {
 			SamplePeriod: sim.Duration(50 * time.Microsecond), Seed: 12,
 		})
 		if err != nil {
-			t.Fatalf("%v shards=%d: %v", mode, shards, err)
+			t.Fatalf("shards=%d: %v", shards, err)
 		}
 		return res
 	}
-	ref := run(sim.SchedulerWheel, 1)
+	ref := run(1)
 	shardCounts := []int{2, 4, 8}
 	if testing.Short() {
 		shardCounts = []int{4}
 	}
-	for _, mode := range []sim.SchedulerMode{sim.SchedulerWheel, sim.SchedulerHeap} {
-		for _, shards := range shardCounts {
-			if got := run(mode, shards); !reflect.DeepEqual(got, ref) {
-				t.Errorf("%v shards=%d diverged from wheel shards=1:\n got %+v\nwant %+v",
-					mode, shards, got, ref)
-			}
+	for _, shards := range shardCounts {
+		if got := run(shards); !reflect.DeepEqual(got, ref) {
+			t.Errorf("shards=%d diverged from shards=1:\n got %+v\nwant %+v", shards, got, ref)
 		}
 	}
 }
@@ -90,9 +84,8 @@ func TestScalePermutationShardInvariant(t *testing.T) {
 // the per-link RNG streams and reroute paths are exercised across the
 // shard seam too.
 func TestScalePermutationFaultShardInvariant(t *testing.T) {
-	run := func(mode sim.SchedulerMode, shards int) collective.PermutationResult {
+	run := func(shards int) collective.PermutationResult {
 		s := NewSession(13)
-		s.Sched = mode
 		s.Shards = shards
 		se, f, eps := scaleCluster(s, scaleConfig(8, 8, 2, 16, 4))
 		if err := f.SetFault(fabric.Uplink(0, 3), fabric.Fault{Down: true}); err != nil {
@@ -106,17 +99,14 @@ func TestScalePermutationFaultShardInvariant(t *testing.T) {
 			SamplePeriod: sim.Duration(50 * time.Microsecond), Seed: 14,
 		})
 		if err != nil {
-			t.Fatalf("%v shards=%d: %v", mode, shards, err)
+			t.Fatalf("shards=%d: %v", shards, err)
 		}
 		return res
 	}
-	ref := run(sim.SchedulerWheel, 1)
-	for _, mode := range []sim.SchedulerMode{sim.SchedulerWheel, sim.SchedulerHeap} {
-		for _, shards := range []int{2, 4} {
-			if got := run(mode, shards); !reflect.DeepEqual(got, ref) {
-				t.Errorf("%v shards=%d diverged from wheel shards=1:\n got %+v\nwant %+v",
-					mode, shards, got, ref)
-			}
+	ref := run(1)
+	for _, shards := range []int{2, 4} {
+		if got := run(shards); !reflect.DeepEqual(got, ref) {
+			t.Errorf("shards=%d diverged from shards=1:\n got %+v\nwant %+v", shards, got, ref)
 		}
 	}
 }

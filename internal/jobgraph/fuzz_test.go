@@ -15,10 +15,10 @@ import (
 
 // The differential fuzz harness: seeded random job graphs replayed on a
 // multi-pod fleet with seeded random fault plans, asserted byte-identical
-// across scheduler modes and harness parallelism. The graphs are small
-// but adversarial — same-instant completions, send/recv cross-pod
-// chains, collectives spanning every pod — exactly the shapes that
-// expose ordering differences between engine configurations.
+// between the wheel and the heap reference queue, at 1 and 4 workers.
+// The graphs are small but adversarial — same-instant completions,
+// send/recv cross-pod chains, collectives spanning every pod — exactly
+// the shapes that expose ordering differences between the two queues.
 
 // fuzzFaults is a pre-drawn fault plan, applied identically to every
 // fabric of one comparison (drawing inside the run would entangle the
@@ -148,20 +148,23 @@ func fuzzFleet(t *testing.T, seed uint64, mode sim.SchedulerMode) (*sim.Engine, 
 	return eng, f, eps
 }
 
-// TestFuzzReplayShardInvariant is the replay differential fuzz: for
-// each seed, one random graph and one random fault plan replayed under
-// the wheel and heap schedulers must produce byte-identical Results.
-// The ranks straddle all four pods, so traffic crosses the core layer.
-// The comparison runs at parallelism 1 and 4 — each configuration
-// builds a private fleet, so concurrent replays must not see each other
-// (the race detector holds the harness to that when run with -race).
-func TestFuzzReplayShardInvariant(t *testing.T) {
+// TestFuzzReplayMatchesHeapReference is the replay differential fuzz and
+// the one real-workload check of the wheel against the heap-only
+// reference queue: for each seed, one random graph and one random fault
+// plan replayed on a wheel engine and on a heap-reference engine must
+// produce byte-identical Results. The ranks straddle all four pods, so
+// traffic crosses the core layer. The comparison runs at 1 and 4
+// workers — each replay builds a private fleet, so concurrent replays
+// must not see each other (the race detector holds the harness to that
+// when run with -race).
+func TestFuzzReplayMatchesHeapReference(t *testing.T) {
 	seeds := []uint64{3, 17, 101, 9001, 77777}
 	if testing.Short() {
 		seeds = seeds[:2]
 	}
 	const ranks = 16 // hosts 0..15: segments 0..3, pods 0 and 1
 	modes := []sim.SchedulerMode{sim.SchedulerWheel, sim.SchedulerHeap}
+	names := []string{"wheel", "heap"}
 	for _, seed := range seeds {
 		seed := seed
 		t.Run(fmt.Sprintf("seed%d", seed), func(t *testing.T) {
@@ -200,13 +203,13 @@ func TestFuzzReplayShardInvariant(t *testing.T) {
 					}()
 				}
 				wg.Wait()
-				for mi, mode := range modes {
+				for mi, name := range names {
 					if errs[mi] != nil {
-						t.Fatalf("workers=%d %v: %v", workers, mode, errs[mi])
+						t.Fatalf("workers=%d %s: %v", workers, name, errs[mi])
 					}
 					if !reflect.DeepEqual(results[mi], results[0]) {
-						t.Errorf("workers=%d %v diverged from wheel:\n got %+v\nwant %+v",
-							workers, mode, results[mi], results[0])
+						t.Errorf("workers=%d %s diverged from wheel:\n got %+v\nwant %+v",
+							workers, name, results[mi], results[0])
 					}
 				}
 			}

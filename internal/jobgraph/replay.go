@@ -55,7 +55,7 @@ var ErrTooFewEndpoints = errors.New("jobgraph: fewer endpoints than ranks")
 // order, successors are stored in op order, and all network ops ride
 // the engine's deterministic event queue — so a replay's timings are a
 // pure function of (graph, seed, topology, options), byte-identical
-// under either scheduler mode.
+// against the heap reference queue.
 type Replay struct {
 	g   *Graph
 	eng *sim.Engine

@@ -2,7 +2,6 @@ package jobgraph
 
 import (
 	"errors"
-	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -15,9 +14,9 @@ import (
 )
 
 // newFleet builds a two-segment test fabric with one endpoint per host.
-func newFleet(t testing.TB, seed uint64, hostsPerSeg int, mode sim.SchedulerMode) (*sim.Engine, []*transport.Endpoint) {
+func newFleet(t testing.TB, seed uint64, hostsPerSeg int) (*sim.Engine, []*transport.Endpoint) {
 	t.Helper()
-	eng := sim.NewEngineMode(seed, mode)
+	eng := sim.NewEngine(seed)
 	f := fabric.New(eng, fabric.Config{
 		Segments: 2, HostsPerSegment: hostsPerSeg, Aggs: 16,
 		HostLinkBW: 12.5e9, FabricLinkBW: 12.5e9,
@@ -31,7 +30,7 @@ func newFleet(t testing.TB, seed uint64, hostsPerSeg int, mode sim.SchedulerMode
 }
 
 func TestRunExecutesEveryOpKind(t *testing.T) {
-	eng, eps := newFleet(t, 1, 2, sim.SchedulerWheel)
+	eng, eps := newFleet(t, 1, 2)
 	g := chain(t)
 	res, err := Run(eng, eps, g, Options{Alg: multipath.OBS, Paths: 32, FlowBase: 1})
 	if err != nil {
@@ -78,7 +77,7 @@ func TestRecvCompletesWithSend(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	eng, eps := newFleet(t, 2, 2, sim.SchedulerWheel)
+	eng, eps := newFleet(t, 2, 2)
 	res, err := Run(eng, eps, g, Options{Alg: multipath.OBS, Paths: 32, FlowBase: 1})
 	if err != nil {
 		t.Fatal(err)
@@ -102,7 +101,7 @@ func TestLateRecvCompletesWhenReady(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	eng, eps := newFleet(t, 3, 2, sim.SchedulerWheel)
+	eng, eps := newFleet(t, 3, 2)
 	res, err := Run(eng, eps, g, Options{Alg: multipath.OBS, Paths: 32, FlowBase: 1})
 	if err != nil {
 		t.Fatal(err)
@@ -115,34 +114,10 @@ func TestLateRecvCompletesWhenReady(t *testing.T) {
 	}
 }
 
-func TestReplayByteIdenticalAcrossSchedulers(t *testing.T) {
-	g, err := FromModel(GenConfig{
-		Model: workload.Table1()[0], Platform: workload.DefaultPlatform(),
-		Ranks: 4, Steps: 2, CollectiveBytes: 1 << 20,
-		ComputeTime: time.Millisecond,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	run := func(mode sim.SchedulerMode) Result {
-		eng, eps := newFleet(t, 7, 4, mode)
-		res, err := Run(eng, eps, g, Options{Alg: multipath.OBS, Paths: 64, FlowBase: 1})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return res
-	}
-	wheel := run(sim.SchedulerWheel)
-	heap := run(sim.SchedulerHeap)
-	if !reflect.DeepEqual(wheel, heap) {
-		t.Errorf("wheel/heap divergence:\n  wheel: %+v\n  heap:  %+v", wheel, heap)
-	}
-}
-
 func TestReplayStartDelayShiftsNotStretches(t *testing.T) {
 	g := chain(t)
 	run := func(start sim.Duration) Result {
-		eng, eps := newFleet(t, 11, 2, sim.SchedulerWheel)
+		eng, eps := newFleet(t, 11, 2)
 		res, err := Run(eng, eps, g, Options{Alg: multipath.OBS, Paths: 32, FlowBase: 1, Start: start})
 		if err != nil {
 			t.Fatal(err)
@@ -160,7 +135,7 @@ func TestReplayStartDelayShiftsNotStretches(t *testing.T) {
 }
 
 func TestNewReplayRejectsShortFleet(t *testing.T) {
-	eng, eps := newFleet(t, 12, 2, sim.SchedulerWheel)
+	eng, eps := newFleet(t, 12, 2)
 	g, err := FromModel(GenConfig{
 		Model: workload.Table1()[0], Platform: workload.DefaultPlatform(),
 		Ranks: len(eps) + 1, CollectiveBytes: 1 << 20, ComputeTime: time.Millisecond,
@@ -174,7 +149,7 @@ func TestNewReplayRejectsShortFleet(t *testing.T) {
 }
 
 func TestReplayResultBeforeRunIsIncomplete(t *testing.T) {
-	eng, eps := newFleet(t, 13, 2, sim.SchedulerWheel)
+	eng, eps := newFleet(t, 13, 2)
 	rp, err := NewReplay(eng, eps, chain(t), Options{Alg: multipath.OBS, Paths: 8, FlowBase: 1})
 	if err != nil {
 		t.Fatal(err)
@@ -209,7 +184,7 @@ func TestGeneratedGraphsValidateAndReplay(t *testing.T) {
 		if err := g.Validate(); err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
-		eng, eps := newFleet(t, 21, 4, sim.SchedulerWheel)
+		eng, eps := newFleet(t, 21, 4)
 		res, err := Run(eng, eps, g, Options{Alg: multipath.OBS, Paths: 32, FlowBase: 1})
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
@@ -257,20 +232,18 @@ func TestSameInstantCompletionsLaunchInOpOrder(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, mode := range []sim.SchedulerMode{sim.SchedulerWheel, sim.SchedulerHeap} {
-		eng, eps := newFleet(t, 31, 3, mode)
-		res, err := Run(eng, eps, g, Options{Alg: multipath.OBS, Paths: 32, FlowBase: 1})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if res.OpEnd[1] != res.OpEnd[0] {
-			t.Fatalf("%v: recv B end %v != send A end %v", mode, res.OpEnd[1], res.OpEnd[0])
-		}
-		if res.OpEnd[2] >= res.OpEnd[3] {
-			t.Errorf("%v: same-instant successors launched out of op order: "+
-				"C (idx 2, 4KB) ended %v, not before D (idx 3, 1MB) ended %v",
-				mode, res.OpEnd[2], res.OpEnd[3])
-		}
+	eng, eps := newFleet(t, 31, 3)
+	res, err := Run(eng, eps, g, Options{Alg: multipath.OBS, Paths: 32, FlowBase: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.OpEnd[1] != res.OpEnd[0] {
+		t.Fatalf("recv B end %v != send A end %v", res.OpEnd[1], res.OpEnd[0])
+	}
+	if res.OpEnd[2] >= res.OpEnd[3] {
+		t.Errorf("same-instant successors launched out of op order: "+
+			"C (idx 2, 4KB) ended %v, not before D (idx 3, 1MB) ended %v",
+			res.OpEnd[2], res.OpEnd[3])
 	}
 }
 
@@ -285,7 +258,7 @@ func TestIncompleteErrorNamesPendingOps(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	eng, eps := newFleet(t, 32, 2, sim.SchedulerWheel)
+	eng, eps := newFleet(t, 32, 2)
 	rp, err := NewReplay(eng, eps, g, Options{Alg: multipath.OBS, Paths: 32, FlowBase: 1})
 	if err != nil {
 		t.Fatal(err)
@@ -301,8 +274,8 @@ func TestIncompleteErrorNamesPendingOps(t *testing.T) {
 	}
 	msg := err.Error()
 	for _, want := range []string{
-		"warmup",                  // the op actually stuck
-		"push (awaiting warmup)",  // dep chain spelled out
+		"warmup",                      // the op actually stuck
+		"push (awaiting warmup)",      // dep chain spelled out
 		"pull (awaiting push [wire])", // recv blames the missing data
 	} {
 		if !strings.Contains(msg, want) {

@@ -44,7 +44,7 @@ func testJobs(t *testing.T, placement workload.Placement) []JobSpec {
 }
 
 func TestRunJobsSharedFleet(t *testing.T) {
-	eng, fleet := newFleet(t, 31, 4, sim.SchedulerWheel)
+	eng, fleet := newFleet(t, 31, 4)
 	results, err := RunJobs(eng, fleet, testJobs(t, workload.Reranked))
 	if err != nil {
 		t.Fatal(err)
@@ -64,22 +64,8 @@ func TestRunJobsSharedFleet(t *testing.T) {
 	}
 }
 
-func TestRunJobsDeterministicAcrossSchedulers(t *testing.T) {
-	run := func(mode sim.SchedulerMode) []JobResult {
-		eng, fleet := newFleet(t, 32, 4, mode)
-		res, err := RunJobs(eng, fleet, testJobs(t, workload.RandomRanking))
-		if err != nil {
-			t.Fatal(err)
-		}
-		return res
-	}
-	if w, h := run(sim.SchedulerWheel), (run(sim.SchedulerHeap)); !reflect.DeepEqual(w, h) {
-		t.Errorf("wheel/heap divergence:\n  wheel: %+v\n  heap:  %+v", w, h)
-	}
-}
-
 func TestPlaceValidation(t *testing.T) {
-	eng, fleet := newFleet(t, 33, 2, sim.SchedulerWheel)
+	eng, fleet := newFleet(t, 33, 2)
 	_ = eng
 	g := chain(t)
 	base := JobSpec{Name: "j", Graph: g, Alg: multipath.OBS, Paths: 8}
@@ -124,7 +110,7 @@ func TestPlaceValidation(t *testing.T) {
 }
 
 func TestRunJobsRejectsDuplicateNames(t *testing.T) {
-	eng, fleet := newFleet(t, 34, 2, sim.SchedulerWheel)
+	eng, fleet := newFleet(t, 34, 2)
 	g := chain(t)
 	jobs := []JobSpec{
 		{Name: "same", Graph: g, Alg: multipath.OBS, Paths: 8},
@@ -143,7 +129,7 @@ func TestRunContendedReportsSlowdown(t *testing.T) {
 	var builds int
 	outcomes, err := RunContended(func() (*sim.Engine, []*transport.Endpoint) {
 		builds++
-		return newFleet(t, 35, 4, sim.SchedulerWheel)
+		return newFleet(t, 35, 4)
 	}, jobs)
 	if err != nil {
 		t.Fatal(err)

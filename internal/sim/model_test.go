@@ -234,15 +234,15 @@ func TestQueueMatchesReferenceModel(t *testing.T) {
 			q := engineQ{NewEngineMode(1, mode), map[string]int{}}
 			got := modelWorkload(q, seed)
 			if len(got) != len(want) {
-				t.Fatalf("seed %d %v: fired %d events, model %d", seed, mode, len(got), len(want))
+				t.Fatalf("seed %d mode %d: fired %d events, model %d", seed, mode, len(got), len(want))
 			}
 			for i := range want {
 				if got[i] != want[i] {
-					t.Fatalf("seed %d %v: firing %d = %+v, model %+v", seed, mode, i, got[i], want[i])
+					t.Fatalf("seed %d mode %d: firing %d = %+v, model %+v", seed, mode, i, got[i], want[i])
 				}
 			}
 			if q.Pending() != 0 {
-				t.Errorf("seed %d %v: %d events still pending", seed, mode, q.Pending())
+				t.Errorf("seed %d mode %d: %d events still pending", seed, mode, q.Pending())
 			}
 			if mode != SchedulerWheel {
 				continue

@@ -67,7 +67,8 @@ func (h *handoffSorter) Swap(i, j int) { h.s[i], h.s[j] = h.s[j], h.s[i] }
 
 // NewShardedEngine builds n shard engines, each seeded with the same
 // root seed (see the type comment for why that is load-bearing) and
-// running the given scheduler mode. n < 1 is clamped to 1.
+// running the given scheduler mode: SchedulerWheel for every run,
+// SchedulerHeap only for differential tests. n < 1 is clamped to 1.
 func NewShardedEngine(seed uint64, mode SchedulerMode, n int) *ShardedEngine {
 	if n < 1 {
 		n = 1

@@ -12,7 +12,7 @@ import (
 // scheduled short-horizon events must land in the wheel (or the already
 // flushed run), never silently fall through to the heap.
 func TestAdvanceKeepsWheelPathHot(t *testing.T) {
-	e := NewEngineMode(1, SchedulerWheel)
+	e := NewEngine(1)
 	e.Advance(10 * time.Millisecond) // ~19.5k buckets: past the wheel horizon
 	e.After(time.Microsecond, func() {})
 	if e.wheelCount != 1 {
@@ -33,7 +33,7 @@ func TestAdvanceKeepsWheelPathHot(t *testing.T) {
 }
 
 func TestAdvanceWithOccupiedWheelKeepsWatermark(t *testing.T) {
-	e := NewEngineMode(1, SchedulerWheel)
+	e := NewEngine(1)
 	e.After(time.Millisecond, func() {})   // flushed to the run by Advance's peek
 	e.After(2*time.Millisecond, func() {}) // stays in the wheel past the peek
 	e.Advance(500 * time.Microsecond)
@@ -70,7 +70,7 @@ func TestAtInstantEndRunsAfterInstant(t *testing.T) {
 		e.RunAll()
 		want := "[a c b end1 later]"
 		if got := fmt.Sprint(log); got != want {
-			t.Fatalf("%v: instant-end order = %v, want %v", mode, got, want)
+			t.Fatalf("mode %d: instant-end order = %v, want %v", mode, got, want)
 		}
 	}
 }
@@ -158,14 +158,14 @@ func TestShardedWindowsMatchSingle(t *testing.T) {
 			last := se.RunAll()
 			got := merged(logs)
 			if want := Time(59 * 2 * int64(time.Microsecond)); last != want {
-				t.Fatalf("%v shards=%d: last=%v want %v", mode, n, last, want)
+				t.Fatalf("mode %d shards=%d: last=%v want %v", mode, n, last, want)
 			}
 			if n == 1 {
 				ref = got
 				continue
 			}
 			if fmt.Sprint(got) != fmt.Sprint(ref) {
-				t.Fatalf("%v shards=%d: log diverged\n got %v\nwant %v", mode, n, got, ref)
+				t.Fatalf("mode %d shards=%d: log diverged\n got %v\nwant %v", mode, n, got, ref)
 			}
 		}
 	}

@@ -20,7 +20,7 @@
 // by value, and buckets are flushed strictly in time order before any
 // event they could precede is popped, so the dispatch order — (time,
 // then scheduling sequence) — is byte-identical to a plain heap;
-// SchedulerHeap disables the wheel for differential testing.
+// SchedulerHeap disables the wheel for differential tests only.
 //
 // Post needs no cancel handle. The *Event handles At, After and AfterArg
 // return are recycled through a per-engine free list (safe because the
@@ -33,7 +33,6 @@ import (
 	"fmt"
 	"math"
 	"slices"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/trace"
@@ -69,49 +68,26 @@ func (t Time) String() string {
 	return Duration(t).String()
 }
 
-// SchedulerMode selects the event-queue implementation.
+// SchedulerMode selects the event-queue implementation. Every run
+// uses SchedulerWheel; SchedulerHeap exists only as the reference queue
+// the in-package differential tests (and jobgraph's replay fuzz)
+// compare the wheel against. No CLI flag, session or checkpoint field
+// selects it.
 type SchedulerMode int
 
 const (
-	// SchedulerWheel is the default two-tier scheduler: a timer wheel
-	// for short-horizon, cancel-heavy events over a heap for the rest.
+	// SchedulerWheel is the two-tier scheduler: a timer wheel for
+	// short-horizon, cancel-heavy events over a heap for the rest.
 	SchedulerWheel SchedulerMode = iota
 	// SchedulerHeap uses the binary heap alone — the reference
 	// implementation the wheel must match event-for-event.
 	SchedulerHeap
 )
 
-// String names the mode as accepted by ParseSchedulerMode.
-func (m SchedulerMode) String() string {
-	if m == SchedulerHeap {
-		return "heap"
-	}
-	return "wheel"
-}
-
-// ParseSchedulerMode parses "wheel" or "heap" (the -sched CLI flag).
-func ParseSchedulerMode(s string) (SchedulerMode, error) {
-	switch s {
-	case "wheel":
-		return SchedulerWheel, nil
-	case "heap":
-		return SchedulerHeap, nil
-	}
-	return SchedulerWheel, fmt.Errorf("sim: unknown scheduler mode %q (want wheel or heap)", s)
-}
-
-// defaultMode is consulted by NewEngine; settable once at process start
-// by CLI plumbing. Atomic only so concurrent test engines stay race-free.
-var defaultMode atomic.Int32
-
-// SetDefaultSchedulerMode switches the mode NewEngine uses. It is
-// process-wide: code that runs experiments concurrently with different
-// schedulers must carry the mode explicitly (experiments.Session.Sched)
-// and build engines through NewEngineMode instead of mutating this.
-func SetDefaultSchedulerMode(m SchedulerMode) { defaultMode.Store(int32(m)) }
-
-// DefaultSchedulerMode reports the mode NewEngine uses.
-func DefaultSchedulerMode() SchedulerMode { return SchedulerMode(defaultMode.Load()) }
+// DefaultSchedulerMode reports the mode every run uses: always
+// SchedulerWheel. It remains for callers that pass a mode to
+// NewEngineMode or NewShardedEngine, such as the bench module.
+func DefaultSchedulerMode() SchedulerMode { return SchedulerWheel }
 
 // Timer-wheel geometry: 8192 buckets of 512 ns cover a ~4.2 ms
 // horizon. The bucket is deliberately finer than a packet's
@@ -237,20 +213,17 @@ type instantCall struct {
 	arg any
 }
 
-// NewEngine returns an engine with its clock at zero and a deterministic
-// RNG seeded with seed, using the process-default scheduler mode.
+// NewEngine returns an engine with its clock at zero, a deterministic
+// RNG seeded with seed, and the wheel scheduler.
 func NewEngine(seed uint64) *Engine {
-	return NewEngineMode(seed, DefaultSchedulerMode())
+	return NewEngineMode(seed, SchedulerWheel)
 }
 
 // NewEngineMode returns an engine with an explicit scheduler mode — the
-// hook the heap-vs-wheel equivalence tests use.
+// reference-selection hook the heap-vs-wheel differential tests use.
 func NewEngineMode(seed uint64, mode SchedulerMode) *Engine {
 	return &Engine{rng: NewRNG(seed), mode: mode}
 }
-
-// SchedulerMode reports which event-queue implementation the engine runs.
-func (e *Engine) SchedulerMode() SchedulerMode { return e.mode }
 
 // Now returns the current virtual time.
 func (e *Engine) Now() Time { return e.now }

@@ -183,7 +183,7 @@ func TestPostRunsWithArgument(t *testing.T) {
 // allocations per operation: cancel handles, wheel blocks and the run
 // are all reused once warm.
 func TestEventPoolingIsAllocationFree(t *testing.T) {
-	e := NewEngineMode(1, SchedulerWheel)
+	e := NewEngine(1)
 	fn := func(any) {}
 	nop := func() {}
 	for _, tc := range []struct {
@@ -271,24 +271,6 @@ func TestHeapWheelEquivalence(t *testing.T) {
 	}
 	if len(heapSeq) == 0 {
 		t.Fatal("workload fired no events")
-	}
-}
-
-func TestSchedulerModeParse(t *testing.T) {
-	for _, tc := range []struct {
-		in   string
-		want SchedulerMode
-	}{{"wheel", SchedulerWheel}, {"heap", SchedulerHeap}} {
-		got, err := ParseSchedulerMode(tc.in)
-		if err != nil || got != tc.want {
-			t.Errorf("ParseSchedulerMode(%q) = %v, %v", tc.in, got, err)
-		}
-		if got.String() != tc.in {
-			t.Errorf("String() = %q, want %q", got.String(), tc.in)
-		}
-	}
-	if _, err := ParseSchedulerMode("calendar"); err == nil {
-		t.Error("unknown mode accepted")
 	}
 }
 
@@ -408,7 +390,7 @@ func TestTimeHelpers(t *testing.T) {
 // TestCanceledAfterArgRecycled: a canceled AfterArg never fires, and its
 // handle goes back to the free list when its bucket flushes, not before.
 func TestCanceledAfterArgRecycled(t *testing.T) {
-	e := NewEngineMode(1, SchedulerWheel)
+	e := NewEngine(1)
 	fired := false
 	type payload struct{ n int }
 	ev := e.AfterArg(10*time.Microsecond, func(any) { fired = true }, &payload{n: 42})

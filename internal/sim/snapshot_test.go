@@ -51,7 +51,7 @@ func TestRNGStateForkIndependence(t *testing.T) {
 // RNG, not just the clock).
 func TestEngineSnapshotDeterministic(t *testing.T) {
 	run := func(seed uint64) EngineSnapshot {
-		e := NewEngineMode(seed, SchedulerWheel)
+		e := NewEngine(seed)
 		var hops int
 		var step func()
 		step = func() {

@@ -150,7 +150,7 @@ func (c *Conn) detachRTO(o *outstanding) {
 // the base RTO on first transmit, then exponential backoff with a cap
 // and seeded jitter. The jitter stream is forked per connection and
 // consumed only on retransmissions, in event-dispatch order, so it is
-// byte-identical under the wheel and heap schedulers.
+// byte-identical from run to run.
 func (c *Conn) rtoInterval(o *outstanding) sim.Duration {
 	d := c.cfg.RTO
 	if o.retries == 0 {

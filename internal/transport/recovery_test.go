@@ -179,55 +179,3 @@ func TestCloseDuringPendingRTOIsInert(t *testing.T) {
 		t.Errorf("Retransmits = %d after Close; canceled RTO fired", c.Retransmits)
 	}
 }
-
-// TestRecoveryDeterministicAcrossSchedulers drives the full recovery
-// arc — backoff with jitter, budget exhaustion, reconnect, completion —
-// under the wheel and heap schedulers and requires identical results.
-func TestRecoveryDeterministicAcrossSchedulers(t *testing.T) {
-	type result struct {
-		Transitions []FlowState
-		At          []sim.Time
-		Completed   uint64
-		Retransmits uint64
-		MaxRetries  uint64
-		Final       FlowState
-	}
-	run := func(mode sim.SchedulerMode) result {
-		prev := sim.DefaultSchedulerMode()
-		sim.SetDefaultSchedulerMode(mode)
-		defer sim.SetDefaultSchedulerMode(prev)
-		r := newRig(t, 11, smallCfg(), Config{
-			RetryBudget: 2, RTOBackoff: 2, RTOMax: time.Millisecond, RTOJitter: 0.1,
-		})
-		blackhole(t, r)
-		c, _ := Connect(r.eps[0], r.eps[4], 1, multipath.OBS, 8)
-		var res result
-		c.OnStateChange(func(_, s FlowState) {
-			res.Transitions = append(res.Transitions, s)
-			res.At = append(res.At, r.eng.Now())
-			if s == FlowError {
-				r.eng.After(200*time.Microsecond, func() {
-					restore(t, r)
-					c.Reconnect()
-				})
-			}
-		})
-		for i := 0; i < 4; i++ {
-			c.Send(256<<10, nil)
-		}
-		r.eng.RunAll()
-		res.Completed = c.CompletedMessages()
-		res.Retransmits = c.Retransmits
-		res.MaxRetries = c.MaxRetries
-		res.Final = c.State()
-		return res
-	}
-	wheel := run(sim.SchedulerWheel)
-	heap := run(sim.SchedulerHeap)
-	if !reflect.DeepEqual(wheel, heap) {
-		t.Errorf("wheel and heap schedulers diverge:\n%+v\nvs\n%+v", wheel, heap)
-	}
-	if wheel.Completed != 4 || wheel.Final != FlowActive {
-		t.Errorf("recovery arc did not complete: %+v", wheel)
-	}
-}

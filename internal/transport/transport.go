@@ -66,7 +66,7 @@ type Config struct {
 	// RTOJitter adds a uniform draw in [0, RTOJitter×interval) to each
 	// backed-off timeout, de-synchronising retransmit storms across
 	// flows. Drawn from a per-connection forked RNG stream, so it is
-	// deterministic under both schedulers. 0 (default) disables
+	// deterministic. 0 (default) disables
 	// jitter; the first RTO of a packet is never jittered.
 	RTOJitter float64
 	// RetryBudget bounds retransmissions per packet: when one packet

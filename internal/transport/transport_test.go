@@ -344,41 +344,6 @@ func TestOutOfOrderMessageCompletionTime(t *testing.T) {
 	}
 }
 
-func TestTransportHeapWheelEquivalent(t *testing.T) {
-	// End-to-end differential check for the two-tier scheduler: a lossy
-	// multipath transfer must produce identical timing and stats under
-	// the wheel and the reference heap.
-	type result struct {
-		doneAt      sim.Time
-		retransmits uint64
-		acks        uint64
-		rttSum      sim.Duration
-		window      uint64
-	}
-	run := func(mode sim.SchedulerMode) result {
-		eng := sim.NewEngineMode(15, mode)
-		f := fabric.New(eng, smallCfg())
-		src := NewEndpoint(f, 0, Config{})
-		dst := NewEndpoint(f, 4, Config{})
-		faultSegment(t, f, 0, fabric.Fault{DropProb: 0.05})
-		c, err := Connect(src, dst, 1, multipath.OBS, 8)
-		if err != nil {
-			t.Fatal(err)
-		}
-		var doneAt sim.Time
-		c.Send(4<<20, func(at sim.Time) { doneAt = at })
-		eng.RunAll()
-		return result{doneAt, c.Retransmits, c.AckCount, c.RTTSum, c.Window()}
-	}
-	heap, wheel := run(sim.SchedulerHeap), run(sim.SchedulerWheel)
-	if heap != wheel {
-		t.Errorf("scheduler modes diverged:\nheap  = %+v\nwheel = %+v", heap, wheel)
-	}
-	if heap.doneAt == 0 || heap.retransmits == 0 {
-		t.Errorf("workload not exercising retransmission: %+v", heap)
-	}
-}
-
 func TestSharedVsPerPathFanout(t *testing.T) {
 	// §9: the shared context supports high fan-out cheaply. Sanity-check
 	// both complete the same work; the resource argument (128 vs 4) is
