@@ -65,7 +65,7 @@ func run() int {
 		csvFlag      = flag.Bool("csv", false, "emit CSV instead of aligned tables")
 		jsonFlag     = flag.Bool("json", false, "emit JSON table objects instead of aligned tables")
 		traceFlag    = flag.String("trace", "", "write a Chrome trace-event JSON file covering the run (load in Perfetto)")
-		chaosFlag    = flag.String("chaos", "", "play a chaos scenario JSON file against every fabric the experiments build")
+		chaosFlag    = flag.String("chaos", "", "play a chaos scenario JSON file against the fabrics of the cluster-based experiments, fig11, linkfail-recovery and the scale runs (EXPERIMENTS.md lists the set)")
 		parallelFlag = flag.Int("parallel", runtime.GOMAXPROCS(0), "experiment worker count (tracing forces 1)")
 		graphFlag    = flag.String("jobgraph", "", "replay a job-graph JSON file as an extra experiment")
 		shardsFlag   = flag.Int("shards", 1, "engine shards for the multi-pod scale fabrics and fig6-fleet, at most one per pod or host (results are byte-identical at any count)")

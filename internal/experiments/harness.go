@@ -15,7 +15,7 @@ import (
 )
 
 // Session is the per-run state an experiment executes under: the seed,
-// the flight recorder, the chaos scenario to arm on every fabric, and
+// the flight recorder, the chaos scenario to arm on its fabrics, and
 // the worker and shard bounds. Each concurrent run owns its Session, so
 // two runs can never alias each other's tracer, scenario or engines.
 //
@@ -29,8 +29,12 @@ type Session struct {
 	// run builds. The tracer is single-threaded, so a session with a
 	// tracer executes its cells serially regardless of Parallelism.
 	Tracer *trace.Tracer
-	// Chaos, when non-nil, is played against every fabric the run
-	// builds (offsets relative to each fabric's construction time).
+	// Chaos, when non-nil, is played (by armChaos, offsets relative to
+	// the fabric's construction time) against the fabrics built by
+	// cluster(), each Fig11 cell, LinkFailRecovery and scaleCluster.
+	// The other fabric experiments (fig16a/b, ablation-perpath-cc,
+	// ablation-rto, ablation-cc, prob6-core, lb-taxonomy) run unarmed,
+	// and failure-sweep and chaos-recovery play their own scenarios.
 	// Scenarios are read-only during playback, so one scenario may be
 	// shared across concurrent sessions and cells.
 	Chaos *chaos.Scenario

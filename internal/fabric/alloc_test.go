@@ -7,26 +7,44 @@ import (
 )
 
 // TestSendDeliverAllocFree pins the zero-allocation fabric hot path:
-// once the packet, transit, and engine event free lists are warm, a
-// full Send→deliver round trip (pooled packet, per-hop events, queue
-// accounting, delivery, pool release) must not touch the heap. A
-// future PR that reintroduces a per-packet allocation turns this red.
+// once the packet and engine event free lists are warm, a full
+// Send→deliver round trip (pooled packet, per-hop events, queue
+// accounting, delivery, pool release) must not touch the heap on any
+// route shape. The cross-pod route also passes an entry link's pending
+// buffer and its instant-end drain. A change that reintroduces a
+// per-packet allocation turns this red.
 func TestSendDeliverAllocFree(t *testing.T) {
-	eng := sim.NewEngine(1)
-	f := smallFabric(eng)
-	f.Handle(5, func(p *Packet) {})
-	roundTrip := func() {
-		p := f.AllocPacket()
-		p.Src, p.Dst, p.Size = 0, 5, 1000
-		if err := f.Send(p); err != nil {
-			t.Fatal(err)
-		}
-		eng.RunAll()
-	}
-	for i := 0; i < 64; i++ {
-		roundTrip()
-	}
-	if allocs := testing.AllocsPerRun(100, roundTrip); allocs > 0 {
-		t.Errorf("Send→deliver allocates %.2f objects/op, want 0", allocs)
+	for _, tc := range []struct {
+		name     string
+		build    func(*sim.Engine) *Fabric
+		src, dst HostID
+	}{
+		{"intra-segment", smallFabric, 0, 1},
+		{"cross-segment", smallFabric, 0, 5},
+		{"cross-pod", podFabric, 0, 6},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			eng := sim.NewEngine(1)
+			f := tc.build(eng)
+			delivered := 0
+			f.Handle(tc.dst, func(*Packet) { delivered++ })
+			roundTrip := func() {
+				p := f.AllocPacket()
+				p.Src, p.Dst, p.Size, p.PathID = tc.src, tc.dst, 1000, 3
+				if err := f.Send(p); err != nil {
+					t.Fatal(err)
+				}
+				eng.RunAll()
+			}
+			for i := 0; i < 64; i++ {
+				roundTrip()
+			}
+			if delivered != 64 {
+				t.Fatalf("delivered %d of 64 warm-up packets", delivered)
+			}
+			if allocs := testing.AllocsPerRun(100, roundTrip); allocs > 0 {
+				t.Errorf("Send→deliver allocates %.2f objects/op, want 0", allocs)
+			}
+		})
 	}
 }

@@ -3,9 +3,9 @@ package fabric
 // Generalized link-fault model. Every fault the simulator can express —
 // full link failure, random loss, latency inflation, bandwidth capping —
 // is a per-link Fault applied through SetFault, at any tier of the
-// topology (host↔ToR, ToR↔Agg, Agg↔Core). The legacy ad-hoc knobs
-// (FailLink, InjectLoss, RestoreLink) are thin wrappers over this one
-// path, and internal/chaos drives it from scripted scenarios.
+// topology (host↔ToR, ToR↔Agg, Agg↔Core). SetFault is the only path
+// that changes a link's fault state: FailLinkWithReroute goes through
+// it, and internal/chaos drives it from scripted scenarios.
 
 import (
 	"fmt"
@@ -129,8 +129,8 @@ func HostLink(h HostID, dir Dir) LinkRef {
 	return LinkRef{Tier: TierHost, Dir: dir, Host: int(h)}
 }
 
-// Uplink addresses the ToR→Agg uplink of a segment (the link the legacy
-// FailLink/InjectLoss knobs target).
+// Uplink addresses the ToR→Agg uplink of a segment: the link the
+// loss and failure experiments fault and FailLinkWithReroute takes down.
 func Uplink(segment, agg int) LinkRef {
 	return LinkRef{Tier: TierTorAgg, Dir: DirUp, Segment: segment, Agg: agg}
 }
@@ -211,9 +211,8 @@ func (f *Fabric) linkAt(ref LinkRef) (*link, error) {
 
 // SetFault installs the full fault state on one link, replacing whatever
 // was there (read-modify-write via FaultOf to change one knob). State
-// transitions are recorded on the flight recorder with the legacy event
-// names ("link-fail", "link-restore") plus "link-gray"/"link-clear" for
-// degradations.
+// transitions are recorded on the flight recorder as "link-fail" and
+// "link-restore", plus "link-gray"/"link-clear" for degradations.
 func (f *Fabric) SetFault(ref LinkRef, ft Fault) error {
 	l, err := f.linkAt(ref)
 	if err != nil {
