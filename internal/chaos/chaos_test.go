@@ -1,6 +1,7 @@
 package chaos
 
 import (
+	"math"
 	"reflect"
 	"testing"
 	"time"
@@ -59,6 +60,8 @@ func TestScenarioValidation(t *testing.T) {
 		{"negative time", NewScenario("x").Add(Event{At: -1, Kind: LinkDown})},
 		{"vacuous gray", NewScenario("x").Gray(0, fabric.Uplink(0, 0), GraySpec{}, 0)},
 		{"loss out of range", NewScenario("x").Gray(0, fabric.Uplink(0, 0), GraySpec{Loss: 1.5}, 0)},
+		{"loss NaN", NewScenario("x").Gray(0, fabric.Uplink(0, 0), GraySpec{Loss: math.NaN()}, 0)},
+		{"negative gray delay", NewScenario("x").Gray(0, fabric.Uplink(0, 0), GraySpec{Delay: -3 * time.Millisecond}, 0)},
 	}
 	for _, c := range cases {
 		if err := c.sc.Validate(); err == nil {
@@ -67,6 +70,18 @@ func TestScenarioValidation(t *testing.T) {
 	}
 	if err := sampleScenario().Validate(); err != nil {
 		t.Errorf("sample scenario rejected: %v", err)
+	}
+}
+
+// TestLoadRejectsNegativeGrayDelay: a scenario file whose gray fault
+// would shorten propagation delay must fail to load, not crash the run
+// at playback (the fabric refuses the fault, and a negative delay would
+// schedule events in the past).
+func TestLoadRejectsNegativeGrayDelay(t *testing.T) {
+	b := []byte(`{"name": "x", "events": [{"at": "1ms", "kind": "gray",
+		"link": {"tier": "tor-agg", "dir": "up"}, "delay": "-3ms"}]}`)
+	if _, err := Load(b); err == nil {
+		t.Fatal("scenario with a negative gray delay loaded")
 	}
 }
 

@@ -216,8 +216,9 @@ func (e *Engine) setDown(refs []fabric.LinkRef, down bool) {
 }
 
 // apply executes one fault action at its fire time. Play's bindCheck
-// has already resolved every link the event names, so the fabric calls
-// here cannot fail.
+// has already resolved every link the event names, and validate has
+// rejected every gray spec SetFault refuses, so the fabric calls here
+// cannot fail.
 func (e *Engine) apply(ev Event, phase Phase) {
 	detail := ""
 	clear := phase == PhaseClear

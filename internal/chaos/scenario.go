@@ -205,13 +205,13 @@ func (e Event) validate() error {
 	default:
 		return fmt.Errorf("chaos: unknown fault kind %q", e.Kind)
 	}
-	if e.At < 0 || e.Jitter < 0 || e.For < 0 {
+	if e.At < 0 || e.Jitter < 0 || e.For < 0 || e.Gray.Delay < 0 {
 		return fmt.Errorf("chaos: %s: negative time", e.Kind)
 	}
 	if e.Kind == Gray && e.Gray.Loss == 0 && e.Gray.Delay == 0 && (e.Gray.BWFactor == 0 || e.Gray.BWFactor == 1) {
 		return fmt.Errorf("chaos: gray event at %v degrades nothing", e.At)
 	}
-	if e.Gray.Loss < 0 || e.Gray.Loss > 1 || e.Gray.BWFactor < 0 || e.Gray.BWFactor > 1 {
+	if !(e.Gray.Loss >= 0 && e.Gray.Loss <= 1) || !(e.Gray.BWFactor >= 0 && e.Gray.BWFactor <= 1) {
 		return fmt.Errorf("chaos: gray event at %v: loss/bw_factor out of [0,1]", e.At)
 	}
 	return nil

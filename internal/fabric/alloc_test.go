@@ -2,6 +2,7 @@ package fabric
 
 import (
 	"testing"
+	"unsafe"
 
 	"repro/internal/sim"
 )
@@ -46,5 +47,33 @@ func TestSendDeliverAllocFree(t *testing.T) {
 				t.Errorf("Send→deliver allocates %.2f objects/op, want 0", allocs)
 			}
 		})
+	}
+}
+
+// TestHotLayout pins the cache-line layout of the hop path: a link is
+// one 64-byte line, and a packet's route, hop cursor, ECN bit and size
+// all sit in its first 64 bytes, so a steady-state arrival touches one
+// line of each. A field added to either hot set turns this red.
+func TestHotLayout(t *testing.T) {
+	if got := unsafe.Sizeof(link{}); got != 64 {
+		t.Errorf("sizeof(link) = %d, want 64", got)
+	}
+	if got := unsafe.Sizeof(Packet{}); got != 128 {
+		t.Errorf("sizeof(Packet) = %d, want 128", got)
+	}
+	var p Packet
+	for _, f := range []struct {
+		name      string
+		off, size uintptr
+	}{
+		{"route", unsafe.Offsetof(p.route), unsafe.Sizeof(p.route)},
+		{"hops", unsafe.Offsetof(p.hops), unsafe.Sizeof(p.hops)},
+		{"at", unsafe.Offsetof(p.at), unsafe.Sizeof(p.at)},
+		{"ECN", unsafe.Offsetof(p.ECN), unsafe.Sizeof(p.ECN)},
+		{"Size", unsafe.Offsetof(p.Size), unsafe.Sizeof(p.Size)},
+	} {
+		if end := f.off + f.size; end > 64 {
+			t.Errorf("Packet.%s ends at byte %d, past the first cache line", f.name, end)
+		}
 	}
 }

@@ -33,17 +33,26 @@ type HostID int
 
 // Packet is one unit on the wire. Size is in bytes; PathID selects the
 // ToR uplink (aggregation switch) for cross-segment hops.
+//
+// The first 64 bytes hold everything a hop reads or writes — the route,
+// the hop cursor, ECN and Size — so an arrival touches one cache line of
+// the packet (TestHotLayout pins the layout).
 type Packet struct {
-	Flow   uint64
-	Src    HostID
-	Dst    HostID
-	PathID int
-	Seq    uint64
-	Size   uint64
-	ECN    bool // set by congested queues along the way
-	Ack    bool // acks are small control packets riding the same fabric
-	AckSeq uint64
-	AckECN bool // echoed congestion bit
+	// route is the packet's journey as link ids, filled by Send (inline,
+	// so routing allocates nothing): hops links, of which route[at] is
+	// the next.
+	route    [maxRouteHops]int32
+	hops, at uint8
+	ECN      bool // set by congested queues along the way
+	Ack      bool // acks are small control packets riding the same fabric
+	Size     uint64
+	Flow     uint64
+	Seq      uint64
+	Dst      HostID
+	Src      HostID
+	PathID   int
+	AckSeq   uint64
+	AckECN   bool // echoed congestion bit
 	// Epoch counts (re)transmissions of this Seq; acks echo it in
 	// AckEpoch so the sender can tell which transmission an ack is for
 	// (Karn's algorithm: stale-epoch acks must not be RTT-sampled).
@@ -53,12 +62,7 @@ type Packet struct {
 	// Trace is the packet's lifecycle-span ID (zero when untraced).
 	// The fabric steps the span at every queue, ECN mark and drop so an
 	// exported trace shows the packet's full hop-by-hop journey.
-	Trace trace.ID
-
-	// route is the packet's journey, filled by Send (inline, so routing
-	// allocates nothing): hops links, of which route[at] is the next.
-	route    [maxRouteHops]*link
-	hops, at uint8
+	Trace    trace.ID
 	nextFree *Packet // fabric free-list link
 }
 
@@ -125,106 +129,63 @@ func DefaultConfig() Config {
 	}
 }
 
-// link is one unidirectional store-and-forward port. Each link is owned
-// by exactly one shard: every arrival, claim and counter update happens
-// on eng, which makes the whole struct shard-local state.
+// link is the hot half of one unidirectional store-and-forward port:
+// exactly the state every arrival reads or writes, in one 64-byte cache
+// line (TestHotLayout pins the size). The rest of the port is the
+// linkCold at the same index. Each link is owned by exactly one shard:
+// every arrival, claim and counter update happens on eng, which makes
+// both halves shard-local state.
 type link struct {
+	// freeAt is when the serialiser drains everything queued so far;
+	// queue depth in bytes is (freeAt-now)*rate.
+	freeAt   sim.Time
+	bytesTx  uint64
+	maxQueue uint64
+	ecnMarks uint64
+	// rate (bytes/s) and delay are the effective serialisation rate and
+	// propagation delay under any gray fault; SetFault recomputes them.
+	rate  float64
+	delay sim.Duration
+	eng   *sim.Engine
+	id    int32
+	shard uint16
+	// entry marks a cross-shard handoff target (Core→Agg links in
+	// multi-pod topologies). Same-instant arrivals at an entry link are
+	// buffered in linkCold.pending and claimed at instant end in
+	// canonical packet order, because their event order is a merge
+	// artifact: it depends on how source shards interleave, which
+	// differs between shard counts. Set whenever the topology has a core
+	// layer, at every shard count, so 1-shard and N-shard runs agree
+	// bit-for-bit.
+	entry bool
+	// faulty is set while the link is down or lossy: only then does an
+	// arrival read the cold fault state.
+	faulty bool
+}
+
+// linkCold is the rest of a port, read by drops, tracing, faults,
+// statistics and entry-link buffering.
+type linkCold struct {
 	name     string
 	capacity float64
-	delay    sim.Duration
-
-	id    int
-	shard int
-	eng   *sim.Engine
 	// rng drives this link's random drops. Per-link (forked from the
 	// never-consumed engine root by link id) so the draw sequence is a
 	// function of the link's own arrival order — identical at any shard
 	// count — instead of the global interleaving of all lossy links.
-	rng *sim.RNG
+	rng   *sim.RNG
+	fault Fault
+	drops uint64
 
-	// entry marks a cross-shard handoff target (Core→Agg links in
-	// multi-pod topologies). Same-instant arrivals at an entry link are
-	// buffered in pending and claimed at instant end in canonical packet
-	// order, because their event order is a merge artifact: it depends
-	// on how source shards interleave, which differs between shard
-	// counts. Set whenever the topology has a core layer, at every shard
-	// count, so 1-shard and N-shard runs agree bit-for-bit.
-	entry      bool
 	pending    []*Packet
 	drainArmed bool
-
-	qlimit uint64
-	ecnAt  uint64
-
-	// freeAt is when the serialiser drains everything queued so far;
-	// queue depth in bytes is (freeAt-now)*capacity.
-	freeAt sim.Time
-
-	bytesTx  uint64
-	drops    uint64
-	ecnMarks uint64
-	maxQueue uint64
-	sumQueue float64 // time-weighted, for mean queue depth
-	lastTx   sim.Time
-
-	failed     bool
-	dropProb   float64
-	extraDelay sim.Duration // gray failure: propagation inflation
-	bwFactor   float64      // gray failure: capacity cap in (0,1); 0 or 1 = full rate
-
-	// serSize/serDur memoize size → serialisation time so the steady
-	// state pays the arrive division once per (link, size) instead of
-	// per hop — a link sees at most a handful of sizes (MTU, tail
-	// fragment, ack). Entries are computed with the exact per-hop
-	// expression, so memoized and direct paths are bit-identical; a
-	// reciprocal-multiply precompute would not be, and a 1 ns rounding
-	// flip in a serialisation time changes results. SetFault clears the
-	// cache when the capacity cap changes.
-	serSize [2]uint64
-	serDur  [2]sim.Duration
 }
-
-// serTime is the serialisation time of size bytes on l at its current
-// effective capacity, memoized per link.
-func (l *link) serTime(size uint64) sim.Duration {
-	// A zero-size hit on the zero-initialised cache returns 0, which is
-	// exactly what the division yields, so no non-zero guard is needed.
-	if size == l.serSize[0] {
-		return l.serDur[0]
-	}
-	if size == l.serSize[1] {
-		return l.serDur[1]
-	}
-	ser := sim.Duration(float64(size) / l.effCapacity() * 1e9)
-	l.serSize[1], l.serDur[1] = l.serSize[0], l.serDur[0]
-	l.serSize[0], l.serDur[0] = size, ser
-	return ser
-}
-
-// invalidateSer drops the memoized serialisation times after a capacity
-// change.
-func (l *link) invalidateSer() {
-	l.serSize = [2]uint64{}
-	l.serDur = [2]sim.Duration{}
-}
-
-// effCapacity is the serialisation rate under any bandwidth cap.
-func (l *link) effCapacity() float64 {
-	if l.bwFactor > 0 && l.bwFactor < 1 {
-		return l.capacity * l.bwFactor
-	}
-	return l.capacity
-}
-
-// effDelay is propagation delay under any gray inflation.
-func (l *link) effDelay() sim.Duration { return l.delay + l.extraDelay }
 
 // queueDepth returns the backlog in bytes at time now.
 func (l *link) queueDepth(now sim.Time) uint64 {
 	if l.freeAt <= now {
 		return 0
 	}
-	return uint64(float64(l.freeAt-now) / 1e9 * l.effCapacity())
+	return uint64(float64(l.freeAt-now) / 1e9 * l.rate)
 }
 
 // pool holds one shard's packet free list and delivery counters. The
@@ -254,21 +215,28 @@ type Fabric struct {
 	segRNG []*sim.RNG
 	// shardOfPod maps each pod to the shard that owns it.
 	shardOfPod []int
-	nextLinkID int
 
-	// torUp[s][a] is segment s's uplink to aggregation switch a;
-	// torDown[s][a] the reverse direction.
-	torUp   [][]*link
-	torDown [][]*link
+	// links is every port's hot half, indexed by link id, in one slab
+	// sized by build; cold[id] is the rest of port id. A slab over 32 KiB
+	// is a large allocation and so page-aligned: every link sits on a
+	// cache line of its own.
+	links []link
+	cold  []linkCold
+
+	// The topology tables hold link ids. torUp[s][a] is segment s's
+	// uplink to aggregation switch a; torDown[s][a] the reverse
+	// direction.
+	torUp   [][]int32
+	torDown [][]int32
 	// hostUp[h] / hostDown[h] connect host h to its ToR.
-	hostUp   []*link
-	hostDown []*link
+	hostUp   []int32
+	hostDown []int32
 
 	// Core layer (multi-pod topologies): aggUp[pod][agg][core] and
 	// coreDown[pod][agg][core] are the Agg→Core and Core→Agg links for
 	// traffic leaving/entering each pod.
-	aggUp    [][][]*link
-	coreDown [][][]*link
+	aggUp    [][][]int32
+	coreDown [][][]int32
 	pods     int
 	segsPod  int
 	cores    int
@@ -361,18 +329,28 @@ func build(engs []*sim.Engine, se *sim.ShardedEngine, cfg Config) *Fabric {
 		f.segRNG[s] = engs[0].RNG().Fork(0xa5a50000 ^ uint64(s))
 	}
 	nhosts := cfg.Segments * cfg.HostsPerSegment
-	f.hostUp = make([]*link, nhosts)
-	f.hostDown = make([]*link, nhosts)
+	nlinks := 2*nhosts + 2*cfg.Segments*cfg.Aggs
+	if f.pods > 1 {
+		f.cores = cfg.CoreSwitches
+		if f.cores == 0 {
+			f.cores = 8
+		}
+		nlinks += 2 * f.pods * cfg.Aggs * f.cores
+	}
+	f.links = make([]link, 0, nlinks)
+	f.cold = make([]linkCold, 0, nlinks)
+	f.hostUp = make([]int32, nhosts)
+	f.hostDown = make([]int32, nhosts)
 	for h := 0; h < nhosts; h++ {
 		sh := f.shardOfSegment(h / cfg.HostsPerSegment)
 		f.hostUp[h] = f.newLink(fmt.Sprintf("host%d->tor", h), cfg.HostLinkBW, sh)
 		f.hostDown[h] = f.newLink(fmt.Sprintf("tor->host%d", h), cfg.HostLinkBW, sh)
 	}
-	f.torUp = make([][]*link, cfg.Segments)
-	f.torDown = make([][]*link, cfg.Segments)
+	f.torUp = make([][]int32, cfg.Segments)
+	f.torDown = make([][]int32, cfg.Segments)
 	for s := 0; s < cfg.Segments; s++ {
-		f.torUp[s] = make([]*link, cfg.Aggs)
-		f.torDown[s] = make([]*link, cfg.Aggs)
+		f.torUp[s] = make([]int32, cfg.Aggs)
+		f.torDown[s] = make([]int32, cfg.Aggs)
 		sh := f.shardOfSegment(s)
 		for a := 0; a < cfg.Aggs; a++ {
 			f.torUp[s][a] = f.newLink(fmt.Sprintf("tor%d->agg%d", s, a), cfg.FabricLinkBW, sh)
@@ -380,30 +358,26 @@ func build(engs []*sim.Engine, se *sim.ShardedEngine, cfg Config) *Fabric {
 		}
 	}
 	if f.pods > 1 {
-		f.cores = cfg.CoreSwitches
-		if f.cores == 0 {
-			f.cores = 8
-		}
 		coreBW := cfg.CoreLinkBW
 		if coreBW == 0 {
 			coreBW = cfg.FabricLinkBW
 		}
-		f.aggUp = make([][][]*link, f.pods)
-		f.coreDown = make([][][]*link, f.pods)
+		f.aggUp = make([][][]int32, f.pods)
+		f.coreDown = make([][][]int32, f.pods)
 		for pod := 0; pod < f.pods; pod++ {
-			f.aggUp[pod] = make([][]*link, cfg.Aggs)
-			f.coreDown[pod] = make([][]*link, cfg.Aggs)
+			f.aggUp[pod] = make([][]int32, cfg.Aggs)
+			f.coreDown[pod] = make([][]int32, cfg.Aggs)
 			sh := f.shardOfPod[pod]
 			for a := 0; a < cfg.Aggs; a++ {
-				f.aggUp[pod][a] = make([]*link, f.cores)
-				f.coreDown[pod][a] = make([]*link, f.cores)
+				f.aggUp[pod][a] = make([]int32, f.cores)
+				f.coreDown[pod][a] = make([]int32, f.cores)
 				for cr := 0; cr < f.cores; cr++ {
 					f.aggUp[pod][a][cr] = f.newLink(fmt.Sprintf("pod%d-agg%d->core%d", pod, a, cr), coreBW, sh)
 					down := f.newLink(fmt.Sprintf("core%d->pod%d-agg%d", cr, pod, a), coreBW, sh)
 					// Core→Agg is where traffic enters the destination
 					// pod — the handoff seam. Canonical-drain it at every
 					// shard count so shard counts cannot disagree.
-					down.entry = true
+					f.links[down].entry = true
 					f.coreDown[pod][a][cr] = down
 				}
 			}
@@ -478,11 +452,11 @@ func (f *Fabric) CoreStats() []uint64 {
 	out := make([]uint64, f.cores)
 	for pod := 0; pod < f.pods; pod++ {
 		for a := range f.aggUp[pod] {
-			for cr, l := range f.aggUp[pod][a] {
-				out[cr] += l.bytesTx
+			for cr, id := range f.aggUp[pod][a] {
+				out[cr] += f.links[id].bytesTx
 			}
-			for cr, l := range f.coreDown[pod][a] {
-				out[cr] += l.bytesTx
+			for cr, id := range f.coreDown[pod][a] {
+				out[cr] += f.links[id].bytesTx
 			}
 		}
 	}
@@ -511,17 +485,17 @@ func (f *Fabric) CoreImbalance() float64 {
 	return float64(maxB-minB) / (float64(total) / float64(len(loads)))
 }
 
-func (f *Fabric) newLink(name string, bw float64, shard int) *link {
-	id := f.nextLinkID
-	f.nextLinkID++
-	return &link{
-		name: name, capacity: bw, delay: f.cfg.LinkDelay,
-		qlimit: f.cfg.QueueLimit, ecnAt: f.cfg.ECNThreshold,
-		id: id, shard: shard, eng: f.engs[shard],
+// newLink appends a healthy port to the slab and returns its id.
+func (f *Fabric) newLink(name string, bw float64, shard int) int32 {
+	id := int32(len(f.links))
+	f.links = append(f.links, link{rate: bw, delay: f.cfg.LinkDelay, eng: f.engs[shard], id: id, shard: uint16(shard)})
+	f.cold = append(f.cold, linkCold{
+		name: name, capacity: bw,
 		// Forked from shard 0's never-consumed root, tagged by link id:
 		// the same stream at any shard count.
 		rng: f.engs[0].RNG().Fork(0xfab0000 ^ uint64(id)),
-	}
+	})
+	return id
 }
 
 // Config returns the fabric configuration.
@@ -615,7 +589,7 @@ func (f *Fabric) route(p *Packet) uint8 {
 		pick := func() int {
 			for tries := 0; tries < 4; tries++ {
 				a := rng.Intn(f.cfg.Aggs)
-				if !f.torUp[srcSeg][a].failed {
+				if !f.cold[f.torUp[srcSeg][a]].fault.Down {
 					return a
 				}
 			}
@@ -625,7 +599,7 @@ func (f *Fabric) route(p *Packet) uint8 {
 		agg = a1
 		// Identical samples need no depth comparison; the RNG draw
 		// sequence above is unchanged either way.
-		if a1 != a2 && f.torUp[srcSeg][a2].queueDepth(now) < f.torUp[srcSeg][a1].queueDepth(now) {
+		if a1 != a2 && f.links[f.torUp[srcSeg][a2]].queueDepth(now) < f.links[f.torUp[srcSeg][a1]].queueDepth(now) {
 			agg = a2
 		}
 	} else {
@@ -719,13 +693,14 @@ func (f *Fabric) hop(p *Packet) {
 		f.deliver(p)
 		return
 	}
-	l := p.route[p.at]
+	l := &f.links[p.route[p.at]]
 	if l.entry {
 		// Same-instant arrival order at a handoff seam is a merge
 		// artifact; defer to instant end and claim in canonical order.
-		l.pending = append(l.pending, p)
-		if !l.drainArmed {
-			l.drainArmed = true
+		c := &f.cold[l.id]
+		c.pending = append(c.pending, p)
+		if !c.drainArmed {
+			c.drainArmed = true
 			l.eng.AtInstantEnd(f.drainFn, l)
 		}
 		return
@@ -751,12 +726,13 @@ func (f *Fabric) deliver(p *Packet) {
 // order on live packets that does not reference event scheduling — so
 // the claim sequence is identical at every shard count.
 func (f *Fabric) drainLink(l *link) {
-	pend := l.pending
+	c := &f.cold[l.id]
+	pend := c.pending
 	if len(pend) > 1 {
 		sortPackets(pend)
 	}
-	l.pending = l.pending[:0]
-	l.drainArmed = false
+	c.pending = pend[:0]
+	c.drainArmed = false
 	for i, p := range pend {
 		pend[i] = nil
 		p.at++
@@ -771,71 +747,79 @@ func (f *Fabric) arrive(l *link, p *Packet) {
 	now := l.eng.Now()
 	tr := l.eng.Tracer()
 
-	if l.failed || (l.dropProb > 0 && l.rng.Float64() < l.dropProb) {
-		l.drops++
-		f.pools[l.shard].dropped++
-		if tr.Enabled() {
-			tr.Instant("fabric", "fabric", "net", "drop",
-				trace.S("link", l.name), trace.U("seq", p.Seq), trace.S("reason", dropReason(l.failed)))
-			tr.SpanStep(p.Trace, "fabric", "fabric", "pkt", "drop", trace.S("link", l.name))
+	if l.faulty {
+		if c := &f.cold[l.id]; c.fault.Down || (c.fault.DropProb > 0 && c.rng.Float64() < c.fault.DropProb) {
+			if tr.Enabled() {
+				tr.Instant("fabric", "fabric", "net", "drop",
+					trace.S("link", c.name), trace.U("seq", p.Seq), trace.S("reason", dropReason(c.fault.Down)))
+			}
+			f.drop(l, p)
+			return
 		}
-		f.release(l.shard, p)
-		return
 	}
 
-	// Time-weighted queue accounting before this arrival.
 	q := l.queueDepth(now)
-	if l.lastTx > 0 {
-		l.sumQueue += float64(q) * float64(now-l.lastTx)
-	}
-	l.lastTx = now
-
-	if q+p.Size > l.qlimit {
-		l.drops++
-		f.pools[l.shard].dropped++
+	if q+p.Size > f.cfg.QueueLimit {
 		if tr.Enabled() {
 			tr.Instant("fabric", "fabric", "net", "drop",
-				trace.S("link", l.name), trace.U("seq", p.Seq), trace.S("reason", "taildrop"),
+				trace.S("link", f.cold[l.id].name), trace.U("seq", p.Seq), trace.S("reason", "taildrop"),
 				trace.U("queue", q))
-			tr.SpanStep(p.Trace, "fabric", "fabric", "pkt", "drop", trace.S("link", l.name))
 		}
-		f.release(l.shard, p)
+		f.drop(l, p)
 		return
 	}
-	if q >= l.ecnAt {
+	if q >= f.cfg.ECNThreshold {
 		p.ECN = true
 		l.ecnMarks++
 		if tr.Enabled() {
 			tr.SpanStep(p.Trace, "fabric", "fabric", "pkt", "ecn-mark",
-				trace.S("link", l.name), trace.U("queue", q))
+				trace.S("link", f.cold[l.id].name), trace.U("queue", q))
 		}
 	}
 	if q+p.Size > l.maxQueue {
 		l.maxQueue = q + p.Size
 	}
 
-	ser := l.serTime(p.Size)
+	// The exact division on every hop: a reciprocal-multiply precompute
+	// would round differently, and a 1 ns flip in a serialisation time
+	// changes results.
+	ser := sim.Duration(float64(p.Size) / l.rate * 1e9)
 	if l.freeAt < now {
 		l.freeAt = now
 	}
 	l.freeAt = l.freeAt.Add(ser)
 	l.bytesTx += p.Size
-	depart := l.freeAt.Add(l.effDelay())
+	depart := l.freeAt.Add(l.delay)
 	if tr.Enabled() && p.Trace != 0 {
 		// One slice per hop: queue wait + serialisation + propagation.
+		name := f.cold[l.id].name
 		tr.Complete("fabric", "fabric", "net", "hop", depart.Sub(now),
-			trace.S("link", l.name), trace.U("seq", p.Seq), trace.U("queue", q))
-		tr.SpanStep(p.Trace, "fabric", "fabric", "pkt", "hop", trace.S("link", l.name))
+			trace.S("link", name), trace.U("seq", p.Seq), trace.U("queue", q))
+		tr.SpanStep(p.Trace, "fabric", "fabric", "pkt", "hop", trace.S("link", name))
 	}
-	if p.at < p.hops {
-		if next := p.route[p.at]; next.shard != l.shard {
+	// One shard has no handoffs: skip the check and leave the next
+	// link's cache line to its own hop.
+	if len(f.engs) > 1 && p.at < p.hops {
+		if next := f.links[p.route[p.at]].shard; next != l.shard {
 			// Cross-shard handoff: depart ≥ now + propagation delay ≥
 			// now + lookahead, the conservative-synchronization bound.
-			f.se.Handoff(l.shard, next.shard, depart, f.hopFn, p)
+			f.se.Handoff(int(l.shard), int(next), depart, f.hopFn, p)
 			return
 		}
 	}
 	l.eng.Post(depart, f.hopFn, p)
+}
+
+// drop discards p at l, charging the link and its shard, and recycles
+// the packet.
+func (f *Fabric) drop(l *link, p *Packet) {
+	c := &f.cold[l.id]
+	c.drops++
+	f.pools[l.shard].dropped++
+	if tr := l.eng.Tracer(); tr.Enabled() {
+		tr.SpanStep(p.Trace, "fabric", "fabric", "pkt", "drop", trace.S("link", c.name))
+	}
+	f.release(int(l.shard), p)
 }
 
 // sortPackets orders buffered arrivals by canonical packet key:
@@ -890,10 +874,16 @@ type LinkStats struct {
 // aggregation switch — the per-port loads behind Figures 9 and 12.
 func (f *Fabric) UplinkStats(segment int) []LinkStats {
 	out := make([]LinkStats, f.cfg.Aggs)
-	for a, l := range f.torUp[segment] {
-		out[a] = LinkStats{Name: l.name, BytesTx: l.bytesTx, Drops: l.drops, ECNMarks: l.ecnMarks, MaxQueue: l.maxQueue}
+	for a, id := range f.torUp[segment] {
+		out[a] = f.stats(id)
 	}
 	return out
+}
+
+// stats reads one port's counters from both halves.
+func (f *Fabric) stats(id int32) LinkStats {
+	l, c := &f.links[id], &f.cold[id]
+	return LinkStats{Name: c.name, BytesTx: l.bytesTx, Drops: c.drops, ECNMarks: l.ecnMarks, MaxQueue: l.maxQueue}
 }
 
 // UplinkQueueDepths samples current queue depth (bytes) on every uplink
@@ -901,30 +891,26 @@ func (f *Fabric) UplinkStats(segment int) []LinkStats {
 func (f *Fabric) UplinkQueueDepths(segment int) []uint64 {
 	now := f.EngineForSegment(segment).Now()
 	out := make([]uint64, f.cfg.Aggs)
-	for a, l := range f.torUp[segment] {
-		out[a] = l.queueDepth(now)
+	for a, id := range f.torUp[segment] {
+		out[a] = f.links[id].queueDepth(now)
 	}
 	return out
 }
 
 // Imbalance computes the paper's Figure 12 metric for a segment's
-// uplinks: (max load − min load) / total capacity·time, as a fraction,
-// over bytes transmitted so far.
+// uplinks over bytes transmitted so far: (max − min) / mean of the
+// per-uplink byte counts, as a fraction.
 func (f *Fabric) Imbalance(segment int) float64 {
 	var minB, maxB, total uint64
-	first := true
-	for _, l := range f.torUp[segment] {
-		if first {
-			minB, maxB = l.bytesTx, l.bytesTx
-			first = false
+	for i, id := range f.torUp[segment] {
+		b := f.links[id].bytesTx
+		if i == 0 || b < minB {
+			minB = b
 		}
-		if l.bytesTx < minB {
-			minB = l.bytesTx
+		if b > maxB {
+			maxB = b
 		}
-		if l.bytesTx > maxB {
-			maxB = l.bytesTx
-		}
-		total += l.bytesTx
+		total += b
 	}
 	if total == 0 {
 		return 0

@@ -8,6 +8,7 @@ package fabric
 // it, and internal/chaos drives it from scripted scenarios.
 
 import (
+	"errors"
 	"fmt"
 
 	"repro/internal/sim"
@@ -169,17 +170,23 @@ type Fault struct {
 	BWFactor   float64
 }
 
+// ErrBadFault is returned by SetFault for a fault outside its domain:
+// DropProb or BWFactor outside [0,1], or a negative ExtraDelay (faults
+// only ever add delay, which is what makes LinkDelay a safe cross-shard
+// lookahead).
+var ErrBadFault = errors.New("fabric: bad fault")
+
 // IsZero reports whether the fault describes a healthy link.
 func (ft Fault) IsZero() bool {
 	return !ft.Down && ft.DropProb == 0 && ft.ExtraDelay == 0 && (ft.BWFactor == 0 || ft.BWFactor == 1)
 }
 
-// linkAt resolves a reference, validating tier bounds.
-func (f *Fabric) linkAt(ref LinkRef) (*link, error) {
+// linkAt resolves a reference to a link id, validating tier bounds.
+func (f *Fabric) linkAt(ref LinkRef) (int32, error) {
 	switch ref.Tier {
 	case TierHost:
 		if ref.Host < 0 || ref.Host >= len(f.hostUp) {
-			return nil, fmt.Errorf("%w: %s", ErrBadHost, ref)
+			return 0, fmt.Errorf("%w: %s", ErrBadHost, ref)
 		}
 		if ref.Dir == DirUp {
 			return f.hostUp[ref.Host], nil
@@ -187,7 +194,7 @@ func (f *Fabric) linkAt(ref LinkRef) (*link, error) {
 		return f.hostDown[ref.Host], nil
 	case TierTorAgg:
 		if ref.Segment < 0 || ref.Segment >= f.cfg.Segments || ref.Agg < 0 || ref.Agg >= f.cfg.Aggs {
-			return nil, fmt.Errorf("fabric: no such link %s", ref)
+			return 0, fmt.Errorf("fabric: no such link %s", ref)
 		}
 		if ref.Dir == DirUp {
 			return f.torUp[ref.Segment][ref.Agg], nil
@@ -195,53 +202,59 @@ func (f *Fabric) linkAt(ref LinkRef) (*link, error) {
 		return f.torDown[ref.Segment][ref.Agg], nil
 	case TierAggCore:
 		if f.pods <= 1 {
-			return nil, fmt.Errorf("fabric: %s: topology has no core layer", ref)
+			return 0, fmt.Errorf("fabric: %s: topology has no core layer", ref)
 		}
 		if ref.Pod < 0 || ref.Pod >= f.pods || ref.Agg < 0 || ref.Agg >= f.cfg.Aggs ||
 			ref.Core < 0 || ref.Core >= f.cores {
-			return nil, fmt.Errorf("fabric: no such link %s", ref)
+			return 0, fmt.Errorf("fabric: no such link %s", ref)
 		}
 		if ref.Dir == DirUp {
 			return f.aggUp[ref.Pod][ref.Agg][ref.Core], nil
 		}
 		return f.coreDown[ref.Pod][ref.Agg][ref.Core], nil
 	}
-	return nil, fmt.Errorf("fabric: unknown tier %d", ref.Tier)
+	return 0, fmt.Errorf("fabric: unknown tier %d", ref.Tier)
 }
 
 // SetFault installs the full fault state on one link, replacing whatever
 // was there (read-modify-write via FaultOf to change one knob). State
 // transitions are recorded on the flight recorder as "link-fail" and
-// "link-restore", plus "link-gray"/"link-clear" for degradations.
+// "link-restore", plus "link-gray"/"link-clear" for degradations. A
+// fault outside its domain is refused with ErrBadFault and changes
+// nothing.
 func (f *Fabric) SetFault(ref LinkRef, ft Fault) error {
-	l, err := f.linkAt(ref)
+	if !(ft.DropProb >= 0 && ft.DropProb <= 1) || !(ft.BWFactor >= 0 && ft.BWFactor <= 1) || ft.ExtraDelay < 0 {
+		return fmt.Errorf("%w: %s: %+v", ErrBadFault, ref, ft)
+	}
+	id, err := f.linkAt(ref)
 	if err != nil {
 		return err
 	}
-	prev := Fault{Down: l.failed, DropProb: l.dropProb, ExtraDelay: l.extraDelay, BWFactor: l.bwFactor}
-	l.failed = ft.Down
-	l.dropProb = ft.DropProb
-	l.extraDelay = ft.ExtraDelay
-	if l.bwFactor != ft.BWFactor {
-		l.invalidateSer() // memoized serialisation times embed the old rate
+	l, c := &f.links[id], &f.cold[id]
+	prev := c.fault
+	c.fault = ft
+	l.faulty = ft.Down || ft.DropProb > 0
+	l.rate = c.capacity
+	if ft.BWFactor > 0 && ft.BWFactor < 1 {
+		l.rate = c.capacity * ft.BWFactor
 	}
-	l.bwFactor = ft.BWFactor
+	l.delay = f.cfg.LinkDelay + ft.ExtraDelay
 	if tr := f.eng.Tracer(); tr.Enabled() {
 		grayPrev := prev.DropProb != 0 || prev.ExtraDelay != 0 || !(prev.BWFactor == 0 || prev.BWFactor == 1)
 		grayNow := ft.DropProb != 0 || ft.ExtraDelay != 0 || !(ft.BWFactor == 0 || ft.BWFactor == 1)
 		switch {
 		case !prev.Down && ft.Down:
-			tr.Instant("fabric", "fabric", "fault", "link-fail", trace.S("link", l.name))
+			tr.Instant("fabric", "fabric", "fault", "link-fail", trace.S("link", c.name))
 		case prev.Down && !ft.Down:
-			tr.Instant("fabric", "fabric", "fault", "link-restore", trace.S("link", l.name))
+			tr.Instant("fabric", "fabric", "fault", "link-restore", trace.S("link", c.name))
 		}
 		switch {
 		case grayNow:
 			tr.Instant("fabric", "fabric", "fault", "link-gray",
-				trace.S("link", l.name), trace.F("drop", ft.DropProb),
+				trace.S("link", c.name), trace.F("drop", ft.DropProb),
 				trace.D("extra-delay", ft.ExtraDelay), trace.F("bw-factor", ft.BWFactor))
 		case grayPrev:
-			tr.Instant("fabric", "fabric", "fault", "link-clear", trace.S("link", l.name))
+			tr.Instant("fabric", "fabric", "fault", "link-clear", trace.S("link", c.name))
 		}
 	}
 	return nil
@@ -249,11 +262,11 @@ func (f *Fabric) SetFault(ref LinkRef, ft Fault) error {
 
 // FaultOf reads the current fault state of one link.
 func (f *Fabric) FaultOf(ref LinkRef) (Fault, error) {
-	l, err := f.linkAt(ref)
+	id, err := f.linkAt(ref)
 	if err != nil {
 		return Fault{}, err
 	}
-	return Fault{Down: l.failed, DropProb: l.dropProb, ExtraDelay: l.extraDelay, BWFactor: l.bwFactor}, nil
+	return f.cold[id].fault, nil
 }
 
 // ClearFault restores one link to full health.
@@ -264,11 +277,11 @@ func (f *Fabric) ClearFault(ref LinkRef) error {
 // StatsOf reads one link's counters, at any tier — the observable the
 // drop-accounting tests and the chaos recovery observer read.
 func (f *Fabric) StatsOf(ref LinkRef) (LinkStats, error) {
-	l, err := f.linkAt(ref)
+	id, err := f.linkAt(ref)
 	if err != nil {
 		return LinkStats{}, err
 	}
-	return LinkStats{Name: l.name, BytesTx: l.bytesTx, Drops: l.drops, ECNMarks: l.ecnMarks, MaxQueue: l.maxQueue}, nil
+	return f.stats(id), nil
 }
 
 // SwitchKind identifies a switch for whole-switch fault enumeration.

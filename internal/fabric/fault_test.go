@@ -1,6 +1,9 @@
 package fabric
 
 import (
+	"errors"
+	"math"
+	"slices"
 	"testing"
 	"time"
 
@@ -255,5 +258,98 @@ func TestSwitchLinksEnumeration(t *testing.T) {
 	}
 	if _, err := f.SwitchLinks(SwitchAgg, 99); err == nil {
 		t.Error("out-of-range switch accepted")
+	}
+}
+
+// TestSetFaultRejectsBadFault: a fault outside its domain is refused
+// with ErrBadFault and leaves the link untouched. A negative ExtraDelay
+// in particular would schedule the next hop before now and break the
+// LinkDelay lookahead the sharded engine relies on.
+func TestSetFaultRejectsBadFault(t *testing.T) {
+	eng := sim.NewEngine(1)
+	f := smallFabric(eng)
+	ref := Uplink(0, 0)
+	before := Fault{DropProb: 0.25, ExtraDelay: sim.Duration(time.Microsecond), BWFactor: 0.5}
+	setUplink(t, f, 0, 0, before)
+	for _, ft := range []Fault{
+		{ExtraDelay: -sim.Duration(time.Millisecond)},
+		{DropProb: -0.1},
+		{DropProb: 1.5},
+		{BWFactor: -0.5},
+		{BWFactor: 2},
+		{DropProb: math.NaN()},
+	} {
+		if err := f.SetFault(ref, ft); !errors.Is(err, ErrBadFault) {
+			t.Errorf("SetFault(%+v) = %v, want ErrBadFault", ft, err)
+		}
+		if got, _ := f.FaultOf(ref); got != before {
+			t.Errorf("rejected SetFault(%+v) changed the link to %+v", ft, got)
+		}
+	}
+	// The link still carries traffic at its pre-existing gray timing.
+	setUplink(t, f, 0, 0, Fault{ExtraDelay: before.ExtraDelay, BWFactor: before.BWFactor})
+	delivered := 0
+	f.Handle(5, func(*Packet) { delivered++ })
+	if err := f.Send(&Packet{Src: 0, Dst: 5, Size: 1000}); err != nil {
+		t.Fatal(err)
+	}
+	eng.RunAll()
+	if delivered != 1 {
+		t.Errorf("delivered %d packets after rejected faults, want 1", delivered)
+	}
+}
+
+// TestGrayFaultRoundTrip guards the effective rate and delay SetFault
+// precomputes: during a gray fault a hop takes exactly the division at
+// the capped rate plus the extra delay, and after ClearFault the link
+// times every packet exactly like a twin link that never faulted.
+func TestGrayFaultRoundTrip(t *testing.T) {
+	// At 0.37 of 1 GB/s, 5809 bytes take 15699 ns by the division but
+	// 15700 ns by a reciprocal multiply: the size catches a rate
+	// precompute that rounds differently.
+	const size = 5809
+	extra := sim.Duration(3 * time.Microsecond)
+	run := func(gray bool) (grayLat sim.Duration, lats []sim.Duration) {
+		eng := sim.NewEngine(1)
+		f := smallFabric(eng)
+		var last sim.Duration
+		f.Handle(1, func(p *Packet) { last = eng.Now().Sub(p.SentAt) })
+		f.Handle(5, func(p *Packet) { lats = append(lats, eng.Now().Sub(p.SentAt)) })
+		if gray {
+			if err := f.SetFault(HostLink(0, DirUp), Fault{BWFactor: 0.37, ExtraDelay: extra}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := f.Send(&Packet{Src: 0, Dst: 1, Size: size}); err != nil {
+			t.Fatal(err)
+		}
+		eng.RunAll()
+		grayLat = last
+		if err := f.ClearFault(HostLink(0, DirUp)); err != nil {
+			t.Fatal(err)
+		}
+		// A same-instant burst of mixed sizes queues behind itself, so
+		// every serialisation time shows in the delivery times.
+		eng.At(sim.Time(time.Millisecond), func() {
+			for i, sz := range []uint64{1000, 1500, 64, 4096, 999, 1000} {
+				if err := f.Send(&Packet{Src: 0, Dst: 5, Size: sz, PathID: i, Seq: uint64(i)}); err != nil {
+					t.Fatal(err)
+				}
+			}
+		})
+		eng.RunAll()
+		return grayLat, lats
+	}
+	baseLat, baseLats := run(false)
+	grayLat, grayLats := run(true)
+
+	capacity := smallFabric(sim.NewEngine(1)).Config().HostLinkBW
+	full := sim.Duration(float64(size) / capacity * 1e9)
+	capped := sim.Duration(float64(size) / (capacity * 0.37) * 1e9)
+	if want := baseLat - full + capped + extra; grayLat != want {
+		t.Errorf("gray latency = %v, want %v (base %v, capped ser %v)", grayLat, want, baseLat, capped)
+	}
+	if len(grayLats) != 6 || !slices.Equal(grayLats, baseLats) {
+		t.Errorf("post-clear delivery times %v, never-faulted twin %v", grayLats, baseLats)
 	}
 }
