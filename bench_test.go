@@ -33,7 +33,7 @@ func benchExperiment(b *testing.B, id string) {
 	}
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		tb, err := r.RunSession(experiments.NewSession(42))
+		tb, err := r.Fn(experiments.NewSession(42))
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -84,7 +84,7 @@ func benchRunAll(b *testing.B, workers int) {
 	for i := 0; i < b.N; i++ {
 		s := experiments.NewSession(42)
 		s.Parallelism = workers
-		results, err := experiments.RunAll(context.Background(), s, runners, workers)
+		results, err := experiments.RunAll(context.Background(), s, runners, nil)
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -166,7 +166,7 @@ func run() int {
 	}
 
 	start := time.Now()
-	results, _ := experiments.RunAllCheckpointed(ctx, session, runners, *parallelFlag, store)
+	results, _ := experiments.RunAll(ctx, session, runners, store)
 	interrupted := ctx.Err() != nil
 	failed, skipped := 0, 0
 	for _, res := range results {
@@ -196,8 +196,12 @@ func run() int {
 		}
 	}
 	if !*jsonFlag && !*csvFlag && len(results) > 1 && !interrupted {
+		workers := max(1, min(session.Parallelism, len(runners)))
+		if tr != nil {
+			workers = 1 // RunAll serializes a traced batch
+		}
 		fmt.Printf("(batch: %d experiments in %.1fs wall time on %d workers)\n",
-			len(results), time.Since(start).Seconds(), experiments.Workers(session, *parallelFlag, len(runners)))
+			len(results), time.Since(start).Seconds(), workers)
 	}
 	if tr != nil {
 		if err := tr.WriteJSONFile(*traceFlag); err != nil {

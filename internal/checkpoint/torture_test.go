@@ -60,6 +60,7 @@ func (c tortureConfig) session() *experiments.Session {
 	s := experiments.NewSession(c.seed)
 	s.Shards = c.shards
 	s.Chaos = c.chaos
+	s.Parallelism = 2
 	return s
 }
 
@@ -82,7 +83,7 @@ func baseline(t *testing.T, cfg tortureConfig) (string, map[string]string) {
 		t.Fatal(err)
 	}
 	runners := selectRunners(t, cfg.ids)
-	results, err := experiments.RunAllCheckpointed(context.Background(), cfg.session(), runners, 2, store)
+	results, err := experiments.RunAll(context.Background(), cfg.session(), runners, store)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -178,7 +179,7 @@ func runTortureTrial(t *testing.T, cfg tortureConfig, abortAfter int, dmg damage
 		}
 	})
 	runners := selectRunners(t, cfg.ids)
-	interrupted, _ := experiments.RunAllCheckpointed(ctx, cfg.session(), runners, 2, store)
+	interrupted, _ := experiments.RunAll(ctx, cfg.session(), runners, store)
 	committed := store.Cells()
 	if committed < abortAfter {
 		t.Fatalf("abort hook never reached %d commits (got %d)", abortAfter, committed)
@@ -208,7 +209,7 @@ func runTortureTrial(t *testing.T, cfg tortureConfig, abortAfter int, dmg damage
 	if dmg.wipes && committed > 0 && logged == 0 {
 		t.Errorf("%s: degradation not logged", dmg.name)
 	}
-	results, err := experiments.RunAllCheckpointed(context.Background(), cfg.session(), runners, 2, resumedStore)
+	results, err := experiments.RunAll(context.Background(), cfg.session(), runners, resumedStore)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -290,7 +291,7 @@ func TestTortureChaosRun(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := experiments.RunAllCheckpointed(context.Background(), clean.session(), selectRunners(t, clean.ids), 1, store); err != nil {
+	if _, err := experiments.RunAll(context.Background(), clean.session(), selectRunners(t, clean.ids), store); err != nil {
 		t.Fatal(err)
 	}
 	cross, err := checkpoint.Open(dir, cfg.fingerprint(), true, func(string, ...any) {})

@@ -118,9 +118,6 @@ type Config struct {
 	// SamplePeriod is the pool-occupancy / pinned-bytes time-series
 	// sampling interval over the arrival window.
 	SamplePeriod sim.Duration
-
-	// Tracer, when non-nil, records per-container cold-start spans.
-	Tracer *trace.Tracer
 }
 
 // DefaultConfig is a 16-host fleet under PVDMA on-demand pinning with a
@@ -314,6 +311,9 @@ type lifecycle struct {
 // Run drives one fleet to completion on the sharded engine and returns
 // the merged report. The engine must be fresh; Run schedules everything
 // and calls RunAll itself.
+//
+// Each host records its per-container cold-start spans on its shard's
+// tracer (sim.Engine.Tracer), if one is attached.
 func Run(se *sim.ShardedEngine, cfg Config) (*Report, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
@@ -393,7 +393,7 @@ func newHost(cfg *Config, idx int, eng *sim.Engine) (*host, error) {
 		label:      fmt.Sprintf("churn-h%d", idx),
 		cfg:        cfg,
 		eng:        eng,
-		tr:         cfg.Tracer,
+		tr:         eng.Tracer(),
 		arrivalRNG: root.Fork(1),
 		mixRNG:     root.Fork(2),
 		lifeRNG:    root.Fork(3),

@@ -99,12 +99,16 @@ func TestFleetSeedSensitivity(t *testing.T) {
 func TestFleetTraceInvariance(t *testing.T) {
 	cfg := testConfig()
 	plain := runFleet(t, cfg, 11, 1)
-	cfg.Tracer = trace.New(1 << 16)
-	traced := runFleet(t, cfg, 11, 1)
-	if cfg.Tracer.Len() == 0 {
+	tr := trace.New(1 << 16)
+	se := sim.NewShardedEngine(11, sim.SchedulerWheel, 1)
+	se.Shard(0).SetTracer(tr)
+	traced, err := churn.Run(se, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if tr.Len() == 0 {
 		t.Fatal("tracer recorded nothing")
 	}
-	cfg.Tracer = nil
 	if !reflect.DeepEqual(plain, traced) {
 		t.Error("tracing changed the fleet's results")
 	}

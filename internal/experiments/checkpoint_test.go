@@ -6,8 +6,10 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/checkpoint"
+	"repro/internal/sim"
 	"repro/internal/trace"
 )
 
@@ -31,7 +33,7 @@ func checkpointFixture(t *testing.T) ([]Runner, checkpoint.Fingerprint) {
 // event counts on the replayed prefix.
 func TestRunAllCheckpointedResume(t *testing.T) {
 	runners, fp := checkpointFixture(t)
-	want, err := RunAll(context.Background(), NewSession(1), runners, 1)
+	want, err := RunAll(context.Background(), NewSession(1), runners, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -48,7 +50,7 @@ func TestRunAllCheckpointedResume(t *testing.T) {
 			cancel()
 		}
 	})
-	if _, err := RunAllCheckpointed(ctx, NewSession(1), runners, 1, store); err == nil {
+	if _, err := RunAll(ctx, NewSession(1), runners, store); err == nil {
 		t.Fatal("interrupted batch reported no error")
 	}
 	committed := store.Cells()
@@ -60,7 +62,7 @@ func TestRunAllCheckpointedResume(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := RunAllCheckpointed(context.Background(), NewSession(1), runners, 1, resumed)
+	got, err := RunAll(context.Background(), NewSession(1), runners, resumed)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -94,7 +96,7 @@ func TestRunAllCheckpointedCorruptCell(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := RunAllCheckpointed(context.Background(), NewSession(1), runners, 1, store)
+	want, err := RunAll(context.Background(), NewSession(1), runners, store)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -113,7 +115,7 @@ func TestRunAllCheckpointedCorruptCell(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := RunAllCheckpointed(context.Background(), NewSession(1), runners, 1, resumed)
+	got, err := RunAll(context.Background(), NewSession(1), runners, resumed)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -149,11 +151,51 @@ func TestRunAllCheckpointedTracerBypass(t *testing.T) {
 	}
 	s := NewSession(1)
 	s.Tracer = trace.New(64)
-	if _, err := RunAllCheckpointed(context.Background(), s, runners, 1, store); err != nil {
+	if _, err := RunAll(context.Background(), s, runners, store); err != nil {
 		t.Fatal(err)
 	}
 	if store.Cells() != 0 {
 		t.Errorf("traced run committed %d cells", store.Cells())
+	}
+}
+
+// TestSimDigestIndependentOfCellOrder: a runner whose cells finish in
+// reverse order on a parallel pool records the same sim-state digest as
+// a serial run. Cell i sleeps (n-i)*2 ms, then builds an engine and
+// fires i events, so at Parallelism 4 the session's engines are built
+// in a different order than serially.
+func TestSimDigestIndependentOfCellOrder(t *testing.T) {
+	const n = 8
+	r := Runner{ID: "reverse-cells", Desc: "cells finish in reverse order", Fn: func(s *Session) (*Table, error) {
+		err := s.runCells(n, func(i int) error {
+			time.Sleep(time.Duration(n-i) * 2 * time.Millisecond)
+			eng := s.newEngine()
+			for k := 0; k < i; k++ {
+				eng.After(sim.Duration(k+1), func() {})
+			}
+			eng.RunAll()
+			return nil
+		})
+		return &Table{ID: "reverse-cells"}, err
+	}}
+	digest := func(parallelism int) string {
+		store, err := checkpoint.Create(t.TempDir(), checkpoint.Fingerprint{Seed: 1, Workload: r.ID})
+		if err != nil {
+			t.Fatal(err)
+		}
+		s := NewSession(1)
+		s.Parallelism = parallelism
+		if _, err := RunAll(context.Background(), s, []Runner{r}, store); err != nil {
+			t.Fatal(err)
+		}
+		meta, ok := store.Meta(r.ID)
+		if !ok || meta.SimDigest == "" {
+			t.Fatalf("parallelism %d: no sim digest committed", parallelism)
+		}
+		return meta.SimDigest
+	}
+	if serial, par := digest(1), digest(4); serial != par {
+		t.Errorf("sim digest at parallelism 4 = %s, serial = %s", par, serial)
 	}
 }
 
@@ -163,7 +205,7 @@ func TestParseTable(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	orig, err := runners[0].RunSession(NewSession(1))
+	orig, err := runners[0].Fn(NewSession(1))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -20,11 +20,11 @@ func TestExperimentsDeterministic(t *testing.T) {
 			if !ok {
 				t.Fatalf("unknown experiment %s", id)
 			}
-			a, err := r.RunSession(NewSession(7))
+			a, err := r.Fn(NewSession(7))
 			if err != nil {
 				t.Fatal(err)
 			}
-			b, err := r.RunSession(NewSession(7))
+			b, err := r.Fn(NewSession(7))
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -5,7 +5,6 @@ import (
 	"time"
 
 	"repro/internal/collective"
-	"repro/internal/fabric"
 	"repro/internal/multipath"
 	"repro/internal/sim"
 	"repro/internal/transport"
@@ -24,19 +23,11 @@ func AblationCC(s *Session) (*Table, error) {
 		Header: []string{"ecn-beta", "target-rtt", "bus bw (GB/s)", "max queue (KB)", "ecn acks"},
 	}
 	run := func(beta float64, target sim.Duration) (float64, uint64, uint64, error) {
-		eng := s.newEngine()
 		// A deliberately under-provisioned fabric (8 aggs) plus a
 		// persistent background ring so the CC actually sees marks.
-		f := fabric.New(eng, fabric.Config{
-			Segments: 2, HostsPerSegment: 24, Aggs: 8,
-			HostLinkBW: 50e9, FabricLinkBW: 50e9,
-			LinkDelay: 2 * time.Microsecond, QueueLimit: 16 << 20, ECNThreshold: 128 << 10,
-		})
-		var eps []*transport.Endpoint
-		for h := 0; h < f.NumHosts(); h++ {
-			eps = append(eps, transport.NewEndpoint(f, fabric.HostID(h),
-				transport.Config{ECNBeta: beta, TargetRTT: target}))
-		}
+		fc := netConfig(24, 8)
+		fc.ECNThreshold = 128 << 10
+		eng, f, eps := s.cluster(fc, transport.Config{ECNBeta: beta, TargetRTT: target})
 		bg, err := collective.NewRing(interleave(eps, 16, 24), 1000, multipath.OBS, 128)
 		if err != nil {
 			return 0, 0, 0, err

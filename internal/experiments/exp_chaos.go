@@ -49,17 +49,7 @@ func FailureSweep(s *Session) (*Table, error) {
 	}
 	const aggs = 60
 	run := func(alg multipath.Algorithm, paths int, sc *chaos.Scenario) (float64, []chaos.FlowRecovery, int, uint64, error) {
-		eng := s.newEngine()
-		f := fabric.New(eng, fabric.Config{
-			Segments: 2, HostsPerSegment: flows, Aggs: aggs,
-			HostLinkBW: 50e9, FabricLinkBW: 50e9,
-			LinkDelay: 2 * time.Microsecond, QueueLimit: 16 << 20, ECNThreshold: 512 << 10,
-		})
-		var eps []*transport.Endpoint
-		for h := 0; h < f.NumHosts(); h++ {
-			eps = append(eps, transport.NewEndpoint(f, fabric.HostID(h),
-				transport.Config{MTU: 16 << 10, InitialWindow: 1 << 20}))
-		}
+		eng, f, eps := s.cluster(netConfig(flows, aggs), transport.Config{MTU: 16 << 10, InitialWindow: 1 << 20})
 		ce := chaos.New(eng, f)
 		rec := chaos.NewRecovery(eng, chaos.RecoveryConfig{})
 		rec.Attach(ce)

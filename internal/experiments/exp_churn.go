@@ -78,9 +78,7 @@ func runChurnFleet(s *Session) ([]churnCell, []*churn.Report, error) {
 	reps := make([]*churn.Report, len(cells))
 	err := s.runCells(len(cells), func(i int) error {
 		cfg := cells[i].cfg
-		se := s.newShardedEngine(cfg.Hosts)
-		cfg.Tracer = s.Tracer
-		rep, err := churn.Run(se, cfg)
+		rep, err := churn.Run(s.newShardedEngine(cfg.Hosts), cfg)
 		if err != nil {
 			return fmt.Errorf("fig6-fleet %s: %w", cells[i].label, err)
 		}

@@ -5,7 +5,6 @@ import (
 	"time"
 
 	"repro/internal/collective"
-	"repro/internal/fabric"
 	"repro/internal/multipath"
 	"repro/internal/rund"
 	"repro/internal/sim"
@@ -23,17 +22,9 @@ func Prob6Core(s *Session) (*Table, error) {
 		Header: []string{"transport", "core imbalance", "goodput (GB/s)"},
 	}
 	run := func(alg multipath.Algorithm, paths int) (float64, float64, error) {
-		eng := s.newEngine()
-		f := fabric.New(eng, fabric.Config{
-			Segments: 4, HostsPerSegment: 8, Aggs: 16,
-			SegmentsPerPod: 2, CoreSwitches: 8,
-			HostLinkBW: 50e9, FabricLinkBW: 50e9, CoreLinkBW: 50e9,
-			LinkDelay: 2 * time.Microsecond, QueueLimit: 16 << 20, ECNThreshold: 512 << 10,
-		})
-		var eps []*transport.Endpoint
-		for h := 0; h < f.NumHosts(); h++ {
-			eps = append(eps, transport.NewEndpoint(f, fabric.HostID(h), transport.Config{}))
-		}
+		fc := netConfig(8, 16)
+		fc.Segments, fc.SegmentsPerPod, fc.CoreSwitches, fc.CoreLinkBW = 4, 2, 8, 50e9
+		eng, f, eps := s.cluster(fc, transport.Config{})
 		// Cross-pod permutation: pod-0 hosts (0..15) to pod-1 hosts
 		// (16..31), every flow crossing the core.
 		done, total := 0, 0
@@ -95,7 +86,8 @@ func AblationFlowlet(s *Session) (*Table, error) {
 		{multipath.OBS, 128},
 		{multipath.SinglePath, 1},
 	} {
-		eng, f, eps := cluster(s, 16, 60)
+		eng, f, eps := s.cluster(netConfig(16, 60), transport.Config{})
+		s.armChaos(eng, f)
 		res, err := collective.RunPermutation(eng, f, eps, collective.PermutationConfig{
 			Alg: tc.alg, Paths: tc.paths, BytesPerFlow: 8 << 20,
 			SamplePeriod: sim.Duration(25 * time.Microsecond), Seed: s.Seed + 1,
@@ -123,7 +115,8 @@ func AblationPathAware(s *Session) (*Table, error) {
 		Header: []string{"policy", "bus bw (GB/s)"},
 	}
 	for _, alg := range []multipath.Algorithm{multipath.OBS, multipath.PathAware} {
-		eng, _, eps := cluster(s, 24, 60)
+		eng, f, eps := s.cluster(netConfig(24, 60), transport.Config{})
+		s.armChaos(eng, f)
 		// Static background ring plus a test ring, both cross-segment.
 		bg := interleave(eps, 16, 24)
 		bgRing, err := collective.NewRing(bg, 1000, multipath.OBS, 128)
@@ -161,7 +154,7 @@ func Deploy(s *Session) (*Table, error) {
 	}
 
 	// Container initialization speed-up at 1.6 TB.
-	h, err := hostFor(s, 4<<40)
+	h, err := s.host(podHost(4 << 40))
 	if err != nil {
 		return nil, err
 	}
@@ -185,7 +178,8 @@ func Deploy(s *Session) (*Table, error) {
 
 	// Switch queue reduction: single-path vs OBS/128 permutation.
 	queue := func(alg multipath.Algorithm, paths int) (float64, error) {
-		eng, f, eps := cluster(s, 16, 60)
+		eng, f, eps := s.cluster(netConfig(16, 60), transport.Config{})
+		s.armChaos(eng, f)
 		res, err := collective.RunPermutation(eng, f, eps, collective.PermutationConfig{
 			Alg: alg, Paths: paths, BytesPerFlow: 4 << 20,
 			SamplePeriod: sim.Duration(25 * time.Microsecond), Seed: s.Seed + 1,

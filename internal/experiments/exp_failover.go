@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"time"
 
-	"repro/internal/fabric"
 	"repro/internal/multipath"
 	"repro/internal/sim"
 	"repro/internal/transport"
@@ -27,19 +26,10 @@ func LinkFailRecovery(s *Session) (*Table, error) {
 		rerouteLag = 8 * time.Millisecond
 		windows    = 10
 	)
-	eng := s.newEngine()
-	f := fabric.New(eng, fabric.Config{
-		Segments: 2, HostsPerSegment: 8, Aggs: 60,
-		HostLinkBW: 50e9, FabricLinkBW: 50e9,
-		LinkDelay: 2 * time.Microsecond, QueueLimit: 16 << 20, ECNThreshold: 512 << 10,
-		RerouteDelay: sim.Duration(rerouteLag),
-	})
+	fc := netConfig(8, 60)
+	fc.RerouteDelay = sim.Duration(rerouteLag)
+	eng, f, eps := s.cluster(fc, transport.Config{MTU: 8 << 10, InitialWindow: 1 << 20})
 	s.armChaos(eng, f)
-	var eps []*transport.Endpoint
-	for h := 0; h < f.NumHosts(); h++ {
-		eps = append(eps, transport.NewEndpoint(f, fabric.HostID(h),
-			transport.Config{MTU: 8 << 10, InitialWindow: 1 << 20}))
-	}
 	// Eight cross-segment flows spraying over all 60 aggs.
 	var conns []*transport.Conn
 	for i := 0; i < 8; i++ {

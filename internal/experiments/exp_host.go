@@ -16,20 +16,13 @@ import (
 	"repro/internal/workload"
 )
 
-// hostFor builds a single-server host sized for pod experiments,
-// attached to the session's tracer when one is active.
-func hostFor(s *Session, memBytes uint64) (*stellar.Host, error) {
+// podHost is the single server the pod experiments boot containers on:
+// the default host with memBytes of memory and 4 GiB per GPU.
+func podHost(memBytes uint64) stellar.HostConfig {
 	cfg := stellar.DefaultHostConfig()
 	cfg.MemoryBytes = memBytes
 	cfg.GPUMemoryBytes = 4 << 30
-	h, err := stellar.NewHost(cfg)
-	if err != nil {
-		return nil, err
-	}
-	if s.Tracer != nil {
-		h.SetTracer(s.Tracer, "host0")
-	}
-	return h, nil
+	return cfg
 }
 
 // Fig6 regenerates the GPU pod start-up figure: boot time across
@@ -50,7 +43,7 @@ func Fig6(s *Session) (*Table, error) {
 		{"1.6TB", 1600 << 30},
 	}
 	for _, sz := range sizes {
-		h, err := hostFor(s, 4<<40)
+		h, err := s.host(podHost(4 << 40))
 		if err != nil {
 			return nil, err
 		}
@@ -111,12 +104,9 @@ func newGDRRig(s *Session, rnicCfg rnic.Config, mode gdrMode, gdrBytes uint64) (
 	cfg.GPUMemoryBytes = 2 * gdrBytes
 	cfg.NumRNICs, cfg.NumGPUs, cfg.NumSwitches = 1, 1, 1
 	cfg.RNICConfig = func(int) rnic.Config { return rnicCfg }
-	h, err := stellar.NewHost(cfg)
+	h, err := s.host(cfg)
 	if err != nil {
 		return nil, err
-	}
-	if s.Tracer != nil {
-		h.SetTracer(s.Tracer, "host0")
 	}
 	r := h.RNICs[0]
 	gmem, err := h.GPUs[0].AllocDeviceMemory(gdrBytes)
@@ -319,7 +309,7 @@ func Sec4(s *Session) (*Table, error) {
 		Title:  "vStellar agility (paper: 1.5 s device create, 64k devices, 15-30x container init)",
 		Header: []string{"claim", "measured"},
 	}
-	h, err := hostFor(s, 4<<40)
+	h, err := s.host(podHost(4 << 40))
 	if err != nil {
 		return nil, err
 	}

@@ -4,20 +4,11 @@ import (
 	"fmt"
 	"time"
 
-	"repro/internal/fabric"
 	"repro/internal/jobgraph"
 	"repro/internal/multipath"
-	"repro/internal/sim"
 	"repro/internal/transport"
 	"repro/internal/workload"
 )
-
-// contendedFleet mirrors the standard two-segment experiment cluster:
-// 32 hosts under 60 aggregation switches, the fabric the contended
-// schedule and every isolated baseline run on.
-func contendedFleet(s *Session) (*sim.Engine, *fabric.Fabric, []*transport.Endpoint) {
-	return cluster(s, 16, 60)
-}
 
 // contendedJobs is the fixed four-job schedule of the contended-cluster
 // experiment: two Table-1 training jobs, an inference burst and a
@@ -116,7 +107,8 @@ func ContendedCluster(s *Session) (*Table, error) {
 		}
 		outcomes := make([]jobgraph.Outcome, len(jobs))
 		for j, spec := range jobs {
-			eng, _, eps := contendedFleet(s)
+			eng, f, eps := s.cluster(netConfig(16, 60), transport.Config{})
+			s.armChaos(eng, f)
 			res, err := jobgraph.RunJobs(eng, eps, []jobgraph.JobSpec{spec})
 			if err != nil {
 				return fmt.Errorf("isolated %s: %w", spec.Name, err)
@@ -126,7 +118,8 @@ func ContendedCluster(s *Session) (*Table, error) {
 				Isolated: res[0].Result.Makespan,
 			}
 		}
-		eng, f, eps := contendedFleet(s)
+		eng, f, eps := s.cluster(netConfig(16, 60), transport.Config{})
+		s.armChaos(eng, f)
 		contended, err := jobgraph.RunJobs(eng, eps, jobs)
 		if err != nil {
 			return err
@@ -192,7 +185,8 @@ func JobGraphRunner(g *jobgraph.Graph) Runner {
 				{"cx7 single-path", multipath.SinglePath, 128},
 				{"stellar obs/128", multipath.OBS, 128},
 			} {
-				eng, _, eps := cluster(s, hostsPerSeg, 60)
+				eng, f, eps := s.cluster(netConfig(hostsPerSeg, 60), transport.Config{})
+				s.armChaos(eng, f)
 				res, err := jobgraph.Run(eng, eps, g, jobgraph.Options{
 					Alg: stack.alg, Paths: stack.paths, FlowBase: 1,
 				})

@@ -12,25 +12,6 @@ import (
 	"repro/internal/workload"
 )
 
-// cluster builds a two-segment fabric with transport endpoints. The
-// production topology's 60 aggregation switches are kept; host counts
-// are scaled to simulator size (documented in DESIGN.md). The fabric is
-// one pod, so it runs on one engine whatever Session.Shards says.
-func cluster(s *Session, hostsPerSeg, aggs int) (*sim.Engine, *fabric.Fabric, []*transport.Endpoint) {
-	eng := s.newEngine()
-	f := fabric.New(eng, fabric.Config{
-		Segments: 2, HostsPerSegment: hostsPerSeg, Aggs: aggs,
-		HostLinkBW: 50e9, FabricLinkBW: 50e9,
-		LinkDelay: 2 * time.Microsecond, QueueLimit: 16 << 20, ECNThreshold: 512 << 10,
-	})
-	s.armChaos(eng, f)
-	var eps []*transport.Endpoint
-	for h := 0; h < f.NumHosts(); h++ {
-		eps = append(eps, transport.NewEndpoint(f, fabric.HostID(h), transport.Config{}))
-	}
-	return eng, f, eps
-}
-
 // Fig9 regenerates the permutation-traffic queue-depth comparison: every
 // algorithm at 4 and 128 paths.
 func Fig9(s *Session) (*Table, error) {
@@ -44,7 +25,8 @@ func Fig9(s *Session) (*Table, error) {
 			if alg == multipath.SinglePath && paths != 4 {
 				continue // single path ignores fan-out
 			}
-			eng, f, eps := cluster(s, 30, 60)
+			eng, f, eps := s.cluster(netConfig(30, 60), transport.Config{})
+			s.armChaos(eng, f)
 			res, err := collective.RunPermutation(eng, f, eps, collective.PermutationConfig{
 				Alg: alg, Paths: paths, BytesPerFlow: 8 << 20,
 				SamplePeriod: sim.Duration(25 * time.Microsecond), Seed: s.Seed + 1,
@@ -84,8 +66,9 @@ func Fig10a(s *Session) (*Table, error) {
 	const ringSize = 16
 	for _, alg := range []multipath.Algorithm{multipath.SinglePath, multipath.BestRTT, multipath.DWRR, multipath.RoundRobin, multipath.MPRDMA, multipath.OBS} {
 		for _, paths := range []int{128} {
-			eng, _, eps := cluster(s, 3*ringSize/2+8, 60)
 			hps := 3*ringSize/2 + 8
+			eng, f, eps := s.cluster(netConfig(hps, 60), transport.Config{})
+			s.armChaos(eng, f)
 			// Two background rings on interleaved members.
 			bg1 := interleave(eps, ringSize, hps)
 			bg2 := interleave(eps[ringSize/2:], ringSize, hps)
@@ -129,7 +112,8 @@ func Fig10b(s *Session) (*Table, error) {
 	}
 	for _, alg := range []multipath.Algorithm{multipath.RoundRobin, multipath.OBS} {
 		for _, paths := range []int{4, 128} {
-			eng, _, eps := cluster(s, 24, 60)
+			eng, f, eps := s.cluster(netConfig(24, 60), transport.Config{})
+			s.armChaos(eng, f)
 			// Bursty background: 2 ms on / 2 ms off.
 			bgMembers := interleave(eps, 16, 24)
 			bgRing, err := collective.NewRing(bgMembers, 1000, multipath.OBS, 128)
@@ -188,17 +172,8 @@ func Fig11(s *Session) (*Table, error) {
 	// the event count tractable at this volume.
 	run := func(alg multipath.Algorithm, paths int, loss float64) (float64, error) {
 		const rounds = 3
-		eng := s.newEngine()
-		f := fabric.New(eng, fabric.Config{
-			Segments: 2, HostsPerSegment: 24, Aggs: 60,
-			HostLinkBW: 50e9, FabricLinkBW: 50e9,
-			LinkDelay: 2 * time.Microsecond, QueueLimit: 16 << 20, ECNThreshold: 512 << 10,
-		})
+		eng, f, eps := s.cluster(netConfig(24, 60), transport.Config{MTU: 16 << 10, InitialWindow: 1 << 20})
 		s.armChaos(eng, f)
-		var eps []*transport.Endpoint
-		for h := 0; h < f.NumHosts(); h++ {
-			eps = append(eps, transport.NewEndpoint(f, fabric.HostID(h), transport.Config{MTU: 16 << 10, InitialWindow: 1 << 20}))
-		}
 		if loss > 0 {
 			if err := f.SetFault(fabric.Uplink(0, 0), fabric.Fault{DropProb: loss}); err != nil {
 				return 0, err
@@ -288,7 +263,8 @@ func Fig12(s *Session) (*Table, error) {
 	rows := make([][]string, len(pathCounts))
 	err := s.runCells(len(pathCounts), func(ci int) error {
 		paths := pathCounts[ci]
-		eng, f, eps := cluster(s, 2, 60)
+		eng, f, eps := s.cluster(netConfig(2, 60), transport.Config{})
+		s.armChaos(eng, f)
 		var conns int
 		done := 0
 		for i := 0; i < 16; i++ {
@@ -346,17 +322,7 @@ func fig16(s *Session, placement workload.Placement, id, title string) (*Table, 
 				// 128 hosts = 1,024 GPUs. A coarse MTU and a large simulated
 				// reduce keep the measurement in steady state, where the
 				// placement-dependent collision behaviour lives.
-				eng := s.newEngine()
-				f := fabric.New(eng, fabric.Config{
-					Segments: 2, HostsPerSegment: 64, Aggs: 60,
-					HostLinkBW: 50e9, FabricLinkBW: 50e9,
-					LinkDelay: 2 * time.Microsecond, QueueLimit: 16 << 20, ECNThreshold: 512 << 10,
-				})
-				var eps []*transport.Endpoint
-				for h := 0; h < f.NumHosts(); h++ {
-					eps = append(eps, transport.NewEndpoint(f, fabric.HostID(h),
-						transport.Config{MTU: 16 << 10, InitialWindow: 1 << 20}))
-				}
+				eng, f, eps := s.cluster(netConfig(64, 60), transport.Config{MTU: 16 << 10, InitialWindow: 1 << 20})
 				res, err := workload.RunStep(eng, f, eps, workload.JobConfig{
 					Model: m, Platform: workload.DefaultPlatform(),
 					Alg: stack.alg, Paths: stack.paths,
@@ -413,7 +379,8 @@ func Fig15(s *Session) (*Table, error) {
 		{"regular (bare Stellar)", 0},
 		{"secure (vStellar)", 0}, // direct-mapped data path: no overhead
 	} {
-		eng, f, eps := cluster(s, 16, 60) // 32 hosts = 256 GPUs
+		eng, f, eps := s.cluster(netConfig(16, 60), transport.Config{}) // 32 hosts = 256 GPUs
+		s.armChaos(eng, f)
 		res, err := workload.RunStep(eng, f, eps, workload.JobConfig{
 			Model: m, Platform: workload.DefaultPlatform(),
 			Alg: multipath.OBS, Paths: 128,
@@ -445,16 +412,7 @@ func AblationPerPathCC(s *Session) (*Table, error) {
 		{"shared", false, 128},
 		{"per-path", true, 4},
 	} {
-		eng := s.newEngine()
-		f := fabric.New(eng, fabric.Config{
-			Segments: 2, HostsPerSegment: 16, Aggs: 60,
-			HostLinkBW: 50e9, FabricLinkBW: 50e9,
-			LinkDelay: 2 * time.Microsecond, QueueLimit: 16 << 20, ECNThreshold: 512 << 10,
-		})
-		var eps []*transport.Endpoint
-		for h := 0; h < f.NumHosts(); h++ {
-			eps = append(eps, transport.NewEndpoint(f, fabric.HostID(h), transport.Config{PerPathCC: mode.perPath}))
-		}
+		eng, f, eps := s.cluster(netConfig(16, 60), transport.Config{PerPathCC: mode.perPath})
 		members := interleave(eps, 16, 16)
 		ring, err := collective.NewRing(members, 100, multipath.OBS, mode.paths)
 		if err != nil {
@@ -487,16 +445,7 @@ func AblationRTO(s *Session) (*Table, error) {
 		Header: []string{"rto", "completion (ms)", "retransmits"},
 	}
 	for _, rto := range []time.Duration{250 * time.Microsecond, time.Millisecond, 4 * time.Millisecond} {
-		eng := s.newEngine()
-		f := fabric.New(eng, fabric.Config{
-			Segments: 2, HostsPerSegment: 4, Aggs: 8,
-			HostLinkBW: 50e9, FabricLinkBW: 50e9,
-			LinkDelay: 2 * time.Microsecond, QueueLimit: 16 << 20, ECNThreshold: 512 << 10,
-		})
-		var eps []*transport.Endpoint
-		for h := 0; h < f.NumHosts(); h++ {
-			eps = append(eps, transport.NewEndpoint(f, fabric.HostID(h), transport.Config{RTO: rto}))
-		}
+		eng, f, eps := s.cluster(netConfig(4, 8), transport.Config{RTO: rto})
 		for a := 0; a < 8; a++ {
 			if err := f.SetFault(fabric.Uplink(0, a), fabric.Fault{DropProb: 0.01}); err != nil {
 				return nil, err

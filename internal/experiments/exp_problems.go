@@ -22,7 +22,7 @@ func Problems(s *Session) (*Table, error) {
 
 	// ① VF inflexibility.
 	{
-		h, err := hostFor(s, 256<<30)
+		h, err := s.host(podHost(256 << 30))
 		if err != nil {
 			return nil, err
 		}
@@ -43,7 +43,7 @@ func Problems(s *Session) (*Table, error) {
 
 	// ② Pinned GPA required by VFIO.
 	{
-		h, err := hostFor(s, 4<<40)
+		h, err := s.host(podHost(4 << 40))
 		if err != nil {
 			return nil, err
 		}
@@ -63,7 +63,7 @@ func Problems(s *Session) (*Table, error) {
 	{
 		cfg := stellar.DefaultHostConfig()
 		cfg.MemoryBytes = 512 << 30
-		h, err := stellar.NewHost(cfg)
+		h, err := s.host(cfg)
 		if err != nil {
 			return nil, err
 		}
@@ -105,12 +105,16 @@ func Problems(s *Session) (*Table, error) {
 	{
 		cfg := stellar.DefaultHostConfig()
 		cfg.MemoryBytes = 256 << 30
-		h, err := stellar.NewHost(cfg)
+		h, err := s.host(cfg)
 		if err != nil {
 			return nil, err
 		}
-		h.RNICs[0].SetNumVFs(1)
-		h.RNICs[1].SetNumVFs(1)
+		if err := h.RNICs[0].SetNumVFs(1); err != nil {
+			return nil, err
+		}
+		if err := h.RNICs[1].SetNumVFs(1); err != nil {
+			return nil, err
+		}
 		c, err := h.Hypervisor.CreateContainer(rund.DefaultConfig("p5", 8<<30))
 		if err != nil {
 			return nil, err

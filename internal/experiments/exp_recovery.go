@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"repro/internal/chaos"
-	"repro/internal/fabric"
 	"repro/internal/iommu"
 	"repro/internal/mem"
 	"repro/internal/multipath"
@@ -62,20 +61,11 @@ func ChaosRecovery(s *Session) (*Table, error) {
 		maxStall    sim.Duration
 	}
 	run := func(cond string, withRec bool) ([]flowRow, error) {
-		eng := s.newEngine()
-		f := fabric.New(eng, fabric.Config{
-			Segments: 2, HostsPerSegment: flows, Aggs: 8,
-			HostLinkBW: 50e9, FabricLinkBW: 50e9,
-			LinkDelay: 2 * time.Microsecond, QueueLimit: 16 << 20, ECNThreshold: 512 << 10,
+		eng, f, eps := s.cluster(netConfig(flows, 8), transport.Config{
+			MTU: 16 << 10, InitialWindow: 1 << 20,
+			RTOBackoff: 2, RTOMax: time.Millisecond, RTOJitter: 0.1,
+			RetryBudget: 3,
 		})
-		var eps []*transport.Endpoint
-		for h := 0; h < f.NumHosts(); h++ {
-			eps = append(eps, transport.NewEndpoint(f, fabric.HostID(h), transport.Config{
-				MTU: 16 << 10, InitialWindow: 1 << 20,
-				RTOBackoff: 2, RTOMax: time.Millisecond, RTOJitter: 0.1,
-				RetryBudget: 3,
-			}))
-		}
 
 		// The faulted flow's hardware context: one RNIC on host 0's PCIe
 		// complex, one QP cycled up to RTS.

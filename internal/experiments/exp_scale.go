@@ -17,12 +17,9 @@ import (
 // pods of eight) is the HPN7.0-proportioned fleet Figures 9 and 12 are
 // re-run against; tests shrink the same shape to stay fast.
 func scaleConfig(hostsPerSeg, segs, segsPerPod, aggs, cores int) fabric.Config {
-	return fabric.Config{
-		Segments: segs, HostsPerSegment: hostsPerSeg, Aggs: aggs,
-		SegmentsPerPod: segsPerPod, CoreSwitches: cores,
-		HostLinkBW: 50e9, FabricLinkBW: 50e9,
-		LinkDelay: 2 * time.Microsecond, QueueLimit: 16 << 20, ECNThreshold: 512 << 10,
-	}
+	fc := netConfig(hostsPerSeg, aggs)
+	fc.Segments, fc.SegmentsPerPod, fc.CoreSwitches = segs, segsPerPod, cores
+	return fc
 }
 
 // fleetConfig is the canonical 4096-host instance.

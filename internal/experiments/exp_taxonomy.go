@@ -42,17 +42,9 @@ func LBTaxonomy(s *Session) (*Table, error) {
 		maxQ    uint64
 	}
 	run := func(approach string, failLink bool) (result, error) {
-		eng := s.newEngine()
-		f := fabric.New(eng, fabric.Config{
-			Segments: 2, HostsPerSegment: hostsPerSeg, Aggs: aggs,
-			HostLinkBW: 50e9, FabricLinkBW: 50e9,
-			LinkDelay: 2 * time.Microsecond, QueueLimit: 16 << 20, ECNThreshold: 512 << 10,
-			AdaptiveRouting: approach == "adaptive-routing",
-		})
-		var eps []*transport.Endpoint
-		for h := 0; h < f.NumHosts(); h++ {
-			eps = append(eps, transport.NewEndpoint(f, fabric.HostID(h), transport.Config{}))
-		}
+		fc := netConfig(hostsPerSeg, aggs)
+		fc.AdaptiveRouting = approach == "adaptive-routing"
+		eng, f, eps := s.cluster(fc, transport.Config{})
 		if failLink {
 			if err := f.SetFault(fabric.Uplink(0, 3), fabric.Fault{Down: true}); err != nil {
 				return result{}, err

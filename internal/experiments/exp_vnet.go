@@ -6,6 +6,7 @@ import (
 	"repro/internal/collective"
 	"repro/internal/iommu"
 	"repro/internal/multipath"
+	"repro/internal/transport"
 	"repro/internal/vnet"
 )
 
@@ -73,7 +74,8 @@ func MoEAllToAll(s *Session) (*Table, error) {
 		{multipath.OBS, 128},
 		{multipath.PathAware, 128},
 	} {
-		eng, _, eps := cluster(s, 8, 60)
+		eng, f, eps := s.cluster(netConfig(8, 60), transport.Config{})
+		s.armChaos(eng, f)
 		a, err := collective.NewAllToAll(eps, 1, tc.alg, tc.paths)
 		if err != nil {
 			return nil, err

@@ -1,17 +1,22 @@
 package experiments
 
 import (
+	"bytes"
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
+	"time"
 
 	"repro/internal/chaos"
+	stellar "repro/internal/core"
 	"repro/internal/fabric"
 	"repro/internal/sim"
 	"repro/internal/trace"
+	"repro/internal/transport"
 )
 
 // Session is the per-run state an experiment executes under: the seed,
@@ -27,21 +32,26 @@ type Session struct {
 	Seed uint64
 	// Tracer, when non-nil, is attached to every engine and host the
 	// run builds. The tracer is single-threaded, so a session with a
-	// tracer executes its cells serially regardless of Parallelism.
+	// tracer executes its runners and cells serially regardless of
+	// Parallelism.
 	Tracer *trace.Tracer
 	// Chaos, when non-nil, is played (by armChaos, offsets relative to
-	// the fabric's construction time) against the fabrics built by
-	// cluster(), each Fig11 cell, LinkFailRecovery and scaleCluster.
-	// The other fabric experiments (fig16a/b, ablation-perpath-cc,
-	// ablation-rto, ablation-cc, prob6-core, lb-taxonomy) run unarmed,
-	// and failure-sweep and chaos-recovery play their own scenarios.
-	// Scenarios are read-only during playback, so one scenario may be
-	// shared across concurrent sessions and cells.
+	// the fabric's construction time) against the 60-agg fabrics of
+	// fig9, fig10a/b, fig12, fig15, ablation-flowlet,
+	// ablation-pathaware, deploy, moe-alltoall, contended-cluster and
+	// job-graph replays, each Fig11 cell, LinkFailRecovery and
+	// scaleCluster. The other fabric experiments (fig16a/b,
+	// ablation-perpath-cc, ablation-rto, ablation-cc, prob6-core,
+	// lb-taxonomy) run unarmed, and failure-sweep and chaos-recovery
+	// play their own scenarios. Scenarios are read-only during
+	// playback, so one scenario may be shared across concurrent
+	// sessions and cells.
 	Chaos *chaos.Scenario
-	// Parallelism bounds the worker pool used by cell-parallel sweeps
-	// (FailureSweep, Fig11, Fig12). Values below 2 mean serial. Cell
-	// results are assembled in cell order, so the output is
-	// byte-identical at any setting.
+	// Parallelism bounds the worker pool RunAll runs its runners on,
+	// and each runner's pool for cell-parallel sweeps (FailureSweep,
+	// Fig11, Fig12). Values below 2 mean serial. Results are assembled
+	// in runner and cell order, so the output is byte-identical at any
+	// setting.
 	Parallelism int
 	// Shards bounds the event-engine shards a sharded model runs on in
 	// parallel windows (see sim.ShardedEngine). Each model clamps it to
@@ -82,6 +92,43 @@ func (s *Session) newEngine() *sim.Engine {
 	s.engines = append(s.engines, eng)
 	s.mu.Unlock()
 	return eng
+}
+
+// netConfig is the §7 network fabric every experiment shares: two
+// segments of hostsPerSeg hosts under aggs aggregation switches, 50 GB/s
+// links, 2 µs hops, a 16 MiB queue limit and a 512 KiB ECN threshold.
+// Host counts are scaled to simulator size (documented in DESIGN.md).
+// Call sites override only the fields where they differ.
+func netConfig(hostsPerSeg, aggs int) fabric.Config {
+	return fabric.Config{
+		Segments: 2, HostsPerSegment: hostsPerSeg, Aggs: aggs,
+		HostLinkBW: 50e9, FabricLinkBW: 50e9,
+		LinkDelay: 2 * time.Microsecond, QueueLimit: 16 << 20, ECNThreshold: 512 << 10,
+	}
+}
+
+// cluster builds fc on a fresh session engine with one transport
+// endpoint per host, each configured by tc. The fabric runs on one
+// engine whatever Shards says. cluster does not arm the session's chaos
+// scenario: the experiments Chaos lists call armChaos themselves.
+func (s *Session) cluster(fc fabric.Config, tc transport.Config) (*sim.Engine, *fabric.Fabric, []*transport.Endpoint) {
+	eng := s.newEngine()
+	f := fabric.New(eng, fc)
+	eps := make([]*transport.Endpoint, f.NumHosts())
+	for h := range eps {
+		eps[h] = transport.NewEndpoint(f, fabric.HostID(h), tc)
+	}
+	return eng, f, eps
+}
+
+// host builds a single server from cfg, attached to the session's
+// tracer when one is active.
+func (s *Session) host(cfg stellar.HostConfig) (*stellar.Host, error) {
+	h, err := stellar.NewHost(cfg)
+	if err == nil && s.Tracer != nil {
+		h.SetTracer(s.Tracer, "host0")
+	}
+	return h, err
 }
 
 // shards is the effective shard count: Shards, forced to 1 when a
@@ -135,41 +182,44 @@ func (s *Session) MaxNow() sim.Time {
 }
 
 // StateDigest hashes the quiescent snapshot of every engine this
-// session built, in build order: clock, dispatch count, pending count
-// and root RNG state per engine. Build order is deterministic within a
-// run (each run owns its forked session), so two identical runs produce
-// identical digests — the sim-state identity the checkpoint torture
-// harness asserts across interrupted and uninterrupted runs, stronger
-// than comparing printed tables. Analytic runs with no engines digest
-// to the empty string. Call only after the run completes.
+// session built: clock, dispatch count, pending count and root RNG
+// state per engine. The per-engine hashes are combined in sorted order,
+// so the digest is independent of build order, which cell-parallel
+// sweeps leave to goroutine completion. Two identical runs therefore
+// produce identical digests at any Parallelism: the sim-state identity
+// the checkpoint torture harness asserts across interrupted and
+// uninterrupted runs, stronger than comparing printed tables. Analytic
+// runs with no engines digest to the empty string. Call only after the
+// run completes.
 func (s *Session) StateDigest() string {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if len(s.engines) == 0 {
 		return ""
 	}
-	h := sha256.New()
-	var buf [8]byte
-	word := func(v uint64) {
-		binary.LittleEndian.PutUint64(buf[:], v)
-		h.Write(buf[:])
-	}
-	for _, e := range s.engines {
+	sums := make([][sha256.Size]byte, len(s.engines))
+	var buf []byte
+	for i, e := range s.engines {
 		snap := e.Snapshot()
-		word(uint64(snap.Now))
-		word(snap.Fired)
-		word(uint64(snap.Pending))
+		buf = binary.LittleEndian.AppendUint64(buf[:0], uint64(snap.Now))
+		buf = binary.LittleEndian.AppendUint64(buf, snap.Fired)
+		buf = binary.LittleEndian.AppendUint64(buf, uint64(snap.Pending))
 		for _, w := range snap.RNG {
-			word(w)
+			buf = binary.LittleEndian.AppendUint64(buf, w)
 		}
+		sums[i] = sha256.Sum256(buf)
+	}
+	slices.SortFunc(sums, func(a, b [sha256.Size]byte) int { return bytes.Compare(a[:], b[:]) })
+	h := sha256.New()
+	for _, sum := range sums {
+		h.Write(sum[:])
 	}
 	return hex.EncodeToString(h.Sum(nil))
 }
 
 // Fired sums the events dispatched by every engine this session built.
-// It must not race a still-running experiment: call it after RunSession
-// (or RunAll, which computes per-run stats from forked sessions)
-// returns.
+// It must not race a still-running experiment: call it after the
+// runner returns (RunAll computes per-run stats from forked sessions).
 func (s *Session) Fired() uint64 {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -195,31 +245,22 @@ func (s *Session) armChaos(eng *sim.Engine, f *fabric.Fabric) {
 	}
 }
 
-// workers is the effective cell-parallel worker bound: Parallelism,
-// forced serial when a tracer is attached (the tracer, like the
-// engines it records, is single-threaded).
-func (s *Session) workers() int {
-	if s.Tracer != nil || s.Parallelism < 1 {
-		return 1
-	}
-	return s.Parallelism
-}
-
-// runCells executes fn(0..n-1) — independent simulation cells that each
-// build a private engine and fabric — under the session's worker bound.
-// Every cell runs even when an earlier one fails (sibling determinism:
-// a failure must not change which cells executed), and the first error
-// by cell index is returned, so error reporting matches a serial run.
+// runCells is the one worker pool: it executes fn(0..n-1) on up to
+// Parallelism goroutines, one when a tracer is attached (the tracer,
+// like the engines it records, is single-threaded). RunAll runs its
+// runners on it, and sweeps run their independent simulation cells,
+// each building a private engine and fabric. Every item runs even when
+// an earlier one fails (sibling determinism: a failure must not change
+// which items executed), results land at their index, and the first
+// error by index is returned, so error reporting matches a serial run.
 func (s *Session) runCells(n int, fn func(i int) error) error {
+	w := s.workers(n)
 	errs := make([]error, n)
-	if w := s.workers(); w <= 1 || n <= 1 {
+	if w <= 1 {
 		for i := 0; i < n; i++ {
 			errs[i] = fn(i)
 		}
 	} else {
-		if w > n {
-			w = n
-		}
 		var next atomic.Int64
 		var wg sync.WaitGroup
 		wg.Add(w)
@@ -243,4 +284,13 @@ func (s *Session) runCells(n int, fn func(i int) error) error {
 		}
 	}
 	return nil
+}
+
+// workers is the pool size for n items: Parallelism capped at n, at
+// least one, and exactly one when a tracer is attached.
+func (s *Session) workers(n int) int {
+	if s.Tracer != nil {
+		return 1
+	}
+	return max(1, min(s.Parallelism, n))
 }

@@ -55,7 +55,7 @@ func TestRunAllParallelByteIdentical(t *testing.T) {
 		run := func(parallelism int) string {
 			s := NewSession(7)
 			s.Parallelism = parallelism
-			results, err := RunAll(context.Background(), s, runners, parallelism)
+			results, err := RunAll(context.Background(), s, runners, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -87,7 +87,7 @@ func TestSweepsParallelIdentity(t *testing.T) {
 			run := func(parallelism int) *Table {
 				s := NewSession(7)
 				s.Parallelism = parallelism
-				tb, err := r.RunSession(s)
+				tb, err := r.Fn(s)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -110,7 +110,7 @@ func TestConcurrentSessions(t *testing.T) {
 	if !ok {
 		t.Fatal("fig12 missing")
 	}
-	baseline, err := r.RunSession(NewSession(7))
+	baseline, err := r.Fn(NewSession(7))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -127,13 +127,13 @@ func TestConcurrentSessions(t *testing.T) {
 		defer wg.Done()
 		s := NewSession(7)
 		s.Tracer = tr
-		traced, tracedErr = r.RunSession(s)
+		traced, tracedErr = r.Fn(s)
 	}()
 	go func() {
 		defer wg.Done()
 		s := NewSession(7)
 		s.Chaos = sc
-		chaotic, chaosErr = r.RunSession(s)
+		chaotic, chaosErr = r.Fn(s)
 	}()
 	wg.Wait()
 	if tracedErr != nil || chaosErr != nil {
@@ -167,7 +167,9 @@ func TestRunAllErrorOrder(t *testing.T) {
 		}}
 	}
 	runners := []Runner{mk(0, "a", nil), mk(1, "b", errB), mk(2, "c", nil), mk(3, "d", errD)}
-	results, err := RunAll(context.Background(), NewSession(1), runners, 4)
+	s := NewSession(1)
+	s.Parallelism = 4
+	results, err := RunAll(context.Background(), s, runners, nil)
 	if err == nil || !errors.Is(err, errB) || !strings.Contains(err.Error(), "b") {
 		t.Errorf("RunAll error = %v, want first failure (b)", err)
 	}
@@ -189,54 +191,65 @@ func TestRunAllErrorOrder(t *testing.T) {
 	}
 }
 
-// TestRunAllTracerForcesSerial checks that a session carrying a tracer
-// never runs two runners at once, whatever parallelism is requested.
+// TestRunAllTracerForcesSerial checks that a traced batch runs
+// on one worker at both levels of the pool: RunAll never has two
+// runners in flight, and no runner's runCells sweep has two cells in
+// flight, whatever Parallelism asks for.
 func TestRunAllTracerForcesSerial(t *testing.T) {
-	var inFlight, maxInFlight atomic.Int64
-	var runners []Runner
-	for i := 0; i < 8; i++ {
+	var runners, cells, maxRunners, maxCells atomic.Int64
+	enter := func(inFlight, peak *atomic.Int64) {
+		n := inFlight.Add(1)
+		for m := peak.Load(); n > m && !peak.CompareAndSwap(m, n); m = peak.Load() {
+		}
+	}
+	var batch []Runner
+	for i := 0; i < 4; i++ {
 		id := fmt.Sprintf("r%d", i)
-		runners = append(runners, Runner{ID: id, Desc: id, Fn: func(s *Session) (*Table, error) {
-			n := inFlight.Add(1)
-			for {
-				m := maxInFlight.Load()
-				if n <= m || maxInFlight.CompareAndSwap(m, n) {
-					break
-				}
-			}
-			time.Sleep(time.Millisecond)
-			inFlight.Add(-1)
-			return &Table{ID: id}, nil
+		batch = append(batch, Runner{ID: id, Desc: id, Fn: func(s *Session) (*Table, error) {
+			enter(&runners, &maxRunners)
+			defer runners.Add(-1)
+			err := s.runCells(4, func(int) error {
+				enter(&cells, &maxCells)
+				time.Sleep(time.Millisecond)
+				cells.Add(-1)
+				return nil
+			})
+			return &Table{ID: id}, err
 		}})
 	}
 	s := NewSession(1)
 	s.Tracer = trace.New(1 << 10)
-	if _, err := RunAll(context.Background(), s, runners, 8); err != nil {
+	s.Parallelism = 4
+	if _, err := RunAll(context.Background(), s, batch, nil); err != nil {
 		t.Fatal(err)
 	}
-	if got := maxInFlight.Load(); got != 1 {
-		t.Errorf("traced batch reached concurrency %d, want 1", got)
+	if r, c := maxRunners.Load(), maxCells.Load(); r != 1 || c != 1 {
+		t.Errorf("traced batch reached %d runners and %d cells in flight, want 1 and 1", r, c)
 	}
 }
 
-// TestWorkers pins the worker count a batch reports: the requested
-// parallelism clamped to [1, runners], and 1 under a tracer.
+// TestWorkers pins the pool size: Parallelism capped at the item
+// count, at least one, and one whenever a tracer is attached.
 func TestWorkers(t *testing.T) {
-	plain, traced := NewSession(1), NewSession(1)
-	traced.Tracer = trace.New(1 << 10)
 	for _, c := range []struct {
-		s              *Session
 		parallelism, n int
+		traced         bool
 		want           int
 	}{
-		{plain, 4, 30, 4},
-		{plain, 8, 3, 3},
-		{plain, 0, 3, 1},
-		{traced, 4, 30, 1},
+		{4, 30, false, 4},
+		{8, 3, false, 3},
+		{0, 3, false, 1},
+		{4, 0, false, 1},
+		{4, 30, true, 1},
 	} {
-		if got := Workers(c.s, c.parallelism, c.n); got != c.want {
-			t.Errorf("Workers(tracer=%v, %d, %d) = %d, want %d",
-				c.s.Tracer != nil, c.parallelism, c.n, got, c.want)
+		s := NewSession(1)
+		s.Parallelism = c.parallelism
+		if c.traced {
+			s.Tracer = trace.New(1 << 10)
+		}
+		if got := s.workers(c.n); got != c.want {
+			t.Errorf("workers(tracer=%v, parallelism %d, n %d) = %d, want %d",
+				c.traced, c.parallelism, c.n, got, c.want)
 		}
 	}
 }
@@ -248,7 +261,9 @@ func TestRunAllStats(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	results, err := RunAll(context.Background(), NewSession(7), runners, 2)
+	s := NewSession(7)
+	s.Parallelism = 2
+	results, err := RunAll(context.Background(), s, runners, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -326,7 +341,9 @@ func TestRunAllContextCancel(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	results, err := RunAll(ctx, NewSession(1), runners, 2)
+	s := NewSession(1)
+	s.Parallelism = 2
+	results, err := RunAll(ctx, s, runners, nil)
 	if !errors.Is(err, context.Canceled) {
 		t.Errorf("RunAll on cancelled ctx = %v, want context.Canceled", err)
 	}

@@ -9,6 +9,7 @@ import (
 	"repro/internal/fabric"
 	"repro/internal/multipath"
 	"repro/internal/sim"
+	"repro/internal/transport"
 )
 
 // TestExperimentsShardInvariant: registered experiments must not change
@@ -32,7 +33,7 @@ func TestExperimentsShardInvariant(t *testing.T) {
 				s := NewSession(7)
 				s.Shards = shards
 				s.Parallelism = workers
-				tb, err := r.RunSession(s)
+				tb, err := r.Fn(s)
 				if err != nil {
 					t.Fatalf("shards=%d: %v", shards, err)
 				}
@@ -135,7 +136,7 @@ func TestFig12ScaleShardInvariant(t *testing.T) {
 func TestShardedSessionAccounting(t *testing.T) {
 	s := NewSession(3)
 	s.Shards = 8
-	cluster(s, 2, 4)
+	s.cluster(netConfig(2, 4), transport.Config{})
 	if got := s.Engines(); got != 1 {
 		t.Fatalf("Engines() = %d after a single-pod cluster, want 1", got)
 	}

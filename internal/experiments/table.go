@@ -142,14 +142,9 @@ type Runner struct {
 	ID   string
 	Desc string
 	// Fn is the experiment body: a pure function of its Session.
+	// Concurrent runs each pass their own Session, so no state is
+	// shared between them.
 	Fn func(s *Session) (*Table, error)
-}
-
-// RunSession executes the experiment under an explicit session;
-// concurrent runs each pass their own Session so no state is shared
-// between them.
-func (r Runner) RunSession(s *Session) (*Table, error) {
-	return r.Fn(s)
 }
 
 // All returns every experiment in paper order.

@@ -7,6 +7,7 @@ import (
 	"repro/internal/multipath"
 	"repro/internal/sim"
 	"repro/internal/trace"
+	"repro/internal/transport"
 )
 
 // runTracedRing drives a small cross-segment ring AllReduce and returns
@@ -16,7 +17,7 @@ func runTracedRing(t *testing.T, tr *trace.Tracer) (collective.Result, sim.Time)
 	var res collective.Result
 	s := NewSession(77)
 	s.Tracer = tr
-	eng, _, eps := cluster(s, 4, 8)
+	eng, _, eps := s.cluster(netConfig(4, 8), transport.Config{})
 	ring, err := collective.NewRing(
 		interleave(eps, 8, 4), 1, multipath.OBS, 16)
 	if err != nil {
