@@ -314,7 +314,9 @@ func (d *VStellarDevice) RegisterHostMemory(gva addr.GVARange) (*rnic.MR, error)
 		Owner: addr.OwnerHostMemory,
 	})
 	if err != nil {
-		return nil, err
+		// Drop the PVDMA references MapDMA took, or the blocks stay
+		// pinned and IOMMU-mapped with no MR to release them.
+		return nil, errors.Join(err, d.pv.ReleaseDMA(gpa, gva.Size))
 	}
 	d.ControlLatency += ControlPathRTT + pinCost
 	d.mrs = append(d.mrs, mr)

@@ -2,6 +2,7 @@ package stellar
 
 import (
 	"errors"
+	"fmt"
 	"testing"
 
 	"repro/internal/addr"
@@ -364,5 +365,47 @@ func TestDeviceLimit64Ki(t *testing.T) {
 	h := newTestHost(t)
 	if h.DeviceLimit() != 64<<10 {
 		t.Errorf("DeviceLimit = %d", h.DeviceLimit())
+	}
+}
+
+// TestRegisterHostMemoryReleasesPVDMAOnMRFailure: when the RNIC rejects
+// the MR (here the MTT is full), the PVDMA blocks MapDMA registered for
+// it are released — nothing stays pinned or IOMMU-mapped.
+func TestRegisterHostMemoryReleasesPVDMAOnMRFailure(t *testing.T) {
+	cfg := DefaultHostConfig()
+	cfg.MemoryBytes = 64 << 30
+	cfg.GPUMemoryBytes = 1 << 30
+	cfg.RNICConfig = func(i int) rnic.Config {
+		c := rnic.DefaultConfig(fmt.Sprintf("rnic%d", i))
+		c.MTTCapacityPages = 1024 // 4 MiB of 4 KiB pages
+		return c
+	}
+	h, err := NewHost(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := startContainer(t, h, "c1", 1<<30, rund.PinOnDemand)
+	d, err := h.CreateVStellar(c, h.RNICs[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	gva, _, err := c.AllocGuestBuffer(8 << 20)
+	if err != nil {
+		t.Fatal(err)
+	}
+	entries := h.Hypervisor.IOMMU().Entries()
+	if _, err := d.RegisterHostMemory(gva); !errors.Is(err, rnic.ErrMTTFull) {
+		t.Fatalf("err = %v, want ErrMTTFull", err)
+	}
+	pv := d.PVDMA()
+	if pv.CachedBlocks() != 0 || pv.InflightRefs() != 0 || pv.Stats().PinnedBytes != 0 {
+		t.Errorf("PVDMA kept %d blocks, %d refs, %d bytes pinned",
+			pv.CachedBlocks(), pv.InflightRefs(), pv.Stats().PinnedBytes)
+	}
+	if p := c.GuestMemory().PinnedBytes(); p != 0 {
+		t.Errorf("guest pinned %d bytes", p)
+	}
+	if got := h.Hypervisor.IOMMU().Entries(); got != entries {
+		t.Errorf("IOMMU entries = %d, want %d", got, entries)
 	}
 }

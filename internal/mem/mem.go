@@ -59,6 +59,10 @@ type Memory struct {
 	used    uint64
 	pinned  uint64
 	regions []*Region // sorted by HPA start
+	// blockPins is the host pin ledger: block start (absolute HPA) ->
+	// size for every PinBlock pin of every region. HPAs are
+	// bump-allocated, so a start names one block across all regions.
+	blockPins map[uint64]uint64
 }
 
 // New builds a memory of the configured size.
@@ -69,7 +73,11 @@ func New(cfg Config) *Memory {
 	if cfg.PinCostPerPage4K == 0 {
 		cfg.PinCostPerPage4K = DefaultConfig().PinCostPerPage4K
 	}
-	return &Memory{cfg: cfg, next: addr.PageSize4K} // keep HPA 0 unmapped
+	return &Memory{
+		cfg:       cfg,
+		next:      addr.PageSize4K, // keep HPA 0 unmapped
+		blockPins: make(map[uint64]uint64),
+	}
 }
 
 // Region is an HPA-contiguous allocation.
@@ -77,12 +85,12 @@ type Region struct {
 	HPA   addr.HPARange
 	Label string
 
-	mem          *Memory
-	freed        bool
-	fullyPinned  bool
-	swappedOut   bool
-	pinnedBlocks map[uint64]uint64 // block start (abs HPA) -> size, for partial pins
-	pinnedBytes  uint64
+	mem         *Memory
+	freed       bool
+	fullyPinned bool
+	swappedOut  bool
+	blockPins   int // entries this region holds in the host pin ledger
+	pinnedBytes uint64
 }
 
 // Config returns the memory's configuration.
@@ -129,7 +137,7 @@ func (m *Memory) Free(r *Region) error {
 	m.pinned -= r.pinnedBytes
 	r.pinnedBytes = 0
 	r.fullyPinned = false
-	r.pinnedBlocks = nil
+	m.dropBlockPins(r)
 	for i, reg := range m.regions {
 		if reg == r {
 			m.regions = append(m.regions[:i], m.regions[i+1:]...)
@@ -178,7 +186,7 @@ func (m *Memory) PinAll(r *Region) (sim.Duration, error) {
 	m.pinned += r.HPA.Size - r.pinnedBytes
 	r.pinnedBytes = r.HPA.Size
 	r.fullyPinned = true
-	r.pinnedBlocks = nil
+	m.dropBlockPins(r)
 	r.swappedOut = false
 	return cost, nil
 }
@@ -191,8 +199,22 @@ func (m *Memory) UnpinAll(r *Region) error {
 	m.pinned -= r.pinnedBytes
 	r.pinnedBytes = 0
 	r.fullyPinned = false
-	r.pinnedBlocks = nil
+	m.dropBlockPins(r)
 	return nil
+}
+
+// dropBlockPins removes the region's block pins from the host ledger;
+// their bytes are already accounted by the caller.
+func (m *Memory) dropBlockPins(r *Region) {
+	if r.blockPins == 0 {
+		return
+	}
+	for start := range m.blockPins {
+		if r.HPA.Contains(start) {
+			delete(m.blockPins, start)
+		}
+	}
+	r.blockPins = 0
 }
 
 // PinBlock pins a sub-range of the region (the PVDMA on-demand path).
@@ -213,13 +235,11 @@ func (m *Memory) PinBlock(r *Region, offset, size uint64) (sim.Duration, error) 
 		return 0, ErrDoublePin
 	}
 	start := r.HPA.Start + offset
-	if r.pinnedBlocks == nil {
-		r.pinnedBlocks = make(map[uint64]uint64)
-	}
-	if _, dup := r.pinnedBlocks[start]; dup {
+	if _, dup := m.blockPins[start]; dup {
 		return 0, ErrDoublePin
 	}
-	r.pinnedBlocks[start] = size
+	m.blockPins[start] = size
+	r.blockPins++
 	r.pinnedBytes += size
 	m.pinned += size
 	r.swappedOut = false
@@ -231,12 +251,16 @@ func (m *Memory) UnpinBlock(r *Region, offset uint64) error {
 	if r.freed {
 		return ErrFreedRegion
 	}
+	if offset >= r.HPA.Size {
+		return ErrNotPinned
+	}
 	start := r.HPA.Start + offset
-	size, ok := r.pinnedBlocks[start]
+	size, ok := m.blockPins[start]
 	if !ok {
 		return ErrNotPinned
 	}
-	delete(r.pinnedBlocks, start)
+	delete(m.blockPins, start)
+	r.blockPins--
 	r.pinnedBytes -= size
 	m.pinned -= size
 	return nil
@@ -248,7 +272,10 @@ func (r *Region) BlockPinned(offset uint64) bool {
 	if r.fullyPinned {
 		return true
 	}
-	_, ok := r.pinnedBlocks[r.HPA.Start+offset]
+	if offset >= r.HPA.Size {
+		return false
+	}
+	_, ok := r.mem.blockPins[r.HPA.Start+offset]
 	return ok
 }
 

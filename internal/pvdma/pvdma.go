@@ -16,7 +16,7 @@ package pvdma
 import (
 	"errors"
 	"fmt"
-	"sort"
+	"math/bits"
 	"time"
 
 	"repro/internal/addr"
@@ -70,14 +70,25 @@ type Stats struct {
 }
 
 // Manager runs PVDMA for one container.
+//
+// The Map Cache is flat: block index i = GPA / BlockSize lives in slot
+// i%leafSlots of the leaf keyed i/leafSlots. Slots hold no pointers, so
+// the GC never scans a leaf, and a steady-state register or evict
+// allocates nothing.
 type Manager struct {
-	cfg       Config
-	container *rund.Container
-	blocks    map[uint64]*block // block-aligned GPA -> state
-	stats     Stats
-	unmapErrs metrics.Counter // mirrors Stats.UnmapErrors, scrape-safe
-	pinned    metrics.Gauge   // live pinned bytes; Max is the high-water mark
-	evictions metrics.Counter // blocks evicted (refcount zero or fenced)
+	cfg        Config
+	blockShift uint // log2(cfg.BlockSize): block index = GPA >> blockShift
+	container  *rund.Container
+	dir        []leafRef // Map Cache leaves, sorted by key
+	lastLeaf   int       // dir position of the last leaf looked up
+	spare      *leaf     // one emptied leaf kept for the next miss
+	split      []splitPair
+	cached     int // blocks in the Map Cache
+	refs       int // MapDMA references across cached blocks
+	stats      Stats
+	unmapErrs  metrics.Counter // mirrors Stats.UnmapErrors, scrape-safe
+	pinned     metrics.Gauge   // live pinned bytes; Max is the high-water mark
+	evictions  metrics.Counter // blocks evicted (refcount zero or fenced)
 
 	tr   *trace.Tracer
 	host string
@@ -90,18 +101,44 @@ func (m *Manager) SetTracer(t *trace.Tracer, host string) {
 	m.host = host
 }
 
-type block struct {
-	gpa  uint64 // block-aligned guest-physical start
-	refs int
-	// iommuStarts are the DA starts of the entries this block installed.
-	iommuStarts []addr.DA
-	// pins are guest-RAM offsets pinned on behalf of this block.
-	pins []pinRec
+// leafSlots is the number of blocks one Map Cache leaf covers: 128 MiB
+// of GPA at the default 2 MiB block.
+const leafSlots = 64
+
+type leaf [leafSlots]slot
+
+type leafRef struct {
+	key   uint64 // block index / leafSlots
+	live  int    // cached blocks in the leaf
+	slots *leaf
+}
+
+// slot is one block's Map Cache entry; refs == 0 means not cached. It
+// holds the first (IOMMU entry, guest pin) pair the block installed.
+// A block the EPT splits (a direct-mapped device register inside it)
+// installs more pairs; those go to Manager.split.
+type slot struct {
+	refs  int32
+	split bool
+	pair
+}
+
+// pair is one IOMMU entry a block installed at DA da, and the guest-RAM
+// pin behind it (size 0 when the span is BAR-backed or failed to pin).
+type pair struct {
+	da  addr.DA
+	pin pinRec
 }
 
 type pinRec struct {
 	offset uint64
 	size   uint64
+}
+
+// splitPair is an extra pair of the block at index block.
+type splitPair struct {
+	block uint64
+	pair
 }
 
 // New builds a PVDMA manager for the container and registers it as a
@@ -115,7 +152,7 @@ func New(c *rund.Container, cfg Config) *Manager {
 	if cfg.MapCacheHitLatency == 0 {
 		cfg.MapCacheHitLatency = d.MapCacheHitLatency
 	}
-	m := &Manager{cfg: cfg, container: c, blocks: make(map[uint64]*block)}
+	m := &Manager{cfg: cfg, blockShift: uint(bits.TrailingZeros64(cfg.BlockSize)), container: c}
 	c.RegisterDMAFence("pvdma", m)
 	return m
 }
@@ -127,7 +164,7 @@ func (m *Manager) Config() Config { return m.cfg }
 func (m *Manager) Stats() Stats { return m.stats }
 
 // CachedBlocks reports how many blocks are live in the Map Cache.
-func (m *Manager) CachedBlocks() int { return len(m.blocks) }
+func (m *Manager) CachedBlocks() int { return m.cached }
 
 // blockAlign returns the block-aligned cover of [gpa, gpa+size).
 func (m *Manager) blockAlign(gpa addr.GPA, size uint64) (first, last uint64) {
@@ -136,10 +173,79 @@ func (m *Manager) blockAlign(gpa addr.GPA, size uint64) (first, last uint64) {
 	return first, last
 }
 
+// leaf returns the directory entry of the leaf holding block index idx,
+// adding an empty leaf if create is set, or nil.
+func (m *Manager) leaf(idx uint64, create bool) *leafRef {
+	key := idx / leafSlots
+	if p := m.lastLeaf; p < len(m.dir) && m.dir[p].key == key {
+		return &m.dir[p]
+	}
+	i, ok := m.findLeaf(key)
+	if !ok {
+		if !create {
+			return nil
+		}
+		l := m.spare
+		if l == nil {
+			l = new(leaf)
+		}
+		m.spare = nil
+		m.dir = append(m.dir, leafRef{})
+		copy(m.dir[i+1:], m.dir[i:])
+		m.dir[i] = leafRef{key: key, slots: l}
+	}
+	m.lastLeaf = i
+	return &m.dir[i]
+}
+
+// findLeaf returns the directory position of key, or where it would go.
+func (m *Manager) findLeaf(key uint64) (int, bool) {
+	lo, hi := 0, len(m.dir)
+	for lo < hi {
+		mid := int(uint(lo+hi) >> 1)
+		if m.dir[mid].key < key {
+			lo = mid + 1
+		} else {
+			hi = mid
+		}
+	}
+	return lo, lo < len(m.dir) && m.dir[lo].key == key
+}
+
+// dropLeaf removes an emptied leaf from the directory, keeping it as
+// the spare so a miss-then-release cycle does not reallocate it.
+func (m *Manager) dropLeaf(ref *leafRef) {
+	m.spare = ref.slots
+	i, _ := m.findLeaf(ref.key)
+	m.dir = append(m.dir[:i], m.dir[i+1:]...)
+}
+
+// lookup returns the slot of block index idx if the block is cached.
+func (m *Manager) lookup(idx uint64) *slot {
+	ref := m.leaf(idx, false)
+	if ref == nil {
+		return nil
+	}
+	if s := &ref.slots[idx%leafSlots]; s.refs > 0 {
+		return s
+	}
+	return nil
+}
+
+// movePinned adds the pinned-byte change since before to the gauge, in
+// one move per call.
+func (m *Manager) movePinned(before uint64) {
+	if d := int64(m.stats.PinnedBytes - before); d != 0 {
+		m.pinned.Add(d)
+	}
+}
+
 // MapDMA prepares [gpa, gpa+size) for device DMA, registering and
 // pinning any blocks not yet in the Map Cache, and returns the
 // virtual-time cost (stage ①–③ of Figure 4). Every call takes a
-// reference on each covered block; pair with ReleaseDMA.
+// reference on each covered block; pair with ReleaseDMA. A call that
+// fails takes no references: blocks it registered before the failing
+// one are released again.
 func (m *Manager) MapDMA(gpa addr.GPA, size uint64) (sim.Duration, error) {
 	if size == 0 {
 		return 0, fmt.Errorf("pvdma: empty MapDMA at %v", gpa)
@@ -147,30 +253,44 @@ func (m *Manager) MapDMA(gpa addr.GPA, size uint64) (sim.Duration, error) {
 	if m.container.Stopped() {
 		return 0, fmt.Errorf("%w: %s", ErrContainerStopped, m.container.Name())
 	}
+	pinnedBefore := m.stats.PinnedBytes
 	var cost sim.Duration
 	var hits, misses uint64
 	first, last := m.blockAlign(gpa, size)
+	idx := first >> m.blockShift
 	for b := first; ; b += m.cfg.BlockSize {
 		cost += m.cfg.MapCacheHitLatency // cache lookup always happens
-		if blk, ok := m.blocks[b]; ok {
+		ref := m.leaf(idx, true)
+		if s := &ref.slots[idx%leafSlots]; s.refs > 0 {
 			m.stats.CacheHits++
 			hits++
-			blk.refs++
+			s.refs++
 		} else {
 			m.stats.CacheMisses++
 			misses++
-			blk, c, err := m.registerBlock(b)
+			c, err := m.registerBlock(b, idx, s)
 			if err != nil {
+				if ref.live == 0 {
+					m.dropLeaf(ref)
+				}
+				if b > first {
+					m.release(first, b-m.cfg.BlockSize)
+				}
+				m.movePinned(pinnedBefore)
 				return cost, err
 			}
 			cost += c
-			m.blocks[b] = blk
+			ref.live++
+			m.cached++
 			m.stats.BlocksRegistered++
 		}
+		m.refs++
 		if b == last {
 			break
 		}
+		idx++
 	}
+	m.movePinned(pinnedBefore)
 	if m.tr.Enabled() {
 		m.tr.Complete(m.host, "pvdma", "pvdma", "map-dma", cost,
 			trace.U("bytes", size), trace.U("cache-hit", hits),
@@ -181,14 +301,15 @@ func (m *Manager) MapDMA(gpa addr.GPA, size uint64) (sim.Duration, error) {
 
 // registerBlock resolves the block's GPA span through the EPT and
 // installs IOMMU entries for every backed sub-range, pinning guest-RAM
-// pages. Sub-ranges the EPT maps to device BARs (e.g. a direct-mapped
-// doorbell) are installed in the IOMMU but not pinned — faithfully
-// reproducing the hazard: the stale entry is real hardware state.
-func (m *Manager) registerBlock(bgpa uint64) (*block, sim.Duration, error) {
+// pages, and records them in the block's empty slot s. Sub-ranges the
+// EPT maps to device BARs (e.g. a direct-mapped doorbell) are installed
+// in the IOMMU but not pinned — faithfully reproducing the hazard: the
+// stale entry is real hardware state. On error s is left empty.
+func (m *Manager) registerBlock(bgpa, idx uint64, s *slot) (sim.Duration, error) {
 	c := m.container
 	hyp := c.Hypervisor()
+	guest := c.GuestMemory()
 	blockRange := addr.Range{Start: bgpa, Size: m.cfg.BlockSize}
-	blk := &block{gpa: bgpa, refs: 1}
 	var cost sim.Duration
 	found := false
 
@@ -210,86 +331,137 @@ func (m *Manager) registerBlock(bgpa uint64) (*block, sim.Duration, error) {
 			return true
 		}
 		cost += mapCost
-		blk.iommuStarts = append(blk.iommuStarts, da)
-		found = true
+		p := pair{da: da}
 
 		// Pin only guest RAM. BAR-backed spans (device registers) have
 		// nothing to pin.
-		guest := c.GuestMemory()
 		if subHPA >= guest.HPA.Start && subHPA < guest.HPA.End() {
 			off := subHPA - guest.HPA.Start
 			pinCost, err := hyp.Memory().PinBlock(guest, off, sub.Size)
 			if err == nil {
 				cost += pinCost
-				blk.pins = append(blk.pins, pinRec{offset: off, size: sub.Size})
+				p.pin = pinRec{offset: off, size: sub.Size}
 				m.stats.PinnedBytes += sub.Size
-				m.pinned.Add(int64(sub.Size))
 			}
+		}
+		if !found {
+			s.pair = p
+			found = true
+		} else {
+			s.split = true
+			m.split = append(m.split, splitPair{block: idx, pair: p})
 		}
 		return true
 	})
 
 	if !found {
-		return nil, cost, fmt.Errorf("%w: block %#x", ErrUnmappedGPA, bgpa)
+		return cost, fmt.Errorf("%w: block %#x", ErrUnmappedGPA, bgpa)
 	}
-	return blk, cost, nil
+	s.refs = 1
+	return cost, nil
 }
 
 // ReleaseDMA drops one reference on each block covering the range. A
 // block whose refcount reaches zero is unmapped from the IOMMU and its
 // pages unpinned. Blocks still referenced stay fully installed — the
 // "incorrect retention" of Figure 5 step 4 when another user (the GPU's
-// command queue) holds the block.
+// command queue) holds the block. A range with any block not in the Map
+// Cache is rejected whole.
 func (m *Manager) ReleaseDMA(gpa addr.GPA, size uint64) error {
 	if size == 0 {
 		return fmt.Errorf("pvdma: empty ReleaseDMA at %v", gpa)
 	}
 	first, last := m.blockAlign(gpa, size)
-	for b := first; ; b += m.cfg.BlockSize {
-		blk, ok := m.blocks[b]
-		if !ok {
+	for b, idx := first, first>>m.blockShift; ; b, idx = b+m.cfg.BlockSize, idx+1 {
+		if m.lookup(idx) == nil {
 			return fmt.Errorf("%w: block %#x", ErrNotMapped, b)
-		}
-		blk.refs--
-		if blk.refs == 0 {
-			m.evict(blk)
 		}
 		if b == last {
 			break
 		}
 	}
+	pinnedBefore := m.stats.PinnedBytes
+	m.release(first, last)
+	m.movePinned(pinnedBefore)
 	return nil
 }
 
-func (m *Manager) evict(blk *block) {
-	m.tr.Instant(m.host, "pvdma", "pvdma", "block-evict",
-		trace.U("gpa", blk.gpa))
-	hyp := m.container.Hypervisor()
-	for _, da := range blk.iommuStarts {
-		if err := hyp.IOMMU().Unmap(da); err != nil {
-			// An entry the IOMMU no longer holds where PVDMA installed
-			// one means somebody else unmapped it (or the driver state
-			// diverged) — either way a translation may still be live.
-			// Count it; silently dropping the error hides exactly the
-			// stale-entry class of bug Figure 5 is about.
-			m.unmapErrs.Inc()
-			m.stats.UnmapErrors++
-			m.tr.Instant(m.host, "pvdma", "pvdma", "unmap-error",
-				trace.U("da", uint64(da)), trace.S("err", err.Error()))
+// release drops one reference on each cached block from first to last
+// (block-aligned GPAs), evicting those that reach zero.
+func (m *Manager) release(first, last uint64) {
+	for idx, end := first>>m.blockShift, last>>m.blockShift; idx <= end; idx++ {
+		ref := m.leaf(idx, false)
+		i := int(idx % leafSlots)
+		ref.slots[i].refs--
+		m.refs--
+		if ref.slots[i].refs == 0 {
+			m.evict(ref, i)
 		}
 	}
-	guest := m.container.GuestMemory()
-	for _, p := range blk.pins {
-		if err := hyp.Memory().UnpinBlock(guest, p.offset); err != nil {
-			m.tr.Instant(m.host, "pvdma", "pvdma", "unpin-error",
-				trace.U("offset", p.offset), trace.S("err", err.Error()))
-		}
-		m.stats.PinnedBytes -= p.size
-		m.pinned.Add(-int64(p.size))
+}
+
+// evict tears down slot i of the leaf: IOMMU entries out, then guest
+// pages unpinned, each in the order registerBlock installed them.
+func (m *Manager) evict(ref *leafRef, i int) {
+	s := &ref.slots[i]
+	idx := ref.key*leafSlots + uint64(i)
+	if m.tr.Enabled() {
+		m.tr.Instant(m.host, "pvdma", "pvdma", "block-evict",
+			trace.U("gpa", idx<<m.blockShift))
 	}
-	delete(m.blocks, blk.gpa)
+	m.unmap(s.da)
+	if s.split {
+		for _, sp := range m.split {
+			if sp.block == idx {
+				m.unmap(sp.da)
+			}
+		}
+	}
+	m.unpin(s.pin)
+	if s.split {
+		kept := m.split[:0]
+		for _, sp := range m.split {
+			if sp.block == idx {
+				m.unpin(sp.pin)
+			} else {
+				kept = append(kept, sp)
+			}
+		}
+		m.split = kept
+	}
+	m.refs -= int(s.refs)
+	*s = slot{}
+	m.cached--
 	m.stats.BlocksReleased++
 	m.evictions.Inc()
+	if ref.live--; ref.live == 0 {
+		m.dropLeaf(ref)
+	}
+}
+
+func (m *Manager) unmap(da addr.DA) {
+	if err := m.container.Hypervisor().IOMMU().Unmap(da); err != nil {
+		// An entry the IOMMU no longer holds where PVDMA installed
+		// one means somebody else unmapped it (or the driver state
+		// diverged) — either way a translation may still be live.
+		// Count it; silently dropping the error hides exactly the
+		// stale-entry class of bug Figure 5 is about.
+		m.unmapErrs.Inc()
+		m.stats.UnmapErrors++
+		m.tr.Instant(m.host, "pvdma", "pvdma", "unmap-error",
+			trace.U("da", uint64(da)), trace.S("err", err.Error()))
+	}
+}
+
+func (m *Manager) unpin(p pinRec) {
+	if p.size == 0 {
+		return
+	}
+	if err := m.container.Hypervisor().Memory().UnpinBlock(m.container.GuestMemory(), p.offset); err != nil {
+		m.tr.Instant(m.host, "pvdma", "pvdma", "unpin-error",
+			trace.U("offset", p.offset), trace.S("err", err.Error()))
+	}
+	m.stats.PinnedBytes -= p.size
 }
 
 // PinnedGauge exposes live pinned bytes as a gauge; its Max is the
@@ -306,29 +478,31 @@ func (m *Manager) UnmapErrors() *metrics.Counter { return &m.unmapErrs }
 
 // InflightRefs implements rund.DMAFence: outstanding MapDMA references
 // across all cached blocks.
-func (m *Manager) InflightRefs() int {
-	refs := 0
-	for _, blk := range m.blocks {
-		refs += blk.refs
-	}
-	return refs
-}
+func (m *Manager) InflightRefs() int { return m.refs }
 
 // FenceDMA implements rund.DMAFence: force-evict every cached block —
 // IOMMU entries out, pages unpinned — regardless of refcount. Called
 // by Container.Stop after device quiesce and before guest memory is
 // unpinned; blocks go in GPA order so the trace is deterministic.
 func (m *Manager) FenceDMA() int {
-	gpas := make([]uint64, 0, len(m.blocks))
-	for g := range m.blocks {
-		gpas = append(gpas, g)
+	pinnedBefore := m.stats.PinnedBytes
+	n := m.cached
+	for len(m.dir) > 0 {
+		ref := &m.dir[0]
+		for i := range ref.slots {
+			if ref.slots[i].refs == 0 {
+				continue
+			}
+			lastInLeaf := ref.live == 1
+			m.evict(ref, i) // the leaf's last block drops it from dir
+			m.stats.BlocksFenced++
+			if lastInLeaf {
+				break
+			}
+		}
 	}
-	sort.Slice(gpas, func(i, j int) bool { return gpas[i] < gpas[j] })
-	for _, g := range gpas {
-		m.evict(m.blocks[g])
-		m.stats.BlocksFenced++
-	}
-	return len(gpas)
+	m.movePinned(pinnedBefore)
+	return n
 }
 
 // MapDoorbellSHM explicitly installs a virtio-shm-hosted doorbell window
@@ -347,8 +521,7 @@ func (m *Manager) MapDoorbellSHM(gpa addr.GPA, hpa addr.HPARange) (sim.Duration,
 // BlockRegistered reports whether the block containing gpa is in the
 // Map Cache.
 func (m *Manager) BlockRegistered(gpa addr.GPA) bool {
-	_, ok := m.blocks[addr.AlignDown(uint64(gpa), m.cfg.BlockSize)]
-	return ok
+	return m.lookup(uint64(gpa)>>m.blockShift) != nil
 }
 
 func max64(a, b uint64) uint64 {

@@ -20,13 +20,12 @@ func TestEvictCountsUnmapErrors(t *testing.T) {
 	if _, err := w.mgr.MapDMA(addr.GPA(gpa.Start), gpa.Size); err != nil {
 		t.Fatal(err)
 	}
-	first, _ := w.mgr.blockAlign(addr.GPA(gpa.Start), gpa.Size)
-	blk := w.mgr.blocks[first]
-	if blk == nil || len(blk.iommuStarts) == 0 {
+	blk := w.mgr.lookup(gpa.Start >> w.mgr.blockShift)
+	if blk == nil {
 		t.Fatal("block has no IOMMU mappings to sabotage")
 	}
 	// Sabotage: remove the IOMMU entry out from under the Map Cache.
-	if err := w.hyp.IOMMU().Unmap(blk.iommuStarts[0]); err != nil {
+	if err := w.hyp.IOMMU().Unmap(blk.da); err != nil {
 		t.Fatal(err)
 	}
 	if err := w.mgr.ReleaseDMA(addr.GPA(gpa.Start), gpa.Size); err != nil {
