@@ -75,6 +75,10 @@ func run() int {
 		memProfFlag  = flag.String("memprofile", "", "write an allocation profile to this file at exit (after a final GC)")
 	)
 	flag.Parse()
+	if *resumeFlag && *ckptFlag == "" {
+		fmt.Fprintln(os.Stderr, "stellarbench: -resume needs -checkpoint DIR (the directory to resume from)")
+		return 2
+	}
 
 	stopProfiles, err := startProfiles(*cpuProfFlag, *memProfFlag)
 	if err != nil {

@@ -85,6 +85,42 @@ func TestLoadRejectsNegativeGrayDelay(t *testing.T) {
 	}
 }
 
+// TestLoadRejectsOverflowingOffsets: an event whose fault or clear
+// time lies past the end of virtual time must fail to load, not wrap
+// negative and crash the run at playback.
+func TestLoadRejectsOverflowingOffsets(t *testing.T) {
+	b := []byte(`{"name": "x", "events": [{"at": "2000000h", "for": "2000000h",
+		"kind": "link-down", "link": {"tier": "tor-agg", "dir": "up"}}]}`)
+	if _, err := Load(b); err == nil {
+		t.Error("at+for past the end of virtual time loaded")
+	}
+	near := time.Duration(math.MaxInt64 - 10)
+	if err := NewScenario("x").Add(Event{At: near, Jitter: time.Second, Kind: NICFlushATC}).Validate(); err == nil {
+		t.Error("at+jitter past the end of virtual time validated")
+	}
+	if err := NewScenario("x").Add(Event{At: near, Kind: NICFlushATC}).Validate(); err != nil {
+		t.Errorf("offset at the end of virtual time rejected: %v", err)
+	}
+}
+
+// TestPlayRejectsOverflowPastNow: a valid offset that only overflows
+// once added to the current virtual time is rejected by Play.
+func TestPlayRejectsOverflowPastNow(t *testing.T) {
+	eng := sim.NewEngine(1)
+	eng.After(time.Millisecond, func() {})
+	eng.RunAll()
+	ce := New(eng, nil)
+	ce.RegisterNIC(&fakeNIC{name: "rnic0"})
+	sc := NewScenario("late").FlushATC(time.Duration(math.MaxInt64-int64(time.Microsecond)), "*")
+	if err := ce.Play(sc); err == nil {
+		t.Fatal("offset past the end of virtual time played")
+	}
+	eng.RunAll()
+	if len(ce.Log()) != 0 {
+		t.Error("rejected scenario left firings in the log")
+	}
+}
+
 // TestPlayRejectsUnboundTargets: Play must fail up front — before
 // scheduling anything — when the scenario addresses links, switches or
 // NICs the bound topology does not have.

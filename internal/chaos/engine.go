@@ -2,6 +2,7 @@ package chaos
 
 import (
 	"fmt"
+	"math"
 	"time"
 
 	"repro/internal/fabric"
@@ -117,6 +118,11 @@ func (e *Engine) Play(sc *Scenario) error {
 	for i, ev := range sc.Events {
 		if err := e.bindCheck(ev); err != nil {
 			return fmt.Errorf("chaos: %s event %d: %w", sc.Name, i, err)
+		}
+		// The clear action lands at most At+Jitter+For past base.
+		if sim.Duration(math.MaxInt64-base) < ev.At+ev.Jitter+ev.For {
+			return fmt.Errorf("chaos: %s event %d: offset %v from now %v overflows virtual time",
+				sc.Name, i, ev.At+ev.Jitter+ev.For, base)
 		}
 		at := base.Add(ev.At)
 		if ev.Jitter > 0 {

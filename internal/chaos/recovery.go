@@ -1,6 +1,8 @@
 package chaos
 
 import (
+	"time"
+
 	"repro/internal/sim"
 	"repro/internal/trace"
 )
@@ -12,6 +14,10 @@ type RecoveryConfig struct {
 	// Settle is the fraction of pre-fault baseline goodput at which a
 	// flow counts as recovered (default 0.9).
 	Settle float64
+	// StallAfter is how long a flow's received-bytes counter must sit
+	// still before the observer flags a stall (default 1 ms — four
+	// RTOs: repathing that works never trips it).
+	StallAfter sim.Duration
 }
 
 // FlowSource exposes one flow's cumulative counters to the observer.
@@ -41,10 +47,36 @@ type FlowRecovery struct {
 	DipBytes float64
 }
 
-// Recovery watches transport counters across a fault episode, measuring
-// per-flow time-to-detect, time-to-recover and goodput-dip area. Wire
-// it to a chaos engine with Attach (the first injected fault starts the
-// episode), then read Report after the run.
+// Stall is one detected liveness violation on a watched flow.
+type Stall struct {
+	Flow string
+	// Since is the last time progress was observed; At is when the
+	// observer flagged the stall (Since + StallAfter, at sampling
+	// granularity).
+	Since sim.Time
+	At    sim.Time
+	// ClearedAt is when progress resumed; zero while still stalled.
+	ClearedAt sim.Time
+}
+
+// Duration reports how long the flow was actually stalled (progress
+// gap, not detection gap). Open stalls report against end, the
+// observation end passed to the caller's accounting (typically the
+// run horizon).
+func (s Stall) Duration(end sim.Time) sim.Duration {
+	if s.ClearedAt != 0 {
+		return s.ClearedAt.Sub(s.Since)
+	}
+	return end.Sub(s.Since)
+}
+
+// Recovery watches transport counters, measuring per-flow
+// time-to-detect, time-to-recover and goodput-dip area across a fault
+// episode. Wire it to a chaos engine with Attach (the first injected
+// fault starts the episode), then read Report after the run. It also
+// flags stalls — flows whose received bytes sit still for StallAfter,
+// like one quiesced in FlowError — read with Stalls and traced on the
+// "watchdog" lane.
 type Recovery struct {
 	eng *sim.Engine
 	cfg RecoveryConfig
@@ -54,6 +86,7 @@ type Recovery struct {
 	faulted bool
 	stopped bool
 	started bool
+	stalls  []Stall
 }
 
 type flowState struct {
@@ -70,6 +103,15 @@ type flowState struct {
 	rec FlowRecovery
 	// span is the per-flow recovery trace span (zero when untraced).
 	span trace.ID
+
+	// Stall detection state: lastMoveAt is the last sample at which Rx
+	// advanced; done flows (MarkDone) are quiet legitimately.
+	moved      bool
+	lastMoveAt sim.Time
+	done       bool
+	stalled    bool
+	open       int      // index into stalls of the open episode
+	stallSpan  trace.ID // stall trace span (zero when untraced)
 }
 
 // NewRecovery builds an observer on the engine's virtual clock.
@@ -79,6 +121,9 @@ func NewRecovery(eng *sim.Engine, cfg RecoveryConfig) *Recovery {
 	}
 	if cfg.Settle == 0 {
 		cfg.Settle = 0.9
+	}
+	if cfg.StallAfter == 0 {
+		cfg.StallAfter = time.Millisecond
 	}
 	return &Recovery{eng: eng, cfg: cfg}
 }
@@ -122,14 +167,17 @@ func (r *Recovery) NoteFault() {
 }
 
 // Start begins sampling. The pre-fault samples build each flow's
-// baseline; post-fault samples drive detection and recovery.
+// baseline; post-fault samples drive detection and recovery; every
+// sample drives stall detection.
 func (r *Recovery) Start() {
 	if r.started {
 		return
 	}
 	r.started = true
+	now := r.eng.Now()
 	for _, fs := range r.flows {
 		fs.lastRx = fs.src.Rx()
+		fs.lastMoveAt = now
 	}
 	r.eng.After(r.cfg.Period, r.tick)
 }
@@ -137,6 +185,29 @@ func (r *Recovery) Start() {
 // Stop ends sampling after the current period.
 func (r *Recovery) Stop() { r.stopped = true }
 
+// MarkDone ends stall detection on a flow: a transfer that has
+// delivered everything is quiet legitimately, not stalled. Any open
+// stall episode on the flow is closed at the current time. The flow
+// keeps its recovery verdict.
+func (r *Recovery) MarkDone(name string) {
+	for _, fs := range r.flows {
+		if fs.name == name && !fs.done {
+			fs.done = true
+			if fs.stalled {
+				r.clearStall(fs, r.eng.Now())
+			}
+			return
+		}
+	}
+}
+
+// Stalls returns every stall episode recorded so far, in detection
+// order. Episodes still open have a zero ClearedAt.
+func (r *Recovery) Stalls() []Stall { return r.stalls }
+
+// tick takes one sample: the recovery pass over every flow, then the
+// stall pass over the flows not yet done. The order fixes where stall
+// spans fall among recovery spans in the trace.
 func (r *Recovery) tick() {
 	if r.stopped {
 		return
@@ -148,6 +219,7 @@ func (r *Recovery) tick() {
 		rx := fs.src.Rx()
 		delta := rx - fs.lastRx
 		fs.lastRx = rx
+		fs.moved = delta != 0
 		if !r.faulted {
 			fs.preSamples++
 			fs.preBytes += delta
@@ -189,7 +261,39 @@ func (r *Recovery) tick() {
 			}
 		}
 	}
+	for _, fs := range r.flows {
+		if fs.done {
+			continue
+		}
+		if fs.moved {
+			if fs.stalled {
+				r.clearStall(fs, now)
+			}
+			fs.lastMoveAt = now
+			continue
+		}
+		if !fs.stalled && now.Sub(fs.lastMoveAt) >= r.cfg.StallAfter {
+			fs.stalled = true
+			fs.open = len(r.stalls)
+			r.stalls = append(r.stalls, Stall{Flow: fs.name, Since: fs.lastMoveAt, At: now})
+			if tr.Enabled() {
+				fs.stallSpan = tr.NewID()
+				tr.SpanBegin(fs.stallSpan, "chaos", "watchdog", "flow", fs.name,
+					trace.D("quiet", now.Sub(fs.lastMoveAt)))
+			}
+		}
+	}
 	r.eng.After(r.cfg.Period, r.tick)
+}
+
+// clearStall closes a flow's open stall episode at now.
+func (r *Recovery) clearStall(fs *flowState, now sim.Time) {
+	fs.stalled = false
+	r.stalls[fs.open].ClearedAt = now
+	if tr := r.eng.Tracer(); tr.Enabled() {
+		tr.SpanEnd(fs.stallSpan, "chaos", "watchdog", "flow", fs.name,
+			trace.D("stalled-for", now.Sub(r.stalls[fs.open].Since)))
+	}
 }
 
 // Report returns the per-flow verdicts in Watch order.

@@ -7,8 +7,8 @@
 // deterministic RNG, so the same scenario + seed reproduces the same
 // failure timeline byte-for-byte under either event scheduler. The
 // Recovery observer watches transport counters through the faults and
-// reports per-flow time-to-detect, time-to-recover and goodput-dip
-// area.
+// reports per-flow time-to-detect, time-to-recover, goodput-dip area
+// and stalls.
 //
 // Scenarios are built either with the fluent Go API:
 //
@@ -29,6 +29,7 @@ package chaos
 import (
 	"encoding/json"
 	"fmt"
+	"math"
 	"os"
 	"time"
 
@@ -207,6 +208,9 @@ func (e Event) validate() error {
 	}
 	if e.At < 0 || e.Jitter < 0 || e.For < 0 || e.Gray.Delay < 0 {
 		return fmt.Errorf("chaos: %s: negative time", e.Kind)
+	}
+	if e.Jitter > math.MaxInt64-e.At || e.For > math.MaxInt64-e.At-e.Jitter {
+		return fmt.Errorf("chaos: %s: at+jitter+for overflows virtual time", e.Kind)
 	}
 	if e.Kind == Gray && e.Gray.Loss == 0 && e.Gray.Delay == 0 && (e.Gray.BWFactor == 0 || e.Gray.BWFactor == 1) {
 		return fmt.Errorf("chaos: gray event at %v degrades nothing", e.At)

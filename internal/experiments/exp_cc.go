@@ -43,14 +43,7 @@ func AblationCC(s *Session) (*Table, error) {
 		var res collective.Result
 		ring.Reduce(eng, 8<<20, func(r collective.Result) { res = r; eng.Halt() })
 		eng.Run(sim.Time(500 * time.Millisecond))
-		var maxQ uint64
-		for seg := 0; seg < 2; seg++ {
-			for _, s := range f.UplinkStats(seg) {
-				if s.MaxQueue > maxQ {
-					maxQ = s.MaxQueue
-				}
-			}
-		}
+		maxQ := maxUplinkQueue(f, 2)
 		var ecnAcks uint64
 		for _, c := range ring.Conns() {
 			ecnAcks += c.ECNAcks

@@ -16,7 +16,7 @@ import (
 // uplink (loss + latency inflation + a bandwidth cap) and a whole
 // aggregation-switch reboot, with the chaos engine injecting the faults
 // and the recovery observer measuring per-flow time-to-detect,
-// time-to-recover and goodput-dip area. Path blacklisting with
+// time-to-recover, goodput-dip area and stalls. Path blacklisting with
 // probe-based reinstatement is armed on every connection and fed by the
 // chaos event bus.
 func FailureSweep(s *Session) (*Table, error) {
@@ -53,7 +53,6 @@ func FailureSweep(s *Session) (*Table, error) {
 		ce := chaos.New(eng, f)
 		rec := chaos.NewRecovery(eng, chaos.RecoveryConfig{})
 		rec.Attach(ce)
-		wd := chaos.NewWatchdog(eng, chaos.WatchdogConfig{})
 		var bls []*multipath.Blacklist
 		var conns []*transport.Conn
 		for i := 0; i < flows; i++ {
@@ -71,7 +70,6 @@ func FailureSweep(s *Session) (*Table, error) {
 				Rx:   c.PeerReceivedBytes,
 				Retx: func() uint64 { return c.Retransmits },
 			})
-			wd.Watch(fmt.Sprintf("flow-%d", flow), c.PeerReceivedBytes)
 		}
 		// Feed fabric faults into every connection's path blacklist: a
 		// dead aggregation switch (or uplink) quarantines the paths that
@@ -111,7 +109,6 @@ func FailureSweep(s *Session) (*Table, error) {
 			}
 		})
 		rec.Start()
-		wd.Start()
 		if err := ce.Play(sc); err != nil {
 			return 0, nil, 0, 0, err
 		}
@@ -125,7 +122,7 @@ func FailureSweep(s *Session) (*Table, error) {
 			}
 		}
 		report := rec.Report()
-		stalls := len(wd.Stalls())
+		stalls := len(rec.Stalls())
 		for _, c := range conns {
 			c.Close()
 		}

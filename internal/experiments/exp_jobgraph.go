@@ -4,8 +4,10 @@ import (
 	"fmt"
 	"time"
 
+	"repro/internal/fabric"
 	"repro/internal/jobgraph"
 	"repro/internal/multipath"
+	"repro/internal/sim"
 	"repro/internal/transport"
 	"repro/internal/workload"
 )
@@ -105,40 +107,19 @@ func ContendedCluster(s *Session) (*Table, error) {
 		if err != nil {
 			return err
 		}
-		outcomes := make([]jobgraph.Outcome, len(jobs))
-		for j, spec := range jobs {
-			eng, f, eps := s.cluster(netConfig(16, 60), transport.Config{})
-			s.armChaos(eng, f)
-			res, err := jobgraph.RunJobs(eng, eps, []jobgraph.JobSpec{spec})
-			if err != nil {
-				return fmt.Errorf("isolated %s: %w", spec.Name, err)
-			}
-			outcomes[j] = jobgraph.Outcome{
-				Name: spec.Name, Kind: spec.Kind,
-				Isolated: res[0].Result.Makespan,
-			}
-		}
-		eng, f, eps := s.cluster(netConfig(16, 60), transport.Config{})
-		s.armChaos(eng, f)
-		contended, err := jobgraph.RunJobs(eng, eps, jobs)
+		// RunContended builds the shared fleet last, so f is the fabric
+		// the whole schedule contended on.
+		var f *fabric.Fabric
+		outcomes, err := jobgraph.RunContended(func() (*sim.Engine, []*transport.Endpoint) {
+			eng, fab, eps := s.cluster(netConfig(16, 60), transport.Config{})
+			s.armChaos(eng, fab)
+			f = fab
+			return eng, eps
+		}, jobs)
 		if err != nil {
 			return err
 		}
-		var maxQ uint64
-		for seg := 0; seg < 2; seg++ {
-			for _, st := range f.UplinkStats(seg) {
-				if st.MaxQueue > maxQ {
-					maxQ = st.MaxQueue
-				}
-			}
-		}
-		for j := range outcomes {
-			outcomes[j].Contended = contended[j].Result.Makespan
-			if outcomes[j].Isolated > 0 {
-				outcomes[j].Slowdown = outcomes[j].Contended.Seconds() / outcomes[j].Isolated.Seconds()
-			}
-		}
-		outs[i] = cellOut{outcomes: outcomes, maxQ: maxQ}
+		outs[i] = cellOut{outcomes: outcomes, maxQ: maxUplinkQueue(f, 2)}
 		return nil
 	})
 	if err != nil {

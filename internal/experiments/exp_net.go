@@ -421,14 +421,7 @@ func AblationPerPathCC(s *Session) (*Table, error) {
 		var res collective.Result
 		ring.Reduce(eng, 4<<20, func(r collective.Result) { res = r })
 		eng.RunAll()
-		var maxQ uint64
-		for seg := 0; seg < 2; seg++ {
-			for _, s := range f.UplinkStats(seg) {
-				if s.MaxQueue > maxQ {
-					maxQ = s.MaxQueue
-				}
-			}
-		}
+		maxQ := maxUplinkQueue(f, 2)
 		t.AddRow(mode.name, fmt.Sprintf("%d", mode.paths),
 			fmt.Sprintf("%.2f", res.BusBW/1e9), fmt.Sprintf("%.0f", float64(maxQ)/1024))
 	}

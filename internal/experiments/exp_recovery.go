@@ -29,8 +29,8 @@ import (
 //     the controller reconnects after the link repairs.
 //
 // Each condition runs with the recovery controller on and off; a second
-// flow on an unaffected host rides along as the control. The watchdog
-// observes both flows' goodput for stalls. With recovery the faulted
+// flow on an unaffected host rides along as the control. The recovery
+// observer watches both flows' goodput for stalls. With recovery the faulted
 // flow must complete every message; without it the flow must end the
 // run parked in FlowError — the assertions in exp_recovery_test.go.
 func ChaosRecovery(s *Session) (*Table, error) {
@@ -91,7 +91,7 @@ func ChaosRecovery(s *Session) (*Table, error) {
 			return nil, err
 		}
 
-		wd := chaos.NewWatchdog(eng, chaos.WatchdogConfig{})
+		obs := chaos.NewRecovery(eng, chaos.RecoveryConfig{})
 		var conns []*transport.Conn
 		for i := 0; i < flows; i++ {
 			flow := uint64(1 + i)
@@ -104,11 +104,14 @@ func ChaosRecovery(s *Session) (*Table, error) {
 			for j := 0; j < msgs; j++ {
 				var done func(sim.Time)
 				if j == msgs-1 { // finished flows are quiet, not stalled
-					done = func(sim.Time) { wd.MarkDone(name) }
+					done = func(sim.Time) { obs.MarkDone(name) }
 				}
 				c.Send(msgSize, done)
 			}
-			wd.Watch(name, c.PeerReceivedBytes)
+			obs.Watch(name, chaos.FlowSource{
+				Rx:   c.PeerReceivedBytes,
+				Retx: func() uint64 { return c.Retransmits },
+			})
 			conns = append(conns, c)
 		}
 
@@ -137,7 +140,7 @@ func ChaosRecovery(s *Session) (*Table, error) {
 
 		ce := chaos.New(eng, f)
 		ce.RegisterNIC(nic)
-		wd.Start()
+		obs.Start()
 
 		sc := chaos.NewScenario(cond)
 		switch cond {
@@ -172,7 +175,7 @@ func ChaosRecovery(s *Session) (*Table, error) {
 			r.reconnects = c.Reconnects
 		}
 		end := sim.Time(horizon)
-		for _, s := range wd.Stalls() {
+		for _, s := range obs.Stalls() {
 			i := 0
 			if s.Flow == "flow-2" {
 				i = 1

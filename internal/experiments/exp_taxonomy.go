@@ -91,12 +91,7 @@ func LBTaxonomy(s *Session) (*Table, error) {
 		if done != total {
 			return result{}, fmt.Errorf("%s (fail=%v): %d/%d flows completed", approach, failLink, done, total)
 		}
-		var maxQ uint64
-		for _, s := range f.UplinkStats(0) {
-			if s.MaxQueue > maxQ {
-				maxQ = s.MaxQueue
-			}
-		}
+		maxQ := maxUplinkQueue(f, 1)
 		return result{goodput: float64(total*bytesPerFlow) / last.Seconds(), maxQ: maxQ}, nil
 	}
 

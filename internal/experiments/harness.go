@@ -121,6 +121,18 @@ func (s *Session) cluster(fc fabric.Config, tc transport.Config) (*sim.Engine, *
 	return eng, f, eps
 }
 
+// maxUplinkQueue is the peak queue depth in bytes over the ToR→agg
+// uplinks of segments 0..segs-1: the fabric-level contention signal.
+func maxUplinkQueue(f *fabric.Fabric, segs int) uint64 {
+	var maxQ uint64
+	for seg := 0; seg < segs; seg++ {
+		for _, st := range f.UplinkStats(seg) {
+			maxQ = max(maxQ, st.MaxQueue)
+		}
+	}
+	return maxQ
+}
+
 // host builds a single server from cfg, attached to the session's
 // tracer when one is active.
 func (s *Session) host(cfg stellar.HostConfig) (*stellar.Host, error) {

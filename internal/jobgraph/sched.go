@@ -171,7 +171,10 @@ type Outcome struct {
 // fleet (its isolated baseline), then the whole schedule runs together
 // on one fleet, and each job's slowdown is the ratio of the two
 // makespans. Every run builds a private engine via newCluster, so the
-// comparison is topology-identical and deterministic.
+// comparison is topology-identical and deterministic. The shared fleet
+// is always built last — by the final newCluster call — so a caller can
+// read contention state (queue peaks, link stats) off the last fleet
+// its ClusterFunc built.
 func RunContended(newCluster ClusterFunc, jobs []JobSpec) ([]Outcome, error) {
 	if len(jobs) == 0 {
 		return nil, ErrNoJobs
