@@ -121,6 +121,9 @@ func New(cfg Config) (*IOMMU, error) {
 	if cfg.PageSize == 0 {
 		cfg.PageSize = d.PageSize
 	}
+	if cfg.PageSize&(cfg.PageSize-1) != 0 {
+		return nil, fmt.Errorf("%w: iommu page size %d", pagetable.ErrPageSize, cfg.PageSize)
+	}
 	if cfg.ATSEnabled && cfg.Mode == ModePT && cfg.PlatformATSPTConflict {
 		return nil, ErrATSConflict
 	}
@@ -157,12 +160,9 @@ func (u *IOMMU) Map(da addr.DARange, hpa addr.HPA) (sim.Duration, error) {
 // Unmap removes the mapping starting at da and invalidates the IOTLB
 // pages it covered.
 func (u *IOMMU) Unmap(da addr.DA) error {
-	src, _, ok := u.table.LookupRange(uint64(da))
-	if !ok || src.Start != uint64(da) {
+	src, err := u.table.Unmap(uint64(da))
+	if err != nil {
 		return fmt.Errorf("%w: unmap %v", pagetable.ErrNotFound, da)
-	}
-	if err := u.table.Unmap(uint64(da)); err != nil {
-		return err
 	}
 	u.iotlb.InvalidateRange(src.Start, src.Size)
 	return nil

@@ -2,6 +2,7 @@ package iommu
 
 import (
 	"errors"
+	"fmt"
 	"testing"
 
 	"repro/internal/addr"
@@ -195,5 +196,66 @@ func TestLookupRange(t *testing.T) {
 func TestModeString(t *testing.T) {
 	if ModePT.String() != "pt" || ModeNoPT.String() != "nopt" {
 		t.Error("Mode strings")
+	}
+}
+
+func TestNewRejectsBadPageSize(t *testing.T) {
+	for _, ps := range []uint64{3000, 3 * addr.PageSize4K} {
+		if _, err := New(Config{PageSize: ps}); !errors.Is(err, pagetable.ErrPageSize) {
+			t.Errorf("PageSize %d: err = %v, want ErrPageSize", ps, err)
+		}
+	}
+	u := newTestIOMMU(t, Config{})
+	if ps := u.Config().PageSize; ps != addr.PageSize4K {
+		t.Errorf("zero PageSize defaulted to %d", ps)
+	}
+}
+
+func TestMapRejectsWrap(t *testing.T) {
+	u := newTestIOMMU(t, Config{Mode: ModeNoPT})
+	top := addr.DA(^uint64(0) - addr.PageSize4K + 1)
+	if _, err := u.Map(addr.NewDARange(top, addr.PageSize2M), addr.HPA(0x100000)); !errors.Is(err, pagetable.ErrWrap) {
+		t.Errorf("wrapping Map err = %v, want ErrWrap", err)
+	}
+	if u.Entries() != 0 {
+		t.Errorf("Entries = %d after a rejected Map", u.Entries())
+	}
+}
+
+// TestUnmapRemovesOnlyItsEntry unmaps the first, a middle and the last of
+// several 2 MiB entries: each leaves the others translating through the
+// table and their IOTLB pages cached, and a miss keeps its error text.
+func TestUnmapRemovesOnlyItsEntry(t *testing.T) {
+	u := newTestIOMMU(t, Config{Mode: ModeNoPT})
+	const n = 8
+	da := func(j int) addr.DA { return addr.DA(1<<30 + uint64(j)*addr.PageSize2M) }
+	for j := 0; j < n; j++ {
+		if _, err := u.Map(addr.NewDARange(da(j), addr.PageSize2M), addr.HPA(1<<40+uint64(j)*addr.PageSize2M)); err != nil {
+			t.Fatal(err)
+		}
+		u.Translate(da(j) + 0x10)
+	}
+	gone := map[int]bool{}
+	for _, j := range []int{0, 4, n - 1} {
+		if err := u.Unmap(da(j)); err != nil {
+			t.Fatal(err)
+		}
+		gone[j] = true
+		for k := 0; k < n; k++ {
+			hpa, _, err := u.Translate(da(k) + 0x20)
+			if gone[k] != (err != nil) {
+				t.Fatalf("after Unmap(%v): Translate(%v) err = %v", da(j), da(k), err)
+			}
+			if err == nil && hpa != addr.HPA(1<<40+uint64(k)*addr.PageSize2M+0x20) {
+				t.Fatalf("Translate(%v) = %v", da(k), hpa)
+			}
+		}
+	}
+	if u.Entries() != n-3 || u.IOTLB().Len() != n-3 {
+		t.Errorf("Entries = %d, IOTLB Len = %d, want %d", u.Entries(), u.IOTLB().Len(), n-3)
+	}
+	err := u.Unmap(da(4))
+	if want := fmt.Sprintf("%v: unmap %v", pagetable.ErrNotFound, da(4)); err == nil || err.Error() != want {
+		t.Errorf("Unmap miss err = %v, want %q", err, want)
 	}
 }

@@ -8,27 +8,42 @@ import (
 )
 
 // FuzzTableOps drives a translation table with an arbitrary op sequence
-// (map / unmap / punch / translate) and checks the structural
-// invariants after every step: entries stay sorted, non-overlapping,
-// and non-empty, and translation preserves offsets.
+// (map / unmap / punch / translate / clear) and compares it with a
+// sorted-slice reference model after every step: the same entries in
+// the same order, the same outcome for every call, offset-preserving
+// translation, and a window that stays inside its backing array. Starts
+// with bit 6 set count down from the top of the address space, so some
+// mappings would wrap past 2^64.
 func FuzzTableOps(f *testing.F) {
 	f.Add([]byte{0, 1, 2, 3, 4, 5, 6, 7})
 	f.Add([]byte{0, 0, 0, 1, 1, 2, 2, 3})
 	f.Add([]byte{2, 2, 2, 2})
+	f.Add([]byte{0, 0x41, 7, 0, 0x43, 0, 3, 0x41, 0, 4, 0, 0, 0, 3, 1})
 	f.Fuzz(func(t *testing.T, ops []byte) {
 		tb := New("fuzz")
+		var ref refTable
 		const page = addr.PageSize4K
 		for i := 0; i+2 < len(ops); i += 3 {
 			start := uint64(ops[i+1]%64) * page
+			if ops[i+1]&0x40 != 0 {
+				start = -start - page
+			}
 			size := (uint64(ops[i+2]%8) + 1) * page
-			switch ops[i] % 4 {
+			src := addr.Range{Start: start, Size: size}
+			switch ops[i] % 5 {
 			case 0:
-				// Map may legitimately fail on overlap.
-				_ = tb.Map(addr.Range{Start: start, Size: size}, 1<<40+start)
+				err := tb.Map(src, 1<<40+start)
+				checkSameError(t, "Map", err, ref.mapRange(src, 1<<40+start))
 			case 1:
-				_ = tb.Unmap(start)
+				got, err := tb.Unmap(start)
+				want, werr := ref.unmap(start)
+				checkSameError(t, "Unmap", err, werr)
+				if got != want {
+					t.Fatalf("Unmap(%#x) = %v, model %v", start, got, want)
+				}
 			case 2:
-				tb.Punch(addr.Range{Start: start, Size: size})
+				tb.Punch(src)
+				ref.punch(src)
 			case 3:
 				if d, ok := tb.Translate(start + 5); ok {
 					src, dst, ok2 := tb.LookupRange(start + 5)
@@ -39,21 +54,11 @@ func FuzzTableOps(f *testing.F) {
 						t.Fatalf("offset broken: %#x vs %#x", d, dst+(start+5-src.Start))
 					}
 				}
+			case 4:
+				tb.Clear()
+				ref = ref[:0]
 			}
-			// Invariants after every op.
-			var prevEnd uint64
-			first := true
-			tb.Walk(func(src addr.Range, dst uint64) bool {
-				if src.Size == 0 {
-					t.Fatal("empty entry")
-				}
-				if !first && src.Start < prevEnd {
-					t.Fatalf("entries overlap or unsorted: start %#x < prev end %#x", src.Start, prevEnd)
-				}
-				prevEnd = src.End()
-				first = false
-				return true
-			})
+			checkTable(t, tb, ref, start+5)
 		}
 	})
 }

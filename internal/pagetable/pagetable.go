@@ -12,7 +12,6 @@ package pagetable
 import (
 	"errors"
 	"fmt"
-	"sort"
 
 	"repro/internal/addr"
 )
@@ -21,6 +20,11 @@ import (
 var (
 	ErrOverlap  = errors.New("pagetable: mapping overlaps existing entry")
 	ErrNotFound = errors.New("pagetable: no mapping")
+	// ErrWrap rejects a source range whose end does not fit in 64 bits.
+	ErrWrap = errors.New("pagetable: mapping wraps past the end of the address space")
+	// ErrPageSize rejects a translation granularity that is not a power
+	// of two; the IOMMU and RNIC constructors return it wrapped.
+	ErrPageSize = errors.New("pagetable: page size is not a power of two")
 )
 
 type entry struct {
@@ -30,9 +34,18 @@ type entry struct {
 
 // Table is an interval-based translation table from one 64-bit address
 // space to another.
+//
+// The live entries are the window base[off:off+n] of one backing array,
+// sorted by src.Start and non-overlapping. Map and Unmap shift whichever
+// side of the window is shorter, so removing the oldest entry of a
+// FIFO-evicted table (PVDMA's 2 MiB blocks) is off++ rather than a
+// memmove of every entry behind it. The array grows only when the window
+// fills it, or nearly so: a back that is full while a quarter of the
+// array lies free in front slides the window down instead.
 type Table struct {
-	name    string
-	entries []entry // sorted by src.Start, non-overlapping
+	name   string
+	base   []entry
+	off, n int
 }
 
 // New returns an empty table; name appears in error messages.
@@ -42,42 +55,114 @@ func New(name string) *Table { return &Table{name: name} }
 func (t *Table) Name() string { return t.name }
 
 // Len returns the number of mappings.
-func (t *Table) Len() int { return len(t.entries) }
+func (t *Table) Len() int { return t.n }
 
 // Clear removes all mappings.
-func (t *Table) Clear() { t.entries = t.entries[:0] }
+func (t *Table) Clear() { t.off, t.n = 0, 0 }
 
+// live returns the window of installed entries.
+func (t *Table) live() []entry { return t.base[t.off : t.off+t.n] }
+
+// search returns the window index of the first entry ending above a.
+// It checks the window's two ends first: a FIFO-evicted table maps at the
+// back and unmaps at the front.
 func (t *Table) search(a uint64) int {
-	return sort.Search(len(t.entries), func(i int) bool {
-		return t.entries[i].src.End() > a
-	})
+	es := t.live()
+	if len(es) == 0 || es[0].src.End() > a {
+		return 0
+	}
+	lo, hi := 1, len(es)
+	if es[hi-1].src.End() <= a {
+		return hi
+	}
+	for lo < hi {
+		mid := int(uint(lo+hi) >> 1)
+		if es[mid].src.End() > a {
+			hi = mid
+		} else {
+			lo = mid + 1
+		}
+	}
+	return lo
 }
 
 // Map installs src → dst+offset for every address in src. It rejects
 // overlap with an existing entry: silently shadowing translations is the
-// failure mode behind the PVDMA hazard, and the model surfaces it.
+// failure mode behind the PVDMA hazard, and the model surfaces it. It
+// also rejects a range that wraps past 2^64, which would break the
+// table's order.
 func (t *Table) Map(src addr.Range, dst uint64) error {
 	if src.Size == 0 {
 		return fmt.Errorf("pagetable %s: empty mapping at %#x", t.name, src.Start)
 	}
-	i := t.search(src.Start)
-	if i < len(t.entries) && t.entries[i].src.Overlaps(src) {
-		return fmt.Errorf("%w: %s %v vs %v", ErrOverlap, t.name, src, t.entries[i].src)
+	if src.End() <= src.Start {
+		return fmt.Errorf("%w: %s %#x+%#x", ErrWrap, t.name, src.Start, src.Size)
 	}
-	t.entries = append(t.entries, entry{})
-	copy(t.entries[i+1:], t.entries[i:])
-	t.entries[i] = entry{src: src, dst: dst}
+	i := t.search(src.Start)
+	if i < t.n && t.base[t.off+i].src.Overlaps(src) {
+		return fmt.Errorf("%w: %s %v vs %v", ErrOverlap, t.name, src, t.base[t.off+i].src)
+	}
+	t.insert(i, entry{src: src, dst: dst})
 	return nil
 }
 
-// Unmap removes the mapping whose source range starts at srcStart.
-func (t *Table) Unmap(srcStart uint64) error {
-	i := t.search(srcStart)
-	if i >= len(t.entries) || t.entries[i].src.Start != srcStart {
-		return fmt.Errorf("%w: %s unmap %#x", ErrNotFound, t.name, srcStart)
+// insert places e at window index i, moving the shorter side of the
+// window by one slot where there is room for it.
+func (t *Table) insert(i int, e entry) {
+	front := i < t.n-i
+	switch {
+	case front && t.off > 0:
+	case t.off+t.n < len(t.base):
+		front = false
+	case t.off > 0 && 4*t.off >= len(t.base):
+		// The back is full but a quarter of the array is free in
+		// front: slide the window down rather than grow.
+		copy(t.base, t.live())
+		t.off = 0
+		front = false
+	default:
+		t.grow(front)
 	}
-	t.entries = append(t.entries[:i], t.entries[i+1:]...)
-	return nil
+	if front {
+		copy(t.base[t.off-1:], t.base[t.off:t.off+i])
+		t.off--
+	} else {
+		copy(t.base[t.off+i+1:t.off+t.n+1], t.base[t.off+i:t.off+t.n])
+	}
+	t.base[t.off+i] = e
+	t.n++
+}
+
+// grow doubles the backing array. An insert into the front half centres
+// the window so the front has room; otherwise the window starts at 0.
+func (t *Table) grow(front bool) {
+	base := make([]entry, max(2*len(t.base), 4))
+	off := 0
+	if front {
+		off = (len(base) - t.n) / 2
+	}
+	copy(base[off:], t.live())
+	t.base, t.off = base, off
+}
+
+// Unmap removes the mapping whose source range starts at srcStart and
+// returns its source range.
+func (t *Table) Unmap(srcStart uint64) (addr.Range, error) {
+	i := t.search(srcStart)
+	if i >= t.n || t.base[t.off+i].src.Start != srcStart {
+		return addr.Range{}, fmt.Errorf("%w: %s unmap %#x", ErrNotFound, t.name, srcStart)
+	}
+	src := t.base[t.off+i].src
+	if i < t.n-1-i {
+		copy(t.base[t.off+1:], t.base[t.off:t.off+i])
+		t.off++
+	} else {
+		copy(t.base[t.off+i:], t.base[t.off+i+1:t.off+t.n])
+	}
+	if t.n--; t.n == 0 {
+		t.off = 0
+	}
+	return src, nil
 }
 
 // Punch removes r from every overlapping mapping, splitting entries
@@ -89,7 +174,7 @@ func (t *Table) Punch(r addr.Range) {
 		return
 	}
 	var out []entry
-	for _, e := range t.entries {
+	for _, e := range t.live() {
 		if !e.src.Overlaps(r) {
 			out = append(out, e)
 			continue
@@ -103,16 +188,17 @@ func (t *Table) Punch(r addr.Range) {
 			out = append(out, entry{src: right, dst: e.dst + (r.End() - e.src.Start)})
 		}
 	}
-	t.entries = out
+	t.base, t.off, t.n = out[:cap(out)], 0, len(out)
 }
 
 // Translate maps a source address to its destination, reporting whether
 // a mapping exists.
 func (t *Table) Translate(a uint64) (uint64, bool) {
 	i := t.search(a)
-	if i < len(t.entries) && t.entries[i].src.Contains(a) {
-		e := t.entries[i]
-		return e.dst + (a - e.src.Start), true
+	if i < t.n {
+		if e := &t.base[t.off+i]; e.src.Contains(a) {
+			return e.dst + (a - e.src.Start), true
+		}
 	}
 	return 0, false
 }
@@ -120,15 +206,17 @@ func (t *Table) Translate(a uint64) (uint64, bool) {
 // LookupRange returns the mapping covering a, if any.
 func (t *Table) LookupRange(a uint64) (src addr.Range, dst uint64, ok bool) {
 	i := t.search(a)
-	if i < len(t.entries) && t.entries[i].src.Contains(a) {
-		return t.entries[i].src, t.entries[i].dst, true
+	if i < t.n {
+		if e := &t.base[t.off+i]; e.src.Contains(a) {
+			return e.src, e.dst, true
+		}
 	}
 	return addr.Range{}, 0, false
 }
 
 // Walk calls fn for each mapping in source order; returning false stops.
 func (t *Table) Walk(fn func(src addr.Range, dst uint64) bool) {
-	for _, e := range t.entries {
+	for _, e := range t.live() {
 		if !fn(e.src, e.dst) {
 			return
 		}
@@ -145,7 +233,10 @@ func NewGuestPT() *GuestPT { return &GuestPT{t: Table{name: "guest-pt"}} }
 func (p *GuestPT) Map(src addr.GVARange, dst addr.GPA) error { return p.t.Map(src.Range, uint64(dst)) }
 
 // Unmap removes the mapping starting at start.
-func (p *GuestPT) Unmap(start addr.GVA) error { return p.t.Unmap(uint64(start)) }
+func (p *GuestPT) Unmap(start addr.GVA) error {
+	_, err := p.t.Unmap(uint64(start))
+	return err
+}
 
 // Translate resolves a GVA to a GPA.
 func (p *GuestPT) Translate(a addr.GVA) (addr.GPA, bool) {
@@ -166,7 +257,10 @@ func NewHostPT() *HostPT { return &HostPT{t: Table{name: "host-pt"}} }
 func (p *HostPT) Map(src addr.HVARange, dst addr.HPA) error { return p.t.Map(src.Range, uint64(dst)) }
 
 // Unmap removes the mapping starting at start.
-func (p *HostPT) Unmap(start addr.HVA) error { return p.t.Unmap(uint64(start)) }
+func (p *HostPT) Unmap(start addr.HVA) error {
+	_, err := p.t.Unmap(uint64(start))
+	return err
+}
 
 // Translate resolves an HVA to an HPA.
 func (p *HostPT) Translate(a addr.HVA) (addr.HPA, bool) {
@@ -189,7 +283,10 @@ func NewEPT() *EPT { return &EPT{t: Table{name: "ept"}} }
 func (p *EPT) Map(src addr.GPARange, dst addr.HPA) error { return p.t.Map(src.Range, uint64(dst)) }
 
 // Unmap removes the mapping starting at start.
-func (p *EPT) Unmap(start addr.GPA) error { return p.t.Unmap(uint64(start)) }
+func (p *EPT) Unmap(start addr.GPA) error {
+	_, err := p.t.Unmap(uint64(start))
+	return err
+}
 
 // Translate resolves a GPA to an HPA.
 func (p *EPT) Translate(a addr.GPA) (addr.HPA, bool) {

@@ -67,16 +67,20 @@ func TestTableRejectsOverlap(t *testing.T) {
 func TestTableUnmap(t *testing.T) {
 	tb := New("t")
 	tb.Map(addr.Range{Start: 0x1000, Size: 0x1000}, 0xA000)
-	if err := tb.Unmap(0x1000); err != nil {
+	src, err := tb.Unmap(0x1000)
+	if err != nil {
 		t.Fatal(err)
+	}
+	if src != (addr.Range{Start: 0x1000, Size: 0x1000}) {
+		t.Errorf("Unmap returned %v, want the removed range", src)
 	}
 	if _, ok := tb.Translate(0x1000); ok {
 		t.Error("translation survived Unmap")
 	}
-	if err := tb.Unmap(0x1000); !errors.Is(err, ErrNotFound) {
+	if _, err := tb.Unmap(0x1000); !errors.Is(err, ErrNotFound) {
 		t.Errorf("double Unmap err = %v", err)
 	}
-	if err := tb.Unmap(0x9999); !errors.Is(err, ErrNotFound) {
+	if _, err := tb.Unmap(0x9999); !errors.Is(err, ErrNotFound) {
 		t.Errorf("bogus Unmap err = %v", err)
 	}
 }
@@ -302,15 +306,31 @@ func checkTLBIndexes(t *testing.T, c *TLB) {
 	t.Helper()
 	want := make(map[uint64]int)
 	n := 0
-	for e := c.head; e != nil; e = e.next {
-		if c.entries[e.key] != e {
+	prev := int32(nilNode)
+	for i := c.head; i != nilNode; i = c.nodes[i].next {
+		e := &c.nodes[i]
+		if j, ok := c.entries[e.key]; !ok || j != i {
 			t.Fatalf("LRU node %#x not in entries", e.key)
 		}
+		if e.prev != prev {
+			t.Fatalf("LRU node %#x prev = %d, want %d", e.key, e.prev, prev)
+		}
+		prev = i
 		want[c.region(e.key)]++
 		n++
 	}
+	if c.tail != prev {
+		t.Fatalf("tail = %d, want %d", c.tail, prev)
+	}
 	if n != len(c.entries) {
 		t.Fatalf("LRU list holds %d nodes, entries %d", n, len(c.entries))
+	}
+	free := 0
+	for i := c.free; i != nilNode; i = c.nodes[i].next {
+		free++
+	}
+	if n+free != len(c.nodes) || len(c.nodes) > c.capacity {
+		t.Fatalf("slab holds %d nodes: %d live, %d free, capacity %d", len(c.nodes), n, free, c.capacity)
 	}
 	if !maps.Equal(want, c.regions) {
 		t.Fatalf("region index %v, want %v", c.regions, want)
@@ -344,8 +364,8 @@ type tlbEntry struct{ key, dst uint64 }
 // order (most recent first) and the counters.
 func tlbState(c *TLB) ([]tlbEntry, [3]uint64) {
 	var es []tlbEntry
-	for e := c.head; e != nil; e = e.next {
-		es = append(es, tlbEntry{e.key, e.dst})
+	for i := c.head; i != nilNode; i = c.nodes[i].next {
+		es = append(es, tlbEntry{c.nodes[i].key, c.nodes[i].dst})
 	}
 	return es, [3]uint64{c.hits, c.misses, c.evicts}
 }

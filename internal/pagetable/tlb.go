@@ -1,6 +1,9 @@
 package pagetable
 
-import "math/bits"
+import (
+	"math"
+	"math/bits"
+)
 
 // regionPages is how many pages one occupancy-index region covers: 2 MiB
 // of 4 KiB pages, the block size PVDMA registers and evicts.
@@ -11,42 +14,53 @@ const regionPages = 512
 // (ATC) are both instances: Figure 8's GDR performance collapse is this
 // structure overflowing. Capacity is in entries ("tens of thousands of
 // memory pages" per §6); each entry caches the translation of one page.
+//
+// Nodes live in one pointer-free slab linked by int32 indices, with a
+// free list of dropped nodes, and the page index maps to slab indices,
+// so the collector scans neither. The slab doubles up to capacity as
+// pages are cached; nothing is sized to capacity up front.
 type TLB struct {
 	capacity    int
 	pageSize    uint64
 	regionShift uint // log2(pageSize * regionPages)
 
-	entries map[uint64]*tlbNode // page-aligned source -> node
+	nodes   []tlbNode
+	free    int32            // first free slab node, or nilNode
+	entries map[uint64]int32 // page-aligned source -> slab index
 	// regions counts the cached pages of each occupied region (source >>
 	// regionShift), so InvalidateRange skips empty regions without
 	// probing their pages.
 	regions map[uint64]int
-	head    *tlbNode // most recently used
-	tail    *tlbNode // least recently used
+	head    int32 // most recently used, or nilNode
+	tail    int32 // least recently used, or nilNode
 
 	hits   uint64
 	misses uint64
 	evicts uint64
 }
 
+// nilNode is the null slab index.
+const nilNode = -1
+
 type tlbNode struct {
 	key        uint64
 	dst        uint64 // page-aligned destination
-	prev, next *tlbNode
+	prev, next int32  // LRU neighbours; next also links the free list
 }
 
 // NewTLB returns a cache holding up to capacity page translations of the
-// given page size.
+// given page size, which must be a power of two.
 func NewTLB(capacity int, pageSize uint64) *TLB {
-	if capacity < 1 {
-		capacity = 1
-	}
+	capacity = min(max(capacity, 1), math.MaxInt32)
 	return &TLB{
 		capacity:    capacity,
 		pageSize:    pageSize,
 		regionShift: uint(bits.TrailingZeros64(pageSize * regionPages)),
-		entries:     make(map[uint64]*tlbNode, capacity),
+		free:        nilNode,
+		entries:     make(map[uint64]int32),
 		regions:     make(map[uint64]int),
+		head:        nilNode,
+		tail:        nilNode,
 	}
 }
 
@@ -72,36 +86,61 @@ func (c *TLB) page(a uint64) uint64 { return a &^ (c.pageSize - 1) }
 
 func (c *TLB) region(a uint64) uint64 { return a >> c.regionShift }
 
-func (c *TLB) detach(n *tlbNode) {
-	if n.prev != nil {
-		n.prev.next = n.next
+func (c *TLB) detach(i int32) {
+	n := &c.nodes[i]
+	if n.prev != nilNode {
+		c.nodes[n.prev].next = n.next
 	} else {
 		c.head = n.next
 	}
-	if n.next != nil {
-		n.next.prev = n.prev
+	if n.next != nilNode {
+		c.nodes[n.next].prev = n.prev
 	} else {
 		c.tail = n.prev
 	}
-	n.prev, n.next = nil, nil
 }
 
-func (c *TLB) pushFront(n *tlbNode) {
-	n.next = c.head
-	if c.head != nil {
-		c.head.prev = n
+func (c *TLB) pushFront(i int32) {
+	n := &c.nodes[i]
+	n.prev, n.next = nilNode, c.head
+	if c.head != nilNode {
+		c.nodes[c.head].prev = i
 	}
-	c.head = n
-	if c.tail == nil {
-		c.tail = n
+	c.head = i
+	if c.tail == nilNode {
+		c.tail = i
 	}
 }
 
-// drop removes n from the LRU list and both indexes.
-func (c *TLB) drop(n *tlbNode) {
-	c.detach(n)
-	delete(c.entries, n.key)
-	r := c.region(n.key)
+// release unlinks node i from the LRU list and puts it on the free list.
+func (c *TLB) release(i int32) {
+	c.detach(i)
+	c.nodes[i].next = c.free
+	c.free = i
+}
+
+// alloc returns a node from the free list, or a fresh slab node,
+// doubling the slab (up to capacity) when it is full. The caller
+// guarantees fewer than capacity nodes are live.
+func (c *TLB) alloc() int32 {
+	if i := c.free; i != nilNode {
+		c.free = c.nodes[i].next
+		return i
+	}
+	k := len(c.nodes)
+	if k == cap(c.nodes) {
+		nodes := make([]tlbNode, k, min(max(2*k, 16), c.capacity))
+		copy(nodes, c.nodes)
+		c.nodes = nodes
+	}
+	c.nodes = c.nodes[:k+1]
+	return int32(k)
+}
+
+// unindex removes the page key from both indexes.
+func (c *TLB) unindex(key uint64) {
+	delete(c.entries, key)
+	r := c.region(key)
 	if k := c.regions[r]; k > 1 {
 		c.regions[r] = k - 1
 	} else {
@@ -114,50 +153,54 @@ func (c *TLB) drop(n *tlbNode) {
 // returns false and records the miss.
 func (c *TLB) Lookup(a uint64) (uint64, bool) {
 	key := c.page(a)
-	n, ok := c.entries[key]
+	i, ok := c.entries[key]
 	if !ok {
 		c.misses++
 		return 0, false
 	}
 	c.hits++
-	if c.head != n {
-		c.detach(n)
-		c.pushFront(n)
+	if c.head != i {
+		c.detach(i)
+		c.pushFront(i)
 	}
-	return n.dst + (a - key), true
+	return c.nodes[i].dst + (a - key), true
 }
 
 // Insert caches the translation of the page containing src to the page
 // containing dst, evicting the LRU entry if full.
 func (c *TLB) Insert(src, dst uint64) {
 	key := c.page(src)
-	if n, ok := c.entries[key]; ok {
-		n.dst = c.page(dst)
-		if c.head != n {
-			c.detach(n)
-			c.pushFront(n)
+	if i, ok := c.entries[key]; ok {
+		c.nodes[i].dst = c.page(dst)
+		if c.head != i {
+			c.detach(i)
+			c.pushFront(i)
 		}
 		return
 	}
-	var n *tlbNode
+	var i int32
 	if len(c.entries) >= c.capacity {
-		n = c.tail // reused for the new entry
-		c.drop(n)
+		i = c.tail // reused for the new entry
+		c.detach(i)
+		c.unindex(c.nodes[i].key)
 		c.evicts++
 	} else {
-		n = new(tlbNode)
+		i = c.alloc()
 	}
+	n := &c.nodes[i]
 	n.key, n.dst = key, c.page(dst)
-	c.entries[key] = n
+	c.entries[key] = i
 	c.regions[c.region(key)]++
-	c.pushFront(n)
+	c.pushFront(i)
 }
 
 // Invalidate drops the cached translation for the page containing a, if
 // present.
 func (c *TLB) Invalidate(a uint64) {
-	if n, ok := c.entries[c.page(a)]; ok {
-		c.drop(n)
+	key := c.page(a)
+	if i, ok := c.entries[key]; ok {
+		c.release(i)
+		c.unindex(key)
 	}
 }
 
@@ -195,8 +238,8 @@ func (c *TLB) invalidateRegion(r uint64, k int, first, last uint64) {
 	lo := max(first, r<<c.regionShift)
 	hi := min(last, r<<c.regionShift+(c.pageSize*regionPages-c.pageSize))
 	for p := lo; k > 0; p += c.pageSize {
-		if n, ok := c.entries[p]; ok {
-			c.detach(n)
+		if i, ok := c.entries[p]; ok {
+			c.release(i)
 			delete(c.entries, p)
 			k--
 		}
@@ -211,11 +254,13 @@ func (c *TLB) invalidateRegion(r uint64, k int, first, last uint64) {
 	}
 }
 
-// Flush drops every entry (counters persist).
+// Flush drops every entry (counters persist). The slab keeps its
+// capacity for reuse.
 func (c *TLB) Flush() {
 	clear(c.entries)
 	clear(c.regions)
-	c.head, c.tail = nil, nil
+	c.nodes = c.nodes[:0]
+	c.free, c.head, c.tail = nilNode, nilNode, nilNode
 }
 
 // HitRate returns hits/(hits+misses), or 0 before any lookup.

@@ -154,8 +154,18 @@ type RNIC struct {
 // virtual devices (§4's scalability claim: one 4 KiB doorbell page per
 // device).
 func New(c *pcie.Complex, sw *pcie.Switch, cfg Config) (*RNIC, error) {
+	d := DefaultConfig(cfg.Name)
 	if cfg.NumPorts == 0 {
-		cfg = DefaultConfig(cfg.Name)
+		cfg = d
+	}
+	if cfg.TranslationPageSize == 0 {
+		cfg.TranslationPageSize = d.TranslationPageSize
+	}
+	if cfg.ATCCapacityPages == 0 {
+		cfg.ATCCapacityPages = d.ATCCapacityPages
+	}
+	if ps := cfg.TranslationPageSize; ps&(ps-1) != 0 {
+		return nil, fmt.Errorf("%w: rnic %s translation page size %d", pagetable.ErrPageSize, cfg.Name, ps)
 	}
 	ep, err := sw.AttachEndpoint(cfg.Name)
 	if err != nil {

@@ -8,6 +8,7 @@ import (
 	"repro/internal/gpu"
 	"repro/internal/iommu"
 	"repro/internal/mem"
+	"repro/internal/pagetable"
 	"repro/internal/pcie"
 )
 
@@ -493,5 +494,37 @@ func TestRDMAReadRoutes(t *testing.T) {
 	qp3, _ := h.rnic.CreateQP(pd)
 	if _, err := h.rnic.RDMARead(qp3, gmr.Key, gva.Start, 64); !errors.Is(err, ErrQPState) {
 		t.Errorf("unready QP err = %v", err)
+	}
+}
+
+// TestNewDefaultsTranslation pins the fix for a config with NumPorts set
+// but no translation page size: a zero size made every ATC lookup hit
+// page 0 and return another page's HPA.
+func TestNewDefaultsTranslation(t *testing.T) {
+	h := newHost(t, Config{Name: "rnic0", NumPorts: 1})
+	cfg := h.rnic.Config()
+	if cfg.TranslationPageSize != addr.PageSize4K || cfg.ATCCapacityPages != 8192 {
+		t.Fatalf("TranslationPageSize = %d, ATCCapacityPages = %d, want defaults", cfg.TranslationPageSize, cfg.ATCCapacityPages)
+	}
+	h.rnic.atc.Insert(0x1000, 0xA000)
+	h.rnic.atc.Insert(0x2000, 0xB000)
+	if hpa, ok := h.rnic.atc.Lookup(0x1008); !ok || hpa != 0xA008 {
+		t.Errorf("ATC Lookup(0x1008) = %#x,%v, want 0xa008", hpa, ok)
+	}
+	if _, ok := h.rnic.atc.Lookup(0x5000); ok {
+		t.Error("ATC hit on an uncached page")
+	}
+}
+
+func TestNewRejectsBadPageSize(t *testing.T) {
+	u, err := iommu.New(iommu.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := pcie.NewComplex(pcie.Config{}, u, mem.New(mem.Config{TotalBytes: 1 << 30}))
+	cfg := DefaultConfig("rnic0")
+	cfg.TranslationPageSize = 3 * addr.PageSize4K
+	if _, err := New(c, c.AddSwitch("sw0"), cfg); !errors.Is(err, pagetable.ErrPageSize) {
+		t.Errorf("err = %v, want ErrPageSize", err)
 	}
 }
