@@ -40,15 +40,17 @@ func AblationCC(s *Session) (*Table, error) {
 		if err != nil {
 			return 0, 0, 0, err
 		}
-		var res collective.Result
-		ring.Reduce(eng, 8<<20, func(r collective.Result) { res = r; eng.Halt() })
-		eng.Run(sim.Time(500 * time.Millisecond))
+		res, err := reduceRounds(eng, ring, 8<<20, 1, 500*time.Millisecond,
+			fmt.Sprintf("ablation-cc: beta %.2f target %v", beta, target))
+		if err != nil {
+			return 0, 0, 0, err
+		}
 		maxQ := maxUplinkQueue(f, 2)
 		var ecnAcks uint64
 		for _, c := range ring.Conns() {
 			ecnAcks += c.ECNAcks
 		}
-		return res.BusBW, maxQ, ecnAcks, nil
+		return res[0].BusBW, maxQ, ecnAcks, nil
 	}
 	for _, beta := range []float64{0.5, 0.8, 0.95} {
 		for _, target := range []sim.Duration{sim.Duration(30 * time.Microsecond), sim.Duration(60 * time.Microsecond), sim.Duration(120 * time.Microsecond)} {

@@ -47,22 +47,3 @@ func TestChurnFleetScale(t *testing.T) {
 			calib.PinSpan.P50, churnCalibrationTarget, 100*dev)
 	}
 }
-
-// TestChurnFleetInvariant: the registered experiment's table is
-// byte-identical across shard counts and cell-parallel worker bounds —
-// the property the CI identity job diffs on.
-func TestChurnFleetInvariant(t *testing.T) {
-	run := func(shards, workers int) string {
-		s := NewSession(42)
-		s.Shards = shards
-		s.Parallelism = workers
-		tab, err := ChurnFleet(s)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return tab.JSON()
-	}
-	if got, ref := run(4, 4), run(1, 1); got != ref {
-		t.Error("shards=4 workers=4 diverged from shards=1 workers=1")
-	}
-}

@@ -132,10 +132,11 @@ func AblationPathAware(s *Session) (*Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		var res collective.Result
-		ring.Reduce(eng, 4<<20, func(r collective.Result) { res = r; eng.Halt() })
-		eng.Run(sim.Time(200 * time.Millisecond))
-		t.AddRow(alg.String(), fmt.Sprintf("%.2f", res.BusBW/1e9))
+		res, err := reduceRounds(eng, ring, 4<<20, 1, 200*time.Millisecond, "ablation-pathaware: "+alg.String())
+		if err != nil {
+			return nil, err
+		}
+		t.AddRow(alg.String(), fmt.Sprintf("%.2f", res[0].BusBW/1e9))
 	}
 	t.Notes = append(t.Notes,
 		"with regular, permutation-like traffic and abundant paths, congestion awareness buys little over oblivious spraying")

@@ -72,7 +72,6 @@ func Fig10a(s *Session) (*Table, error) {
 			// Two background rings on interleaved members.
 			bg1 := interleave(eps, ringSize, hps)
 			bg2 := interleave(eps[ringSize/2:], ringSize, hps)
-			var bgRings []*collective.Ring
 			for i, members := range [][]*transport.Endpoint{bg1, bg2} {
 				ring, err := collective.NewRing(members, uint64(1000+i*100), multipath.OBS, 128)
 				if err != nil {
@@ -81,7 +80,6 @@ func Fig10a(s *Session) (*Table, error) {
 				var loop func(collective.Result)
 				loop = func(collective.Result) { ring.Reduce(eng, 2<<20, loop) }
 				ring.Reduce(eng, 2<<20, loop)
-				bgRings = append(bgRings, ring)
 			}
 			// Test ring on the remaining interleaved hosts.
 			test := interleave(eps[ringSize:], ringSize, hps)
@@ -89,14 +87,11 @@ func Fig10a(s *Session) (*Table, error) {
 			if err != nil {
 				return nil, err
 			}
-			var res collective.Result
-			ring.Reduce(eng, 4<<20, func(r collective.Result) {
-				res = r
-				eng.Halt()
-			})
-			eng.Run(sim.Time(200 * time.Millisecond))
-			_ = bgRings
-			t.AddRow(alg.String(), fmt.Sprintf("%d", paths), fmt.Sprintf("%.2f", res.BusBW/1e9))
+			res, err := reduceRounds(eng, ring, 4<<20, 1, 200*time.Millisecond, fmt.Sprintf("fig10a: %s/%d", alg, paths))
+			if err != nil {
+				return nil, err
+			}
+			t.AddRow(alg.String(), fmt.Sprintf("%d", paths), fmt.Sprintf("%.2f", res[0].BusBW/1e9))
 		}
 	}
 	return t, nil
@@ -128,29 +123,19 @@ func Fig10b(s *Session) (*Table, error) {
 			if err != nil {
 				return nil, err
 			}
+			res, err := reduceRounds(eng, ring, 4<<20, 8, 500*time.Millisecond, fmt.Sprintf("fig10b: %s/%d", alg, paths))
+			if err != nil {
+				return nil, err
+			}
 			var sum, minBW float64
-			var count int
-			var loop func(collective.Result)
-			loop = func(r collective.Result) {
+			for _, r := range res {
 				sum += r.BusBW
 				if minBW == 0 || r.BusBW < minBW {
 					minBW = r.BusBW
 				}
-				count++
-				if count < 8 {
-					ring.Reduce(eng, 4<<20, loop)
-				} else {
-					cyc.Stop()
-					eng.Halt()
-				}
-			}
-			ring.Reduce(eng, 4<<20, loop)
-			eng.Run(sim.Time(500 * time.Millisecond))
-			if count == 0 {
-				return nil, fmt.Errorf("fig10b: no reduces completed for %s/%d", alg, paths)
 			}
 			t.AddRow(alg.String(), fmt.Sprintf("%d", paths),
-				fmt.Sprintf("%.2f", sum/float64(count)/1e9),
+				fmt.Sprintf("%.2f", sum/float64(len(res))/1e9),
 				fmt.Sprintf("%.2f", minBW/1e9))
 		}
 	}
@@ -184,28 +169,16 @@ func Fig11(s *Session) (*Table, error) {
 		if err != nil {
 			return 0, err
 		}
-		const reduceSize = 48 << 20
-		count := 0
+		start := eng.Now()
+		res, err := reduceRounds(eng, ring, 48<<20, rounds, time.Second, fmt.Sprintf("fig11: %s/%d at %.0f%% loss", alg, paths, loss*100))
+		if err != nil {
+			return 0, err
+		}
 		var vol uint64
-		var start, end sim.Time
-		var loop func(collective.Result)
-		loop = func(r collective.Result) {
-			count++
+		for _, r := range res {
 			vol += r.VolumePerFlow
-			end = r.End
-			if count < rounds {
-				ring.Reduce(eng, reduceSize, loop)
-			} else {
-				eng.Halt()
-			}
 		}
-		start = eng.Now()
-		ring.Reduce(eng, reduceSize, loop)
-		eng.Run(sim.Time(time.Second))
-		if count < rounds || end <= start {
-			return 0, fmt.Errorf("fig11: only %d rounds completed", count)
-		}
-		return float64(vol) / end.Sub(start).Seconds(), nil
+		return float64(vol) / res[rounds-1].End.Sub(start).Seconds(), nil
 	}
 	// Each (algorithm, loss) cell builds a private engine and fabric, so
 	// the sweep runs on the session's worker pool; the loss-free cell

@@ -1,34 +1,31 @@
 package experiments
 
 import (
-	"strconv"
+	"reflect"
 	"strings"
 	"testing"
+	"time"
+
+	"repro/internal/collective"
+	"repro/internal/multipath"
+	"repro/internal/transport"
 )
 
-// cell parses a numeric table cell, stripping units/suffixes.
-func cell(t *testing.T, s string) float64 {
-	t.Helper()
-	s = strings.TrimSuffix(s, "%")
-	s = strings.TrimSuffix(s, "x")
-	s = strings.TrimPrefix(s, "+")
-	if i := strings.IndexAny(s, "/"); i >= 0 {
-		s = s[:i]
-	}
-	v, err := strconv.ParseFloat(s, 64)
-	if err != nil {
-		t.Fatalf("cell %q: %v", s, err)
-	}
-	return v
-}
-
+// TestAllRegistryComplete checks the registry and its claims: IDs are
+// unique and complete, every experiment has a claim row or a written
+// reason in unclaimed, and every §5–§8 figure and table has a row
+// carrying the paper's value.
 func TestAllRegistryComplete(t *testing.T) {
-	runners := All()
-	if len(runners) < 16 {
-		t.Fatalf("only %d experiments registered", len(runners))
+	claimed, paper := map[string]bool{}, map[string]bool{}
+	for _, c := range claims {
+		if _, ok := Lookup(c.exp); !ok {
+			t.Errorf("claim row for unregistered experiment %s", c.exp)
+		}
+		claimed[c.exp] = true
+		paper[c.exp] = paper[c.exp] || !strings.HasPrefix(c.source, "extension:")
 	}
 	seen := map[string]bool{}
-	for _, r := range runners {
+	for _, r := range All() {
 		if seen[r.ID] {
 			t.Errorf("duplicate experiment %s", r.ID)
 		}
@@ -36,10 +33,13 @@ func TestAllRegistryComplete(t *testing.T) {
 		if r.Fn == nil || r.Desc == "" {
 			t.Errorf("experiment %s incomplete", r.ID)
 		}
+		if _, exempt := unclaimed[r.ID]; claimed[r.ID] == exempt {
+			t.Errorf("experiment %s: claim rows %v, in unclaimed %v; want exactly one", r.ID, claimed[r.ID], exempt)
+		}
 	}
 	for _, want := range []string{"fig6", "fig8", "fig9", "fig10a", "fig10b", "fig11", "fig12", "fig13", "fig14", "fig15", "fig16a", "fig16b", "table1", "sec4"} {
-		if !seen[want] {
-			t.Errorf("experiment %s missing", want)
+		if !paper[want] {
+			t.Errorf("%s has no claim row carrying a paper value", want)
 		}
 	}
 	if _, ok := Lookup("fig6"); !ok {
@@ -62,192 +62,6 @@ func TestTableString(t *testing.T) {
 	}
 }
 
-func TestFig6Shape(t *testing.T) {
-	tb, err := Fig6(NewSession(1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(tb.Rows) != 4 {
-		t.Fatalf("rows = %d", len(tb.Rows))
-	}
-	// At 1.6 TB: full-pin ~400 s, pvdma < 20 s, speedup >= 15x.
-	last := tb.Rows[len(tb.Rows)-1]
-	full, pv, speedup := cell(t, last[1]), cell(t, last[2]), cell(t, last[3])
-	if full < 300 || full > 500 {
-		t.Errorf("1.6TB full-pin boot = %v s, want ~400", full)
-	}
-	if pv > 20 {
-		t.Errorf("1.6TB pvdma boot = %v s, want < 20", pv)
-	}
-	if speedup < 15 {
-		t.Errorf("speedup = %vx, want >= 15", speedup)
-	}
-	// Full-pin boot grows monotonically with memory.
-	prev := 0.0
-	for _, row := range tb.Rows {
-		v := cell(t, row[1])
-		if v <= prev {
-			t.Errorf("full-pin boot not monotone: %v after %v", v, prev)
-		}
-		prev = v
-	}
-}
-
-func TestFig8Shape(t *testing.T) {
-	tb, err := Fig8(NewSession(1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	first, last := tb.Rows[0], tb.Rows[len(tb.Rows)-1]
-	// CX6 bandwidth decays as the buffer outgrows the ATC; vStellar flat.
-	cx6Small, cx6Big := cell(t, first[1]), cell(t, last[1])
-	vsSmall, vsBig := cell(t, first[3]), cell(t, last[3])
-	if cx6Big >= cx6Small {
-		t.Errorf("cx6 bandwidth did not decay: %v -> %v Gbps", cx6Small, cx6Big)
-	}
-	if vsBig < vsSmall*0.98 || vsBig > vsSmall*1.02 {
-		t.Errorf("vstellar bandwidth moved: %v -> %v Gbps", vsSmall, vsBig)
-	}
-	if missBig := cell(t, last[2]); missBig < 0.5 {
-		t.Errorf("cx6 miss rate at 128MB = %v, want thrash", missBig)
-	}
-	if vsMiss := cell(t, last[4]); vsMiss != 0 {
-		t.Errorf("vstellar miss rate = %v, want 0", vsMiss)
-	}
-}
-
-func TestFig13Shape(t *testing.T) {
-	tb, err := Fig13(NewSession(1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	small, big := tb.Rows[0], tb.Rows[len(tb.Rows)-1]
-	// vStellar == bare metal.
-	if small[1] != small[2] || big[4] != big[5] {
-		t.Error("vstellar and bare metal differ")
-	}
-	// VF latency overhead on small messages ~7%.
-	lat := cell(t, small[3])/cell(t, small[1]) - 1
-	if lat < 0.02 || lat > 0.2 {
-		t.Errorf("vf small-message latency overhead = %.2f", lat)
-	}
-	// VF bandwidth loss on 8MB ~9%.
-	loss := 1 - cell(t, big[6])/cell(t, big[4])
-	if loss < 0.05 || loss > 0.15 {
-		t.Errorf("vf bandwidth loss = %.2f", loss)
-	}
-}
-
-func TestFig14Shape(t *testing.T) {
-	tb, err := Fig14(NewSession(1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	byName := map[string][]string{}
-	for _, r := range tb.Rows {
-		byName[r[0]] = r
-	}
-	vs := cell(t, byName["vstellar"][2])
-	bm := cell(t, byName["bare-metal-stellar"][2])
-	hyv := cell(t, byName["hyv-masq"][2])
-	if vs != bm {
-		t.Errorf("vstellar %v != bare metal %v", vs, bm)
-	}
-	if vs < 350 || vs > 430 {
-		t.Errorf("vstellar GDR = %v Gbps, want ~393", vs)
-	}
-	if hyv > 160 || hyv < 100 {
-		t.Errorf("hyv/masq GDR = %v Gbps, want ~141", hyv)
-	}
-	ratio := hyv / vs
-	if ratio < 0.25 || ratio > 0.45 {
-		t.Errorf("hyv/vstellar ratio = %.2f, want ~0.36", ratio)
-	}
-	if byName["hyv-masq"][1] != "p2p-via-rc" || byName["vstellar"][1] != "p2p-direct" {
-		t.Error("routes wrong")
-	}
-}
-
-func TestTable1Shape(t *testing.T) {
-	tb, err := Table1Exp(NewSession(1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(tb.Rows) != 4 {
-		t.Fatalf("rows = %d", len(tb.Rows))
-	}
-	if tb.Rows[0][1] != "Llama-33B" || tb.Rows[1][1] != "GPT-200B" {
-		t.Error("model order wrong")
-	}
-	// Paper halves of the pairs are the published constants.
-	if !strings.HasPrefix(tb.Rows[0][4], "20.95") {
-		t.Errorf("Llama DP cell = %q", tb.Rows[0][4])
-	}
-	if !strings.HasPrefix(tb.Rows[1][5], "20.14") {
-		t.Errorf("GPT PP cell = %q", tb.Rows[1][5])
-	}
-	if tb.Rows[2][3] != "n/a" {
-		t.Errorf("Zero1 TP cell = %q, want n/a", tb.Rows[2][3])
-	}
-}
-
-func TestSec4Shape(t *testing.T) {
-	tb, err := Sec4(NewSession(1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	got := map[string]string{}
-	for _, r := range tb.Rows {
-		got[r[0]] = r[1]
-	}
-	if got["device create time"] != "1.5 s" {
-		t.Errorf("create time = %q", got["device create time"])
-	}
-	if got["device ceiling"] != "65536" {
-		t.Errorf("ceiling = %q", got["device ceiling"])
-	}
-	speedup, _ := strconv.ParseFloat(strings.TrimSuffix(got["1.6TB container init speedup"], "x"), 64)
-	if speedup < 15 {
-		t.Errorf("init speedup = %v", speedup)
-	}
-}
-
-func TestAblationEMTTShape(t *testing.T) {
-	tb, err := AblationEMTT(NewSession(1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	on, off := tb.Rows[0], tb.Rows[1]
-	if on[1] != "p2p-direct" || off[1] != "p2p-via-rc" {
-		t.Errorf("routes = %q/%q", on[1], off[1])
-	}
-	if cell(t, on[2]) <= cell(t, off[2]) {
-		t.Error("eMTT on not faster than off")
-	}
-	if cell(t, on[3]) != 0 || cell(t, off[3]) == 0 {
-		t.Error("translation counts wrong")
-	}
-}
-
-func TestAblationPVDMABlockShape(t *testing.T) {
-	tb, err := AblationPVDMABlock(NewSession(1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Registrations decrease with block size; pinned bytes increase.
-	prevReg, prevPin := -1.0, -1.0
-	for _, row := range tb.Rows {
-		reg, pin := cell(t, row[1]), cell(t, row[3])
-		if prevReg >= 0 && reg > prevReg {
-			t.Errorf("registrations increased with block size: %v -> %v", prevReg, reg)
-		}
-		if prevPin >= 0 && pin < prevPin {
-			t.Errorf("pinned bytes decreased with block size: %v -> %v", prevPin, pin)
-		}
-		prevReg, prevPin = reg, pin
-	}
-}
-
 func TestTableCSV(t *testing.T) {
 	tb := &Table{ID: "x", Title: "t", Header: []string{"a", "b"}}
 	tb.AddRow("1", "v,w")
@@ -256,5 +70,37 @@ func TestTableCSV(t *testing.T) {
 	want := "a,b\n1,\"v,w\"\n\"q\"\"q\",2\n"
 	if got != want {
 		t.Errorf("CSV = %q, want %q", got, want)
+	}
+}
+
+// TestSeedChangesNetworkResults: seeds must actually steer the
+// randomised parts (placements, permutations), or the "sweep seeds for
+// robustness" workflow silently measures one sample.
+func TestSeedChangesNetworkResults(t *testing.T) {
+	a, err := Prob6Core(NewSession(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := Prob6Core(NewSession(99))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if reflect.DeepEqual(a.Rows, b.Rows) {
+		t.Error("different seeds produced identical network tables; seeding is dead")
+	}
+}
+
+// TestReduceRoundsReportsUnfinishedReduce: a measured reduce that has
+// not completed by the horizon is an error naming its cell, not a
+// zero-valued result.
+func TestReduceRoundsReportsUnfinishedReduce(t *testing.T) {
+	eng, _, eps := NewSession(1).cluster(netConfig(4, 8), transport.Config{})
+	ring, err := collective.NewRing(interleave(eps, 8, 4), 1, multipath.OBS, 16)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := reduceRounds(eng, ring, 1<<20, 1, time.Microsecond, "fig10a: obs/128")
+	if err == nil || !strings.Contains(err.Error(), "fig10a: obs/128") {
+		t.Errorf("reduceRounds at a 1 µs horizon = %v, %v; want an error naming fig10a: obs/128", res, err)
 	}
 }

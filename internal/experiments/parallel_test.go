@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"reflect"
-	"runtime"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -16,91 +15,6 @@ import (
 	"repro/internal/fabric"
 	"repro/internal/trace"
 )
-
-// fastIDs is the experiment subset the parallel-identity matrix runs:
-// cheap experiments covering host-side, network, chaos and transport
-// substrates. The heavier sweeps get their own -short-guarded test.
-func fastIDs(short bool) []string {
-	ids := []string{"fig12", "fig13", "table1", "tcp-path", "prob6-core", "chaos-recovery"}
-	if !short {
-		ids = append(ids, "lb-taxonomy", "moe-alltoall", "ablation-emtt")
-	}
-	return ids
-}
-
-// batchJSON renders a RunAll result slice the way stellarbench -json
-// prints it: concatenated Table.JSON in input order.
-func batchJSON(t *testing.T, results []Result) string {
-	t.Helper()
-	var b strings.Builder
-	for _, res := range results {
-		if res.Err != nil {
-			t.Fatalf("%s: %v", res.ID, res.Err)
-		}
-		b.WriteString(res.Table.JSON())
-	}
-	return b.String()
-}
-
-// TestRunAllParallelByteIdentical is the tentpole contract: the batch
-// output is byte-identical at any parallelism.
-func TestRunAllParallelByteIdentical(t *testing.T) {
-	runners, err := Select(strings.Join(fastIDs(testing.Short()), ","))
-	if err != nil {
-		t.Fatal(err)
-	}
-	// The subtest is named for the event wheel, the scheduler every
-	// session runs on.
-	t.Run("wheel", func(t *testing.T) {
-		run := func(parallelism int) string {
-			s := NewSession(7)
-			s.Parallelism = parallelism
-			results, err := RunAll(context.Background(), s, runners, nil)
-			if err != nil {
-				t.Fatal(err)
-			}
-			return batchJSON(t, results)
-		}
-		serial := run(1)
-		for _, p := range []int{4, runtime.GOMAXPROCS(0)} {
-			if got := run(p); got != serial {
-				t.Errorf("parallelism %d output differs from serial", p)
-			}
-		}
-	})
-}
-
-// TestSweepsParallelIdentity runs the internally-parallelized sweeps
-// (failure-sweep, fig11) with cell-parallel sessions and checks the
-// tables match a serial session's byte for byte.
-func TestSweepsParallelIdentity(t *testing.T) {
-	if testing.Short() {
-		t.Skip("failure-sweep and fig11 are seconds-long; skipped in -short")
-	}
-	for _, id := range []string{"failure-sweep", "fig11", "fig12"} {
-		id := id
-		t.Run(id, func(t *testing.T) {
-			r, ok := Lookup(id)
-			if !ok {
-				t.Fatalf("unknown experiment %s", id)
-			}
-			run := func(parallelism int) *Table {
-				s := NewSession(7)
-				s.Parallelism = parallelism
-				tb, err := r.Fn(s)
-				if err != nil {
-					t.Fatal(err)
-				}
-				return tb
-			}
-			serial, par := run(1), run(4)
-			if serial.JSON() != par.JSON() {
-				t.Errorf("%s: cell-parallel table differs from serial:\n%s\nvs\n%s",
-					id, serial.String(), par.String())
-			}
-		})
-	}
-}
 
 // TestConcurrentSessions drives two sessions at once — one tracing, one
 // under a chaos scenario — and checks neither leaks into the other.

@@ -12,41 +12,6 @@ import (
 	"repro/internal/transport"
 )
 
-// TestExperimentsShardInvariant: registered experiments must not change
-// with the session's shard count or cell parallelism. These experiments
-// build single-pod fabrics, so Shards=8 clamps to one engine; the check
-// guards that clamp and the worker dimension. The multi-pod tests below
-// exercise real cross-shard traffic.
-func TestExperimentsShardInvariant(t *testing.T) {
-	ids := []string{"fig12"}
-	if !testing.Short() {
-		ids = append(ids, "fig9", "failure-sweep", "contended-cluster")
-	}
-	for _, id := range ids {
-		id := id
-		t.Run(id, func(t *testing.T) {
-			r, ok := Lookup(id)
-			if !ok {
-				t.Fatalf("unknown experiment %s", id)
-			}
-			run := func(shards, workers int) [][]string {
-				s := NewSession(7)
-				s.Shards = shards
-				s.Parallelism = workers
-				tb, err := r.Fn(s)
-				if err != nil {
-					t.Fatalf("shards=%d: %v", shards, err)
-				}
-				return tb.Rows
-			}
-			ref := run(1, 1)
-			if got := run(8, 4); !reflect.DeepEqual(got, ref) {
-				t.Errorf("shards=8 workers=4 diverged from shards=1:\n got %v\nwant %v", got, ref)
-			}
-		})
-	}
-}
-
 // TestScalePermutationShardInvariant drives genuine cross-shard traffic:
 // a reduced multi-pod fleet (8 segments × 8 hosts in 4 pods) under
 // cross-pod permutation load, where every flow crosses the core seam and
