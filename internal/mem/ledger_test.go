@@ -9,22 +9,99 @@ import (
 )
 
 // TestPinBlockAllocFree pins the PVDMA pin path at zero allocations: a
-// block pin and its unpin only move an entry in the host ledger.
+// block pin and its unpin only move an entry in the host ledger, and
+// Free, PinAll and UnpinAll drop a region's leftover pins as one cut of
+// the ledger's window, in place.
 func TestPinBlockAllocFree(t *testing.T) {
 	m := testMem()
 	r, err := m.Allocate(4*addr.PageSize2M, "pv")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if n := testing.AllocsPerRun(100, func() {
-		if _, err := m.PinBlock(r, addr.PageSize2M, addr.PageSize2M); err != nil {
-			t.Fatal(err)
+	pin := func(r *Region, offs ...uint64) {
+		for _, off := range offs {
+			if _, err := m.PinBlock(r, off, addr.PageSize2M); err != nil {
+				t.Fatal(err)
+			}
 		}
+	}
+	if n := testing.AllocsPerRun(100, func() {
+		pin(r, addr.PageSize2M)
 		if err := m.UnpinBlock(r, addr.PageSize2M); err != nil {
 			t.Fatal(err)
 		}
 	}); n != 0 {
-		t.Errorf("allocs = %v, want 0", n)
+		t.Errorf("PinBlock+UnpinBlock allocs = %v, want 0", n)
+	}
+	if n := testing.AllocsPerRun(100, func() {
+		pin(r, 0, 2*addr.PageSize2M, 3*addr.PageSize2M)
+		if err := m.UnpinAll(r); err != nil {
+			t.Fatal(err)
+		}
+		pin(r, addr.PageSize2M)
+		if _, err := m.PinAll(r); err != nil {
+			t.Fatal(err)
+		}
+		if err := m.UnpinAll(r); err != nil {
+			t.Fatal(err)
+		}
+	}); n != 0 {
+		t.Errorf("PinAll/UnpinAll with block pins allocs = %v, want 0", n)
+	}
+
+	// Free regions that still hold pins, oldest first, while a newer
+	// region's pins stay in the ledger behind them.
+	const runs = 100
+	regs := make([]*Region, runs+1)
+	for i := range regs {
+		if regs[i], err = m.Allocate(4*addr.PageSize2M, "pv"); err != nil {
+			t.Fatal(err)
+		}
+		pin(regs[i], 0, 2*addr.PageSize2M)
+	}
+	pin(r, 0, addr.PageSize2M)
+	k := 0
+	if n := testing.AllocsPerRun(runs, func() {
+		if err := m.Free(regs[k]); err != nil {
+			t.Fatal(err)
+		}
+		k++
+	}); n != 0 {
+		t.Errorf("Free with block pins allocs = %v, want 0", n)
+	}
+	if m.ledger.Len() != 2 || m.PinnedBytes() != 2*addr.PageSize2M {
+		t.Errorf("ledger holds %d pins, %d bytes pinned; want r's 2 pins", m.ledger.Len(), m.PinnedBytes())
+	}
+}
+
+// TestPinBlockRejectsOverlap: a pin that overlaps a live pin of the
+// region without starting where it does is a double pin too, and leaves
+// the accounting alone.
+func TestPinBlockRejectsOverlap(t *testing.T) {
+	m := testMem()
+	r, err := m.Allocate(4*addr.PageSize2M, "pv")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := m.PinBlock(r, 0, 2*addr.PageSize2M); err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct{ off, size uint64 }{
+		{addr.PageSize2M, addr.PageSize2M},          // inside the pin
+		{addr.PageSize4K, addr.PageSize4K},          // one page in
+		{addr.PageSize2M, 2 * addr.PageSize2M},      // straddles its end
+		{2*addr.PageSize2M - addr.PageSize4K, 8192}, // last page and the next
+		{0, 4 * addr.PageSize2M},                    // covers it
+	} {
+		if _, err := m.PinBlock(r, c.off, c.size); !errors.Is(err, ErrDoublePin) {
+			t.Errorf("PinBlock(%#x, %#x) err = %v, want ErrDoublePin", c.off, c.size, err)
+		}
+	}
+	if r.PinnedBytes() != 2*addr.PageSize2M || m.PinnedBytes() != 2*addr.PageSize2M {
+		t.Errorf("pinned %d bytes in the region, %d in the host; want %d", r.PinnedBytes(), m.PinnedBytes(), 2*addr.PageSize2M)
+	}
+	if _, err := m.PinBlock(r, 2*addr.PageSize2M, 2*addr.PageSize2M); err != nil {
+		t.Errorf("adjacent pin: %v", err)
 	}
 }
 
@@ -49,15 +126,20 @@ func TestLedgerOffsetOutsideRegion(t *testing.T) {
 	if !b.BlockPinned(0) || b.PinnedBytes() != addr.PageSize4K {
 		t.Error("b's pin was disturbed")
 	}
+	if src, _, ok := m.ledger.LookupRange(b.HPA.Start); m.ledger.Len() != 1 || !ok || src.Size != addr.PageSize4K {
+		t.Errorf("ledger holds %d pins, b's = %v, %v", m.ledger.Len(), src, ok)
+	}
 }
 
 // TestLedgerProperty drives random block pins, unpins, full pins,
 // full unpins and frees over a few regions and checks the host ledger
 // against a model after every step: it holds exactly the live block
 // pins, none inside a freed or fully pinned region, and every byte
-// count agrees.
+// count agrees. Half the pins start off a block boundary and run up to
+// two blocks, so they overlap each other and must be refused.
 func TestLedgerProperty(t *testing.T) {
 	const blocks = 8 // per region
+	overlaps := 0
 	for seed := uint64(1); seed <= 20; seed++ {
 		rng := sim.NewRNG(seed)
 		m := testMem()
@@ -78,18 +160,30 @@ func TestLedgerProperty(t *testing.T) {
 			rm := regs[rng.Intn(len(regs))]
 			off := uint64(rng.Intn(blocks)) * addr.PageSize2M
 			size := uint64(1+rng.Intn(512)) * addr.PageSize4K
+			if rng.Intn(2) == 0 {
+				off += uint64(rng.Intn(512)) * addr.PageSize4K
+				size = min(2*size, rm.r.HPA.Size-off)
+			}
 			switch op := rng.Intn(10); {
 			case op < 5:
 				_, err := m.PinBlock(rm.r, off, size)
-				_, dup := rm.pins[off]
+				overlap := false
+				for o, sz := range rm.pins {
+					if o < off+size && off < o+sz {
+						overlap = true
+					}
+				}
 				switch {
 				case rm.r.Freed():
 					if !errors.Is(err, ErrFreedRegion) {
 						t.Fatalf("seed %d step %d: pin freed err = %v", seed, step, err)
 					}
-				case rm.full || dup:
+				case rm.full || overlap:
 					if !errors.Is(err, ErrDoublePin) {
 						t.Fatalf("seed %d step %d: double pin err = %v", seed, step, err)
+					}
+					if overlap {
+						overlaps++
 					}
 				case err != nil:
 					t.Fatalf("seed %d step %d: pin: %v", seed, step, err)
@@ -158,25 +252,29 @@ func TestLedgerProperty(t *testing.T) {
 					t.Fatalf("seed %d step %d: region pinned = %d, want %d", seed, step, got, rp)
 				}
 				pinned += rp
-				for start := range m.blockPins {
-					if rm.r.HPA.Contains(start) {
+				m.ledger.Walk(func(src addr.Range, _ uint64) bool {
+					if rm.r.HPA.Contains(src.Start) {
 						live++
-						if _, ok := rm.pins[start-rm.r.HPA.Start]; !ok {
-							t.Fatalf("seed %d step %d: ledger holds %#x the model does not", seed, step, start)
+						if size, ok := rm.pins[src.Start-rm.r.HPA.Start]; !ok || size != src.Size {
+							t.Fatalf("seed %d step %d: ledger holds %v the model does not", seed, step, src)
 						}
 					}
-				}
+					return true
+				})
 				if rm.r.blockPins != len(rm.pins) {
 					t.Fatalf("seed %d step %d: region counts %d block pins, model %d", seed, step, rm.r.blockPins, len(rm.pins))
 				}
 			}
-			if len(m.blockPins) != want || live != want {
+			if m.ledger.Len() != want || live != want {
 				t.Fatalf("seed %d step %d: ledger has %d entries (%d in regions), model %d",
-					seed, step, len(m.blockPins), live, want)
+					seed, step, m.ledger.Len(), live, want)
 			}
 			if m.PinnedBytes() != pinned {
 				t.Fatalf("seed %d step %d: PinnedBytes = %d, model %d", seed, step, m.PinnedBytes(), pinned)
 			}
 		}
+	}
+	if overlaps == 0 {
+		t.Fatal("no pin overlapped a live one: the run misses the double-pin path")
 	}
 }

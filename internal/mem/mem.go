@@ -19,6 +19,7 @@ import (
 	"time"
 
 	"repro/internal/addr"
+	"repro/internal/pagetable"
 	"repro/internal/sim"
 )
 
@@ -59,10 +60,10 @@ type Memory struct {
 	used    uint64
 	pinned  uint64
 	regions []*Region // sorted by HPA start
-	// blockPins is the host pin ledger: block start (absolute HPA) ->
-	// size for every PinBlock pin of every region. HPAs are
-	// bump-allocated, so a start names one block across all regions.
-	blockPins map[uint64]uint64
+	// ledger is the host pin ledger: one sorted window of the absolute
+	// HPA range of every PinBlock pin of every region. Regions are
+	// disjoint HPA ranges, so each region's pins are one run of it.
+	ledger *pagetable.Table
 }
 
 // New builds a memory of the configured size.
@@ -74,9 +75,9 @@ func New(cfg Config) *Memory {
 		cfg.PinCostPerPage4K = DefaultConfig().PinCostPerPage4K
 	}
 	return &Memory{
-		cfg:       cfg,
-		next:      addr.PageSize4K, // keep HPA 0 unmapped
-		blockPins: make(map[uint64]uint64),
+		cfg:    cfg,
+		next:   addr.PageSize4K, // keep HPA 0 unmapped
+		ledger: pagetable.New("host-pins"),
 	}
 }
 
@@ -203,24 +204,21 @@ func (m *Memory) UnpinAll(r *Region) error {
 	return nil
 }
 
-// dropBlockPins removes the region's block pins from the host ledger;
-// their bytes are already accounted by the caller.
+// dropBlockPins removes the region's block pins from the host ledger,
+// one cut of the window in place; their bytes are already accounted by
+// the caller.
 func (m *Memory) dropBlockPins(r *Region) {
 	if r.blockPins == 0 {
 		return
 	}
-	for start := range m.blockPins {
-		if r.HPA.Contains(start) {
-			delete(m.blockPins, start)
-		}
-	}
+	m.ledger.Punch(r.HPA.Range)
 	r.blockPins = 0
 }
 
 // PinBlock pins a sub-range of the region (the PVDMA on-demand path).
-// Offset and size must be 4 KiB aligned and inside the region. The same
-// block must not be pinned twice: the caller (PVDMA's Map Cache)
-// deduplicates, and a double pin indicates a caller bug.
+// Offset and size must be 4 KiB aligned and inside the region. No page
+// may be pinned twice: the caller (PVDMA's Map Cache) deduplicates, and
+// a pin overlapping another indicates a caller bug.
 func (m *Memory) PinBlock(r *Region, offset, size uint64) (sim.Duration, error) {
 	if r.freed {
 		return 0, ErrFreedRegion
@@ -234,11 +232,9 @@ func (m *Memory) PinBlock(r *Region, offset, size uint64) (sim.Duration, error) 
 	if r.fullyPinned {
 		return 0, ErrDoublePin
 	}
-	start := r.HPA.Start + offset
-	if _, dup := m.blockPins[start]; dup {
+	if err := m.ledger.Map(addr.Range{Start: r.HPA.Start + offset, Size: size}, 0); err != nil {
 		return 0, ErrDoublePin
 	}
-	m.blockPins[start] = size
 	r.blockPins++
 	r.pinnedBytes += size
 	m.pinned += size
@@ -254,15 +250,13 @@ func (m *Memory) UnpinBlock(r *Region, offset uint64) error {
 	if offset >= r.HPA.Size {
 		return ErrNotPinned
 	}
-	start := r.HPA.Start + offset
-	size, ok := m.blockPins[start]
-	if !ok {
+	src, err := m.ledger.Unmap(r.HPA.Start + offset)
+	if err != nil {
 		return ErrNotPinned
 	}
-	delete(m.blockPins, start)
 	r.blockPins--
-	r.pinnedBytes -= size
-	m.pinned -= size
+	r.pinnedBytes -= src.Size
+	m.pinned -= src.Size
 	return nil
 }
 
@@ -275,8 +269,9 @@ func (r *Region) BlockPinned(offset uint64) bool {
 	if offset >= r.HPA.Size {
 		return false
 	}
-	_, ok := r.mem.blockPins[r.HPA.Start+offset]
-	return ok
+	start := r.HPA.Start + offset
+	src, _, ok := r.mem.ledger.LookupRange(start)
+	return ok && src.Start == start
 }
 
 // PinnedBytes returns the pinned byte count of the region.

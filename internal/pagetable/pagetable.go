@@ -153,42 +153,62 @@ func (t *Table) Unmap(srcStart uint64) (addr.Range, error) {
 		return addr.Range{}, fmt.Errorf("%w: %s unmap %#x", ErrNotFound, t.name, srcStart)
 	}
 	src := t.base[t.off+i].src
-	if i < t.n-1-i {
-		copy(t.base[t.off+1:], t.base[t.off:t.off+i])
-		t.off++
+	t.cut(i, i+1)
+	return src, nil
+}
+
+// cut removes the window entries [i, j), moving whichever side of the
+// window is shorter.
+func (t *Table) cut(i, j int) {
+	d := j - i
+	if i < t.n-j {
+		copy(t.base[t.off+d:], t.base[t.off:t.off+i])
+		t.off += d
 	} else {
-		copy(t.base[t.off+i:], t.base[t.off+i+1:t.off+t.n])
+		copy(t.base[t.off+i:], t.base[t.off+j:t.off+t.n])
 	}
-	if t.n--; t.n == 0 {
+	if t.n -= d; t.n == 0 {
 		t.off = 0
 	}
-	return src, nil
 }
 
 // Punch removes r from every overlapping mapping, splitting entries
 // that straddle its edges while preserving their offset translation.
 // It models remapping a hole inside a larger region (e.g. direct-mapping
-// a device register into a GPA range the EPT covers as RAM).
+// a device register into a GPA range the EPT covers as RAM). The
+// overlapping entries are one run of the window, which Punch cuts in
+// place: it allocates only when the hole splits one entry in two.
 func (t *Table) Punch(r addr.Range) {
 	if r.Size == 0 {
 		return
 	}
-	var out []entry
-	for _, e := range t.live() {
-		if !e.src.Overlaps(r) {
-			out = append(out, e)
-			continue
-		}
-		if e.src.Start < r.Start {
-			left := addr.Range{Start: e.src.Start, Size: r.Start - e.src.Start}
-			out = append(out, entry{src: left, dst: e.dst})
-		}
-		if e.src.End() > r.End() {
-			right := addr.Range{Start: r.End(), Size: e.src.End() - r.End()}
-			out = append(out, entry{src: right, dst: e.dst + (r.End() - e.src.Start)})
-		}
+	i := t.search(r.Start)
+	j := i
+	for j < t.n && t.base[t.off+j].src.Start < r.End() {
+		j++
 	}
-	t.base, t.off, t.n = out[:cap(out)], 0, len(out)
+	if i == j {
+		return
+	}
+	var keep [2]entry
+	k := 0
+	if e := t.base[t.off+i]; e.src.Start < r.Start {
+		keep[k] = entry{src: addr.Range{Start: e.src.Start, Size: r.Start - e.src.Start}, dst: e.dst}
+		k++
+	}
+	if e := t.base[t.off+j-1]; e.src.End() > r.End() {
+		keep[k] = entry{src: addr.Range{Start: r.End(), Size: e.src.End() - r.End()}, dst: e.dst + (r.End() - e.src.Start)}
+		k++
+	}
+	if k > j-i {
+		t.base[t.off+i] = keep[0]
+		t.insert(i+1, keep[1])
+		return
+	}
+	copy(t.base[t.off+i:], keep[:k])
+	if i+k < j {
+		t.cut(i+k, j)
+	}
 }
 
 // Translate maps a source address to its destination, reporting whether

@@ -300,16 +300,19 @@ func TestTLBWorkingSetBehaviour(t *testing.T) {
 	}
 }
 
-// checkTLBIndexes fails unless the LRU list, the entry map and the region
-// index describe the same set of cached pages.
+// checkTLBIndexes fails unless the LRU list, the entry index and the
+// region index describe the same set of cached pages, and both indexes
+// keep their probing invariants.
 func checkTLBIndexes(t *testing.T, c *TLB) {
 	t.Helper()
-	want := make(map[uint64]int)
+	checkIndex(t, "entries", &c.entries)
+	checkIndex(t, "regions", &c.regions)
+	want := make(map[uint64]int32)
 	n := 0
 	prev := int32(nilNode)
 	for i := c.head; i != nilNode; i = c.nodes[i].next {
 		e := &c.nodes[i]
-		if j, ok := c.entries[e.key]; !ok || j != i {
+		if j, ok := c.entries.get(e.key); !ok || j != i {
 			t.Fatalf("LRU node %#x not in entries", e.key)
 		}
 		if e.prev != prev {
@@ -322,8 +325,8 @@ func checkTLBIndexes(t *testing.T, c *TLB) {
 	if c.tail != prev {
 		t.Fatalf("tail = %d, want %d", c.tail, prev)
 	}
-	if n != len(c.entries) {
-		t.Fatalf("LRU list holds %d nodes, entries %d", n, len(c.entries))
+	if n != c.entries.n {
+		t.Fatalf("LRU list holds %d nodes, entries %d", n, c.entries.n)
 	}
 	free := 0
 	for i := c.free; i != nilNode; i = c.nodes[i].next {
@@ -332,8 +335,48 @@ func checkTLBIndexes(t *testing.T, c *TLB) {
 	if n+free != len(c.nodes) || len(c.nodes) > c.capacity {
 		t.Fatalf("slab holds %d nodes: %d live, %d free, capacity %d", len(c.nodes), n, free, c.capacity)
 	}
-	if !maps.Equal(want, c.regions) {
-		t.Fatalf("region index %v, want %v", c.regions, want)
+	if got := indexMap(&c.regions); !maps.Equal(want, got) {
+		t.Fatalf("region index %v, want %v", got, want)
+	}
+}
+
+// indexMap copies an index into a map.
+func indexMap(x *index) map[uint64]int32 {
+	m := make(map[uint64]int32, x.n)
+	for _, s := range x.slots {
+		if s.used {
+			m[s.key] = s.val
+		}
+	}
+	return m
+}
+
+// checkIndex fails unless x counts its occupied slots, is at most half
+// full, holds each key once, and reaches every key from its home slot
+// without crossing an empty slot.
+func checkIndex(t *testing.T, name string, x *index) {
+	t.Helper()
+	if len(x.slots)&(len(x.slots)-1) != 0 || 2*x.n > len(x.slots) {
+		t.Fatalf("%s index: %d keys in %d slots", name, x.n, len(x.slots))
+	}
+	used := 0
+	mask := len(x.slots) - 1
+	for i, s := range x.slots {
+		if !s.used {
+			continue
+		}
+		used++
+		for j := x.home(s.key); j != i; j = (j + 1) & mask {
+			if !x.slots[j].used {
+				t.Fatalf("%s index: key %#x in slot %d unreachable from home %d", name, s.key, i, x.home(s.key))
+			}
+			if x.slots[j].key == s.key {
+				t.Fatalf("%s index: key %#x in slots %d and %d", name, s.key, j, i)
+			}
+		}
+	}
+	if used != x.n {
+		t.Fatalf("%s index: %d slots used, counted %d", name, used, x.n)
 	}
 }
 
@@ -344,14 +387,14 @@ func invalidateRangeRef(c *TLB, start, size uint64) {
 		return
 	}
 	pages := (c.page(start+size-1)-c.page(start))/c.pageSize + 1
-	if pages <= uint64(len(c.entries)) {
+	if pages <= uint64(c.entries.n) {
 		for p := c.page(start); p <= c.page(start+size-1); p += c.pageSize {
 			c.Invalidate(p)
 		}
 		return
 	}
 	end := start + size
-	for key := range c.entries {
+	for key := range indexMap(&c.entries) {
 		if key+c.pageSize > start && key < end {
 			c.Invalidate(key)
 		}
@@ -416,7 +459,7 @@ func TestTLBInvalidateRangeMatchesReference(t *testing.T) {
 					fill(got, state)
 					fill(ref, state)
 					if rg.size > 0 {
-						if span := got.region(rg.start+rg.size-1) - got.region(rg.start) + 1; span <= uint64(len(got.regions)) {
+						if span := got.region(rg.start+rg.size-1) - got.region(rg.start) + 1; span <= uint64(got.regions.n) {
 							walked++
 						} else {
 							ranged++

@@ -16,21 +16,22 @@ const regionPages = 512
 // memory pages" per §6); each entry caches the translation of one page.
 //
 // Nodes live in one pointer-free slab linked by int32 indices, with a
-// free list of dropped nodes, and the page index maps to slab indices,
-// so the collector scans neither. The slab doubles up to capacity as
-// pages are cached; nothing is sized to capacity up front.
+// free list of dropped nodes, and the page index maps to slab indices
+// in a pointer-free hash table, so the collector scans neither. The
+// slab and the indexes grow with the cached pages; nothing is sized to
+// capacity up front.
 type TLB struct {
 	capacity    int
 	pageSize    uint64
 	regionShift uint // log2(pageSize * regionPages)
 
 	nodes   []tlbNode
-	free    int32            // first free slab node, or nilNode
-	entries map[uint64]int32 // page-aligned source -> slab index
+	free    int32 // first free slab node, or nilNode
+	entries index // page-aligned source -> slab index
 	// regions counts the cached pages of each occupied region (source >>
 	// regionShift), so InvalidateRange skips empty regions without
 	// probing their pages.
-	regions map[uint64]int
+	regions index
 	head    int32 // most recently used, or nilNode
 	tail    int32 // least recently used, or nilNode
 
@@ -57,8 +58,6 @@ func NewTLB(capacity int, pageSize uint64) *TLB {
 		pageSize:    pageSize,
 		regionShift: uint(bits.TrailingZeros64(pageSize * regionPages)),
 		free:        nilNode,
-		entries:     make(map[uint64]int32),
-		regions:     make(map[uint64]int),
 		head:        nilNode,
 		tail:        nilNode,
 	}
@@ -71,7 +70,7 @@ func (c *TLB) Capacity() int { return c.capacity }
 func (c *TLB) PageSize() uint64 { return c.pageSize }
 
 // Len returns the number of cached translations.
-func (c *TLB) Len() int { return len(c.entries) }
+func (c *TLB) Len() int { return c.entries.n }
 
 // Hits returns the cumulative hit count.
 func (c *TLB) Hits() uint64 { return c.hits }
@@ -137,15 +136,11 @@ func (c *TLB) alloc() int32 {
 	return int32(k)
 }
 
-// unindex removes the page key from both indexes.
-func (c *TLB) unindex(key uint64) {
-	delete(c.entries, key)
-	r := c.region(key)
-	if k := c.regions[r]; k > 1 {
-		c.regions[r] = k - 1
-	} else {
-		delete(c.regions, r)
-	}
+// unindex removes the page key, held in entries slot e, from both
+// indexes.
+func (c *TLB) unindex(e int, key uint64) {
+	c.entries.removeAt(e)
+	c.regions.add(c.region(key), -1)
 }
 
 // Lookup resolves a source address through the cache. On hit it returns
@@ -153,7 +148,7 @@ func (c *TLB) unindex(key uint64) {
 // returns false and records the miss.
 func (c *TLB) Lookup(a uint64) (uint64, bool) {
 	key := c.page(a)
-	i, ok := c.entries[key]
+	i, ok := c.entries.get(key)
 	if !ok {
 		c.misses++
 		return 0, false
@@ -170,7 +165,7 @@ func (c *TLB) Lookup(a uint64) (uint64, bool) {
 // containing dst, evicting the LRU entry if full.
 func (c *TLB) Insert(src, dst uint64) {
 	key := c.page(src)
-	if i, ok := c.entries[key]; ok {
+	if i, ok := c.entries.get(key); ok {
 		c.nodes[i].dst = c.page(dst)
 		if c.head != i {
 			c.detach(i)
@@ -179,18 +174,19 @@ func (c *TLB) Insert(src, dst uint64) {
 		return
 	}
 	var i int32
-	if len(c.entries) >= c.capacity {
+	if c.entries.n >= c.capacity {
 		i = c.tail // reused for the new entry
 		c.detach(i)
-		c.unindex(c.nodes[i].key)
+		old := c.nodes[i].key
+		c.unindex(c.entries.find(old), old)
 		c.evicts++
 	} else {
 		i = c.alloc()
 	}
 	n := &c.nodes[i]
 	n.key, n.dst = key, c.page(dst)
-	c.entries[key] = i
-	c.regions[c.region(key)]++
+	c.entries.put(key, i)
+	c.regions.add(c.region(key), 1)
 	c.pushFront(i)
 }
 
@@ -198,25 +194,25 @@ func (c *TLB) Insert(src, dst uint64) {
 // present.
 func (c *TLB) Invalidate(a uint64) {
 	key := c.page(a)
-	if i, ok := c.entries[key]; ok {
-		c.release(i)
-		c.unindex(key)
+	if e := c.entries.find(key); e >= 0 {
+		c.release(c.entries.slots[e].val)
+		c.unindex(e, key)
 	}
 }
 
 // InvalidateRange drops every cached page overlapping [start, start+size).
 // It visits only occupied regions: it walks the range's regions when the
-// range spans no more regions than are occupied, and otherwise ranges
-// over the occupied ones.
+// range spans no more regions than are occupied, and otherwise scans the
+// region index's slots.
 func (c *TLB) InvalidateRange(start, size uint64) {
-	if size == 0 {
+	if size == 0 || c.regions.n == 0 {
 		return
 	}
 	first, last := c.page(start), c.page(start+size-1)
 	r0, r1 := c.region(first), c.region(last)
-	if r1-r0 < uint64(len(c.regions)) {
+	if r1-r0 < uint64(c.regions.n) {
 		for r := r0; ; r++ {
-			if k, ok := c.regions[r]; ok {
+			if k, ok := c.regions.get(r); ok {
 				c.invalidateRegion(r, k, first, last)
 			}
 			if r == r1 {
@@ -224,41 +220,58 @@ func (c *TLB) InvalidateRange(start, size uint64) {
 			}
 		}
 	}
-	for r, k := range c.regions {
-		if r >= r0 && r <= r1 {
-			c.invalidateRegion(r, k, first, last)
+	// Scan the slots once round, starting just after an empty one, so
+	// every probe run lies ahead of the scan. Dropping a region deletes
+	// it by backward shift, which moves only regions the scan has not
+	// reached yet, and none further back than the slot just read: so
+	// that slot is read again before the scan moves on, and no region is
+	// skipped or visited twice.
+	slots := c.regions.slots
+	mask := len(slots) - 1
+	s := 0
+	for slots[s].used {
+		s++
+	}
+	for j := 1; j <= mask; j++ {
+		i := (s + j) & mask
+		for slots[i].used {
+			r := slots[i].key
+			if r < r0 || r > r1 || !c.invalidateRegion(r, slots[i].val, first, last) {
+				break
+			}
 		}
 	}
 }
 
 // invalidateRegion drops the cached pages of region r, which holds k,
 // that lie in [first, last], stopping once the region is empty. It
-// updates r's count once, not per dropped page.
-func (c *TLB) invalidateRegion(r uint64, k int, first, last uint64) {
+// updates r's count once, not per dropped page, and reports whether it
+// emptied the region.
+func (c *TLB) invalidateRegion(r uint64, k int32, first, last uint64) bool {
 	lo := max(first, r<<c.regionShift)
 	hi := min(last, r<<c.regionShift+(c.pageSize*regionPages-c.pageSize))
-	for p := lo; k > 0; p += c.pageSize {
-		if i, ok := c.entries[p]; ok {
-			c.release(i)
-			delete(c.entries, p)
-			k--
+	dropped := int32(0)
+	for p := lo; dropped < k; p += c.pageSize {
+		if e := c.entries.find(p); e >= 0 {
+			c.release(c.entries.slots[e].val)
+			c.entries.removeAt(e)
+			dropped++
 		}
 		if p >= hi {
 			break
 		}
 	}
-	if k == 0 {
-		delete(c.regions, r)
-	} else {
-		c.regions[r] = k
+	if dropped > 0 {
+		c.regions.add(r, -dropped)
 	}
+	return dropped == k
 }
 
-// Flush drops every entry (counters persist). The slab keeps its
-// capacity for reuse.
+// Flush drops every entry (counters persist). The slab and both
+// indexes keep their capacity for reuse.
 func (c *TLB) Flush() {
-	clear(c.entries)
-	clear(c.regions)
+	c.entries.reset()
+	c.regions.reset()
 	c.nodes = c.nodes[:0]
 	c.free, c.head, c.tail = nilNode, nilNode, nilNode
 }

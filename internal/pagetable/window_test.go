@@ -263,10 +263,11 @@ func TestTableWindowMatchesReference(t *testing.T) {
 		// Punch a hole, and sometimes clear.
 		lo, hi := ref.first(), ref.last()
 		hole := addr.Range{Start: lo + rng.Uint64N((hi-lo)/page+1)*page, Size: uint64(1+rng.IntN(64)) * page}
+		n, blen, first := tb.n, len(tb.base), &tb.base[0]
 		tb.Punch(hole)
 		ref.punch(hole)
-		if tb.off != 0 {
-			t.Fatalf("Punch left the window at %d", tb.off)
+		if tb.n <= n && (len(tb.base) != blen || &tb.base[0] != first) {
+			t.Fatalf("Punch of %v from %d to %d entries replaced the backing array", hole, n, tb.n)
 		}
 		check()
 		if round%2 == 1 {

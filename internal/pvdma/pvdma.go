@@ -17,6 +17,7 @@ import (
 	"errors"
 	"fmt"
 	"math/bits"
+	"sync"
 	"time"
 
 	"repro/internal/addr"
@@ -81,7 +82,6 @@ type Manager struct {
 	container  *rund.Container
 	dir        []leafRef // Map Cache leaves, sorted by key
 	lastLeaf   int       // dir position of the last leaf looked up
-	spare      *leaf     // one emptied leaf kept for the next miss
 	split      []splitPair
 	cached     int // blocks in the Map Cache
 	refs       int // MapDMA references across cached blocks
@@ -106,6 +106,12 @@ func (m *Manager) SetTracer(t *trace.Tracer, host string) {
 const leafSlots = 64
 
 type leaf [leafSlots]slot
+
+// leafPool holds emptied Map Cache leaves for any manager's next miss,
+// so a container's blocks reuse the leaves of containers torn down
+// before it. A leaf goes in only once every slot is zero again, so the
+// pool carries no simulation state between managers or goroutines.
+var leafPool = sync.Pool{New: func() any { return new(leaf) }}
 
 type leafRef struct {
 	key   uint64 // block index / leafSlots
@@ -185,14 +191,9 @@ func (m *Manager) leaf(idx uint64, create bool) *leafRef {
 		if !create {
 			return nil
 		}
-		l := m.spare
-		if l == nil {
-			l = new(leaf)
-		}
-		m.spare = nil
 		m.dir = append(m.dir, leafRef{})
 		copy(m.dir[i+1:], m.dir[i:])
-		m.dir[i] = leafRef{key: key, slots: l}
+		m.dir[i] = leafRef{key: key, slots: leafPool.Get().(*leaf)}
 	}
 	m.lastLeaf = i
 	return &m.dir[i]
@@ -212,10 +213,10 @@ func (m *Manager) findLeaf(key uint64) (int, bool) {
 	return lo, lo < len(m.dir) && m.dir[lo].key == key
 }
 
-// dropLeaf removes an emptied leaf from the directory, keeping it as
-// the spare so a miss-then-release cycle does not reallocate it.
+// dropLeaf removes an emptied leaf from the directory and returns it to
+// the pool, so a miss-then-release cycle does not reallocate it.
 func (m *Manager) dropLeaf(ref *leafRef) {
-	m.spare = ref.slots
+	leafPool.Put(ref.slots)
 	i, _ := m.findLeaf(ref.key)
 	m.dir = append(m.dir[:i], m.dir[i+1:]...)
 }
