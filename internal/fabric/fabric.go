@@ -637,7 +637,11 @@ func (f *Fabric) route(p *Packet) uint8 {
 // after Config.RerouteDelay (§7.2's two-stage recovery: the short RTO
 // repaths instantly; BGP fixes the routing afterwards). Any gray state
 // on the link is kept. A nonexistent uplink is an error and schedules
-// nothing.
+// nothing. The convergence timer is armed on, and a superseded one
+// canceled on, EngineForSegment(segment): call it on that engine's
+// goroutine, because Cancel writes the arming engine's queue. Chaos
+// scenarios run on a single-engine fabric and exp_failover calls it
+// from one of the engine's own events, so both satisfy this.
 func (f *Fabric) FailLinkWithReroute(segment, agg int) error {
 	ref := Uplink(segment, agg)
 	ft, err := f.FaultOf(ref)
@@ -675,7 +679,9 @@ func (f *Fabric) FailLinkWithReroute(segment, agg int) error {
 // RestoreRoute clears a reroute override (after repair), cancelling any
 // BGP-convergence timer still pending from FailLinkWithReroute — without
 // the cancel, a repair inside RerouteDelay would be silently overridden
-// when the stale timer fired.
+// when the stale timer fired. As for FailLinkWithReroute, call it on
+// the goroutine of EngineForSegment(segment), the engine that armed the
+// timer.
 func (f *Fabric) RestoreRoute(segment, agg int) {
 	key := [2]int{segment, agg}
 	if ev := f.rerouteEv[key]; ev != nil {

@@ -70,10 +70,12 @@ func (m *refQueue) RunAll() Time {
 }
 
 // engineQ adapts an Engine to queueAPI and tallies, from the engine's
-// internals, which queue paths the workload reached.
+// internals, which queue paths the workload reached. parked maps each
+// handle a wheel cancel gave back to the bucket its tombstone sits in.
 type engineQ struct {
 	*Engine
-	tally map[string]int
+	tally  map[string]int
+	parked map[*Event]uint64
 }
 
 func (q engineQ) Post(t Time, fn func(any), arg any) {
@@ -83,7 +85,14 @@ func (q engineQ) Post(t Time, fn func(any), arg any) {
 
 func (q engineQ) AfterArg(d Duration, fn func(any), arg any) *Event {
 	q.classify(q.Now().Add(d))
-	return q.Engine.AfterArg(d, fn, arg)
+	ev := q.Engine.AfterArg(d, fn, arg)
+	if b, ok := q.parked[ev]; ok {
+		if b > q.flushed {
+			q.tally["handle reused before its bucket flushed"]++
+		}
+		delete(q.parked, ev)
+	}
+	return ev
 }
 
 func (q engineQ) Cancel(ev *Event) {
@@ -91,6 +100,24 @@ func (q engineQ) Cancel(ev *Event) {
 		q.tally["cancel after flush"]++
 	} else {
 		q.tally["cancel before flush"]++
+	}
+	if ev.wheel {
+		b := (*block)(ev.link)
+		switch {
+		case b.live > 1:
+			chain := 0
+			for c := q.wheel[bucketOf(ev.when)&wheelMask]; c != nil; c = c.next {
+				chain++
+			}
+			if chain >= 3 {
+				q.tally["tombstone in a 3+ block chain"]++
+			}
+		case b.n == blockLen:
+			q.tally["cancel empties a full block"]++
+		case b.prev == nil:
+			q.tally["cancel empties the chain head being filled"]++
+		}
+		q.parked[ev] = bucketOf(ev.when)
 	}
 	ev.Cancel()
 }
@@ -139,24 +166,33 @@ type modelRec struct {
 // ties, nested events inside the current bucket (past maxRunShift when
 // it is dense), dense bursts into one future bucket, RTO-like timers,
 // events beyond the wheel, and cancels of armed events before and after
-// their bucket flushes.
+// their bucket flushes. An RTO wave arms a multi-block chain of timers
+// in one future bucket and cancels all of them (every block, the
+// chain head being filled included, empties and leaves its chain) or
+// most of them (tombstones that the counting sort must skip), in random
+// order, so handles come back while their old bucket is still pending.
 func modelWorkload(q queueAPI, seed uint64) []firing {
 	r := NewRNG(seed)
 	var log []firing
 	var armed []*modelRec
 	ids, budget := 0, 12000
 	var fire func(any)
-	add := func(at Time) {
+	arm := func(at Time) *modelRec {
 		ids++
 		budget--
 		rc := &modelRec{id: ids}
-		if r.Intn(2) == 0 {
-			q.Post(at, fire, rc)
-			return
-		}
 		rc.ev = q.AfterArg(at.Sub(q.Now()), fire, rc)
 		armed = append(armed, rc)
-		if r.Intn(5) == 0 {
+		return rc
+	}
+	add := func(at Time) {
+		if r.Intn(2) == 0 {
+			ids++
+			budget--
+			q.Post(at, fire, &modelRec{id: ids})
+			return
+		}
+		if rc := arm(at); r.Intn(5) == 0 {
 			cancel(q, rc)
 		}
 	}
@@ -179,7 +215,7 @@ func modelWorkload(q queueAPI, seed uint64) []firing {
 		if budget <= 0 {
 			return
 		}
-		switch r.Intn(8) {
+		switch r.Intn(9) {
 		case 0: // same-instant ties
 			for n := 1 + r.Intn(3); n > 0; n-- {
 				add(now)
@@ -199,6 +235,18 @@ func modelWorkload(q queueAPI, seed uint64) []firing {
 		case 5: // a few ns ahead: overflows the run inside a dense bucket
 			for n := 1 + r.Intn(4); n > 0; n-- {
 				add(now.Add(Duration(r.Intn(8))))
+			}
+		case 6: // an RTO wave into one future bucket, then its acks
+			base := Time(bucketOf(now)+1+uint64(r.Intn(8))) << bucketBits
+			wave := make([]*modelRec, 17+r.Intn(48))
+			for i := range wave {
+				wave[i] = arm(base + Time(r.Intn(bucketNs)))
+			}
+			all := r.Intn(2) == 0 // else about a quarter survive
+			for _, i := range r.Perm(len(wave)) {
+				if all || r.Intn(4) != 0 {
+					cancel(q, wave[i])
+				}
 			}
 		default:
 			cancelSome(1 + r.Intn(3))
@@ -231,7 +279,7 @@ func TestQueueMatchesReferenceModel(t *testing.T) {
 			t.Fatalf("seed %d: model fired only %d events", seed, len(want))
 		}
 		for _, mode := range []SchedulerMode{SchedulerWheel, SchedulerHeap} {
-			q := engineQ{NewEngineMode(1, mode), map[string]int{}}
+			q := engineQ{NewEngineMode(1, mode), map[string]int{}, map[*Event]uint64{}}
 			got := modelWorkload(q, seed)
 			if len(got) != len(want) {
 				t.Fatalf("seed %d mode %d: fired %d events, model %d", seed, mode, len(got), len(want))
@@ -248,7 +296,9 @@ func TestQueueMatchesReferenceModel(t *testing.T) {
 				continue
 			}
 			for _, path := range []string{"run overflow to heap", "far", "bucket of 3+ blocks",
-				"cancel before flush", "cancel after flush"} {
+				"cancel before flush", "cancel after flush",
+				"cancel empties a full block", "cancel empties the chain head being filled",
+				"tombstone in a 3+ block chain", "handle reused before its bucket flushed"} {
 				if q.tally[path] == 0 {
 					t.Errorf("seed %d: workload never reached %q (tally %v)", seed, path, q.tally)
 				}

@@ -13,20 +13,24 @@
 // The engine is a two-tier scheduler. Short-horizon events — per-hop
 // packet departures, the transport's 250 µs RTOs, anything within the
 // next ~4 ms of virtual time — land in a timer wheel of fixed-width
-// buckets: O(1) insert, O(1) cancel, and lazy reaping of canceled
-// events when their bucket's time arrives, so an RTO that is armed and
-// canceled on every packet never touches the heap at all. Far or
-// irregular events go straight into a binary heap. Queues hold events
-// by value, and buckets are flushed strictly in time order before any
-// event they could precede is popped, so the dispatch order — (time,
-// then scheduling sequence) — is byte-identical to a plain heap;
-// SchedulerHeap disables the wheel for differential tests only.
+// buckets: O(1) insert and O(1) cancel. Canceling a wheel event
+// tombstones its entry in place and gives its handle back at once, and
+// a block of entries that are all tombstones goes back to the pool, so
+// an RTO that is armed and canceled on every packet never touches the
+// heap and holds no memory past its ack. Far or irregular events go
+// straight into a binary heap. Queues hold events by value, and buckets
+// are flushed strictly in time order before any event they could
+// precede is popped, so the dispatch order — (time, then scheduling
+// sequence) — is byte-identical to a plain heap; SchedulerHeap disables
+// the wheel for differential tests only.
 //
 // Post needs no cancel handle. The *Event handles At, After and AfterArg
 // return are recycled through a per-engine free list (safe because the
-// engine is single-threaded), so an *Event must not be retained after
-// its callback has run: Cancel on a fired event is harmless only until
-// the engine reuses the handle.
+// engine is single-threaded) as soon as the event fires or, in the
+// wheel, is canceled. So an *Event must not be retained after its
+// callback has run or after Cancel: calling Cancel again is harmless
+// only until the engine reuses the handle, which may be the very next
+// At, After or AfterArg.
 package sim
 
 import (
@@ -34,6 +38,7 @@ import (
 	"math"
 	"slices"
 	"time"
+	"unsafe"
 
 	"repro/internal/trace"
 )
@@ -109,25 +114,44 @@ func bucketOf(t Time) uint64 { return uint64(t) >> bucketBits }
 
 // Event is the cancel handle of an event scheduled with At, After or
 // AfterArg. The callback lives in the queued entry; the queue reads the
-// handle only for cancelable events.
+// handle only for cancelable events. While the event sits in the wheel,
+// link points at its block and slot is its entry's index there; while
+// the handle is free, link is the free-list successor. A handle in the
+// run or the heap, or one that fired, has wheel false and is reaped by
+// its canceled flag. Keeping one link for both roles holds the handle
+// at 24 bytes.
 type Event struct {
 	when     Time
+	slot     uint8
+	wheel    bool // link is the block holding the entry
 	canceled bool
-	next     *Event // free-list link
+	link     unsafe.Pointer // *block while wheel, else *Event free-list link
 }
 
 // When reports the virtual time the event fires at.
 func (e *Event) When() Time { return e.when }
 
-// Cancel prevents the event from firing. Safe to call multiple times;
-// on an event that already fired it is a no-op, but only until the
-// engine recycles the handle — do not retain event pointers past their
-// firing time. The entry keeps its arg until reaped but never runs.
+// Cancel prevents the event from firing. An event still in the wheel
+// gives its memory back at once: its entry becomes a tombstone, its
+// handle returns to the free list (the next At, After or AfterArg may
+// hand it out again) and a block left with only tombstones returns to
+// the block pool. An event already flushed to the run or the heap is
+// flagged and reaped when it reaches the head. Cancel writes the engine
+// that armed the event, so it must run on that engine's goroutine: from
+// one of its callbacks, or while it is not running. Safe to call again
+// until the handle is reused; on an event that already fired it is a
+// no-op, but only until the engine recycles the handle — do not retain
+// event pointers past their firing time or their cancel.
 func (e *Event) Cancel() {
 	e.canceled = true
+	if e.wheel {
+		b := (*block)(e.link)
+		b.eng.tombstone(b, e)
+	}
 }
 
-// Canceled reports whether Cancel was called.
+// Canceled reports whether Cancel was called. It stays truthful until
+// the engine reuses the handle.
 func (e *Event) Canceled() bool { return e.canceled }
 
 // entry is one queued event, held by value in the wheel blocks, the run
@@ -149,7 +173,8 @@ func (x *entry) before(y *entry) bool {
 	return x.seq < y.seq
 }
 
-// dead reports whether the event was canceled; a Post has no handle to load.
+// dead reports whether a run or heap entry was canceled; a Post has no
+// handle to load. Wheel entries are tombstoned at Cancel instead.
 func (x *entry) dead() bool { return x.ev != nil && x.ev.canceled }
 
 // blockLen is the entry capacity of a wheel block: small enough that a
@@ -157,14 +182,19 @@ func (x *entry) dead() bool { return x.ev != nil && x.ev.canceled }
 // enough that a dense one is a short chain of contiguous entries.
 const blockLen = 16
 
-// block is one link of a wheel bucket's chain, newest first; its entries
-// are in scheduling order. Pooled blocks keep stale entries until reused
+// block is one link of a wheel bucket's chain, newest first (prev is
+// the newer neighbour, nil at the head); its entries are in scheduling
+// order. A canceled entry stays in its slot as a tombstone (fn, arg and
+// ev nil, when kept), so positions never move; live counts the rest,
+// and a block whose live count drops to zero leaves its chain at once.
+// Blocks freed by a flush keep their stale entries until reused
 // (zeroing costs the single-event path ~10%), pinning at most the
 // engine's peak bucket population of spent callbacks and args.
 type block struct {
-	n    int
-	next *block
-	ents [blockLen]entry
+	n, live    int32
+	next, prev *block
+	eng        *Engine
+	ents       [blockLen]entry
 }
 
 // Engine is a single-threaded discrete-event simulator. It is not safe for
@@ -246,8 +276,10 @@ func (e *Engine) Tracer() *trace.Tracer { return e.tracer }
 // Fired reports how many events have executed so far.
 func (e *Engine) Fired() uint64 { return e.fired }
 
-// Pending reports how many events are queued (including canceled ones that
-// have not been reaped yet).
+// Pending reports how many events are queued: live ones, canceled run
+// and heap entries not yet reaped, and the tombstones of wheel blocks
+// that still hold a live entry. A block's tombstones stop counting when
+// its last live entry is canceled.
 func (e *Engine) Pending() int { return len(e.queue) + e.wheelCount + len(e.run) - e.runHead }
 
 // EngineSnapshot is an engine's externally observable state at a
@@ -260,10 +292,11 @@ type EngineSnapshot struct {
 	Now Time
 	// Fired is the number of events dispatched so far.
 	Fired uint64
-	// Pending counts still-queued events (including unreaped canceled
-	// ones). A snapshot is a quiescent boundary only when this is zero:
-	// queued callbacks are closures and cannot be serialized, so state
-	// between boundaries is reconstructible only by re-execution.
+	// Pending counts still-queued events, as Engine.Pending does
+	// (including canceled ones not yet released). A snapshot is a
+	// quiescent boundary only when this is zero: queued callbacks are
+	// closures and cannot be serialized, so state between boundaries is
+	// reconstructible only by re-execution.
 	Pending int
 	// RNG is the engine's root RNG state. Component streams are forked
 	// from it by stable tags, so an identical root state on an identical
@@ -284,17 +317,46 @@ func (e *Engine) handle(t Time) *Event {
 	if ev == nil {
 		return &Event{when: t}
 	}
-	e.free = ev.next
+	e.free = (*Event)(ev.link)
 	*ev = Event{when: t}
 	return ev
 }
 
-// recycle returns a fired or reaped handle to the free list. The
-// canceled flag is deliberately left as-is so Canceled() stays truthful
-// on a pointer the caller still holds; handle resets it on reuse.
+// recycle returns a fired, reaped or wheel-canceled handle to the free
+// list. The canceled flag is deliberately left as-is so Canceled() stays
+// truthful on a pointer the caller still holds; handle resets it on
+// reuse.
 func (e *Engine) recycle(ev *Event) {
-	ev.next = e.free
+	ev.link = unsafe.Pointer(e.free)
 	e.free = ev
+}
+
+// tombstone releases canceled wheel event ev at slot ev.slot of b: the
+// entry keeps its position (and its when) so the block's scheduling
+// order and the flush's counting sort stay valid, but drops its
+// references, and the handle goes back to the free list. The block
+// leaves its chain when its last live entry goes; wheelCount keeps
+// counting its slots until then.
+func (e *Engine) tombstone(b *block, ev *Event) {
+	x := &b.ents[ev.slot]
+	x.fn, x.arg, x.ev = nil, nil, nil
+	ev.wheel = false
+	e.recycle(ev)
+	if b.live--; b.live > 0 {
+		return
+	}
+	if b.prev == nil {
+		e.wheel[bucketOf(b.ents[0].when)&wheelMask] = b.next
+	} else {
+		b.prev.next = b.next
+	}
+	if b.next != nil {
+		b.next.prev = b.prev
+	}
+	e.wheelCount -= int(b.n)
+	b.n = 0
+	b.next = e.freeBlock
+	e.freeBlock = b
 }
 
 // maxRunShift bounds the memmove a run insertion may pay. Past it the
@@ -324,8 +386,12 @@ func (e *Engine) schedule(t Time, fn func(any), arg any, ev *Event) {
 			blk = e.newBlock(blk)
 			e.wheel[slot] = blk
 		}
+		if ev != nil {
+			ev.slot, ev.wheel, ev.link = uint8(blk.n), true, unsafe.Pointer(blk)
+		}
 		x = &blk.ents[blk.n]
 		blk.n++
+		blk.live++
 		e.wheelCount++
 	default:
 		// After every entry with when ≤ t (the new seq is the largest).
@@ -367,19 +433,23 @@ func (e *Engine) openRun(i int) *entry {
 }
 
 // newBlock takes an empty block from the pool, linked ahead of next. Ten
-// blocks (7840 bytes) fill an 8 KiB size class; a lone 784-byte block
-// would waste an eighth of its 896-byte class.
+// blocks (8000 bytes) fill an 8 KiB size class; a lone 800-byte block
+// would waste a tenth of its 896-byte class.
 func (e *Engine) newBlock(next *block) *block {
 	if e.freeBlock == nil {
 		slab := new([10]block)
 		for i := range slab {
+			slab[i].eng = e
 			slab[i].next = e.freeBlock
 			e.freeBlock = &slab[i]
 		}
 	}
 	b := e.freeBlock
 	e.freeBlock = b.next
-	b.next = next
+	b.next, b.prev = next, nil
+	if next != nil {
+		next.prev = b
+	}
 	return b
 }
 
@@ -471,28 +541,31 @@ func (e *Engine) flushBucketsTo(target uint64) {
 }
 
 // flushBucket appends one bucket's live entries to the run in (when,
-// seq) order and returns its blocks to the pool, reaping canceled
-// entries on the way — this is where a canceled RTO's handle is
-// reclaimed without ever costing a heap operation. Buckets cover
-// disjoint time ranges and entries arrive in seq order, so a stable sort
-// of this bucket by when keeps the whole run sorted. A single block is
-// insertion-sorted; a longer chain is counting-sorted on the 512 offsets
-// within the bucket, scattering newest first to just below each offset's
-// end so that every offset's entries land in ascending seq.
+// seq) order and returns its blocks to the pool. Tombstones (fn nil)
+// are skipped without loading a handle; each live cancelable entry's
+// handle leaves the wheel, so a later Cancel flags it for reaping at the
+// run or heap head. Buckets cover disjoint time ranges and entries
+// arrive in seq order, so a stable sort of this bucket by when keeps the
+// whole run sorted. A single block is insertion-sorted; a longer chain
+// is counting-sorted on the 512 offsets within the bucket, scattering
+// newest first to just below each offset's end so that every offset's
+// entries land in ascending seq.
 func (e *Engine) flushBucket(head *block) {
 	start := len(e.run)
 	if head.next == nil {
 		for i := range head.ents[:head.n] {
 			x := &head.ents[i]
-			if x.dead() {
-				e.recycle(x.ev)
-			} else {
-				j := len(e.run)
-				for j > start && x.when < e.run[j-1].when {
-					j--
-				}
-				*e.openRun(j) = *x
+			if x.fn == nil {
+				continue
 			}
+			if x.ev != nil {
+				x.ev.wheel, x.ev.link = false, nil
+			}
+			j := len(e.run)
+			for j > start && x.when < e.run[j-1].when {
+				j--
+			}
+			*e.openRun(j) = *x
 		}
 	} else {
 		var ends [bucketNs]int
@@ -500,10 +573,11 @@ func (e *Engine) flushBucket(head *block) {
 		for b := head; b != nil; b = b.next {
 			for i := range b.ents[:b.n] {
 				x := &b.ents[i]
-				if x.dead() {
-					e.recycle(x.ev)
-					x.fn = nil // the scatter skips it
+				if x.fn == nil {
 					continue
+				}
+				if x.ev != nil {
+					x.ev.wheel, x.ev.link = false, nil
 				}
 				k := int(x.when) & (bucketNs - 1)
 				ends[k]++
@@ -529,8 +603,8 @@ func (e *Engine) flushBucket(head *block) {
 	}
 	for b := head; b != nil; {
 		next := b.next
-		e.wheelCount -= b.n
-		b.n = 0
+		e.wheelCount -= int(b.n)
+		b.n, b.live = 0, 0
 		b.next = e.freeBlock
 		e.freeBlock = b
 		b = next

@@ -4,6 +4,7 @@ import (
 	"testing"
 	"testing/quick"
 	"time"
+	"unsafe"
 )
 
 func TestEngineRunsEventsInTimeOrder(t *testing.T) {
@@ -211,6 +212,47 @@ func TestEventPoolingIsAllocationFree(t *testing.T) {
 	}
 }
 
+// TestCanceledRTOAllocFree is the footprint gate of the transport's
+// timer pattern: each round arms 4096 RTOs 250 µs out, acks (cancels)
+// them all and moves the clock 1 µs. A live guard event 2 µs out stands
+// in for the packets in flight: without one, Advance would flush the
+// armed bucket at once and reap its canceled entries whatever Cancel
+// did. Canceling a wheel event returns its handle and its emptied block
+// at once, so after one warm-up round no round allocates, long before
+// the first armed bucket comes due.
+func TestCanceledRTOAllocFree(t *testing.T) {
+	e := NewEngine(1)
+	fn := func(any) {}
+	evs := make([]*Event, 4096)
+	guard := e.AfterArg(2*time.Microsecond, fn, nil)
+	round := func() {
+		for i := range evs {
+			evs[i] = e.AfterArg(250*time.Microsecond, fn, nil)
+		}
+		for _, ev := range evs {
+			ev.Cancel()
+		}
+		guard.Cancel()
+		guard = e.AfterArg(2*time.Microsecond, fn, nil)
+		e.Advance(time.Microsecond)
+	}
+	// AllocsPerRun's own warm-up call is the one warm-up round.
+	if allocs := testing.AllocsPerRun(500, round); allocs != 0 {
+		t.Errorf("arm+cancel round allocated %.1f objects, want 0", allocs)
+	}
+	if e.Pending() != 1 {
+		t.Errorf("Pending() = %d with only the guard live, want 1", e.Pending())
+	}
+}
+
+// TestEventHandleSize pins the cancel handle at 24 bytes: the wheel
+// position shares the free-list link.
+func TestEventHandleSize(t *testing.T) {
+	if n := unsafe.Sizeof(Event{}); n != 24 {
+		t.Errorf("sizeof(Event) = %d bytes, want 24", n)
+	}
+}
+
 // TestHeapWheelEquivalence drives the two scheduler implementations
 // with an identical randomized schedule/cancel workload — short RTO-like
 // timers, same-tick ties, nested scheduling from callbacks, far events,
@@ -387,30 +429,89 @@ func TestTimeHelpers(t *testing.T) {
 	}
 }
 
-// TestCanceledAfterArgRecycled: a canceled AfterArg never fires, and its
-// handle goes back to the free list when its bucket flushes, not before.
+// TestCanceledAfterArgRecycled pins when Cancel gives a handle back. A
+// wheel-resident event's handle returns to the free list at once: the
+// next After into the same bucket gets it back, that event fires, and
+// the canceled callback, a tombstone in the same block, never does.
+// Pending drops back once the block holds only tombstones. An event
+// already in the run or the heap is only flagged: its handle is recycled
+// when it is reaped at the head, and not before.
 func TestCanceledAfterArgRecycled(t *testing.T) {
 	e := NewEngine(1)
-	fired := false
 	type payload struct{ n int }
-	ev := e.AfterArg(10*time.Microsecond, func(any) { fired = true }, &payload{n: 42})
+	canceledRan, ok := false, false
+	dead := func(any) { canceledRan = true }
+
+	// A live neighbour keeps the block: the tombstone stays beside it.
+	e.Post(Time(10*time.Microsecond), func(any) {}, nil)
+	ev := e.AfterArg(10*time.Microsecond, dead, &payload{n: 42})
 	ev.Cancel()
 	if !ev.Canceled() {
 		t.Error("Canceled() = false after Cancel")
 	}
-	if other := e.After(time.Millisecond, func() {}); other == ev {
-		t.Fatal("handle reused while its canceled entry is still queued")
+	if !inFreeList(e, ev) {
+		t.Fatal("wheel-resident handle not recycled at Cancel")
 	}
-	e.Advance(20 * time.Microsecond) // flushes the canceled event's bucket
-	ok := false
-	if got := e.After(time.Millisecond, func() { ok = true }); got != ev {
-		t.Error("handle not recycled after its bucket flushed")
+	if got := e.After(10*time.Microsecond+100, func() { ok = true }); got != ev {
+		t.Fatal("next After into the same bucket did not reuse the canceled handle")
+	}
+	if b := e.wheel[bucketOf(ev.When())&wheelMask]; b == nil || b.next != nil || b.n != 3 || b.live != 2 {
+		t.Fatalf("bucket is not one block of 3 entries with 2 live: %+v", b)
 	}
 	e.RunAll()
-	if fired {
+	if canceledRan {
 		t.Error("canceled event fired")
 	}
 	if !ok || e.Fired() != 2 {
-		t.Errorf("engine broken after reaping: ok=%v fired=%d, want true/2", ok, e.Fired())
+		t.Fatalf("reused handle's event: ok=%v fired=%d, want true/2", ok, e.Fired())
 	}
+
+	// Alone in its block: the block empties and Pending drops back.
+	before := e.Pending()
+	ev = e.AfterArg(250*time.Microsecond, dead, &payload{n: 7})
+	if e.Pending() != before+1 {
+		t.Fatalf("Pending() = %d after AfterArg, want %d", e.Pending(), before+1)
+	}
+	ev.Cancel()
+	if e.Pending() != before || e.wheel[bucketOf(ev.When())&wheelMask] != nil {
+		t.Fatalf("Pending() = %d after the block emptied, want %d", e.Pending(), before)
+	}
+
+	// Run-resident: the bucket flushes when its first event fires.
+	at := e.Now().Add(20 * time.Microsecond)
+	e.At(at, func() {})
+	ev = e.AfterArg(at.Add(100).Sub(e.Now()), dead, nil)
+	e.Step()
+	ev.Cancel()
+	if inFreeList(e, ev) {
+		t.Fatal("run-resident handle recycled before it was reaped")
+	}
+	e.Advance(at.Add(200).Sub(e.Now()))
+	if !inFreeList(e, ev) {
+		t.Fatal("run-resident handle not recycled at reap")
+	}
+
+	// Heap-resident: beyond the wheel's horizon.
+	ev = e.AfterArg(20*time.Millisecond, dead, nil)
+	ev.Cancel()
+	if inFreeList(e, ev) {
+		t.Fatal("heap-resident handle recycled before it was reaped")
+	}
+	e.RunAll()
+	if !inFreeList(e, ev) {
+		t.Fatal("heap-resident handle not recycled at reap")
+	}
+	if canceledRan || e.Pending() != 0 {
+		t.Errorf("canceledRan=%v pending=%d, want false/0", canceledRan, e.Pending())
+	}
+}
+
+// inFreeList reports whether ev is on e's handle free list.
+func inFreeList(e *Engine, ev *Event) bool {
+	for f := e.free; f != nil; f = (*Event)(f.link) {
+		if f == ev {
+			return true
+		}
+	}
+	return false
 }

@@ -134,11 +134,14 @@ func (c *Conn) Reconnect() {
 	c.pump()
 }
 
-// detachRTO cancels and drops the packet's pending RTO. The canceled
-// queue entry still holds the outstanding record until the engine
-// reaps it, but it never fires, so recycling the record is safe;
-// dropping the handle keeps a later detach from canceling whatever
-// event the engine reuses it for.
+// detachRTO cancels and drops the packet's pending RTO. It runs on the
+// source endpoint's engine (c.eng), the one that armed the timer, as
+// Cancel requires. A canceled RTO still in the wheel releases its
+// reference to the outstanding record and its handle at once; one
+// already flushed never fires and is reaped at the queue head. Either
+// way recycling the record is safe. Dropping the handle is required:
+// the engine may hand it to the very next timer it arms, and a second
+// Cancel through a stale o.rto would cancel that timer instead.
 func (c *Conn) detachRTO(o *outstanding) {
 	if o.rto != nil {
 		o.rto.Cancel()

@@ -847,11 +847,11 @@ func (e *Endpoint) MaxReorderDistance(flow uint64) uint64 {
 	return 0
 }
 
-// Close tears down a flow on both ends. Pending RTO events are
-// detached, not merely canceled: a canceled event lingers in its wheel
-// bucket until lazily reaped and would otherwise keep referencing the
-// outstanding record handed back to the free list here — aliasing a
-// record the connection may have already reused.
+// Close tears down a flow on both ends. Every pending RTO is detached
+// before its outstanding record goes back to the free list: the cancel
+// keeps the timer from firing on a record the connection may reuse, and
+// dropping o.rto keeps a later detach from canceling whichever timer
+// the engine hands the recycled handle to next.
 func (c *Conn) Close() {
 	c.unacked.each(func(o *outstanding) {
 		c.detachRTO(o)
