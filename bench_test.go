@@ -1,7 +1,6 @@
 package repro_test
 
 import (
-	"context"
 	"testing"
 	"time"
 
@@ -84,7 +83,7 @@ func benchRunAll(b *testing.B, workers int) {
 	for i := 0; i < b.N; i++ {
 		s := experiments.NewSession(42)
 		s.Parallelism = workers
-		results, err := experiments.RunAll(context.Background(), s, runners, nil)
+		results, err := experiments.RunAll(s, runners)
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"context"
 	"fmt"
 	"runtime"
 	"sync"
@@ -57,7 +56,7 @@ var runBatch = sync.OnceValues(func() (*seedBatch, error) {
 	s := NewSession(42)
 	s.Parallelism = runtime.GOMAXPROCS(0)
 	s.Shards = 4
-	results, err := RunAll(context.Background(), s, runners, nil)
+	results, err := RunAll(s, runners)
 	if err != nil {
 		return nil, err
 	}
@@ -134,3 +133,30 @@ func TestRunAllParallelByteIdentical(t *testing.T) {
 }
 
 func TestChurnFleetInvariant(t *testing.T) { checkIdentity(t, "fig6-fleet") }
+
+// TestParseTable pins the decode the batch reads every table through:
+// a round trip is byte-exact, and a table without an ID or with
+// truncated JSON is an error.
+func TestParseTable(t *testing.T) {
+	runners, err := Select("fig12")
+	if err != nil {
+		t.Fatal(err)
+	}
+	orig, err := runners[0].Fn(NewSession(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	tb, err := ParseTable([]byte(orig.JSON()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if tb.JSON() != orig.JSON() {
+		t.Error("ParseTable round trip changed the bytes")
+	}
+	if _, err := ParseTable([]byte(`{"rows":[]}`)); err == nil {
+		t.Error("table without an ID accepted")
+	}
+	if _, err := ParseTable([]byte(`{`)); err == nil {
+		t.Error("truncated table accepted")
+	}
+}

@@ -202,31 +202,14 @@ func (s *Session) Engines() int {
 	return len(s.engines)
 }
 
-// MaxNow reports the furthest virtual time any engine this session
-// built has reached — the run's virtual-time progress stamp. Like
-// Fired, call it only after the run completes.
-func (s *Session) MaxNow() sim.Time {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	var t sim.Time
-	for _, e := range s.engines {
-		if n := e.Now(); n > t {
-			t = n
-		}
-	}
-	return t
-}
-
 // StateDigest hashes the quiescent snapshot of every engine this
 // session built: clock, dispatch count, pending count and root RNG
 // state per engine. The per-engine hashes are combined in sorted order,
 // so the digest is independent of build order, which cell-parallel
 // sweeps leave to goroutine completion. Two identical runs therefore
-// produce identical digests at any Parallelism: the sim-state identity
-// the checkpoint torture harness asserts across interrupted and
-// uninterrupted runs, stronger than comparing printed tables. Analytic
-// runs with no engines digest to the empty string. Call only after the
-// run completes.
+// produce identical digests at any Parallelism, a sim-state identity
+// stronger than comparing printed tables. Analytic runs with no engines
+// digest to the empty string. Call only after the run completes.
 func (s *Session) StateDigest() string {
 	s.mu.Lock()
 	defer s.mu.Unlock()

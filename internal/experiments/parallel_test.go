@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"context"
 	"errors"
 	"fmt"
 	"reflect"
@@ -83,7 +82,7 @@ func TestRunAllErrorOrder(t *testing.T) {
 	runners := []Runner{mk(0, "a", nil), mk(1, "b", errB), mk(2, "c", nil), mk(3, "d", errD)}
 	s := NewSession(1)
 	s.Parallelism = 4
-	results, err := RunAll(context.Background(), s, runners, nil)
+	results, err := RunAll(s, runners)
 	if err == nil || !errors.Is(err, errB) || !strings.Contains(err.Error(), "b") {
 		t.Errorf("RunAll error = %v, want first failure (b)", err)
 	}
@@ -134,7 +133,7 @@ func TestRunAllTracerForcesSerial(t *testing.T) {
 	s := NewSession(1)
 	s.Tracer = trace.New(1 << 10)
 	s.Parallelism = 4
-	if _, err := RunAll(context.Background(), s, batch, nil); err != nil {
+	if _, err := RunAll(s, batch); err != nil {
 		t.Fatal(err)
 	}
 	if r, c := maxRunners.Load(), maxCells.Load(); r != 1 || c != 1 {
@@ -177,7 +176,7 @@ func TestRunAllStats(t *testing.T) {
 	}
 	s := NewSession(7)
 	s.Parallelism = 2
-	results, err := RunAll(context.Background(), s, runners, nil)
+	results, err := RunAll(s, runners)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -242,28 +241,6 @@ func TestRunCellsErrorOrder(t *testing.T) {
 	for i := range ran {
 		if !ran[i].Load() {
 			t.Errorf("cell %d skipped after sibling failure", i)
-		}
-	}
-}
-
-// TestRunAllContextCancel checks a pre-cancelled context marks every
-// runner with the context error instead of hanging or panicking.
-func TestRunAllContextCancel(t *testing.T) {
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	runners, err := Select("table1,tcp-path")
-	if err != nil {
-		t.Fatal(err)
-	}
-	s := NewSession(1)
-	s.Parallelism = 2
-	results, err := RunAll(ctx, s, runners, nil)
-	if !errors.Is(err, context.Canceled) {
-		t.Errorf("RunAll on cancelled ctx = %v, want context.Canceled", err)
-	}
-	for _, res := range results {
-		if !errors.Is(res.Err, context.Canceled) {
-			t.Errorf("%s: err = %v, want context.Canceled", res.ID, res.Err)
 		}
 	}
 }

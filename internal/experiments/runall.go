@@ -6,8 +6,6 @@ import (
 	"runtime/pprof"
 	"strings"
 	"time"
-
-	"repro/internal/checkpoint"
 )
 
 // RunStats is one run's resource accounting.
@@ -39,17 +37,10 @@ type Result struct {
 	ID string
 	// Table is the experiment's output; nil when Err is set.
 	Table *Table
-	// Err is the runner's failure, or the batch context's error for
-	// runners that were never started because ctx was cancelled.
+	// Err is the runner's failure.
 	Err error
-	// Stats carries the run's event count and wall-clock time. For a
-	// resumed result, Events is the recorded count from the original
-	// run and Elapsed is ~0 (replay is a file read).
+	// Stats carries the run's event count and wall-clock time.
 	Stats RunStats
-	// Resumed marks a result replayed from a checkpoint rather than
-	// recomputed. The table bytes are identical either way; only the
-	// wall-clock accounting differs.
-	Resumed bool
 }
 
 // RunAll is the one way to run a batch: it executes runners on the
@@ -60,34 +51,14 @@ type Result struct {
 // output order — and, since every run is deterministic in (seed,
 // scenario), output bytes — are identical at any parallelism.
 //
-// A runner's failure does not cancel its siblings: every runner whose
-// start precedes a ctx cancellation still executes, which keeps the
-// batch's set of executed runs deterministic. The returned error is the
-// first Result.Err in index order, with every per-runner outcome in the
-// slice.
-//
-// A non-nil store gives the batch a crash-safe lifecycle: every runner
-// already committed to the checkpoint is replayed from disk instead of
-// recomputed (byte-identical, since each runner is a pure function of
-// the session configuration the store's fingerprint binds), and every
-// runner that completes is committed at its quiescent boundary —
-// engines drained, output serialized — before the batch moves on. A
-// kill at any instant therefore loses at most the runners in flight; a
-// later call with the same store fast-forwards through the committed
-// prefix and re-executes only the rest.
-//
-// Degradation is one-way: a payload that fails its checksum is re-run
-// and re-committed, and a failed checkpoint write is recorded on the
-// store but never fails a healthy run. A session carrying a tracer
-// bypasses the store entirely — replaying a cell would silently drop
-// its trace events.
-func RunAll(ctx context.Context, session *Session, runners []Runner, store *checkpoint.Store) ([]Result, error) {
-	if session.Tracer != nil {
-		store = nil
-	}
+// A runner's failure does not cancel its siblings: every runner
+// executes, which keeps the batch's set of executed runs deterministic.
+// The returned error is the first Result.Err in index order, with every
+// per-runner outcome in the slice.
+func RunAll(session *Session, runners []Runner) ([]Result, error) {
 	results := make([]Result, len(runners))
 	err := session.runCells(len(runners), func(i int) error {
-		results[i] = runOne(ctx, session, runners[i], store)
+		results[i] = runOne(session, runners[i])
 		if err := results[i].Err; err != nil {
 			return fmt.Errorf("experiments: %s: %w", runners[i].ID, err)
 		}
@@ -96,46 +67,17 @@ func RunAll(ctx context.Context, session *Session, runners []Runner, store *chec
 	return results, err
 }
 
-// runOne is r's outcome: the context's error if the batch was
-// cancelled before r started, a replay from store when r is committed
-// there, and otherwise a fresh run under a fork of session, committed
-// to store on success.
-func runOne(ctx context.Context, session *Session, r Runner, store *checkpoint.Store) Result {
+// runOne is r's outcome from a fresh run under a fork of session.
+func runOne(session *Session, r Runner) Result {
 	res := Result{ID: r.ID}
-	if res.Err = ctx.Err(); res.Err != nil {
-		return res
-	}
-	if store != nil {
-		if payload, meta, ok, _ := store.Lookup(r.ID); ok {
-			if tb, perr := ParseTable(payload); perr == nil && tb.ID == r.ID {
-				res.Table = tb
-				res.Stats = RunStats{Events: meta.Events}
-				res.Resumed = true
-				return res
-			}
-			// Undecodable or mislabeled payload: fall through to a
-			// re-run; the fresh Commit repairs the entry.
-		}
-	}
 	run := session.fork()
 	// Each run executes under a pprof label so a -cpuprofile of a batch
 	// can be sliced per experiment with -tagfocus.
 	start := time.Now()
-	pprof.Do(ctx, pprof.Labels("experiment", r.ID), func(context.Context) {
+	pprof.Do(context.Background(), pprof.Labels("experiment", r.ID), func(context.Context) {
 		res.Table, res.Err = r.Fn(run)
 	})
 	res.Stats = RunStats{Events: run.Fired(), Elapsed: time.Since(start)}
-	if store != nil && res.Err == nil {
-		meta := checkpoint.CellMeta{
-			Events:    res.Stats.Events,
-			VirtualNS: int64(run.MaxNow()),
-			SimDigest: run.StateDigest(),
-		}
-		// Commit records its own failures as store degradations; a
-		// broken checkpoint disk must not fail a run that computed a
-		// good result.
-		_ = store.Commit(r.ID, []byte(res.Table.JSON()), meta)
-	}
 	return res
 }
 

@@ -115,11 +115,10 @@ func (t *Table) JSON() string {
 	return string(b) + "\n"
 }
 
-// ParseTable decodes a Table previously serialized with JSON — the
-// checkpoint replay path. It is strict: undecodable bytes or a missing
-// ID are errors, so a damaged payload degrades to a re-run instead of
-// printing garbage. Round-trip fidelity is exact because JSON fixes
-// field order and indentation.
+// ParseTable decodes a Table previously serialized with JSON, the form
+// the claims table reads a batch's output in. It is strict: undecodable
+// bytes or a missing ID are errors, never a partial table. Round-trip
+// fidelity is exact because JSON fixes field order and indentation.
 func ParseTable(b []byte) (*Table, error) {
 	var obj struct {
 		ID     string     `json:"id"`

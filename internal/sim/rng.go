@@ -37,15 +37,10 @@ func (r *RNG) Fork(tag uint64) *RNG {
 	return NewRNG(splitmix64(&x))
 }
 
-// State returns the generator's internal state. Together with SetState
-// it lets checkpointing capture a stream at a quiescent boundary and
-// restore (or cross-check) it on resume without replaying the draws
-// that produced it.
+// State returns the generator's internal state without consuming a
+// draw. Engine.Snapshot records it, so Session.StateDigest tells two
+// runs apart by where their root streams stand.
 func (r *RNG) State() [4]uint64 { return r.s }
-
-// SetState restores a state previously captured with State. The next
-// Uint64 continues the captured stream exactly.
-func (r *RNG) SetState(s [4]uint64) { r.s = s }
 
 func rotl(x uint64, k uint) uint64 { return (x << k) | (x >> (64 - k)) }
 

@@ -181,24 +181,6 @@ func (se *ShardedEngine) Pending() int {
 	return n
 }
 
-// Quiescent reports whether the group sits at a checkpointable
-// boundary: no shard holds a queued event and no handoff is buffered
-// between windows. Only at such an edge is the group's state fully
-// described by its snapshots — anything in flight is a closure that
-// must be reconstructed by re-execution.
-func (se *ShardedEngine) Quiescent() bool { return se.Pending() == 0 }
-
-// Snapshot captures every shard's quiescent-boundary state in shard
-// order. Shard identity is stable across runs, so two deterministic
-// runs of the same work produce element-wise identical slices.
-func (se *ShardedEngine) Snapshot() []EngineSnapshot {
-	out := make([]EngineSnapshot, len(se.engs))
-	for i, e := range se.engs {
-		out[i] = e.Snapshot()
-	}
-	return out
-}
-
 // Now reports the merged clock: the minimum shard clock, the time up to
 // which the whole simulation has provably run.
 func (se *ShardedEngine) Now() Time {

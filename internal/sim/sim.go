@@ -76,8 +76,7 @@ func (t Time) String() string {
 // SchedulerMode selects the event-queue implementation. Every run
 // uses SchedulerWheel; SchedulerHeap exists only as the reference queue
 // the in-package differential tests (and jobgraph's replay fuzz)
-// compare the wheel against. No CLI flag, session or checkpoint field
-// selects it.
+// compare the wheel against. No CLI flag or session field selects it.
 type SchedulerMode int
 
 const (
@@ -286,17 +285,15 @@ func (e *Engine) Pending() int { return len(e.queue) + e.wheelCount + len(e.run)
 // quiescent boundary: the virtual clock, the dispatch count, the queue
 // population and the root RNG stream. Two deterministic runs that
 // executed the same work report identical snapshots, which is what
-// checkpoint resume verification hashes.
+// Session.StateDigest in internal/experiments hashes.
 type EngineSnapshot struct {
 	// Now is the virtual clock.
 	Now Time
 	// Fired is the number of events dispatched so far.
 	Fired uint64
 	// Pending counts still-queued events, as Engine.Pending does
-	// (including canceled ones not yet released). A snapshot is a
-	// quiescent boundary only when this is zero: queued callbacks are
-	// closures and cannot be serialized, so state between boundaries is
-	// reconstructible only by re-execution.
+	// (including canceled ones not yet released); zero once the engine
+	// has drained.
 	Pending int
 	// RNG is the engine's root RNG state. Component streams are forked
 	// from it by stable tags, so an identical root state on an identical

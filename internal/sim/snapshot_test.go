@@ -5,33 +5,6 @@ import (
 	"time"
 )
 
-// TestRNGStateRoundTrip pins the State/SetState contract: restoring a
-// captured state continues the stream exactly, and capturing is
-// non-destructive (the source stream is unperturbed).
-func TestRNGStateRoundTrip(t *testing.T) {
-	r := NewRNG(99)
-	for i := 0; i < 57; i++ {
-		r.Uint64()
-	}
-	st := r.State()
-	var want [16]uint64
-	for i := range want {
-		want[i] = r.Uint64()
-	}
-	clone := NewRNG(0)
-	clone.SetState(st)
-	for i := range want {
-		if got := clone.Uint64(); got != want[i] {
-			t.Fatalf("restored stream diverged at draw %d: got %#x want %#x", i, got, want[i])
-		}
-	}
-	// A second restore replays the same tail again.
-	clone.SetState(st)
-	if got := clone.Uint64(); got != want[0] {
-		t.Errorf("second restore diverged immediately: got %#x want %#x", got, want[0])
-	}
-}
-
 // TestRNGStateForkIndependence checks that capturing state does not
 // consume draws: forks taken before and after State() are identical.
 func TestRNGStateForkIndependence(t *testing.T) {
@@ -76,42 +49,5 @@ func TestEngineSnapshotDeterministic(t *testing.T) {
 	}
 	if c := run(43); c == a {
 		t.Error("different seed produced an identical snapshot; RNG state not captured")
-	}
-}
-
-// TestShardedSnapshotQuiescent checks the sharded group's boundary
-// predicate and per-shard snapshot determinism.
-func TestShardedSnapshotQuiescent(t *testing.T) {
-	run := func() []EngineSnapshot {
-		se := NewShardedEngine(11, SchedulerWheel, 4)
-		for i := 0; i < se.NumShards(); i++ {
-			eng := se.Shard(i)
-			n := 8 + i
-			var tick func()
-			tick = func() {
-				if n > 0 {
-					n--
-					eng.After(Duration(eng.RNG().Intn(900)+1)*time.Nanosecond, tick)
-				}
-			}
-			eng.After(time.Nanosecond, tick)
-		}
-		if se.Quiescent() {
-			t.Fatal("group with scheduled events claims quiescence")
-		}
-		se.RunAll()
-		if !se.Quiescent() {
-			t.Fatal("drained group is not quiescent")
-		}
-		return se.Snapshot()
-	}
-	a, b := run(), run()
-	if len(a) != 4 || len(b) != 4 {
-		t.Fatalf("snapshot lengths %d/%d, want 4", len(a), len(b))
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			t.Errorf("shard %d snapshot differs across identical runs:\n%+v\n%+v", i, a[i], b[i])
-		}
 	}
 }
