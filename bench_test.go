@@ -69,7 +69,6 @@ func BenchmarkMoEAllToAll(b *testing.B)            { benchExperiment(b, "moe-all
 func BenchmarkLinkFailRecovery(b *testing.B)       { benchExperiment(b, "linkfail-recovery") }
 func BenchmarkAblationCC(b *testing.B)             { benchExperiment(b, "ablation-cc") }
 func BenchmarkLBTaxonomy(b *testing.B)             { benchExperiment(b, "lb-taxonomy") }
-func BenchmarkDeployHeadline(b *testing.B)         { benchExperiment(b, "deploy") }
 
 // benchRunAll measures the parallel harness: a fixed batch of
 // experiments on a bounded worker pool. The subset mixes sim-heavy and

@@ -47,7 +47,7 @@ func main() {
 				Model: model, Platform: workload.DefaultPlatform(),
 				Alg: stack.alg, Paths: stack.paths,
 				Placement: placement, PlacementSeed: 51,
-				SimBytes: 24 << 20, OverlapFactor: 0.5,
+				SimBytes: 24 << 20,
 			})
 			if err != nil {
 				log.Fatal(err)

@@ -6,7 +6,6 @@ import (
 
 	"repro/internal/collective"
 	"repro/internal/multipath"
-	"repro/internal/rund"
 	"repro/internal/sim"
 	"repro/internal/transport"
 )
@@ -140,75 +139,5 @@ func AblationPathAware(s *Session) (*Table, error) {
 	}
 	t.Notes = append(t.Notes,
 		"with regular, permutation-like traffic and abundant paths, congestion awareness buys little over oblivious spraying")
-	return t, nil
-}
-
-// Deploy reproduces the paper's headline deployment statistics (§1):
-// container initialization 15x faster, switch queue length down ~90%,
-// and training speed improved by up to 14% — each measured with the
-// corresponding experiment at summary scale.
-func Deploy(s *Session) (*Table, error) {
-	t := &Table{
-		ID:     "deploy",
-		Title:  "Headline deployment statistics (§1 abstract claims)",
-		Header: []string{"claim", "paper", "measured"},
-	}
-
-	// Container initialization speed-up at 1.6 TB.
-	h, err := s.host(podHost(4 << 40))
-	if err != nil {
-		return nil, err
-	}
-	cFull, err := h.Hypervisor.CreateContainer(rund.DefaultConfig("d-full", 1600<<30))
-	if err != nil {
-		return nil, err
-	}
-	fullBoot, err := cFull.Start(rund.PinFull)
-	if err != nil {
-		return nil, err
-	}
-	cPV, err := h.Hypervisor.CreateContainer(rund.DefaultConfig("d-pv", 1600<<30))
-	if err != nil {
-		return nil, err
-	}
-	pvBoot, err := cPV.Start(rund.PinOnDemand)
-	if err != nil {
-		return nil, err
-	}
-	t.AddRow("container init speed-up", "15x", fmt.Sprintf("%.0fx", fullBoot.Seconds()/pvBoot.Seconds()))
-
-	// Switch queue reduction: single-path vs OBS/128 permutation.
-	queue := func(alg multipath.Algorithm, paths int) (float64, error) {
-		eng, f, eps := s.cluster(netConfig(16, 60), transport.Config{})
-		s.armChaos(eng, f)
-		res, err := collective.RunPermutation(eng, f, eps, collective.PermutationConfig{
-			Alg: alg, Paths: paths, BytesPerFlow: 4 << 20,
-			SamplePeriod: sim.Duration(25 * time.Microsecond), Seed: s.Seed + 1,
-		})
-		if err != nil {
-			return 0, err
-		}
-		return res.AvgQueue, nil
-	}
-	qSingle, err := queue(multipath.SinglePath, 1)
-	if err != nil {
-		return nil, err
-	}
-	qSpray, err := queue(multipath.OBS, 128)
-	if err != nil {
-		return nil, err
-	}
-	t.AddRow("switch queue length reduction", "~90%", fmt.Sprintf("%.0f%%", (1-qSpray/qSingle)*100))
-
-	// Training speed improvement (random ranking, worst observed seed).
-	fig16, err := Fig16b(s)
-	if err != nil {
-		return nil, err
-	}
-	var maxImp string
-	for _, n := range fig16.Notes {
-		maxImp = n
-	}
-	t.AddRow("training speed improvement", "avg 6%, up to 14%", maxImp)
 	return t, nil
 }

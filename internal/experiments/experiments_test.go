@@ -1,7 +1,11 @@
 package experiments
 
 import (
+	"fmt"
+	"math"
 	"reflect"
+	"slices"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -102,5 +106,48 @@ func TestReduceRoundsReportsUnfinishedReduce(t *testing.T) {
 	res, err := reduceRounds(eng, ring, 1<<20, 1, time.Microsecond, "fig10a: obs/128")
 	if err == nil || !strings.Contains(err.Error(), "fig10a: obs/128") {
 		t.Errorf("reduceRounds at a 1 µs horizon = %v, %v; want an error naming fig10a: obs/128", res, err)
+	}
+}
+
+// TestEachSimulationRunsOnce: a ring's bandwidth depends on its host
+// order and transport stack, not on the model trained over it, so fig16
+// simulates each distinct (order, stack) pair once — reranked placement
+// ignores its seed, leaving one order, random ranking has two — and
+// fig15's regular and secure rows share one simulation.
+func TestEachSimulationRunsOnce(t *testing.T) {
+	for _, tc := range []struct {
+		id      string
+		engines int
+	}{{"fig16a", 2}, {"fig16b", 4}, {"fig15", 1}} {
+		r, _ := Lookup(tc.id)
+		s := NewSession(42)
+		if _, err := r.Fn(s); err != nil {
+			t.Fatalf("%s: %v", tc.id, err)
+		}
+		if got := s.Engines(); got != tc.engines {
+			t.Errorf("%s built %d engines, want %d", tc.id, got, tc.engines)
+		}
+	}
+}
+
+// TestFig16MaxNoteIsColumnMax: the note's max is the largest row of the
+// improvement column, also when every row is negative, as all of
+// fig16a's are at seed 1.
+func TestFig16MaxNoteIsColumnMax(t *testing.T) {
+	tb, err := Fig16a(NewSession(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	col := slices.Index(tb.Header, "improvement")
+	best := math.Inf(-1)
+	for _, r := range tb.Rows {
+		v, err := strconv.ParseFloat(strings.TrimSuffix(r[col], "%"), 64)
+		if err != nil {
+			t.Fatal(err)
+		}
+		best = max(best, v)
+	}
+	if want := fmt.Sprintf("max %+.2f%%", best); len(tb.Notes) != 1 || !strings.HasSuffix(tb.Notes[0], want) {
+		t.Errorf("notes %q, want one ending in %q", tb.Notes, want)
 	}
 }

@@ -39,8 +39,8 @@ type Session struct {
 	// Chaos, when non-nil, is played (by armChaos, offsets relative to
 	// the fabric's construction time) against the 60-agg fabrics of
 	// fig9, fig10a/b, fig12, fig15, ablation-flowlet,
-	// ablation-pathaware, deploy, moe-alltoall, contended-cluster and
-	// job-graph replays, each Fig11 cell, LinkFailRecovery and
+	// ablation-pathaware, moe-alltoall, contended-cluster and job-graph
+	// replays, each Fig11 cell, LinkFailRecovery and
 	// scaleCluster. The other fabric experiments (fig16a/b,
 	// ablation-perpath-cc, ablation-rto, ablation-cc, prob6-core,
 	// lb-taxonomy) run unarmed, and failure-sweep and chaos-recovery

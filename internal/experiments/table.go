@@ -181,7 +181,6 @@ func All() []Runner {
 		{"linkfail-recovery", "Full link failure: RTO then BGP reroute", LinkFailRecovery},
 		{"failure-sweep", "Fault classes x selectors with recovery metrics", FailureSweep},
 		{"chaos-recovery", "QP reset and retry-budget recovery drill", ChaosRecovery},
-		{"deploy", "Headline deployment statistics", Deploy},
 		{"contended-cluster", "Multi-job replay: per-job slowdown vs isolated", ContendedCluster},
 	}
 }

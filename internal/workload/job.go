@@ -36,11 +36,23 @@ var ErrNoHosts = errors.New("workload: no hosts")
 // JobConfig validation errors. Each names the field it rejects so
 // callers can distinguish configuration mistakes with errors.Is.
 var (
-	ErrOverlapFactor = errors.New("workload: OverlapFactor outside [0, 1]")
-	ErrVirtOverhead  = errors.New("workload: VirtOverhead outside [0, 1)")
-	ErrPaths         = errors.New("workload: Paths below 1")
-	ErrSimBytes      = errors.New("workload: SimBytes implausibly large (negative value converted to uint64?)")
-	ErrGPUsPerHost   = errors.New("workload: GPUsPerHost negative")
+	ErrPaths    = errors.New("workload: Paths below 1")
+	ErrSimBytes = errors.New("workload: SimBytes implausibly large (negative value converted to uint64?)")
+)
+
+// Step-model constants no experiment varies.
+const (
+	// gpusPerHost divides the ring's per-host bus bandwidth into the
+	// per-GPU share: 8 GPUs share each server's NICs.
+	gpusPerHost = 8
+	// overlapFactor is the fraction of communication hidden behind
+	// compute (§9: overlap exists but is incomplete).
+	overlapFactor = 0.5
+	// virtOverhead is the virtualization stack's bandwidth loss: none,
+	// since vStellar's data path is direct-mapped (Figure 15).
+	virtOverhead = 0
+	// flowBase is the ring's first flow ID: the ring is alone on its fabric.
+	flowBase = 0
 )
 
 // JobConfig describes one training job's communication experiment.
@@ -60,32 +72,11 @@ type JobConfig struct {
 	// rate. Scaling the wire volume (not the model) keeps event counts
 	// tractable at 1,024-GPU shapes.
 	SimBytes uint64
-	// OverlapFactor is the fraction of communication hidden behind
-	// compute (§9: overlap exists but is incomplete).
-	OverlapFactor float64
-	// VirtOverhead is a multiplicative slowdown on communication from
-	// the virtualization stack (0 for bare metal and vStellar; ~0.09
-	// bandwidth loss for VF+VxLAN per Figure 13b).
-	VirtOverhead float64
-	// GPUsPerHost divides the measured per-host bus bandwidth into the
-	// per-GPU share (8 GPUs share each server's NICs). Defaults to 8.
-	GPUsPerHost int
-	// FlowBase offsets the ring's flow IDs.
-	FlowBase uint64
 }
 
-// Validate rejects out-of-domain JobConfig fields. Zero values that
-// RunStep replaces with defaults (SimBytes, GPUsPerHost) are legal;
-// everything else must already be in its meaningful range. A full
-// overlap of 1.0 is allowed (perfectly hidden communication), but a
-// VirtOverhead of 1.0 is not — it would zero the bandwidth.
+// Validate rejects out-of-domain JobConfig fields. A zero SimBytes,
+// which RingBusBW replaces with its default, is legal.
 func (cfg JobConfig) Validate() error {
-	if cfg.OverlapFactor < 0 || cfg.OverlapFactor > 1 {
-		return fmt.Errorf("%w: %v", ErrOverlapFactor, cfg.OverlapFactor)
-	}
-	if cfg.VirtOverhead < 0 || cfg.VirtOverhead >= 1 {
-		return fmt.Errorf("%w: %v", ErrVirtOverhead, cfg.VirtOverhead)
-	}
 	if cfg.Paths < 1 {
 		return fmt.Errorf("%w: %d", ErrPaths, cfg.Paths)
 	}
@@ -93,9 +84,6 @@ func (cfg JobConfig) Validate() error {
 	// top half of the range; no real AllReduce is within 2^62 bytes.
 	if cfg.SimBytes > 1<<62 {
 		return fmt.Errorf("%w: %d", ErrSimBytes, cfg.SimBytes)
-	}
-	if cfg.GPUsPerHost < 0 {
-		return fmt.Errorf("%w: %d", ErrGPUsPerHost, cfg.GPUsPerHost)
 	}
 	return nil
 }
@@ -123,11 +111,13 @@ func (r StepResult) Speed() float64 {
 // OrderHosts applies the placement policy to the participant list:
 // Reranked returns the input order (contiguous, co-located ranks);
 // RandomRanking applies a deterministic seeded shuffle. The input
-// slice is never mutated. Shared by RunStep's DP ring and the
-// jobgraph cluster scheduler, so both layers place identically.
-func OrderHosts(eps []*transport.Endpoint, p Placement, seed uint64) []*transport.Endpoint {
-	out := make([]*transport.Endpoint, len(eps))
-	copy(out, eps)
+// slice is never mutated. Shared by RingBusBW's DP ring and the
+// jobgraph cluster scheduler, so both layers place identically. The
+// permutation depends only on the list's length, so ordering host
+// indices predicts the ring an endpoint list of that length gets.
+func OrderHosts[T any](hosts []T, p Placement, seed uint64) []T {
+	out := make([]T, len(hosts))
+	copy(out, hosts)
 	if p == RandomRanking {
 		rng := sim.NewRNG(seed)
 		rng.Shuffle(len(out), func(i, j int) { out[i], out[j] = out[j], out[i] })
@@ -135,32 +125,36 @@ func OrderHosts(eps []*transport.Endpoint, p Placement, seed uint64) []*transpor
 	return out
 }
 
-// orderHosts is the historical internal name; RunStep calls through.
-func orderHosts(eps []*transport.Endpoint, p Placement, seed uint64) []*transport.Endpoint {
-	return OrderHosts(eps, p, seed)
+// RunStep measures one training step: RingBusBW drives the job's DP
+// AllReduce on the fabric, and Step composes the full step time from
+// the measured bus bandwidth with the analytic model.
+func RunStep(eng *sim.Engine, f *fabric.Fabric, eps []*transport.Endpoint, cfg JobConfig) (StepResult, error) {
+	busBW, err := RingBusBW(eng, eps, cfg)
+	if err != nil {
+		return StepResult{}, err
+	}
+	return Step(cfg.Model, cfg.Platform, busBW), nil
 }
 
-// RunStep measures one training step: it drives the job's DP AllReduce
-// on the fabric with the configured transport and placement, derives the
-// achievable bus bandwidth, and composes the full step time from the
-// analytic model.
-func RunStep(eng *sim.Engine, f *fabric.Fabric, eps []*transport.Endpoint, cfg JobConfig) (StepResult, error) {
+// RingBusBW is RunStep's simulated half: it drives one DP AllReduce of
+// cfg.SimBytes over eps, in cfg's placement order with cfg's transport
+// stack, and returns the ring's bus bandwidth per host in bytes/s. The
+// model and platform play no part, so jobs that differ only in those
+// share one measurement.
+func RingBusBW(eng *sim.Engine, eps []*transport.Endpoint, cfg JobConfig) (float64, error) {
 	if len(eps) < 2 {
-		return StepResult{}, ErrNoHosts
+		return 0, ErrNoHosts
 	}
 	if err := cfg.Validate(); err != nil {
-		return StepResult{}, err
+		return 0, err
 	}
 	if cfg.SimBytes == 0 {
 		cfg.SimBytes = 8 << 20
 	}
-	if cfg.GPUsPerHost == 0 {
-		cfg.GPUsPerHost = 8
-	}
-	ordered := orderHosts(eps, cfg.Placement, cfg.PlacementSeed)
-	ring, err := collective.NewRing(ordered, cfg.FlowBase, cfg.Alg, cfg.Paths)
+	ordered := OrderHosts(eps, cfg.Placement, cfg.PlacementSeed)
+	ring, err := collective.NewRing(ordered, flowBase, cfg.Alg, cfg.Paths)
 	if err != nil {
-		return StepResult{}, err
+		return 0, err
 	}
 	defer ring.Close()
 
@@ -168,27 +162,29 @@ func RunStep(eng *sim.Engine, f *fabric.Fabric, eps []*transport.Endpoint, cfg J
 	ring.Reduce(eng, cfg.SimBytes, func(r collective.Result) { res = r })
 	eng.RunAll()
 	if res.BusBW <= 0 {
-		return StepResult{}, errors.New("workload: allreduce produced no bandwidth sample")
+		return 0, errors.New("workload: allreduce produced no bandwidth sample")
 	}
+	return res.BusBW, nil
+}
 
-	busBW := res.BusBW / float64(cfg.GPUsPerHost)
-	if cfg.VirtOverhead > 0 {
-		busBW *= 1 - cfg.VirtOverhead
-	}
+// Step is RunStep's analytic half: one training step of m on p, given
+// the DP ring's bus bandwidth per host (RingBusBW).
+func Step(m ModelConfig, p Platform, ringBusBW float64) StepResult {
+	busBW := ringBusBW / gpusPerHost * (1 - virtOverhead)
 
-	v := cfg.Model.StepVolumes()
+	v := m.StepVolumes()
 	commSec := float64(v.DP) / busBW
 	// TP rides NVLink; PP and EP cross the network like DP.
-	commSec += float64(v.TP) / cfg.Platform.NVLinkBW
+	commSec += float64(v.TP) / p.NVLinkBW
 	commSec += float64(v.PP+v.EP) / busBW
-	exposed := commSec * (1 - cfg.OverlapFactor)
+	exposed := commSec * (1 - overlapFactor)
 
-	compute := cfg.Model.StepComputeTime(cfg.Platform)
+	compute := m.StepComputeTime(p)
 	step := compute + sim.Duration(exposed*1e9)
 	return StepResult{
 		BusBW:       busBW,
 		CommTime:    sim.Duration(exposed * 1e9),
 		ComputeTime: compute,
 		StepTime:    step,
-	}, nil
+	}
 }

@@ -56,7 +56,6 @@ func TestJobConfigValidate(t *testing.T) {
 	valid := JobConfig{
 		Model: Table1()[0], Platform: DefaultPlatform(),
 		Alg: multipath.OBS, Paths: 64,
-		OverlapFactor: 0.5, VirtOverhead: 0.09,
 	}
 	if err := valid.Validate(); err != nil {
 		t.Fatalf("valid config rejected: %v", err)
@@ -66,14 +65,9 @@ func TestJobConfigValidate(t *testing.T) {
 		mutate func(*JobConfig)
 		want   error
 	}{
-		{"overlap below 0", func(c *JobConfig) { c.OverlapFactor = -0.1 }, ErrOverlapFactor},
-		{"overlap above 1", func(c *JobConfig) { c.OverlapFactor = 1.01 }, ErrOverlapFactor},
-		{"virt below 0", func(c *JobConfig) { c.VirtOverhead = -0.2 }, ErrVirtOverhead},
-		{"virt at 1", func(c *JobConfig) { c.VirtOverhead = 1 }, ErrVirtOverhead},
 		{"zero paths", func(c *JobConfig) { c.Paths = 0 }, ErrPaths},
 		{"negative paths", func(c *JobConfig) { c.Paths = -8 }, ErrPaths},
 		{"negative sim bytes", func(c *JobConfig) { c.SimBytes = uint64(18446744073709551615) }, ErrSimBytes},
-		{"negative gpus per host", func(c *JobConfig) { c.GPUsPerHost = -1 }, ErrGPUsPerHost},
 	}
 	for _, tc := range cases {
 		cfg := valid
@@ -82,9 +76,9 @@ func TestJobConfigValidate(t *testing.T) {
 			t.Errorf("%s: err = %v, want %v", tc.name, err, tc.want)
 		}
 	}
-	// Full overlap is a legal limit; boundary VirtOverhead 0 too.
+	// One path and a zero (defaulted) SimBytes are legal limits.
 	edge := valid
-	edge.OverlapFactor, edge.VirtOverhead = 1, 0
+	edge.Paths, edge.SimBytes = 1, 0
 	if err := edge.Validate(); err != nil {
 		t.Errorf("boundary config rejected: %v", err)
 	}
@@ -94,10 +88,10 @@ func TestRunStepRejectsInvalidConfig(t *testing.T) {
 	eng, f, eps := newJobCluster(t, 52, 4)
 	cfg := JobConfig{
 		Model: Table1()[0], Platform: DefaultPlatform(),
-		Alg: multipath.OBS, Paths: 64, OverlapFactor: 2,
+		Alg: multipath.OBS, Paths: 0,
 	}
-	if _, err := RunStep(eng, f, eps, cfg); !errors.Is(err, ErrOverlapFactor) {
-		t.Errorf("err = %v, want ErrOverlapFactor", err)
+	if _, err := RunStep(eng, f, eps, cfg); !errors.Is(err, ErrPaths) {
+		t.Errorf("err = %v, want ErrPaths", err)
 	}
 }
 
@@ -123,7 +117,7 @@ func TestRunStepTable1Regression(t *testing.T) {
 			Model: Table1()[tc.model], Platform: DefaultPlatform(),
 			Alg: multipath.OBS, Paths: 64,
 			Placement: tc.placement, PlacementSeed: 9,
-			SimBytes: 4 << 20, OverlapFactor: 0.5,
+			SimBytes: 4 << 20,
 		}
 		res, err := RunStep(eng, f, eps, cfg)
 		if err != nil {

@@ -137,7 +137,7 @@ func TestRunStepProducesStep(t *testing.T) {
 	cfg := JobConfig{
 		Model: Table1()[0], Platform: DefaultPlatform(),
 		Alg: multipath.OBS, Paths: 64,
-		Placement: Reranked, SimBytes: 4 << 20, OverlapFactor: 0.5,
+		Placement: Reranked, SimBytes: 4 << 20,
 	}
 	res, err := RunStep(eng, f, eps, cfg)
 	if err != nil {
@@ -158,7 +158,7 @@ func TestRunStepStellarBeatsSinglePathUnderRandomRanking(t *testing.T) {
 	base := JobConfig{
 		Model: Table1()[0], Platform: DefaultPlatform(),
 		Placement: RandomRanking, PlacementSeed: 3,
-		SimBytes: 4 << 20, OverlapFactor: 0.5,
+		SimBytes: 4 << 20,
 	}
 	engA, fA, epsA := newJobCluster(t, 11, 8)
 	stellar := base
@@ -197,7 +197,7 @@ func TestRunStepRerankedNarrowsGap(t *testing.T) {
 				Model: Table1()[0], Platform: DefaultPlatform(),
 				Alg: tc.alg, Paths: tc.paths,
 				Placement: placement, PlacementSeed: 5,
-				SimBytes: 4 << 20, OverlapFactor: 0.5,
+				SimBytes: 4 << 20,
 			}
 			res, err := RunStep(eng, f, eps, cfg)
 			if err != nil {
@@ -211,27 +211,6 @@ func TestRunStepRerankedNarrowsGap(t *testing.T) {
 	random := gap(RandomRanking)
 	if random <= reranked {
 		t.Errorf("gap under random ranking (%.3f) not above reranked (%.3f)", random, reranked)
-	}
-}
-
-func TestVirtOverheadSlowsStep(t *testing.T) {
-	eng, f, eps := newJobCluster(t, 13, 4)
-	cfg := JobConfig{
-		Model: Table1()[0], Platform: DefaultPlatform(),
-		Alg: multipath.OBS, Paths: 32, SimBytes: 2 << 20, OverlapFactor: 0,
-	}
-	clean, err := RunStep(eng, f, eps, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	eng2, f2, eps2 := newJobCluster(t, 13, 4)
-	cfg.VirtOverhead = 0.09 // Figure 13b's VF+VxLAN bandwidth loss
-	virt, err := RunStep(eng2, f2, eps2, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if virt.Speed() >= clean.Speed() {
-		t.Error("9% virt overhead did not slow the step")
 	}
 }
 
@@ -282,7 +261,7 @@ func TestMoEStepSlowerThanDenseEquivalent(t *testing.T) {
 	dense.ExpertParallel = 1
 	cfg := JobConfig{
 		Platform: DefaultPlatform(), Alg: multipath.OBS, Paths: 64,
-		Placement: Reranked, SimBytes: 2 << 20, OverlapFactor: 0.5,
+		Placement: Reranked, SimBytes: 2 << 20,
 	}
 	cfg.Model = moe
 	moeRes, err := RunStep(eng, f, eps, cfg)
@@ -291,7 +270,6 @@ func TestMoEStepSlowerThanDenseEquivalent(t *testing.T) {
 	}
 	eng2, f2, eps2 := newJobCluster(t, 31, 8)
 	cfg.Model = dense
-	cfg.FlowBase = 1000
 	denseRes, err := RunStep(eng2, f2, eps2, cfg)
 	if err != nil {
 		t.Fatal(err)
