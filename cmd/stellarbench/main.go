@@ -46,13 +46,11 @@ func run() int {
 		expFlag      = flag.String("exp", "", "comma-separated experiment IDs, or 'all'")
 		seedFlag     = flag.Uint64("seed", 42, "simulation seed")
 		listFlag     = flag.Bool("list", false, "list available experiments")
-		csvFlag      = flag.Bool("csv", false, "emit CSV instead of aligned tables")
 		jsonFlag     = flag.Bool("json", false, "emit JSON table objects instead of aligned tables")
 		traceFlag    = flag.String("trace", "", "write a Chrome trace-event JSON file covering the run (load in Perfetto)")
 		chaosFlag    = flag.String("chaos", "", "play a chaos scenario JSON file against the fabrics of the cluster-based experiments, fig11, linkfail-recovery and the scale runs (EXPERIMENTS.md lists the set)")
-		parallelFlag = flag.Int("parallel", runtime.GOMAXPROCS(0), "experiment worker count (tracing forces 1)")
+		parallelFlag = flag.Int("parallel", runtime.GOMAXPROCS(0), "worker count for experiments, their cells and the engine shards of the multi-pod scale fabrics and fig6-fleet (tracing forces 1; results are byte-identical at any count)")
 		graphFlag    = flag.String("jobgraph", "", "replay a job-graph JSON file as an extra experiment")
-		shardsFlag   = flag.Int("shards", 1, "engine shards for the multi-pod scale fabrics and fig6-fleet, at most one per pod or host (results are byte-identical at any count)")
 		cpuProfFlag  = flag.String("cpuprofile", "", "write a CPU profile to this file (per-experiment pprof labels; read with go tool pprof)")
 		memProfFlag  = flag.String("memprofile", "", "write an allocation profile to this file at exit (after a final GC)")
 	)
@@ -111,7 +109,6 @@ func run() int {
 	session.Tracer = tr
 	session.Chaos = sc
 	session.Parallelism = *parallelFlag
-	session.Shards = *shardsFlag
 
 	start := time.Now()
 	results, _ := experiments.RunAll(session, runners)
@@ -124,8 +121,6 @@ func run() int {
 		}
 		if *jsonFlag {
 			fmt.Print(res.Table.JSON())
-		} else if *csvFlag {
-			fmt.Printf("# %s: %s\n%s\n", res.Table.ID, res.Table.Title, res.Table.CSV())
 		} else {
 			fmt.Println(res.Table.String())
 			fmt.Printf("(%s completed in %.1fs wall time; %d sim events, %.2gM events/s)\n\n",
@@ -133,7 +128,7 @@ func run() int {
 				res.Stats.EventsPerSec()/1e6)
 		}
 	}
-	if !*jsonFlag && !*csvFlag && len(results) > 1 {
+	if !*jsonFlag && len(results) > 1 {
 		workers := max(1, min(session.Parallelism, len(runners)))
 		if tr != nil {
 			workers = 1 // RunAll serializes a traced batch

@@ -286,7 +286,7 @@ func TestRecoveryObserver(t *testing.T) {
 	eng := sim.NewEngine(1)
 	const rate = 1e9 / 1e6 // bytes per microsecond at 1 GB/s
 	var rx, retx uint64
-	rec := NewRecovery(eng, RecoveryConfig{Period: sim.Duration(100 * time.Microsecond)})
+	rec := NewRecovery(eng)
 	rec.Watch("flow", FlowSource{
 		Rx:   func() uint64 { return rx },
 		Retx: func() uint64 { return retx },
@@ -332,7 +332,7 @@ func TestRecoveryObserver(t *testing.T) {
 func TestRecoveryNeverDipped(t *testing.T) {
 	eng := sim.NewEngine(1)
 	var rx uint64
-	rec := NewRecovery(eng, RecoveryConfig{Period: sim.Duration(100 * time.Microsecond)})
+	rec := NewRecovery(eng)
 	rec.Watch("steady", FlowSource{
 		Rx:   func() uint64 { return rx },
 		Retx: func() uint64 { return 0 },

@@ -7,18 +7,19 @@ import (
 	"repro/internal/trace"
 )
 
-// RecoveryConfig parameterises the observer.
-type RecoveryConfig struct {
-	// Period is the goodput sampling interval (default 100 µs).
-	Period sim.Duration
-	// Settle is the fraction of pre-fault baseline goodput at which a
-	// flow counts as recovered (default 0.9).
-	Settle float64
-	// StallAfter is how long a flow's received-bytes counter must sit
-	// still before the observer flags a stall (default 1 ms — four
-	// RTOs: repathing that works never trips it).
-	StallAfter sim.Duration
-}
+// The observer's thresholds are fixed: every experiment and test reads
+// flows at the same granularity.
+const (
+	// samplePeriod is the goodput sampling interval.
+	samplePeriod sim.Duration = 100 * time.Microsecond
+	// settle is the fraction of pre-fault baseline goodput at which a
+	// flow counts as recovered.
+	settle = 0.9
+	// stallAfter is how long a flow's received-bytes counter must sit
+	// still before the observer flags a stall: four RTOs, so repathing
+	// that works never trips it.
+	stallAfter sim.Duration = time.Millisecond
+)
 
 // FlowSource exposes one flow's cumulative counters to the observer.
 // The transport side: Rx is the receiver's deduplicated payload bytes
@@ -37,7 +38,7 @@ type FlowRecovery struct {
 	// TimeToDetect is fault→first-retransmit, at sampling granularity.
 	Detected     bool
 	TimeToDetect sim.Duration
-	// Recovered: goodput returned to ≥ Settle×Baseline after having
+	// Recovered: goodput returned to ≥ settle×Baseline after having
 	// dipped below it. A flow that never left the settle band reports
 	// Recovered with a zero TimeToRecover — no outage observed.
 	Recovered     bool
@@ -51,7 +52,7 @@ type FlowRecovery struct {
 type Stall struct {
 	Flow string
 	// Since is the last time progress was observed; At is when the
-	// observer flagged the stall (Since + StallAfter, at sampling
+	// observer flagged the stall (Since + stallAfter, at sampling
 	// granularity).
 	Since sim.Time
 	At    sim.Time
@@ -74,12 +75,11 @@ func (s Stall) Duration(end sim.Time) sim.Duration {
 // time-to-detect, time-to-recover and goodput-dip area across a fault
 // episode. Wire it to a chaos engine with Attach (the first injected
 // fault starts the episode), then read Report after the run. It also
-// flags stalls — flows whose received bytes sit still for StallAfter,
+// flags stalls — flows whose received bytes sit still for stallAfter,
 // like one quiesced in FlowError — read with Stalls and traced on the
 // "watchdog" lane.
 type Recovery struct {
 	eng *sim.Engine
-	cfg RecoveryConfig
 
 	flows   []*flowState
 	faultAt sim.Time
@@ -115,17 +115,8 @@ type flowState struct {
 }
 
 // NewRecovery builds an observer on the engine's virtual clock.
-func NewRecovery(eng *sim.Engine, cfg RecoveryConfig) *Recovery {
-	if cfg.Period == 0 {
-		cfg.Period = 100 * 1000 // 100 µs in ns
-	}
-	if cfg.Settle == 0 {
-		cfg.Settle = 0.9
-	}
-	if cfg.StallAfter == 0 {
-		cfg.StallAfter = time.Millisecond
-	}
-	return &Recovery{eng: eng, cfg: cfg}
+func NewRecovery(eng *sim.Engine) *Recovery {
+	return &Recovery{eng: eng}
 }
 
 // Watch adds a flow. Call before Start.
@@ -154,7 +145,7 @@ func (r *Recovery) NoteFault() {
 	tr := r.eng.Tracer()
 	for _, fs := range r.flows {
 		if fs.preSamples > 0 {
-			window := sim.Duration(fs.preSamples) * r.cfg.Period
+			window := sim.Duration(fs.preSamples) * samplePeriod
 			fs.baseline = float64(fs.preBytes) / window.Seconds()
 		}
 		fs.retxAtFault = fs.src.Retx()
@@ -179,7 +170,7 @@ func (r *Recovery) Start() {
 		fs.lastRx = fs.src.Rx()
 		fs.lastMoveAt = now
 	}
-	r.eng.After(r.cfg.Period, r.tick)
+	r.eng.After(samplePeriod, r.tick)
 }
 
 // Stop ends sampling after the current period.
@@ -213,7 +204,7 @@ func (r *Recovery) tick() {
 		return
 	}
 	now := r.eng.Now()
-	periodSec := r.cfg.Period.Seconds()
+	periodSec := samplePeriod.Seconds()
 	tr := r.eng.Tracer()
 	for _, fs := range r.flows {
 		rx := fs.src.Rx()
@@ -241,7 +232,7 @@ func (r *Recovery) tick() {
 		if !fs.dipped {
 			// Recovery only counts after an actual outage: wait for the
 			// rate to leave the settle band before arming the detector.
-			if rate < r.cfg.Settle*fs.baseline {
+			if rate < settle*fs.baseline {
 				fs.dipped = true
 				if short > 0 {
 					fs.rec.DipBytes += short
@@ -252,7 +243,7 @@ func (r *Recovery) tick() {
 		if short > 0 {
 			fs.rec.DipBytes += short
 		}
-		if rate >= r.cfg.Settle*fs.baseline {
+		if rate >= settle*fs.baseline {
 			fs.rec.Recovered = true
 			fs.rec.TimeToRecover = now.Sub(r.faultAt)
 			if tr.Enabled() {
@@ -272,7 +263,7 @@ func (r *Recovery) tick() {
 			fs.lastMoveAt = now
 			continue
 		}
-		if !fs.stalled && now.Sub(fs.lastMoveAt) >= r.cfg.StallAfter {
+		if !fs.stalled && now.Sub(fs.lastMoveAt) >= stallAfter {
 			fs.stalled = true
 			fs.open = len(r.stalls)
 			r.stalls = append(r.stalls, Stall{Flow: fs.name, Since: fs.lastMoveAt, At: now})
@@ -283,7 +274,7 @@ func (r *Recovery) tick() {
 			}
 		}
 	}
-	r.eng.After(r.cfg.Period, r.tick)
+	r.eng.After(samplePeriod, r.tick)
 }
 
 // clearStall closes a flow's open stall episode at now.

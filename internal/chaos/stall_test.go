@@ -18,7 +18,7 @@ func progressSource(progress *uint64) FlowSource {
 func TestRecoveryFlagsAndClearsStalls(t *testing.T) {
 	eng := sim.NewEngine(1)
 	var progress uint64
-	r := NewRecovery(eng, RecoveryConfig{})
+	r := NewRecovery(eng)
 	r.Watch("f1", progressSource(&progress))
 	r.Start()
 
@@ -39,7 +39,7 @@ func TestRecoveryFlagsAndClearsStalls(t *testing.T) {
 	if s.Flow != "f1" {
 		t.Errorf("stall flow = %q, want f1", s.Flow)
 	}
-	// Quiet began at the 1 ms sample; detection lags by StallAfter.
+	// Quiet began at the 1 ms sample; detection lags by stallAfter.
 	if s.Since != sim.Time(time.Millisecond) {
 		t.Errorf("Since = %v, want 1ms", s.Since)
 	}
@@ -57,7 +57,7 @@ func TestRecoveryFlagsAndClearsStalls(t *testing.T) {
 func TestRecoverySteadyProgressNeverStalls(t *testing.T) {
 	eng := sim.NewEngine(2)
 	var progress uint64
-	r := NewRecovery(eng, RecoveryConfig{})
+	r := NewRecovery(eng)
 	r.Watch("f1", progressSource(&progress))
 	r.Start()
 	var tick func()
@@ -75,10 +75,10 @@ func TestRecoverySteadyProgressNeverStalls(t *testing.T) {
 func TestRecoveryMarkDoneClosesOpenStall(t *testing.T) {
 	eng := sim.NewEngine(3)
 	var progress uint64
-	r := NewRecovery(eng, RecoveryConfig{})
+	r := NewRecovery(eng)
 	r.Watch("f1", progressSource(&progress))
 	r.Start()
-	// No progress at all: the flow stalls at StallAfter, then the
+	// No progress at all: the flow stalls at stallAfter, then the
 	// transfer "completes" at 3 ms.
 	eng.After(3*time.Millisecond, func() { r.MarkDone("f1") })
 	eng.Run(sim.Time(8 * time.Millisecond))
@@ -102,7 +102,7 @@ func TestRecoveryMarkDoneClosesOpenStall(t *testing.T) {
 func TestRecoveryMarkDoneMidEpisodeKeepsVerdict(t *testing.T) {
 	eng := sim.NewEngine(4)
 	var rx, retx uint64
-	r := NewRecovery(eng, RecoveryConfig{Period: 100 * time.Microsecond})
+	r := NewRecovery(eng)
 	r.Watch("flow", FlowSource{
 		Rx:   func() uint64 { return rx },
 		Retx: func() uint64 { return retx },

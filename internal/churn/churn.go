@@ -36,25 +36,6 @@ import (
 	"repro/internal/vnet"
 )
 
-// Profile selects the arrival process shape.
-type Profile uint8
-
-const (
-	// Poisson arrivals: independent exponential inter-arrival gaps.
-	Poisson Profile = iota
-	// Bursty arrivals: Poisson modulated by a periodic burst window
-	// during which the rate is multiplied by BurstFactor — the
-	// trace-shaped "invocation storm" profile of serverless fleets.
-	Bursty
-)
-
-func (p Profile) String() string {
-	if p == Poisson {
-		return "poisson"
-	}
-	return "bursty"
-}
-
 // Config parameterises one fleet run.
 type Config struct {
 	// Hosts is the fleet size; hosts are partitioned across the
@@ -63,16 +44,9 @@ type Config struct {
 	// Window is the arrival window: arrivals stop after it, and the
 	// run drains naturally (lifetimes and teardowns complete).
 	Window sim.Duration
-	// MeanInterarrival is the per-host mean gap between arrivals.
+	// MeanInterarrival is the per-host mean gap between Poisson
+	// arrivals (independent exponential gaps).
 	MeanInterarrival sim.Duration
-	Profile          Profile
-	// BurstEvery / BurstLen / BurstFactor shape the Bursty profile:
-	// every BurstEvery, for BurstLen, the arrival rate is multiplied
-	// by BurstFactor. Each host's burst phase is offset by a seeded
-	// draw so the fleet's storms are not phase-locked.
-	BurstEvery  sim.Duration
-	BurstLen    sim.Duration
-	BurstFactor float64
 
 	// Sizes is the container guest-memory mix, sampled uniformly.
 	Sizes []uint64
@@ -128,10 +102,6 @@ func DefaultConfig() Config {
 		Hosts:            16,
 		Window:           60 * time.Second,
 		MeanInterarrival: 400 * time.Millisecond,
-		Profile:          Poisson,
-		BurstEvery:       10 * time.Second,
-		BurstLen:         2 * time.Second,
-		BurstFactor:      4,
 
 		Sizes:           []uint64{4 << 30, 8 << 30, 16 << 30, 32 << 30},
 		Mode:            rund.PinOnDemand,
@@ -169,8 +139,6 @@ func (c *Config) Validate() error {
 		return fmt.Errorf("churn: empty container size mix")
 	case c.WorkingSetFrac < 0 || c.WorkingSetFrac > 1:
 		return fmt.Errorf("churn: working-set fraction %v outside [0,1]", c.WorkingSetFrac)
-	case c.Profile == Bursty && (c.BurstFactor < 1 || c.BurstEvery <= 0 || c.BurstLen <= 0 || c.BurstLen > c.BurstEvery):
-		return fmt.Errorf("churn: bursty profile needs factor >= 1 and 0 < len <= every")
 	case c.SamplePeriod <= 0:
 		return fmt.Errorf("churn: sample period must be positive")
 	}
@@ -274,7 +242,6 @@ type host struct {
 	tr    *trace.Tracer
 
 	arrivalRNG, mixRNG, lifeRNG *sim.RNG
-	burstPhase                  sim.Duration
 
 	mem  *mem.Memory
 	hyp  *rund.Hypervisor
@@ -404,27 +371,17 @@ func newHost(cfg *Config, idx int, eng *sim.Engine) (*host, error) {
 		vdev:       vdev,
 		idle:       make(map[uint64][]*rund.Container),
 	}
-	if cfg.Profile == Bursty {
-		h.burstPhase = sim.Duration(h.arrivalRNG.Float64() * float64(cfg.BurstEvery))
-	}
 	return h, nil
 }
 
 func (h *host) start() {
-	h.eng.After(h.nextGap(0), h.arrive)
+	h.eng.After(h.nextGap(), h.arrive)
 	h.sample()
 }
 
-// nextGap draws the inter-arrival gap from the profile at virtual time t.
-func (h *host) nextGap(t sim.Time) sim.Duration {
-	mean := float64(h.cfg.MeanInterarrival)
-	if h.cfg.Profile == Bursty {
-		phase := (sim.Duration(t) + h.burstPhase) % h.cfg.BurstEvery
-		if phase < h.cfg.BurstLen {
-			mean /= h.cfg.BurstFactor
-		}
-	}
-	g := sim.Duration(h.arrivalRNG.Exp(mean))
+// nextGap draws the exponential inter-arrival gap.
+func (h *host) nextGap() sim.Duration {
+	g := sim.Duration(h.arrivalRNG.Exp(float64(h.cfg.MeanInterarrival)))
 	if g < 1 {
 		g = 1
 	}
@@ -450,7 +407,7 @@ func (h *host) arrive() {
 	if sim.Duration(now) >= h.cfg.Window {
 		return // window closed; the fleet drains
 	}
-	h.eng.After(h.nextGap(now), h.arrive)
+	h.eng.After(h.nextGap(), h.arrive)
 
 	h.stats.Arrivals++
 	lc := &lifecycle{

@@ -173,26 +173,6 @@ func TestRecycleFleet(t *testing.T) {
 	}
 }
 
-func TestBurstyProfile(t *testing.T) {
-	cfg := testConfig()
-	cfg.Profile = churn.Bursty
-	cfg.BurstEvery = 4 * time.Second
-	cfg.BurstLen = 1 * time.Second
-	cfg.BurstFactor = 6
-	rep := runFleet(t, cfg, 42, 1)
-	pois := runFleet(t, testConfig(), 42, 1)
-	if reflect.DeepEqual(rep, pois) {
-		t.Error("bursty profile indistinguishable from poisson")
-	}
-	if rep.ColdStarts == 0 || rep.Teardowns != rep.ColdStarts {
-		t.Errorf("bursty fleet broken: %d starts, %d teardowns", rep.ColdStarts, rep.Teardowns)
-	}
-	again := runFleet(t, cfg, 42, 4)
-	if !reflect.DeepEqual(rep, again) {
-		t.Error("bursty fleet diverged across shard counts")
-	}
-}
-
 // TestPinFullFleet runs the VFIO path: pin span dominated by full-pin
 // cost, no PVDMA evictions, pinned bytes peak at concurrent guest RAM.
 func TestPinFullFleet(t *testing.T) {
@@ -223,7 +203,6 @@ func TestConfigValidation(t *testing.T) {
 		func(c *churn.Config) { c.WorkingSetFrac = 1.5 },
 		func(c *churn.Config) { c.WorkingSetChunk = 1 << 20 },
 		func(c *churn.Config) { c.Sizes = []uint64{123} },
-		func(c *churn.Config) { c.Profile = churn.Bursty; c.BurstFactor = 0 },
 	}
 	for i, mut := range bad {
 		cfg := testConfig()

@@ -51,7 +51,7 @@ func FailureSweep(s *Session) (*Table, error) {
 	run := func(alg multipath.Algorithm, paths int, sc *chaos.Scenario) (float64, []chaos.FlowRecovery, int, uint64, error) {
 		eng, f, eps := s.cluster(netConfig(flows, aggs), transport.Config{MTU: 16 << 10, InitialWindow: 1 << 20})
 		ce := chaos.New(eng, f)
-		rec := chaos.NewRecovery(eng, chaos.RecoveryConfig{})
+		rec := chaos.NewRecovery(eng)
 		rec.Attach(ce)
 		var bls []*multipath.Blacklist
 		var conns []*transport.Conn

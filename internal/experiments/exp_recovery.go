@@ -91,7 +91,7 @@ func ChaosRecovery(s *Session) (*Table, error) {
 			return nil, err
 		}
 
-		obs := chaos.NewRecovery(eng, chaos.RecoveryConfig{})
+		obs := chaos.NewRecovery(eng)
 		var conns []*transport.Conn
 		for i := 0; i < flows; i++ {
 			flow := uint64(1 + i)

@@ -26,11 +26,11 @@ func scaleConfig(hostsPerSeg, segs, segsPerPod, aggs, cores int) fabric.Config {
 func fleetConfig() fabric.Config { return scaleConfig(128, 32, 8, 60, 16) }
 
 // scaleCluster builds a multi-pod fabric partitioned across the
-// session's engine shards, at most one shard per pod, with one endpoint
-// per host. With Session.Shards < 2 (or a tracer/chaos scenario
-// attached) the whole fleet lands on a single engine and the numbers
-// are — by the differential tests' guarantee — byte-identical to any
-// other shard count.
+// session's engine shards, one per worker and at most one per pod, with
+// one endpoint per host. At Session.Parallelism < 2 (or with a
+// tracer/chaos scenario attached) the whole fleet lands on a single
+// engine and the numbers are — by the differential tests' guarantee —
+// byte-identical to any other shard count.
 func scaleCluster(s *Session, cfg fabric.Config) (*sim.ShardedEngine, *fabric.Fabric, []*transport.Endpoint) {
 	se := s.newShardedEngine(cfg.Pods())
 	f := fabric.NewSharded(se, cfg)
@@ -46,7 +46,7 @@ func scaleCluster(s *Session, cfg fabric.Config) (*sim.ShardedEngine, *fabric.Fa
 // hosts across four pods, every flow aimed at the segment half the
 // fabric away so all traffic crosses the core layer. This is the run
 // that motivates the sharded engine — a single event loop owns a
-// ~30M-event horizon here; under Session.Shards the pods run on
+// ~30M-event horizon here; at Session.Parallelism > 1 the pods run on
 // separate shards with cross-pod packets handed off at the core seam.
 func Fig9Scale(s *Session) (*Table, error) {
 	t := &Table{
@@ -75,7 +75,7 @@ func Fig9Scale(s *Session) (*Table, error) {
 			fmt.Sprintf("%.1f", res.Goodput/1e9))
 	}
 	t.Notes = append(t.Notes,
-		"all 4096 flows cross the core escape layer; run with -shards to split pods across engine shards")
+		"all 4096 flows cross the core escape layer; run with -parallel to split pods across engine shards")
 	return t, nil
 }
 

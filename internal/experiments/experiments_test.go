@@ -66,17 +66,6 @@ func TestTableString(t *testing.T) {
 	}
 }
 
-func TestTableCSV(t *testing.T) {
-	tb := &Table{ID: "x", Title: "t", Header: []string{"a", "b"}}
-	tb.AddRow("1", "v,w")
-	tb.AddRow(`q"q`, "2")
-	got := tb.CSV()
-	want := "a,b\n1,\"v,w\"\n\"q\"\"q\",2\n"
-	if got != want {
-		t.Errorf("CSV = %q, want %q", got, want)
-	}
-}
-
 // TestSeedChangesNetworkResults: seeds must actually steer the
 // randomised parts (placements, permutations), or the "sweep seeds for
 // robustness" workflow silently measures one sample.

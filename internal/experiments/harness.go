@@ -22,7 +22,7 @@ import (
 
 // Session is the per-run state an experiment executes under: the seed,
 // the flight recorder, the chaos scenario to arm on its fabrics, and
-// the worker and shard bounds. Each concurrent run owns its Session, so
+// the worker bound. Each concurrent run owns its Session, so
 // two runs can never alias each other's tracer, scenario or engines.
 //
 // A Session also records every engine it builds, which is what makes
@@ -49,20 +49,13 @@ type Session struct {
 	// sessions and cells.
 	Chaos *chaos.Scenario
 	// Parallelism bounds the worker pool RunAll runs its runners on,
-	// and each runner's pool for cell-parallel sweeps (FailureSweep,
-	// Fig11, Fig12). Values below 2 mean serial. Results are assembled
-	// in runner and cell order, so the output is byte-identical at any
-	// setting.
+	// each runner's pool for cell-parallel sweeps (FailureSweep, Fig11,
+	// Fig12), and the engine shards a sharded model runs on (see
+	// newShardedEngine). Values below 2 mean serial on one engine.
+	// Results are assembled in runner and cell order, and sharding
+	// changes how the event loop is driven, not what it computes, so
+	// the output is byte-identical at any setting.
 	Parallelism int
-	// Shards bounds the event-engine shards a sharded model runs on in
-	// parallel windows (see sim.ShardedEngine). Each model clamps it to
-	// its independent units: pods for the multi-pod scale fabrics, hosts
-	// for fig6-fleet; single-pod fabrics always run on one engine.
-	// Values below 2 mean one engine. Results are byte-identical at any
-	// setting — sharding changes how the event loop is driven, not what
-	// it computes. A tracer or chaos scenario forces 1 shard: both bind
-	// to a single engine's clock.
-	Shards int
 
 	mu      sync.Mutex
 	engines []*sim.Engine
@@ -78,7 +71,7 @@ func NewSession(seed uint64) *Session {
 // giving one run of a larger batch its own accounting scope.
 func (s *Session) fork() *Session {
 	return &Session{Seed: s.Seed, Tracer: s.Tracer, Chaos: s.Chaos,
-		Parallelism: s.Parallelism, Shards: s.Shards}
+		Parallelism: s.Parallelism}
 }
 
 // newEngine is the experiments' engine constructor: an engine seeded
@@ -110,8 +103,8 @@ func netConfig(hostsPerSeg, aggs int) fabric.Config {
 
 // cluster builds fc on a fresh session engine with one transport
 // endpoint per host, each configured by tc. The fabric runs on one
-// engine whatever Shards says. cluster does not arm the session's chaos
-// scenario: the experiments Chaos lists call armChaos themselves.
+// engine whatever Parallelism says. cluster does not arm the session's
+// chaos scenario: the experiments Chaos lists call armChaos themselves.
 func (s *Session) cluster(fc fabric.Config, tc transport.Config) (*sim.Engine, *fabric.Fabric, []*transport.Endpoint) {
 	eng := s.newEngine()
 	f := fabric.New(eng, fc)
@@ -167,23 +160,20 @@ func (s *Session) host(cfg stellar.HostConfig) (*stellar.Host, error) {
 	return h, err
 }
 
-// shards is the effective shard count: Shards, forced to 1 when a
-// tracer or chaos scenario is attached (both bind to a single engine).
-func (s *Session) shards() int {
-	if s.Shards < 2 || s.Tracer != nil || s.Chaos != nil {
-		return 1
-	}
-	return s.Shards
-}
-
 // newShardedEngine builds the session's sharded engine group for a
-// model of units independent partitions: the effective shard count,
-// clamped to units since a shard with no unit would only idle through
-// every window. Every shard is seeded per the session (identical seeds
-// keep the RNG fork tree shard-invariant) and recorded for per-run
-// event accounting.
+// model of units independent partitions (pods for the multi-pod scale
+// fabrics, hosts for fig6-fleet): one shard per worker, capped at units
+// since a shard with no unit would only idle through every window. A
+// tracer or chaos scenario forces one shard, as both bind to a single
+// engine's clock; workers already returns 1 under a tracer. Every shard
+// is seeded per the session (identical seeds keep the RNG fork tree
+// shard-invariant) and recorded for per-run event accounting.
 func (s *Session) newShardedEngine(units int) *sim.ShardedEngine {
-	se := sim.NewShardedEngine(s.Seed, sim.SchedulerWheel, min(s.shards(), units))
+	n := s.workers(units)
+	if s.Chaos != nil {
+		n = 1
+	}
+	se := sim.NewShardedEngine(s.Seed, sim.SchedulerWheel, n)
 	s.mu.Lock()
 	for _, eng := range se.Engines() {
 		if s.Tracer != nil {

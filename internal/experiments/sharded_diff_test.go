@@ -5,10 +5,12 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/chaos"
 	"repro/internal/collective"
 	"repro/internal/fabric"
 	"repro/internal/multipath"
 	"repro/internal/sim"
+	"repro/internal/trace"
 	"repro/internal/transport"
 )
 
@@ -17,12 +19,12 @@ import (
 // cross-pod permutation load, where every flow crosses the core seam and
 // is handed off between shards. Results must be byte-identical at every
 // shard count — the property the conservative-lookahead
-// windows and the canonical entry-link drain exist to provide. Shard
-// count 8 clamps to the 4 pods.
+// windows and the canonical entry-link drain exist to provide. The
+// shard count follows Parallelism; 8 clamps to the 4 pods.
 func TestScalePermutationShardInvariant(t *testing.T) {
 	run := func(shards int) collective.PermutationResult {
 		s := NewSession(11)
-		s.Shards = shards
+		s.Parallelism = shards
 		se, f, eps := scaleCluster(s, scaleConfig(8, 8, 2, 16, 4))
 		res, err := collective.RunPermutation(se.Shard(0), f, eps, collective.PermutationConfig{
 			Alg: multipath.OBS, Paths: 64, BytesPerFlow: 1 << 20,
@@ -52,7 +54,7 @@ func TestScalePermutationShardInvariant(t *testing.T) {
 func TestScalePermutationFaultShardInvariant(t *testing.T) {
 	run := func(shards int) collective.PermutationResult {
 		s := NewSession(13)
-		s.Shards = shards
+		s.Parallelism = shards
 		se, f, eps := scaleCluster(s, scaleConfig(8, 8, 2, 16, 4))
 		if err := f.SetFault(fabric.Uplink(0, 3), fabric.Fault{Down: true}); err != nil {
 			t.Fatal(err)
@@ -83,7 +85,7 @@ func TestScalePermutationFaultShardInvariant(t *testing.T) {
 func TestFig12ScaleShardInvariant(t *testing.T) {
 	run := func(shards int) [][]string {
 		s := NewSession(7)
-		s.Shards = shards
+		s.Parallelism = shards
 		tb, err := Fig12Scale(s)
 		if err != nil {
 			t.Fatalf("shards=%d: %v", shards, err)
@@ -95,19 +97,20 @@ func TestFig12ScaleShardInvariant(t *testing.T) {
 	}
 }
 
-// TestShardedSessionAccounting: the session clamps its shard count to
-// the model's pods, and records every shard engine it builds so Fired()
-// covers the whole run.
+// TestShardedSessionAccounting: the session builds one shard per worker,
+// clamped to the model's pods, one shard under a tracer or chaos
+// scenario, and records every shard engine it builds so Fired() covers
+// the whole run.
 func TestShardedSessionAccounting(t *testing.T) {
 	s := NewSession(3)
-	s.Shards = 8
+	s.Parallelism = 8
 	s.cluster(netConfig(2, 4), transport.Config{})
 	if got := s.Engines(); got != 1 {
 		t.Fatalf("Engines() = %d after a single-pod cluster, want 1", got)
 	}
 	se, _, _ := scaleCluster(s, scaleConfig(2, 8, 2, 4, 2))
 	if got := se.NumShards(); got != 4 {
-		t.Fatalf("NumShards() = %d on a 4-pod fabric at Shards=8, want 4", got)
+		t.Fatalf("NumShards() = %d on a 4-pod fabric at Parallelism=8, want 4", got)
 	}
 	if got := s.Engines(); got != 5 {
 		t.Fatalf("Engines() = %d after cluster + 4-pod scaleCluster, want 5", got)
@@ -119,8 +122,20 @@ func TestShardedSessionAccounting(t *testing.T) {
 	if got := s.Fired(); got != 4 {
 		t.Fatalf("Fired() = %d, want 4 (one event per shard)", got)
 	}
-	// A fork carries the shard count.
-	if f := s.fork(); f.Shards != 8 {
-		t.Fatalf("fork dropped Shards: %d", f.Shards)
+
+	for _, c := range []struct {
+		name string
+		set  func(*Session)
+	}{
+		{"parallelism 1", func(s *Session) { s.Parallelism = 1 }},
+		{"tracer", func(s *Session) { s.Tracer = trace.New(1 << 10) }},
+		{"chaos", func(s *Session) { s.Chaos = chaos.NewScenario("empty") }},
+	} {
+		s := NewSession(3)
+		s.Parallelism = 8
+		c.set(s)
+		if got := s.newShardedEngine(4).NumShards(); got != 1 {
+			t.Errorf("%s: NumShards() = %d for 4 units at Parallelism=%d, want 1", c.name, got, s.Parallelism)
+		}
 	}
 }

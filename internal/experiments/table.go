@@ -71,32 +71,6 @@ func (t *Table) String() string {
 	return b.String()
 }
 
-// CSV renders the table as RFC-4180-ish CSV (header row first); quotes
-// are applied only where a cell contains a comma or quote.
-func (t *Table) CSV() string {
-	var b strings.Builder
-	writeRow := func(cells []string) {
-		for i, c := range cells {
-			if i > 0 {
-				b.WriteByte(',')
-			}
-			if strings.ContainsAny(c, ",\"\n") {
-				b.WriteByte('"')
-				b.WriteString(strings.ReplaceAll(c, "\"", "\"\""))
-				b.WriteByte('"')
-			} else {
-				b.WriteString(c)
-			}
-		}
-		b.WriteByte('\n')
-	}
-	writeRow(t.Header)
-	for _, row := range t.Rows {
-		writeRow(row)
-	}
-	return b.String()
-}
-
 // JSON renders the table as a single JSON object (machine-readable
 // export for CI and notebooks). Field order and indentation are fixed,
 // so equal tables serialize byte-identically.
@@ -117,7 +91,9 @@ func (t *Table) JSON() string {
 
 // ParseTable decodes a Table previously serialized with JSON, the form
 // the claims table reads a batch's output in. It is strict: undecodable
-// bytes or a missing ID are errors, never a partial table. Round-trip
+// bytes, a missing ID or a row whose width differs from the header's
+// are errors, never a partial table (String needs every row as wide as
+// the header). Round-trip
 // fidelity is exact because JSON fixes field order and indentation.
 func ParseTable(b []byte) (*Table, error) {
 	var obj struct {
@@ -132,6 +108,11 @@ func ParseTable(b []byte) (*Table, error) {
 	}
 	if obj.ID == "" {
 		return nil, fmt.Errorf("experiments: parsed table has no ID")
+	}
+	for i, row := range obj.Rows {
+		if len(row) != len(obj.Header) {
+			return nil, fmt.Errorf("experiments: table %s: row %d has %d cells, header has %d", obj.ID, i, len(row), len(obj.Header))
+		}
 	}
 	return &Table{ID: obj.ID, Title: obj.Title, Header: obj.Header, Rows: obj.Rows, Notes: obj.Notes}, nil
 }

@@ -35,11 +35,8 @@ type Config struct {
 	MTU uint64
 	// InitialWindow is the starting congestion window in bytes.
 	InitialWindow uint64
-	// MinWindow / MaxWindow clamp the congestion window.
-	MinWindow uint64
+	// MaxWindow caps the congestion window (minWindow floors it).
 	MaxWindow uint64
-	// AdditiveIncrease is added to the window per window of acked bytes.
-	AdditiveIncrease uint64
 	// ECNBeta is the multiplicative decrease on an ECN-marked ack.
 	ECNBeta float64
 	// LossBeta is the multiplicative decrease applied when the RTO
@@ -74,28 +71,33 @@ type Config struct {
 	// surfaces the failure via Err/OnStateChange instead of
 	// retransmitting forever. 0 (the default) keeps retries unbounded.
 	RetryBudget int
-	// AckSize is the size of ack packets on the wire.
-	AckSize uint64
 	// PerPathCC gives each path its own window (the §9 alternative).
 	// The shared-context default is what lets Stellar afford 128 paths.
 	PerPathCC bool
 }
 
+// Fixed CC and wire constants, shared by every configuration.
+const (
+	// minWindow floors the shared congestion window, in bytes.
+	minWindow = 8 << 10
+	// additiveIncrease is added to the window per window of acked bytes.
+	additiveIncrease = 16 << 10
+	// ackSize is the size of ack packets on the wire, in bytes.
+	ackSize = 64
+)
+
 // DefaultConfig returns the production transport parameters.
 func DefaultConfig() Config {
 	return Config{
-		MTU:              4096,
-		InitialWindow:    256 << 10,
-		MinWindow:        8 << 10,
-		MaxWindow:        4 << 20,
-		AdditiveIncrease: 16 << 10,
-		ECNBeta:          0.8,
-		LossBeta:         1,
-		TargetRTT:        60 * time.Microsecond,
-		RTO:              250 * time.Microsecond,
-		RTOBackoff:       1,
-		RTOMax:           2 * time.Millisecond,
-		AckSize:          64,
+		MTU:           4096,
+		InitialWindow: 256 << 10,
+		MaxWindow:     4 << 20,
+		ECNBeta:       0.8,
+		LossBeta:      1,
+		TargetRTT:     60 * time.Microsecond,
+		RTO:           250 * time.Microsecond,
+		RTOBackoff:    1,
+		RTOMax:        2 * time.Millisecond,
 	}
 }
 
@@ -120,14 +122,8 @@ func NewEndpoint(f *fabric.Fabric, h fabric.HostID, cfg Config) *Endpoint {
 	if cfg.InitialWindow == 0 {
 		cfg.InitialWindow = d.InitialWindow
 	}
-	if cfg.MinWindow == 0 {
-		cfg.MinWindow = d.MinWindow
-	}
 	if cfg.MaxWindow == 0 {
 		cfg.MaxWindow = d.MaxWindow
-	}
-	if cfg.AdditiveIncrease == 0 {
-		cfg.AdditiveIncrease = d.AdditiveIncrease
 	}
 	if cfg.ECNBeta == 0 {
 		cfg.ECNBeta = d.ECNBeta
@@ -146,9 +142,6 @@ func NewEndpoint(f *fabric.Fabric, h fabric.HostID, cfg Config) *Endpoint {
 	}
 	if cfg.RTOMax == 0 {
 		cfg.RTOMax = d.RTOMax
-	}
-	if cfg.AckSize == 0 {
-		cfg.AckSize = d.AckSize
 	}
 	ep := &Endpoint{
 		host:  h,
@@ -666,14 +659,14 @@ func (c *Conn) decrease(path int, beta float64) {
 		return
 	}
 	c.window *= beta
-	if c.window < float64(c.cfg.MinWindow) {
-		c.window = float64(c.cfg.MinWindow)
+	if c.window < minWindow {
+		c.window = minWindow
 	}
 }
 
 // increase applies additive increase per acked packet.
 func (c *Conn) increase(path int, size uint64) {
-	grow := float64(c.cfg.AdditiveIncrease) * float64(size)
+	grow := additiveIncrease * float64(size)
 	if c.cfg.PerPathCC {
 		i := ccIndex(path)
 		w := c.pathWindow[i]
@@ -819,7 +812,7 @@ func (e *Endpoint) handle(p *fabric.Packet) {
 	ack.AckSeq = p.Seq
 	ack.AckEpoch = p.Epoch
 	ack.AckECN = p.ECN
-	ack.Size = e.cfg.AckSize
+	ack.Size = ackSize
 	if err := e.f.Send(ack); err != nil {
 		panic(err)
 	}

@@ -52,7 +52,7 @@ func TestEveryByteDeliveredExactlyOnce(t *testing.T) {
 
 // TestWindowStaysWithinBounds checks the CC invariant under arbitrary
 // congestion: the shared window never exceeds MaxWindow nor drops below
-// MinWindow.
+// minWindow.
 func TestWindowStaysWithinBounds(t *testing.T) {
 	eng := sim.NewEngine(3)
 	fb := fabric.New(eng, fabric.Config{
@@ -68,7 +68,7 @@ func TestWindowStaysWithinBounds(t *testing.T) {
 		t.Fatal(err)
 	}
 	c.Send(8<<20, nil)
-	min, max := src.Config().MinWindow, src.Config().MaxWindow
+	min, max := uint64(minWindow), src.Config().MaxWindow
 	for eng.Step() {
 		w := c.Window()
 		if w < min || w > max {
