@@ -1,0 +1,87 @@
+package main
+
+import (
+	"errors"
+	"os"
+	"os/exec"
+	"reflect"
+	"regexp"
+	"sort"
+	"testing"
+)
+
+// asMain is the environment variable that makes the test binary run
+// main instead of the tests, so each test drives the real command.
+const asMain = "STELLARBENCH_TEST_AS_MAIN"
+
+func TestMain(m *testing.M) {
+	if os.Getenv(asMain) == "1" {
+		main()
+		os.Exit(0)
+	}
+	os.Exit(m.Run())
+}
+
+// invoke executes the command with args and returns its exit code and
+// combined output.
+func invoke(t *testing.T, args ...string) (int, string) {
+	t.Helper()
+	cmd := exec.Command(os.Args[0], args...)
+	cmd.Env = append(os.Environ(), asMain+"=1")
+	out, err := cmd.CombinedOutput()
+	var exit *exec.ExitError
+	switch {
+	case err == nil:
+		return 0, string(out)
+	case errors.As(err, &exit):
+		return exit.ExitCode(), string(out)
+	}
+	t.Fatalf("stellarbench %v: %v", args, err)
+	return 0, ""
+}
+
+// flagLine matches a flag in -h output. The test binary's own -test.*
+// flags are on the same flag set and do not match.
+var flagLine = regexp.MustCompile(`(?m)^  -([a-z-]+)(?:\s|$)`)
+
+// TestFlagSet pins stellarbench's flags exactly. There is no checkpoint
+// store (-checkpoint), the shard count follows -parallel (-shards) and
+// -json is the one machine-readable output (-csv); a new flag shows up
+// here.
+func TestFlagSet(t *testing.T) {
+	code, out := invoke(t, "-h")
+	if code != 0 {
+		t.Fatalf("-h exited %d:\n%s", code, out)
+	}
+	var got []string
+	for _, m := range flagLine.FindAllStringSubmatch(out, -1) {
+		got = append(got, m[1])
+	}
+	sort.Strings(got)
+	want := []string{"chaos", "cpuprofile", "exp", "jobgraph", "json", "list", "memprofile", "parallel", "seed", "trace"}
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("flags = %v, want %v", got, want)
+	}
+}
+
+// TestRefusesUndefinedFlags: flags that no longer exist exit 2 before
+// any experiment runs.
+func TestRefusesUndefinedFlags(t *testing.T) {
+	for _, args := range [][]string{
+		{"-exp", "sec4", "-checkpoint", "ckpt"},
+		{"-exp", "sec4", "-shards", "2"},
+		{"-exp", "sec4", "-csv"},
+	} {
+		if code, out := invoke(t, args...); code != 2 {
+			t.Errorf("%v exited %d, want 2:\n%s", args, code, out)
+		}
+	}
+}
+
+// TestRefusesDeploy: there is no deploy experiment (fig6, fig9 and
+// fig16b measure the §1 claims), so -exp deploy is unknown and exits 2.
+func TestRefusesDeploy(t *testing.T) {
+	if code, out := invoke(t, "-exp", "deploy"); code != 2 {
+		t.Errorf("-exp deploy exited %d, want 2:\n%s", code, out)
+	}
+}

@@ -1,7 +1,8 @@
 // Package addr defines the address spaces of the memory mapping hierarchy
 // described in §2 of the Stellar paper (Figure 1a): guest virtual (GVA),
-// guest physical (GPA), host virtual (HVA), host physical (HPA), and PCIe
-// device addresses (DA). Keeping each space a distinct Go type means the
+// guest physical (GPA), host physical (HPA), and PCIe device addresses
+// (DA). No modelled path crosses the host's own virtual space, so it
+// has no type. Keeping each space a distinct Go type means the
 // compiler rejects the class of bug the paper's Problem ⑤ illustrates —
 // an address from one layer being interpreted in another.
 package addr
@@ -24,9 +25,6 @@ type GVA uint64
 // GPA is a guest physical address: what the guest OS believes is physical.
 type GPA uint64
 
-// HVA is a host virtual address in the host OS.
-type HVA uint64
-
 // HPA is a host physical address — the only space the memory controller
 // and PCIe fabric ultimately operate in.
 type HPA uint64
@@ -37,7 +35,6 @@ type DA uint64
 
 func (a GVA) String() string { return fmt.Sprintf("GVA(%#x)", uint64(a)) }
 func (a GPA) String() string { return fmt.Sprintf("GPA(%#x)", uint64(a)) }
-func (a HVA) String() string { return fmt.Sprintf("HVA(%#x)", uint64(a)) }
 func (a HPA) String() string { return fmt.Sprintf("HPA(%#x)", uint64(a)) }
 func (a DA) String() string  { return fmt.Sprintf("DA(%#x)", uint64(a)) }
 
@@ -87,12 +84,11 @@ func (r Range) String() string {
 	return fmt.Sprintf("[%#x,%#x)", r.Start, r.End())
 }
 
-// GVARange, GPARange, HVARange, HPARange and DARange are typed range
+// GVARange, GPARange, HPARange and DARange are typed range
 // aliases. They share Range's geometry helpers via embedding.
 type (
 	GVARange struct{ Range }
 	GPARange struct{ Range }
-	HVARange struct{ Range }
 	HPARange struct{ Range }
 	DARange  struct{ Range }
 )
@@ -105,11 +101,6 @@ func NewGVARange(start GVA, size uint64) GVARange {
 // NewGPARange builds a typed guest-physical range.
 func NewGPARange(start GPA, size uint64) GPARange {
 	return GPARange{Range{Start: uint64(start), Size: size}}
-}
-
-// NewHVARange builds a typed host-virtual range.
-func NewHVARange(start HVA, size uint64) HVARange {
-	return HVARange{Range{Start: uint64(start), Size: size}}
 }
 
 // NewHPARange builds a typed host-physical range.

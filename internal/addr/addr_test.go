@@ -111,9 +111,6 @@ func TestTypedRangeConstructors(t *testing.T) {
 	if NewGPARange(GPA(1), 2).Start != 1 {
 		t.Error("NewGPARange")
 	}
-	if NewHVARange(HVA(3), 4).Size != 4 {
-		t.Error("NewHVARange")
-	}
 	if NewHPARange(HPA(5), 6).End() != 11 {
 		t.Error("NewHPARange")
 	}

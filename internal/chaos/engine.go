@@ -67,18 +67,16 @@ type Engine struct {
 	nicOrder []string
 	subs     []func(Firing)
 	log      []Firing
-	counts   map[Kind]int
 }
 
 // New creates a chaos engine. fab may be nil for host-only (NIC fault)
 // playback.
 func New(eng *sim.Engine, fab *fabric.Fabric) *Engine {
 	return &Engine{
-		eng:    eng,
-		fab:    fab,
-		rng:    eng.RNG().Fork(0xc4a05),
-		nics:   make(map[string]NIC),
-		counts: make(map[Kind]int),
+		eng:  eng,
+		fab:  fab,
+		rng:  eng.RNG().Fork(0xc4a05),
+		nics: make(map[string]NIC),
 	}
 }
 
@@ -97,9 +95,6 @@ func (e *Engine) Subscribe(fn func(Firing)) { e.subs = append(e.subs, fn) }
 
 // Log returns every fault action applied so far, in application order.
 func (e *Engine) Log() []Firing { return e.log }
-
-// Counts returns how many times each fault kind fired (injections only).
-func (e *Engine) Counts() map[Kind]int { return e.counts }
 
 // Play validates the scenario against the bound topology and schedules
 // every event, drawing jitter now. Playback offsets are relative to the
@@ -279,9 +274,6 @@ func (e *Engine) apply(ev Event, phase Phase) {
 			n += nic.ResetQPs()
 		}
 		detail = fmt.Sprintf("reset %d QPs", n)
-	}
-	if !clear {
-		e.counts[ev.Kind]++
 	}
 	f := Firing{At: e.eng.Now(), Phase: phase, Event: ev, Detail: detail}
 	e.log = append(e.log, f)

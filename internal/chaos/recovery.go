@@ -84,7 +84,6 @@ type Recovery struct {
 	flows   []*flowState
 	faultAt sim.Time
 	faulted bool
-	stopped bool
 	started bool
 	stalls  []Stall
 }
@@ -173,9 +172,6 @@ func (r *Recovery) Start() {
 	r.eng.After(samplePeriod, r.tick)
 }
 
-// Stop ends sampling after the current period.
-func (r *Recovery) Stop() { r.stopped = true }
-
 // MarkDone ends stall detection on a flow: a transfer that has
 // delivered everything is quiet legitimately, not stalled. Any open
 // stall episode on the flow is closed at the current time. The flow
@@ -200,9 +196,6 @@ func (r *Recovery) Stalls() []Stall { return r.stalls }
 // stall pass over the flows not yet done. The order fixes where stall
 // spans fall among recovery spans in the trace.
 func (r *Recovery) tick() {
-	if r.stopped {
-		return
-	}
 	now := r.eng.Now()
 	periodSec := samplePeriod.Seconds()
 	tr := r.eng.Tracer()

@@ -28,6 +28,7 @@ package chaos
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"math"
 	"os"
@@ -66,6 +67,12 @@ const (
 	NICFlushATC Kind = "nic-flush-atc"
 	NICResetQPs Kind = "nic-reset-qps"
 )
+
+// ErrNoTarget is returned by Load for a scenario-file event whose kind
+// needs a target the event does not name: "link" for link-down,
+// link-up, gray and gray-clear, "switch" for switch-reboot. Left out,
+// the target would silently default to host 0's uplink or ToR 0.
+var ErrNoTarget = errors.New("chaos: fault names no target")
 
 // GraySpec parameterises a gray degradation.
 type GraySpec struct {
@@ -183,6 +190,12 @@ func (e *Event) UnmarshalJSON(b []byte) error {
 		return err
 	}
 	e.Kind = j.Kind
+	switch {
+	case j.Link == nil && (e.Kind == LinkDown || e.Kind == LinkUp || e.Kind == Gray || e.Kind == GrayClear):
+		return fmt.Errorf("%w: %s event at %v needs \"link\"", ErrNoTarget, e.Kind, e.At)
+	case j.Switch == "" && e.Kind == SwitchReboot:
+		return fmt.Errorf("%w: %s event at %v needs \"switch\"", ErrNoTarget, e.Kind, e.At)
+	}
 	if j.Link != nil {
 		e.Link = *j.Link
 	}
@@ -251,11 +264,6 @@ func (s *Scenario) Add(e Event) *Scenario {
 // LinkDown fails one link at the offset; dur > 0 repairs it after dur.
 func (s *Scenario) LinkDown(at time.Duration, ref fabric.LinkRef, dur time.Duration) *Scenario {
 	return s.Add(Event{At: at, Kind: LinkDown, Link: ref, For: dur})
-}
-
-// LinkUp repairs one link at the offset.
-func (s *Scenario) LinkUp(at time.Duration, ref fabric.LinkRef) *Scenario {
-	return s.Add(Event{At: at, Kind: LinkUp, Link: ref})
 }
 
 // Gray degrades one link at the offset; dur > 0 clears it after dur.

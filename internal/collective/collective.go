@@ -183,7 +183,6 @@ type Cyclic struct {
 	eng       *sim.Engine
 	chunk     uint64
 	on, off   sim.Duration
-	stopped   bool
 	Completed uint64
 }
 
@@ -192,22 +191,14 @@ func NewCyclic(eng *sim.Engine, ring *Ring, chunkSize uint64, on, off sim.Durati
 	return &Cyclic{ring: ring, eng: eng, chunk: chunkSize, on: on, off: off}
 }
 
-// Start begins the on/off cycle at the current virtual time.
+// Start begins the on/off cycle at the current virtual time. The cycle
+// never ends: drive the engine with Run up to a horizon, not RunAll.
 func (c *Cyclic) Start() { c.phaseOn(c.eng.Now()) }
 
-// Stop ends the cycle after the in-flight reduce drains.
-func (c *Cyclic) Stop() { c.stopped = true }
-
 func (c *Cyclic) phaseOn(phaseStart sim.Time) {
-	if c.stopped {
-		return
-	}
 	deadline := phaseStart.Add(c.on)
 	c.ring.Reduce(c.eng, c.chunk, func(Result) {
 		c.Completed++
-		if c.stopped {
-			return
-		}
 		if c.eng.Now() < deadline {
 			c.phaseOn(phaseStart) // keep bursting within the on-phase
 			return

@@ -48,9 +48,6 @@ func (d *LegacyDevice) EnableGDR() error {
 	return nil
 }
 
-// PD returns the device's protection domain.
-func (d *LegacyDevice) PD() rnic.PD { return d.pd }
-
 // RegisterGPUMemory on the legacy stack uses the ATS/ATC path: the MTT
 // entry carries an untranslated DA, and GDR needs the LUT slot.
 func (d *LegacyDevice) RegisterGPUMemory(gva addr.GVARange, da addr.DA) (*rnic.MR, error) {
@@ -58,46 +55,6 @@ func (d *LegacyDevice) RegisterGPUMemory(gva addr.GVARange, da addr.DA) (*rnic.M
 		return nil, ErrGDRUnplanned
 	}
 	return d.RNIC.RegisterMR(d.pd, gva.Range, rnic.MTTEntry{Base: uint64(da), Owner: addr.OwnerGPU})
-}
-
-// HyVMasQDevice is the HyV/MasQ hybrid baseline (§8.1): the same
-// control-path interception and direct data path as vStellar, but
-// without eMTT — GPU memory registrations go through the IOMMU like
-// host memory, so GDR traffic detours through the Root Complex
-// (Figure 14's 141 Gbps ceiling).
-type HyVMasQDevice struct {
-	Container *rund.Container
-	RNIC      *rnic.RNIC
-	pd        rnic.PD
-}
-
-// CreateHyVMasQ builds the baseline device on a container.
-func (h *Host) CreateHyVMasQ(c *rund.Container, r *rnic.RNIC) *HyVMasQDevice {
-	return &HyVMasQDevice{Container: c, RNIC: r, pd: r.AllocPD()}
-}
-
-// PD returns the device's protection domain.
-func (d *HyVMasQDevice) PD() rnic.PD { return d.pd }
-
-// RegisterGPUMemory installs an untranslated entry: the RNIC does not
-// know the target is GPU memory, so writes go out untranslated and the
-// RC forwards them (no eMTT).
-func (d *HyVMasQDevice) RegisterGPUMemory(gva addr.GVARange, da addr.DA) (*rnic.MR, error) {
-	return d.RNIC.RegisterMR(d.pd, gva.Range, rnic.MTTEntry{Base: uint64(da), Owner: addr.OwnerHostMemory})
-}
-
-// CreateQP allocates and readies a QP on the baseline device.
-func (d *HyVMasQDevice) CreateQP() (*rnic.QP, error) {
-	qp, err := d.RNIC.CreateQP(d.pd)
-	if err != nil {
-		return nil, err
-	}
-	for _, st := range []rnic.QPState{rnic.QPInit, rnic.QPReadyToReceive, rnic.QPReadyToSend} {
-		if err := d.RNIC.ModifyQP(qp, st); err != nil {
-			return nil, err
-		}
-	}
-	return qp, nil
 }
 
 // Controller is the container-networking control plane of §3: it tracks

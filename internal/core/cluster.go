@@ -72,9 +72,6 @@ func NewCluster(cfg ClusterConfig) (*Cluster, error) {
 	return cl, nil
 }
 
-// Endpoint returns the transport endpoint of host i.
-func (cl *Cluster) Endpoint(i int) *transport.Endpoint { return cl.eps[i] }
-
 // SetTracer attaches a flight recorder to the whole cluster: the engine
 // (which binds the tracer's clock to virtual time), and every host's
 // substrates under the process label "host<i>". Call before creating

@@ -103,7 +103,7 @@ func TestClusterRemoteHostMemoryWrite(t *testing.T) {
 	if out.Placement.Route != pcie.RouteToMemory {
 		t.Errorf("placement route = %v", out.Placement.Route)
 	}
-	if got := cl.Endpoint(3).ReceivedBytes(conn.Flow); got != 2<<20 {
+	if got := cl.eps[3].ReceivedBytes(conn.Flow); got != 2<<20 {
 		t.Errorf("wire delivered %d bytes", got)
 	}
 	conn.Close()
@@ -207,7 +207,7 @@ func TestClusterTransportConfig(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if cl.Endpoint(0).Config().MTU != 8192 {
+	if cl.eps[0].Config().MTU != 8192 {
 		t.Error("transport config not applied")
 	}
 }

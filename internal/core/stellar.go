@@ -259,14 +259,8 @@ func (d *VStellarDevice) Destroy() {
 	delete(d.host.devices, d.ID)
 }
 
-// Destroyed reports whether the device was torn down.
-func (d *VStellarDevice) Destroyed() bool { return d.destroyed }
-
 // PD returns the device's protection domain.
 func (d *VStellarDevice) PD() rnic.PD { return d.pd }
-
-// PVDMA returns the device's on-demand registration manager.
-func (d *VStellarDevice) PVDMA() *pvdma.Manager { return d.pv }
 
 // DoorbellGPA returns where the guest sees the vDB (in the shm window).
 func (d *VStellarDevice) DoorbellGPA() addr.GPA { return d.vdbGPA }
@@ -353,68 +347,4 @@ func (d *VStellarDevice) Write(qp *rnic.QP, key uint32, va, size uint64) (rnic.W
 		return rnic.WriteResult{}, ErrDestroyed
 	}
 	return d.RNIC.RDMAWrite(qp, key, va, size)
-}
-
-// Read performs an RDMA read on the direct data path (the responder
-// side serving a remote read of this device's memory).
-func (d *VStellarDevice) Read(qp *rnic.QP, key uint32, va, size uint64) (rnic.WriteResult, error) {
-	if d.destroyed {
-		return rnic.WriteResult{}, ErrDestroyed
-	}
-	return d.RNIC.RDMARead(qp, key, va, size)
-}
-
-// CreateSendQueue builds the queue-pair's work/completion queues bound
-// to this device's doorbell page. Creating them is a control-path verb;
-// posting and ringing are pure data path.
-func (d *VStellarDevice) CreateSendQueue(qp *rnic.QP, depth int) (*rnic.SQ, *rnic.CQ, error) {
-	if d.destroyed {
-		return nil, nil, ErrDestroyed
-	}
-	cq := d.RNIC.CreateCQ(depth * 2)
-	sq := d.RNIC.CreateSQ(qp, cq, d.doorbell, depth)
-	d.ControlLatency += 2 * ControlPathRTT
-	return sq, cq, nil
-}
-
-// RingDoorbell is the guest CPU kicking the device: the write targets
-// the vDB's guest-physical address in the shm window, the EPT resolves
-// it to the RNIC's physical doorbell, and the RNIC drains the send
-// queue. No hypervisor exit — the mapping is direct.
-func (d *VStellarDevice) RingDoorbell(sq *rnic.SQ) (sim.Duration, error) {
-	if d.destroyed {
-		return 0, ErrDestroyed
-	}
-	hpa, ok := d.Container.EPT().Translate(d.vdbGPA)
-	if !ok {
-		return 0, fmt.Errorf("stellar: vDB %v lost its EPT mapping", d.vdbGPA)
-	}
-	return sq.RingDoorbell(hpa)
-}
-
-// EnableGPUDirectAsync registers the shm-hosted doorbell in the IOMMU
-// so a GPU can ring it by DMA (§5's GPUDirect Async support), returning
-// the device address the GPU must target.
-func (d *VStellarDevice) EnableGPUDirectAsync() (addr.DA, error) {
-	if d.destroyed {
-		return 0, ErrDestroyed
-	}
-	if _, err := d.pv.MapDoorbellSHM(d.vdbGPA, d.doorbell); err != nil {
-		return 0, err
-	}
-	return d.Container.GPAToDA(d.vdbGPA), nil
-}
-
-// RingDoorbellFromGPU drives the GPUDirect Async path end to end: the
-// GPU DMA-writes the doorbell DA, the IOMMU resolves it onto the RNIC's
-// doorbell BAR, and the send queue drains.
-func (d *VStellarDevice) RingDoorbellFromGPU(g *gpu.GPU, sq *rnic.SQ, da addr.DA) (sim.Duration, error) {
-	if d.destroyed {
-		return 0, ErrDestroyed
-	}
-	delivery, err := g.DMAWrite(da, 8)
-	if err != nil {
-		return 0, err
-	}
-	return sq.RingDoorbellFromDelivery(delivery)
 }

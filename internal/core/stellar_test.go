@@ -201,35 +201,62 @@ func TestVStellarGDRDataPath(t *testing.T) {
 	}
 }
 
-func TestHyVMasQGDRGoesThroughRC(t *testing.T) {
-	// Figure 14: without eMTT, GDR traffic detours through the Root
-	// Complex and loses most of its bandwidth.
+func TestCPUDoorbellDataPath(t *testing.T) {
+	// §4's direct map: the guest rings its device by storing to the
+	// vDB's guest-physical address in the shm window, and the EPT
+	// resolves that address to the device's own doorbell page inside
+	// the RNIC's doorbell BAR, so the store reaches the RNIC with no
+	// hypervisor exit.
 	h := newTestHost(t)
 	c := startContainer(t, h, "c1", 4<<30, rund.PinOnDemand)
-	base := h.CreateHyVMasQ(c, h.RNICs[0])
-	gmem, err := h.GPUs[0].AllocDeviceMemory(16 << 20)
+	d1, err := h.CreateVStellar(c, h.RNICs[0])
 	if err != nil {
 		t.Fatal(err)
 	}
-	const da = 0x600000000
-	if _, err := h.Complex.IOMMU().Map(addr.NewDARange(da, 16<<20), addr.HPA(gmem.Start)); err != nil {
-		t.Fatal(err)
-	}
-	gva := addr.NewGVARange(0x7fff00000000, 16<<20)
-	mr, err := base.RegisterGPUMemory(gva, da)
+	d2, err := h.CreateVStellar(c, h.RNICs[0])
 	if err != nil {
 		t.Fatal(err)
 	}
-	qp, err := base.CreateQP()
+	hpa1, ok := c.EPT().Translate(d1.DoorbellGPA())
+	if !ok {
+		t.Fatalf("vDB %v has no EPT mapping", d1.DoorbellGPA())
+	}
+	if hpa1 != addr.HPA(d1.doorbell.Start) {
+		t.Errorf("vDB maps to %v, want the device's doorbell page %v", hpa1, d1.doorbell)
+	}
+	if !h.RNICs[0].DoorbellWindow().Contains(uint64(hpa1)) {
+		t.Errorf("vDB maps to %v, outside the RNIC's doorbell BAR %v", hpa1, h.RNICs[0].DoorbellWindow())
+	}
+	if hpa2, _ := c.EPT().Translate(d2.DoorbellGPA()); hpa2 == hpa1 {
+		t.Errorf("two devices share doorbell page %v", hpa1)
+	}
+}
+
+func TestDoorbellAfterDestroy(t *testing.T) {
+	// Destroy hands the device's doorbell page back to the RNIC: the
+	// next device on that RNIC gets the same page, and the destroyed
+	// device refuses data-path work.
+	h := newTestHost(t)
+	c := startContainer(t, h, "c1", 4<<30, rund.PinOnDemand)
+	d, err := h.CreateVStellar(c, h.RNICs[0])
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := base.RNIC.RDMAWrite(qp, mr.Key, gva.Start, 1<<20)
+	qp, err := d.CreateQP()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Route != pcie.RouteViaRC {
-		t.Errorf("HyV/MasQ GDR routed %v, want via-rc", res.Route)
+	page := d.doorbell
+	d.Destroy()
+	if _, err := d.Write(qp, 1, 0, 64); !errors.Is(err, ErrDestroyed) {
+		t.Errorf("Write after Destroy err = %v", err)
+	}
+	next, err := h.CreateVStellar(c, h.RNICs[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	if next.doorbell != page {
+		t.Errorf("next device got doorbell %v, want the freed page %v", next.doorbell, page)
 	}
 }
 
@@ -397,7 +424,7 @@ func TestRegisterHostMemoryReleasesPVDMAOnMRFailure(t *testing.T) {
 	if _, err := d.RegisterHostMemory(gva); !errors.Is(err, rnic.ErrMTTFull) {
 		t.Fatalf("err = %v, want ErrMTTFull", err)
 	}
-	pv := d.PVDMA()
+	pv := d.pv
 	if pv.CachedBlocks() != 0 || pv.InflightRefs() != 0 || pv.Stats().PinnedBytes != 0 {
 		t.Errorf("PVDMA kept %d blocks, %d refs, %d bytes pinned",
 			pv.CachedBlocks(), pv.InflightRefs(), pv.Stats().PinnedBytes)

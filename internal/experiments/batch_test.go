@@ -32,7 +32,7 @@ type seedBatch struct {
 // fig11 and failure-sweep run longest serially.
 //
 // fig9-scale is left out: it alone costs 11–21 s on 2 cores, ROADMAP
-// item 2 will change its output, and its shard invariance is covered by
+// item 4 will change its output, and its shard invariance is covered by
 // TestScalePermutationShardInvariant and the CI identity job.
 var runBatch = sync.OnceValues(func() (*seedBatch, error) {
 	var runners []Runner

@@ -501,11 +501,6 @@ func (f *Fabric) newLink(name string, bw float64, shard int) int32 {
 // Config returns the fabric configuration.
 func (f *Fabric) Config() Config { return f.cfg }
 
-// Engine returns shard 0's event engine — the only engine when the
-// fabric was built with New. Sharded callers drive Sharded() instead
-// and place components with EngineFor.
-func (f *Fabric) Engine() *sim.Engine { return f.eng }
-
 // Sharded returns the sharded engine the fabric was built on, or nil
 // when it runs on a single engine.
 func (f *Fabric) Sharded() *sim.ShardedEngine { return f.se }

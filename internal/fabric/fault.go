@@ -176,11 +176,6 @@ type Fault struct {
 // lookahead).
 var ErrBadFault = errors.New("fabric: bad fault")
 
-// IsZero reports whether the fault describes a healthy link.
-func (ft Fault) IsZero() bool {
-	return !ft.Down && ft.DropProb == 0 && ft.ExtraDelay == 0 && (ft.BWFactor == 0 || ft.BWFactor == 1)
-}
-
 // linkAt resolves a reference to a link id, validating tier bounds.
 func (f *Fabric) linkAt(ref LinkRef) (int32, error) {
 	switch ref.Tier {

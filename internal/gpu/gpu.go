@@ -23,7 +23,6 @@ var (
 
 // GPU is one device instance.
 type GPU struct {
-	name    string
 	ep      *pcie.Endpoint
 	complex *pcie.Complex
 	bar     addr.HPARange
@@ -43,19 +42,12 @@ func New(c *pcie.Complex, sw *pcie.Switch, name string, memBytes uint64) (*GPU, 
 		return nil, err
 	}
 	return &GPU{
-		name:    name,
 		ep:      ep,
 		complex: c,
 		bar:     window,
 		allocs:  make(map[uint64]uint64),
 	}, nil
 }
-
-// Name returns the device label.
-func (g *GPU) Name() string { return g.name }
-
-// Endpoint returns the PCIe endpoint.
-func (g *GPU) Endpoint() *pcie.Endpoint { return g.ep }
 
 // BAR returns the device-memory window in HPA space.
 func (g *GPU) BAR() addr.HPARange { return g.bar }

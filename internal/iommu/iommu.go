@@ -168,12 +168,6 @@ func (u *IOMMU) Unmap(da addr.DA) error {
 	return nil
 }
 
-// Mapped reports whether da has a translation installed.
-func (u *IOMMU) Mapped(da addr.DA) bool {
-	_, ok := u.table.Translate(uint64(da))
-	return ok || u.cfg.Mode == ModePT
-}
-
 // LookupRange returns the mapping entry covering da, if any.
 func (u *IOMMU) LookupRange(da addr.DA) (addr.DARange, addr.HPA, bool) {
 	src, dst, ok := u.table.LookupRange(uint64(da))

@@ -190,16 +190,6 @@ func NewReplay(eng *sim.Engine, eps []*transport.Endpoint, g *Graph, opts Option
 	return r, nil
 }
 
-// Flows reports how many flow IDs the replay consumed starting at
-// FlowBase; the scheduler spaces concurrent jobs by at least this.
-func (r *Replay) Flows() uint64 {
-	n := uint64(len(r.conns))
-	for i := range r.rings {
-		n += uint64(len(r.g.Ops[i].Ranks))
-	}
-	return n
-}
-
 // Start launches the replay: root ops fire opts.Start after the
 // current virtual time, and done (optional) fires when the last op
 // completes. The caller still owns the engine loop (eng.RunAll).

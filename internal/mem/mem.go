@@ -94,12 +94,6 @@ type Region struct {
 	pinnedBytes uint64
 }
 
-// Config returns the memory's configuration.
-func (m *Memory) Config() Config { return m.cfg }
-
-// TotalBytes returns the physical memory size.
-func (m *Memory) TotalBytes() uint64 { return m.cfg.TotalBytes }
-
 // UsedBytes returns currently allocated bytes.
 func (m *Memory) UsedBytes() uint64 { return m.used }
 
@@ -297,14 +291,5 @@ func (m *Memory) SwapOut(r *Region) error {
 		return ErrPinnedSwap
 	}
 	r.swappedOut = true
-	return nil
-}
-
-// SwapIn brings a swapped region back.
-func (m *Memory) SwapIn(r *Region) error {
-	if r.freed {
-		return ErrFreedRegion
-	}
-	r.swappedOut = false
 	return nil
 }

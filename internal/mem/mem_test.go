@@ -112,12 +112,6 @@ func TestSwapRequiresUnpinned(t *testing.T) {
 	if m.Resident(addr.HPA(r.HPA.Start)) {
 		t.Error("swapped region still resident")
 	}
-	if err := m.SwapIn(r); err != nil {
-		t.Fatal(err)
-	}
-	if !m.Resident(addr.HPA(r.HPA.Start)) {
-		t.Error("swapped-in region not resident")
-	}
 }
 
 func TestPinBlockAccounting(t *testing.T) {

@@ -54,12 +54,6 @@ func (g *Gauge) Add(delta int64) {
 	g.raiseMax(g.v.Add(delta))
 }
 
-// Set assigns the gauge.
-func (g *Gauge) Set(v int64) {
-	g.v.Store(v)
-	g.raiseMax(v)
-}
-
 // Value returns the current level.
 func (g *Gauge) Value() int64 { return g.v.Load() }
 
@@ -160,13 +154,4 @@ func (h *Histogram) Stddev() float64 {
 		ss += d * d
 	}
 	return math.Sqrt(ss / float64(n))
-}
-
-// Reset discards all samples.
-func (h *Histogram) Reset() {
-	h.mu.Lock()
-	h.samples = h.samples[:0]
-	h.sum = 0
-	h.sorted = true
-	h.mu.Unlock()
 }

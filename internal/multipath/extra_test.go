@@ -89,10 +89,6 @@ func TestExtraAlgorithmsRegistered(t *testing.T) {
 	if Flowlet.String() != "flowlet" || PathAware.String() != "path-aware" {
 		t.Error("algorithm strings")
 	}
-	all := AllAlgorithms()
-	if len(all) != len(Algorithms())+2 {
-		t.Errorf("AllAlgorithms length = %d", len(all))
-	}
 	for _, alg := range []Algorithm{Flowlet, PathAware} {
 		s := New(alg, 16, sim.NewRNG(7))
 		for i := 0; i < 200; i++ {

@@ -59,11 +59,6 @@ func Algorithms() []Algorithm {
 	return []Algorithm{SinglePath, RoundRobin, DWRR, BestRTT, MPRDMA, OBS}
 }
 
-// AllAlgorithms also includes the discussion-section policies.
-func AllAlgorithms() []Algorithm {
-	return append(Algorithms(), Flowlet, PathAware)
-}
-
 // Selector chooses a path in [0, NumPaths) for each outgoing packet.
 type Selector interface {
 	// Name identifies the algorithm.

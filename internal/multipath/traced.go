@@ -54,6 +54,3 @@ func (s *tracedSelector) SetClock(now func() sim.Time) {
 		cs.SetClock(now)
 	}
 }
-
-// Unwrap exposes the underlying selector (for tests and stats readers).
-func (s *tracedSelector) Unwrap() Selector { return s.inner }

@@ -1,7 +1,7 @@
 // Package pagetable implements the address-translation tables of Figure
-// 1a: guest page tables (GVA→GPA), host page tables (HVA→HPA) and the
-// Extended Page Table (GPA→HPA), plus a generic bounded translation
-// cache (TLB) reused by the IOMMU's IOTLB and the RNIC's ATC.
+// 1a: guest page tables (GVA→GPA) and the Extended Page Table
+// (GPA→HPA), plus a generic bounded translation cache (TLB) reused by
+// the IOMMU's IOTLB and the RNIC's ATC.
 //
 // Tables are interval-based rather than radix trees: a mapping covers a
 // contiguous source range and translates by offset. This is exact for
@@ -50,9 +50,6 @@ type Table struct {
 
 // New returns an empty table; name appears in error messages.
 func New(name string) *Table { return &Table{name: name} }
-
-// Name returns the table's label.
-func (t *Table) Name() string { return t.name }
 
 // Len returns the number of mappings.
 func (t *Table) Len() int { return t.n }
@@ -252,12 +249,6 @@ func NewGuestPT() *GuestPT { return &GuestPT{t: Table{name: "guest-pt"}} }
 // Map installs a GVA→GPA mapping.
 func (p *GuestPT) Map(src addr.GVARange, dst addr.GPA) error { return p.t.Map(src.Range, uint64(dst)) }
 
-// Unmap removes the mapping starting at start.
-func (p *GuestPT) Unmap(start addr.GVA) error {
-	_, err := p.t.Unmap(uint64(start))
-	return err
-}
-
 // Translate resolves a GVA to a GPA.
 func (p *GuestPT) Translate(a addr.GVA) (addr.GPA, bool) {
 	d, ok := p.t.Translate(uint64(a))
@@ -266,30 +257,6 @@ func (p *GuestPT) Translate(a addr.GVA) (addr.GPA, bool) {
 
 // Len returns the number of mappings.
 func (p *GuestPT) Len() int { return p.t.Len() }
-
-// HostPT translates host-virtual to host-physical addresses.
-type HostPT struct{ t Table }
-
-// NewHostPT returns an empty host page table.
-func NewHostPT() *HostPT { return &HostPT{t: Table{name: "host-pt"}} }
-
-// Map installs an HVA→HPA mapping.
-func (p *HostPT) Map(src addr.HVARange, dst addr.HPA) error { return p.t.Map(src.Range, uint64(dst)) }
-
-// Unmap removes the mapping starting at start.
-func (p *HostPT) Unmap(start addr.HVA) error {
-	_, err := p.t.Unmap(uint64(start))
-	return err
-}
-
-// Translate resolves an HVA to an HPA.
-func (p *HostPT) Translate(a addr.HVA) (addr.HPA, bool) {
-	d, ok := p.t.Translate(uint64(a))
-	return addr.HPA(d), ok
-}
-
-// Len returns the number of mappings.
-func (p *HostPT) Len() int { return p.t.Len() }
 
 // EPT is the Extended Page Table: the hardware-assisted GPA→HPA mapping
 // the hypervisor registers for a RunD container (§2). Stellar's direct
@@ -312,12 +279,6 @@ func (p *EPT) Unmap(start addr.GPA) error {
 func (p *EPT) Translate(a addr.GPA) (addr.HPA, bool) {
 	d, ok := p.t.Translate(uint64(a))
 	return addr.HPA(d), ok
-}
-
-// LookupRange returns the mapping covering a, if any.
-func (p *EPT) LookupRange(a addr.GPA) (addr.GPARange, addr.HPA, bool) {
-	src, dst, ok := p.t.LookupRange(uint64(a))
-	return addr.GPARange{Range: src}, addr.HPA(dst), ok
 }
 
 // Punch removes the GPA range from the EPT, splitting straddling

@@ -117,13 +117,6 @@ func TestTypedTables(t *testing.T) {
 	if gpa, ok := g.Translate(0x1234); !ok || gpa != 0x8234 {
 		t.Errorf("GuestPT.Translate = %v,%v", gpa, ok)
 	}
-	h := NewHostPT()
-	if err := h.Map(addr.NewHVARange(0x2000, 0x1000), addr.HPA(0x9000)); err != nil {
-		t.Fatal(err)
-	}
-	if hpa, ok := h.Translate(0x2001); !ok || hpa != 0x9001 {
-		t.Errorf("HostPT.Translate = %v,%v", hpa, ok)
-	}
 	e := NewEPT()
 	if err := e.Map(addr.NewGPARange(0x8000, 0x1000), addr.HPA(0xF000)); err != nil {
 		t.Fatal(err)
@@ -134,7 +127,7 @@ func TestTypedTables(t *testing.T) {
 	if err := e.Unmap(0x8000); err != nil {
 		t.Fatal(err)
 	}
-	if g.Len() != 1 || h.Len() != 1 || e.Len() != 0 {
+	if g.Len() != 1 || e.Len() != 0 {
 		t.Error("Len counts wrong")
 	}
 }
@@ -200,9 +193,6 @@ func TestTLBCounters(t *testing.T) {
 	if c.Hits() != 2 || c.Misses() != 1 {
 		t.Errorf("hits=%d misses=%d", c.Hits(), c.Misses())
 	}
-	if hr := c.HitRate(); hr < 0.66 || hr > 0.67 {
-		t.Errorf("HitRate = %v", hr)
-	}
 }
 
 func TestTLBInsertUpdatesExisting(t *testing.T) {
@@ -222,9 +212,13 @@ func TestTLBInvalidate(t *testing.T) {
 	for i := uint64(0); i < 4; i++ {
 		c.Insert(i*addr.PageSize4K, 0x100000+i*addr.PageSize4K)
 	}
-	c.Invalidate(addr.PageSize4K)
+	// A one-byte range drops exactly the page holding it.
+	c.InvalidateRange(addr.PageSize4K+5, 1)
 	if _, ok := c.Lookup(addr.PageSize4K); ok {
 		t.Error("invalidate failed")
+	}
+	if c.Len() != 3 {
+		t.Errorf("Len after one-page invalidate = %d, want 3", c.Len())
 	}
 	c.InvalidateRange(0, 4*addr.PageSize4K)
 	if c.Len() != 0 {
@@ -380,6 +374,16 @@ func checkIndex(t *testing.T, name string, x *index) {
 	}
 }
 
+// invalidatePageRef drops the cached translation for the page holding
+// a, if present: one page at a time, with no region walk.
+func invalidatePageRef(c *TLB, a uint64) {
+	key := c.page(a)
+	if e := c.entries.find(key); e >= 0 {
+		c.release(c.entries.slots[e].val)
+		c.unindex(e, key)
+	}
+}
+
 // invalidateRangeRef is the per-page/per-entry InvalidateRange the region
 // index replaced: the reference the region walk must match.
 func invalidateRangeRef(c *TLB, start, size uint64) {
@@ -389,14 +393,14 @@ func invalidateRangeRef(c *TLB, start, size uint64) {
 	pages := (c.page(start+size-1)-c.page(start))/c.pageSize + 1
 	if pages <= uint64(c.entries.n) {
 		for p := c.page(start); p <= c.page(start+size-1); p += c.pageSize {
-			c.Invalidate(p)
+			invalidatePageRef(c, p)
 		}
 		return
 	}
 	end := start + size
 	for key := range indexMap(&c.entries) {
 		if key+c.pageSize > start && key < end {
-			c.Invalidate(key)
+			invalidatePageRef(c, key)
 		}
 	}
 }

@@ -63,12 +63,6 @@ func NewTLB(capacity int, pageSize uint64) *TLB {
 	}
 }
 
-// Capacity returns the maximum number of cached pages.
-func (c *TLB) Capacity() int { return c.capacity }
-
-// PageSize returns the translation granularity.
-func (c *TLB) PageSize() uint64 { return c.pageSize }
-
 // Len returns the number of cached translations.
 func (c *TLB) Len() int { return c.entries.n }
 
@@ -190,16 +184,6 @@ func (c *TLB) Insert(src, dst uint64) {
 	c.pushFront(i)
 }
 
-// Invalidate drops the cached translation for the page containing a, if
-// present.
-func (c *TLB) Invalidate(a uint64) {
-	key := c.page(a)
-	if e := c.entries.find(key); e >= 0 {
-		c.release(c.entries.slots[e].val)
-		c.unindex(e, key)
-	}
-}
-
 // InvalidateRange drops every cached page overlapping [start, start+size).
 // It visits only occupied regions: it walks the range's regions when the
 // range spans no more regions than are occupied, and otherwise scans the
@@ -274,13 +258,4 @@ func (c *TLB) Flush() {
 	c.regions.reset()
 	c.nodes = c.nodes[:0]
 	c.free, c.head, c.tail = nilNode, nilNode, nilNode
-}
-
-// HitRate returns hits/(hits+misses), or 0 before any lookup.
-func (c *TLB) HitRate() float64 {
-	total := c.hits + c.misses
-	if total == 0 {
-		return 0
-	}
-	return float64(c.hits) / float64(total)
 }

@@ -199,9 +199,6 @@ func NewComplex(cfg Config, u *iommu.IOMMU, m *mem.Memory) *Complex {
 	}
 }
 
-// Config returns the fabric configuration.
-func (c *Complex) Config() Config { return c.cfg }
-
 // SetTracer attaches a flight recorder; host labels the trace process
 // events land under. The complex has no engine reference, so the tracer
 // carries its own clock (bound by sim.Engine.SetTracer when one exists).
@@ -245,9 +242,6 @@ func (c *Complex) AddSwitch(name string) *Switch {
 	return s
 }
 
-// Switches returns the attached switches.
-func (c *Complex) Switches() []*Switch { return c.switches }
-
 // AllocBDF hands out the next free BDF. Each switch gets its own bus.
 func (c *Complex) allocBDF(s *Switch) (BDF, error) {
 	if s.bus == 0 {
@@ -277,9 +271,6 @@ type Switch struct {
 	acsDT     bool
 	endpoints []*Endpoint
 }
-
-// Name returns the switch label.
-func (s *Switch) Name() string { return s.name }
 
 // LUTLen returns the number of registered BDFs.
 func (s *Switch) LUTLen() int { return len(s.lut) }
@@ -549,27 +540,6 @@ func (c *Complex) routeFromRC(tlp TLP, hpa addr.HPA, lat sim.Duration) (Delivery
 		c.bytesRouted[RouteViaRC] += tlp.Size
 		c.traceTLP("dma", RouteViaRC, tlp.AT, tlp.Size, lat)
 		return Delivery{Route: RouteViaRC, Target: peer, HPA: hpa, Latency: lat, Transfer: tx}, nil
-	}
-	return Delivery{}, fmt.Errorf("%w: %v", ErrBadAddress, hpa)
-}
-
-// CPUAccess models a CPU load/store (MMIO) to an HPA: a doorbell ring or
-// a main-memory access (Figure 1b flows ① and ②).
-func (c *Complex) CPUAccess(hpa addr.HPA, size uint64) (Delivery, error) {
-	lat := c.cfg.RCLatency
-	if c.mem != nil && c.mem.Lookup(hpa) != nil {
-		if !c.mem.Resident(hpa) {
-			return Delivery{}, fmt.Errorf("%w: %v", ErrNotResident, hpa)
-		}
-		tx := xfer(size, c.cfg.MemoryBandwidth)
-		lat += c.cfg.MemoryLatency + tx
-		c.traceTLP("cpu-access", RouteToMemory, ATUntranslated, size, lat)
-		return Delivery{Route: RouteToMemory, HPA: hpa, Latency: lat, Transfer: tx}, nil
-	}
-	if ep, _ := c.findBAR(uint64(hpa)); ep != nil {
-		lat += c.cfg.SwitchHopLatency
-		c.traceTLP("cpu-access", RouteViaRC, ATUntranslated, size, lat)
-		return Delivery{Route: RouteViaRC, Target: ep, HPA: hpa, Latency: lat}, nil
 	}
 	return Delivery{}, fmt.Errorf("%w: %v", ErrBadAddress, hpa)
 }

@@ -246,24 +246,6 @@ func TestBAROverlapRejected(t *testing.T) {
 	}
 }
 
-func TestCPUAccess(t *testing.T) {
-	c, _, _, gpu, host := testFabric(t, Config{})
-	// Doorbell-style MMIO hits the endpoint.
-	d, err := c.CPUAccess(addr.HPA(gpu.BARs()[0].Window.Start), 8)
-	if err != nil || d.Target != gpu {
-		t.Errorf("CPUAccess to BAR = %+v, %v", d, err)
-	}
-	// Memory access hits memory.
-	d2, err := c.CPUAccess(addr.HPA(host.HPA.Start), 64)
-	if err != nil || d2.Route != RouteToMemory {
-		t.Errorf("CPUAccess to memory = %+v, %v", d2, err)
-	}
-	// Bogus address errors.
-	if _, err := c.CPUAccess(addr.HPA(1<<50), 8); !errors.Is(err, ErrBadAddress) {
-		t.Errorf("bogus CPUAccess err = %v", err)
-	}
-}
-
 func TestAllocBARWindowDisjoint(t *testing.T) {
 	c := NewComplex(Config{}, nil, nil)
 	a := c.AllocBARWindow(1 << 20)

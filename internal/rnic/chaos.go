@@ -22,9 +22,9 @@ func (r *RNIC) FlushATC() int {
 }
 
 // ResetQPs forces every live queue pair into the error state — the
-// blast radius of an RNIC firmware fault. Each transition flushes the
-// QP's pending WQEs and fires the OnQPError observers, so the fault
-// propagates to the flows riding the QPs. Returns how many QPs were
+// blast radius of an RNIC firmware fault. Each transition fires the
+// OnQPError observers, so the fault propagates to the flows riding the
+// QPs. Returns how many QPs were
 // not already in QPError. QPs are visited in QPN order so the trace
 // and observer sequence are deterministic.
 func (r *RNIC) ResetQPs() int {

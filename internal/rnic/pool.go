@@ -81,9 +81,8 @@ type DevPool struct {
 	held    []bool
 	waiters []func(DevSlot) // FIFO, served inside Release
 
-	occupancy metrics.Gauge // slots currently held (Max = peak)
-	queued    metrics.Gauge // waiters currently parked (Max = peak)
-	grants    metrics.Counter
+	occupancy metrics.Gauge   // slots currently held (Max = peak)
+	queued    metrics.Gauge   // waiters currently parked (Max = peak)
 	exhausted metrics.Counter // acquire attempts that found no free slot
 	failures  metrics.Counter // fail-mode rejections
 }
@@ -108,9 +107,6 @@ func NewDevPool(cfg DevPoolConfig) (*DevPool, error) {
 	return p, nil
 }
 
-// Config returns the pool's configuration.
-func (p *DevPool) Config() DevPoolConfig { return p.cfg }
-
 func (p *DevPool) slot(idx int) DevSlot {
 	return DevSlot{Index: idx, Device: idx % p.cfg.Devices, Mode: p.cfg.Mode}
 }
@@ -119,7 +115,6 @@ func (p *DevPool) grant() DevSlot {
 	idx := p.free[0]
 	p.free = p.free[1:]
 	p.held[idx] = true
-	p.grants.Inc()
 	p.occupancy.Add(1)
 	return p.slot(idx)
 }
@@ -164,7 +159,6 @@ func (p *DevPool) Release(s DevSlot) error {
 		w := p.waiters[0]
 		p.waiters = p.waiters[1:]
 		p.queued.Add(-1)
-		p.grants.Inc()
 		// Occupancy is unchanged: the slot moves holder without ever
 		// being free.
 		w(p.slot(s.Index))
@@ -190,9 +184,6 @@ func (p *DevPool) Occupancy() *metrics.Gauge { return &p.occupancy }
 
 // Queued exposes the parked-waiter gauge (Max is the peak queue depth).
 func (p *DevPool) Queued() *metrics.Gauge { return &p.queued }
-
-// Grants counts slots handed out, including waiter handoffs.
-func (p *DevPool) Grants() *metrics.Counter { return &p.grants }
 
 // Exhaustions counts acquire attempts that found the pool empty.
 func (p *DevPool) Exhaustions() *metrics.Counter { return &p.exhausted }

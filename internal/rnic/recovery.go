@@ -8,39 +8,34 @@ import (
 
 // QP error semantics: when a queue pair enters QPError — a firmware
 // fault (ResetQPs), an explicit ModifyQP, or any future error source —
-// the hardware flushes the work queues bound to it: every pending WQE
-// completes immediately with a flush status instead of executing, and
-// registered observers (the transport wiring) are notified so the
-// fault propagates instead of silently stranding the flow.
+// the hardware flushes the work queued on it, and registered observers
+// (the transport wiring) are notified so the fault propagates instead
+// of silently stranding the flow. The model executes verbs as they are
+// called and queues no work, so the flush is what the observers report.
 
-// ErrWQEFlushed is the completion status of WQEs flushed by a QP's
-// transition to the error state (IB's WR_FLUSH_ERR).
+// ErrWQEFlushed is the completion status of work flushed by a QP's
+// transition to the error state (IB's WR_FLUSH_ERR); observers fail
+// their flows with it.
 var ErrWQEFlushed = errors.New("rnic: WQE flushed (QP in error state)")
 
 // OnQPError registers an observer invoked (in registration order)
-// every time a QP transitions into QPError, after its WQEs have been
-// flushed. This is the propagation hook: the host stack wires it to
-// transport.Conn.Fail so a NIC fault surfaces as a flow error.
+// every time a QP transitions into QPError. This is the propagation
+// hook: the host stack wires it to transport.Conn.Fail so a NIC fault
+// surfaces as a flow error.
 func (r *RNIC) OnQPError(fn func(*QP)) {
 	r.qpErrFns = append(r.qpErrFns, fn)
 }
 
-// enterQPError moves qp into QPError with WQE-flush semantics.
-// Reports false (and does nothing) when the QP is already in error —
-// the transition, the flush and the callbacks fire exactly once per
-// error episode.
+// enterQPError moves qp into QPError. Reports false (and does nothing)
+// when the QP is already in error — the transition and the callbacks
+// fire exactly once per error episode.
 func (r *RNIC) enterQPError(qp *QP) bool {
 	if qp.State == QPError {
 		return false
 	}
 	qp.State = QPError
-	flushed := 0
-	for _, sq := range r.sqs[qp.Number] {
-		flushed += sq.flush()
-	}
 	if r.tr.Enabled() {
-		r.tr.Instant(r.host, r.cfg.Name, "rnic", "qp-error",
-			trace.U("qpn", uint64(qp.Number)), trace.I("flushed", int64(flushed)))
+		r.tr.Instant(r.host, r.cfg.Name, "rnic", "qp-error", trace.U("qpn", uint64(qp.Number)))
 	}
 	for _, fn := range r.qpErrFns {
 		fn(qp)
@@ -50,8 +45,7 @@ func (r *RNIC) enterQPError(qp *QP) bool {
 
 // RecoverQP cycles an errored (or fresh) QP back to ready:
 // RESET→INIT→RTR→RTS, the verbs sequence a driver replays after a
-// fault. The SQs bound to the QP keep their bindings; only unexecuted
-// work was flushed.
+// fault.
 func (r *RNIC) RecoverQP(qp *QP) error {
 	for _, st := range []QPState{QPReset, QPInit, QPReadyToReceive, QPReadyToSend} {
 		if err := r.ModifyQP(qp, st); err != nil {
@@ -60,19 +54,3 @@ func (r *RNIC) RecoverQP(qp *QP) error {
 	}
 	return nil
 }
-
-// flush completes every pending WQE with ErrWQEFlushed, returning how
-// many were flushed. Flushed WQEs do not count as processed — they
-// never executed.
-func (s *SQ) flush() int {
-	n := len(s.pending)
-	for _, w := range s.pending {
-		s.cq.push(CQE{ID: w.ID, Status: ErrWQEFlushed})
-	}
-	s.flushed += uint64(n)
-	s.pending = s.pending[:0]
-	return n
-}
-
-// Flushed reports WQEs completed-in-error by QP error transitions.
-func (s *SQ) Flushed() uint64 { return s.flushed }

@@ -1,76 +1,39 @@
 package rnic
 
-import (
-	"errors"
-	"testing"
-)
-
-func TestQPErrorFlushesPendingWQEs(t *testing.T) {
-	r := newTXRig(t)
-	for i := 0; i < 3; i++ {
-		if err := r.sq.PostSend(WQE{Key: r.mr.Key, VA: r.gva.Start + uint64(i)*4096, Size: 4096, ID: uint64(i)}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := r.h.rnic.ModifyQP(r.qp, QPError); err != nil {
-		t.Fatal(err)
-	}
-	if r.qp.State != QPError {
-		t.Fatalf("QP state = %v, want error", r.qp.State)
-	}
-	if r.sq.Pending() != 0 {
-		t.Errorf("Pending = %d after flush", r.sq.Pending())
-	}
-	if r.sq.Flushed() != 3 {
-		t.Errorf("Flushed = %d, want 3", r.sq.Flushed())
-	}
-	if r.sq.Processed() != 0 {
-		t.Errorf("Processed = %d; flushed WQEs never executed", r.sq.Processed())
-	}
-	for i := 0; i < 3; i++ {
-		cqe, err := r.cq.Poll()
-		if err != nil {
-			t.Fatalf("CQE %d missing: %v", i, err)
-		}
-		if cqe.ID != uint64(i) {
-			t.Errorf("CQE order: got ID %d, want %d", cqe.ID, i)
-		}
-		if !errors.Is(cqe.Status, ErrWQEFlushed) {
-			t.Errorf("CQE %d status = %v, want ErrWQEFlushed", i, cqe.Status)
-		}
-	}
-	if _, err := r.cq.Poll(); !errors.Is(err, ErrCQEmpty) {
-		t.Error("extra completions after flush")
-	}
-}
+import "testing"
 
 func TestOnQPErrorFiresOncePerEpisode(t *testing.T) {
-	r := newTXRig(t)
+	h := newHost(t, Config{})
+	qp, err := h.rnic.CreateQP(h.rnic.AllocPD())
+	if err != nil {
+		t.Fatal(err)
+	}
+	mustRTS(t, h.rnic, qp)
 	fired := 0
-	r.h.rnic.OnQPError(func(qp *QP) {
+	h.rnic.OnQPError(func(got *QP) {
 		fired++
-		if qp != r.qp {
+		if got != qp {
 			t.Error("observer got wrong QP")
 		}
 	})
-	if err := r.h.rnic.ModifyQP(r.qp, QPError); err != nil {
+	if err := h.rnic.ModifyQP(qp, QPError); err != nil {
 		t.Fatal(err)
 	}
 	// Error -> Error is the same episode: no second notification.
-	if err := r.h.rnic.ModifyQP(r.qp, QPError); err != nil {
+	if err := h.rnic.ModifyQP(qp, QPError); err != nil {
 		t.Fatal(err)
 	}
 	if fired != 1 {
 		t.Fatalf("observer fired %d times for one episode", fired)
 	}
-	if err := r.h.rnic.RecoverQP(r.qp); err != nil {
+	if err := h.rnic.RecoverQP(qp); err != nil {
 		t.Fatal(err)
 	}
-	if r.qp.State != QPReadyToSend {
-		t.Fatalf("recovered state = %v, want RTS", r.qp.State)
+	if qp.State != QPReadyToSend {
+		t.Fatalf("recovered state = %v, want RTS", qp.State)
 	}
 	// A fresh fault is a new episode.
-	if n := r.h.rnic.ResetQPs(); n != 1 {
+	if n := h.rnic.ResetQPs(); n != 1 {
 		t.Errorf("ResetQPs = %d, want 1", n)
 	}
 	if fired != 2 {

@@ -103,16 +103,6 @@ func ConfigCX6(name string) Config {
 	return c
 }
 
-// ConfigCX7 approximates the CX7 RNIC used by the SOTA baseline in §8:
-// ATS/ATC based, 2×200G, VF+VxLAN steering overheads modelled at the
-// stack level (see internal/core).
-func ConfigCX7(name string) Config {
-	c := DefaultConfig(name)
-	c.EMTT = false
-	c.ATCCapacityPages = 16384
-	return c
-}
-
 // RNIC is one physical NIC.
 type RNIC struct {
 	cfg     Config
@@ -137,9 +127,7 @@ type RNIC struct {
 
 	qps    map[uint32]*QP
 	nextQP uint32
-	// sqs indexes the send queues bound to each QP so an error
-	// transition can flush them; qpErrFns are the QP-error observers.
-	sqs      map[uint32][]*SQ
+	// qpErrFns are the QP-error observers.
 	qpErrFns []func(*QP)
 
 	vswitch *VSwitch
@@ -189,7 +177,6 @@ func New(c *pcie.Complex, sw *pcie.Switch, cfg Config) (*RNIC, error) {
 		nextPD:  1,
 		qps:     make(map[uint32]*QP),
 		nextQP:  1,
-		sqs:     make(map[uint32][]*SQ),
 		vswitch: NewVSwitch(cfg.VSwitchRuleLatency),
 	}, nil
 }
@@ -215,24 +202,11 @@ func (r *RNIC) traceOp(name, mode string, res WriteResult) {
 		trace.U("pages", res.Pages), trace.U("atc-miss", res.ATCMisses))
 }
 
-// traceDoorbell records one doorbell kick (MMIO plus drained pipeline
-// work) on the RNIC's lane.
-func (r *RNIC) traceDoorbell(name string, total sim.Duration, wqes int) {
-	if !r.tr.Enabled() {
-		return
-	}
-	r.tr.Complete(r.host, r.cfg.Name, "rnic", name, total,
-		trace.I("wqes", int64(wqes)))
-}
-
 // Name returns the RNIC label.
 func (r *RNIC) Name() string { return r.cfg.Name }
 
 // PF returns the physical function endpoint.
 func (r *RNIC) PF() *pcie.Endpoint { return r.pf }
-
-// Complex returns the PCIe fabric the RNIC sits on.
-func (r *RNIC) Complex() *pcie.Complex { return r.complex }
 
 // ATC exposes the address translation cache for counter inspection.
 func (r *RNIC) ATC() *pagetable.TLB { return r.atc }

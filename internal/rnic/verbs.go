@@ -81,12 +81,6 @@ func (r *RNIC) DeregisterMR(mr *MR) error {
 	return nil
 }
 
-// LookupMR resolves a memory key.
-func (r *RNIC) LookupMR(key uint32) (*MR, bool) {
-	mr, ok := r.mtt[key]
-	return mr, ok
-}
-
 // MTTPagesUsed reports consumed MTT capacity.
 func (r *RNIC) MTTPagesUsed() uint64 { return r.mttPages }
 
@@ -137,18 +131,12 @@ func (r *RNIC) CreateQP(pd PD) (*QP, error) {
 	return qp, nil
 }
 
-// DestroyQP removes a queue pair and the SQ bindings indexed under it.
-func (r *RNIC) DestroyQP(qp *QP) {
-	delete(r.qps, qp.Number)
-	delete(r.sqs, qp.Number)
-}
-
-// NumQPs reports live queue pairs.
-func (r *RNIC) NumQPs() int { return len(r.qps) }
+// DestroyQP removes a queue pair.
+func (r *RNIC) DestroyQP(qp *QP) { delete(r.qps, qp.Number) }
 
 // ModifyQP advances the QP state machine; forward transitions must
-// follow RESET→INIT→RTR→RTS. Any state may move to ERR (with
-// WQE-flush semantics, see recovery.go) or back to RESET — the verbs
+// follow RESET→INIT→RTR→RTS. Any state may move to ERR (notifying the
+// QP-error observers, see recovery.go) or back to RESET — the verbs
 // escape hatch RecoverQP uses to re-cycle an errored QP.
 func (r *RNIC) ModifyQP(qp *QP, next QPState) error {
 	switch next {
@@ -293,49 +281,5 @@ func (r *RNIC) RDMAWrite(qp *QP, key uint32, va uint64, size uint64) (WriteResul
 	}
 	res.SerialCost = translation/sim.Duration(depth) + d.Transfer
 	r.traceOp("rdma-write", "ats", res)
-	return res, nil
-}
-
-// RDMARead serves an inbound RDMA read: the responder-side RNIC fetches
-// size bytes at va from the keyed region (GPU via the eMTT fast path,
-// host memory via the RC) and streams them to the wire. The pipeline
-// and protection checks are identical to RDMAWrite; only the TLP
-// direction flips, which the PCIe cost model treats symmetrically.
-func (r *RNIC) RDMARead(qp *QP, key uint32, va uint64, size uint64) (WriteResult, error) {
-	var res WriteResult
-	if qp.State != QPReadyToReceive && qp.State != QPReadyToSend {
-		return res, fmt.Errorf("%w: state %v", ErrQPState, qp.State)
-	}
-	mr, ok := r.mtt[key]
-	if !ok {
-		return res, fmt.Errorf("%w: key %d", ErrBadKey, key)
-	}
-	if mr.PD != qp.PD {
-		return res, fmt.Errorf("%w: QP pd=%d MR pd=%d", ErrPDViolation, qp.PD, mr.PD)
-	}
-	if !mr.VA.ContainsRange(addr.Range{Start: va, Size: size}) {
-		return res, fmt.Errorf("%w: [%#x,%#x) not in %v", ErrVAOutOfRange, va, va+size, mr.VA)
-	}
-	res.Latency = r.cfg.WQEProcessing + r.cfg.MTTLookupLatency
-	offset := va - mr.VA.Start
-	target := mr.Entry.Base + offset
-
-	at := pcie.ATUntranslated
-	if mr.Entry.Translated {
-		at = pcie.ATTranslated
-	}
-	d, err := r.complex.DMA(pcie.TLP{Source: r.pf, Addr: target, Size: size, AT: at, Write: false})
-	if err != nil {
-		return res, err
-	}
-	res.Latency += d.Latency
-	res.Route = d.Route
-	res.Pages = addr.PageCount(size, r.cfg.TranslationPageSize)
-	res.SerialCost = d.Transfer
-	mode := "emtt-host"
-	if mr.Entry.Translated {
-		mode = "emtt-translated"
-	}
-	r.traceOp("rdma-read", mode, res)
 	return res, nil
 }

@@ -56,10 +56,8 @@ type Rule struct {
 // table scanned linearly in hardware. TCP and RDMA rules interleave, so
 // RDMA lookup latency depends on how many TCP rules precede it.
 type VSwitch struct {
-	rules      []Rule
-	perRule    sim.Duration
-	lookups    uint64
-	scanDepths uint64
+	rules   []Rule
+	perRule sim.Duration
 }
 
 // NewVSwitch builds an empty flow table with the given per-rule scan
@@ -106,25 +104,13 @@ func (v *VSwitch) Remove(class TrafficClass, flowID uint64) bool {
 // The returned cost is proportional to the match position: rules buried
 // behind others' TCP entries pay for every scan step above them.
 func (v *VSwitch) Lookup(class TrafficClass, flowID uint64) (Rule, sim.Duration, error) {
-	v.lookups++
 	for i, r := range v.rules {
 		if r.Class == class && r.FlowID == flowID {
-			v.scanDepths += uint64(i + 1)
 			return r, sim.Duration(i+1) * v.perRule, nil
 		}
 	}
-	v.scanDepths += uint64(len(v.rules))
 	return Rule{}, sim.Duration(len(v.rules)) * v.perRule,
 		fmt.Errorf("%w: class=%v flow=%d", ErrNoRule, class, flowID)
-}
-
-// MeanScanDepth reports the average number of entries scanned per
-// lookup — the observable behind the RDMA latency regression.
-func (v *VSwitch) MeanScanDepth() float64 {
-	if v.lookups == 0 {
-		return 0
-	}
-	return float64(v.scanDepths) / float64(v.lookups)
 }
 
 // Validate checks a rule the way the ToR switch effectively does on the

@@ -107,9 +107,6 @@ func (se *ShardedEngine) SetLookahead(d Duration) {
 	se.lookahead = d
 }
 
-// Lookahead reports the declared minimum cross-shard latency.
-func (se *ShardedEngine) Lookahead() Duration { return se.lookahead }
-
 // Handoff delivers fn(arg) to shard dst at virtual time when — the only
 // legal way for one shard's event to cause work on another. Across
 // shards when must be at least lookahead past the source shard's clock.
@@ -154,9 +151,6 @@ func (se *ShardedEngine) flush() {
 	}
 }
 
-// Halt stops Run before the next window.
-func (se *ShardedEngine) Halt() { se.halted = true }
-
 // Fired reports events executed across all shards.
 func (se *ShardedEngine) Fired() uint64 {
 	var n uint64
@@ -181,20 +175,8 @@ func (se *ShardedEngine) Pending() int {
 	return n
 }
 
-// Now reports the merged clock: the minimum shard clock, the time up to
-// which the whole simulation has provably run.
-func (se *ShardedEngine) Now() Time {
-	t := se.engs[0].Now()
-	for _, e := range se.engs[1:] {
-		if n := e.Now(); n < t {
-			t = n
-		}
-	}
-	return t
-}
-
-// Run drains all shards until no events remain, Halt is called, or the
-// clock would pass horizon. Returns the time of the last dispatched
+// Run drains all shards until no events remain or the clock would pass
+// horizon. Returns the time of the last dispatched
 // event (or the merged clock if none ran). A model Halt on any shard
 // stops that shard at once and the group at the end of the window.
 //

@@ -127,9 +127,6 @@ type Event struct {
 	link     unsafe.Pointer // *block while wheel, else *Event free-list link
 }
 
-// When reports the virtual time the event fires at.
-func (e *Event) When() Time { return e.when }
-
 // Cancel prevents the event from firing. An event still in the wheel
 // gives its memory back at once: its entry becomes a tombstone, its
 // handle returns to the free list (the next At, After or AfterArg may

@@ -455,7 +455,7 @@ func TestCanceledAfterArgRecycled(t *testing.T) {
 	if got := e.After(10*time.Microsecond+100, func() { ok = true }); got != ev {
 		t.Fatal("next After into the same bucket did not reuse the canceled handle")
 	}
-	if b := e.wheel[bucketOf(ev.When())&wheelMask]; b == nil || b.next != nil || b.n != 3 || b.live != 2 {
+	if b := e.wheel[bucketOf(ev.when)&wheelMask]; b == nil || b.next != nil || b.n != 3 || b.live != 2 {
 		t.Fatalf("bucket is not one block of 3 entries with 2 live: %+v", b)
 	}
 	e.RunAll()
@@ -473,7 +473,7 @@ func TestCanceledAfterArgRecycled(t *testing.T) {
 		t.Fatalf("Pending() = %d after AfterArg, want %d", e.Pending(), before+1)
 	}
 	ev.Cancel()
-	if e.Pending() != before || e.wheel[bucketOf(ev.When())&wheelMask] != nil {
+	if e.Pending() != before || e.wheel[bucketOf(ev.when)&wheelMask] != nil {
 		t.Fatalf("Pending() = %d after the block emptied, want %d", e.Pending(), before)
 	}
 

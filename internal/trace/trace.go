@@ -199,14 +199,6 @@ func (t *Tracer) SetClock(now func() int64) {
 // idiomatic guard before building argument strings that would allocate.
 func (t *Tracer) Enabled() bool { return t != nil }
 
-// Capacity returns the ring size.
-func (t *Tracer) Capacity() int {
-	if t == nil {
-		return 0
-	}
-	return len(t.buf)
-}
-
 // Total reports how many events were ever emitted.
 func (t *Tracer) Total() uint64 {
 	if t == nil {

@@ -70,7 +70,7 @@ func TestNilTracerNoOp(t *testing.T) {
 	if id := tr.NewID(); id != 0 {
 		t.Fatalf("nil tracer minted non-zero ID %#x", uint64(id))
 	}
-	if tr.Len() != 0 || tr.Total() != 0 || tr.Capacity() != 0 || tr.Events() != nil {
+	if tr.Len() != 0 || tr.Total() != 0 || tr.Events() != nil {
 		t.Fatal("nil tracer reports retained state")
 	}
 	allocs := testing.AllocsPerRun(1000, func() {

@@ -395,9 +395,6 @@ func ConnectWithSelector(src, dst *Endpoint, flow uint64, sel multipath.Selector
 	return c, nil
 }
 
-// Selector exposes the connection's path selector.
-func (c *Conn) Selector() multipath.Selector { return c.sel }
-
 // Send enqueues a message of size bytes; done (optional) fires at the
 // virtual time the last byte is acknowledged.
 func (c *Conn) Send(size uint64, done func(sim.Time)) {

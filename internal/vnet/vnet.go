@@ -126,9 +126,6 @@ func New(cfg Config, u *iommu.IOMMU, daBase addr.DA, hpaBase addr.HPA) (*Device,
 	return dev, nil
 }
 
-// Config returns the device configuration.
-func (d *Device) Config() Config { return d.cfg }
-
 // SendBurst transmits n packets, cycling through the buffer pool, and
 // returns the total virtual-time cost of the burst.
 func (d *Device) SendBurst(n int) (sim.Duration, error) {
