@@ -4,9 +4,11 @@ import (
 	"errors"
 	"os"
 	"os/exec"
+	"path/filepath"
 	"reflect"
 	"regexp"
 	"sort"
+	"strings"
 	"testing"
 )
 
@@ -83,5 +85,26 @@ func TestRefusesUndefinedFlags(t *testing.T) {
 func TestRefusesDeploy(t *testing.T) {
 	if code, out := invoke(t, "-exp", "deploy"); code != 2 {
 		t.Errorf("-exp deploy exited %d, want 2:\n%s", code, out)
+	}
+}
+
+// TestChaosBindErrorFailsExperiment: a scenario that does not fit an
+// experiment's topology (NIC faults on a fabric-only run, a link on a
+// host the fabric does not have) fails that experiment with exit 1 and
+// a "failed" line, not a panic.
+func TestChaosBindErrorFailsExperiment(t *testing.T) {
+	dir := t.TempDir()
+	for name, scenario := range map[string]string{
+		"nic-reset": `{"name": "nic-reset", "events": [{"at": "100us", "kind": "nic-reset-qps", "nic": "*"}]}`,
+		"far-host":  `{"name": "far-host", "events": [{"at": "100us", "kind": "link-down", "link": {"tier": "host", "dir": "up", "host": 5000}}]}`,
+	} {
+		path := filepath.Join(dir, name+".json")
+		if err := os.WriteFile(path, []byte(scenario), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		code, out := invoke(t, "-exp", "fig12", "-chaos", path)
+		if code != 1 || strings.Contains(out, "panic:") || !strings.Contains(out, "stellarbench: fig12 failed: ") {
+			t.Errorf("%s: exited %d, want 1 with a failed line and no panic:\n%s", name, code, out)
+		}
 	}
 }

@@ -10,9 +10,8 @@
 //
 //   - internal/core (package stellar): the assembled framework.
 //   - cmd/stellarbench: regenerate any table or figure (-exp fig9).
-//   - cmd/stellarctl: inspect a simulated host.
-//   - examples/: runnable scenarios (quickstart, serverless,
-//     llmtraining, multipath).
+//   - examples/: runnable scenarios (quickstart, crosshost), each with
+//     an Example test that pins its output.
 //   - bench_test.go: testing.B benchmarks, one per table and figure.
 //
 // See DESIGN.md for the system inventory and per-experiment index, and

@@ -23,6 +23,12 @@ import (
 func main() {
 	traceOut := flag.String("trace", "", "write a Chrome/Perfetto trace of the run to this file")
 	flag.Parse()
+	run(*traceOut)
+}
+
+// run builds the two servers, writes across the fabric and, when
+// traceOut is set, exports the run's trace there.
+func run(traceOut string) {
 	hostCfg := stellar.DefaultHostConfig()
 	hostCfg.MemoryBytes = 64 << 30
 	hostCfg.GPUMemoryBytes = 4 << 30
@@ -42,7 +48,7 @@ func main() {
 	}
 
 	var tr *trace.Tracer
-	if *traceOut != "" {
+	if traceOut != "" {
 		tr = trace.New(0)
 		cl.SetTracer(tr)
 	}
@@ -106,9 +112,9 @@ func main() {
 		cl.Fabric.Imbalance(0))
 
 	if tr != nil {
-		if err := tr.WriteJSONFile(*traceOut); err != nil {
+		if err := tr.WriteJSONFile(traceOut); err != nil {
 			log.Fatal(err)
 		}
-		fmt.Printf("  trace: %d events -> %s (open in ui.perfetto.dev)\n", tr.Len(), *traceOut)
+		fmt.Printf("  trace: %d events -> %s (open in ui.perfetto.dev)\n", tr.Len(), traceOut)
 	}
 }

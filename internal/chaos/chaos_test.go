@@ -27,7 +27,7 @@ func sampleScenario() *Scenario {
 		SwitchReboot(4*time.Millisecond, fabric.SwitchAgg, 3, time.Millisecond).
 		HostStall(5*time.Millisecond, 2, time.Millisecond).
 		FailReroute(6*time.Millisecond, 0, 0, 2*time.Millisecond).
-		FlushATC(7*time.Millisecond, "*").
+		ResetQPs(7*time.Millisecond, "*").
 		ResetQPs(8*time.Millisecond, "nic0")
 }
 
@@ -96,10 +96,10 @@ func TestLoadRejectsOverflowingOffsets(t *testing.T) {
 		t.Error("at+for past the end of virtual time loaded")
 	}
 	near := time.Duration(math.MaxInt64 - 10)
-	if err := NewScenario("x").Add(Event{At: near, Jitter: time.Second, Kind: NICFlushATC}).Validate(); err == nil {
+	if err := NewScenario("x").Add(Event{At: near, Jitter: time.Second, Kind: NICResetQPs}).Validate(); err == nil {
 		t.Error("at+jitter past the end of virtual time validated")
 	}
-	if err := NewScenario("x").Add(Event{At: near, Kind: NICFlushATC}).Validate(); err != nil {
+	if err := NewScenario("x").Add(Event{At: near, Kind: NICResetQPs}).Validate(); err != nil {
 		t.Errorf("offset at the end of virtual time rejected: %v", err)
 	}
 }
@@ -128,7 +128,7 @@ func TestPlayRejectsOverflowPastNow(t *testing.T) {
 	eng.RunAll()
 	ce := New(eng, nil)
 	ce.RegisterNIC(&fakeNIC{name: "rnic0"})
-	sc := NewScenario("late").FlushATC(time.Duration(math.MaxInt64-int64(time.Microsecond)), "*")
+	sc := NewScenario("late").ResetQPs(time.Duration(math.MaxInt64-int64(time.Microsecond)), "*")
 	if err := ce.Play(sc); err == nil {
 		t.Fatal("offset past the end of virtual time played")
 	}
@@ -147,7 +147,7 @@ func TestPlayRejectsUnboundTargets(t *testing.T) {
 	for _, sc := range []*Scenario{
 		NewScenario("bad-link").LinkDown(0, fabric.Uplink(0, 99), 0),
 		NewScenario("bad-switch").SwitchReboot(0, fabric.SwitchCore, 0, time.Millisecond), // no core tier
-		NewScenario("bad-nic").FlushATC(0, "nope"),
+		NewScenario("bad-nic").ResetQPs(0, "nope"),
 		NewScenario("no-nics").ResetQPs(0, "*"),
 	} {
 		if err := ce.Play(sc); err == nil {
@@ -253,16 +253,12 @@ func TestPlaybackJitterDeterministic(t *testing.T) {
 }
 
 type fakeNIC struct {
-	name             string
-	flushes, resets  int
-	entries, liveQPs int
+	name    string
+	resets  int
+	liveQPs int
 }
 
 func (n *fakeNIC) Name() string { return n.name }
-func (n *fakeNIC) FlushATC() int {
-	n.flushes++
-	return n.entries
-}
 func (n *fakeNIC) ResetQPs() int {
 	n.resets++
 	return n.liveQPs
@@ -273,32 +269,29 @@ func (n *fakeNIC) ResetQPs() int {
 func TestNICFaults(t *testing.T) {
 	eng := sim.NewEngine(1)
 	ce := New(eng, nil)
-	a := &fakeNIC{name: "nic0", entries: 7, liveQPs: 3}
-	b := &fakeNIC{name: "nic1", entries: 2}
+	a := &fakeNIC{name: "nic0", liveQPs: 3}
+	b := &fakeNIC{name: "nic1", liveQPs: 2}
 	ce.RegisterNIC(a)
 	ce.RegisterNIC(b)
 	sc := NewScenario("nics").
-		FlushATC(time.Millisecond, "*").
+		ResetQPs(time.Millisecond, "*").
 		ResetQPs(2*time.Millisecond, "nic0")
 	if err := ce.Play(sc); err != nil {
 		t.Fatal(err)
 	}
 	eng.RunAll()
-	if a.flushes != 1 || b.flushes != 1 {
-		t.Errorf("flushes = %d,%d", a.flushes, b.flushes)
-	}
-	if a.resets != 1 || b.resets != 0 {
+	if a.resets != 2 || b.resets != 1 {
 		t.Errorf("resets = %d,%d", a.resets, b.resets)
 	}
 	log := ce.Log()
 	if len(log) != 2 {
 		t.Fatalf("log = %d entries", len(log))
 	}
-	if log[0].Detail != "flushed 9 entries" {
-		t.Errorf("flush detail = %q", log[0].Detail)
+	if log[0].Detail != "reset 5 QPs" {
+		t.Errorf("all-NIC reset detail = %q", log[0].Detail)
 	}
 	if log[1].Detail != "reset 3 QPs" {
-		t.Errorf("reset detail = %q", log[1].Detail)
+		t.Errorf("one-NIC reset detail = %q", log[1].Detail)
 	}
 }
 

@@ -10,14 +10,11 @@ import (
 	"repro/internal/trace"
 )
 
-// NIC is the chaos-facing surface of an RDMA NIC: the cache-loss and
-// QP-error entry points (rnic.RNIC implements it).
+// NIC is the chaos-facing surface of an RDMA NIC: the QP-error entry
+// point (rnic.RNIC implements it).
 type NIC interface {
 	// Name identifies the NIC for scenario targeting.
 	Name() string
-	// FlushATC empties the address-translation cache, returning the
-	// number of entries lost.
-	FlushATC() int
 	// ResetQPs forces every queue pair into the error state, returning
 	// how many were live.
 	ResetQPs() int
@@ -49,7 +46,7 @@ type Firing struct {
 	Phase Phase
 	// Event is the scenario event that fired.
 	Event Event
-	// Detail is a human-readable outcome ("flushed 812 entries").
+	// Detail is a human-readable outcome ("reset 12 QPs").
 	Detail string
 }
 
@@ -179,7 +176,7 @@ func (e *Engine) bindCheck(ev Event) error {
 		}
 		_, err := e.fab.FaultOf(fabric.Uplink(ev.Segment, ev.Agg))
 		return err
-	case NICFlushATC, NICResetQPs:
+	case NICResetQPs:
 		if ev.NIC != "" && ev.NIC != "*" {
 			if _, ok := e.nics[ev.NIC]; !ok {
 				return fmt.Errorf("unknown NIC %q", ev.NIC)
@@ -262,12 +259,6 @@ func (e *Engine) apply(ev Event, phase Phase) {
 	case Repair:
 		_ = e.fab.ClearFault(fabric.Uplink(ev.Segment, ev.Agg))
 		e.fab.RestoreRoute(ev.Segment, ev.Agg)
-	case NICFlushATC:
-		n := 0
-		for _, nic := range e.targets(ev.NIC) {
-			n += nic.FlushATC()
-		}
-		detail = fmt.Sprintf("flushed %d entries", n)
 	case NICResetQPs:
 		n := 0
 		for _, nic := range e.targets(ev.NIC) {

@@ -61,10 +61,8 @@ const (
 	// Repair restores the link and route (cancelling a pending reroute).
 	FailReroute Kind = "fail-reroute"
 	Repair      Kind = "repair"
-	// NICFlushATC flushes the address-translation cache of the NIC(s)
-	// named by NIC ("" or "*" = all registered); NICResetQPs forces
-	// their queue pairs into the error state.
-	NICFlushATC Kind = "nic-flush-atc"
+	// NICResetQPs forces the queue pairs of the NIC(s) named by NIC
+	// ("" or "*" = all registered) into the error state.
 	NICResetQPs Kind = "nic-reset-qps"
 )
 
@@ -111,7 +109,7 @@ type Event struct {
 	// Segment/Agg address an uplink for FailReroute/Repair.
 	Segment int
 	Agg     int
-	// NIC names the target NIC for NICFlushATC/NICResetQPs; "" or "*"
+	// NIC names the target NIC for NICResetQPs; "" or "*"
 	// targets every registered NIC.
 	NIC string
 }
@@ -213,7 +211,7 @@ func (e *Event) UnmarshalJSON(b []byte) error {
 // validate rejects malformed events before anything is scheduled.
 func (e Event) validate() error {
 	switch e.Kind {
-	case LinkDown, LinkUp, Gray, GrayClear, SwitchReboot, HostStall, FailReroute, Repair, NICFlushATC, NICResetQPs:
+	case LinkDown, LinkUp, Gray, GrayClear, SwitchReboot, HostStall, FailReroute, Repair, NICResetQPs:
 	case "":
 		return fmt.Errorf("chaos: event at %v has no kind", e.At)
 	default:
@@ -285,12 +283,6 @@ func (s *Scenario) HostStall(at time.Duration, host int, dur time.Duration) *Sce
 // repairs it (link and route) after dur.
 func (s *Scenario) FailReroute(at time.Duration, segment, agg int, dur time.Duration) *Scenario {
 	return s.Add(Event{At: at, Kind: FailReroute, Segment: segment, Agg: agg, For: dur})
-}
-
-// FlushATC flushes the named NIC's translation cache at the offset
-// ("" or "*" = every registered NIC).
-func (s *Scenario) FlushATC(at time.Duration, nic string) *Scenario {
-	return s.Add(Event{At: at, Kind: NICFlushATC, NIC: nic})
 }
 
 // ResetQPs forces the named NIC's queue pairs to the error state at the

@@ -259,9 +259,6 @@ func (d *VStellarDevice) Destroy() {
 	delete(d.host.devices, d.ID)
 }
 
-// PD returns the device's protection domain.
-func (d *VStellarDevice) PD() rnic.PD { return d.pd }
-
 // DoorbellGPA returns where the guest sees the vDB (in the shm window).
 func (d *VStellarDevice) DoorbellGPA() addr.GPA { return d.vdbGPA }
 

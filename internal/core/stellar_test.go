@@ -112,7 +112,7 @@ func TestVStellarPerDeviceIsolation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if d1.PD() == d2.PD() {
+	if d1.pd == d2.pd {
 		t.Fatal("devices share a protection domain")
 	}
 	gva, _, err := c.AllocGuestBuffer(addr.PageSize2M)

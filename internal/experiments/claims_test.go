@@ -199,6 +199,9 @@ var claims = []claim{
 	{"sec4", at("measured", "device ceiling"), "64 k devices", "§4", reads("65536")},
 	{"sec4", at("measured", "1.6TB container init speedup"), "15–30×", "§4", atLeast(15)},
 	{"sec4", at("measured", "SFs per RNIC after 100 create/destroy cycles"), "create and destroy without reset", "§4", reads("1 live")},
+	{"sec4", at("measured", "vStellar devices on the host"), "serverless density past Problem ③'s 28 GDR VFs", "§4", atLeast(120)},
+	{"sec4", at("measured", "fullest switch LUT after 120 devices"), "no LUT slot per device (SR-IOV stops at 28 GDR VFs, Problem ③)", "§4",
+		is("==", at("measured", "fullest switch LUT at host start"))},
 
 	{"ablation-emtt", at("route", "true"), "eMTT routes GDR switch-locally", extEMTT, reads("p2p-direct")},
 	{"ablation-emtt", at("route", "false"), "without it GDR detours via the RC", extEMTT, reads("p2p-via-rc")},

@@ -86,7 +86,9 @@ func AblationFlowlet(s *Session) (*Table, error) {
 		{multipath.SinglePath, 1},
 	} {
 		eng, f, eps := s.cluster(netConfig(16, 60), transport.Config{})
-		s.armChaos(eng, f)
+		if err := s.armChaos(eng, f); err != nil {
+			return nil, err
+		}
 		res, err := collective.RunPermutation(eng, f, eps, collective.PermutationConfig{
 			Alg: tc.alg, Paths: tc.paths, BytesPerFlow: 8 << 20,
 			SamplePeriod: sim.Duration(25 * time.Microsecond), Seed: s.Seed + 1,
@@ -115,7 +117,9 @@ func AblationPathAware(s *Session) (*Table, error) {
 	}
 	for _, alg := range []multipath.Algorithm{multipath.OBS, multipath.PathAware} {
 		eng, f, eps := s.cluster(netConfig(24, 60), transport.Config{})
-		s.armChaos(eng, f)
+		if err := s.armChaos(eng, f); err != nil {
+			return nil, err
+		}
 		// Static background ring plus a test ring, both cross-segment.
 		bg := interleave(eps, 16, 24)
 		bgRing, err := collective.NewRing(bg, 1000, multipath.OBS, 128)

@@ -29,7 +29,9 @@ func LinkFailRecovery(s *Session) (*Table, error) {
 	fc := netConfig(8, 60)
 	fc.RerouteDelay = sim.Duration(rerouteLag)
 	eng, f, eps := s.cluster(fc, transport.Config{MTU: 8 << 10, InitialWindow: 1 << 20})
-	s.armChaos(eng, f)
+	if err := s.armChaos(eng, f); err != nil {
+		return nil, err
+	}
 	// Eight cross-segment flows spraying over all 60 aggs.
 	var conns []*transport.Conn
 	for i := 0; i < 8; i++ {

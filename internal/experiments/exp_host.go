@@ -302,7 +302,8 @@ func Table1Exp(s *Session) (*Table, error) {
 }
 
 // Sec4 verifies the §4 agility claims: device creation time, device
-// count ceiling, and container-init speedup.
+// count ceiling, container-init speedup, and device density that takes
+// no PCIe switch LUT slot.
 func Sec4(s *Session) (*Table, error) {
 	t := &Table{
 		ID:     "sec4",
@@ -313,6 +314,15 @@ func Sec4(s *Session) (*Table, error) {
 	if err != nil {
 		return nil, err
 	}
+	// fullestLUT reads the most occupied switch LUT as "used/capacity".
+	fullestLUT := func() string {
+		used := 0
+		for _, sw := range h.Switches {
+			used = max(used, sw.LUTLen())
+		}
+		return fmt.Sprintf("%d/%d", used, h.Switches[0].LUTCapacity())
+	}
+	lutAtStart := fullestLUT()
 	c, err := h.Hypervisor.CreateContainer(rund.DefaultConfig("agile", 64<<30))
 	if err != nil {
 		return nil, err
@@ -353,6 +363,19 @@ func Sec4(s *Session) (*Table, error) {
 		}
 		return fmt.Sprintf("%d live", r.NumSFs())
 	}())
+
+	// The serverless density of §3.1: 120 GDR-capable devices, spread
+	// over the RNICs. A vStellar device is an SF behind the PF, so the
+	// LUT holds the same entries as before the first one.
+	const density = 120
+	for i := 0; h.NumDevices() < density; i++ {
+		if _, err := h.CreateVStellar(c, h.RNICs[i%len(h.RNICs)]); err != nil {
+			return nil, err
+		}
+	}
+	t.AddRow("fullest switch LUT at host start", lutAtStart)
+	t.AddRow("vStellar devices on the host", fmt.Sprintf("%d", h.NumDevices()))
+	t.AddRow(fmt.Sprintf("fullest switch LUT after %d devices", density), fullestLUT())
 	return t, nil
 }
 

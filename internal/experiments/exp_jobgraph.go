@@ -110,11 +110,10 @@ func ContendedCluster(s *Session) (*Table, error) {
 		// RunContended builds the shared fleet last, so f is the fabric
 		// the whole schedule contended on.
 		var f *fabric.Fabric
-		outcomes, err := jobgraph.RunContended(func() (*sim.Engine, []*transport.Endpoint) {
+		outcomes, err := jobgraph.RunContended(func() (*sim.Engine, []*transport.Endpoint, error) {
 			eng, fab, eps := s.cluster(netConfig(16, 60), transport.Config{})
-			s.armChaos(eng, fab)
 			f = fab
-			return eng, eps
+			return eng, eps, s.armChaos(eng, fab)
 		}, jobs)
 		if err != nil {
 			return err
@@ -167,7 +166,9 @@ func JobGraphRunner(g *jobgraph.Graph) Runner {
 				{"stellar obs/128", multipath.OBS, 128},
 			} {
 				eng, f, eps := s.cluster(netConfig(hostsPerSeg, 60), transport.Config{})
-				s.armChaos(eng, f)
+				if err := s.armChaos(eng, f); err != nil {
+					return nil, err
+				}
 				res, err := jobgraph.Run(eng, eps, g, jobgraph.Options{
 					Alg: stack.alg, Paths: stack.paths, FlowBase: 1,
 				})
@@ -189,7 +190,11 @@ func JobGraphRunner(g *jobgraph.Graph) Runner {
 					fmt.Sprintf("%d", slowest),
 					fmt.Sprintf("%.3f", last.Sub(first).Seconds()*1e3))
 			}
+			st := g.Stats()
 			t.Notes = append(t.Notes,
+				fmt.Sprintf("graph: %d ops (%d compute, %d send, %d recv, %d collective), %.2f MB on the wire over %d send pair(s), %v compute across ranks, max op fan-in %d",
+					st.Ops, st.ByKind[jobgraph.OpCompute], st.ByKind[jobgraph.OpSend], st.ByKind[jobgraph.OpRecv],
+					st.ByKind[jobgraph.OpCollective], float64(st.Bytes)/1e6, st.PairsUsed, st.Compute, st.MaxFanIn),
 				"rank spread is the gap between the first and last rank to finish - the straggler signature")
 			return t, nil
 		},

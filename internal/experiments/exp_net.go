@@ -27,7 +27,9 @@ func Fig9(s *Session) (*Table, error) {
 				continue // single path ignores fan-out
 			}
 			eng, f, eps := s.cluster(netConfig(30, 60), transport.Config{})
-			s.armChaos(eng, f)
+			if err := s.armChaos(eng, f); err != nil {
+				return nil, err
+			}
 			res, err := collective.RunPermutation(eng, f, eps, collective.PermutationConfig{
 				Alg: alg, Paths: paths, BytesPerFlow: 8 << 20,
 				SamplePeriod: sim.Duration(25 * time.Microsecond), Seed: s.Seed + 1,
@@ -69,7 +71,9 @@ func Fig10a(s *Session) (*Table, error) {
 		for _, paths := range []int{128} {
 			hps := 3*ringSize/2 + 8
 			eng, f, eps := s.cluster(netConfig(hps, 60), transport.Config{})
-			s.armChaos(eng, f)
+			if err := s.armChaos(eng, f); err != nil {
+				return nil, err
+			}
 			// Two background rings on interleaved members.
 			bg1 := interleave(eps, ringSize, hps)
 			bg2 := interleave(eps[ringSize/2:], ringSize, hps)
@@ -109,7 +113,9 @@ func Fig10b(s *Session) (*Table, error) {
 	for _, alg := range []multipath.Algorithm{multipath.RoundRobin, multipath.OBS} {
 		for _, paths := range []int{4, 128} {
 			eng, f, eps := s.cluster(netConfig(24, 60), transport.Config{})
-			s.armChaos(eng, f)
+			if err := s.armChaos(eng, f); err != nil {
+				return nil, err
+			}
 			// Bursty background: 2 ms on / 2 ms off.
 			bgMembers := interleave(eps, 16, 24)
 			bgRing, err := collective.NewRing(bgMembers, 1000, multipath.OBS, 128)
@@ -159,7 +165,9 @@ func Fig11(s *Session) (*Table, error) {
 	run := func(alg multipath.Algorithm, paths int, loss float64) (float64, error) {
 		const rounds = 3
 		eng, f, eps := s.cluster(netConfig(24, 60), transport.Config{MTU: 16 << 10, InitialWindow: 1 << 20})
-		s.armChaos(eng, f)
+		if err := s.armChaos(eng, f); err != nil {
+			return 0, err
+		}
 		if loss > 0 {
 			if err := f.SetFault(fabric.Uplink(0, 0), fabric.Fault{DropProb: loss}); err != nil {
 				return 0, err
@@ -238,7 +246,9 @@ func Fig12(s *Session) (*Table, error) {
 	err := s.runCells(len(pathCounts), func(ci int) error {
 		paths := pathCounts[ci]
 		eng, f, eps := s.cluster(netConfig(2, 60), transport.Config{})
-		s.armChaos(eng, f)
+		if err := s.armChaos(eng, f); err != nil {
+			return err
+		}
 		var conns int
 		done := 0
 		for i := 0; i < 16; i++ {
@@ -356,7 +366,9 @@ func Fig15(s *Session) (*Table, error) {
 		Header: []string{"container", "steps/s"},
 	}
 	eng, f, eps := s.cluster(netConfig(16, 60), transport.Config{}) // 32 hosts = 256 GPUs
-	s.armChaos(eng, f)
+	if err := s.armChaos(eng, f); err != nil {
+		return nil, err
+	}
 	res, err := workload.RunStep(eng, f, eps, workload.JobConfig{
 		Model: workload.Table1()[0], Platform: workload.DefaultPlatform(),
 		Alg: multipath.OBS, Paths: 128,

@@ -31,15 +31,17 @@ func fleetConfig() fabric.Config { return scaleConfig(128, 32, 8, 60, 16) }
 // tracer/chaos scenario attached) the whole fleet lands on a single
 // engine and the numbers are — by the differential tests' guarantee —
 // byte-identical to any other shard count.
-func scaleCluster(s *Session, cfg fabric.Config) (*sim.ShardedEngine, *fabric.Fabric, []*transport.Endpoint) {
+func scaleCluster(s *Session, cfg fabric.Config) (*sim.ShardedEngine, *fabric.Fabric, []*transport.Endpoint, error) {
 	se := s.newShardedEngine(cfg.Pods())
 	f := fabric.NewSharded(se, cfg)
-	s.armChaos(se.Shard(0), f)
+	if err := s.armChaos(se.Shard(0), f); err != nil {
+		return nil, nil, nil, err
+	}
 	eps := make([]*transport.Endpoint, 0, f.NumHosts())
 	for h := 0; h < f.NumHosts(); h++ {
 		eps = append(eps, transport.NewEndpoint(f, fabric.HostID(h), transport.Config{}))
 	}
-	return se, f, eps
+	return se, f, eps, nil
 }
 
 // Fig9Scale re-runs Figure 9's permutation stress at fleet scale: 4096
@@ -61,7 +63,10 @@ func Fig9Scale(s *Session) (*Table, error) {
 		{multipath.SinglePath, 4},
 		{multipath.OBS, 128},
 	} {
-		se, f, eps := scaleCluster(s, fleetConfig())
+		se, f, eps, err := scaleCluster(s, fleetConfig())
+		if err != nil {
+			return nil, err
+		}
 		res, err := collective.RunPermutation(se.Shard(0), f, eps, collective.PermutationConfig{
 			Alg: c.alg, Paths: c.paths, BytesPerFlow: 1 << 20,
 			SamplePeriod: sim.Duration(50 * time.Microsecond), Seed: s.Seed + 1,
@@ -93,7 +98,10 @@ func Fig12Scale(s *Session) (*Table, error) {
 	err := s.runCells(len(pathCounts), func(ci int) error {
 		paths := pathCounts[ci]
 		cfg := fleetConfig()
-		se, f, eps := scaleCluster(s, cfg)
+		se, f, eps, err := scaleCluster(s, cfg)
+		if err != nil {
+			return err
+		}
 		// First host of the pod two pods away: the longest escape route.
 		dst := 2 * cfg.SegmentsPerPod * cfg.HostsPerSegment
 		var conns, done int

@@ -75,7 +75,9 @@ func MoEAllToAll(s *Session) (*Table, error) {
 		{multipath.PathAware, 128},
 	} {
 		eng, f, eps := s.cluster(netConfig(8, 60), transport.Config{})
-		s.armChaos(eng, f)
+		if err := s.armChaos(eng, f); err != nil {
+			return nil, err
+		}
 		a, err := collective.NewAllToAll(eps, 1, tc.alg, tc.paths)
 		if err != nil {
 			return nil, err

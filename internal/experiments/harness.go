@@ -44,8 +44,9 @@ type Session struct {
 	// scaleCluster. The other fabric experiments (fig16a/b,
 	// ablation-perpath-cc, ablation-rto, ablation-cc, prob6-core,
 	// lb-taxonomy) run unarmed, and failure-sweep and chaos-recovery
-	// play their own scenarios. Scenarios are read-only during
-	// playback, so one scenario may be shared across concurrent
+	// play their own scenarios. A scenario that does not bind to an
+	// armed topology fails that experiment. Scenarios are read-only
+	// during playback, so one scenario may be shared across concurrent
 	// sessions and cells.
 	Chaos *chaos.Scenario
 	// Parallelism bounds the worker pool RunAll runs its runners on,
@@ -240,18 +241,14 @@ func (s *Session) Fired() uint64 {
 }
 
 // armChaos plays the session's scenario, if any, on a freshly built
-// fabric. Scenario shape is validated at load time; a bind failure here
-// means the scenario targets links this experiment's topology does not
-// have, which is a configuration error — experiments construct fabrics
-// deep inside helpers with no error path, so it panics.
-func (s *Session) armChaos(eng *sim.Engine, f *fabric.Fabric) {
+// fabric. Scenario shape is validated at load time; an error here means
+// the scenario targets links, hosts or NICs this experiment's topology
+// does not have, and it fails the experiment.
+func (s *Session) armChaos(eng *sim.Engine, f *fabric.Fabric) error {
 	if s.Chaos == nil {
-		return
+		return nil
 	}
-	ce := chaos.New(eng, f)
-	if err := ce.Play(s.Chaos); err != nil {
-		panic(fmt.Sprintf("experiments: chaos scenario %q does not bind to this topology: %v", s.Chaos.Name, err))
-	}
+	return chaos.New(eng, f).Play(s.Chaos)
 }
 
 // runCells is the one worker pool: it executes fn(0..n-1) on up to

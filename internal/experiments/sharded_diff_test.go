@@ -25,7 +25,10 @@ func TestScalePermutationShardInvariant(t *testing.T) {
 	run := func(shards int) collective.PermutationResult {
 		s := NewSession(11)
 		s.Parallelism = shards
-		se, f, eps := scaleCluster(s, scaleConfig(8, 8, 2, 16, 4))
+		se, f, eps, err := scaleCluster(s, scaleConfig(8, 8, 2, 16, 4))
+		if err != nil {
+			t.Fatal(err)
+		}
 		res, err := collective.RunPermutation(se.Shard(0), f, eps, collective.PermutationConfig{
 			Alg: multipath.OBS, Paths: 64, BytesPerFlow: 1 << 20,
 			SamplePeriod: sim.Duration(50 * time.Microsecond), Seed: 12,
@@ -55,7 +58,10 @@ func TestScalePermutationFaultShardInvariant(t *testing.T) {
 	run := func(shards int) collective.PermutationResult {
 		s := NewSession(13)
 		s.Parallelism = shards
-		se, f, eps := scaleCluster(s, scaleConfig(8, 8, 2, 16, 4))
+		se, f, eps, err := scaleCluster(s, scaleConfig(8, 8, 2, 16, 4))
+		if err != nil {
+			t.Fatal(err)
+		}
 		if err := f.SetFault(fabric.Uplink(0, 3), fabric.Fault{Down: true}); err != nil {
 			t.Fatal(err)
 		}
@@ -108,7 +114,10 @@ func TestShardedSessionAccounting(t *testing.T) {
 	if got := s.Engines(); got != 1 {
 		t.Fatalf("Engines() = %d after a single-pod cluster, want 1", got)
 	}
-	se, _, _ := scaleCluster(s, scaleConfig(2, 8, 2, 4, 2))
+	se, _, _, err := scaleCluster(s, scaleConfig(2, 8, 2, 4, 2))
+	if err != nil {
+		t.Fatal(err)
+	}
 	if got := se.NumShards(); got != 4 {
 		t.Fatalf("NumShards() = %d on a 4-pod fabric at Parallelism=8, want 4", got)
 	}

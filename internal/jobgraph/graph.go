@@ -290,7 +290,7 @@ func (g *Graph) validateOp(op Op) error {
 	return nil
 }
 
-// Stats summarises a graph for CLI display.
+// Stats summarises a graph for the replay table's note.
 type Stats struct {
 	Ops       int
 	ByKind    map[OpKind]int

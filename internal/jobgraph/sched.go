@@ -152,8 +152,9 @@ func RunJobs(eng *sim.Engine, fleet []*transport.Endpoint, jobs []JobSpec) ([]Jo
 
 // ClusterFunc builds a fresh engine and fleet — one isolated universe.
 // The contended experiment calls it once per baseline and once for the
-// shared run, so every measurement sees an identical topology.
-type ClusterFunc func() (*sim.Engine, []*transport.Endpoint)
+// shared run, so every measurement sees an identical topology. An error
+// (a fault scenario that does not fit the fleet) stops the comparison.
+type ClusterFunc func() (*sim.Engine, []*transport.Endpoint, error)
 
 // Outcome is one job's contended-vs-isolated comparison.
 type Outcome struct {
@@ -181,7 +182,10 @@ func RunContended(newCluster ClusterFunc, jobs []JobSpec) ([]Outcome, error) {
 	}
 	outcomes := make([]Outcome, len(jobs))
 	for i, spec := range jobs {
-		eng, fleet := newCluster()
+		eng, fleet, err := newCluster()
+		if err != nil {
+			return nil, err
+		}
 		res, err := RunJobs(eng, fleet, []JobSpec{spec})
 		if err != nil {
 			return nil, fmt.Errorf("jobgraph: isolated %q: %w", spec.Name, err)
@@ -191,7 +195,10 @@ func RunContended(newCluster ClusterFunc, jobs []JobSpec) ([]Outcome, error) {
 			Isolated: res[0].Result.Makespan,
 		}
 	}
-	eng, fleet := newCluster()
+	eng, fleet, err := newCluster()
+	if err != nil {
+		return nil, err
+	}
 	contended, err := RunJobs(eng, fleet, jobs)
 	if err != nil {
 		return nil, err

@@ -127,9 +127,10 @@ func TestRunJobsRejectsDuplicateNames(t *testing.T) {
 func TestRunContendedReportsSlowdown(t *testing.T) {
 	jobs := testJobs(t, workload.Reranked)
 	var builds int
-	outcomes, err := RunContended(func() (*sim.Engine, []*transport.Endpoint) {
+	outcomes, err := RunContended(func() (*sim.Engine, []*transport.Endpoint, error) {
 		builds++
-		return newFleet(t, 35, 4)
+		eng, fleet := newFleet(t, 35, 4)
+		return eng, fleet, nil
 	}, jobs)
 	if err != nil {
 		t.Fatal(err)

@@ -27,9 +27,6 @@ func (c *Counter) Inc() { c.Add(1) }
 // Value returns the current count.
 func (c *Counter) Value() uint64 { return c.v.Load() }
 
-// Reset zeroes the counter.
-func (c *Counter) Reset() { c.v.Store(0) }
-
 // Gauge is a value that can move both ways, tracking its maximum.
 // Value and maximum are updated lock-free; the high-water mark is
 // maintained with a CAS loop, so Max never reports less than the
@@ -132,9 +129,6 @@ func (h *Histogram) Quantile(q float64) float64 {
 	}
 	return h.samples[idx]
 }
-
-// Min returns the smallest sample, or 0 with no samples.
-func (h *Histogram) Min() float64 { return h.Quantile(0) }
 
 // Max returns the largest sample, or 0 with no samples.
 func (h *Histogram) Max() float64 { return h.Quantile(1) }

@@ -6,7 +6,7 @@ import "math/bits"
 // open addressing with linear probing, backward-shift deletion (so no
 // tombstones), at most half full. The TLB keeps two, page -> slab node
 // and region -> cached pages. Slots hold no pointers, so the collector
-// never scans them. Neither deletion nor reset shrinks the slot array,
+// never scans them. Deletion never shrinks the slot array,
 // so only a key set above its peak allocates.
 type index struct {
 	slots []indexSlot // length 0 or a power of two
@@ -122,10 +122,4 @@ func (x *index) removeAt(i int) {
 	}
 	x.slots[i] = indexSlot{}
 	x.n--
-}
-
-// reset removes every key, keeping the slot array.
-func (x *index) reset() {
-	clear(x.slots)
-	x.n = 0
 }

@@ -237,18 +237,6 @@ func TestTLBInvalidateRangeHuge(t *testing.T) {
 	}
 }
 
-func TestTLBFlush(t *testing.T) {
-	c := NewTLB(4, addr.PageSize4K)
-	c.Insert(0x1000, 0xA000)
-	c.Flush()
-	if c.Len() != 0 {
-		t.Error("Flush left entries")
-	}
-	if _, ok := c.Lookup(0x1000); ok {
-		t.Error("Lookup hit after Flush")
-	}
-}
-
 func TestTLBNeverExceedsCapacityProperty(t *testing.T) {
 	f := func(keys []uint16) bool {
 		c := NewTLB(16, addr.PageSize4K)

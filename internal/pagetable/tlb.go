@@ -250,12 +250,3 @@ func (c *TLB) invalidateRegion(r uint64, k int32, first, last uint64) bool {
 	}
 	return dropped == k
 }
-
-// Flush drops every entry (counters persist). The slab and both
-// indexes keep their capacity for reuse.
-func (c *TLB) Flush() {
-	c.entries.reset()
-	c.regions.reset()
-	c.nodes = c.nodes[:0]
-	c.free, c.head, c.tail = nilNode, nilNode, nilNode
-}

@@ -6,21 +6,6 @@ import (
 	"repro/internal/trace"
 )
 
-// FlushATC models a NIC-side gray failure: the address translation
-// cache is invalidated wholesale (firmware reset, stale-entry purge),
-// forcing every in-flight translation back through ATS. Returns the
-// number of entries lost. Satisfies the chaos fault injector's NIC
-// surface.
-func (r *RNIC) FlushATC() int {
-	n := r.atc.Len()
-	r.atc.Flush()
-	if r.tr.Enabled() {
-		r.tr.Instant(r.host, r.cfg.Name, "rnic", "atc-flush",
-			trace.I("entries", int64(n)))
-	}
-	return n
-}
-
 // ResetQPs forces every live queue pair into the error state — the
 // blast radius of an RNIC firmware fault. Each transition fires the
 // OnQPError observers, so the fault propagates to the flows riding the

@@ -10,15 +10,11 @@ import (
 	"time"
 )
 
-// The exporters translate the ring into the two formats the repo's
-// tooling consumes:
-//
-//   - WriteJSON emits Chrome trace-event JSON (the "JSON Array Format"
-//     with a traceEvents wrapper) that Perfetto and chrome://tracing
-//     load directly. Timestamps are virtual-time microseconds; each
-//     simulated host becomes a "process", each component a "thread".
-//   - WriteText emits a compact greppable timeline, one event per line,
-//     for terminal debugging and golden tests.
+// The exporter translates the ring into Chrome trace-event JSON (the
+// "JSON Array Format" with a traceEvents wrapper) that Perfetto and
+// chrome://tracing load directly. Timestamps are virtual-time
+// microseconds; each simulated host becomes a "process", each component
+// a "thread".
 
 // jsonEvent is one Chrome trace-event record.
 type jsonEvent struct {
@@ -194,49 +190,6 @@ func (t *Tracer) WriteJSONFile(path string) error {
 		return err
 	}
 	if err := bw.Flush(); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
-}
-
-// WriteText renders the retained events as a compact timeline, one
-// event per line:
-//
-//	+123.456µs host0/transport span-begin pkt packet id=0x1e240001 seq=7 path=42
-func (t *Tracer) WriteText(w io.Writer) error {
-	bw := bufio.NewWriter(w)
-	events := t.Events()
-	for i := range events {
-		e := &events[i]
-		fmt.Fprintf(bw, "+%-12v %s/%s %s", time.Duration(e.Ts), e.Host, e.Comp, e.Phase)
-		if e.Cat != "" {
-			fmt.Fprintf(bw, " %s", e.Cat)
-		}
-		if e.Name != "" {
-			fmt.Fprintf(bw, " %s", e.Name)
-		}
-		if e.Phase == PhaseComplete {
-			fmt.Fprintf(bw, " dur=%v", time.Duration(e.Dur))
-		}
-		if e.ID != 0 {
-			fmt.Fprintf(bw, " id=%#x", uint64(e.ID))
-		}
-		for _, a := range e.Args[:e.NArgs] {
-			fmt.Fprintf(bw, " %s=%v", a.Key, argValue(a))
-		}
-		fmt.Fprintln(bw)
-	}
-	return bw.Flush()
-}
-
-// WriteTextFile writes the text timeline to path.
-func (t *Tracer) WriteTextFile(path string) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := t.WriteText(f); err != nil {
 		f.Close()
 		return err
 	}

@@ -1,7 +1,7 @@
 // Package trace is the simulator's flight recorder: a fixed-capacity
-// ring buffer of typed events every substrate can write into, with
-// exporters for the Chrome trace-event JSON format (loadable in
-// Perfetto / chrome://tracing) and a compact text timeline.
+// ring buffer of typed events every substrate can write into, with an
+// exporter for the Chrome trace-event JSON format (loadable in
+// Perfetto / chrome://tracing).
 //
 // Design constraints, in priority order:
 //
@@ -61,29 +61,6 @@ const (
 	PhaseSpanStep
 	PhaseSpanEnd
 )
-
-func (p Phase) String() string {
-	switch p {
-	case PhaseInstant:
-		return "instant"
-	case PhaseBegin:
-		return "begin"
-	case PhaseEnd:
-		return "end"
-	case PhaseComplete:
-		return "complete"
-	case PhaseCounter:
-		return "counter"
-	case PhaseSpanBegin:
-		return "span-begin"
-	case PhaseSpanStep:
-		return "span-step"
-	case PhaseSpanEnd:
-		return "span-end"
-	default:
-		return "phase?"
-	}
-}
 
 // ArgKind says which field of an Arg is live.
 type ArgKind uint8
@@ -227,15 +204,6 @@ func (t *Tracer) Len() int {
 		return int(t.total)
 	}
 	return len(t.buf)
-}
-
-// Reset discards all recorded events (the ring and counters; the ID
-// sequence keeps advancing so IDs stay unique across a Reset).
-func (t *Tracer) Reset() {
-	if t == nil {
-		return
-	}
-	t.total = 0
 }
 
 // Events returns the retained events oldest-first. The slice is freshly

@@ -53,10 +53,6 @@ func TestPartialRing(t *testing.T) {
 	if len(evs) != 1 || evs[0].Name != "only" {
 		t.Fatalf("Events = %+v, want one event named 'only'", evs)
 	}
-	tr.Reset()
-	if tr.Len() != 0 || tr.Events() != nil {
-		t.Errorf("after Reset: Len=%d Events=%v, want empty", tr.Len(), tr.Events())
-	}
 }
 
 // TestNilTracerNoOp is the zero-cost-when-disabled contract: every emit
@@ -226,23 +222,6 @@ func TestJSONRoundTrip(t *testing.T) {
 	}
 	if !bytes.Equal(buf.Bytes(), buf2.Bytes()) {
 		t.Error("two exports of the same ring differ byte-for-byte")
-	}
-}
-
-func TestWriteText(t *testing.T) {
-	tr := New(8)
-	clock := int64(1500)
-	tr.SetClock(func() int64 { return clock })
-	tr.Instant("host0", "pvdma", "pvdma", "block-evict", U("gpa", 0x200000))
-	var buf bytes.Buffer
-	if err := tr.WriteText(&buf); err != nil {
-		t.Fatalf("WriteText: %v", err)
-	}
-	line := buf.String()
-	for _, want := range []string{"host0/pvdma", "instant", "block-evict", "gpa="} {
-		if !strings.Contains(line, want) {
-			t.Errorf("text line %q missing %q", line, want)
-		}
 	}
 }
 

@@ -17,7 +17,6 @@
 package workload
 
 import (
-	"fmt"
 	"time"
 
 	"repro/internal/sim"
@@ -216,10 +215,4 @@ func (m ModelConfig) Ratios(p Platform) (tp, dp, pp float64) {
 	// the paper's ratios are for jobs before overlap adaptation, §9).
 	total := compute + tTP + tDP + tPP
 	return tTP / total, tDP / total, tPP / total
-}
-
-// String renders a Table 1 row.
-func (m ModelConfig) String() string {
-	return fmt.Sprintf("%s/%s TP=%d PP=%d DP=%d mbs=%d ga=%d gbs=%d",
-		m.Framework, m.Name, m.TP, m.PP, m.DP, m.MicroBatch, m.GradAccum, m.GlobalBatch)
 }

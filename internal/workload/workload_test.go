@@ -18,14 +18,14 @@ func TestTable1CarriesPublishedNumbers(t *testing.T) {
 	llama33 := rows[0]
 	if llama33.TP != 2 || llama33.PP != 3 || llama33.DP != 148 ||
 		llama33.GradAccum != 58 || llama33.GlobalBatch != 8584 {
-		t.Errorf("Llama-33B strategy wrong: %s", llama33)
+		t.Errorf("Llama-33B strategy wrong: %+v", llama33)
 	}
 	if llama33.MeasuredDPRatio != 0.2095 || llama33.MeasuredTPRatio != 0.0457 || llama33.MeasuredPPRatio != 0.0265 {
 		t.Error("Llama-33B measured ratios wrong")
 	}
 	gpt := rows[1]
 	if gpt.TP != 4 || gpt.PP != 12 || gpt.DP != 34 || gpt.MeasuredPPRatio != 0.2014 {
-		t.Errorf("GPT-200B row wrong: %s", gpt)
+		t.Errorf("GPT-200B row wrong: %+v", gpt)
 	}
 	if rows[2].Framework != DeepSpeedZero1 || rows[2].MeasuredDPRatio != 0.173 {
 		t.Error("Zero1 row wrong")

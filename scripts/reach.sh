@@ -3,15 +3,14 @@
 # bench cell runs, and fails unless that list matches scripts/reach.allow
 # exactly.
 #
-# It builds both CLIs, the examples and the bench binary with coverage
-# over the whole module, runs the union below with GOCOVERDIR set, and
-# reads per-function coverage with `go tool covdata func`:
+# It builds stellarbench, the two examples and the bench binary with
+# coverage over the whole module, runs the union below with GOCOVERDIR
+# set, and reads per-function coverage with `go tool covdata func`:
 #
 #   - stellarbench -exp all -seed 42 -json (every paper figure);
 #   - the chaos pair at -parallel 1 and 4 on examples/chaos/uplink-gray.json;
-#   - stellarctl's smoke paths and every examples/jobgraph graph through
-#     both CLIs;
-#   - the five examples/ mains;
+#   - every examples/jobgraph graph replayed by stellarbench -jobgraph;
+#   - the quickstart and crosshost examples, crosshost traced;
 #   - a traced stellarbench run (host, network, chaos and recovery spans);
 #   - one traced bench pass (bench -seed 42 -trace 1).
 #
@@ -54,16 +53,10 @@ leg all "$bin/stellarbench" -exp all -seed 42 -json
 armed=fig9,fig11,fig12,linkfail-recovery,contended-cluster
 leg chaos1 "$bin/stellarbench" -exp $armed -seed 42 -chaos examples/chaos/uplink-gray.json -parallel 1 -json
 leg chaos4 "$bin/stellarbench" -exp $armed -seed 42 -chaos examples/chaos/uplink-gray.json -parallel 4 -json
-leg ctl-spot "$bin/stellarctl" -spotcheck -legacy-vfs 35 -trace-txt "$out/run/t.txt"
-leg ctl-chaos "$bin/stellarctl" -spotcheck -chaos examples/chaos/nic-reset.json
 for g in examples/jobgraph/*.json; do
-	name=$(basename "$g" .json)
-	leg "ctl-$name" "$bin/stellarctl" -jobgraph "$g"
-	leg "bench-$name" "$bin/stellarbench" -jobgraph "$g" -seed 42 -json
+	leg "bench-$(basename "$g" .json)" "$bin/stellarbench" -jobgraph "$g" -seed 42 -json
 done
-for ex in quickstart serverless multipath llmtraining; do
-	leg "$ex" "$bin/$ex"
-done
+leg quickstart "$bin/quickstart"
 leg crosshost "$bin/crosshost" -trace "$out/run/crosshost.json"
 leg traced "$bin/stellarbench" -exp fig12,sec4,fig14,fig8,chaos-recovery,linkfail-recovery,moe-alltoall -seed 42 -trace "$out/run/trace.json"
 leg bench "$bin/stellar-bench" -seed 42 -trace 1 -trace-dir "$out/run/bench-trace"
