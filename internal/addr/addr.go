@@ -73,13 +73,6 @@ func (r Range) ContainsRange(o Range) bool {
 	return o.Start >= r.Start && o.End() <= r.End() && o.Size <= r.Size
 }
 
-// AlignOut expands the range outward to pageSize boundaries.
-func (r Range) AlignOut(pageSize uint64) Range {
-	start := AlignDown(r.Start, pageSize)
-	end := AlignUp(r.End(), pageSize)
-	return Range{Start: start, Size: end - start}
-}
-
 func (r Range) String() string {
 	return fmt.Sprintf("[%#x,%#x)", r.Start, r.End())
 }

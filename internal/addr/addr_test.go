@@ -78,20 +78,6 @@ func TestRangeGeometry(t *testing.T) {
 	}
 }
 
-func TestRangeAlignOut(t *testing.T) {
-	r := Range{Start: PageSize4K + 5, Size: 10}
-	a := r.AlignOut(PageSize4K)
-	if a.Start != PageSize4K || a.Size != PageSize4K {
-		t.Errorf("AlignOut = %v", a)
-	}
-	// Crossing a boundary grows to two pages.
-	r2 := Range{Start: PageSize4K - 1, Size: 2}
-	a2 := r2.AlignOut(PageSize4K)
-	if a2.Start != 0 || a2.Size != 2*PageSize4K {
-		t.Errorf("AlignOut crossing = %v", a2)
-	}
-}
-
 func TestRangeOverlapSymmetric(t *testing.T) {
 	f := func(s1, z1, s2, z2 uint16) bool {
 		a := Range{Start: uint64(s1), Size: uint64(z1%512) + 1}

@@ -52,16 +52,6 @@ type Config struct {
 	Sizes []uint64
 	// Mode is the pin mode containers boot under.
 	Mode rund.PinMode
-	// WorkingSetFrac is the fraction of guest RAM each container
-	// DMA-maps through PVDMA right after boot (PinOnDemand only).
-	WorkingSetFrac float64
-	// WorkingSetChunk is the MapDMA granularity (a multiple of 2 MiB);
-	// the eviction governor evicts chunk by chunk.
-	WorkingSetChunk uint64
-	// PinBudgetBytes caps live PVDMA-pinned bytes per host; the oldest
-	// mapped chunks fleet-wide on the host are force-released (FIFO)
-	// when a new mapping pushes past it. 0 disables the governor.
-	PinBudgetBytes uint64
 	// MeanLifetime is the exponential mean of a container's run time.
 	MeanLifetime sim.Duration
 
@@ -70,29 +60,44 @@ type Config struct {
 	// Pool is the per-host VF/vSwitch inventory.
 	Pool rnic.DevPoolConfig
 
-	// VFGrantLatency is the device-plumbing cost paid on every grant.
-	VFGrantLatency sim.Duration
-	// VNetBase + VNetPerRule + the vSwitch lookup and a small virtio
-	// config burst make up the vnet-plumbing span.
-	VNetBase    sim.Duration
-	VNetPerRule sim.Duration
-	// RuleScanCost is the vSwitch per-entry scan cost: rule lookups
-	// slow down as the host's flow table fills (Problem ⑤'s coupling).
-	RuleScanCost sim.Duration
-	// VNetConfigPackets is the number of config-path packets (ARP,
-	// DHCP-style) sent through the host's virtio device per start.
-	VNetConfigPackets int
-
-	TeardownBase   sim.Duration
-	TeardownPerGiB sim.Duration
-
 	// Recycle reuses stopped containers via rund.Restart instead of
 	// always creating fresh MicroVMs.
 	Recycle bool
-	// SamplePeriod is the pool-occupancy / pinned-bytes time-series
-	// sampling interval over the arrival window.
-	SamplePeriod sim.Duration
 }
+
+// The per-container cost model and the host's pinning policy.
+const (
+	// workingSetFrac is the fraction of guest RAM each container
+	// DMA-maps through PVDMA right after boot (PinOnDemand only).
+	workingSetFrac = 1.0 / 64
+	// workingSetChunk is the MapDMA granularity (a multiple of 2 MiB);
+	// the eviction governor evicts chunk by chunk.
+	workingSetChunk uint64 = 16 << 20
+	// pinBudgetBytes caps live PVDMA-pinned bytes per host; the oldest
+	// mapped chunks fleet-wide on the host are force-released (FIFO)
+	// when a new mapping pushes past it.
+	pinBudgetBytes uint64 = 1 << 30
+
+	// vfGrantLatency is the device-plumbing cost paid on every grant.
+	vfGrantLatency sim.Duration = 5 * time.Millisecond
+	// vnetBase + vnetPerRule + the vSwitch lookup and a small virtio
+	// config burst make up the vnet-plumbing span.
+	vnetBase    sim.Duration = 20 * time.Millisecond
+	vnetPerRule sim.Duration = 2 * time.Millisecond
+	// ruleScanCost is the vSwitch per-entry scan cost: rule lookups
+	// slow down as the host's flow table fills (Problem ⑤'s coupling).
+	ruleScanCost sim.Duration = 20 * time.Microsecond
+	// vnetConfigPackets is the number of config-path packets (ARP,
+	// DHCP-style) sent through the host's virtio device per start.
+	vnetConfigPackets = 64
+
+	teardownBase   sim.Duration = 200 * time.Millisecond
+	teardownPerGiB sim.Duration = 2 * time.Millisecond
+
+	// samplePeriod is the pool-occupancy / pinned-bytes time-series
+	// sampling interval over the arrival window.
+	samplePeriod sim.Duration = 250 * time.Millisecond
+)
 
 // DefaultConfig is a 16-host fleet under PVDMA on-demand pinning with a
 // shared (IP-pool style) device inventory: ~150 arrivals per host per
@@ -103,28 +108,14 @@ func DefaultConfig() Config {
 		Window:           60 * time.Second,
 		MeanInterarrival: 400 * time.Millisecond,
 
-		Sizes:           []uint64{4 << 30, 8 << 30, 16 << 30, 32 << 30},
-		Mode:            rund.PinOnDemand,
-		WorkingSetFrac:  1.0 / 64,
-		WorkingSetChunk: 16 << 20,
-		PinBudgetBytes:  1 << 30,
-		MeanLifetime:    20 * time.Second,
+		Sizes:        []uint64{4 << 30, 8 << 30, 16 << 30, 32 << 30},
+		Mode:         rund.PinOnDemand,
+		MeanLifetime: 20 * time.Second,
 
 		HostMemoryBytes: 4 << 40,
 		Pool: rnic.DevPoolConfig{
 			Mode: rnic.DeviceShared, Capacity: 256, Devices: 4, Queue: true,
 		},
-
-		VFGrantLatency:    5 * time.Millisecond,
-		VNetBase:          20 * time.Millisecond,
-		VNetPerRule:       2 * time.Millisecond,
-		RuleScanCost:      20 * time.Microsecond,
-		VNetConfigPackets: 64,
-
-		TeardownBase:   200 * time.Millisecond,
-		TeardownPerGiB: 2 * time.Millisecond,
-
-		SamplePeriod: 250 * time.Millisecond,
 	}
 }
 
@@ -137,13 +128,6 @@ func (c *Config) Validate() error {
 		return fmt.Errorf("churn: window/interarrival/lifetime must be positive")
 	case len(c.Sizes) == 0:
 		return fmt.Errorf("churn: empty container size mix")
-	case c.WorkingSetFrac < 0 || c.WorkingSetFrac > 1:
-		return fmt.Errorf("churn: working-set fraction %v outside [0,1]", c.WorkingSetFrac)
-	case c.SamplePeriod <= 0:
-		return fmt.Errorf("churn: sample period must be positive")
-	}
-	if c.WorkingSetChunk == 0 || c.WorkingSetChunk%addr.PageSize2M != 0 {
-		return fmt.Errorf("churn: working-set chunk %d must be a positive multiple of 2 MiB", c.WorkingSetChunk)
 	}
 	for _, s := range c.Sizes {
 		if s == 0 || !addr.IsAligned(s, addr.PageSize4K) {
@@ -367,7 +351,7 @@ func newHost(cfg *Config, idx int, eng *sim.Engine) (*host, error) {
 		mem:        m,
 		hyp:        rund.NewHypervisor(complex),
 		pool:       pool,
-		vsw:        rnic.NewVSwitch(cfg.RuleScanCost),
+		vsw:        rnic.NewVSwitch(ruleScanCost),
 		vdev:       vdev,
 		idle:       make(map[uint64][]*rund.Container),
 	}
@@ -398,7 +382,7 @@ func (h *host) sample() {
 		PinnedBytes: h.pinned,
 	})
 	if t < h.cfg.Window {
-		h.eng.After(h.cfg.SamplePeriod, h.sample)
+		h.eng.After(samplePeriod, h.sample)
 	}
 }
 
@@ -434,10 +418,10 @@ func (lc *lifecycle) granted(slot rnic.DevSlot) {
 	if wait > 0 {
 		h.stats.WaitedGrants++
 	}
-	lc.vfSpan = wait + h.cfg.VFGrantLatency
+	lc.vfSpan = wait + vfGrantLatency
 	h.active++
 	h.stats.PeakActive = maxInt(h.stats.PeakActive, h.active)
-	h.eng.After(h.cfg.VFGrantLatency, lc.boot)
+	h.eng.After(vfGrantLatency, lc.boot)
 }
 
 func (lc *lifecycle) boot() {
@@ -504,18 +488,18 @@ func (lc *lifecycle) fail(what string, err error) {
 func (lc *lifecycle) mapWorkingSet() {
 	h := lc.h
 	var mapCost sim.Duration
-	if h.cfg.Mode == rund.PinOnDemand && h.cfg.WorkingSetFrac > 0 {
+	if h.cfg.Mode == rund.PinOnDemand {
 		lc.mgr = pvdma.New(lc.ct, pvdma.Config{})
 		if h.tr.Enabled() {
 			lc.mgr.SetTracer(h.tr, h.label)
 		}
-		ws := addr.AlignUp(uint64(h.cfg.WorkingSetFrac*float64(lc.size)), addr.PageSize2M)
+		ws := addr.AlignUp(uint64(workingSetFrac*float64(lc.size)), addr.PageSize2M)
 		// Guest GPA 0..2MiB is reserved; keep the set inside RAM.
 		if maxWS := lc.size - addr.PageSize2M; ws > maxWS {
 			ws = maxWS
 		}
 		for mapped := uint64(0); mapped < ws; {
-			chunk := h.cfg.WorkingSetChunk
+			chunk := workingSetChunk
 			if rem := ws - mapped; chunk > rem {
 				chunk = rem
 			}
@@ -544,11 +528,7 @@ func (lc *lifecycle) mapWorkingSet() {
 // enforceBudget force-releases the oldest live chunks on the host until
 // pinned bytes fit the budget — eviction pressure across containers.
 func (h *host) enforceBudget() {
-	budget := h.cfg.PinBudgetBytes
-	if budget == 0 {
-		return
-	}
-	for h.pinned > budget && h.fifoHead < len(h.fifo) {
+	for h.pinned > pinBudgetBytes && h.fifoHead < len(h.fifo) {
 		e := h.fifo[h.fifoHead]
 		h.fifoHead++
 		if e.evicted {
@@ -584,7 +564,7 @@ func (lc *lifecycle) plumbVNet() {
 	base := uint64(h.idx)<<40 | uint64(lc.id)<<1
 	src := macFor(h.idx, lc.id, 0)
 	dst := macFor(h.idx, lc.id, 1)
-	cost := h.cfg.VNetBase
+	cost := vnetBase
 	for i, class := range []rnic.TrafficClass{rnic.ClassTCP, rnic.ClassRDMA} {
 		flow := base | uint64(i)
 		rule := rnic.Rule{
@@ -599,16 +579,14 @@ func (lc *lifecycle) plumbVNet() {
 		if err != nil {
 			panic(fmt.Sprintf("churn: installed rule not found: %v", err))
 		}
-		cost += h.cfg.VNetPerRule + lcost
+		cost += vnetPerRule + lcost
 		lc.flows[i] = flow
 	}
-	if h.cfg.VNetConfigPackets > 0 {
-		burst, err := h.vdev.SendBurst(h.cfg.VNetConfigPackets)
-		if err != nil {
-			panic(fmt.Sprintf("churn: vnet config burst: %v", err))
-		}
-		cost += burst
+	burst, err := h.vdev.SendBurst(vnetConfigPackets)
+	if err != nil {
+		panic(fmt.Sprintf("churn: vnet config burst: %v", err))
 	}
+	cost += burst
 	lc.vnetSpan = cost
 	h.eng.After(cost, lc.running)
 }
@@ -667,8 +645,8 @@ func (lc *lifecycle) teardown() {
 	if h.cfg.Mode == rund.PinFull {
 		h.setPinned(h.pinned - lc.size)
 	}
-	cost := h.cfg.TeardownBase +
-		sim.Duration(float64(lc.size)/float64(1<<30)*float64(h.cfg.TeardownPerGiB))
+	cost := teardownBase +
+		sim.Duration(float64(lc.size)/float64(1<<30)*float64(teardownPerGiB))
 	h.eng.After(cost, func() {
 		h.stats.Teardowns++
 		h.stats.Teardown = append(h.stats.Teardown, cost.Seconds())

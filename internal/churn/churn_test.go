@@ -19,10 +19,8 @@ func testConfig() churn.Config {
 	cfg.Hosts = 4
 	cfg.Window = 10 * time.Second
 	cfg.MeanInterarrival = 200 * time.Millisecond
-	cfg.Sizes = []uint64{2 << 30, 4 << 30}
+	cfg.Sizes = []uint64{4 << 30, 8 << 30}
 	cfg.MeanLifetime = 3 * time.Second
-	cfg.WorkingSetFrac = 1.0 / 32
-	cfg.PinBudgetBytes = 192 << 20
 	cfg.HostMemoryBytes = 1 << 40
 	cfg.Pool = rnic.DevPoolConfig{Mode: rnic.DeviceShared, Capacity: 64, Devices: 2, Queue: true}
 	return cfg
@@ -185,7 +183,7 @@ func TestPinFullFleet(t *testing.T) {
 	if rep.Evictions != 0 {
 		t.Errorf("pin-all fleet recorded %d PVDMA evictions", rep.Evictions)
 	}
-	if rep.PeakPinned < 2<<30 {
+	if rep.PeakPinned < 4<<30 {
 		t.Errorf("peak pinned %d below one container", rep.PeakPinned)
 	}
 	pvd := runFleet(t, testConfig(), 42, 2)
@@ -200,8 +198,6 @@ func TestConfigValidation(t *testing.T) {
 		func(c *churn.Config) { c.Hosts = 0 },
 		func(c *churn.Config) { c.Window = 0 },
 		func(c *churn.Config) { c.Sizes = nil },
-		func(c *churn.Config) { c.WorkingSetFrac = 1.5 },
-		func(c *churn.Config) { c.WorkingSetChunk = 1 << 20 },
 		func(c *churn.Config) { c.Sizes = []uint64{123} },
 	}
 	for i, mut := range bad {

@@ -61,9 +61,6 @@ type HostConfig struct {
 	GPUMemoryBytes uint64
 	// RNICConfig builds each RNIC's configuration.
 	RNICConfig func(i int) rnic.Config
-	// IOMMU and PCIe settings.
-	IOMMU iommu.Config
-	PCIe  pcie.Config
 }
 
 // DefaultHostConfig returns the paper's server: 4 PCIe switches, each
@@ -76,7 +73,6 @@ func DefaultHostConfig() HostConfig {
 		NumGPUs:        8,
 		GPUMemoryBytes: 8 << 30,
 		RNICConfig:     func(i int) rnic.Config { return rnic.DefaultConfig(fmt.Sprintf("rnic%d", i)) },
-		IOMMU:          iommu.Config{Mode: iommu.ModeNoPT, ATSEnabled: true},
 	}
 }
 
@@ -117,12 +113,12 @@ func NewHost(cfg HostConfig) (*Host, error) {
 	if cfg.RNICConfig == nil {
 		cfg.RNICConfig = d.RNICConfig
 	}
-	u, err := iommu.New(cfg.IOMMU)
+	u, err := iommu.New(iommu.DefaultConfig())
 	if err != nil {
 		return nil, err
 	}
 	m := mem.New(mem.Config{TotalBytes: cfg.MemoryBytes})
-	complex := pcie.NewComplex(cfg.PCIe, u, m)
+	complex := pcie.NewComplex(pcie.Config{}, u, m)
 
 	h := &Host{
 		Complex:  complex,

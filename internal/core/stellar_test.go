@@ -2,7 +2,6 @@ package stellar
 
 import (
 	"errors"
-	"fmt"
 	"testing"
 
 	"repro/internal/addr"
@@ -399,22 +398,27 @@ func TestDeviceLimit64Ki(t *testing.T) {
 // the MR (here the MTT is full), the PVDMA blocks MapDMA registered for
 // it are released — nothing stays pinned or IOMMU-mapped.
 func TestRegisterHostMemoryReleasesPVDMAOnMRFailure(t *testing.T) {
-	cfg := DefaultHostConfig()
-	cfg.MemoryBytes = 64 << 30
-	cfg.GPUMemoryBytes = 1 << 30
-	cfg.RNICConfig = func(i int) rnic.Config {
-		c := rnic.DefaultConfig(fmt.Sprintf("rnic%d", i))
-		c.MTTCapacityPages = 1024 // 4 MiB of 4 KiB pages
-		return c
-	}
-	h, err := NewHost(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	h := newTestHost(t)
 	c := startContainer(t, h, "c1", 1<<30, rund.PinOnDemand)
 	d, err := h.CreateVStellar(c, h.RNICs[0])
 	if err != nil {
 		t.Fatal(err)
+	}
+	// Fill the RNIC's MTT with regions of halving size, down to one page.
+	r := h.RNICs[0]
+	pd := r.AllocPD()
+	va := uint64(1) << 40
+	for size := uint64(1) << 30; size >= addr.PageSize4K; size >>= 1 {
+		for {
+			_, err := r.RegisterMR(pd, addr.Range{Start: va, Size: size}, rnic.MTTEntry{Owner: addr.OwnerHostMemory})
+			if errors.Is(err, rnic.ErrMTTFull) {
+				break
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			va += size
+		}
 	}
 	gva, _, err := c.AllocGuestBuffer(8 << 20)
 	if err != nil {

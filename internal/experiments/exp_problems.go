@@ -36,7 +36,7 @@ func Problems(s *Session) (*Table, error) {
 			outcome = "rejected: full reset required (reproduced)"
 		}
 		t.AddRow("1 VF inflexibility", "reconfigure 2 VFs -> 3 VFs live", outcome)
-		perVF := r.Config().VFMemoryBytes >> 20
+		perVF := rnic.VFMemoryBytes >> 20
 		t.AddRow("1 VF memory cost", "63 virtual queues per VF",
 			fmt.Sprintf("%d MiB of host memory per VF (reproduced)", perVF))
 	}

@@ -45,6 +45,25 @@ var (
 	ErrATSConflict = errors.New("iommu: ATS cannot be enabled in pt mode on this platform")
 )
 
+// The IOMMU's cost model: latencies representative of a current x86
+// server.
+const (
+	// iotlbHitLatency is the translation cost on an IOTLB hit.
+	iotlbHitLatency sim.Duration = 60 * time.Nanosecond
+	// pageWalkLatency is the added cost of walking the I/O page table on
+	// an IOTLB miss.
+	pageWalkLatency sim.Duration = 320 * time.Nanosecond
+	// atsRequestLatency is the PCIe round-trip a device pays to ask the
+	// IOMMU for a translation (on top of hit/walk cost).
+	atsRequestLatency sim.Duration = 700 * time.Nanosecond
+	// mapLatency is the host-side cost of installing one mapping entry
+	// (IOMMU register programming, not page pinning — that is billed by
+	// internal/mem).
+	mapLatency sim.Duration = 2 * time.Microsecond
+	// pageSize is the translation granularity for the IOTLB.
+	pageSize uint64 = addr.PageSize4K
+)
+
 // Config parameterises the IOMMU model.
 type Config struct {
 	Mode Mode
@@ -55,35 +74,17 @@ type Config struct {
 	// where ATS and iommu=pt are mutually exclusive.
 	PlatformATSPTConflict bool
 
-	// IOTLBCapacity is the number of page translations the IOTLB holds.
+	// IOTLBCapacity is the number of page translations the IOTLB holds;
+	// New fills a zero value with DefaultConfig's.
 	IOTLBCapacity int
-	// IOTLBHitLatency is the translation cost on an IOTLB hit.
-	IOTLBHitLatency sim.Duration
-	// PageWalkLatency is the added cost of walking the I/O page table on
-	// an IOTLB miss.
-	PageWalkLatency sim.Duration
-	// ATSRequestLatency is the PCIe round-trip a device pays to ask the
-	// IOMMU for a translation (on top of hit/walk cost).
-	ATSRequestLatency sim.Duration
-	// MapLatency is the host-side cost of installing one mapping entry
-	// (IOMMU register programming, not page pinning — that is billed by
-	// internal/mem).
-	MapLatency sim.Duration
-	// PageSize is the translation granularity for the IOTLB.
-	PageSize uint64
 }
 
-// DefaultConfig returns latencies representative of a current x86 server.
+// DefaultConfig returns the production IOMMU: nopt with ATS.
 func DefaultConfig() Config {
 	return Config{
-		Mode:              ModeNoPT,
-		ATSEnabled:        true,
-		IOTLBCapacity:     8192,
-		IOTLBHitLatency:   60 * time.Nanosecond,
-		PageWalkLatency:   320 * time.Nanosecond,
-		ATSRequestLatency: 700 * time.Nanosecond,
-		MapLatency:        2 * time.Microsecond,
-		PageSize:          addr.PageSize4K,
+		Mode:          ModeNoPT,
+		ATSEnabled:    true,
+		IOTLBCapacity: 8192,
 	}
 }
 
@@ -102,27 +103,8 @@ type IOMMU struct {
 // asks for ATS in pt mode on a conflicted platform (Problem ④), so the
 // caller must choose: nopt (hurting host TCP) or no ATS (hurting GDR).
 func New(cfg Config) (*IOMMU, error) {
-	d := DefaultConfig()
 	if cfg.IOTLBCapacity == 0 {
-		cfg.IOTLBCapacity = d.IOTLBCapacity
-	}
-	if cfg.IOTLBHitLatency == 0 {
-		cfg.IOTLBHitLatency = d.IOTLBHitLatency
-	}
-	if cfg.PageWalkLatency == 0 {
-		cfg.PageWalkLatency = d.PageWalkLatency
-	}
-	if cfg.ATSRequestLatency == 0 {
-		cfg.ATSRequestLatency = d.ATSRequestLatency
-	}
-	if cfg.MapLatency == 0 {
-		cfg.MapLatency = d.MapLatency
-	}
-	if cfg.PageSize == 0 {
-		cfg.PageSize = d.PageSize
-	}
-	if cfg.PageSize&(cfg.PageSize-1) != 0 {
-		return nil, fmt.Errorf("%w: iommu page size %d", pagetable.ErrPageSize, cfg.PageSize)
+		cfg.IOTLBCapacity = DefaultConfig().IOTLBCapacity
 	}
 	if cfg.ATSEnabled && cfg.Mode == ModePT && cfg.PlatformATSPTConflict {
 		return nil, ErrATSConflict
@@ -130,7 +112,7 @@ func New(cfg Config) (*IOMMU, error) {
 	return &IOMMU{
 		cfg:   cfg,
 		table: pagetable.New("iommu"),
-		iotlb: pagetable.NewTLB(cfg.IOTLBCapacity, cfg.PageSize),
+		iotlb: pagetable.NewTLB(cfg.IOTLBCapacity, pageSize),
 	}, nil
 }
 
@@ -154,7 +136,7 @@ func (u *IOMMU) Map(da addr.DARange, hpa addr.HPA) (sim.Duration, error) {
 	if err := u.table.Map(da.Range, uint64(hpa)); err != nil {
 		return 0, err
 	}
-	return u.cfg.MapLatency, nil
+	return mapLatency, nil
 }
 
 // Unmap removes the mapping starting at da and invalidates the IOTLB
@@ -184,17 +166,17 @@ func (u *IOMMU) Translate(da addr.DA) (addr.HPA, sim.Duration, error) {
 		return addr.HPA(da), 0, nil
 	}
 	if hpa, ok := u.iotlb.Lookup(uint64(da)); ok {
-		return addr.HPA(hpa), u.cfg.IOTLBHitLatency, nil
+		return addr.HPA(hpa), iotlbHitLatency, nil
 	}
 	hpa, ok := u.table.Translate(uint64(da))
 	if !ok {
 		u.faults++
-		return 0, u.cfg.IOTLBHitLatency + u.cfg.PageWalkLatency,
+		return 0, iotlbHitLatency + pageWalkLatency,
 			fmt.Errorf("%w: %v", ErrFault, da)
 	}
 	u.walks++
 	u.iotlb.Insert(uint64(da), hpa)
-	return addr.HPA(hpa), u.cfg.IOTLBHitLatency + u.cfg.PageWalkLatency, nil
+	return addr.HPA(hpa), iotlbHitLatency + pageWalkLatency, nil
 }
 
 // ATSTranslate serves a device's Address Translation Service request
@@ -206,5 +188,5 @@ func (u *IOMMU) ATSTranslate(da addr.DA) (addr.HPA, sim.Duration, error) {
 	}
 	u.atsRequests++
 	hpa, cost, err := u.Translate(da)
-	return hpa, cost + u.cfg.ATSRequestLatency, err
+	return hpa, cost + atsRequestLatency, err
 }

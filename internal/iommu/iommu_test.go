@@ -196,18 +196,6 @@ func TestModeString(t *testing.T) {
 	}
 }
 
-func TestNewRejectsBadPageSize(t *testing.T) {
-	for _, ps := range []uint64{3000, 3 * addr.PageSize4K} {
-		if _, err := New(Config{PageSize: ps}); !errors.Is(err, pagetable.ErrPageSize) {
-			t.Errorf("PageSize %d: err = %v, want ErrPageSize", ps, err)
-		}
-	}
-	u := newTestIOMMU(t, Config{})
-	if ps := u.Config().PageSize; ps != addr.PageSize4K {
-		t.Errorf("zero PageSize defaulted to %d", ps)
-	}
-}
-
 func TestMapRejectsWrap(t *testing.T) {
 	u := newTestIOMMU(t, Config{Mode: ModeNoPT})
 	top := addr.DA(^uint64(0) - addr.PageSize4K + 1)

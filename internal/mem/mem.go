@@ -34,23 +34,16 @@ var (
 	ErrUnalignedSize = errors.New("mem: size must be page aligned")
 )
 
+// pinCostPerPage4K is the hypervisor/IOMMU interaction cost to pin one
+// 4 KiB page. Calibrated so 1.6 TB pins in ~390 s (paper §3.1
+// Problem ②): 390 s / 390,625,000 pages ≈ 1 µs.
+const pinCostPerPage4K sim.Duration = 998 * time.Nanosecond
+
 // Config parameterises the memory model.
 type Config struct {
-	// TotalBytes is the physical memory size.
+	// TotalBytes is the physical memory size; zero means a large GPU
+	// server's 2 TiB.
 	TotalBytes uint64
-	// PinCostPerPage4K is the hypervisor/IOMMU interaction cost to pin
-	// one 4 KiB page. Calibrated so 1.6 TB pins in ~390 s (paper §3.1
-	// Problem ②): 390 s / 390,625,000 pages ≈ 1 µs.
-	PinCostPerPage4K sim.Duration
-}
-
-// DefaultConfig returns the paper-calibrated memory model for a large
-// GPU server.
-func DefaultConfig() Config {
-	return Config{
-		TotalBytes:       2 << 40, // 2 TiB
-		PinCostPerPage4K: 998 * time.Nanosecond,
-	}
 }
 
 // Memory is a host physical memory instance.
@@ -69,10 +62,7 @@ type Memory struct {
 // New builds a memory of the configured size.
 func New(cfg Config) *Memory {
 	if cfg.TotalBytes == 0 {
-		cfg = DefaultConfig()
-	}
-	if cfg.PinCostPerPage4K == 0 {
-		cfg.PinCostPerPage4K = DefaultConfig().PinCostPerPage4K
+		cfg.TotalBytes = 2 << 40
 	}
 	return &Memory{
 		cfg:    cfg,
@@ -164,7 +154,7 @@ func (m *Memory) Resident(hpa addr.HPA) bool {
 // pinCost computes the virtual-time cost of pinning size bytes.
 func (m *Memory) pinCost(size uint64) sim.Duration {
 	pages := addr.PageCount(size, addr.PageSize4K)
-	return sim.Duration(pages) * m.cfg.PinCostPerPage4K
+	return sim.Duration(pages) * pinCostPerPage4K
 }
 
 // PinAll pins the whole region (the VFIO full-pin path). It returns the

@@ -10,7 +10,7 @@ import (
 )
 
 func testMem() *Memory {
-	return New(Config{TotalBytes: 1 << 30, PinCostPerPage4K: time.Microsecond})
+	return New(Config{TotalBytes: 1 << 30})
 }
 
 func TestAllocateAccounting(t *testing.T) {
@@ -44,7 +44,7 @@ func TestAllocateRejectsUnaligned(t *testing.T) {
 }
 
 func TestAllocateExhaustion(t *testing.T) {
-	m := New(Config{TotalBytes: 8 * addr.PageSize4K, PinCostPerPage4K: time.Microsecond})
+	m := New(Config{TotalBytes: 8 * addr.PageSize4K})
 	if _, err := m.Allocate(16*addr.PageSize4K, "big"); !errors.Is(err, ErrOutOfMemory) {
 		t.Errorf("err = %v, want ErrOutOfMemory", err)
 	}
@@ -74,7 +74,7 @@ func TestLookupAndResident(t *testing.T) {
 func TestPinAllCostMatchesCalibration(t *testing.T) {
 	// 1.6 TB at ~1 µs/4K page should pin in roughly 390 s (Figure 6's
 	// "without PVDMA" data point).
-	m := New(Config{TotalBytes: 2 << 40, PinCostPerPage4K: 998 * time.Nanosecond})
+	m := New(Config{TotalBytes: 2 << 40})
 	r, err := m.Allocate(16*(100<<30), "container-1.6TB")
 	if err != nil {
 		t.Fatal(err)
@@ -121,7 +121,7 @@ func TestPinBlockAccounting(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	wantCost := time.Duration(addr.PageSize2M/addr.PageSize4K) * time.Microsecond
+	wantCost := time.Duration(addr.PageSize2M/addr.PageSize4K) * pinCostPerPage4K
 	if cost != wantCost {
 		t.Errorf("2 MiB block pin cost = %v, want %v", cost, wantCost)
 	}
@@ -192,7 +192,7 @@ func TestFreeReleasesPins(t *testing.T) {
 
 func TestRegionsDisjointProperty(t *testing.T) {
 	f := func(sizes []uint8) bool {
-		m := New(Config{TotalBytes: 1 << 30, PinCostPerPage4K: time.Microsecond})
+		m := New(Config{TotalBytes: 1 << 30})
 		var regs []*Region
 		for _, s := range sizes {
 			r, err := m.Allocate(uint64(s%16+1)*addr.PageSize4K, "p")
@@ -217,7 +217,7 @@ func TestRegionsDisjointProperty(t *testing.T) {
 
 func TestPinnedNeverExceedsUsedProperty(t *testing.T) {
 	f := func(ops []uint8) bool {
-		m := New(Config{TotalBytes: 1 << 28, PinCostPerPage4K: time.Microsecond})
+		m := New(Config{TotalBytes: 1 << 28})
 		var regs []*Region
 		for _, op := range ops {
 			switch op % 4 {

@@ -132,20 +132,3 @@ func (h *Histogram) Quantile(q float64) float64 {
 
 // Max returns the largest sample, or 0 with no samples.
 func (h *Histogram) Max() float64 { return h.Quantile(1) }
-
-// Stddev returns the population standard deviation.
-func (h *Histogram) Stddev() float64 {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	n := len(h.samples)
-	if n == 0 {
-		return 0
-	}
-	mean := h.sum / float64(n)
-	var ss float64
-	for _, v := range h.samples {
-		d := v - mean
-		ss += d * d
-	}
-	return math.Sqrt(ss / float64(n))
-}

@@ -146,6 +146,3 @@ func (b *Blacklist) SetClock(now func() sim.Time) {
 		cs.SetClock(now)
 	}
 }
-
-// Unwrap exposes the underlying selector.
-func (b *Blacklist) Unwrap() Selector { return b.inner }

@@ -112,12 +112,3 @@ func TestBlacklistPinnedInner(t *testing.T) {
 		}
 	}
 }
-
-// TestBlacklistUnwrap mirrors the traced-selector contract.
-func TestBlacklistUnwrap(t *testing.T) {
-	inner := New(OBS, 4, sim.NewRNG(1))
-	b := WithBlacklist(inner)
-	if b.Unwrap() != inner {
-		t.Error("Unwrap")
-	}
-}

@@ -22,9 +22,6 @@ var (
 	ErrNotFound = errors.New("pagetable: no mapping")
 	// ErrWrap rejects a source range whose end does not fit in 64 bits.
 	ErrWrap = errors.New("pagetable: mapping wraps past the end of the address space")
-	// ErrPageSize rejects a translation granularity that is not a power
-	// of two; the IOMMU and RNIC constructors return it wrapped.
-	ErrPageSize = errors.New("pagetable: page size is not a power of two")
 )
 
 type entry struct {

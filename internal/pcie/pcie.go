@@ -100,44 +100,36 @@ var (
 	ErrTranslationBad = errors.New("pcie: untranslated TLP faulted in IOMMU")
 )
 
-// Config carries the latency and bandwidth model of the fabric.
+// The fabric's latency and bandwidth model: a Gen4 x16-ish fabric
+// consistent with the paper's measurements, where direct P2P sustains a
+// 400 Gbps-class RNIC while the RC detour tops out around 141 Gbps.
+const (
+	// switchHopLatency is one traversal of a PCIe switch.
+	switchHopLatency sim.Duration = 150 * time.Nanosecond
+	// rcLatency is one traversal of the Root Complex.
+	rcLatency sim.Duration = 350 * time.Nanosecond
+	// memoryLatency is a main-memory access after routing.
+	memoryLatency sim.Duration = 90 * time.Nanosecond
+	// lutCapacity bounds GDR-capable BDFs per switch: 32 on the paper's
+	// troubled server model (§3.1 Problem ③).
+	lutCapacity = 32
+
+	// directP2PBandwidth is the byte rate of switch-local P2P (~416 Gbps).
+	directP2PBandwidth = 52e9
+	// rcP2PBandwidth is the byte rate of P2P detouring through the RC
+	// (~141 Gbps, Fig. 14) — the bottleneck that caps HyV/MasQ GDR.
+	rcP2PBandwidth = 17.6e9
+	// memoryBandwidth is the byte rate to main memory (~384 Gbps).
+	memoryBandwidth = 48e9
+)
+
+// Config selects the fabric's routing features. The zero Config is the
+// paper's production fabric.
 type Config struct {
-	// SwitchHopLatency is one traversal of a PCIe switch.
-	SwitchHopLatency sim.Duration
-	// RCLatency is one traversal of the Root Complex.
-	RCLatency sim.Duration
-	// MemoryLatency is a main-memory access after routing.
-	MemoryLatency sim.Duration
-	// LUTCapacity bounds GDR-capable BDFs per switch (32 on the paper's
-	// troubled server model).
-	LUTCapacity int
-	// ACSDirectTranslated enables switch-local routing of AT=translated
-	// TLPs ("ACS DT features turned on" in §6's test platform).
-	ACSDirectTranslated bool
-
-	// DirectP2PBandwidth is the byte rate of switch-local P2P.
-	DirectP2PBandwidth float64
-	// RCP2PBandwidth is the byte rate of P2P detouring through the RC —
-	// the bottleneck that caps HyV/MasQ GDR at ~141 Gbps.
-	RCP2PBandwidth float64
-	// MemoryBandwidth is the byte rate to main memory.
-	MemoryBandwidth float64
-}
-
-// DefaultConfig models a Gen4 x16-ish fabric consistent with the paper's
-// measurements: direct P2P sustains a 400 Gbps-class RNIC, while the RC
-// detour tops out around 141 Gbps.
-func DefaultConfig() Config {
-	return Config{
-		SwitchHopLatency:    150 * time.Nanosecond,
-		RCLatency:           350 * time.Nanosecond,
-		MemoryLatency:       90 * time.Nanosecond,
-		LUTCapacity:         32,
-		ACSDirectTranslated: true,
-		DirectP2PBandwidth:  52e9,   // ~416 Gbps
-		RCP2PBandwidth:      17.6e9, // ~141 Gbps
-		MemoryBandwidth:     48e9,   // ~384 Gbps
-	}
+	// DisableACSDT turns off switch-local routing of AT=translated TLPs.
+	// §6's test platform runs with "ACS DT features turned on"; with it
+	// off, every translated TLP is refused at its switch.
+	DisableACSDT bool
 }
 
 // Complex is one server's PCIe fabric: a Root Complex with IOMMU and
@@ -165,31 +157,6 @@ const barBase = 1 << 44
 
 // NewComplex builds a fabric over the given IOMMU and memory.
 func NewComplex(cfg Config, u *iommu.IOMMU, m *mem.Memory) *Complex {
-	if cfg == (Config{}) {
-		cfg = DefaultConfig()
-	}
-	d := DefaultConfig()
-	if cfg.SwitchHopLatency == 0 {
-		cfg.SwitchHopLatency = d.SwitchHopLatency
-	}
-	if cfg.RCLatency == 0 {
-		cfg.RCLatency = d.RCLatency
-	}
-	if cfg.MemoryLatency == 0 {
-		cfg.MemoryLatency = d.MemoryLatency
-	}
-	if cfg.LUTCapacity == 0 {
-		cfg.LUTCapacity = d.LUTCapacity
-	}
-	if cfg.DirectP2PBandwidth == 0 {
-		cfg.DirectP2PBandwidth = d.DirectP2PBandwidth
-	}
-	if cfg.RCP2PBandwidth == 0 {
-		cfg.RCP2PBandwidth = d.RCP2PBandwidth
-	}
-	if cfg.MemoryBandwidth == 0 {
-		cfg.MemoryBandwidth = d.MemoryBandwidth
-	}
 	return &Complex{
 		cfg:     cfg,
 		iommu:   u,
@@ -235,8 +202,7 @@ func (c *Complex) AddSwitch(name string) *Switch {
 		name:    name,
 		complex: c,
 		lut:     make(map[BDF]struct{}),
-		acsDT:   c.cfg.ACSDirectTranslated,
-		lutCap:  c.cfg.LUTCapacity,
+		acsDT:   !c.cfg.DisableACSDT,
 	}
 	c.switches = append(c.switches, s)
 	return s
@@ -267,7 +233,6 @@ type Switch struct {
 	bus       uint8
 	complex   *Complex
 	lut       map[BDF]struct{}
-	lutCap    int
 	acsDT     bool
 	endpoints []*Endpoint
 }
@@ -276,7 +241,7 @@ type Switch struct {
 func (s *Switch) LUTLen() int { return len(s.lut) }
 
 // LUTCapacity returns the LUT size limit.
-func (s *Switch) LUTCapacity() int { return s.lutCap }
+func (s *Switch) LUTCapacity() int { return lutCapacity }
 
 // Endpoints returns the endpoints attached below this switch.
 func (s *Switch) Endpoints() []*Endpoint { return s.endpoints }
@@ -288,8 +253,8 @@ func (s *Switch) RegisterGDR(bdf BDF) error {
 	if _, ok := s.lut[bdf]; ok {
 		return nil
 	}
-	if len(s.lut) >= s.lutCap {
-		return fmt.Errorf("%w: %s at %d entries", ErrLUTFull, s.name, s.lutCap)
+	if len(s.lut) >= lutCapacity {
+		return fmt.Errorf("%w: %s at %d entries", ErrLUTFull, s.name, lutCapacity)
 	}
 	s.lut[bdf] = struct{}{}
 	return nil
@@ -460,9 +425,6 @@ type Delivery struct {
 
 // xfer returns the serialisation time of size bytes at rate bytes/sec.
 func xfer(size uint64, rate float64) sim.Duration {
-	if rate <= 0 {
-		return 0
-	}
 	return sim.Duration(float64(size) / rate * 1e9)
 }
 
@@ -480,7 +442,7 @@ func (c *Complex) DMA(tlp TLP) (Delivery, error) {
 		return Delivery{}, ErrDetached
 	}
 	sw := tlp.Source.sw
-	lat := c.cfg.SwitchHopLatency // ingress hop at the local switch
+	lat := switchHopLatency // ingress hop at the local switch
 
 	if tlp.AT == ATTranslated {
 		if !sw.acsDT {
@@ -496,7 +458,7 @@ func (c *Complex) DMA(tlp TLP) (Delivery, error) {
 			}
 			for i := range peer.bars {
 				if peer.bars[i].Window.Contains(tlp.Addr) {
-					tx := xfer(tlp.Size, c.cfg.DirectP2PBandwidth)
+					tx := xfer(tlp.Size, directP2PBandwidth)
 					lat += tx
 					c.routeCounts[RouteP2PDirect]++
 					c.bytesRouted[RouteP2PDirect] += tlp.Size
@@ -510,7 +472,7 @@ func (c *Complex) DMA(tlp TLP) (Delivery, error) {
 	}
 
 	// Untranslated: the RC's IOMMU resolves the DA first.
-	lat += c.cfg.RCLatency
+	lat += rcLatency
 	hpa, tcost, err := c.iommu.Translate(addr.DA(tlp.Addr))
 	lat += tcost
 	if err != nil {
@@ -525,8 +487,8 @@ func (c *Complex) routeFromRC(tlp TLP, hpa addr.HPA, lat sim.Duration) (Delivery
 		if !c.mem.Resident(hpa) {
 			return Delivery{}, fmt.Errorf("%w: %v", ErrNotResident, hpa)
 		}
-		tx := xfer(tlp.Size, c.cfg.MemoryBandwidth)
-		lat += c.cfg.RCLatency + c.cfg.MemoryLatency + tx
+		tx := xfer(tlp.Size, memoryBandwidth)
+		lat += rcLatency + memoryLatency + tx
 		c.routeCounts[RouteToMemory]++
 		c.bytesRouted[RouteToMemory] += tlp.Size
 		c.traceTLP("dma", RouteToMemory, tlp.AT, tlp.Size, lat)
@@ -534,8 +496,8 @@ func (c *Complex) routeFromRC(tlp TLP, hpa addr.HPA, lat sim.Duration) (Delivery
 	}
 	if peer, _ := c.findBAR(uint64(hpa)); peer != nil {
 		// Down through the peer's switch: the slow GDR path.
-		tx := xfer(tlp.Size, c.cfg.RCP2PBandwidth)
-		lat += c.cfg.RCLatency + c.cfg.SwitchHopLatency + tx
+		tx := xfer(tlp.Size, rcP2PBandwidth)
+		lat += rcLatency + switchHopLatency + tx
 		c.routeCounts[RouteViaRC]++
 		c.bytesRouted[RouteViaRC] += tlp.Size
 		c.traceTLP("dma", RouteViaRC, tlp.AT, tlp.Size, lat)

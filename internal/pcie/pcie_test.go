@@ -68,7 +68,7 @@ func TestMakeBDFString(t *testing.T) {
 
 func TestLUTCapacityLimit(t *testing.T) {
 	// Problem ③: the affected server's switch holds 32 BDFs.
-	c := NewComplex(Config{LUTCapacity: 32}, nil, nil)
+	c := NewComplex(Config{}, nil, nil)
 	sw := c.AddSwitch("sw0")
 	for i := 0; i < 32; i++ {
 		ep, err := sw.AttachEndpoint("vf")
@@ -130,9 +130,7 @@ func TestDMATranslatedRequiresLUT(t *testing.T) {
 }
 
 func TestDMATranslatedRequiresACSDT(t *testing.T) {
-	cfg := DefaultConfig()
-	cfg.ACSDirectTranslated = false
-	c, sw, rnic, gpu, _ := testFabric(t, cfg)
+	c, sw, rnic, gpu, _ := testFabric(t, Config{DisableACSDT: true})
 	sw.RegisterGDR(rnic.BDF())
 	target := gpu.BARs()[0].Window.Start
 	if _, err := c.DMA(TLP{Source: rnic, Addr: target, Size: 64, AT: ATTranslated}); err == nil {

@@ -78,15 +78,6 @@ type Sweep struct {
 	Stride uint64
 }
 
-// DefaultSizes returns the 2 B – 8 MB powers-of-two sweep of §8.1.
-func DefaultSizes() []uint64 {
-	var sizes []uint64
-	for s := uint64(2); s <= 8<<20; s *= 2 {
-		sizes = append(sizes, s)
-	}
-	return sizes
-}
-
 // Run measures every size and returns the sweep points.
 func (s *Sweep) Run(sizes []uint64) ([]Point, error) {
 	if len(sizes) == 0 {

@@ -85,18 +85,6 @@ func TestSweepValidation(t *testing.T) {
 	}
 }
 
-func TestDefaultSizesSpan(t *testing.T) {
-	sizes := DefaultSizes()
-	if sizes[0] != 2 || sizes[len(sizes)-1] != 8<<20 {
-		t.Errorf("sweep = [%d ... %d]", sizes[0], sizes[len(sizes)-1])
-	}
-	for i := 1; i < len(sizes); i++ {
-		if sizes[i] != 2*sizes[i-1] {
-			t.Error("sizes not powers of two")
-		}
-	}
-}
-
 func TestLatencyMonotoneInSize(t *testing.T) {
 	b := newGDRBench(t, rnic.DefaultConfig("rnic0"), true, 64<<20)
 	s := &Sweep{RNIC: b.rnic, QP: b.qp, Key: b.key, VABase: b.vaBase,

@@ -40,18 +40,15 @@ type Config struct {
 	// 2 MiB to balance Map Cache size against IOMMU configuration
 	// overhead; the ablation bench sweeps this.
 	BlockSize uint64
-	// MapCacheHitLatency is the cost of a Map Cache lookup that finds
-	// the block already registered ("lightweight ... negligible
-	// latency", §5).
-	MapCacheHitLatency sim.Duration
 }
+
+// mapCacheHitLatency is the cost of a Map Cache lookup that finds the
+// block already registered ("lightweight ... negligible latency", §5).
+const mapCacheHitLatency sim.Duration = 150 * time.Nanosecond
 
 // DefaultConfig returns the production parameters.
 func DefaultConfig() Config {
-	return Config{
-		BlockSize:          addr.PageSize2M,
-		MapCacheHitLatency: 150 * time.Nanosecond,
-	}
+	return Config{BlockSize: addr.PageSize2M}
 }
 
 // Stats are the manager's cumulative counters.
@@ -151,12 +148,8 @@ type splitPair struct {
 // teardown DMA fence: Container.Stop force-releases the manager's
 // blocks before unpinning guest memory.
 func New(c *rund.Container, cfg Config) *Manager {
-	d := DefaultConfig()
 	if cfg.BlockSize == 0 {
-		cfg.BlockSize = d.BlockSize
-	}
-	if cfg.MapCacheHitLatency == 0 {
-		cfg.MapCacheHitLatency = d.MapCacheHitLatency
+		cfg.BlockSize = DefaultConfig().BlockSize
 	}
 	m := &Manager{cfg: cfg, blockShift: uint(bits.TrailingZeros64(cfg.BlockSize)), container: c}
 	c.RegisterDMAFence("pvdma", m)
@@ -260,7 +253,7 @@ func (m *Manager) MapDMA(gpa addr.GPA, size uint64) (sim.Duration, error) {
 	first, last := m.blockAlign(gpa, size)
 	idx := first >> m.blockShift
 	for b := first; ; b += m.cfg.BlockSize {
-		cost += m.cfg.MapCacheHitLatency // cache lookup always happens
+		cost += mapCacheHitLatency // cache lookup always happens
 		ref := m.leaf(idx, true)
 		if s := &ref.slots[idx%leafSlots]; s.refs > 0 {
 			m.stats.CacheHits++

@@ -33,64 +33,62 @@ var (
 	ErrNoRule        = errors.New("rnic: no vSwitch rule matched")
 )
 
-// Config parameterises one RNIC.
+// VFMemoryBytes is host memory consumed per SR-IOV VF: 63 virtual
+// queues of 5000-MTU messages ≈ 2.4 GB (Problem ①).
+const VFMemoryBytes uint64 = 2_400 << 20
+
+// The in-house 400G RNIC's fixed resources and pipeline costs.
+const (
+	// numPorts is the number of network ports (2 in the paper's fleet).
+	numPorts = 2
+	// maxVFs is the SR-IOV ceiling.
+	maxVFs = 63
+	// mttCapacityPages bounds translation entries in the MTT: 4 Mi pages
+	// ≈ 16 GiB of 4K mappings, "orders of magnitude larger" than the
+	// ATC (§6).
+	mttCapacityPages = 1 << 22
+	// translationPageSize is the granularity of ATS translation (§6's
+	// experiment forces 4 KiB as the worst case).
+	translationPageSize uint64 = addr.PageSize4K
+
+	// mttLookupLatency is one MTT consultation in the RX pipeline.
+	mttLookupLatency sim.Duration = 40 * time.Nanosecond
+	// atcHitLatency is an ATC hit during ATS-mode translation.
+	atcHitLatency sim.Duration = 25 * time.Nanosecond
+	// wqeProcessing is the fixed per-operation pipeline overhead.
+	wqeProcessing sim.Duration = 120 * time.Nanosecond
+	// vSwitchRuleLatency is the per-rule scan cost of the hardware flow
+	// table (the mechanism behind Problem ⑤'s latency issue).
+	vSwitchRuleLatency sim.Duration = 18 * time.Nanosecond
+	// atsPipelineDepth is how many ATS requests the RNIC keeps in
+	// flight; translation misses overlap up to this depth, which is why
+	// the CX6's decay in Figure 8 is ~20%, not a collapse.
+	atsPipelineDepth = 8
+)
+
+// Config parameterises one RNIC: what distinguishes the in-house RNIC
+// from the CX6 comparator. New fills a zero PortBandwidth or
+// ATCCapacityPages with the in-house value and keeps every field set.
 type Config struct {
 	Name string
-	// NumPorts is the number of network ports (2 in the paper's fleet).
-	NumPorts int
 	// PortBandwidth is bytes/sec per port (200 Gbps each).
 	PortBandwidth float64
-	// MaxVFs is the SR-IOV ceiling.
-	MaxVFs int
-	// VFMemoryBytes is host memory consumed per VF: 63 virtual queues of
-	// 5000-MTU messages ≈ 2.4 GB (Problem ①).
-	VFMemoryBytes uint64
-	// MTTCapacityPages bounds translation entries in the MTT; "orders of
-	// magnitude larger" than the ATC (§6).
-	MTTCapacityPages uint64
 	// ATCCapacityPages bounds the Address Translation Cache; "tens of
 	// thousands of memory pages" (§6).
 	ATCCapacityPages int
 	// EMTT enables Stellar's extended MTT, which stores final HPAs and
 	// the memory owner so GDR TLPs bypass the ATS/ATC machinery.
 	EMTT bool
-
-	// MTTLookupLatency is one MTT consultation in the RX pipeline.
-	MTTLookupLatency sim.Duration
-	// ATCHitLatency is an ATC hit during ATS-mode translation.
-	ATCHitLatency sim.Duration
-	// WQEProcessing is the fixed per-operation pipeline overhead.
-	WQEProcessing sim.Duration
-	// VSwitchRuleLatency is the per-rule scan cost of the hardware flow
-	// table (the mechanism behind Problem ⑤'s latency issue).
-	VSwitchRuleLatency sim.Duration
-	// TranslationPageSize is the granularity of ATS translation (§6's
-	// experiment forces 4 KiB as the worst case).
-	TranslationPageSize uint64
-	// ATSPipelineDepth is how many ATS requests the RNIC keeps in
-	// flight; translation misses overlap up to this depth, which is why
-	// the CX6's decay in Figure 8 is ~20%, not a collapse.
-	ATSPipelineDepth int
 }
 
 // DefaultConfig matches the paper's in-house 400G (2×200G) RNIC with
 // eMTT enabled.
 func DefaultConfig(name string) Config {
 	return Config{
-		Name:                name,
-		NumPorts:            2,
-		PortBandwidth:       25e9, // 200 Gbps
-		MaxVFs:              63,
-		VFMemoryBytes:       2_400 << 20,
-		MTTCapacityPages:    1 << 22, // 4 Mi pages ≈ 16 GiB of 4K mappings
-		ATCCapacityPages:    8192,
-		EMTT:                true,
-		MTTLookupLatency:    40 * time.Nanosecond,
-		ATCHitLatency:       25 * time.Nanosecond,
-		WQEProcessing:       120 * time.Nanosecond,
-		VSwitchRuleLatency:  18 * time.Nanosecond,
-		TranslationPageSize: addr.PageSize4K,
-		ATSPipelineDepth:    8,
+		Name:             name,
+		PortBandwidth:    25e9, // 200 Gbps
+		ATCCapacityPages: 8192,
+		EMTT:             true,
 	}
 }
 
@@ -143,17 +141,11 @@ type RNIC struct {
 // device).
 func New(c *pcie.Complex, sw *pcie.Switch, cfg Config) (*RNIC, error) {
 	d := DefaultConfig(cfg.Name)
-	if cfg.NumPorts == 0 {
-		cfg = d
-	}
-	if cfg.TranslationPageSize == 0 {
-		cfg.TranslationPageSize = d.TranslationPageSize
+	if cfg.PortBandwidth == 0 {
+		cfg.PortBandwidth = d.PortBandwidth
 	}
 	if cfg.ATCCapacityPages == 0 {
 		cfg.ATCCapacityPages = d.ATCCapacityPages
-	}
-	if ps := cfg.TranslationPageSize; ps&(ps-1) != 0 {
-		return nil, fmt.Errorf("%w: rnic %s translation page size %d", pagetable.ErrPageSize, cfg.Name, ps)
 	}
 	ep, err := sw.AttachEndpoint(cfg.Name)
 	if err != nil {
@@ -170,19 +162,16 @@ func New(c *pcie.Complex, sw *pcie.Switch, cfg Config) (*RNIC, error) {
 		pf:      ep,
 		db:      db,
 		sfs:     make(map[int]*SF),
-		atc:     pagetable.NewTLB(cfg.ATCCapacityPages, cfg.TranslationPageSize),
+		atc:     pagetable.NewTLB(cfg.ATCCapacityPages, translationPageSize),
 		mtt:     make(map[uint32]*MR),
 		nextKey: 1,
 		pds:     make(map[uint32]struct{}),
 		nextPD:  1,
 		qps:     make(map[uint32]*QP),
 		nextQP:  1,
-		vswitch: NewVSwitch(cfg.VSwitchRuleLatency),
+		vswitch: NewVSwitch(vSwitchRuleLatency),
 	}, nil
 }
-
-// Config returns the RNIC configuration.
-func (r *RNIC) Config() Config { return r.cfg }
 
 // SetTracer attaches a flight recorder; host labels the trace process.
 // Events land on the "<rnic name>" lane of that process.
@@ -220,7 +209,7 @@ func (r *RNIC) ATSTranslations() uint64 { return r.atsTranslations }
 
 // TotalBandwidth returns the aggregate port rate in bytes/sec.
 func (r *RNIC) TotalBandwidth() float64 {
-	return float64(r.cfg.NumPorts) * r.cfg.PortBandwidth
+	return numPorts * r.cfg.PortBandwidth
 }
 
 // AllocDoorbell hands out one 4 KiB doorbell page in the RNIC's BAR.
@@ -263,8 +252,8 @@ func (r *RNIC) VFs() []*VF { return r.vfs }
 // the operator must Reset() first (destroying every VF). Each VF charges
 // VFMemoryBytes of host memory for its virtual queues.
 func (r *RNIC) SetNumVFs(n int) error {
-	if n < 0 || n > r.cfg.MaxVFs {
-		return fmt.Errorf("rnic: VF count %d out of range [0,%d]", n, r.cfg.MaxVFs)
+	if n < 0 || n > maxVFs {
+		return fmt.Errorf("rnic: VF count %d out of range [0,%d]", n, maxVFs)
 	}
 	if n == len(r.vfs) {
 		return nil
@@ -276,7 +265,7 @@ func (r *RNIC) SetNumVFs(n int) error {
 		r.Reset()
 		return nil
 	}
-	need := uint64(n) * r.cfg.VFMemoryBytes
+	need := uint64(n) * VFMemoryBytes
 	m := r.complex.Memory()
 	if m != nil && m.FreeBytes() < need {
 		return fmt.Errorf("%w: need %d MiB, free %d MiB", ErrVFMemory, need>>20, m.FreeBytes()>>20)
@@ -293,7 +282,7 @@ func (r *RNIC) SetNumVFs(n int) error {
 			return err
 		}
 		if m != nil {
-			if _, err := m.Allocate(addr.AlignUp(r.cfg.VFMemoryBytes, addr.PageSize4K), ep.Name()+"-queues"); err != nil {
+			if _, err := m.Allocate(addr.AlignUp(VFMemoryBytes, addr.PageSize4K), ep.Name()+"-queues"); err != nil {
 				r.Reset()
 				return fmt.Errorf("%w: %v", ErrVFMemory, err)
 			}

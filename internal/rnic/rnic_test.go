@@ -8,7 +8,6 @@ import (
 	"repro/internal/gpu"
 	"repro/internal/iommu"
 	"repro/internal/mem"
-	"repro/internal/pagetable"
 	"repro/internal/pcie"
 )
 
@@ -97,7 +96,7 @@ func TestVFRangeValidation(t *testing.T) {
 	if err := h.rnic.SetNumVFs(-1); err == nil {
 		t.Error("negative VF count accepted")
 	}
-	if err := h.rnic.SetNumVFs(h.rnic.Config().MaxVFs + 1); err == nil {
+	if err := h.rnic.SetNumVFs(maxVFs + 1); err == nil {
 		t.Error("over-max VF count accepted")
 	}
 }
@@ -252,11 +251,9 @@ func TestWriteRequiresReadyQP(t *testing.T) {
 }
 
 func TestMTTCapacity(t *testing.T) {
-	cfg := DefaultConfig("rnic0")
-	cfg.MTTCapacityPages = 16
-	h := newHost(t, cfg)
+	h := newHost(t, Config{})
 	pd := h.rnic.AllocPD()
-	if _, err := h.rnic.RegisterMR(pd, addr.Range{Start: 0, Size: 16 * addr.PageSize4K},
+	if _, err := h.rnic.RegisterMR(pd, addr.Range{Start: 0, Size: mttCapacityPages * addr.PageSize4K},
 		MTTEntry{Base: 0, Owner: addr.OwnerHostMemory}); err != nil {
 		t.Fatal(err)
 	}
@@ -436,34 +433,39 @@ func TestWriteOutOfRange(t *testing.T) {
 	}
 }
 
-// TestNewDefaultsTranslation pins the fix for a config with NumPorts set
-// but no translation page size: a zero size made every ATC lookup hit
-// page 0 and return another page's HPA.
-func TestNewDefaultsTranslation(t *testing.T) {
-	h := newHost(t, Config{Name: "rnic0", NumPorts: 1})
-	cfg := h.rnic.Config()
-	if cfg.TranslationPageSize != addr.PageSize4K || cfg.ATCCapacityPages != 8192 {
-		t.Fatalf("TranslationPageSize = %d, ATCCapacityPages = %d, want defaults", cfg.TranslationPageSize, cfg.ATCCapacityPages)
-	}
-	h.rnic.atc.Insert(0x1000, 0xA000)
-	h.rnic.atc.Insert(0x2000, 0xB000)
-	if hpa, ok := h.rnic.atc.Lookup(0x1008); !ok || hpa != 0xA008 {
-		t.Errorf("ATC Lookup(0x1008) = %#x,%v, want 0xa008", hpa, ok)
-	}
-	if _, ok := h.rnic.atc.Lookup(0x5000); ok {
-		t.Error("ATC hit on an uncached page")
-	}
-}
-
-func TestNewRejectsBadPageSize(t *testing.T) {
-	u, err := iommu.New(iommu.Config{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	c := pcie.NewComplex(pcie.Config{}, u, mem.New(mem.Config{TotalBytes: 1 << 30}))
-	cfg := DefaultConfig("rnic0")
-	cfg.TranslationPageSize = 3 * addr.PageSize4K
-	if _, err := New(c, c.AddSwitch("sw0"), cfg); !errors.Is(err, pagetable.ErrPageSize) {
-		t.Errorf("err = %v, want ErrPageSize", err)
+// TestNewKeepsCallerConfig: New fills only the fields a caller left
+// zero. A partially set config comes back with every set field intact
+// (it used to be replaced wholesale by the defaults), and the defaulted
+// ATC translates at page granularity.
+func TestNewKeepsCallerConfig(t *testing.T) {
+	for _, tc := range []struct {
+		in, want Config
+	}{
+		{
+			Config{Name: "cx", PortBandwidth: 12.5e9, ATCCapacityPages: 4096},
+			Config{Name: "cx", PortBandwidth: 12.5e9, ATCCapacityPages: 4096},
+		},
+		{
+			Config{Name: "cy", EMTT: true},
+			Config{Name: "cy", PortBandwidth: 25e9, ATCCapacityPages: 8192, EMTT: true},
+		},
+	} {
+		h := newHost(t, tc.in)
+		if got := h.rnic.cfg; got != tc.want {
+			t.Errorf("New(%+v) kept %+v, want %+v", tc.in, got, tc.want)
+		}
+		pd := h.rnic.AllocPD()
+		if _, err := h.rnic.RegisterMR(pd, addr.Range{Start: 0, Size: addr.PageSize2M},
+			MTTEntry{Base: 0, Owner: addr.OwnerHostMemory}); err != nil {
+			t.Errorf("%s: RegisterMR: %v", tc.in.Name, err)
+		}
+		h.rnic.atc.Insert(0x1000, 0xA000)
+		h.rnic.atc.Insert(0x2000, 0xB000)
+		if hpa, ok := h.rnic.atc.Lookup(0x1008); !ok || hpa != 0xA008 {
+			t.Errorf("%s: ATC Lookup(0x1008) = %#x,%v, want 0xa008", tc.in.Name, hpa, ok)
+		}
+		if _, ok := h.rnic.atc.Lookup(0x5000); ok {
+			t.Errorf("%s: ATC hit on an uncached page", tc.in.Name)
+		}
 	}
 }

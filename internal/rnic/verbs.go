@@ -59,10 +59,10 @@ func (r *RNIC) RegisterMR(pd PD, va addr.Range, entry MTTEntry) (*MR, error) {
 	if entry.Translated && !r.cfg.EMTT {
 		return nil, fmt.Errorf("rnic: %s has no eMTT; cannot install translated entries", r.cfg.Name)
 	}
-	pages := addr.PageCount(va.Size, r.cfg.TranslationPageSize)
-	if r.mttPages+pages > r.cfg.MTTCapacityPages {
+	pages := addr.PageCount(va.Size, translationPageSize)
+	if r.mttPages+pages > mttCapacityPages {
 		return nil, fmt.Errorf("%w: %d pages in use, %d requested, capacity %d",
-			ErrMTTFull, r.mttPages, pages, r.cfg.MTTCapacityPages)
+			ErrMTTFull, r.mttPages, pages, mttCapacityPages)
 	}
 	mr := &MR{Key: r.nextKey, PD: pd, VA: va, Entry: entry}
 	r.nextKey++
@@ -77,7 +77,7 @@ func (r *RNIC) DeregisterMR(mr *MR) error {
 		return fmt.Errorf("%w: key %d", ErrBadKey, mr.Key)
 	}
 	delete(r.mtt, mr.Key)
-	r.mttPages -= addr.PageCount(mr.VA.Size, r.cfg.TranslationPageSize)
+	r.mttPages -= addr.PageCount(mr.VA.Size, translationPageSize)
 	return nil
 }
 
@@ -192,7 +192,7 @@ func (r *RNIC) RDMAWrite(qp *QP, key uint32, va uint64, size uint64) (WriteResul
 	if !mr.VA.ContainsRange(addr.Range{Start: va, Size: size}) {
 		return res, fmt.Errorf("%w: [%#x,%#x) not in %v", ErrVAOutOfRange, va, va+size, mr.VA)
 	}
-	res.Latency = r.cfg.WQEProcessing + r.cfg.MTTLookupLatency
+	res.Latency = wqeProcessing + mttLookupLatency
 	offset := va - mr.VA.Start
 	target := mr.Entry.Base + offset
 
@@ -205,7 +205,7 @@ func (r *RNIC) RDMAWrite(qp *QP, key uint32, va uint64, size uint64) (WriteResul
 		}
 		res.Latency += d.Latency
 		res.Route = d.Route
-		res.Pages = addr.PageCount(size, r.cfg.TranslationPageSize)
+		res.Pages = addr.PageCount(size, translationPageSize)
 		res.SerialCost = d.Transfer
 		r.traceOp("rdma-write", "emtt-translated", res)
 		return res, nil
@@ -221,7 +221,7 @@ func (r *RNIC) RDMAWrite(qp *QP, key uint32, va uint64, size uint64) (WriteResul
 		}
 		res.Latency += d.Latency
 		res.Route = d.Route
-		res.Pages = addr.PageCount(size, r.cfg.TranslationPageSize)
+		res.Pages = addr.PageCount(size, translationPageSize)
 		res.SerialCost = d.Transfer
 		r.traceOp("rdma-write", "emtt-host", res)
 		return res, nil
@@ -230,7 +230,7 @@ func (r *RNIC) RDMAWrite(qp *QP, key uint32, va uint64, size uint64) (WriteResul
 	// Classic ATS/ATC path (the CX6/CX7 behaviour in Figure 8): resolve
 	// every page through the ATC, paying an ATS round trip on each miss,
 	// then emit the payload as one translated TLP.
-	ps := r.cfg.TranslationPageSize
+	ps := translationPageSize
 	first := addr.AlignDown(target, ps)
 	last := addr.AlignDown(target+size-1, ps)
 	var hpaBase uint64
@@ -238,8 +238,8 @@ func (r *RNIC) RDMAWrite(qp *QP, key uint32, va uint64, size uint64) (WriteResul
 	for page := first; ; page += ps {
 		if hpa, ok := r.atc.Lookup(page); ok {
 			res.ATCHits++
-			res.Latency += r.cfg.ATCHitLatency
-			translation += r.cfg.ATCHitLatency
+			res.Latency += atcHitLatency
+			translation += atcHitLatency
 			if page == first {
 				hpaBase = hpa
 			}
@@ -247,8 +247,8 @@ func (r *RNIC) RDMAWrite(qp *QP, key uint32, va uint64, size uint64) (WriteResul
 			res.ATCMisses++
 			hpa, cost, err := r.complex.IOMMU().ATSTranslate(addr.DA(page))
 			r.atsTranslations++
-			res.Latency += cost + r.cfg.ATCHitLatency
-			translation += cost + r.cfg.ATCHitLatency
+			res.Latency += cost + atcHitLatency
+			translation += cost + atcHitLatency
 			if err != nil {
 				return res, err
 			}
@@ -275,11 +275,7 @@ func (r *RNIC) RDMAWrite(qp *QP, key uint32, va uint64, size uint64) (WriteResul
 	res.Latency += d.Latency
 	res.Route = d.Route
 	// Steady state overlaps ATS round trips up to the pipeline depth.
-	depth := r.cfg.ATSPipelineDepth
-	if depth < 1 {
-		depth = 1
-	}
-	res.SerialCost = translation/sim.Duration(depth) + d.Transfer
+	res.SerialCost = translation/atsPipelineDepth + d.Transfer
 	r.traceOp("rdma-write", "ats", res)
 	return res, nil
 }

@@ -69,13 +69,6 @@ func NewVSwitch(perRule sim.Duration) *VSwitch {
 // Len returns the number of installed rules.
 func (v *VSwitch) Len() int { return len(v.rules) }
 
-// Rules returns a copy of the table in scan order.
-func (v *VSwitch) Rules() []Rule {
-	out := make([]Rule, len(v.rules))
-	copy(out, v.rules)
-	return out
-}
-
 // InstallFront inserts a rule at the head of the table — what the
 // off-the-shelf firmware did with TCP entries, pushing RDMA rules deeper
 // and inflating their lookup latency (Problem ⑤).

@@ -57,27 +57,26 @@ func (m PinMode) String() string {
 // blocks can never cover it.
 const shmBase = 1 << 45
 
+// The calibrated boot model.
+const (
+	// baseBootTime is MicroVM creation plus guest kernel boot.
+	baseBootTime sim.Duration = 1500 * time.Millisecond
+	// hypervisorPerGiB is general hypervisor set-up overhead per GiB of
+	// guest memory (EPT registration, balloon plumbing, ...). This is
+	// the term behind Figure 6's 11 s growth between 160 GB and 1.6 TB.
+	hypervisorPerGiB sim.Duration = 7500 * time.Microsecond
+)
+
 // Config describes one container.
 type Config struct {
 	Name        string
 	MemoryBytes uint64
-	// BaseBootTime is MicroVM creation plus guest kernel boot.
-	BaseBootTime sim.Duration
-	// HypervisorPerGiB is general hypervisor set-up overhead per GiB of
-	// guest memory (EPT registration, balloon plumbing, ...). This is
-	// the term behind Figure 6's 11 s growth between 160 GB and 1.6 TB.
-	HypervisorPerGiB sim.Duration
 }
 
-// DefaultConfig returns the calibrated boot model for a container of the
-// given size.
+// DefaultConfig returns the configuration of a container of the given
+// size.
 func DefaultConfig(name string, memoryBytes uint64) Config {
-	return Config{
-		Name:             name,
-		MemoryBytes:      memoryBytes,
-		BaseBootTime:     1500 * time.Millisecond,
-		HypervisorPerGiB: 7500 * time.Microsecond,
-	}
+	return Config{Name: name, MemoryBytes: memoryBytes}
 }
 
 // Hypervisor manages containers on one host.
@@ -263,8 +262,8 @@ func (c *Container) StartDetailed(mode PinMode) (BootSpans, error) {
 		return BootSpans{}, ErrAlreadyStarted
 	}
 	spans := BootSpans{
-		Base:       c.cfg.BaseBootTime,
-		Hypervisor: sim.Duration(float64(c.cfg.MemoryBytes) / float64(1<<30) * float64(c.cfg.HypervisorPerGiB)),
+		Base:       baseBootTime,
+		Hypervisor: sim.Duration(float64(c.cfg.MemoryBytes) / float64(1<<30) * float64(hypervisorPerGiB)),
 	}
 	if mode == PinFull {
 		pinCost, err := c.hyp.complex.Memory().PinAll(c.guest)

@@ -41,22 +41,26 @@ func (s Stack) String() string {
 // ErrNoBuffers is returned when a device is configured without buffers.
 var ErrNoBuffers = errors.New("vnet: device needs at least one buffer")
 
-// Config parameterises one container NIC's TCP datapath.
+// The per-packet cost model of a 100 Gbps front-end NIC path.
+const (
+	// mtu is the TCP packet payload size on the wire.
+	mtu = 1500
+	// perPacketBase is the driver+stack CPU cost per packet.
+	perPacketBase sim.Duration = 80 * time.Nanosecond
+	// vringCost is added per packet on the virtio path (descriptor
+	// processing through the vDPA backend).
+	vringCost sim.Duration = 34 * time.Nanosecond
+	// vxlanCost is the encapsulation cost per packet (both stacks
+	// tunnel in the paper's deployment).
+	vxlanCost sim.Duration = 12 * time.Nanosecond
+)
+
+// Config parameterises one container NIC's TCP datapath. New fills a
+// zero LineRate or Buffers with DefaultConfig's value.
 type Config struct {
 	Stack Stack
 	// LineRate is the port speed in bytes/sec.
 	LineRate float64
-	// MTU is the TCP packet payload size on the wire.
-	MTU uint64
-
-	// PerPacketBase is the driver+stack CPU cost per packet.
-	PerPacketBase sim.Duration
-	// VringCost is added per packet on the virtio path (descriptor
-	// processing through the vDPA backend).
-	VringCost sim.Duration
-	// VxLANCost is the encapsulation cost per packet (both stacks
-	// tunnel in the paper's deployment).
-	VxLANCost sim.Duration
 
 	// Buffers is the size of the driver's DMA buffer pool, in packet
 	// buffers. A pool larger than the IOTLB forces page walks — the
@@ -68,13 +72,9 @@ type Config struct {
 // buffer pool.
 func DefaultConfig(stack Stack) Config {
 	return Config{
-		Stack:         stack,
-		LineRate:      12.5e9, // 100 Gbps
-		MTU:           1500,
-		PerPacketBase: 80 * time.Nanosecond,
-		VringCost:     34 * time.Nanosecond,
-		VxLANCost:     12 * time.Nanosecond,
-		Buffers:       4096,
+		Stack:    stack,
+		LineRate: 12.5e9, // 100 Gbps
+		Buffers:  4096,
 	}
 }
 
@@ -94,18 +94,6 @@ func New(cfg Config, u *iommu.IOMMU, daBase addr.DA, hpaBase addr.HPA) (*Device,
 	d := DefaultConfig(cfg.Stack)
 	if cfg.LineRate == 0 {
 		cfg.LineRate = d.LineRate
-	}
-	if cfg.MTU == 0 {
-		cfg.MTU = d.MTU
-	}
-	if cfg.PerPacketBase == 0 {
-		cfg.PerPacketBase = d.PerPacketBase
-	}
-	if cfg.VringCost == 0 {
-		cfg.VringCost = d.VringCost
-	}
-	if cfg.VxLANCost == 0 {
-		cfg.VxLANCost = d.VxLANCost
 	}
 	if cfg.Buffers == 0 {
 		cfg.Buffers = d.Buffers
@@ -130,11 +118,11 @@ func New(cfg Config, u *iommu.IOMMU, daBase addr.DA, hpaBase addr.HPA) (*Device,
 // returns the total virtual-time cost of the burst.
 func (d *Device) SendBurst(n int) (sim.Duration, error) {
 	var total sim.Duration
-	wire := sim.Duration(float64(d.cfg.MTU) / d.cfg.LineRate * 1e9)
+	wire := sim.Duration(float64(mtu) / d.cfg.LineRate * 1e9)
 	for i := 0; i < n; i++ {
-		cost := d.cfg.PerPacketBase + d.cfg.VxLANCost
+		cost := perPacketBase + vxlanCost
 		if d.cfg.Stack == StackVirtioSF {
-			cost += d.cfg.VringCost
+			cost += vringCost
 		}
 		// The NIC DMAs the packet buffer: in nopt mode every access
 		// translates through the IOTLB; in pt mode it is free.
@@ -169,5 +157,5 @@ func (d *Device) Throughput() (float64, error) {
 	if cost <= 0 {
 		return 0, errors.New("vnet: zero-cost burst")
 	}
-	return float64(uint64(pkts)*d.cfg.MTU) / cost.Seconds(), nil
+	return float64(uint64(pkts)*mtu) / cost.Seconds(), nil
 }
