@@ -70,6 +70,7 @@ func TestHotLayout(t *testing.T) {
 		{"hops", unsafe.Offsetof(p.hops), unsafe.Sizeof(p.hops)},
 		{"at", unsafe.Offsetof(p.at), unsafe.Sizeof(p.at)},
 		{"ECN", unsafe.Offsetof(p.ECN), unsafe.Sizeof(p.ECN)},
+		{"Slot", unsafe.Offsetof(p.Slot), unsafe.Sizeof(p.Slot)},
 		{"Size", unsafe.Offsetof(p.Size), unsafe.Sizeof(p.Size)},
 	} {
 		if end := f.off + f.size; end > 64 {

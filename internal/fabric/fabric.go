@@ -43,8 +43,9 @@ type Packet struct {
 	// the next.
 	route    [maxRouteHops]int32
 	hops, at uint8
-	ECN      bool // set by congested queues along the way
-	Ack      bool // acks are small control packets riding the same fabric
+	ECN      bool   // set by congested queues along the way
+	Ack      bool   // acks are small control packets riding the same fabric
+	Slot     uint32 // the flow's index in the Dst endpoint's transport flow table
 	Size     uint64
 	Flow     uint64
 	Seq      uint64
@@ -215,6 +216,9 @@ type Fabric struct {
 	segRNG []*sim.RNG
 	// shardOfPod maps each pod to the shard that owns it.
 	shardOfPod []int
+	// hostAt[h] is host h's segment, pod and shard, so the per-packet
+	// lookups read a table instead of dividing.
+	hostAt []hostLoc
 
 	// links is every port's hot half, indexed by link id, in one slab
 	// sized by build; cold[id] is the rest of port id. A slab over 32 KiB
@@ -257,6 +261,11 @@ type Fabric struct {
 	pools   []pool
 	hopFn   func(any) // pre-bound packet stepper: no closure per hop
 	drainFn func(any) // pre-bound entry-link drain for AtInstantEnd
+}
+
+// hostLoc is where a host sits in the topology.
+type hostLoc struct {
+	seg, pod, shard int32
 }
 
 // maxRouteHops is the longest route the topology produces (cross-pod:
@@ -341,8 +350,11 @@ func build(engs []*sim.Engine, se *sim.ShardedEngine, cfg Config) *Fabric {
 	f.cold = make([]linkCold, 0, nlinks)
 	f.hostUp = make([]int32, nhosts)
 	f.hostDown = make([]int32, nhosts)
+	f.hostAt = make([]hostLoc, nhosts)
 	for h := 0; h < nhosts; h++ {
-		sh := f.shardOfSegment(h / cfg.HostsPerSegment)
+		seg := h / cfg.HostsPerSegment
+		sh := f.shardOfSegment(seg)
+		f.hostAt[h] = hostLoc{seg: int32(seg), pod: int32(seg / f.segsPod), shard: int32(sh)}
 		f.hostUp[h] = f.newLink(fmt.Sprintf("host%d->tor", h), cfg.HostLinkBW, sh)
 		f.hostDown[h] = f.newLink(fmt.Sprintf("tor->host%d", h), cfg.HostLinkBW, sh)
 	}
@@ -437,7 +449,7 @@ func (f *Fabric) release(shard int, p *Packet) {
 }
 
 // Pod returns which pod a host belongs to.
-func (f *Fabric) Pod(h HostID) int { return f.Segment(h) / f.segsPod }
+func (f *Fabric) Pod(h HostID) int { return int(f.hostAt[h].pod) }
 
 // Pods returns the pod count.
 func (f *Fabric) Pods() int { return f.pods }
@@ -506,7 +518,7 @@ func (f *Fabric) Config() Config { return f.cfg }
 func (f *Fabric) Sharded() *sim.ShardedEngine { return f.se }
 
 // ShardOf reports which shard owns host h (0 when unsharded).
-func (f *Fabric) ShardOf(h HostID) int { return f.shardOfSegment(f.Segment(h)) }
+func (f *Fabric) ShardOf(h HostID) int { return int(f.hostAt[h].shard) }
 
 func (f *Fabric) shardOfSegment(seg int) int { return f.shardOfPod[seg/f.segsPod] }
 
@@ -521,9 +533,6 @@ func (f *Fabric) EngineForSegment(seg int) *sim.Engine {
 
 // NumHosts returns the number of attached host NICs.
 func (f *Fabric) NumHosts() int { return len(f.hostUp) }
-
-// Segment returns which segment (ToR) a host belongs to.
-func (f *Fabric) Segment(h HostID) int { return int(h) / f.cfg.HostsPerSegment }
 
 // Handle registers the receive callback for a host.
 func (f *Fabric) Handle(h HostID, fn func(*Packet)) {
@@ -566,7 +575,8 @@ func (f *Fabric) Send(p *Packet) error {
 
 // route fills the packet's ordered link list and returns the hop count.
 func (f *Fabric) route(p *Packet) uint8 {
-	srcSeg, dstSeg := f.Segment(p.Src), f.Segment(p.Dst)
+	src, dst := &f.hostAt[p.Src], &f.hostAt[p.Dst]
+	srcSeg, dstSeg := int(src.seg), int(dst.seg)
 	if srcSeg == dstSeg {
 		// Same ToR: host -> tor -> host.
 		p.route[0] = f.hostUp[p.Src]
@@ -604,7 +614,7 @@ func (f *Fabric) route(p *Packet) uint8 {
 		}
 		agg = f.aggOverride[srcSeg][agg] // BGP reroute away from dead uplinks
 	}
-	srcPod, dstPod := srcSeg/f.segsPod, dstSeg/f.segsPod
+	srcPod, dstPod := src.pod, dst.pod
 	if srcPod == dstPod {
 		p.route[0] = f.hostUp[p.Src]
 		p.route[1] = f.torUp[srcSeg][agg]

@@ -268,7 +268,7 @@ func TestUplinkQueueDepthSample(t *testing.T) {
 func TestSegmentMapping(t *testing.T) {
 	eng := sim.NewEngine(1)
 	f := smallFabric(eng)
-	if f.Segment(0) != 0 || f.Segment(3) != 0 || f.Segment(4) != 1 || f.Segment(7) != 1 {
+	if f.hostAt[0].seg != 0 || f.hostAt[3].seg != 0 || f.hostAt[4].seg != 1 || f.hostAt[7].seg != 1 {
 		t.Error("Segment mapping wrong")
 	}
 	if f.NumHosts() != 8 {

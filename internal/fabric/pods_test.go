@@ -29,6 +29,29 @@ func TestPodMapping(t *testing.T) {
 	}
 }
 
+// TestHostTable checks the per-host location table on a sharded
+// multi-pod fabric (6 pods over 4 shards, so some shards own two pods
+// and the segment count is not a multiple of the shard count) against
+// the arithmetic it replaces.
+func TestHostTable(t *testing.T) {
+	const hostsPerSeg, segsPerPod, pods, shards = 3, 2, 6, 4
+	se := sim.NewShardedEngine(1, sim.SchedulerWheel, shards)
+	f := NewSharded(se, Config{
+		Segments: segsPerPod * pods, HostsPerSegment: hostsPerSeg, Aggs: 4,
+		SegmentsPerPod: segsPerPod, CoreSwitches: 2,
+	})
+	for h := 0; h < f.NumHosts(); h++ {
+		seg := h / hostsPerSeg
+		pod := seg / segsPerPod
+		shard := pod * shards / pods
+		id := HostID(h)
+		if int(f.hostAt[h].seg) != seg || f.Pod(id) != pod || f.ShardOf(id) != shard || f.EngineFor(id) != se.Shard(shard) {
+			t.Errorf("host %d: segment %d, pod %d, shard %d; want %d, %d, %d",
+				h, f.hostAt[h].seg, f.Pod(id), f.ShardOf(id), seg, pod, shard)
+		}
+	}
+}
+
 func TestCrossPodTraversesCore(t *testing.T) {
 	eng := sim.NewEngine(1)
 	f := podFabric(eng)

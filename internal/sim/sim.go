@@ -36,6 +36,7 @@ package sim
 import (
 	"fmt"
 	"math"
+	"math/bits"
 	"slices"
 	"time"
 	"unsafe"
@@ -173,6 +174,21 @@ func (x *entry) before(y *entry) bool {
 // handle to load. Wheel entries are tombstoned at Cancel instead.
 func (x *entry) dead() bool { return x.ev != nil && x.ev.canceled }
 
+// argData returns the data word of the interface *a, nil when *a is nil.
+// An interface value is two words: its type (or itab) word, then its
+// data word, which for a pointer-shaped argument such as a *Packet is
+// the pointer itself.
+func argData(a *any) unsafe.Pointer {
+	return (*[2]unsafe.Pointer)(unsafe.Pointer(a))[1]
+}
+
+// prefetchAhead is how many run entries ahead of the one firing the
+// dispatch loop prefetches the argument of: far enough that the line
+// arrives before its event fires, near enough that it is still cached.
+// On a 4096-host fabric (2-core Xeon) distances 2, 4 and 8 ran within
+// 2 % of each other.
+const prefetchAhead = 4
+
 // blockLen is the entry capacity of a wheel block: small enough that a
 // sparse bucket (one RTO, one departure) wastes little memory, large
 // enough that a dense one is a short chain of contiguous entries.
@@ -231,6 +247,14 @@ type Engine struct {
 
 	free      *Event // recycled cancel handles (single-threaded free list)
 	freeBlock *block // recycled wheel blocks
+
+	// offCount and offUsed are the multi-block flush's counting-sort
+	// scratch: live entries per nanosecond offset within the bucket, and
+	// a bitmap of the offsets that hold any, so building the prefix sums
+	// and resetting the counts visit only occupied offsets. All zero
+	// between flushes.
+	offCount [bucketNs]int
+	offUsed  [bucketNs / 64]uint64
 }
 
 // instantCall is one deferred instant-end callback.
@@ -543,7 +567,9 @@ func (e *Engine) flushBucketsTo(target uint64) {
 // whole run sorted. A single block is insertion-sorted; a longer chain
 // is counting-sorted on the 512 offsets within the bucket, scattering
 // newest first to just below each offset's end so that every offset's
-// entries land in ascending seq.
+// entries land in ascending seq. The counting sort walks only the
+// offsets its bitmap marks: a chain holds a few dozen live entries, and
+// scanning and zeroing all 512 counts would cost more than sorting them.
 func (e *Engine) flushBucket(head *block) {
 	start := len(e.run)
 	if head.next == nil {
@@ -562,8 +588,8 @@ func (e *Engine) flushBucket(head *block) {
 			*e.openRun(j) = *x
 		}
 	} else {
-		var ends [bucketNs]int
-		n, lo, hi := 0, bucketNs, 0
+		ends, used := &e.offCount, &e.offUsed
+		n := 0
 		for b := head; b != nil; b = b.next {
 			for i := range b.ents[:b.n] {
 				x := &b.ents[i]
@@ -575,14 +601,18 @@ func (e *Engine) flushBucket(head *block) {
 				}
 				k := int(x.when) & (bucketNs - 1)
 				ends[k]++
-				lo, hi = min(lo, k), max(hi, k)
+				used[k>>6] |= 1 << (k & 63)
 				n++
 			}
 		}
 		r := slices.Grow(e.run, n)[:start+n]
-		for k, end := lo, start; k <= hi; k++ {
-			end += ends[k]
-			ends[k] = end
+		end := start
+		for w, word := range used {
+			for ; word != 0; word &= word - 1 {
+				k := w<<6 | bits.TrailingZeros64(word)
+				end += ends[k]
+				ends[k] = end
+			}
 		}
 		for b := head; b != nil; b = b.next {
 			for i := b.n - 1; i >= 0; i-- {
@@ -592,6 +622,12 @@ func (e *Engine) flushBucket(head *block) {
 					r[ends[k]] = *x
 				}
 			}
+		}
+		for w, word := range used {
+			for ; word != 0; word &= word - 1 {
+				ends[w<<6|bits.TrailingZeros64(word)] = 0
+			}
+			used[w] = 0
 		}
 		e.run = r
 	}
@@ -782,6 +818,14 @@ func (e *Engine) Run(horizon Time) Time {
 				(len(e.queue) > 0 && e.queue[0].before(x)) ||
 				(e.atEndHead < len(e.atEnd) && x.when != e.now) {
 				break
+			}
+			// Start the load of a later event's argument (a packet, on
+			// the fabric's hop path) now, so its first cache line is in
+			// L1 by the time that event fires instead of stalling it.
+			if i := e.runHead + prefetchAhead; i < len(e.run) {
+				if p := argData(&e.run[i].arg); p != nil {
+					prefetch(p)
+				}
 			}
 			when, fn, arg, ev := x.when, x.fn, x.arg, x.ev
 			e.runHead++

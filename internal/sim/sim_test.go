@@ -253,6 +253,22 @@ func TestEventHandleSize(t *testing.T) {
 	}
 }
 
+// TestArgData checks the interface data-word read the dispatch loop
+// prefetches through: the pointer itself for a pointer argument, nil
+// for a nil argument.
+func TestArgData(t *testing.T) {
+	type payload struct{ n int }
+	p := &payload{}
+	var a any = p
+	if got := argData(&a); got != unsafe.Pointer(p) {
+		t.Errorf("argData(*payload) = %p, want %p", got, p)
+	}
+	var none any
+	if got := argData(&none); got != nil {
+		t.Errorf("argData(nil) = %p, want nil", got)
+	}
+}
+
 // TestHeapWheelEquivalence drives the two scheduler implementations
 // with an identical randomized schedule/cancel workload — short RTO-like
 // timers, same-tick ties, nested scheduling from callbacks, far events,

@@ -109,8 +109,13 @@ type Endpoint struct {
 	cfg   Config
 	label string // pre-materialised "host<N>" trace process name
 
-	conns map[uint64]*Conn     // sending side, by flow
-	rx    map[uint64]*receiver // receiving side, by flow
+	// flows (sending side) and rxs (receiving side) are the endpoint's
+	// dense flow tables: Connect appends, and a packet carries its
+	// flow's index at its destination in Packet.Slot. Slots are never
+	// reused; Close sets them nil, and a packet for a nil slot is
+	// dropped.
+	flows []*Conn
+	rxs   []*receiver
 }
 
 // NewEndpoint attaches a transport to host h.
@@ -149,8 +154,6 @@ func NewEndpoint(f *fabric.Fabric, h fabric.HostID, cfg Config) *Endpoint {
 		eng:   f.EngineFor(h),
 		cfg:   cfg,
 		label: "host" + strconv.Itoa(int(h)),
-		conns: make(map[uint64]*Conn),
-		rx:    make(map[uint64]*receiver),
 	}
 	f.Handle(h, ep.handle)
 	return ep
@@ -174,6 +177,8 @@ type receiver struct {
 	maxSeq    uint64
 	reorder   uint64 // max observed reorder distance
 	delivered uint64 // packets
+	peer      uint32 // the sender's slot, carried by every ack
+	flow      uint64
 }
 
 // testAndSet records seq as seen, reporting whether it already was.
@@ -194,9 +199,11 @@ type Conn struct {
 	Flow uint64
 
 	src, dst *Endpoint
-	sel      multipath.Selector
-	cfg      Config
-	eng      *sim.Engine
+	// slot and rxSlot index this flow in src.flows and dst.rxs.
+	slot, rxSlot uint32
+	sel          multipath.Selector
+	cfg          Config
+	eng          *sim.Engine
 
 	// Shared-context CC state.
 	window   float64
@@ -356,8 +363,10 @@ func Connect(src, dst *Endpoint, flow uint64, alg multipath.Algorithm, numPaths 
 // hook a Traffic Engineering controller uses to pin each flow to its
 // centrally-computed path (multipath.NewPinned).
 func ConnectWithSelector(src, dst *Endpoint, flow uint64, sel multipath.Selector) (*Conn, error) {
-	if _, ok := src.conns[flow]; ok {
-		return nil, fmt.Errorf("%w: %d", ErrFlowExists, flow)
+	for _, c := range src.flows {
+		if c != nil && c.Flow == flow {
+			return nil, fmt.Errorf("%w: %d", ErrFlowExists, flow)
+		}
 	}
 	if tr := src.eng.Tracer(); tr.Enabled() {
 		sel = multipath.WithTrace(sel, tr, src.label)
@@ -390,8 +399,9 @@ func ConnectWithSelector(src, dst *Endpoint, flow uint64, sel multipath.Selector
 			c.pathWindow[i] = per
 		}
 	}
-	src.conns[flow] = c
-	dst.rx[flow] = &receiver{}
+	c.slot, c.rxSlot = uint32(len(src.flows)), uint32(len(dst.rxs))
+	src.flows = append(src.flows, c)
+	dst.rxs = append(dst.rxs, &receiver{flow: flow, peer: c.slot})
 	return c, nil
 }
 
@@ -559,6 +569,7 @@ func (c *Conn) releaseOutstanding(o *outstanding) {
 func (c *Conn) transmit(o *outstanding) {
 	p := c.src.f.AllocPacketFor(c.src.host)
 	p.Flow = c.Flow
+	p.Slot = c.rxSlot
 	p.Src = c.src.host
 	p.Dst = c.dst.host
 	p.PathID = o.path
@@ -773,14 +784,14 @@ func (c *Conn) handleAck(p *fabric.Packet) {
 // handle is the endpoint's fabric receive callback.
 func (e *Endpoint) handle(p *fabric.Packet) {
 	if p.Ack {
-		if c, ok := e.conns[p.Flow]; ok {
+		if c := slotEntry(e.flows, p.Slot); c != nil {
 			c.handleAck(p)
 		}
 		return
 	}
-	r, ok := e.rx[p.Flow]
-	if !ok {
-		return // flow torn down
+	r := slotEntry(e.rxs, p.Slot)
+	if r == nil {
+		return // flow closed or never opened
 	}
 	if tr := e.eng.Tracer(); tr.Enabled() && p.Trace != 0 {
 		tr.SpanStep(p.Trace, e.label, "transport", "pkt", "deliver",
@@ -802,6 +813,7 @@ func (e *Endpoint) handle(p *fabric.Packet) {
 	// the reverse direction on the same path id.
 	ack := e.f.AllocPacketFor(e.host)
 	ack.Flow = p.Flow
+	ack.Slot = r.peer
 	ack.Src = e.host
 	ack.Dst = p.Src
 	ack.PathID = p.PathID
@@ -815,9 +827,30 @@ func (e *Endpoint) handle(p *fabric.Packet) {
 	}
 }
 
+// slotEntry returns entry i of an endpoint flow table, nil when the
+// slot is closed or out of range.
+func slotEntry[T any](table []*T, i uint32) *T {
+	if int(i) < len(table) {
+		return table[i]
+	}
+	return nil
+}
+
+// rxOf returns the open receiver of flow, nil if there is none. When
+// several senders opened the same flow id toward this endpoint, the
+// newest wins.
+func (e *Endpoint) rxOf(flow uint64) *receiver {
+	for i := len(e.rxs) - 1; i >= 0; i-- {
+		if r := e.rxs[i]; r != nil && r.flow == flow {
+			return r
+		}
+	}
+	return nil
+}
+
 // ReceivedBytes reports deduplicated payload bytes received for a flow.
 func (e *Endpoint) ReceivedBytes(flow uint64) uint64 {
-	if r, ok := e.rx[flow]; ok {
+	if r := e.rxOf(flow); r != nil {
 		return r.bytes
 	}
 	return 0
@@ -826,12 +859,17 @@ func (e *Endpoint) ReceivedBytes(flow uint64) uint64 {
 // PeerReceivedBytes reports the deduplicated payload bytes the remote
 // endpoint has received on this connection's flow — the goodput counter
 // recovery observers sample.
-func (c *Conn) PeerReceivedBytes() uint64 { return c.dst.ReceivedBytes(c.Flow) }
+func (c *Conn) PeerReceivedBytes() uint64 {
+	if r := c.dst.rxs[c.rxSlot]; r != nil {
+		return r.bytes
+	}
+	return 0
+}
 
 // MaxReorderDistance reports the deepest out-of-order arrival observed
 // on a flow.
 func (e *Endpoint) MaxReorderDistance(flow uint64) uint64 {
-	if r, ok := e.rx[flow]; ok {
+	if r := e.rxOf(flow); r != nil {
 		return r.reorder
 	}
 	return 0
@@ -848,6 +886,6 @@ func (c *Conn) Close() {
 		c.releaseOutstanding(o)
 	})
 	c.unacked.reset()
-	delete(c.src.conns, c.Flow)
-	delete(c.dst.rx, c.Flow)
+	c.src.flows[c.slot] = nil
+	c.dst.rxs[c.rxSlot] = nil
 }

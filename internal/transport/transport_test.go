@@ -249,6 +249,32 @@ func TestCloseStopsFlow(t *testing.T) {
 	}
 }
 
+// TestClosedFlowPacketsDoNotReachSuccessor closes a flow while its
+// packets are still in the fabric and reopens the same flow id on the
+// same endpoints: the old flow's packets must be dropped on arrival, not
+// counted by the new flow's receiver.
+func TestClosedFlowPacketsDoNotReachSuccessor(t *testing.T) {
+	r := newRig(t, 1, smallCfg(), Config{})
+	c, err := Connect(r.eps[0], r.eps[4], 1, multipath.OBS, 16)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c.Send(1<<20, nil)
+	r.eng.Run(r.eng.Now().Add(5 * time.Microsecond))
+	c.Close()
+	next, err := Connect(r.eps[0], r.eps[4], 1, multipath.OBS, 16)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r.eng.RunAll()
+	if got := r.eps[4].ReceivedBytes(1); got != 0 {
+		t.Errorf("successor flow received %d bytes of its predecessor's packets, want 0", got)
+	}
+	if got := next.PeerReceivedBytes(); got != 0 {
+		t.Errorf("successor PeerReceivedBytes = %d, want 0", got)
+	}
+}
+
 func TestStaleAckDoesNotSampleRTT(t *testing.T) {
 	// Karn's algorithm: with the propagation delay far above the RTO,
 	// every packet is retransmitted before its first ack returns, so
