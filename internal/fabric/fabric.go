@@ -29,43 +29,76 @@ import (
 var ErrBadHost = errors.New("fabric: unknown host")
 
 // HostID identifies a host NIC attached to the fabric.
-type HostID int
+type HostID int32
 
 // Packet is one unit on the wire. Size is in bytes; PathID selects the
-// ToR uplink (aggregation switch) for cross-segment hops.
+// ToR uplink (aggregation switch) for cross-segment hops, and a negative
+// PathID asks for adaptive routing.
 //
-// The first 64 bytes hold everything a hop reads or writes — the route,
-// the hop cursor, ECN and Size — so an arrival touches one cache line of
-// the packet (TestHotLayout pins the layout).
+// A packet is exactly one 64-byte cache line and holds no pointer
+// (TestHotLayout pins both): an arrival touches one line of it, and the
+// collector never scans the packets in flight. Data packets and acks
+// share Seq and Epoch; Ack says which one a packet is.
 type Packet struct {
-	// route is the packet's journey as link ids, filled by Send (inline,
-	// so routing allocates nothing): hops links, of which route[at] is
-	// the next.
-	route    [maxRouteHops]int32
-	hops, at uint8
-	ECN      bool   // set by congested queues along the way
-	Ack      bool   // acks are small control packets riding the same fabric
-	Slot     uint32 // the flow's index in the Dst endpoint's transport flow table
-	Size     uint64
-	Flow     uint64
-	Seq      uint64
-	Dst      HostID
-	Src      HostID
-	PathID   int
-	AckSeq   uint64
-	AckECN   bool // echoed congestion bit
-	// Epoch counts (re)transmissions of this Seq; acks echo it in
-	// AckEpoch so the sender can tell which transmission an ack is for
+	Flow uint64
+	// Seq is a data packet's sequence number; an ack carries the Seq it
+	// acknowledges.
+	Seq    uint64
+	PathID int
+	Src    HostID
+	Dst    HostID
+	Size   uint32
+	Slot   uint32 // the flow's index in the Dst endpoint's transport flow table
+	// Epoch counts (re)transmissions of a data packet's Seq; an ack
+	// echoes it so the sender can tell which transmission the ack is for
 	// (Karn's algorithm: stale-epoch acks must not be RTT-sampled).
-	Epoch    uint32
-	AckEpoch uint32
-	SentAt   sim.Time
-	// Trace is the packet's lifecycle-span ID (zero when untraced).
-	// The fabric steps the span at every queue, ECN mark and drop so an
-	// exported trace shows the packet's full hop-by-hop journey.
-	Trace    trace.ID
-	nextFree *Packet // fabric free-list link
+	Epoch uint32
+	// mid is the route between the host links, filled by Send (inline,
+	// so routing allocates nothing): the route is hops link ids, of which
+	// the next is link(at). The first and last links connect Src and Dst
+	// to their ToRs and follow from the host ids, so they are not stored.
+	mid      [maxRouteHops - 2]int32
+	hops, at uint8
+	Ack      bool // acks are small control packets riding the same fabric
+	flags    uint8
 }
+
+// Packet flag bits.
+const (
+	flagECN    uint8 = 1 << iota // set by congested queues along the way
+	flagAckECN                   // an ack's echo of the data packet's ECN
+)
+
+// ECN reports whether a congested queue marked the packet.
+func (p *Packet) ECN() bool { return p.flags&flagECN != 0 }
+
+// AckECN reports the congestion bit an ack echoes.
+func (p *Packet) AckECN() bool { return p.flags&flagAckECN != 0 }
+
+// SetAckECN sets the congestion bit an ack echoes.
+func (p *Packet) SetAckECN(on bool) {
+	if on {
+		p.flags |= flagAckECN
+	} else {
+		p.flags &^= flagAckECN
+	}
+}
+
+// link returns the id of the route's i-th link (0 ≤ i < hops).
+func (p *Packet) link(i uint8) int32 {
+	switch i {
+	case 0:
+		return hostUp(p.Src)
+	case p.hops - 1:
+		return hostDown(p.Dst)
+	}
+	return p.mid[i-1]
+}
+
+// hostUp and hostDown are the ids of host h's link to and from its ToR:
+// build creates them first, in host order.
+func hostUp(h HostID) int32   { return 2 * int32(h) }
+func hostDown(h HostID) int32 { return 2*int32(h) + 1 }
 
 // Config describes the topology and link parameters.
 type Config struct {
@@ -189,12 +222,11 @@ func (l *link) queueDepth(now sim.Time) uint64 {
 	return uint64(float64(l.freeAt-now) / 1e9 * l.rate)
 }
 
-// pool holds one shard's packet free list and delivery counters. The
-// engine driving a shard is single-threaded, so a plain linked list
-// suffices; per-shard pools keep the parallel-window mode race-free.
+// pool holds one shard's packet free stack and delivery counters. The
+// engine driving a shard is single-threaded, so a plain slice suffices;
+// per-shard pools keep the parallel-window mode race-free.
 type pool struct {
-	pktFree   *Packet
-	pktFreeN  int
+	free      []*Packet
 	delivered uint64
 	dropped   uint64
 }
@@ -229,12 +261,9 @@ type Fabric struct {
 
 	// The topology tables hold link ids. torUp[s][a] is segment s's
 	// uplink to aggregation switch a; torDown[s][a] the reverse
-	// direction.
+	// direction. Host links need no table (hostUp, hostDown).
 	torUp   [][]int32
 	torDown [][]int32
-	// hostUp[h] / hostDown[h] connect host h to its ToR.
-	hostUp   []int32
-	hostDown []int32
 
 	// Core layer (multi-pod topologies): aggUp[pod][agg][core] and
 	// coreDown[pod][agg][core] are the Agg→Core and Core→Agg links for
@@ -255,9 +284,16 @@ type Fabric struct {
 
 	handlers []func(*Packet)
 
-	// pools[shard] carries the shard's free list and counters. Packets a
-	// caller allocated directly still end their life here, so the list
-	// is capped to keep externally-fed workloads from hoarding memory.
+	// spans is the packets' lifecycle-span side table: SetSpan fills it,
+	// and only while a tracer is attached, so an untraced run never
+	// allocates or reads it. A traced run executes on one engine (the
+	// recorder is single-threaded), so one table serves every shard.
+	spans map[*Packet]trace.ID
+
+	// pools[shard] carries the shard's free stack and counters. Packets
+	// a caller allocated directly still end their life here, so the
+	// stack is capped to keep externally-fed workloads from hoarding
+	// memory.
 	pools   []pool
 	hopFn   func(any) // pre-bound packet stepper: no closure per hop
 	drainFn func(any) // pre-bound entry-link drain for AtInstantEnd
@@ -272,7 +308,7 @@ type hostLoc struct {
 // host, ToR up, Agg up, Core down, ToR down, host).
 const maxRouteHops = 6
 
-// pktFreeCap bounds the packet free list.
+// pktFreeCap bounds each shard's packet free stack.
 const pktFreeCap = 4096
 
 // New builds the fabric on a single engine.
@@ -348,15 +384,14 @@ func build(engs []*sim.Engine, se *sim.ShardedEngine, cfg Config) *Fabric {
 	}
 	f.links = make([]link, 0, nlinks)
 	f.cold = make([]linkCold, 0, nlinks)
-	f.hostUp = make([]int32, nhosts)
-	f.hostDown = make([]int32, nhosts)
 	f.hostAt = make([]hostLoc, nhosts)
 	for h := 0; h < nhosts; h++ {
 		seg := h / cfg.HostsPerSegment
 		sh := f.shardOfSegment(seg)
 		f.hostAt[h] = hostLoc{seg: int32(seg), pod: int32(seg / f.segsPod), shard: int32(sh)}
-		f.hostUp[h] = f.newLink(fmt.Sprintf("host%d->tor", h), cfg.HostLinkBW, sh)
-		f.hostDown[h] = f.newLink(fmt.Sprintf("tor->host%d", h), cfg.HostLinkBW, sh)
+		// Links 2h and 2h+1: the ids hostUp and hostDown compute.
+		f.newLink(fmt.Sprintf("host%d->tor", h), cfg.HostLinkBW, sh)
+		f.newLink(fmt.Sprintf("tor->host%d", h), cfg.HostLinkBW, sh)
 	}
 	f.torUp = make([][]int32, cfg.Segments)
 	f.torDown = make([][]int32, cfg.Segments)
@@ -425,28 +460,46 @@ func (f *Fabric) AllocPacketFor(h HostID) *Packet {
 
 func (f *Fabric) allocPacket(shard int) *Packet {
 	po := &f.pools[shard]
-	p := po.pktFree
-	if p == nil {
-		return &Packet{}
+	n := len(po.free)
+	if n == 0 {
+		return new(Packet)
 	}
-	po.pktFree = p.nextFree
-	po.pktFreeN--
+	p := po.free[n-1]
+	po.free = po.free[:n-1]
 	*p = Packet{}
 	return p
 }
 
 // release returns a delivered or dropped packet to the shard's free
-// list. Its fields are left intact until reuse so a handler's
-// just-returned pointer stays readable (tests inspect delivered packets
-// this way).
+// stack and forgets its span. Its fields are left intact until reuse so
+// a handler's just-returned pointer stays readable (tests inspect
+// delivered packets this way).
 func (f *Fabric) release(shard int, p *Packet) {
-	po := &f.pools[shard]
-	if po.pktFreeN < pktFreeCap {
-		p.nextFree = po.pktFree
-		po.pktFree = p
-		po.pktFreeN++
+	if f.spans != nil {
+		delete(f.spans, p)
+	}
+	if po := &f.pools[shard]; len(po.free) < pktFreeCap {
+		po.free = append(po.free, p)
 	}
 }
+
+// SetSpan attaches a lifecycle-span ID to p before Send. The fabric
+// steps the span at every hop, ECN mark and drop, so an exported trace
+// shows the packet's full hop-by-hop journey. A zero id (untraced)
+// records nothing.
+func (f *Fabric) SetSpan(p *Packet, id trace.ID) {
+	if id == 0 {
+		return
+	}
+	if f.spans == nil {
+		f.spans = make(map[*Packet]trace.ID)
+	}
+	f.spans[p] = id
+}
+
+// Span returns p's lifecycle-span ID, zero when it has none. It is
+// valid until p is recycled, so a receive handler may read it.
+func (f *Fabric) Span(p *Packet) trace.ID { return f.spans[p] }
 
 // Pod returns which pod a host belongs to.
 func (f *Fabric) Pod(h HostID) int { return int(f.hostAt[h].pod) }
@@ -532,7 +585,7 @@ func (f *Fabric) EngineForSegment(seg int) *sim.Engine {
 }
 
 // NumHosts returns the number of attached host NICs.
-func (f *Fabric) NumHosts() int { return len(f.hostUp) }
+func (f *Fabric) NumHosts() int { return len(f.hostAt) }
 
 // Handle registers the receive callback for a host.
 func (f *Fabric) Handle(h HostID, fn func(*Packet)) {
@@ -564,23 +617,21 @@ func (f *Fabric) Dropped() uint64 {
 // recycled via AllocPacket. Sharded callers must invoke Send from the
 // source host's shard (its engine's callbacks), where its uplink lives.
 func (f *Fabric) Send(p *Packet) error {
-	if int(p.Src) >= len(f.hostUp) || int(p.Dst) >= len(f.hostDown) || p.Src < 0 || p.Dst < 0 {
+	if int(p.Src) >= len(f.hostAt) || int(p.Dst) >= len(f.hostAt) || p.Src < 0 || p.Dst < 0 {
 		return fmt.Errorf("%w: %d->%d", ErrBadHost, p.Src, p.Dst)
 	}
-	p.SentAt = f.EngineFor(p.Src).Now()
 	p.hops, p.at = f.route(p), 0
 	f.hop(p)
 	return nil
 }
 
-// route fills the packet's ordered link list and returns the hop count.
+// route fills the packet's switch-to-switch links and returns the hop
+// count, host links included.
 func (f *Fabric) route(p *Packet) uint8 {
 	src, dst := &f.hostAt[p.Src], &f.hostAt[p.Dst]
 	srcSeg, dstSeg := int(src.seg), int(dst.seg)
 	if srcSeg == dstSeg {
 		// Same ToR: host -> tor -> host.
-		p.route[0] = f.hostUp[p.Src]
-		p.route[1] = f.hostDown[p.Dst]
 		return 2
 	}
 	var agg int
@@ -616,10 +667,8 @@ func (f *Fabric) route(p *Packet) uint8 {
 	}
 	srcPod, dstPod := src.pod, dst.pod
 	if srcPod == dstPod {
-		p.route[0] = f.hostUp[p.Src]
-		p.route[1] = f.torUp[srcSeg][agg]
-		p.route[2] = f.torDown[dstSeg][agg]
-		p.route[3] = f.hostDown[p.Dst]
+		p.mid[0] = f.torUp[srcSeg][agg]
+		p.mid[1] = f.torDown[dstSeg][agg]
 		return 4
 	}
 	// Cross-pod: climb to the core "escape" layer and descend into the
@@ -628,12 +677,10 @@ func (f *Fabric) route(p *Packet) uint8 {
 	if core < 0 {
 		core += f.cores
 	}
-	p.route[0] = f.hostUp[p.Src]
-	p.route[1] = f.torUp[srcSeg][agg]
-	p.route[2] = f.aggUp[srcPod][agg][core]
-	p.route[3] = f.coreDown[dstPod][agg][core]
-	p.route[4] = f.torDown[dstSeg][agg]
-	p.route[5] = f.hostDown[p.Dst]
+	p.mid[0] = f.torUp[srcSeg][agg]
+	p.mid[1] = f.aggUp[srcPod][agg][core]
+	p.mid[2] = f.coreDown[dstPod][agg][core]
+	p.mid[3] = f.torDown[dstSeg][agg]
 	return 6
 }
 
@@ -704,7 +751,7 @@ func (f *Fabric) hop(p *Packet) {
 		f.deliver(p)
 		return
 	}
-	l := &f.links[p.route[p.at]]
+	l := &f.links[p.link(p.at)]
 	if l.entry {
 		// Same-instant arrival order at a handoff seam is a merge
 		// artifact; defer to instant end and claim in canonical order.
@@ -769,8 +816,8 @@ func (f *Fabric) arrive(l *link, p *Packet) {
 		}
 	}
 
-	q := l.queueDepth(now)
-	if q+p.Size > f.cfg.QueueLimit {
+	q, size := l.queueDepth(now), uint64(p.Size)
+	if q+size > f.cfg.QueueLimit {
 		if tr.Enabled() {
 			tr.Instant("fabric", "fabric", "net", "drop",
 				trace.S("link", f.cold[l.id].name), trace.U("seq", p.Seq), trace.S("reason", "taildrop"),
@@ -780,15 +827,15 @@ func (f *Fabric) arrive(l *link, p *Packet) {
 		return
 	}
 	if q >= f.cfg.ECNThreshold {
-		p.ECN = true
+		p.flags |= flagECN
 		l.ecnMarks++
 		if tr.Enabled() {
-			tr.SpanStep(p.Trace, "fabric", "fabric", "pkt", "ecn-mark",
+			tr.SpanStep(f.Span(p), "fabric", "fabric", "pkt", "ecn-mark",
 				trace.S("link", f.cold[l.id].name), trace.U("queue", q))
 		}
 	}
-	if q+p.Size > l.maxQueue {
-		l.maxQueue = q + p.Size
+	if q+size > l.maxQueue {
+		l.maxQueue = q + size
 	}
 
 	// The exact division on every hop: a reciprocal-multiply precompute
@@ -799,19 +846,21 @@ func (f *Fabric) arrive(l *link, p *Packet) {
 		l.freeAt = now
 	}
 	l.freeAt = l.freeAt.Add(ser)
-	l.bytesTx += p.Size
+	l.bytesTx += size
 	depart := l.freeAt.Add(l.delay)
-	if tr.Enabled() && p.Trace != 0 {
-		// One slice per hop: queue wait + serialisation + propagation.
-		name := f.cold[l.id].name
-		tr.Complete("fabric", "fabric", "net", "hop", depart.Sub(now),
-			trace.S("link", name), trace.U("seq", p.Seq), trace.U("queue", q))
-		tr.SpanStep(p.Trace, "fabric", "fabric", "pkt", "hop", trace.S("link", name))
+	if tr.Enabled() {
+		if span := f.Span(p); span != 0 {
+			// One slice per hop: queue wait + serialisation + propagation.
+			name := f.cold[l.id].name
+			tr.Complete("fabric", "fabric", "net", "hop", depart.Sub(now),
+				trace.S("link", name), trace.U("seq", p.Seq), trace.U("queue", q))
+			tr.SpanStep(span, "fabric", "fabric", "pkt", "hop", trace.S("link", name))
+		}
 	}
 	// One shard has no handoffs: skip the check and leave the next
 	// link's cache line to its own hop.
 	if len(f.engs) > 1 && p.at < p.hops {
-		if next := f.links[p.route[p.at]].shard; next != l.shard {
+		if next := f.links[p.link(p.at)].shard; next != l.shard {
 			// Cross-shard handoff: depart ≥ now + propagation delay ≥
 			// now + lookahead, the conservative-synchronization bound.
 			f.se.Handoff(int(l.shard), int(next), depart, f.hopFn, p)
@@ -828,13 +877,13 @@ func (f *Fabric) drop(l *link, p *Packet) {
 	c.drops++
 	f.pools[l.shard].dropped++
 	if tr := l.eng.Tracer(); tr.Enabled() {
-		tr.SpanStep(p.Trace, "fabric", "fabric", "pkt", "drop", trace.S("link", c.name))
+		tr.SpanStep(f.Span(p), "fabric", "fabric", "pkt", "drop", trace.S("link", c.name))
 	}
 	f.release(int(l.shard), p)
 }
 
 // sortPackets orders buffered arrivals by canonical packet key:
-// (flow, data before acks, seq/ackseq, epoch) — unique among in-flight
+// (flow, data before acks, seq, epoch) — unique among in-flight
 // packets, so the order is total and engine-independent. Insertion sort:
 // same-instant multi-arrivals are rare and tiny.
 func sortPackets(s []*Packet) {
@@ -851,12 +900,6 @@ func packetLess(pa, pb *Packet) bool {
 	}
 	if pa.Ack != pb.Ack {
 		return !pa.Ack
-	}
-	if pa.Ack {
-		if pa.AckSeq != pb.AckSeq {
-			return pa.AckSeq < pb.AckSeq
-		}
-		return pa.AckEpoch < pb.AckEpoch
 	}
 	if pa.Seq != pb.Seq {
 		return pa.Seq < pb.Seq

@@ -36,6 +36,7 @@ func TestDeliveryIntraSegment(t *testing.T) {
 	f := smallFabric(eng)
 	var got *Packet
 	f.Handle(1, func(p *Packet) { got = p })
+	sent := eng.Now()
 	if err := f.Send(&Packet{Src: 0, Dst: 1, Size: 1000}); err != nil {
 		t.Fatal(err)
 	}
@@ -48,7 +49,7 @@ func TestDeliveryIntraSegment(t *testing.T) {
 	}
 	// Two hops: serialization 2x1µs + 2x1µs delay = 4µs.
 	want := sim.Duration(2*1000) + 2*time.Microsecond
-	if lat := eng.Now().Sub(got.SentAt); lat != want {
+	if lat := eng.Now().Sub(sent); lat != want {
 		t.Errorf("intra-segment latency = %v, want %v", lat, want)
 	}
 }
@@ -110,7 +111,7 @@ func TestQueueBuildupAndECN(t *testing.T) {
 	})
 	var marked int
 	f.Handle(4, func(p *Packet) {
-		if p.ECN {
+		if p.ECN() {
 			marked++
 		}
 	})
@@ -299,7 +300,7 @@ func TestConservationProperty(t *testing.T) {
 			p := &Packet{
 				Src:    HostID(rng.Intn(fb.NumHosts())),
 				Dst:    HostID(rng.Intn(fb.NumHosts())),
-				Size:   uint64(rng.Intn(4096) + 1),
+				Size:   uint32(rng.Intn(4096) + 1),
 				PathID: rng.Intn(int(pathSpread%64) + 1),
 				Seq:    uint64(i),
 			}

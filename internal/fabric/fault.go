@@ -180,13 +180,13 @@ var ErrBadFault = errors.New("fabric: bad fault")
 func (f *Fabric) linkAt(ref LinkRef) (int32, error) {
 	switch ref.Tier {
 	case TierHost:
-		if ref.Host < 0 || ref.Host >= len(f.hostUp) {
+		if ref.Host < 0 || ref.Host >= len(f.hostAt) {
 			return 0, fmt.Errorf("%w: %s", ErrBadHost, ref)
 		}
 		if ref.Dir == DirUp {
-			return f.hostUp[ref.Host], nil
+			return hostUp(HostID(ref.Host)), nil
 		}
-		return f.hostDown[ref.Host], nil
+		return hostDown(HostID(ref.Host)), nil
 	case TierTorAgg:
 		if ref.Segment < 0 || ref.Segment >= f.cfg.Segments || ref.Agg < 0 || ref.Agg >= f.cfg.Aggs {
 			return 0, fmt.Errorf("fabric: no such link %s", ref)

@@ -180,7 +180,8 @@ func TestGrayFaultDegradesWithoutKilling(t *testing.T) {
 		eng := sim.NewEngine(1)
 		f := smallFabric(eng)
 		var lat sim.Duration
-		f.Handle(1, func(p *Packet) { lat = eng.Now().Sub(p.SentAt) })
+		sent := eng.Now()
+		f.Handle(1, func(p *Packet) { lat = eng.Now().Sub(sent) })
 		if err := f.Send(&Packet{Src: 0, Dst: 1, Size: 1000}); err != nil {
 			t.Fatal(err)
 		}
@@ -191,7 +192,8 @@ func TestGrayFaultDegradesWithoutKilling(t *testing.T) {
 	eng := sim.NewEngine(1)
 	f := smallFabric(eng)
 	var lat sim.Duration
-	f.Handle(1, func(p *Packet) { lat = eng.Now().Sub(p.SentAt) })
+	sent := eng.Now()
+	f.Handle(1, func(p *Packet) { lat = eng.Now().Sub(sent) })
 	ft := Fault{ExtraDelay: sim.Duration(5 * time.Microsecond), BWFactor: 0.5}
 	if err := f.SetFault(HostLink(0, DirUp), ft); err != nil {
 		t.Fatal(err)
@@ -216,7 +218,7 @@ func TestGrayFaultDegradesWithoutKilling(t *testing.T) {
 	if err := f.ClearFault(HostLink(0, DirUp)); err != nil {
 		t.Fatal(err)
 	}
-	lat = 0
+	lat, sent = 0, eng.Now()
 	if err := f.Send(&Packet{Src: 0, Dst: 1, Size: 1000}); err != nil {
 		t.Fatal(err)
 	}
@@ -313,13 +315,15 @@ func TestGrayFaultRoundTrip(t *testing.T) {
 		eng := sim.NewEngine(1)
 		f := smallFabric(eng)
 		var last sim.Duration
-		f.Handle(1, func(p *Packet) { last = eng.Now().Sub(p.SentAt) })
-		f.Handle(5, func(p *Packet) { lats = append(lats, eng.Now().Sub(p.SentAt)) })
+		var sent, burstSent sim.Time
+		f.Handle(1, func(p *Packet) { last = eng.Now().Sub(sent) })
+		f.Handle(5, func(p *Packet) { lats = append(lats, eng.Now().Sub(burstSent)) })
 		if gray {
 			if err := f.SetFault(HostLink(0, DirUp), Fault{BWFactor: 0.37, ExtraDelay: extra}); err != nil {
 				t.Fatal(err)
 			}
 		}
+		sent = eng.Now()
 		if err := f.Send(&Packet{Src: 0, Dst: 1, Size: size}); err != nil {
 			t.Fatal(err)
 		}
@@ -331,7 +335,8 @@ func TestGrayFaultRoundTrip(t *testing.T) {
 		// A same-instant burst of mixed sizes queues behind itself, so
 		// every serialisation time shows in the delivery times.
 		eng.At(sim.Time(time.Millisecond), func() {
-			for i, sz := range []uint64{1000, 1500, 64, 4096, 999, 1000} {
+			burstSent = eng.Now()
+			for i, sz := range []uint32{1000, 1500, 64, 4096, 999, 1000} {
 				if err := f.Send(&Packet{Src: 0, Dst: 5, Size: sz, PathID: i, Seq: uint64(i)}); err != nil {
 					t.Fatal(err)
 				}

@@ -86,8 +86,9 @@ func TestCrossPodLatencyHasExtraHops(t *testing.T) {
 	eng := sim.NewEngine(1)
 	f := podFabric(eng)
 	var intra, cross sim.Time
-	f.Handle(2, func(p *Packet) { intra = eng.Now() - p.SentAt })
-	f.Handle(6, func(p *Packet) { cross = eng.Now() - p.SentAt })
+	sent := eng.Now()
+	f.Handle(2, func(p *Packet) { intra = eng.Now() - sent })
+	f.Handle(6, func(p *Packet) { cross = eng.Now() - sent })
 	// Distinct sources and aggs so the probes share no queue.
 	f.Send(&Packet{Src: 0, Dst: 2, Size: 1000, PathID: 0})
 	f.Send(&Packet{Src: 1, Dst: 6, Size: 1000, PathID: 1})

@@ -45,7 +45,7 @@ func runIncast(shards int) shardedRun {
 	for h := 0; h < podHosts; h++ {
 		eng := f.EngineFor(HostID(h))
 		f.Handle(HostID(h), func(p *Packet) {
-			out.logs[h] = append(out.logs[h], delivery{eng.Now(), p.Flow, p.Seq, p.ECN})
+			out.logs[h] = append(out.logs[h], delivery{eng.Now(), p.Flow, p.Seq, p.ECN()})
 		})
 	}
 	for src := HostID(f.NumHosts() - 1); src >= HostID(podHosts); src-- {

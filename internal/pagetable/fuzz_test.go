@@ -55,7 +55,7 @@ func FuzzTableOps(f *testing.F) {
 					}
 				}
 			case 4:
-				tb.Clear()
+				resetTable(tb)
 				ref = ref[:0]
 			}
 			checkTable(t, tb, ref, start+5)

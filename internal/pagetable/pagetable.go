@@ -51,9 +51,6 @@ func New(name string) *Table { return &Table{name: name} }
 // Len returns the number of mappings.
 func (t *Table) Len() int { return t.n }
 
-// Clear removes all mappings.
-func (t *Table) Clear() { t.off, t.n = 0, 0 }
-
 // live returns the window of installed entries.
 func (t *Table) live() []entry { return t.base[t.off : t.off+t.n] }
 

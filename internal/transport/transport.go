@@ -27,11 +27,19 @@ import (
 var (
 	ErrFlowExists = errors.New("transport: flow already exists")
 	ErrNoFlow     = errors.New("transport: unknown flow")
+	ErrPathCount  = errors.New("transport: path count out of range")
 )
+
+// MaxPaths is the largest fan-out a connection accepts. Selectors keep
+// per-path state, so the bound turns an absurd count into an error
+// rather than an allocation the process cannot survive; it is 256 times
+// the paper's 128 paths.
+const MaxPaths = 1 << 15
 
 // Config parameterises the transport on one endpoint pair.
 type Config struct {
-	// MTU is the payload bytes per packet.
+	// MTU is the payload bytes per packet, below 4 GiB: a packet's Size
+	// is 32 bits.
 	MTU uint64
 	// InitialWindow is the starting congestion window in bytes.
 	InitialWindow uint64
@@ -353,8 +361,12 @@ func (r *ackRing) each(fn func(*outstanding)) {
 func (r *ackRing) reset() { *r = ackRing{} }
 
 // Connect establishes a one-directional flow from src to dst using the
-// given path-selection algorithm and fan-out.
+// given path-selection algorithm and fan-out, which must lie in
+// [1, MaxPaths].
 func Connect(src, dst *Endpoint, flow uint64, alg multipath.Algorithm, numPaths int) (*Conn, error) {
+	if err := checkPaths(numPaths); err != nil {
+		return nil, err
+	}
 	return ConnectWithSelector(src, dst, flow,
 		multipath.New(alg, numPaths, src.eng.RNG().Fork(flow*2+1)))
 }
@@ -363,6 +375,9 @@ func Connect(src, dst *Endpoint, flow uint64, alg multipath.Algorithm, numPaths 
 // hook a Traffic Engineering controller uses to pin each flow to its
 // centrally-computed path (multipath.NewPinned).
 func ConnectWithSelector(src, dst *Endpoint, flow uint64, sel multipath.Selector) (*Conn, error) {
+	if err := checkPaths(sel.NumPaths()); err != nil {
+		return nil, err
+	}
 	for _, c := range src.flows {
 		if c != nil && c.Flow == flow {
 			return nil, fmt.Errorf("%w: %d", ErrFlowExists, flow)
@@ -403,6 +418,13 @@ func ConnectWithSelector(src, dst *Endpoint, flow uint64, sel multipath.Selector
 	src.flows = append(src.flows, c)
 	dst.rxs = append(dst.rxs, &receiver{flow: flow, peer: c.slot})
 	return c, nil
+}
+
+func checkPaths(n int) error {
+	if n < 1 || n > MaxPaths {
+		return fmt.Errorf("%w: %d not in [1, %d]", ErrPathCount, n, MaxPaths)
+	}
+	return nil
 }
 
 // Send enqueues a message of size bytes; done (optional) fires at the
@@ -574,9 +596,9 @@ func (c *Conn) transmit(o *outstanding) {
 	p.Dst = c.dst.host
 	p.PathID = o.path
 	p.Seq = o.seq
-	p.Size = o.size
+	p.Size = uint32(o.size)
 	p.Epoch = o.epoch
-	p.Trace = o.span
+	c.src.f.SetSpan(p, o.span)
 	// Guarded: the per-packet field list must not be built when the
 	// recorder is off.
 	if tr := c.eng.Tracer(); tr.Enabled() {
@@ -699,11 +721,11 @@ func (c *Conn) handleAck(p *fabric.Packet) {
 		// receiver dedupes, so the data is not double-counted).
 		return
 	}
-	o := c.unacked.get(p.AckSeq)
+	o := c.unacked.get(p.Seq)
 	if o == nil {
 		return // duplicate ack for a seq already completed
 	}
-	c.unacked.del(p.AckSeq)
+	c.unacked.del(p.Seq)
 	c.detachRTO(o)
 	c.release(o.path, o.size)
 	c.BytesAcked += o.size
@@ -713,11 +735,12 @@ func (c *Conn) handleAck(p *fabric.Packet) {
 	// timing is measured against the wrong sentAt — sampling it would
 	// feed a spuriously tiny RTT into the mean, the path selector, and
 	// the RTT arm of the CC. Suppress sampling and CC for stale epochs.
-	stale := p.AckEpoch != o.epoch
+	stale := p.Epoch != o.epoch
+	ecn := p.AckECN()
 	rtt := c.eng.Now().Sub(o.sentAt)
 	if tr := c.eng.Tracer(); tr.Enabled() {
 		tr.SpanEnd(o.span, c.src.label, "transport", "pkt", "packet",
-			trace.D("rtt", rtt), trace.B("ecn", p.AckECN), trace.B("stale", stale))
+			trace.D("rtt", rtt), trace.B("ecn", ecn), trace.B("stale", stale))
 		tr.Counter(c.src.label, "transport", "cwnd", c.window)
 	}
 	if stale {
@@ -725,10 +748,10 @@ func (c *Conn) handleAck(p *fabric.Packet) {
 	} else {
 		c.AckCount++
 		c.RTTSum += rtt
-		c.sel.Feedback(o.path, rtt, p.AckECN, false)
+		c.sel.Feedback(o.path, rtt, ecn, false)
 
 		switch {
-		case p.AckECN:
+		case ecn:
 			c.ECNAcks++
 			c.decrease(o.path, c.cfg.ECNBeta)
 		case rtt > c.cfg.TargetRTT*2:
@@ -793,12 +816,14 @@ func (e *Endpoint) handle(p *fabric.Packet) {
 	if r == nil {
 		return // flow closed or never opened
 	}
-	if tr := e.eng.Tracer(); tr.Enabled() && p.Trace != 0 {
-		tr.SpanStep(p.Trace, e.label, "transport", "pkt", "deliver",
-			trace.U("seq", p.Seq), trace.B("ecn", p.ECN))
+	if tr := e.eng.Tracer(); tr.Enabled() {
+		if span := e.f.Span(p); span != 0 {
+			tr.SpanStep(span, e.label, "transport", "pkt", "deliver",
+				trace.U("seq", p.Seq), trace.B("ecn", p.ECN()))
+		}
 	}
 	if !r.testAndSet(p.Seq) {
-		r.bytes += p.Size
+		r.bytes += uint64(p.Size)
 		r.delivered++
 		// Direct packet placement: out-of-order arrival is free; track
 		// the reorder distance as an observability metric.
@@ -818,9 +843,9 @@ func (e *Endpoint) handle(p *fabric.Packet) {
 	ack.Dst = p.Src
 	ack.PathID = p.PathID
 	ack.Ack = true
-	ack.AckSeq = p.Seq
-	ack.AckEpoch = p.Epoch
-	ack.AckECN = p.ECN
+	ack.Seq = p.Seq
+	ack.Epoch = p.Epoch
+	ack.SetAckECN(p.ECN())
 	ack.Size = ackSize
 	if err := e.f.Send(ack); err != nil {
 		panic(err)

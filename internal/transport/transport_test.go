@@ -1,6 +1,7 @@
 package transport
 
 import (
+	"errors"
 	"testing"
 	"time"
 
@@ -79,6 +80,20 @@ func TestDuplicateFlowRejected(t *testing.T) {
 	}
 	if _, err := Connect(r.eps[0], r.eps[5], 1, multipath.OBS, 4); err == nil {
 		t.Error("duplicate flow accepted")
+	}
+}
+
+// TestConnectRejectsBadPathCount: a fan-out outside [1, MaxPaths] is a
+// typed error, and the rejected connection leaves no flow behind.
+func TestConnectRejectsBadPathCount(t *testing.T) {
+	r := newRig(t, 1, smallCfg(), Config{})
+	for _, n := range []int{0, -1, MaxPaths + 1} {
+		if _, err := Connect(r.eps[0], r.eps[4], 1, multipath.OBS, n); !errors.Is(err, ErrPathCount) {
+			t.Errorf("Connect with %d paths: err = %v, want ErrPathCount", n, err)
+		}
+	}
+	if _, err := Connect(r.eps[0], r.eps[4], 1, multipath.OBS, MaxPaths); err != nil {
+		t.Errorf("Connect with MaxPaths paths: %v", err)
 	}
 }
 
@@ -356,10 +371,10 @@ func TestOutOfOrderMessageCompletionTime(t *testing.T) {
 	// m2's last byte is acked at 100 µs, m1's only at 300 µs; FIFO order
 	// defers m2's callback but must not overwrite its completion time.
 	r.eng.At(sim.Time(100*time.Microsecond), func() {
-		c.handleAck(&fabric.Packet{Ack: true, AckSeq: 1})
+		c.handleAck(&fabric.Packet{Ack: true, Seq: 1})
 	})
 	r.eng.At(sim.Time(300*time.Microsecond), func() {
-		c.handleAck(&fabric.Packet{Ack: true, AckSeq: 0})
+		c.handleAck(&fabric.Packet{Ack: true, Seq: 0})
 	})
 	r.eng.Run(sim.Time(time.Millisecond))
 	if t1 != sim.Time(300*time.Microsecond) {
