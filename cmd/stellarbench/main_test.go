@@ -88,6 +88,21 @@ func TestRefusesDeploy(t *testing.T) {
 	}
 }
 
+// TestRefusesAbsurdJobGraph: a -jobgraph file whose rank count no
+// fleet can hold fails validation on load and exits 2 without a panic,
+// before any fabric is built.
+func TestRefusesAbsurdJobGraph(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "huge.json")
+	graph := `{"name":"huge","ranks":4611686018427387904,"ops":[{"id":"c0","kind":"compute","rank":0,"for":"1us"}]}`
+	if err := os.WriteFile(path, []byte(graph), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	code, out := invoke(t, "-jobgraph", path)
+	if code != 2 || strings.Contains(out, "panic:") || !strings.Contains(out, "Ranks must be in [1, MaxRanks]") {
+		t.Errorf("-jobgraph huge.json exited %d, want 2 with the Ranks error and no panic:\n%s", code, out)
+	}
+}
+
 // TestChaosBindErrorFailsExperiment: a scenario that does not fit an
 // experiment's topology (NIC faults on a fabric-only run, a link on a
 // host the fabric does not have) fails that experiment with exit 1 and

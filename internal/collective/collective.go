@@ -1,7 +1,10 @@
 // Package collective builds the traffic patterns of §7 and §8 on top of
-// the transport: ring AllReduce (the bandwidth-dominant collective in
-// LLM training), permutation traffic (Figure 9's stress pattern), and a
-// cyclic on/off driver for bursty background load (Figure 10b).
+// the transport, one driver each: ring AllReduce (the bandwidth-dominant
+// collective in LLM training; Ring.Reduce, Ring.Rounds), permutation
+// traffic (Figure 9's stress pattern; RunPermutation), a cyclic on/off
+// driver for background load (Figures 10a and 10b; Cyclic), and a batch
+// of point-to-point flows (Figure 12's connections, §9's all-to-all;
+// SendAll).
 //
 // Ring AllReduce is modelled at steady state: each of the N participants
 // streams 2·(N−1)/N of the reduce size to its ring successor, and the
@@ -15,7 +18,6 @@ import (
 	"fmt"
 
 	"repro/internal/fabric"
-	"repro/internal/metrics"
 	"repro/internal/multipath"
 	"repro/internal/sim"
 	"repro/internal/trace"
@@ -164,6 +166,29 @@ func (r *Ring) Reduce(eng *sim.Engine, size uint64, done func(Result)) {
 	}
 }
 
+// Rounds runs n back-to-back reduces of size bytes until the last
+// completes, then halts eng, and returns their results. A reduce still
+// running horizon after the call is an error naming cell ("experiment:
+// cell"), not a zero Result printed as 0.00 GB/s.
+func (r *Ring) Rounds(eng *sim.Engine, size uint64, n int, horizon sim.Duration, cell string) ([]Result, error) {
+	results := make([]Result, 0, n)
+	var next func(Result)
+	next = func(res Result) {
+		results = append(results, res)
+		if len(results) < n {
+			r.Reduce(eng, size, next)
+		} else {
+			eng.Halt()
+		}
+	}
+	r.Reduce(eng, size, next)
+	eng.Run(eng.Now().Add(horizon))
+	if len(results) < n {
+		return nil, fmt.Errorf("%s: %d of %d reduces completed within %v", cell, len(results), n, horizon)
+	}
+	return results, nil
+}
+
 // Conns exposes the ring's flows for stats collection.
 func (r *Ring) Conns() []*transport.Conn { return r.conns }
 
@@ -177,34 +202,69 @@ func (r *Ring) Close() {
 // Cyclic drives a ring with on/off bursts: during each on-phase it
 // back-to-back reduces chunks of chunkSize; during the off-phase it is
 // silent. The Figure 10b background task is "active for 5 seconds and
-// paused for 5 seconds cyclically".
+// paused for 5 seconds cyclically"; an on-phase longer than the run is
+// Figure 10a's static background.
 type Cyclic struct {
 	ring      *Ring
 	eng       *sim.Engine
 	chunk     uint64
 	on, off   sim.Duration
+	deadline  sim.Time // end of the current on-phase
+	reduced   func(Result)
 	Completed uint64
 }
 
 // NewCyclic builds the driver; call Start to begin the first on-phase.
 func NewCyclic(eng *sim.Engine, ring *Ring, chunkSize uint64, on, off sim.Duration) *Cyclic {
-	return &Cyclic{ring: ring, eng: eng, chunk: chunkSize, on: on, off: off}
+	c := &Cyclic{ring: ring, eng: eng, chunk: chunkSize, on: on, off: off}
+	c.reduced = c.onReduced // bound once: a back-to-back reduce allocates no closure
+	return c
 }
 
 // Start begins the on/off cycle at the current virtual time. The cycle
 // never ends: drive the engine with Run up to a horizon, not RunAll.
-func (c *Cyclic) Start() { c.phaseOn(c.eng.Now()) }
+func (c *Cyclic) Start() { c.startPhase() }
 
-func (c *Cyclic) phaseOn(phaseStart sim.Time) {
-	deadline := phaseStart.Add(c.on)
-	c.ring.Reduce(c.eng, c.chunk, func(Result) {
-		c.Completed++
-		if c.eng.Now() < deadline {
-			c.phaseOn(phaseStart) // keep bursting within the on-phase
-			return
-		}
-		c.eng.After(c.off, func() { c.phaseOn(c.eng.Now()) })
-	})
+func (c *Cyclic) startPhase() {
+	c.deadline = c.eng.Now().Add(c.on)
+	c.ring.Reduce(c.eng, c.chunk, c.reduced)
+}
+
+func (c *Cyclic) onReduced(Result) {
+	c.Completed++
+	if c.eng.Now() < c.deadline {
+		c.ring.Reduce(c.eng, c.chunk, c.reduced) // keep bursting within the on-phase
+		return
+	}
+	c.eng.After(c.off, c.startPhase)
+}
+
+// SendAll sends bytes on every conn, in slice order, at the current
+// virtual time of eng. done fires once, when the last conn's bytes are
+// acknowledged: End is that latest completion and BusBW the per-flow
+// goodput, bytes over End−Start. An empty batch never fires done. Every
+// conn's source must run on eng: the completion state is shared across
+// the batch, so a batch never spans engine shards.
+func SendAll(eng *sim.Engine, conns []*transport.Conn, bytes uint64, done func(Result)) {
+	start := eng.Now()
+	remaining := len(conns)
+	var last sim.Time
+	for _, c := range conns {
+		c.Send(bytes, func(at sim.Time) {
+			if at > last {
+				last = at
+			}
+			remaining--
+			if remaining > 0 {
+				return
+			}
+			res := Result{Size: bytes, VolumePerFlow: bytes, Start: start, End: last}
+			if elapsed := last.Sub(start); elapsed > 0 {
+				res.BusBW = float64(bytes) / elapsed.Seconds()
+			}
+			done(res)
+		})
+	}
 }
 
 // PermutationConfig drives RunPermutation.
@@ -242,7 +302,7 @@ type PermutationResult struct {
 // queues.
 //
 // Every piece of mutable state is partitioned by pod — completion
-// counters, queue samplers, histograms — and each pod's sampler runs on
+// counters, queue samplers, queue sums — and each pod's sampler runs on
 // the engine that owns it, so the function is safe on a sharded fabric
 // and produces identical results at any shard count (per-pod sampling
 // is the structure even on one engine).
@@ -310,7 +370,9 @@ func RunPermutation(eng *sim.Engine, f *fabric.Fabric, eps []*transport.Endpoint
 		p := f.Pod(fabric.HostID(s * hostsPerSeg))
 		podSegs[p] = append(podSegs[p], s)
 	}
-	hists := make([]metrics.Histogram, pods)
+	// Per-pod running sums: only the mean is reported.
+	sums := make([]float64, pods)
+	counts := make([]int, pods)
 	maxQs := make([]uint64, pods)
 	for p := 0; p < pods; p++ {
 		p := p
@@ -322,7 +384,8 @@ func RunPermutation(eng *sim.Engine, f *fabric.Fabric, eps []*transport.Endpoint
 			}
 			for _, seg := range podSegs[p] {
 				for _, d := range f.UplinkQueueDepths(seg) {
-					hists[p].Observe(float64(d))
+					sums[p] += float64(d)
+					counts[p]++
 					if d > maxQs[p] {
 						maxQs[p] = d
 					}
@@ -344,8 +407,8 @@ func RunPermutation(eng *sim.Engine, f *fabric.Fabric, eps []*transport.Endpoint
 	var sum float64
 	var count int
 	for p := 0; p < pods; p++ {
-		sum += hists[p].Sum()
-		count += hists[p].Count()
+		sum += sums[p]
+		count += counts[p]
 		if maxQs[p] > res.MaxQueue {
 			res.MaxQueue = maxQs[p]
 		}

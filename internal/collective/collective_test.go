@@ -2,6 +2,7 @@ package collective
 
 import (
 	"errors"
+	"strings"
 	"testing"
 	"time"
 
@@ -71,6 +72,28 @@ func TestRingReduceCompletes(t *testing.T) {
 		}
 	}
 	ring.Close()
+}
+
+// TestReduceRoundsReportsUnfinishedReduce: a measured reduce that has
+// not completed by the horizon is an error naming its cell, not a
+// zero-valued result; one that has, returns every round.
+func TestReduceRoundsReportsUnfinishedReduce(t *testing.T) {
+	eng, _, eps := newCluster(t, 7, 2, 4, 8)
+	ring, err := NewRing(eps, 1, multipath.OBS, 16)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := ring.Rounds(eng, 1<<20, 1, time.Microsecond, "fig10a: obs/128")
+	if err == nil || !strings.Contains(err.Error(), "fig10a: obs/128") {
+		t.Errorf("Rounds at a 1 µs horizon = %v, %v; want an error naming fig10a: obs/128", res, err)
+	}
+
+	eng, _, eps = newCluster(t, 7, 2, 4, 8)
+	ring, _ = NewRing(eps, 1, multipath.OBS, 16)
+	res, err = ring.Rounds(eng, 1<<20, 3, time.Second, "three rounds")
+	if err != nil || len(res) != 3 || res[0].End > res[1].Start {
+		t.Errorf("Rounds(3) = %v, %v; want three back-to-back results", res, err)
+	}
 }
 
 func TestRingPlacementAffectsFabricLoad(t *testing.T) {

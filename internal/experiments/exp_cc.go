@@ -32,15 +32,14 @@ func AblationCC(s *Session) (*Table, error) {
 		if err != nil {
 			return 0, 0, 0, err
 		}
-		var loop func(collective.Result)
-		loop = func(collective.Result) { bg.Reduce(eng, 2<<20, loop) }
-		bg.Reduce(eng, 2<<20, loop)
+		const horizon = 500 * time.Millisecond
+		collective.NewCyclic(eng, bg, 2<<20, 2*horizon, 0).Start() // on for the whole cell
 
 		ring, err := collective.NewRing(interleave(eps[16:], 16, 24), 100, multipath.OBS, 128)
 		if err != nil {
 			return 0, 0, 0, err
 		}
-		res, err := reduceRounds(eng, ring, 8<<20, 1, 500*time.Millisecond,
+		res, err := ring.Rounds(eng, 8<<20, 1, horizon,
 			fmt.Sprintf("ablation-cc: beta %.2f target %v", beta, target))
 		if err != nil {
 			return 0, 0, 0, err

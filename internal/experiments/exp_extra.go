@@ -26,27 +26,22 @@ func Prob6Core(s *Session) (*Table, error) {
 		eng, f, eps := s.cluster(fc, transport.Config{})
 		// Cross-pod permutation: pod-0 hosts (0..15) to pod-1 hosts
 		// (16..31), every flow crossing the core.
-		done, total := 0, 0
-		var last sim.Time
 		const bytesPerFlow = 8 << 20
+		var conns []*transport.Conn
 		for i := 0; i < 16; i++ {
 			c, err := transport.Connect(eps[i], eps[16+i], uint64(100+i), alg, paths)
 			if err != nil {
 				return 0, 0, err
 			}
-			total++
-			c.Send(bytesPerFlow, func(at sim.Time) {
-				done++
-				if at > last {
-					last = at
-				}
-			})
+			conns = append(conns, c)
 		}
+		var res collective.Result
+		collective.SendAll(eng, conns, bytesPerFlow, func(r collective.Result) { res = r })
 		eng.RunAll()
-		if done != total {
-			return 0, 0, fmt.Errorf("prob6: %d/%d flows completed", done, total)
+		if res.End == 0 {
+			return 0, 0, fmt.Errorf("prob6: %s flows incomplete", alg)
 		}
-		goodput := float64(total*bytesPerFlow) / last.Seconds()
+		goodput := float64(len(conns)*bytesPerFlow) / res.End.Seconds()
 		return f.CoreImbalance(), goodput, nil
 	}
 	for _, tc := range []struct {
@@ -120,22 +115,22 @@ func AblationPathAware(s *Session) (*Table, error) {
 		if err := s.armChaos(eng, f); err != nil {
 			return nil, err
 		}
-		// Static background ring plus a test ring, both cross-segment.
+		// Static background ring (on for twice the horizon) plus a test
+		// ring, both cross-segment.
+		const horizon = 200 * time.Millisecond
 		bg := interleave(eps, 16, 24)
 		bgRing, err := collective.NewRing(bg, 1000, multipath.OBS, 128)
 		if err != nil {
 			return nil, err
 		}
-		var loop func(collective.Result)
-		loop = func(collective.Result) { bgRing.Reduce(eng, 2<<20, loop) }
-		bgRing.Reduce(eng, 2<<20, loop)
+		collective.NewCyclic(eng, bgRing, 2<<20, 2*horizon, 0).Start()
 
 		test := interleave(eps[16:], 16, 24)
 		ring, err := collective.NewRing(test, 5000, alg, 128)
 		if err != nil {
 			return nil, err
 		}
-		res, err := reduceRounds(eng, ring, 4<<20, 1, 200*time.Millisecond, "ablation-pathaware: "+alg.String())
+		res, err := ring.Rounds(eng, 4<<20, 1, horizon, "ablation-pathaware: "+alg.String())
 		if err != nil {
 			return nil, err
 		}

@@ -66,7 +66,10 @@ func Fig10a(s *Session) (*Table, error) {
 	}
 	// The paper's test is three 512-GPU tasks; scaled to three 16-host
 	// rings interleaved across segments on the 60-agg fabric.
-	const ringSize = 16
+	const (
+		ringSize = 16
+		horizon  = 200 * time.Millisecond
+	)
 	for _, alg := range []multipath.Algorithm{multipath.SinglePath, multipath.BestRTT, multipath.DWRR, multipath.RoundRobin, multipath.MPRDMA, multipath.OBS} {
 		for _, paths := range []int{128} {
 			hps := 3*ringSize/2 + 8
@@ -74,7 +77,8 @@ func Fig10a(s *Session) (*Table, error) {
 			if err := s.armChaos(eng, f); err != nil {
 				return nil, err
 			}
-			// Two background rings on interleaved members.
+			// Two background rings on interleaved members, each on for
+			// twice the horizon: static load for the whole cell.
 			bg1 := interleave(eps, ringSize, hps)
 			bg2 := interleave(eps[ringSize/2:], ringSize, hps)
 			for i, members := range [][]*transport.Endpoint{bg1, bg2} {
@@ -82,9 +86,7 @@ func Fig10a(s *Session) (*Table, error) {
 				if err != nil {
 					return nil, err
 				}
-				var loop func(collective.Result)
-				loop = func(collective.Result) { ring.Reduce(eng, 2<<20, loop) }
-				ring.Reduce(eng, 2<<20, loop)
+				collective.NewCyclic(eng, ring, 2<<20, 2*horizon, 0).Start()
 			}
 			// Test ring on the remaining interleaved hosts.
 			test := interleave(eps[ringSize:], ringSize, hps)
@@ -92,7 +94,7 @@ func Fig10a(s *Session) (*Table, error) {
 			if err != nil {
 				return nil, err
 			}
-			res, err := reduceRounds(eng, ring, 4<<20, 1, 200*time.Millisecond, fmt.Sprintf("fig10a: %s/%d", alg, paths))
+			res, err := ring.Rounds(eng, 4<<20, 1, horizon, fmt.Sprintf("fig10a: %s/%d", alg, paths))
 			if err != nil {
 				return nil, err
 			}
@@ -130,7 +132,7 @@ func Fig10b(s *Session) (*Table, error) {
 			if err != nil {
 				return nil, err
 			}
-			res, err := reduceRounds(eng, ring, 4<<20, 8, 500*time.Millisecond, fmt.Sprintf("fig10b: %s/%d", alg, paths))
+			res, err := ring.Rounds(eng, 4<<20, 8, 500*time.Millisecond, fmt.Sprintf("fig10b: %s/%d", alg, paths))
 			if err != nil {
 				return nil, err
 			}
@@ -179,7 +181,7 @@ func Fig11(s *Session) (*Table, error) {
 			return 0, err
 		}
 		start := eng.Now()
-		res, err := reduceRounds(eng, ring, 48<<20, rounds, time.Second, fmt.Sprintf("fig11: %s/%d at %.0f%% loss", alg, paths, loss*100))
+		res, err := ring.Rounds(eng, 48<<20, rounds, time.Second, fmt.Sprintf("fig11: %s/%d at %.0f%% loss", alg, paths, loss*100))
 		if err != nil {
 			return 0, err
 		}
@@ -249,19 +251,19 @@ func Fig12(s *Session) (*Table, error) {
 		if err := s.armChaos(eng, f); err != nil {
 			return err
 		}
-		var conns int
-		done := 0
+		var conns []*transport.Conn
 		for i := 0; i < 16; i++ {
 			c, err := transport.Connect(eps[0], eps[2], uint64(100+i), multipath.OBS, paths)
 			if err != nil {
 				return err
 			}
-			conns++
-			c.Send(4<<20, func(sim.Time) { done++ })
+			conns = append(conns, c)
 		}
+		var res collective.Result
+		collective.SendAll(eng, conns, 4<<20, func(r collective.Result) { res = r })
 		eng.RunAll()
-		if done != conns {
-			return fmt.Errorf("fig12: %d/%d flows completed", done, conns)
+		if res.End == 0 {
+			return fmt.Errorf("fig12: %d paths: flows incomplete", paths)
 		}
 		touched := 0
 		for _, st := range f.UplinkStats(0) {
@@ -310,15 +312,15 @@ func fig16(s *Session, placement workload.Placement, id, title string) (*Table, 
 		}
 		for k, alg := range algs {
 			eng, _, eps := s.cluster(fc, transport.Config{MTU: 16 << 10, InitialWindow: 1 << 20})
-			bw, err := workload.RingBusBW(eng, eps, workload.JobConfig{
-				Alg: alg, Paths: 128,
-				Placement: placement, PlacementSeed: pseed,
-				SimBytes: 24 << 20,
-			})
+			ring, err := collective.NewRing(workload.OrderHosts(eps, placement, pseed), 0, alg, 128)
 			if err != nil {
 				return nil, err
 			}
-			ringBW[i][k] = bw
+			res, err := ring.Rounds(eng, 24<<20, 1, time.Second, fmt.Sprintf("%s: %s seed %d", id, alg, pseed))
+			if err != nil {
+				return nil, err
+			}
+			ringBW[i][k] = res[0].BusBW
 		}
 		byOrder[order] = ringBW[i]
 	}
@@ -369,17 +371,17 @@ func Fig15(s *Session) (*Table, error) {
 	if err := s.armChaos(eng, f); err != nil {
 		return nil, err
 	}
-	res, err := workload.RunStep(eng, f, eps, workload.JobConfig{
-		Model: workload.Table1()[0], Platform: workload.DefaultPlatform(),
-		Alg: multipath.OBS, Paths: 128,
-		Placement: workload.RandomRanking, PlacementSeed: s.Seed + 3,
-		SimBytes: 2 << 20,
-	})
+	ring, err := collective.NewRing(workload.OrderHosts(eps, workload.RandomRanking, s.Seed+3), 0, multipath.OBS, 128)
 	if err != nil {
 		return nil, err
 	}
-	t.AddRow("regular (bare Stellar)", fmt.Sprintf("%.4f", res.Speed()))
-	t.AddRow("secure (vStellar)", fmt.Sprintf("%.4f", res.Speed()))
+	res, err := ring.Rounds(eng, 2<<20, 1, time.Second, "fig15")
+	if err != nil {
+		return nil, err
+	}
+	speed := workload.Step(workload.Table1()[0], workload.DefaultPlatform(), res[0].BusBW).Speed()
+	t.AddRow("regular (bare Stellar)", fmt.Sprintf("%.4f", speed))
+	t.AddRow("secure (vStellar)", fmt.Sprintf("%.4f", speed))
 	t.Notes = append(t.Notes, "vStellar's data path is direct-mapped, so secure containers train at bare-metal speed")
 	return t, nil
 }
@@ -406,12 +408,13 @@ func AblationPerPathCC(s *Session) (*Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		var res collective.Result
-		ring.Reduce(eng, 4<<20, func(r collective.Result) { res = r })
-		eng.RunAll()
+		res, err := ring.Rounds(eng, 4<<20, 1, time.Second, "ablation-perpath-cc: "+mode.name)
+		if err != nil {
+			return nil, err
+		}
 		maxQ := maxUplinkQueue(f, 2)
 		t.AddRow(mode.name, fmt.Sprintf("%d", mode.paths),
-			fmt.Sprintf("%.2f", res.BusBW/1e9), fmt.Sprintf("%.0f", float64(maxQ)/1024))
+			fmt.Sprintf("%.2f", res[0].BusBW/1e9), fmt.Sprintf("%.0f", float64(maxQ)/1024))
 	}
 	t.Notes = append(t.Notes, "high fan-out with one shared window maximises path diversity for regular AI traffic")
 	return t, nil

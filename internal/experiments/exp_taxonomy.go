@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"time"
 
+	"repro/internal/collective"
 	"repro/internal/fabric"
 	"repro/internal/multipath"
 	"repro/internal/sim"
@@ -50,8 +51,7 @@ func LBTaxonomy(s *Session) (*Table, error) {
 				return result{}, err
 			}
 		}
-		done, total := 0, 0
-		var last sim.Time
+		var conns []*transport.Conn
 		for i := 0; i < hostsPerSeg; i++ {
 			var (
 				c   *transport.Conn
@@ -79,20 +79,16 @@ func LBTaxonomy(s *Session) (*Table, error) {
 			if err != nil {
 				return result{}, err
 			}
-			total++
-			c.Send(bytesPerFlow, func(at sim.Time) {
-				done++
-				if at > last {
-					last = at
-				}
-			})
+			conns = append(conns, c)
 		}
+		var res collective.Result
+		collective.SendAll(eng, conns, bytesPerFlow, func(r collective.Result) { res = r })
 		eng.Run(sim.Time(2 * time.Second))
-		if done != total {
-			return result{}, fmt.Errorf("%s (fail=%v): %d/%d flows completed", approach, failLink, done, total)
+		if res.End == 0 {
+			return result{}, fmt.Errorf("%s (fail=%v): flows incomplete", approach, failLink)
 		}
 		maxQ := maxUplinkQueue(f, 1)
-		return result{goodput: float64(total*bytesPerFlow) / last.Seconds(), maxQ: maxQ}, nil
+		return result{goodput: float64(len(conns)*bytesPerFlow) / res.End.Seconds(), maxQ: maxQ}, nil
 	}
 
 	attribution := map[string]string{

@@ -78,17 +78,31 @@ func MoEAllToAll(s *Session) (*Table, error) {
 		if err := s.armChaos(eng, f); err != nil {
 			return nil, err
 		}
-		a, err := collective.NewAllToAll(eps, 1, tc.alg, tc.paths)
-		if err != nil {
-			return nil, err
+		// Every ordered pair of hosts exchanges one 1 MiB shard.
+		const shard = 1 << 20
+		var conns []*transport.Conn
+		for i, src := range eps {
+			for j, dst := range eps {
+				if i == j {
+					continue
+				}
+				c, err := transport.Connect(src, dst, uint64(len(conns)+1), tc.alg, tc.paths)
+				if err != nil {
+					return nil, err
+				}
+				conns = append(conns, c)
+			}
 		}
 		var res collective.Result
-		a.Exchange(eng, 1<<20, func(r collective.Result) { res = r })
+		collective.SendAll(eng, conns, shard, func(r collective.Result) { res = r })
 		eng.RunAll()
 		if res.End == 0 {
 			return nil, fmt.Errorf("moe-alltoall: %s exchange incomplete", tc.alg)
 		}
-		t.AddRow(tc.alg.String(), fmt.Sprintf("%d", tc.paths), fmt.Sprintf("%.2f", res.BusBW/1e9))
+		// Each GPU's egress is its N-1 shards over the exchange.
+		egress := uint64(len(eps)-1) * shard
+		t.AddRow(tc.alg.String(), fmt.Sprintf("%d", tc.paths),
+			fmt.Sprintf("%.2f", float64(egress)/res.End.Sub(res.Start).Seconds()/1e9))
 	}
 	t.Notes = append(t.Notes,
 		"all-to-all's N^2 flows give ECMP more entropy than AllReduce, but pinned paths still collide; spraying holds its margin")

@@ -8,11 +8,6 @@ import (
 	"strconv"
 	"strings"
 	"testing"
-	"time"
-
-	"repro/internal/collective"
-	"repro/internal/multipath"
-	"repro/internal/transport"
 )
 
 // TestAllRegistryComplete checks the registry and its claims: IDs are
@@ -80,21 +75,6 @@ func TestSeedChangesNetworkResults(t *testing.T) {
 	}
 	if reflect.DeepEqual(a.Rows, b.Rows) {
 		t.Error("different seeds produced identical network tables; seeding is dead")
-	}
-}
-
-// TestReduceRoundsReportsUnfinishedReduce: a measured reduce that has
-// not completed by the horizon is an error naming its cell, not a
-// zero-valued result.
-func TestReduceRoundsReportsUnfinishedReduce(t *testing.T) {
-	eng, _, eps := NewSession(1).cluster(netConfig(4, 8), transport.Config{})
-	ring, err := collective.NewRing(interleave(eps, 8, 4), 1, multipath.OBS, 16)
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := reduceRounds(eng, ring, 1<<20, 1, time.Microsecond, "fig10a: obs/128")
-	if err == nil || !strings.Contains(err.Error(), "fig10a: obs/128") {
-		t.Errorf("reduceRounds at a 1 µs horizon = %v, %v; want an error naming fig10a: obs/128", res, err)
 	}
 }
 

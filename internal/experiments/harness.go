@@ -5,14 +5,12 @@ import (
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
-	"fmt"
 	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	"repro/internal/chaos"
-	"repro/internal/collective"
 	stellar "repro/internal/core"
 	"repro/internal/fabric"
 	"repro/internal/sim"
@@ -126,29 +124,6 @@ func maxUplinkQueue(f *fabric.Fabric, segs int) uint64 {
 		}
 	}
 	return maxQ
-}
-
-// reduceRounds runs n back-to-back reduces of size bytes on ring until
-// the last completes or eng reaches horizon, and returns their results.
-// Fewer than n completions is an error naming cell ("experiment: cell"),
-// not a zero Result printed as 0.00 GB/s.
-func reduceRounds(eng *sim.Engine, ring *collective.Ring, size uint64, n int, horizon time.Duration, cell string) ([]collective.Result, error) {
-	results := make([]collective.Result, 0, n)
-	var next func(collective.Result)
-	next = func(r collective.Result) {
-		results = append(results, r)
-		if len(results) < n {
-			ring.Reduce(eng, size, next)
-		} else {
-			eng.Halt()
-		}
-	}
-	ring.Reduce(eng, size, next)
-	eng.Run(sim.Time(horizon))
-	if len(results) < n {
-		return nil, fmt.Errorf("%s: %d of %d reduces completed within %v", cell, len(results), n, horizon)
-	}
-	return results, nil
 }
 
 // host builds a single server from cfg, attached to the session's

@@ -16,13 +16,13 @@ type GenConfig struct {
 	// Platform supplies compute and NVLink rates for op durations.
 	Platform workload.Platform
 	// Ranks is the DP ring width on the simulated fleet (like the
-	// host count of workload.RunStep).
+	// host count of fig15's and fig16's rings).
 	Ranks int
 	// Steps is the number of training steps to unroll.
 	Steps int
 	// CollectiveBytes is the simulated DP AllReduce size per step —
-	// the same wire-volume scaling JobConfig.SimBytes applies, keeping
-	// event counts tractable at 1,024-GPU shapes.
+	// the same wire-volume scaling fig15's and fig16's reduce sizes
+	// apply, keeping event counts tractable at 1,024-GPU shapes.
 	CollectiveBytes uint64
 	// ComputeTime overrides the modelled per-step compute time; zero
 	// means Model.StepComputeTime(Platform). Experiments that care

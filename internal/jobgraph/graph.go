@@ -82,12 +82,18 @@ type Graph struct {
 	Comment string
 }
 
+// MaxRanks bounds Graph.Ranks at the largest fleet the repository
+// builds, fig9-scale's 4096 hosts. A replay places one rank per host,
+// so a larger count would only fail in fabric construction (host IDs
+// are int32) or exhaust memory building the fleet.
+const MaxRanks = 4096
+
 // Typed validation errors, matched with errors.Is.
 var (
 	// ErrNoOps is returned for graphs with no operations.
 	ErrNoOps = errors.New("jobgraph: graph has no ops")
-	// ErrRanks is returned when Ranks < 1.
-	ErrRanks = errors.New("jobgraph: Ranks must be >= 1")
+	// ErrRanks is returned when Ranks is outside [1, MaxRanks].
+	ErrRanks = errors.New("jobgraph: Ranks must be in [1, MaxRanks]")
 	// ErrDuplicateID is returned when two ops share an ID.
 	ErrDuplicateID = errors.New("jobgraph: duplicate op id")
 	// ErrEmptyID is returned for an op with no ID.
@@ -139,7 +145,7 @@ func recvKey(op Op) matchKey { return matchKey{from: op.Peer, to: op.Rank, tag: 
 // included (a recv cannot complete before its send, so a cycle through
 // a match is a deadlock even when the explicit deps are acyclic).
 func (g *Graph) Validate() error {
-	if g.Ranks < 1 {
+	if g.Ranks < 1 || g.Ranks > MaxRanks {
 		return fmt.Errorf("%w (got %d)", ErrRanks, g.Ranks)
 	}
 	if len(g.Ops) == 0 {

@@ -99,6 +99,7 @@ func TestValidateRejectsMalformedOps(t *testing.T) {
 	}{
 		{"no ops", Graph{Ranks: 1}, ErrNoOps},
 		{"zero ranks", Graph{Ops: []Op{{ID: "a", Kind: OpCompute}}}, ErrRanks},
+		{"ranks past the largest fleet", Graph{Ranks: MaxRanks + 1, Ops: []Op{{ID: "a", Kind: OpCompute}}}, ErrRanks},
 		{"empty id", Graph{Ranks: 1, Ops: []Op{{Kind: OpCompute}}}, ErrEmptyID},
 		{"dup id", Graph{Ranks: 1, Ops: []Op{
 			{ID: "a", Kind: OpCompute}, {ID: "a", Kind: OpCompute}}}, ErrDuplicateID},
@@ -120,6 +121,10 @@ func TestValidateRejectsMalformedOps(t *testing.T) {
 		if err := tc.g.Validate(); !errors.Is(err, tc.want) {
 			t.Errorf("%s: err = %v, want %v", tc.name, err, tc.want)
 		}
+	}
+	full := Graph{Ranks: MaxRanks, Ops: []Op{{ID: "a", Kind: OpCompute}}}
+	if err := full.Validate(); err != nil {
+		t.Errorf("MaxRanks graph rejected: %v", err)
 	}
 }
 

@@ -51,6 +51,8 @@ func TestLoadRejectsBadInput(t *testing.T) {
 			{"id":"a","kind":"compute","rank":2}]}`, ErrRankRange},
 		{"unmatched recv", `{"name":"x","ranks":2,"ops":[
 			{"id":"r","kind":"recv","rank":1,"peer":0}]}`, ErrUnmatchedRecv},
+		{"absurd ranks", `{"name":"huge","ranks":4611686018427387904,"ops":[
+			{"id":"c0","kind":"compute","rank":0,"for":"1us"}]}`, ErrRanks},
 	}
 	for _, tc := range cases {
 		if _, err := Load([]byte(tc.in)); !errors.Is(err, tc.want) {

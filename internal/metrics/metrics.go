@@ -83,13 +83,6 @@ func (h *Histogram) Count() int {
 	return len(h.samples)
 }
 
-// Sum returns the total of all samples.
-func (h *Histogram) Sum() float64 {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return h.sum
-}
-
 // Mean returns the sample mean, or 0 with no samples.
 func (h *Histogram) Mean() float64 {
 	h.mu.Lock()

@@ -1,15 +1,6 @@
 package workload
 
-import (
-	"errors"
-	"fmt"
-
-	"repro/internal/collective"
-	"repro/internal/fabric"
-	"repro/internal/multipath"
-	"repro/internal/sim"
-	"repro/internal/transport"
-)
+import "repro/internal/sim"
 
 // Placement is the cluster-scheduling strategy of §8.2.
 type Placement uint8
@@ -30,16 +21,6 @@ func (p Placement) String() string {
 	return "random"
 }
 
-// ErrNoHosts is returned when a job gets an empty participant list.
-var ErrNoHosts = errors.New("workload: no hosts")
-
-// JobConfig validation errors. Each names the field it rejects so
-// callers can distinguish configuration mistakes with errors.Is.
-var (
-	ErrPaths    = errors.New("workload: Paths below 1")
-	ErrSimBytes = errors.New("workload: SimBytes implausibly large (negative value converted to uint64?)")
-)
-
 // Step-model constants no experiment varies.
 const (
 	// gpusPerHost divides the ring's per-host bus bandwidth into the
@@ -51,46 +32,12 @@ const (
 	// virtOverhead is the virtualization stack's bandwidth loss: none,
 	// since vStellar's data path is direct-mapped (Figure 15).
 	virtOverhead = 0
-	// flowBase is the ring's first flow ID: the ring is alone on its fabric.
-	flowBase = 0
 )
-
-// JobConfig describes one training job's communication experiment.
-type JobConfig struct {
-	Model    ModelConfig
-	Platform Platform
-	// Alg/Paths select the transport stack: OBS/128 for Stellar,
-	// SinglePath/1 for the CX7 ECMP baseline.
-	Alg   multipath.Algorithm
-	Paths int
-	// Placement orders the DP ring over the hosts.
-	Placement Placement
-	// PlacementSeed shuffles RandomRanking deterministically.
-	PlacementSeed uint64
-	// SimBytes is the simulated AllReduce size used to measure bus
-	// bandwidth; the real DP volume is then divided by the measured
-	// rate. Scaling the wire volume (not the model) keeps event counts
-	// tractable at 1,024-GPU shapes.
-	SimBytes uint64
-}
-
-// Validate rejects out-of-domain JobConfig fields. A zero SimBytes,
-// which RingBusBW replaces with its default, is legal.
-func (cfg JobConfig) Validate() error {
-	if cfg.Paths < 1 {
-		return fmt.Errorf("%w: %d", ErrPaths, cfg.Paths)
-	}
-	// A negative int flowing through a uint64 conversion lands in the
-	// top half of the range; no real AllReduce is within 2^62 bytes.
-	if cfg.SimBytes > 1<<62 {
-		return fmt.Errorf("%w: %d", ErrSimBytes, cfg.SimBytes)
-	}
-	return nil
-}
 
 // StepResult is one simulated training step.
 type StepResult struct {
-	// BusBW is the measured per-participant AllReduce bandwidth.
+	// BusBW is the ring's bus bandwidth per GPU: the host's share
+	// over its 8 GPUs.
 	BusBW float64
 	// CommTime is the exposed (non-overlapped) communication time.
 	CommTime sim.Duration
@@ -111,9 +58,9 @@ func (r StepResult) Speed() float64 {
 // OrderHosts applies the placement policy to the participant list:
 // Reranked returns the input order (contiguous, co-located ranks);
 // RandomRanking applies a deterministic seeded shuffle. The input
-// slice is never mutated. Shared by RingBusBW's DP ring and the
-// jobgraph cluster scheduler, so both layers place identically. The
-// permutation depends only on the list's length, so ordering host
+// slice is never mutated. Shared by the DP rings of Figures 15 and 16
+// and the jobgraph cluster scheduler, so both layers place identically.
+// The permutation depends only on the list's length, so ordering host
 // indices predicts the ring an endpoint list of that length gets.
 func OrderHosts[T any](hosts []T, p Placement, seed uint64) []T {
 	out := make([]T, len(hosts))
@@ -125,50 +72,11 @@ func OrderHosts[T any](hosts []T, p Placement, seed uint64) []T {
 	return out
 }
 
-// RunStep measures one training step: RingBusBW drives the job's DP
-// AllReduce on the fabric, and Step composes the full step time from
-// the measured bus bandwidth with the analytic model.
-func RunStep(eng *sim.Engine, f *fabric.Fabric, eps []*transport.Endpoint, cfg JobConfig) (StepResult, error) {
-	busBW, err := RingBusBW(eng, eps, cfg)
-	if err != nil {
-		return StepResult{}, err
-	}
-	return Step(cfg.Model, cfg.Platform, busBW), nil
-}
-
-// RingBusBW is RunStep's simulated half: it drives one DP AllReduce of
-// cfg.SimBytes over eps, in cfg's placement order with cfg's transport
-// stack, and returns the ring's bus bandwidth per host in bytes/s. The
-// model and platform play no part, so jobs that differ only in those
-// share one measurement.
-func RingBusBW(eng *sim.Engine, eps []*transport.Endpoint, cfg JobConfig) (float64, error) {
-	if len(eps) < 2 {
-		return 0, ErrNoHosts
-	}
-	if err := cfg.Validate(); err != nil {
-		return 0, err
-	}
-	if cfg.SimBytes == 0 {
-		cfg.SimBytes = 8 << 20
-	}
-	ordered := OrderHosts(eps, cfg.Placement, cfg.PlacementSeed)
-	ring, err := collective.NewRing(ordered, flowBase, cfg.Alg, cfg.Paths)
-	if err != nil {
-		return 0, err
-	}
-	defer ring.Close()
-
-	var res collective.Result
-	ring.Reduce(eng, cfg.SimBytes, func(r collective.Result) { res = r })
-	eng.RunAll()
-	if res.BusBW <= 0 {
-		return 0, errors.New("workload: allreduce produced no bandwidth sample")
-	}
-	return res.BusBW, nil
-}
-
-// Step is RunStep's analytic half: one training step of m on p, given
-// the DP ring's bus bandwidth per host (RingBusBW).
+// Step is one training step of m on p, given the DP ring's bus
+// bandwidth per host in bytes/s. Figures 15 and 16 measure that rate
+// on the fabric (a collective.Ring over OrderHosts' order) and pass it
+// here; the model and platform play no part in the measurement, so
+// jobs that differ only in those share one ring.
 func Step(m ModelConfig, p Platform, ringBusBW float64) StepResult {
 	busBW := ringBusBW / gpusPerHost * (1 - virtOverhead)
 

@@ -1,23 +1,28 @@
 package workload
 
 import (
-	"errors"
 	"reflect"
 	"testing"
-
-	"repro/internal/fabric"
-	"repro/internal/multipath"
 )
 
+// hostIDs returns the host indices 0..n-1.
+func hostIDs(n int) []int {
+	hosts := make([]int, n)
+	for h := range hosts {
+		hosts[h] = h
+	}
+	return hosts
+}
+
 func TestOrderHostsRerankedIsIdentity(t *testing.T) {
-	_, _, eps := newJobCluster(t, 50, 4)
-	out := OrderHosts(eps, Reranked, 123)
-	if !reflect.DeepEqual(out, eps) {
+	hosts := hostIDs(8)
+	out := OrderHosts(hosts, Reranked, 123)
+	if !reflect.DeepEqual(out, hosts) {
 		t.Error("reranked order differs from input order")
 	}
 	// The input must come back in a fresh slice, not aliased storage.
-	out[0] = nil
-	if eps[0] == nil {
+	out[0] = -1
+	if hosts[0] == -1 {
 		t.Error("OrderHosts mutated its input")
 	}
 }
@@ -26,103 +31,47 @@ func TestOrderHostsRandomGoldenOrdering(t *testing.T) {
 	// The shuffle is part of every RandomRanking experiment's identity:
 	// pin the exact permutation per seed so placement changes cannot
 	// slip in as silent baseline shifts.
-	_, _, eps := newJobCluster(t, 51, 4) // 8 hosts
-	golden := map[uint64][]fabric.HostID{
+	hosts := hostIDs(8)
+	golden := map[uint64][]int{
 		1: {7, 0, 1, 4, 3, 2, 6, 5},
 		2: {1, 2, 4, 6, 5, 3, 0, 7},
 		7: {1, 3, 7, 5, 4, 0, 6, 2},
 	}
 	for seed, want := range golden {
-		var got []fabric.HostID
-		for _, ep := range OrderHosts(eps, RandomRanking, seed) {
-			got = append(got, ep.Host())
-		}
-		if !reflect.DeepEqual(got, want) {
+		if got := OrderHosts(hosts, RandomRanking, seed); !reflect.DeepEqual(got, want) {
 			t.Errorf("seed %d: order = %v, want %v", seed, got, want)
 		}
 	}
 	// Same seed, same permutation — calls are pure.
-	a := OrderHosts(eps, RandomRanking, 1)
-	b := OrderHosts(eps, RandomRanking, 1)
+	a := OrderHosts(hosts, RandomRanking, 1)
+	b := OrderHosts(hosts, RandomRanking, 1)
 	if !reflect.DeepEqual(a, b) {
 		t.Error("same-seed shuffles differ")
 	}
-	if !reflect.DeepEqual(eps, OrderHosts(eps, Reranked, 0)) {
+	if !reflect.DeepEqual(hosts, hostIDs(8)) {
 		t.Error("input mutated by shuffling")
 	}
 }
 
-func TestJobConfigValidate(t *testing.T) {
-	valid := JobConfig{
-		Model: Table1()[0], Platform: DefaultPlatform(),
-		Alg: multipath.OBS, Paths: 64,
-	}
-	if err := valid.Validate(); err != nil {
-		t.Fatalf("valid config rejected: %v", err)
-	}
+func TestStepTable1Regression(t *testing.T) {
+	// Pinned step times for the two Table-1 flagship models at two ring
+	// bus bandwidths. They are the model's own arithmetic, not paper
+	// numbers: the point is that a change to the step model cannot drift
+	// the Figure 15/16 baselines unnoticed. The measured rates those
+	// figures feed in are pinned by their rows in the identity digest.
 	cases := []struct {
-		name   string
-		mutate func(*JobConfig)
-		want   error
+		name  string
+		model int
+		busBW float64
+		want  string
 	}{
-		{"zero paths", func(c *JobConfig) { c.Paths = 0 }, ErrPaths},
-		{"negative paths", func(c *JobConfig) { c.Paths = -8 }, ErrPaths},
-		{"negative sim bytes", func(c *JobConfig) { c.SimBytes = uint64(18446744073709551615) }, ErrSimBytes},
+		{"llama33 at 20 GB/s", 0, 20e9, "36.288727346s"},
+		{"llama33 at 40 GB/s", 0, 40e9, "34.872476824s"},
+		{"gpt200 at 20 GB/s", 1, 20e9, "55.708828637s"},
+		{"gpt200 at 40 GB/s", 1, 40e9, "53.697734741s"},
 	}
 	for _, tc := range cases {
-		cfg := valid
-		tc.mutate(&cfg)
-		if err := cfg.Validate(); !errors.Is(err, tc.want) {
-			t.Errorf("%s: err = %v, want %v", tc.name, err, tc.want)
-		}
-	}
-	// One path and a zero (defaulted) SimBytes are legal limits.
-	edge := valid
-	edge.Paths, edge.SimBytes = 1, 0
-	if err := edge.Validate(); err != nil {
-		t.Errorf("boundary config rejected: %v", err)
-	}
-}
-
-func TestRunStepRejectsInvalidConfig(t *testing.T) {
-	eng, f, eps := newJobCluster(t, 52, 4)
-	cfg := JobConfig{
-		Model: Table1()[0], Platform: DefaultPlatform(),
-		Alg: multipath.OBS, Paths: 0,
-	}
-	if _, err := RunStep(eng, f, eps, cfg); !errors.Is(err, ErrPaths) {
-		t.Errorf("err = %v, want ErrPaths", err)
-	}
-}
-
-func TestRunStepTable1Regression(t *testing.T) {
-	// Pinned step times for the two Table-1 flagship models under both
-	// placements. These are the simulator's own measurements, not paper
-	// numbers: the point is that transport, collective or placement
-	// changes cannot drift the workload baseline unnoticed.
-	cases := []struct {
-		name      string
-		model     int
-		placement Placement
-		want      string
-	}{
-		{"llama33 reranked", 0, Reranked, "38.721344787s"},
-		{"llama33 random", 0, RandomRanking, "38.766639909s"},
-		{"gpt200 reranked", 1, Reranked, "59.163176589s"},
-		{"gpt200 random", 1, RandomRanking, "59.227496243s"},
-	}
-	for _, tc := range cases {
-		eng, f, eps := newJobCluster(t, 53, 8)
-		cfg := JobConfig{
-			Model: Table1()[tc.model], Platform: DefaultPlatform(),
-			Alg: multipath.OBS, Paths: 64,
-			Placement: tc.placement, PlacementSeed: 9,
-			SimBytes: 4 << 20,
-		}
-		res, err := RunStep(eng, f, eps, cfg)
-		if err != nil {
-			t.Fatalf("%s: %v", tc.name, err)
-		}
+		res := Step(Table1()[tc.model], DefaultPlatform(), tc.busBW)
 		if got := res.StepTime.String(); got != tc.want {
 			t.Errorf("%s: step time %s, want %s", tc.name, got, tc.want)
 		}

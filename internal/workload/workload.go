@@ -1,19 +1,20 @@
 // Package workload models LLM training jobs: the parallel strategies and
-// communication ratios of Table 1, and the end-to-end training-step
-// simulation behind Figures 15 and 16.
+// communication ratios of Table 1, and the training-step model behind
+// Figures 15 and 16.
 //
-// Two layers:
+// It is analytic only:
 //
-//   - An analytic communication model (volumes per step per parallelism
+//   - A communication model (volumes per step per parallelism
 //     dimension) parameterised by public model shapes. Its ratios are
 //     validated against the production measurements the paper publishes
 //     in Table 1 (which this package also carries verbatim for the
 //     table-regeneration bench).
 //
-//   - A step simulator that runs the data-parallel collective on the
-//     fabric simulator with a chosen transport stack and placement, and
-//     composes measured communication time with modelled compute time —
-//     the Figure 16 experiment.
+//   - A step model (Step) that composes modelled compute time with the
+//     communication time at a given DP ring bus bandwidth, and the
+//     placement policy (OrderHosts) that orders the ring. The
+//     experiments measure that bandwidth on the fabric with a
+//     collective.Ring; this package imports no simulator layer.
 package workload
 
 import (
