@@ -123,3 +123,25 @@ func TestChaosBindErrorFailsExperiment(t *testing.T) {
 		}
 	}
 }
+
+// TestRefusesOutOfRangeGrayFault: a -chaos gray fault whose bandwidth
+// cap or extra delay would push a hop past the end of virtual time
+// fails to load and exits 2 with the fault error, not a panic in the
+// fabric.
+func TestRefusesOutOfRangeGrayFault(t *testing.T) {
+	dir := t.TempDir()
+	for name, knob := range map[string]string{
+		"bw-floor":      `"bw_factor":1e-300`,
+		"delay-ceiling": `"delay":"2562047h47m16.854775807s"`,
+	} {
+		path := filepath.Join(dir, name+".json")
+		scenario := `{"name":"c7","events":[{"at":"100us","kind":"gray","link":{"tier":"tor-agg","dir":"up"},` + knob + `}]}`
+		if err := os.WriteFile(path, []byte(scenario), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		code, out := invoke(t, "-exp", "fig12", "-seed", "42", "-chaos", path)
+		if code != 2 || strings.Contains(out, "panic:") || !strings.Contains(out, "fabric: bad fault") {
+			t.Errorf("%s: exited %d, want 2 with the bad-fault error and no panic:\n%s", name, code, out)
+		}
+	}
+}

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"math"
 	"reflect"
+	"strings"
 	"testing"
 	"time"
 
@@ -26,7 +27,7 @@ func sampleScenario() *Scenario {
 			GraySpec{Loss: 0.05, Delay: 10 * time.Microsecond, BWFactor: 0.5}, time.Millisecond).
 		SwitchReboot(4*time.Millisecond, fabric.SwitchAgg, 3, time.Millisecond).
 		HostStall(5*time.Millisecond, 2, time.Millisecond).
-		FailReroute(6*time.Millisecond, 0, 0, 2*time.Millisecond).
+		Reroute(6*time.Millisecond, fabric.Uplink(0, 0), 2*time.Millisecond).
 		ResetQPs(7*time.Millisecond, "*").
 		ResetQPs(8*time.Millisecond, "nic0")
 }
@@ -63,11 +64,20 @@ func TestScenarioValidation(t *testing.T) {
 		{"loss out of range", NewScenario("x").Gray(0, fabric.Uplink(0, 0), GraySpec{Loss: 1.5}, 0)},
 		{"loss NaN", NewScenario("x").Gray(0, fabric.Uplink(0, 0), GraySpec{Loss: math.NaN()}, 0)},
 		{"negative gray delay", NewScenario("x").Gray(0, fabric.Uplink(0, 0), GraySpec{Delay: -3 * time.Millisecond}, 0)},
+		{"bw_factor below the floor", NewScenario("x").Gray(0, fabric.Uplink(0, 0), GraySpec{BWFactor: 1e-300}, 0)},
+		{"delay past the ceiling", NewScenario("x").Gray(0, fabric.Uplink(0, 0), GraySpec{Delay: math.MaxInt64}, 0)},
+		{"reroute of a downlink", NewScenario("x").Reroute(0, fabric.Downlink(0, 0), 0)},
+		{"reroute of a host link", NewScenario("x").Reroute(0, fabric.HostLink(0, fabric.DirUp), 0)},
+		{"removed kind", NewScenario("x").Add(Event{Kind: "repair"})},
 	}
 	for _, c := range cases {
 		if err := c.sc.Validate(); err == nil {
 			t.Errorf("%s: validated", c.name)
 		}
+	}
+	if err := NewScenario("x").Add(Event{Kind: NICResetQPs, For: time.Millisecond}).Validate(); err == nil ||
+		!strings.Contains(err.Error(), string(NICResetQPs)) {
+		t.Errorf("for on a QP reset: err = %v, want one naming %s", err, NICResetQPs)
 	}
 	if err := sampleScenario().Validate(); err != nil {
 		t.Errorf("sample scenario rejected: %v", err)
@@ -112,6 +122,7 @@ func TestLoadRejectsUntargetedFaults(t *testing.T) {
 		`{"at": "1ms", "kind": "link-down"}`,
 		`{"at": "1ms", "kind": "gray", "loss": 0.1}`,
 		`{"at": "1ms", "kind": "switch-reboot", "index": 3, "for": "1ms"}`,
+		`{"at": "1ms", "kind": "reroute", "for": "1ms"}`,
 	} {
 		b := []byte(`{"name": "x", "events": [` + ev + `]}`)
 		if _, err := Load(b); !errors.Is(err, ErrNoTarget) {
@@ -220,6 +231,75 @@ func TestPlaybackAppliesAndClears(t *testing.T) {
 	}
 }
 
+// TestRerouteSteersThenRestores: a reroute withdraws the uplink from
+// routing for For and then restores it, leaving the link's Down bit to
+// the link-down event. The log carries both phases of each, and only
+// the link-down firings name the link as taken down.
+func TestRerouteSteersThenRestores(t *testing.T) {
+	eng := sim.NewEngine(1)
+	f := testFabric(eng)
+	ce := New(eng, f)
+	up := fabric.Uplink(0, 1)
+	sc := NewScenario("reroute").
+		LinkDown(time.Millisecond, up, 3*time.Millisecond).
+		Reroute(2*time.Millisecond, up, time.Millisecond)
+	if err := ce.Play(sc); err != nil {
+		t.Fatal(err)
+	}
+	state := func(until time.Duration) fabric.Fault {
+		eng.Run(sim.Time(until))
+		ft, err := f.FaultOf(up)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return ft
+	}
+	delivered := 0
+	f.Handle(5, func(*fabric.Packet) { delivered++ })
+	send := func() {
+		if err := f.Send(&fabric.Packet{Src: 0, Dst: 5, Size: 100, PathID: 1}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, step := range []struct {
+		until     time.Duration
+		want      fabric.Fault
+		delivered int
+	}{
+		{1500 * time.Microsecond, fabric.Fault{Down: true}, 0},
+		{2500 * time.Microsecond, fabric.Fault{Down: true, Withdrawn: true}, 1},
+		{3500 * time.Microsecond, fabric.Fault{Down: true}, 1},
+		{4500 * time.Microsecond, fabric.Fault{}, 2},
+	} {
+		if got := state(step.until); got != step.want {
+			t.Errorf("at %v: fault = %+v, want %+v", step.until, got, step.want)
+		}
+		send()
+		eng.Run(sim.Time(step.until + 100*time.Microsecond))
+		if delivered != step.delivered {
+			t.Errorf("at %v: delivered %d, want %d", step.until, delivered, step.delivered)
+		}
+	}
+	type firing struct {
+		kind  Kind
+		phase Phase
+		links []fabric.LinkRef
+	}
+	var got []firing
+	for _, fr := range ce.Log() {
+		got = append(got, firing{fr.Event.Kind, fr.Phase, fr.Links})
+	}
+	want := []firing{
+		{LinkDown, PhaseInject, []fabric.LinkRef{up}},
+		{Reroute, PhaseInject, nil},
+		{Reroute, PhaseClear, nil},
+		{LinkDown, PhaseClear, []fabric.LinkRef{up}},
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("log = %+v, want %+v", got, want)
+	}
+}
+
 // TestPlaybackJitterDeterministic: jitter moves the nominal fault times,
 // and the fired timeline — times, order, jitter draws — is identical
 // across two playbacks of the same (scenario, seed).
@@ -232,7 +312,7 @@ func TestPlaybackJitterDeterministic(t *testing.T) {
 			LinkDown(time.Millisecond, fabric.Uplink(0, 1), time.Millisecond).
 			SwitchReboot(2*time.Millisecond, fabric.SwitchToR, 1, time.Millisecond).
 			HostStall(3*time.Millisecond, 5, time.Millisecond).
-			FailReroute(4*time.Millisecond, 0, 2, 2*time.Millisecond)
+			Reroute(4*time.Millisecond, fabric.Uplink(0, 2), 2*time.Millisecond)
 		if err := ce.Play(sc); err != nil {
 			t.Fatal(err)
 		}

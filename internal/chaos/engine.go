@@ -42,10 +42,14 @@ func (p Phase) String() string {
 type Firing struct {
 	// At is the virtual time the action was applied (jitter included).
 	At sim.Time
-	// Phase distinguishes injection from the automatic For-repair.
+	// Phase distinguishes injection from the automatic For-clear.
 	Phase Phase
 	// Event is the scenario event that fired.
 	Event Event
+	// Links are the links whose Down bit this action set (inject) or
+	// cleared (clear), which is how subscribers learn what a fault takes
+	// down. Gray and reroute actions leave it empty.
+	Links []fabric.LinkRef
 	// Detail is a human-readable outcome ("reset 12 QPs").
 	Detail string
 }
@@ -121,7 +125,7 @@ func (e *Engine) Play(sc *Scenario) error {
 			at = at.Add(time.Duration(e.rng.Intn(int(ev.Jitter))))
 		}
 		plan = append(plan, planned{at: at, ev: ev, phase: PhaseInject})
-		if ev.For > 0 && inverseOf(ev.Kind) != "" {
+		if ev.For > 0 {
 			plan = append(plan, planned{at: at.Add(ev.For), ev: ev, phase: PhaseClear})
 		}
 	}
@@ -132,27 +136,11 @@ func (e *Engine) Play(sc *Scenario) error {
 	return nil
 }
 
-// inverseOf maps a fault kind to whether For schedules an automatic
-// clearing action.
-func inverseOf(k Kind) Kind {
-	switch k {
-	case LinkDown:
-		return LinkUp
-	case Gray:
-		return GrayClear
-	case SwitchReboot, HostStall:
-		return Repair
-	case FailReroute:
-		return Repair
-	}
-	return ""
-}
-
 // bindCheck validates an event against the bound fabric/NICs without
 // mutating anything.
 func (e *Engine) bindCheck(ev Event) error {
 	switch ev.Kind {
-	case LinkDown, LinkUp, Gray, GrayClear:
+	case LinkDown, Gray, Reroute:
 		if e.fab == nil {
 			return fmt.Errorf("no fabric bound for %s", ev.Kind)
 		}
@@ -169,12 +157,6 @@ func (e *Engine) bindCheck(ev Event) error {
 			return fmt.Errorf("no fabric bound for %s", ev.Kind)
 		}
 		_, err := e.fab.FaultOf(fabric.HostLink(fabric.HostID(ev.Host), fabric.DirUp))
-		return err
-	case FailReroute, Repair:
-		if e.fab == nil {
-			return fmt.Errorf("no fabric bound for %s", ev.Kind)
-		}
-		_, err := e.fab.FaultOf(fabric.Uplink(ev.Segment, ev.Agg))
 		return err
 	case NICResetQPs:
 		if ev.NIC != "" && ev.NIC != "*" {
@@ -201,13 +183,11 @@ func (e *Engine) targets(name string) []NIC {
 	return out
 }
 
-// setDown flips only the Down bit of each link, preserving gray state.
+// setDown flips only the Down bit of each link, preserving gray and
+// routing state.
 func (e *Engine) setDown(refs []fabric.LinkRef, down bool) {
 	for _, ref := range refs {
-		ft, err := e.fab.FaultOf(ref)
-		if err != nil {
-			continue
-		}
+		ft, _ := e.fab.FaultOf(ref)
 		ft.Down = down
 		_ = e.fab.SetFault(ref, ft)
 	}
@@ -215,50 +195,34 @@ func (e *Engine) setDown(refs []fabric.LinkRef, down bool) {
 
 // apply executes one fault action at its fire time. Play's bindCheck
 // has already resolved every link the event names, and validate has
-// rejected every gray spec SetFault refuses, so the fabric calls here
+// rejected every fault SetFault refuses, so the fabric calls here
 // cannot fail.
 func (e *Engine) apply(ev Event, phase Phase) {
+	var links []fabric.LinkRef
 	detail := ""
 	clear := phase == PhaseClear
 	switch ev.Kind {
 	case LinkDown:
-		e.setDown([]fabric.LinkRef{ev.Link}, !clear)
-	case LinkUp:
-		e.setDown([]fabric.LinkRef{ev.Link}, false)
-	case Gray:
-		ft, _ := e.fab.FaultOf(ev.Link)
-		if clear {
-			ft.DropProb, ft.ExtraDelay, ft.BWFactor = 0, 0, 0
-		} else {
-			ft.DropProb = ev.Gray.Loss
-			ft.ExtraDelay = ev.Gray.Delay
-			ft.BWFactor = ev.Gray.BWFactor
-		}
-		_ = e.fab.SetFault(ev.Link, ft)
-	case GrayClear:
-		ft, _ := e.fab.FaultOf(ev.Link)
-		ft.DropProb, ft.ExtraDelay, ft.BWFactor = 0, 0, 0
-		_ = e.fab.SetFault(ev.Link, ft)
+		links = []fabric.LinkRef{ev.Link}
 	case SwitchReboot:
-		refs, _ := e.fab.SwitchLinks(ev.Switch, ev.Index)
-		e.setDown(refs, !clear)
-		detail = fmt.Sprintf("%d links", len(refs))
+		links, _ = e.fab.SwitchLinks(ev.Switch, ev.Index)
 	case HostStall:
-		refs := []fabric.LinkRef{
+		links = []fabric.LinkRef{
 			fabric.HostLink(fabric.HostID(ev.Host), fabric.DirUp),
 			fabric.HostLink(fabric.HostID(ev.Host), fabric.DirDown),
 		}
-		e.setDown(refs, !clear)
-	case FailReroute:
+	case Gray:
+		ft, _ := e.fab.FaultOf(ev.Link)
+		g := ev.Gray
 		if clear {
-			_ = e.fab.ClearFault(fabric.Uplink(ev.Segment, ev.Agg))
-			e.fab.RestoreRoute(ev.Segment, ev.Agg)
-		} else {
-			_ = e.fab.FailLinkWithReroute(ev.Segment, ev.Agg)
+			g = GraySpec{}
 		}
-	case Repair:
-		_ = e.fab.ClearFault(fabric.Uplink(ev.Segment, ev.Agg))
-		e.fab.RestoreRoute(ev.Segment, ev.Agg)
+		ft.DropProb, ft.ExtraDelay, ft.BWFactor = g.Loss, g.Delay, g.BWFactor
+		_ = e.fab.SetFault(ev.Link, ft)
+	case Reroute:
+		ft, _ := e.fab.FaultOf(ev.Link)
+		ft.Withdrawn = !clear
+		_ = e.fab.SetFault(ev.Link, ft)
 	case NICResetQPs:
 		n := 0
 		for _, nic := range e.targets(ev.NIC) {
@@ -266,7 +230,8 @@ func (e *Engine) apply(ev Event, phase Phase) {
 		}
 		detail = fmt.Sprintf("reset %d QPs", n)
 	}
-	f := Firing{At: e.eng.Now(), Phase: phase, Event: ev, Detail: detail}
+	e.setDown(links, !clear)
+	f := Firing{At: e.eng.Now(), Phase: phase, Event: ev, Links: links, Detail: detail}
 	e.log = append(e.log, f)
 	if tr := e.eng.Tracer(); tr.Enabled() {
 		tr.Instant("chaos", "chaos", "fault", string(ev.Kind),

@@ -1,11 +1,11 @@
 // Package chaos is the deterministic fault-injection subsystem: a
 // Scenario is a declarative timeline of typed faults — link failures at
 // any tier, gray degradation (loss, latency inflation, bandwidth caps),
-// whole-switch reboots, NIC cache/QP faults, host stalls — played back
-// on the sim virtual clock by an Engine against a fabric and registered
-// NICs. Every fault may carry seeded jitter drawn from the engine's
-// deterministic RNG, so the same scenario + seed reproduces the same
-// failure timeline byte-for-byte under either event scheduler. The
+// whole-switch reboots, host stalls, control-plane reroutes, NIC QP
+// resets — played back on the sim virtual clock by an Engine against a
+// fabric and registered NICs. Every fault may carry seeded jitter drawn
+// from the engine's deterministic RNG, so the same scenario + seed
+// reproduces the same failure timeline byte-for-byte. The
 // Recovery observer watches transport counters through the faults and
 // reports per-flow time-to-detect, time-to-recover, goodput-dip area
 // and stalls.
@@ -40,36 +40,36 @@ import (
 // Kind names a fault type.
 type Kind string
 
-// The fault taxonomy.
+// The fault taxonomy. A non-zero For clears a fault that long after it
+// is injected; every kind but NICResetQPs has a clear, and For is the
+// only way to schedule one.
 const (
-	// LinkDown blackholes a link (Link); LinkUp repairs it. A non-zero
-	// For on LinkDown schedules the repair automatically.
+	// LinkDown blackholes a link (Link).
 	LinkDown Kind = "link-down"
-	LinkUp   Kind = "link-up"
 	// Gray degrades a link without killing it: Loss, Delay and BWFactor
-	// combine. GrayClear (or a non-zero For) restores it.
-	Gray      Kind = "gray"
-	GrayClear Kind = "gray-clear"
+	// combine.
+	Gray Kind = "gray"
 	// SwitchReboot takes every link incident to one switch (Switch +
-	// Index) down for For, then restores them.
+	// Index) down.
 	SwitchReboot Kind = "switch-reboot"
-	// HostStall blackholes one host's access links for For — a wedged
-	// host whose NIC stops serving traffic.
+	// HostStall blackholes one host's access links — a wedged host
+	// whose NIC stops serving traffic.
 	HostStall Kind = "host-stall"
-	// FailReroute is the §7.2 two-stage failure: the uplink dies and the
-	// control plane reroutes around it after the fabric's RerouteDelay.
-	// Repair restores the link and route (cancelling a pending reroute).
-	FailReroute Kind = "fail-reroute"
-	Repair      Kind = "repair"
+	// Reroute is §7.2's second recovery stage: the control plane
+	// withdraws a ToR→Agg uplink (Link) and steers its traffic to the
+	// next aggregation switch. The link's Down and gray state stay as
+	// they are.
+	Reroute Kind = "reroute"
 	// NICResetQPs forces the queue pairs of the NIC(s) named by NIC
-	// ("" or "*" = all registered) into the error state.
+	// ("" or "*" = all registered) into the error state. It has nothing
+	// to clear, so it takes no For.
 	NICResetQPs Kind = "nic-reset-qps"
 )
 
 // ErrNoTarget is returned by Load for a scenario-file event whose kind
-// needs a target the event does not name: "link" for link-down,
-// link-up, gray and gray-clear, "switch" for switch-reboot. Left out,
-// the target would silently default to host 0's uplink or ToR 0.
+// needs a target the event does not name: "link" for link-down, gray
+// and reroute, "switch" for switch-reboot. Left out, the target would
+// silently default to host 0's uplink or ToR 0.
 var ErrNoTarget = errors.New("chaos: fault names no target")
 
 // GraySpec parameterises a gray degradation.
@@ -89,15 +89,13 @@ type Event struct {
 	// Jitter widens At by a uniform draw in [0, Jitter) from the chaos
 	// engine's seeded RNG — deterministic per scenario position.
 	Jitter time.Duration
-	// For auto-schedules the inverse action (repair/clear) this long
-	// after the fault, for kinds that have one.
+	// For clears the fault this long after it is injected.
 	For time.Duration
 	// Kind selects the fault type.
 	Kind Kind
 
-	// Link addresses the target for link faults (LinkDown, LinkUp,
-	// Gray, GrayClear). Both directions of the host pair are meant for
-	// HostStall, which addresses by Host below.
+	// Link addresses the target for LinkDown, Gray and Reroute (a
+	// ToR→Agg uplink). HostStall addresses by Host below.
 	Link fabric.LinkRef
 	// Gray carries the degradation parameters for Gray.
 	Gray GraySpec
@@ -106,9 +104,6 @@ type Event struct {
 	Index  int
 	// Host addresses a host for HostStall.
 	Host int
-	// Segment/Agg address an uplink for FailReroute/Repair.
-	Segment int
-	Agg     int
 	// NIC names the target NIC for NICResetQPs; "" or "*"
 	// targets every registered NIC.
 	NIC string
@@ -128,8 +123,6 @@ type eventJSON struct {
 	Switch string          `json:"switch,omitempty"`
 	Index  int             `json:"index,omitempty"`
 	Host   int             `json:"host,omitempty"`
-	Seg    int             `json:"segment,omitempty"`
-	Agg    int             `json:"agg,omitempty"`
 	NIC    string          `json:"nic,omitempty"`
 }
 
@@ -156,10 +149,10 @@ func (e Event) MarshalJSON() ([]byte, error) {
 	j := eventJSON{
 		At: e.At.String(), Jitter: fmtDur(e.Jitter), For: fmtDur(e.For), Kind: e.Kind,
 		Loss: e.Gray.Loss, Delay: fmtDur(e.Gray.Delay), BW: e.Gray.BWFactor,
-		Index: e.Index, Host: e.Host, Seg: e.Segment, Agg: e.Agg, NIC: e.NIC,
+		Index: e.Index, Host: e.Host, NIC: e.NIC,
 	}
 	switch e.Kind {
-	case LinkDown, LinkUp, Gray, GrayClear:
+	case LinkDown, Gray, Reroute:
 		link := e.Link
 		j.Link = &link
 	case SwitchReboot:
@@ -189,7 +182,7 @@ func (e *Event) UnmarshalJSON(b []byte) error {
 	}
 	e.Kind = j.Kind
 	switch {
-	case j.Link == nil && (e.Kind == LinkDown || e.Kind == LinkUp || e.Kind == Gray || e.Kind == GrayClear):
+	case j.Link == nil && (e.Kind == LinkDown || e.Kind == Gray || e.Kind == Reroute):
 		return fmt.Errorf("%w: %s event at %v needs \"link\"", ErrNoTarget, e.Kind, e.At)
 	case j.Switch == "" && e.Kind == SwitchReboot:
 		return fmt.Errorf("%w: %s event at %v needs \"switch\"", ErrNoTarget, e.Kind, e.At)
@@ -204,30 +197,37 @@ func (e *Event) UnmarshalJSON(b []byte) error {
 			return err
 		}
 	}
-	e.Index, e.Host, e.Segment, e.Agg, e.NIC = j.Index, j.Host, j.Seg, j.Agg, j.NIC
+	e.Index, e.Host, e.NIC = j.Index, j.Host, j.NIC
 	return nil
 }
 
 // validate rejects malformed events before anything is scheduled.
 func (e Event) validate() error {
 	switch e.Kind {
-	case LinkDown, LinkUp, Gray, GrayClear, SwitchReboot, HostStall, FailReroute, Repair, NICResetQPs:
+	case LinkDown, Gray, SwitchReboot, HostStall, Reroute, NICResetQPs:
 	case "":
 		return fmt.Errorf("chaos: event at %v has no kind", e.At)
 	default:
 		return fmt.Errorf("chaos: unknown fault kind %q", e.Kind)
 	}
-	if e.At < 0 || e.Jitter < 0 || e.For < 0 || e.Gray.Delay < 0 {
+	if e.At < 0 || e.Jitter < 0 || e.For < 0 {
 		return fmt.Errorf("chaos: %s: negative time", e.Kind)
 	}
 	if e.Jitter > math.MaxInt64-e.At || e.For > math.MaxInt64-e.At-e.Jitter {
 		return fmt.Errorf("chaos: %s: at+jitter+for overflows virtual time", e.Kind)
 	}
+	if e.Kind == NICResetQPs && e.For != 0 {
+		return fmt.Errorf("chaos: %s event at %v: a QP reset has nothing to clear, so it takes no for", e.Kind, e.At)
+	}
+	if e.Kind == Reroute && (e.Link.Tier != fabric.TierTorAgg || e.Link.Dir != fabric.DirUp) {
+		return fmt.Errorf("chaos: %s event at %v: %s is not a ToR→Agg uplink", e.Kind, e.At, e.Link)
+	}
 	if e.Kind == Gray && e.Gray.Loss == 0 && e.Gray.Delay == 0 && (e.Gray.BWFactor == 0 || e.Gray.BWFactor == 1) {
 		return fmt.Errorf("chaos: gray event at %v degrades nothing", e.At)
 	}
-	if !(e.Gray.Loss >= 0 && e.Gray.Loss <= 1) || !(e.Gray.BWFactor >= 0 && e.Gray.BWFactor <= 1) {
-		return fmt.Errorf("chaos: gray event at %v: loss/bw_factor out of [0,1]", e.At)
+	gray := fabric.Fault{DropProb: e.Gray.Loss, ExtraDelay: e.Gray.Delay, BWFactor: e.Gray.BWFactor}
+	if err := gray.Validate(); err != nil {
+		return fmt.Errorf("chaos: %s event at %v: %w", e.Kind, e.At, err)
 	}
 	return nil
 }
@@ -279,10 +279,10 @@ func (s *Scenario) HostStall(at time.Duration, host int, dur time.Duration) *Sce
 	return s.Add(Event{At: at, Kind: HostStall, Host: host, For: dur})
 }
 
-// FailReroute kills an uplink with the two-stage BGP recovery; dur > 0
-// repairs it (link and route) after dur.
-func (s *Scenario) FailReroute(at time.Duration, segment, agg int, dur time.Duration) *Scenario {
-	return s.Add(Event{At: at, Kind: FailReroute, Segment: segment, Agg: agg, For: dur})
+// Reroute withdraws a ToR→Agg uplink from routing at the offset; dur > 0
+// restores its route after dur.
+func (s *Scenario) Reroute(at time.Duration, ref fabric.LinkRef, dur time.Duration) *Scenario {
+	return s.Add(Event{At: at, Kind: Reroute, Link: ref, For: dur})
 }
 
 // ResetQPs forces the named NIC's queue pairs to the error state at the

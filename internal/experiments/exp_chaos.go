@@ -72,40 +72,23 @@ func FailureSweep(s *Session) (*Table, error) {
 			})
 		}
 		// Feed fabric faults into every connection's path blacklist: a
-		// dead aggregation switch (or uplink) quarantines the paths that
-		// hash onto it; the repair lets the probes reinstate them.
+		// dead ToR↔Agg link (an uplink, or every link of a rebooting
+		// aggregation switch) quarantines the paths that hash onto its
+		// agg; the clear lets the probes reinstate them.
 		ce.Subscribe(func(fr chaos.Firing) {
-			mark := func(agg int, down bool) {
+			for _, ref := range fr.Links {
+				if ref.Tier != fabric.TierTorAgg {
+					continue
+				}
 				for _, bl := range bls {
-					for p := 0; p < bl.NumPaths(); p++ {
-						if p%aggs == agg {
-							if down {
-								bl.MarkDown(p)
-							} else {
-								bl.MarkUp(p)
-							}
+					for p := ref.Agg; p < bl.NumPaths(); p += aggs {
+						if fr.Phase == chaos.PhaseInject {
+							bl.MarkDown(p)
+						} else {
+							bl.MarkUp(p)
 						}
 					}
 				}
-			}
-			down := fr.Phase == chaos.PhaseInject
-			switch fr.Event.Kind {
-			case chaos.LinkDown:
-				if fr.Event.Link.Tier == fabric.TierTorAgg {
-					mark(fr.Event.Link.Agg, down)
-				}
-			case chaos.LinkUp:
-				if fr.Event.Link.Tier == fabric.TierTorAgg {
-					mark(fr.Event.Link.Agg, false)
-				}
-			case chaos.SwitchReboot:
-				if fr.Event.Switch == fabric.SwitchAgg {
-					mark(fr.Event.Index, down)
-				}
-			case chaos.FailReroute:
-				mark(fr.Event.Agg, down)
-			case chaos.Repair:
-				mark(fr.Event.Agg, false)
 			}
 		})
 		rec.Start()

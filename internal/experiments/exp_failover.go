@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"time"
 
+	"repro/internal/chaos"
+	"repro/internal/fabric"
 	"repro/internal/multipath"
 	"repro/internal/sim"
 	"repro/internal/transport"
@@ -26,9 +28,7 @@ func LinkFailRecovery(s *Session) (*Table, error) {
 		rerouteLag = 8 * time.Millisecond
 		windows    = 10
 	)
-	fc := netConfig(8, 60)
-	fc.RerouteDelay = sim.Duration(rerouteLag)
-	eng, f, eps := s.cluster(fc, transport.Config{MTU: 8 << 10, InitialWindow: 1 << 20})
+	eng, f, eps := s.cluster(netConfig(8, 60), transport.Config{MTU: 8 << 10, InitialWindow: 1 << 20})
 	if err := s.armChaos(eng, f); err != nil {
 		return nil, err
 	}
@@ -42,8 +42,15 @@ func LinkFailRecovery(s *Session) (*Table, error) {
 		c.Send(1<<30, nil) // effectively unbounded for the timeline
 		conns = append(conns, c)
 	}
-	var failErr error
-	eng.After(sim.Duration(failAt), func() { failErr = f.FailLinkWithReroute(0, 0) })
+	// The uplink dies at failAt; the control plane withdraws it
+	// rerouteLag later. Played after the sends, so same-instant events
+	// keep their order.
+	sc := chaos.NewScenario("linkfail-recovery").
+		LinkDown(failAt, fabric.Uplink(0, 0), 0).
+		Reroute(failAt+rerouteLag, fabric.Uplink(0, 0), 0)
+	if err := chaos.New(eng, f).Play(sc); err != nil {
+		return nil, err
+	}
 
 	received := func() uint64 {
 		var sum uint64
@@ -77,9 +84,6 @@ func LinkFailRecovery(s *Session) (*Table, error) {
 			fmt.Sprintf("%.1f", gp/1e9),
 			fmt.Sprintf("%d", nowRetx-prevRetx))
 		prevBytes, prevRetx = nowBytes, nowRetx
-	}
-	if failErr != nil {
-		return nil, failErr
 	}
 	for _, c := range conns {
 		c.Close()

@@ -129,10 +129,6 @@ type Config struct {
 	// CoreLinkBW is Agg↔Core bandwidth in bytes/sec (defaults to
 	// FabricLinkBW).
 	CoreLinkBW float64
-	// RerouteDelay is how long the control plane (BGP) takes to steer
-	// traffic off a failed uplink (§7.2: "over the long term, the
-	// control plane detects the failure and reroutes traffic").
-	RerouteDelay sim.Duration
 	// AdaptiveRouting lets ToR switches pick the least-loaded uplink
 	// for packets carrying a negative PathID (§7.1's AR category).
 	AdaptiveRouting bool
@@ -274,13 +270,10 @@ type Fabric struct {
 	segsPod  int
 	cores    int
 
-	// aggOverride[segment][agg] redirects a failed uplink after the
-	// control plane converges (BGP reroute).
+	// aggOverride[segment][agg] is the agg that uplink's traffic takes:
+	// agg itself, or the next one while its Fault is Withdrawn (the
+	// control plane's reroute, §7.2). SetFault keeps it in step.
 	aggOverride [][]int
-	// rerouteEv holds the pending BGP-convergence timer per failed
-	// uplink, so a repair inside RerouteDelay cancels it instead of
-	// being silently overridden when the stale timer fires.
-	rerouteEv map[[2]int]*sim.Event
 
 	handlers []func(*Packet)
 
@@ -682,65 +675,6 @@ func (f *Fabric) route(p *Packet) uint8 {
 	p.mid[2] = f.coreDown[dstPod][agg][core]
 	p.mid[3] = f.torDown[dstSeg][agg]
 	return 6
-}
-
-// FailLinkWithReroute takes a ToR→Agg uplink down and schedules the
-// control plane to steer traffic to an adjacent aggregation switch
-// after Config.RerouteDelay (§7.2's two-stage recovery: the short RTO
-// repaths instantly; BGP fixes the routing afterwards). Any gray state
-// on the link is kept. A nonexistent uplink is an error and schedules
-// nothing. The convergence timer is armed on, and a superseded one
-// canceled on, EngineForSegment(segment): call it on that engine's
-// goroutine, because Cancel writes the arming engine's queue. Chaos
-// scenarios run on a single-engine fabric and exp_failover calls it
-// from one of the engine's own events, so both satisfy this.
-func (f *Fabric) FailLinkWithReroute(segment, agg int) error {
-	ref := Uplink(segment, agg)
-	ft, err := f.FaultOf(ref)
-	if err != nil {
-		return err
-	}
-	ft.Down = true
-	if err := f.SetFault(ref, ft); err != nil {
-		return err
-	}
-	delay := f.cfg.RerouteDelay
-	if delay == 0 {
-		delay = sim.Duration(500 * time.Millisecond)
-	}
-	key := [2]int{segment, agg}
-	if f.rerouteEv == nil {
-		f.rerouteEv = make(map[[2]int]*sim.Event)
-	}
-	if prev := f.rerouteEv[key]; prev != nil {
-		prev.Cancel() // superseded by this newer failure
-	}
-	// The override is read by route() on the segment's shard, so the
-	// convergence timer must fire there too.
-	eng := f.EngineForSegment(segment)
-	f.rerouteEv[key] = eng.After(delay, func() {
-		delete(f.rerouteEv, key)
-		f.aggOverride[segment][agg] = (agg + 1) % f.cfg.Aggs
-		eng.Tracer().Instant("fabric", "fabric", "fault", "bgp-reroute",
-			trace.I("segment", int64(segment)), trace.I("agg", int64(agg)),
-			trace.I("via", int64(f.aggOverride[segment][agg])))
-	})
-	return nil
-}
-
-// RestoreRoute clears a reroute override (after repair), cancelling any
-// BGP-convergence timer still pending from FailLinkWithReroute — without
-// the cancel, a repair inside RerouteDelay would be silently overridden
-// when the stale timer fired. As for FailLinkWithReroute, call it on
-// the goroutine of EngineForSegment(segment), the engine that armed the
-// timer.
-func (f *Fabric) RestoreRoute(segment, agg int) {
-	key := [2]int{segment, agg}
-	if ev := f.rerouteEv[key]; ev != nil {
-		ev.Cancel()
-		delete(f.rerouteEv, key)
-	}
-	f.aggOverride[segment][agg] = agg
 }
 
 // hop advances a packet one stage: at the end of its route it is

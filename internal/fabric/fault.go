@@ -1,15 +1,18 @@
 package fabric
 
 // Generalized link-fault model. Every fault the simulator can express —
-// full link failure, random loss, latency inflation, bandwidth capping —
-// is a per-link Fault applied through SetFault, at any tier of the
-// topology (host↔ToR, ToR↔Agg, Agg↔Core). SetFault is the only path
-// that changes a link's fault state: FailLinkWithReroute goes through
-// it, and internal/chaos drives it from scripted scenarios.
+// full link failure, random loss, latency inflation, bandwidth capping,
+// and the control plane withdrawing a dead uplink from routing — is a
+// per-link Fault applied through SetFault, at any tier of the topology
+// (host↔ToR, ToR↔Agg, Agg↔Core). SetFault is the only path that changes
+// a link's fault or routing state: a fault that holds for the whole run
+// is a SetFault call before it starts, and a timed fault is an
+// internal/chaos event, which calls SetFault when it fires.
 
 import (
 	"errors"
 	"fmt"
+	"time"
 
 	"repro/internal/sim"
 	"repro/internal/trace"
@@ -131,7 +134,8 @@ func HostLink(h HostID, dir Dir) LinkRef {
 }
 
 // Uplink addresses the ToR→Agg uplink of a segment: the link the
-// loss and failure experiments fault and FailLinkWithReroute takes down.
+// loss and failure experiments fault, and the only link a Fault can
+// mark Withdrawn.
 func Uplink(segment, agg int) LinkRef {
 	return LinkRef{Tier: TierTorAgg, Dir: DirUp, Segment: segment, Agg: agg}
 }
@@ -162,19 +166,56 @@ func (r LinkRef) String() string {
 // healthy link. Down blackholes every packet; DropProb drops a random
 // fraction; ExtraDelay inflates propagation latency; BWFactor in (0,1)
 // caps the serialisation rate to that fraction of capacity (0 and 1 both
-// mean full rate). Gray failures combine the last three.
+// mean full rate). Gray failures combine those three. Withdrawn, on a
+// ToR→Agg uplink only, says the control plane has steered the uplink's
+// traffic to the next aggregation switch (§7.2's second recovery stage,
+// after the RTO has already repathed around the dead link).
 type Fault struct {
 	Down       bool
 	DropProb   float64
 	ExtraDelay sim.Duration
 	BWFactor   float64
+	Withdrawn  bool
 }
 
-// ErrBadFault is returned by SetFault for a fault outside its domain:
-// DropProb or BWFactor outside [0,1], or a negative ExtraDelay (faults
-// only ever add delay, which is what makes LinkDelay a safe cross-shard
-// lookahead).
+// The fault domain's bounds, which keep every hop's departure time far
+// inside virtual time. A hop departs after its queue wait, serialisation
+// and propagation; virtual time is int64 nanoseconds and spans 292
+// years.
+const (
+	// MinBWFactor is the smallest bandwidth cap. Every link the model
+	// builds runs at 50 GB/s (tests use 1 GB/s), so a capped link still
+	// moves at least 1 kB/s: a maximal 4 GiB packet serialises in under
+	// two months, and the queue limit bounds the wait ahead of it by the
+	// same rate. An unbounded factor such as 1e-300 makes the
+	// serialisation time overflow to a departure before now.
+	MinBWFactor = 1e-6
+	// MaxExtraDelay is the largest latency inflation, an hour per hop:
+	// added to the worst serialisation above it still leaves a hop
+	// centuries short of the end of virtual time.
+	MaxExtraDelay = sim.Duration(time.Hour)
+)
+
+// ErrBadFault is returned by SetFault for a fault outside its domain
+// (see Fault.Validate) or for Withdrawn on a link other than a ToR→Agg
+// uplink.
 var ErrBadFault = errors.New("fabric: bad fault")
+
+// Validate checks a fault against its domain: DropProb in [0,1],
+// BWFactor 0 or in [MinBWFactor,1], and ExtraDelay in [0,MaxExtraDelay]
+// (faults only ever add delay, which is what makes LinkDelay a safe
+// cross-shard lookahead). The error wraps ErrBadFault.
+func (ft Fault) Validate() error {
+	switch {
+	case !(ft.DropProb >= 0 && ft.DropProb <= 1):
+		return fmt.Errorf("%w: drop probability %v outside [0,1]", ErrBadFault, ft.DropProb)
+	case !(ft.BWFactor == 0 || ft.BWFactor >= MinBWFactor && ft.BWFactor <= 1):
+		return fmt.Errorf("%w: bandwidth factor %v outside [%v,1]", ErrBadFault, ft.BWFactor, MinBWFactor)
+	case ft.ExtraDelay < 0 || ft.ExtraDelay > MaxExtraDelay:
+		return fmt.Errorf("%w: extra delay %v outside [0,%v]", ErrBadFault, ft.ExtraDelay, MaxExtraDelay)
+	}
+	return nil
+}
 
 // linkAt resolves a reference to a link id, validating tier bounds.
 func (f *Fabric) linkAt(ref LinkRef) (int32, error) {
@@ -212,14 +253,19 @@ func (f *Fabric) linkAt(ref LinkRef) (int32, error) {
 }
 
 // SetFault installs the full fault state on one link, replacing whatever
-// was there (read-modify-write via FaultOf to change one knob). State
-// transitions are recorded on the flight recorder as "link-fail" and
-// "link-restore", plus "link-gray"/"link-clear" for degradations. A
-// fault outside its domain is refused with ErrBadFault and changes
-// nothing.
+// was there (read-modify-write via FaultOf to change one knob), and
+// keeps the uplink's route in step with Withdrawn: SetFault(ref,
+// Fault{}) restores both the link and its route. State transitions are
+// recorded on the flight recorder as "link-fail" and "link-restore",
+// "link-gray"/"link-clear" for degradations, and "bgp-reroute" and
+// "bgp-restore" when Withdrawn flips. A fault outside its domain is
+// refused with ErrBadFault and changes nothing.
 func (f *Fabric) SetFault(ref LinkRef, ft Fault) error {
-	if !(ft.DropProb >= 0 && ft.DropProb <= 1) || !(ft.BWFactor >= 0 && ft.BWFactor <= 1) || ft.ExtraDelay < 0 {
-		return fmt.Errorf("%w: %s: %+v", ErrBadFault, ref, ft)
+	if err := ft.Validate(); err != nil {
+		return fmt.Errorf("%w: %s", err, ref)
+	}
+	if ft.Withdrawn && (ref.Tier != TierTorAgg || ref.Dir != DirUp) {
+		return fmt.Errorf("%w: %s: only a ToR→Agg uplink can be withdrawn", ErrBadFault, ref)
 	}
 	id, err := f.linkAt(ref)
 	if err != nil {
@@ -234,6 +280,16 @@ func (f *Fabric) SetFault(ref LinkRef, ft Fault) error {
 		l.rate = c.capacity * ft.BWFactor
 	}
 	l.delay = f.cfg.LinkDelay + ft.ExtraDelay
+	if ft.Withdrawn != prev.Withdrawn {
+		via, name := ref.Agg, "bgp-restore"
+		if ft.Withdrawn {
+			via, name = (ref.Agg+1)%f.cfg.Aggs, "bgp-reroute"
+		}
+		f.aggOverride[ref.Segment][ref.Agg] = via
+		if tr := f.eng.Tracer(); tr.Enabled() {
+			tr.Instant("fabric", "fabric", "fault", name, trace.S("link", c.name), trace.I("via", int64(via)))
+		}
+	}
 	if tr := f.eng.Tracer(); tr.Enabled() {
 		grayPrev := prev.DropProb != 0 || prev.ExtraDelay != 0 || !(prev.BWFactor == 0 || prev.BWFactor == 1)
 		grayNow := ft.DropProb != 0 || ft.ExtraDelay != 0 || !(ft.BWFactor == 0 || ft.BWFactor == 1)
@@ -255,18 +311,13 @@ func (f *Fabric) SetFault(ref LinkRef, ft Fault) error {
 	return nil
 }
 
-// FaultOf reads the current fault state of one link.
+// FaultOf reads the current fault and routing state of one link.
 func (f *Fabric) FaultOf(ref LinkRef) (Fault, error) {
 	id, err := f.linkAt(ref)
 	if err != nil {
 		return Fault{}, err
 	}
 	return f.cold[id].fault, nil
-}
-
-// ClearFault restores one link to full health.
-func (f *Fabric) ClearFault(ref LinkRef) error {
-	return f.SetFault(ref, Fault{})
 }
 
 // StatsOf reads one link's counters, at any tier — the observable the

@@ -71,7 +71,7 @@ func TestDropAccountingPerTier(t *testing.T) {
 				}
 			}
 			// Clearing the fault restores delivery.
-			if err := f.ClearFault(tc.ref); err != nil {
+			if err := f.SetFault(tc.ref, Fault{}); err != nil {
 				t.Fatal(err)
 			}
 			if err := f.Send(&Packet{Src: 0, Dst: 6, Size: 1000, PathID: 3}); err != nil {
@@ -79,96 +79,37 @@ func TestDropAccountingPerTier(t *testing.T) {
 			}
 			eng.RunAll()
 			if delivered != 1 {
-				t.Error("packet not delivered after ClearFault")
+				t.Error("packet not delivered after the fault cleared")
 			}
 		})
 	}
 }
 
 // TestFaultOnMissingUplinkErrors: a fault aimed at a segment or agg the
-// topology does not have must fail loudly, not run fault-free.
+// topology does not have must fail loudly, not run fault-free, and only
+// a ToR→Agg uplink can be withdrawn from routing.
 func TestFaultOnMissingUplinkErrors(t *testing.T) {
 	eng := sim.NewEngine(1)
 	f := smallFabric(eng) // 2 segments, 4 aggs
 	for _, l := range []struct{ seg, agg int }{{2, 0}, {-1, 0}, {0, 4}, {0, -1}} {
 		ref := Uplink(l.seg, l.agg)
-		if err := f.SetFault(ref, Fault{DropProb: 0.5}); err == nil {
-			t.Errorf("SetFault(%v) accepted a nonexistent uplink", ref)
-		}
-		if err := f.ClearFault(ref); err == nil {
-			t.Errorf("ClearFault(%v) accepted a nonexistent uplink", ref)
-		}
-		if err := f.FailLinkWithReroute(l.seg, l.agg); err == nil {
-			t.Errorf("FailLinkWithReroute(%d, %d) accepted a nonexistent uplink", l.seg, l.agg)
+		for _, ft := range []Fault{{DropProb: 0.5}, {}, {Down: true, Withdrawn: true}} {
+			if err := f.SetFault(ref, ft); err == nil {
+				t.Errorf("SetFault(%v, %+v) accepted a nonexistent uplink", ref, ft)
+			}
 		}
 	}
-	if n := eng.Pending(); n != 0 {
-		t.Errorf("%d reroute timers scheduled for nonexistent uplinks", n)
-	}
-}
-
-// TestRestoreRouteCancelsPendingReroute is the regression test for the
-// repair-during-convergence race: RestoreRoute inside the BGP window
-// must cancel the pending reroute timer, or the stale timer fires later
-// and silently steers traffic away from a healthy link.
-func TestRestoreRouteCancelsPendingReroute(t *testing.T) {
-	eng := sim.NewEngine(1)
-	f := New(eng, Config{
-		Segments: 2, HostsPerSegment: 4, Aggs: 4,
-		HostLinkBW: 1e9, FabricLinkBW: 1e9,
-		LinkDelay: time.Microsecond, QueueLimit: 1 << 20, ECNThreshold: 64 << 10,
-		RerouteDelay: sim.Duration(time.Millisecond),
-	})
-	if err := f.FailLinkWithReroute(0, 1); err != nil {
-		t.Fatal(err)
-	}
-	// Repair well inside the 1 ms convergence window.
-	eng.After(sim.Duration(100*time.Microsecond), func() {
-		setUplink(t, f, 0, 1, Fault{})
-		f.RestoreRoute(0, 1)
-	})
-	eng.Run(sim.Time(10 * time.Millisecond))
-	if got := f.aggOverride[0][1]; got != 1 {
-		t.Fatalf("aggOverride[0][1] = %d after repair; stale reroute timer fired", got)
-	}
-	// Traffic on path 1 must use agg 1 again.
-	if err := f.Send(&Packet{Src: 0, Dst: 5, Size: 1000, PathID: 1}); err != nil {
-		t.Fatal(err)
-	}
-	eng.RunAll()
-	if st, _ := f.StatsOf(Uplink(0, 1)); st.BytesTx != 1000 {
-		t.Errorf("agg1 uplink BytesTx = %d, want 1000", st.BytesTx)
-	}
-}
-
-// TestRepeatedFailureSupersedesReroute: a second FailLinkWithReroute
-// before the first converges replaces the pending timer instead of
-// firing twice.
-func TestRepeatedFailureSupersedesReroute(t *testing.T) {
-	eng := sim.NewEngine(1)
-	f := New(eng, Config{
-		Segments: 2, HostsPerSegment: 4, Aggs: 4,
-		HostLinkBW: 1e9, FabricLinkBW: 1e9,
-		LinkDelay: time.Microsecond, QueueLimit: 1 << 20, ECNThreshold: 64 << 10,
-		RerouteDelay: sim.Duration(time.Millisecond),
-	})
-	if err := f.FailLinkWithReroute(0, 1); err != nil {
-		t.Fatal(err)
-	}
-	eng.After(sim.Duration(500*time.Microsecond), func() {
-		if err := f.FailLinkWithReroute(0, 1); err != nil {
-			t.Error(err)
+	for _, ref := range []LinkRef{Downlink(0, 1), HostLink(0, DirUp), CoreLink(0, 1, 0, DirUp)} {
+		if err := f.SetFault(ref, Fault{Withdrawn: true}); !errors.Is(err, ErrBadFault) {
+			t.Errorf("SetFault(%v, Withdrawn) = %v, want ErrBadFault", ref, err)
 		}
-	})
-	// At 1 ms only the superseded timer would have fired; the live one
-	// lands at 1.5 ms.
-	eng.Run(sim.Time(1200 * time.Microsecond))
-	if got := f.aggOverride[0][1]; got != 1 {
-		t.Fatalf("override applied at the superseded deadline: aggOverride = %d", got)
 	}
-	eng.Run(sim.Time(2 * time.Millisecond))
-	if got := f.aggOverride[0][1]; got != 2 {
-		t.Fatalf("reroute never converged: aggOverride = %d, want 2", got)
+	for s := range f.aggOverride {
+		for a, via := range f.aggOverride[s] {
+			if via != a {
+				t.Errorf("rejected faults rerouted segment %d agg %d to %d", s, a, via)
+			}
+		}
 	}
 }
 
@@ -215,7 +156,7 @@ func TestGrayFaultDegradesWithoutKilling(t *testing.T) {
 		t.Errorf("FaultOf = %+v, want %+v", got, ft)
 	}
 
-	if err := f.ClearFault(HostLink(0, DirUp)); err != nil {
+	if err := f.SetFault(HostLink(0, DirUp), Fault{}); err != nil {
 		t.Fatal(err)
 	}
 	lat, sent = 0, eng.Now()
@@ -280,6 +221,10 @@ func TestSetFaultRejectsBadFault(t *testing.T) {
 		{BWFactor: -0.5},
 		{BWFactor: 2},
 		{DropProb: math.NaN()},
+		{BWFactor: 1e-300},
+		{BWFactor: MinBWFactor / 2},
+		{ExtraDelay: math.MaxInt64},
+		{ExtraDelay: MaxExtraDelay + 1},
 	} {
 		if err := f.SetFault(ref, ft); !errors.Is(err, ErrBadFault) {
 			t.Errorf("SetFault(%+v) = %v, want ErrBadFault", ft, err)
@@ -303,7 +248,7 @@ func TestSetFaultRejectsBadFault(t *testing.T) {
 
 // TestGrayFaultRoundTrip guards the effective rate and delay SetFault
 // precomputes: during a gray fault a hop takes exactly the division at
-// the capped rate plus the extra delay, and after ClearFault the link
+// the capped rate plus the extra delay, and after the clear the link
 // times every packet exactly like a twin link that never faulted.
 func TestGrayFaultRoundTrip(t *testing.T) {
 	// At 0.37 of 1 GB/s, 5809 bytes take 15699 ns by the division but
@@ -329,7 +274,7 @@ func TestGrayFaultRoundTrip(t *testing.T) {
 		}
 		eng.RunAll()
 		grayLat = last
-		if err := f.ClearFault(HostLink(0, DirUp)); err != nil {
+		if err := f.SetFault(HostLink(0, DirUp), Fault{}); err != nil {
 			t.Fatal(err)
 		}
 		// A same-instant burst of mixed sizes queues behind itself, so

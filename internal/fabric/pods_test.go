@@ -149,28 +149,32 @@ func TestSinglePodHasNoCore(t *testing.T) {
 	}
 }
 
-func TestFailLinkWithReroute(t *testing.T) {
+// TestWithdrawnUplinkReroutes: a dead uplink drops its paths' packets until
+// the control plane withdraws it, then its traffic takes the next agg;
+// clearing the fault restores the original route.
+func TestWithdrawnUplinkReroutes(t *testing.T) {
 	eng := sim.NewEngine(1)
 	f := New(eng, Config{
 		Segments: 2, HostsPerSegment: 2, Aggs: 4,
 		HostLinkBW: 1e9, FabricLinkBW: 1e9,
 		LinkDelay: time.Microsecond, QueueLimit: 1 << 20, ECNThreshold: 256 << 10,
-		RerouteDelay: sim.Duration(10 * time.Millisecond),
 	})
 	delivered := 0
 	f.Handle(2, func(*Packet) { delivered++ })
 
-	if err := f.FailLinkWithReroute(0, 1); err != nil {
-		t.Fatal(err)
-	}
-	// Before the control plane converges: path 1 drops.
+	setUplink(t, f, 0, 1, Fault{Down: true})
+	// Before the control plane withdraws the uplink: path 1 drops.
 	f.Send(&Packet{Src: 0, Dst: 2, Size: 100, PathID: 1})
-	eng.Run(eng.Now().Add(5 * time.Millisecond))
+	eng.RunAll()
 	if delivered != 0 {
 		t.Fatal("packet survived a dead uplink before reroute")
 	}
-	// After convergence: path 1 is steered to agg 2 and delivers.
-	eng.Run(eng.Now().Add(10 * time.Millisecond))
+	// Withdrawn: path 1 is steered to agg 2 and delivers.
+	withdrawn := Fault{Down: true, Withdrawn: true}
+	setUplink(t, f, 0, 1, withdrawn)
+	if got, _ := f.FaultOf(Uplink(0, 1)); got != withdrawn {
+		t.Errorf("FaultOf = %+v, want %+v", got, withdrawn)
+	}
 	f.Send(&Packet{Src: 0, Dst: 2, Size: 100, PathID: 1})
 	eng.RunAll()
 	if delivered != 1 {
@@ -179,13 +183,11 @@ func TestFailLinkWithReroute(t *testing.T) {
 	if f.UplinkStats(0)[2].BytesTx == 0 {
 		t.Error("rerouted traffic did not use the alternate uplink")
 	}
-	// Repair restores the original mapping (which is still failed, so
-	// this is a pure routing-table check).
+	// The zero Fault restores the link and the agg-1 mapping.
 	setUplink(t, f, 0, 1, Fault{})
-	f.RestoreRoute(0, 1)
 	f.Send(&Packet{Src: 0, Dst: 2, Size: 100, PathID: 1})
 	eng.RunAll()
-	if f.UplinkStats(0)[1].BytesTx == 0 {
-		t.Error("restored uplink unused")
+	if delivered != 2 || f.UplinkStats(0)[1].BytesTx == 0 {
+		t.Errorf("restored uplink unused: delivered %d, agg-1 BytesTx %d", delivered, f.UplinkStats(0)[1].BytesTx)
 	}
 }

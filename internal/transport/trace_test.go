@@ -120,7 +120,7 @@ func TestPacketSpanDrop(t *testing.T) {
 	}
 	c.Send(4096, nil)
 	r.eng.Run(sim.Time(50 * time.Microsecond))
-	if err := r.f.ClearFault(down); err != nil {
+	if err := r.f.SetFault(down, fabric.Fault{}); err != nil {
 		t.Fatal(err)
 	}
 	r.eng.RunAll()
