@@ -89,17 +89,30 @@ func TestRefusesDeploy(t *testing.T) {
 }
 
 // TestRefusesAbsurdJobGraph: a -jobgraph file whose rank count no
-// fleet can hold fails validation on load and exits 2 without a panic,
-// before any fabric is built.
+// fleet can hold, whose compute chain would overflow virtual time, or
+// whose ring volume would wrap uint64 (each op valid on its own) fails
+// validation on load and exits 2 with the error, before any fabric is
+// built: no panic and no wrong table.
 func TestRefusesAbsurdJobGraph(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "huge.json")
-	graph := `{"name":"huge","ranks":4611686018427387904,"ops":[{"id":"c0","kind":"compute","rank":0,"for":"1us"}]}`
-	if err := os.WriteFile(path, []byte(graph), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	code, out := invoke(t, "-jobgraph", path)
-	if code != 2 || strings.Contains(out, "panic:") || !strings.Contains(out, "Ranks must be in [1, MaxRanks]") {
-		t.Errorf("-jobgraph huge.json exited %d, want 2 with the Ranks error and no panic:\n%s", code, out)
+	dir := t.TempDir()
+	for name, tc := range map[string]struct{ graph, want string }{
+		"ranks": {`{"name":"huge","ranks":4611686018427387904,"ops":[{"id":"c0","kind":"compute","rank":0,"for":"1us"}]}`,
+			"Ranks must be in [1, MaxRanks]"},
+		"compute": {`{"name":"h","ranks":2,"ops":[{"id":"c","kind":"compute","rank":0,"for":"2562047h"},{"id":"d","kind":"compute","rank":0,"for":"2562047h","deps":["c"]}]}`,
+			"graph exceeds MaxCompute or MaxBytes"},
+		"ring3": {`{"name":"ov3","ranks":3,"ops":[{"id":"a","kind":"collective","ranks":[0,1,2],"bytes":9223372036854775809}]}`,
+			"graph exceeds MaxCompute or MaxBytes"},
+		"ring2": {`{"name":"ov2","ranks":2,"ops":[{"id":"a","kind":"collective","ranks":[0,1],"bytes":9223372036854775808}]}`,
+			"graph exceeds MaxCompute or MaxBytes"},
+	} {
+		path := filepath.Join(dir, name+".json")
+		if err := os.WriteFile(path, []byte(tc.graph), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		code, out := invoke(t, "-jobgraph", path, "-seed", "42")
+		if code != 2 || strings.Contains(out, "panic:") || !strings.Contains(out, tc.want) {
+			t.Errorf("%s: exited %d, want 2 with %q and no panic:\n%s", name, code, tc.want, out)
+		}
 	}
 }
 

@@ -107,7 +107,7 @@ func TestEndToEndCrossHostGDRWrite(t *testing.T) {
 	if wireDone == 0 {
 		t.Fatal("network transfer incomplete")
 	}
-	if got := epB.ReceivedBytes(1); got != payload {
+	if got := conn.PeerReceivedBytes(); got != payload {
 		t.Fatalf("wire delivered %d bytes, want %d", got, payload)
 	}
 

@@ -76,8 +76,8 @@ func (s Stall) Duration(end sim.Time) sim.Duration {
 // episode. Wire it to a chaos engine with Attach (the first injected
 // fault starts the episode), then read Report after the run. It also
 // flags stalls — flows whose received bytes sit still for stallAfter,
-// like one quiesced in FlowError — read with Stalls and traced on the
-// "watchdog" lane.
+// like a failed flow held until Reconnect — read with Stalls and traced
+// on the "watchdog" lane.
 type Recovery struct {
 	eng *sim.Engine
 

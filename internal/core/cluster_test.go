@@ -103,7 +103,7 @@ func TestClusterRemoteHostMemoryWrite(t *testing.T) {
 	if out.Placement.Route != pcie.RouteToMemory {
 		t.Errorf("placement route = %v", out.Placement.Route)
 	}
-	if got := cl.eps[3].ReceivedBytes(conn.Flow); got != 2<<20 {
+	if got := conn.Wire.PeerReceivedBytes(); got != 2<<20 {
 		t.Errorf("wire delivered %d bytes", got)
 	}
 	conn.Close()

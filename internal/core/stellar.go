@@ -38,11 +38,6 @@ var (
 // matching MasQ (§4).
 const DeviceCreateTime = 1500 * time.Millisecond
 
-// ControlPathRTT is the virtio interception cost added to every control
-// verb (QP creation/modification, MR registration): guest driver →
-// host virtio driver → RNIC and back.
-const ControlPathRTT = 35 * time.Microsecond
-
 // TCPVirtioOverhead is the throughput penalty of the virtio/SF/VxLAN
 // path for non-RDMA traffic (§4: ~5%, acceptable because TCP carries
 // only control messages).
@@ -197,8 +192,6 @@ type VStellarDevice struct {
 
 	// CreateLatency is the virtual-time cost of spinning the device up.
 	CreateLatency sim.Duration
-	// ControlLatency accumulates virtio control-path time spent.
-	ControlLatency sim.Duration
 }
 
 // CreateVStellar spins up a vStellar device for the container on the
@@ -259,8 +252,7 @@ func (d *VStellarDevice) Destroy() {
 func (d *VStellarDevice) DoorbellGPA() addr.GPA { return d.vdbGPA }
 
 // CreateQP allocates a queue pair through the virtio control path and
-// drives it to RTS. Control verbs pay ControlPathRTT each; the data
-// path stays direct.
+// drives it to RTS; the data path stays direct.
 func (d *VStellarDevice) CreateQP() (*rnic.QP, error) {
 	if d.destroyed {
 		return nil, ErrDestroyed
@@ -269,13 +261,11 @@ func (d *VStellarDevice) CreateQP() (*rnic.QP, error) {
 	if err != nil {
 		return nil, err
 	}
-	// create + 3 modifies, each one interception round trip.
 	for _, st := range []rnic.QPState{rnic.QPInit, rnic.QPReadyToReceive, rnic.QPReadyToSend} {
 		if err := d.RNIC.ModifyQP(qp, st); err != nil {
 			return nil, err
 		}
 	}
-	d.ControlLatency += 4 * ControlPathRTT
 	d.qps = append(d.qps, qp)
 	return qp, nil
 }
@@ -292,7 +282,7 @@ func (d *VStellarDevice) RegisterHostMemory(gva addr.GVARange) (*rnic.MR, error)
 	if !ok {
 		return nil, fmt.Errorf("stellar: %v unmapped in guest", addr.GVA(gva.Start))
 	}
-	pinCost, err := d.pv.MapDMA(gpa, gva.Size)
+	_, err := d.pv.MapDMA(gpa, gva.Size)
 	if err != nil {
 		return nil, err
 	}
@@ -305,7 +295,6 @@ func (d *VStellarDevice) RegisterHostMemory(gva addr.GVARange) (*rnic.MR, error)
 		// pinned and IOMMU-mapped with no MR to release them.
 		return nil, errors.Join(err, d.pv.ReleaseDMA(gpa, gva.Size))
 	}
-	d.ControlLatency += ControlPathRTT + pinCost
 	d.mrs = append(d.mrs, mr)
 	return mr, nil
 }
@@ -328,7 +317,6 @@ func (d *VStellarDevice) RegisterGPUMemory(gva addr.GVARange, gmem addr.HPARange
 	if err != nil {
 		return nil, err
 	}
-	d.ControlLatency += ControlPathRTT
 	d.mrs = append(d.mrs, mr)
 	return mr, nil
 }

@@ -54,8 +54,8 @@ func LinkFailRecovery(s *Session) (*Table, error) {
 
 	received := func() uint64 {
 		var sum uint64
-		for i := 0; i < 8; i++ {
-			sum += eps[8+i].ReceivedBytes(uint64(1 + i))
+		for _, c := range conns {
+			sum += c.PeerReceivedBytes()
 		}
 		return sum
 	}

@@ -20,19 +20,19 @@ import (
 // stack completes it anyway. Two fault classes:
 //
 //   - qp-reset: RNIC firmware resets every QP. The WQE flush propagates
-//     through OnQPError → Conn.Fail, the flow quiesces in FlowError, and
+//     through OnQPError → Conn.Fail, the flow fails and quiesces, and
 //     (with recovery on) a controller re-cycles the QP to RTS and calls
 //     Reconnect.
 //   - rto-budget: the host's links blackhole. Exponential RTO backoff
 //     (with seeded jitter) spreads the retries; the retry budget then
-//     moves the flow to FlowError instead of retransmitting forever, and
-//     the controller reconnects after the link repairs.
+//     fails the flow instead of retransmitting forever, and the
+//     controller reconnects after the link repairs.
 //
 // Each condition runs with the recovery controller on and off; a second
 // flow on an unaffected host rides along as the control. The recovery
 // observer watches both flows' goodput for stalls. With recovery the faulted
 // flow must complete every message; without it the flow must end the
-// run parked in FlowError — the assertions in exp_recovery_test.go.
+// run failed — the assertions in exp_recovery_test.go.
 func ChaosRecovery(s *Session) (*Table, error) {
 	t := &Table{
 		ID:    "chaos-recovery",
@@ -95,8 +95,7 @@ func ChaosRecovery(s *Session) (*Table, error) {
 		var conns []*transport.Conn
 		for i := 0; i < flows; i++ {
 			flow := uint64(1 + i)
-			c, err := transport.ConnectWithSelector(eps[i], eps[flows+i], flow,
-				multipath.New(multipath.OBS, 128, eng.RNG().Fork(flow*2+1)))
+			c, err := transport.Connect(eps[i], eps[flows+i], flow, multipath.OBS, 128)
 			if err != nil {
 				return nil, err
 			}
@@ -120,14 +119,11 @@ func ChaosRecovery(s *Session) (*Table, error) {
 
 		rows := make([]flowRow, flows)
 		if withRec {
-			// The recovery controller: on FlowError, cycle the QP back to
+			// The recovery controller: on failure, cycle the QP back to
 			// RTS and reconnect after a re-establish delay. If the fabric
-			// is still black-holed the flow re-enters FlowError on budget
-			// and the controller goes around again.
-			conns[0].OnStateChange(func(_, s transport.FlowState) {
-				if s != transport.FlowError {
-					return
-				}
+			// is still black-holed the flow fails again on budget and the
+			// controller goes around again.
+			conns[0].OnFail(func(error) {
 				eng.After(reconnectDelay, func() {
 					if err := nic.RecoverQP(qp); err != nil {
 						panic(err) // QPReset is valid from any state
@@ -159,16 +155,15 @@ func ChaosRecovery(s *Session) (*Table, error) {
 		for i, c := range conns {
 			r := &rows[i]
 			r.msgs = c.CompletedMessages()
-			r.state = c.State().String()
-			r.err = "-"
-			switch ferr := c.Err(); {
-			case ferr == nil:
-			case errors.Is(ferr, transport.ErrRetryBudget):
-				r.err = "retry-budget"
-			case errors.Is(ferr, rnic.ErrWQEFlushed):
-				r.err = "wqe-flushed"
-			default:
-				r.err = "other"
+			r.state, r.err = "active", "-"
+			if ferr := c.Err(); ferr != nil {
+				r.state, r.err = "error", "other"
+				switch {
+				case errors.Is(ferr, transport.ErrRetryBudget):
+					r.err = "retry-budget"
+				case errors.Is(ferr, rnic.ErrWQEFlushed):
+					r.err = "wqe-flushed"
+				}
 			}
 			r.retx = c.Retransmits
 			r.maxRetry = c.MaxRetries
@@ -214,6 +209,8 @@ func ChaosRecovery(s *Session) (*Table, error) {
 			}
 		}
 	}
+	// "FlowError" is the failed flow (Err() != nil) under the name the
+	// pinned output has always printed.
 	t.Notes = append(t.Notes,
 		"fault at 500 us into a 2x16x2MiB transfer; retry budget 3, RTO backoff 2x capped at 1 ms with 10% seeded jitter; reconnect 200 us after FlowError",
 		"expect: with recovery on, flow-1 completes 16/16 and ends active; with recovery off it parks in error (wqe-flushed / retry-budget) while the control flow-2 is untouched")

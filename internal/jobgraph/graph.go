@@ -21,6 +21,7 @@ import (
 	"errors"
 	"fmt"
 	"sort"
+	"time"
 
 	"repro/internal/sim"
 )
@@ -88,12 +89,27 @@ type Graph struct {
 // are int32) or exhaust memory building the fleet.
 const MaxRanks = 4096
 
+// MaxCompute bounds the sum of a graph's compute durations. No
+// dependency chain computes for longer than every compute op together,
+// so a replay's op start times stay within 1,000 h plus transfer time,
+// far inside the 2.56 million hours int64 nanoseconds can hold.
+const MaxCompute = 1000 * time.Hour
+
+// MaxBytes bounds the total bytes of a graph's sends and collectives.
+// A collective's ring puts 2·(n−1)·Bytes on the wire, so with
+// n ≤ MaxRanks every byte count the replay and Stats derive stays
+// below 2⁶⁴.
+const MaxBytes = 1 << 50
+
 // Typed validation errors, matched with errors.Is.
 var (
 	// ErrNoOps is returned for graphs with no operations.
 	ErrNoOps = errors.New("jobgraph: graph has no ops")
 	// ErrRanks is returned when Ranks is outside [1, MaxRanks].
 	ErrRanks = errors.New("jobgraph: Ranks must be in [1, MaxRanks]")
+	// ErrTooLarge is returned when the graph's compute time exceeds
+	// MaxCompute or its transfer bytes exceed MaxBytes.
+	ErrTooLarge = errors.New("jobgraph: graph exceeds MaxCompute or MaxBytes")
 	// ErrDuplicateID is returned when two ops share an ID.
 	ErrDuplicateID = errors.New("jobgraph: duplicate op id")
 	// ErrEmptyID is returned for an op with no ID.
@@ -152,6 +168,8 @@ func (g *Graph) Validate() error {
 		return ErrNoOps
 	}
 	index := make(map[string]int, len(g.Ops))
+	var compute sim.Duration
+	var bytes uint64
 	for i, op := range g.Ops {
 		if op.ID == "" {
 			return fmt.Errorf("%w (op %d)", ErrEmptyID, i)
@@ -162,6 +180,20 @@ func (g *Graph) Validate() error {
 		index[op.ID] = i
 		if err := g.validateOp(op); err != nil {
 			return err
+		}
+		// Each bound is checked against what is left of it, so the
+		// running sums themselves never overflow.
+		switch op.Kind {
+		case OpCompute:
+			if op.Duration > MaxCompute-compute {
+				return fmt.Errorf("%w: compute passes %v at %q", ErrTooLarge, MaxCompute, op.ID)
+			}
+			compute += op.Duration
+		case OpSend, OpCollective:
+			if op.Bytes > MaxBytes-bytes {
+				return fmt.Errorf("%w: transfers pass %d bytes at %q", ErrTooLarge, uint64(MaxBytes), op.ID)
+			}
+			bytes += op.Bytes
 		}
 	}
 	sends := make(map[matchKey]int)

@@ -116,15 +116,28 @@ func TestValidateRejectsMalformedOps(t *testing.T) {
 			{ID: "a", Kind: OpCollective, Ranks: []int{0, 0}, Bytes: 1}}}, ErrBadOp},
 		{"zero-byte collective", Graph{Ranks: 2, Ops: []Op{
 			{ID: "a", Kind: OpCollective, Ranks: []int{0, 1}}}}, ErrBadOp},
+		// Each op is valid alone; only their sum overflows virtual time.
+		{"compute chain past virtual time", Graph{Ranks: 2, Ops: []Op{
+			{ID: "c", Kind: OpCompute, Duration: 2562047 * time.Hour},
+			{ID: "d", Kind: OpCompute, Duration: 2562047 * time.Hour, Deps: []string{"c"}}}}, ErrTooLarge},
+		{"3-rank ring volume past 2^64", Graph{Ranks: 3, Ops: []Op{
+			{ID: "a", Kind: OpCollective, Ranks: []int{0, 1, 2}, Bytes: 1<<63 + 1}}}, ErrTooLarge},
+		{"2-rank ring volume past 2^64", Graph{Ranks: 2, Ops: []Op{
+			{ID: "a", Kind: OpCollective, Ranks: []int{0, 1}, Bytes: 1 << 63}}}, ErrTooLarge},
+		{"sends past MaxBytes together", Graph{Ranks: 2, Ops: []Op{
+			{ID: "a", Kind: OpSend, Rank: 0, Peer: 1, Bytes: MaxBytes, Tag: 1},
+			{ID: "b", Kind: OpSend, Rank: 0, Peer: 1, Bytes: 1, Tag: 2}}}, ErrTooLarge},
 	}
 	for _, tc := range cases {
 		if err := tc.g.Validate(); !errors.Is(err, tc.want) {
 			t.Errorf("%s: err = %v, want %v", tc.name, err, tc.want)
 		}
 	}
-	full := Graph{Ranks: MaxRanks, Ops: []Op{{ID: "a", Kind: OpCompute}}}
+	full := Graph{Ranks: MaxRanks, Ops: []Op{
+		{ID: "a", Kind: OpCompute, Duration: MaxCompute},
+		{ID: "b", Kind: OpCollective, Ranks: []int{0, MaxRanks - 1}, Bytes: MaxBytes}}}
 	if err := full.Validate(); err != nil {
-		t.Errorf("MaxRanks graph rejected: %v", err)
+		t.Errorf("graph at MaxRanks, MaxCompute and MaxBytes rejected: %v", err)
 	}
 }
 

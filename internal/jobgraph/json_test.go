@@ -36,6 +36,14 @@ func TestLoadParsesWireFormat(t *testing.T) {
 	}
 }
 
+// Graphs whose every op is valid but whose totals overflow: int64
+// virtual time along a compute chain, and uint64 ring volume.
+const (
+	overflowCompute = `{"name":"h","ranks":2,"ops":[{"id":"c","kind":"compute","rank":0,"for":"2562047h"},{"id":"d","kind":"compute","rank":0,"for":"2562047h","deps":["c"]}]}`
+	overflowRing3   = `{"name":"ov3","ranks":3,"ops":[{"id":"a","kind":"collective","ranks":[0,1,2],"bytes":9223372036854775809}]}`
+	overflowRing2   = `{"name":"ov2","ranks":2,"ops":[{"id":"a","kind":"collective","ranks":[0,1],"bytes":9223372036854775808}]}`
+)
+
 func TestLoadRejectsBadInput(t *testing.T) {
 	cases := []struct {
 		name string
@@ -53,6 +61,9 @@ func TestLoadRejectsBadInput(t *testing.T) {
 			{"id":"r","kind":"recv","rank":1,"peer":0}]}`, ErrUnmatchedRecv},
 		{"absurd ranks", `{"name":"huge","ranks":4611686018427387904,"ops":[
 			{"id":"c0","kind":"compute","rank":0,"for":"1us"}]}`, ErrRanks},
+		{"compute chain past virtual time", overflowCompute, ErrTooLarge},
+		{"3-rank ring volume past 2^64", overflowRing3, ErrTooLarge},
+		{"2-rank ring volume past 2^64", overflowRing2, ErrTooLarge},
 	}
 	for _, tc := range cases {
 		if _, err := Load([]byte(tc.in)); !errors.Is(err, tc.want) {

@@ -1,19 +1,18 @@
-// Flow-level failure recovery: the per-flow state machine, the retry
-// budget that turns endless retransmission into a surfaced error, and
-// Reconnect — the software half of recovering from an RNIC QP reset.
+// Flow-level failure recovery: the retry budget that turns endless
+// retransmission into a surfaced error, Fail, and Reconnect — the
+// software half of recovering from an RNIC QP reset.
 //
 // The paper's transport hides single-path faults behind repathing
-// (§7.2), so the steady state is Active with occasional Degraded
-// excursions. Whole-NIC faults (firmware QP reset, ATC loss) and
-// budget exhaustion push the flow to Error, where it stays quiesced —
-// no timers armed, acks ignored, backlog held — until the operator
-// (or the recovery controller in experiments) re-establishes the QP
-// and calls Reconnect.
+// (§7.2), so a healthy flow retransmits without failing. Whole-NIC
+// faults (firmware QP reset, ATC loss) and budget exhaustion fail the
+// flow: Err turns non-nil and the flow stays quiesced — no timers
+// armed, acks ignored, backlog held — until the operator (or the
+// recovery controller in experiments) re-establishes the QP and calls
+// Reconnect.
 package transport
 
 import (
 	"errors"
-	"fmt"
 	"math"
 
 	"repro/internal/sim"
@@ -24,74 +23,43 @@ import (
 // packet exhausts Config.RetryBudget retransmissions.
 var ErrRetryBudget = errors.New("transport: retry budget exhausted")
 
-// FlowState is the connection's recovery state.
-type FlowState uint8
-
-// Flow states, in recovery order: Active ⇄ Degraded, either → Error
-// (budget exhaustion or Fail), Error → Reconnecting → Active.
-const (
-	FlowActive FlowState = iota
-	FlowDegraded
-	FlowError
-	FlowReconnecting
-)
-
-func (s FlowState) String() string {
-	switch s {
-	case FlowActive:
-		return "active"
-	case FlowDegraded:
-		return "degraded"
-	case FlowError:
-		return "error"
-	case FlowReconnecting:
-		return "reconnecting"
-	default:
-		return fmt.Sprintf("FlowState(%d)", uint8(s))
-	}
-}
-
-// State reports the flow's recovery state.
-func (c *Conn) State() FlowState { return c.state }
-
-// Err reports why the flow is in FlowError (nil otherwise).
+// Err reports why the flow failed: non-nil from the failure until
+// Reconnect, nil while the flow is healthy.
 func (c *Conn) Err() error { return c.ferr }
 
-// OnStateChange registers a callback invoked on every state
-// transition, after the new state is installed. One callback per
-// connection; later calls replace earlier ones.
-func (c *Conn) OnStateChange(fn func(old, new FlowState)) { c.stateCB = fn }
+// OnFail registers a callback invoked each time the flow fails, after
+// it has quiesced. One callback per connection; later calls replace
+// earlier ones.
+func (c *Conn) OnFail(fn func(error)) { c.failCB = fn }
 
-// setState installs a new flow state and notifies the observer.
-func (c *Conn) setState(s FlowState) {
-	if c.state == s {
-		return
+// Fail fails the flow with err — the hook QP-error propagation uses
+// when the RNIC flushes the flow's WQEs out from under it. A failed
+// flow is one whose Err is non-nil, so a nil err is a programming error
+// and panics.
+func (c *Conn) Fail(err error) {
+	if err == nil {
+		panic("transport: Fail(nil): a failed flow needs a non-nil error")
 	}
-	old := c.state
-	c.state = s
-	if tr := c.eng.Tracer(); tr.Enabled() {
-		tr.Instant(c.src.label, "transport", "flow", "state",
-			trace.U("flow", c.Flow), trace.S("from", old.String()), trace.S("to", s.String()))
-	}
-	if c.stateCB != nil {
-		c.stateCB(old, s)
-	}
+	c.fail(err)
 }
-
-// Fail forces the flow into FlowError — the hook QP-error propagation
-// uses when the RNIC flushes the flow's WQEs out from under it.
-func (c *Conn) Fail(err error) { c.fail(err) }
 
 // fail quiesces the flow: every pending RTO is detached (nothing
 // retransmits out of an errored QP), acks are ignored from here on,
-// and unacked state is retained so Reconnect can replay it.
+// and unacked state is retained so Reconnect can replay it. A flow
+// that has already failed keeps its first error.
 func (c *Conn) fail(err error) {
-	if c.state == FlowError {
+	if c.ferr != nil {
 		return
 	}
 	c.ferr = err
 	c.unacked.each(c.detachRTO)
-	c.setState(FlowError)
+	if tr := c.eng.Tracer(); tr.Enabled() {
+		tr.Instant(c.src.label, "transport", "flow", "fail",
+			trace.U("flow", c.Flow), trace.S("err", err.Error()))
+	}
+	if c.failCB != nil {
+		c.failCB(err)
+	}
 }
 
 // Reconnect re-establishes a failed flow, modelling the software path
@@ -99,27 +67,15 @@ func (c *Conn) fail(err error) {
 // from the initial window, every unacked packet is replayed (in seq
 // order, on freshly selected paths, with a new transmit epoch so
 // pre-failure acks are recognised as stale) and queued backlog
-// resumes. Valid from any state; on a healthy flow it is a forced
+// resumes. Valid on any flow; on a healthy one it is a forced
 // re-establish.
 func (c *Conn) Reconnect() {
-	c.setState(FlowReconnecting)
 	c.ferr = nil
 	c.Reconnects++
-
-	c.window = float64(c.cfg.InitialWindow)
-	c.inflight = 0
-	if c.cfg.PerPathCC {
-		per := float64(c.cfg.InitialWindow) / float64(len(c.pathWindow))
-		if per < float64(c.cfg.MTU) {
-			per = float64(c.cfg.MTU)
-		}
-		for i := range c.pathWindow {
-			c.pathWindow[i] = per
-			c.pathInflight[i] = 0
-		}
+	if tr := c.eng.Tracer(); tr.Enabled() {
+		tr.Instant(c.src.label, "transport", "flow", "reconnect", trace.U("flow", c.Flow))
 	}
-
-	c.setState(FlowActive)
+	c.resetCC()
 	// The ring iterates in ascending seq order by construction — the
 	// replay order the map-backed implementation had to sort for.
 	c.unacked.each(func(o *outstanding) {

@@ -2,7 +2,6 @@ package transport
 
 import (
 	"errors"
-	"reflect"
 	"testing"
 	"time"
 
@@ -62,20 +61,16 @@ func TestRetryBudgetExhaustionSurfacesError(t *testing.T) {
 	r := newRig(t, 4, smallCfg(), Config{RetryBudget: 2})
 	blackhole(t, r)
 	c, _ := Connect(r.eps[0], r.eps[4], 1, multipath.OBS, 8)
-	var transitions []FlowState
-	c.OnStateChange(func(_, s FlowState) { transitions = append(transitions, s) })
+	var fails []error
+	c.OnFail(func(err error) { fails = append(fails, err) })
 	c.Send(64<<10, nil)
 	r.eng.RunAll()
 
-	if c.State() != FlowError {
-		t.Fatalf("state = %v, want error", c.State())
-	}
 	if err := c.Err(); !errors.Is(err, ErrRetryBudget) {
-		t.Errorf("Err() = %v, want ErrRetryBudget", err)
+		t.Fatalf("Err() = %v, want ErrRetryBudget", err)
 	}
-	want := []FlowState{FlowDegraded, FlowError}
-	if !reflect.DeepEqual(transitions, want) {
-		t.Errorf("transitions = %v, want %v", transitions, want)
+	if len(fails) != 1 || !errors.Is(fails[0], ErrRetryBudget) {
+		t.Errorf("OnFail calls = %v, want one with ErrRetryBudget", fails)
 	}
 	// retries > budget fails the flow on the budget+1'th firing.
 	if c.MaxRetries != 3 {
@@ -83,30 +78,6 @@ func TestRetryBudgetExhaustionSurfacesError(t *testing.T) {
 	}
 	if c.CompletedMessages() != 0 {
 		t.Errorf("CompletedMessages = %d on a blackholed flow", c.CompletedMessages())
-	}
-}
-
-func TestDegradedReturnsToActiveOnAck(t *testing.T) {
-	r := newRig(t, 5, smallCfg(), Config{})
-	// 20% loss forces RTOs (Degraded) but the transfer still completes.
-	faultSegment(t, r.f, 0, fabric.Fault{DropProb: 0.20})
-	c, _ := Connect(r.eps[0], r.eps[4], 1, multipath.OBS, 8)
-	sawDegraded := false
-	c.OnStateChange(func(_, s FlowState) {
-		if s == FlowDegraded {
-			sawDegraded = true
-		}
-	})
-	c.Send(2<<20, nil)
-	r.eng.RunAll()
-	if !sawDegraded {
-		t.Error("no Degraded excursion despite 20% loss")
-	}
-	if c.State() != FlowActive {
-		t.Errorf("final state = %v, want active", c.State())
-	}
-	if c.CompletedMessages() != 1 {
-		t.Errorf("CompletedMessages = %d", c.CompletedMessages())
 	}
 }
 
@@ -129,9 +100,6 @@ func TestReconnectCompletesAfterFail(t *testing.T) {
 	if done != msgs || c.CompletedMessages() != msgs {
 		t.Fatalf("completed %d/%d messages (callbacks %d)", c.CompletedMessages(), msgs, done)
 	}
-	if c.State() != FlowActive {
-		t.Errorf("final state = %v, want active", c.State())
-	}
 	if c.Err() != nil {
 		t.Errorf("Err() = %v after successful reconnect", c.Err())
 	}
@@ -150,14 +118,31 @@ func TestFailWithoutReconnectStaysError(t *testing.T) {
 	for i := 0; i < msgs; i++ {
 		c.Send(512<<10, nil)
 	}
-	r.eng.After(100*time.Microsecond, func() { c.Fail(errors.New("qp flushed")) })
+	failErr := errors.New("qp flushed")
+	r.eng.After(100*time.Microsecond, func() { c.Fail(failErr) })
 	r.eng.RunAll()
-	if c.State() != FlowError {
-		t.Fatalf("state = %v, want error", c.State())
+	if c.Err() != failErr {
+		t.Fatalf("Err() = %v, want %v", c.Err(), failErr)
 	}
 	if c.CompletedMessages() >= msgs {
 		t.Errorf("all %d messages completed despite unrecovered failure", msgs)
 	}
+}
+
+// TestFailNilPanics: a failed flow is one whose Err is non-nil, so
+// Fail(nil) cannot be represented and is refused as misuse.
+func TestFailNilPanics(t *testing.T) {
+	r := newRig(t, 6, smallCfg(), Config{})
+	c, _ := Connect(r.eps[0], r.eps[4], 1, multipath.OBS, 8)
+	defer func() {
+		if recover() == nil {
+			t.Error("Fail(nil) did not panic")
+		}
+		if c.Err() != nil {
+			t.Errorf("Err() = %v after refused Fail(nil)", c.Err())
+		}
+	}()
+	c.Fail(nil)
 }
 
 // TestCloseDuringPendingRTOIsInert is the regression test for the

@@ -75,12 +75,13 @@ type Config struct {
 	// jitter; the first RTO of a packet is never jittered.
 	RTOJitter float64
 	// RetryBudget bounds retransmissions per packet: when one packet
-	// has timed out this many times the flow moves to FlowError and
-	// surfaces the failure via Err/OnStateChange instead of
-	// retransmitting forever. 0 (the default) keeps retries unbounded.
+	// has timed out this many times the flow fails and surfaces the
+	// failure via Err/OnFail instead of retransmitting forever. 0 (the
+	// default) keeps retries unbounded.
 	RetryBudget int
-	// PerPathCC gives each path its own window (the §9 alternative).
-	// The shared-context default is what lets Stellar afford 128 paths.
+	// PerPathCC gives each path its own congestion-control context (the
+	// §9 alternative). The shared-context default is what lets Stellar
+	// afford 128 paths.
 	PerPathCC bool
 }
 
@@ -186,7 +187,6 @@ type receiver struct {
 	reorder   uint64 // max observed reorder distance
 	delivered uint64 // packets
 	peer      uint32 // the sender's slot, carried by every ack
-	flow      uint64
 }
 
 // testAndSet records seq as seen, reporting whether it already was.
@@ -213,12 +213,14 @@ type Conn struct {
 	cfg          Config
 	eng          *sim.Engine
 
-	// Shared-context CC state.
-	window   float64
-	inflight uint64
-	// Per-path CC state (PerPathCC).
-	pathWindow   []float64
-	pathInflight []uint64
+	// cc holds the congestion-control contexts: one shared by every
+	// path, or one per path under PerPathCC. The shared context lives
+	// in ccShared, inside the Conn, so the ack path touches no other
+	// object. ccStart is each context's initial window and
+	// [ccFloor, ccCeil] its range.
+	cc                       []ccCtx
+	ccShared                 [1]ccCtx
+	ccStart, ccFloor, ccCeil float64
 
 	nextSeq uint64
 	backlog uint64 // bytes queued but not yet packetised
@@ -229,11 +231,10 @@ type Conn struct {
 	messages []*message
 	msgHead  int
 
-	// Recovery state machine (see recovery.go).
-	state   FlowState
-	ferr    error                    // why the flow is in FlowError
-	stateCB func(old, new FlowState) // state-transition observer
-	rtoRNG  *sim.RNG                 // per-flow backoff-jitter stream
+	// Failure recovery (see recovery.go).
+	ferr   error       // why the flow failed; nil while it is healthy
+	failCB func(error) // failure observer
+	rtoRNG *sim.RNG    // per-flow backoff-jitter stream
 
 	// Stats.
 	BytesAcked  uint64
@@ -249,12 +250,7 @@ type Conn struct {
 	// StaleAcks counts acks of superseded transmissions: the data
 	// arrived, but the RTT sample and CC reaction were suppressed
 	// (Karn's algorithm).
-	StaleAcks uint64
-	// FirstRTOAt/LastRTOAt bound the RTO-repath activity in virtual
-	// time; recovery observers use them as detection markers. Zero
-	// until the first timeout fires.
-	FirstRTOAt    sim.Time
-	LastRTOAt     sim.Time
+	StaleAcks     uint64
 	lastDecrease  sim.Time
 	decreased     bool // lastDecrease is meaningful only after the first decrease
 	completedMsgs uint64
@@ -262,6 +258,13 @@ type Conn struct {
 	freeOut *outstanding // recycled outstanding records
 	freeMsg *message     // recycled message records
 	rtoFn   func(any)    // pre-bound timeout dispatcher: no closure per packet
+}
+
+// ccCtx is one congestion-control context: a window and the bytes in
+// flight against it.
+type ccCtx struct {
+	window   float64
+	inflight uint64
 }
 
 type outstanding struct {
@@ -281,14 +284,13 @@ type message struct {
 	unsent      uint64 // bytes not yet packetised
 	remaining   uint64 // bytes not yet acknowledged
 	completedAt sim.Time
-	done        func(sim.Time)
-	// adone/arg are the arg-style completion (SendArg): one long-lived
-	// callback shared across sends, so the steady-state op path builds
-	// no closure per message.
-	adone func(any, sim.Time)
-	arg   any
-	span  trace.ID // message lifecycle span (zero when untraced)
-	next  *message // free-list link
+	// done(arg, at) is the completion: one long-lived callback shared
+	// across sends, so the steady-state op path builds no closure per
+	// message.
+	done func(any, sim.Time)
+	arg  any
+	span trace.ID // message lifecycle span (zero when untraced)
+	next *message // free-list link
 }
 
 // ackRing indexes outstanding records by sequence number: a dense
@@ -386,15 +388,14 @@ func ConnectWithSelector(src, dst *Endpoint, flow uint64, sel multipath.Selector
 	if tr := src.eng.Tracer(); tr.Enabled() {
 		sel = multipath.WithTrace(sel, tr, src.label)
 	}
-	numPaths := sel.NumPaths()
+	cfg := src.cfg
 	c := &Conn{
-		Flow:   flow,
-		src:    src,
-		dst:    dst,
-		sel:    sel,
-		cfg:    src.cfg,
-		eng:    src.eng,
-		window: float64(src.cfg.InitialWindow),
+		Flow: flow,
+		src:  src,
+		dst:  dst,
+		sel:  sel,
+		cfg:  cfg,
+		eng:  src.eng,
 		// A distinct fork salt keeps the jitter stream independent of
 		// the selector's (flow*2+1) without perturbing either.
 		rtoRNG: src.eng.RNG().Fork(flow*2 + 0x52544f),
@@ -403,21 +404,27 @@ func ConnectWithSelector(src, dst *Endpoint, flow uint64, sel multipath.Selector
 	if cs, ok := c.sel.(multipath.ClockedSelector); ok {
 		cs.SetClock(func() sim.Time { return src.eng.Now() })
 	}
-	if c.cfg.PerPathCC {
-		c.pathWindow = make([]float64, numPaths)
-		c.pathInflight = make([]uint64, numPaths)
-		per := float64(c.cfg.InitialWindow) / float64(numPaths)
-		if per < float64(c.cfg.MTU) {
-			per = float64(c.cfg.MTU)
-		}
-		for i := range c.pathWindow {
-			c.pathWindow[i] = per
-		}
+	c.cc = c.ccShared[:]
+	c.ccStart, c.ccFloor, c.ccCeil = float64(cfg.InitialWindow), minWindow, float64(cfg.MaxWindow)
+	if cfg.PerPathCC {
+		c.cc = make([]ccCtx, sel.NumPaths())
+		n := float64(len(c.cc))
+		c.ccStart = max(float64(cfg.InitialWindow)/n, float64(cfg.MTU))
+		c.ccFloor, c.ccCeil = float64(cfg.MTU), float64(cfg.MaxWindow)/n
 	}
+	c.resetCC()
 	c.slot, c.rxSlot = uint32(len(src.flows)), uint32(len(dst.rxs))
 	src.flows = append(src.flows, c)
-	dst.rxs = append(dst.rxs, &receiver{flow: flow, peer: c.slot})
+	dst.rxs = append(dst.rxs, &receiver{peer: c.slot})
 	return c, nil
+}
+
+// resetCC restarts every context at its initial window with nothing in
+// flight.
+func (c *Conn) resetCC() {
+	for i := range c.cc {
+		c.cc[i] = ccCtx{window: c.ccStart}
+	}
 }
 
 func checkPaths(n int) error {
@@ -430,10 +437,17 @@ func checkPaths(n int) error {
 // Send enqueues a message of size bytes; done (optional) fires at the
 // virtual time the last byte is acknowledged.
 func (c *Conn) Send(size uint64, done func(sim.Time)) {
-	m := c.allocMessage()
-	m.unsent, m.remaining, m.done = size, size, done
-	c.send(m, size)
+	var call func(any, sim.Time)
+	if done != nil {
+		call = callDone
+	}
+	c.SendArg(size, call, done)
 }
+
+// callDone is Send's completion: arg is the caller's func(sim.Time). A
+// func value is pointer-shaped, so storing it in an any allocates
+// nothing.
+func callDone(fn any, at sim.Time) { fn.(func(sim.Time))(at) }
 
 // SendArg is Send with an arg-style completion: done(arg, at) fires at
 // the virtual time the last byte is acknowledged. A caller issuing many
@@ -441,11 +455,7 @@ func (c *Conn) Send(size uint64, done func(sim.Time)) {
 // through arg, so the steady-state send path allocates no closure.
 func (c *Conn) SendArg(size uint64, done func(any, sim.Time), arg any) {
 	m := c.allocMessage()
-	m.unsent, m.remaining, m.adone, m.arg = size, size, done, arg
-	c.send(m, size)
-}
-
-func (c *Conn) send(m *message, size uint64) {
+	m.unsent, m.remaining, m.done, m.arg = size, size, done, arg
 	if tr := c.eng.Tracer(); tr.Enabled() {
 		m.span = tr.NewID()
 		tr.SpanBegin(m.span, c.src.label, "transport", "msg", "message",
@@ -474,10 +484,17 @@ func (c *Conn) releaseMessage(m *message) {
 }
 
 // Outstanding reports bytes in flight.
-func (c *Conn) Outstanding() uint64 { return c.inflight }
+func (c *Conn) Outstanding() uint64 {
+	var sum uint64
+	for i := range c.cc {
+		sum += c.cc[i].inflight
+	}
+	return sum
+}
 
-// Window reports the current shared congestion window in bytes.
-func (c *Conn) Window() uint64 { return uint64(c.window) }
+// Window reports the first congestion-control context's window in
+// bytes: the shared window, or path 0's under PerPathCC.
+func (c *Conn) Window() uint64 { return uint64(c.cc[0].window) }
 
 // MeanRTT reports the average sampled RTT.
 func (c *Conn) MeanRTT() sim.Duration {
@@ -494,7 +511,7 @@ func (c *Conn) CompletedMessages() uint64 { return c.completedMsgs }
 // failed flow holds its backlog: nothing leaves an errored QP until
 // Reconnect.
 func (c *Conn) pump() {
-	if c.state == FlowError || c.state == FlowReconnecting {
+	if c.ferr != nil {
 		return
 	}
 	for c.backlog > 0 {
@@ -537,37 +554,23 @@ func (c *Conn) pump() {
 // idle connection may always send one packet, so a window smaller than
 // the MTU cannot deadlock the flow.
 func (c *Conn) admit(path int, size uint64) bool {
-	if c.cfg.PerPathCC {
-		i := ccIndex(path)
-		return c.pathInflight[i] == 0 ||
-			float64(c.pathInflight[i])+float64(size) <= c.pathWindow[i]
-	}
-	return c.inflight == 0 || float64(c.inflight)+float64(size) <= c.window
+	x := c.ctx(path)
+	return x.inflight == 0 || float64(x.inflight)+float64(size) <= x.window
 }
 
-// ccIndex maps a path to its per-path CC slot; switch-AR's sentinel
-// (-1) shares slot 0, since per-path CC is meaningless when the switch
-// chooses paths.
-func ccIndex(path int) int {
-	if path < 0 {
-		return 0
+// ctx returns the congestion-control context path is charged to. A
+// shared context serves every path; switch-AR's sentinel path (-1)
+// always maps to context 0, since per-path CC is meaningless when the
+// switch chooses paths.
+func (c *Conn) ctx(path int) *ccCtx {
+	if len(c.cc) == 1 || path < 0 {
+		return &c.cc[0]
 	}
-	return path
+	return &c.cc[path]
 }
 
-func (c *Conn) charge(path int, size uint64) {
-	c.inflight += size
-	if c.cfg.PerPathCC {
-		c.pathInflight[ccIndex(path)] += size
-	}
-}
-
-func (c *Conn) release(path int, size uint64) {
-	c.inflight -= size
-	if c.cfg.PerPathCC {
-		c.pathInflight[ccIndex(path)] -= size
-	}
-}
+func (c *Conn) charge(path int, size uint64)  { c.ctx(path).inflight += size }
+func (c *Conn) release(path int, size uint64) { c.ctx(path).inflight -= size }
 
 // allocOutstanding recycles per-packet send records; with the fabric's
 // packet pool and the engine's event pool this makes the steady-state
@@ -628,19 +631,12 @@ func (c *Conn) timeout(o *outstanding) {
 		c.MaxRetries = uint64(o.retries)
 	}
 	c.Retransmits++
-	if c.FirstRTOAt == 0 {
-		c.FirstRTOAt = c.eng.Now()
-	}
-	c.LastRTOAt = c.eng.Now()
 	c.sel.Feedback(o.path, c.eng.Now().Sub(o.sentAt), false, true)
 
 	if c.cfg.RetryBudget > 0 && int(o.retries) > c.cfg.RetryBudget {
 		c.fail(fmt.Errorf("%w: flow %d seq %d after %d attempts",
 			ErrRetryBudget, c.Flow, o.seq, o.retries))
 		return
-	}
-	if c.state == FlowActive {
-		c.setState(FlowDegraded)
 	}
 
 	oldPath := o.path
@@ -679,43 +675,23 @@ func (c *Conn) decrease(path int, beta float64) {
 	}
 	c.decreased = true
 	c.lastDecrease = now
-	if c.cfg.PerPathCC {
-		i := ccIndex(path)
-		c.pathWindow[i] *= beta
-		min := float64(c.cfg.MTU)
-		if c.pathWindow[i] < min {
-			c.pathWindow[i] = min
-		}
-		return
-	}
-	c.window *= beta
-	if c.window < minWindow {
-		c.window = minWindow
+	x := c.ctx(path)
+	x.window *= beta
+	if x.window < c.ccFloor {
+		x.window = c.ccFloor
 	}
 }
 
 // increase applies additive increase per acked packet.
 func (c *Conn) increase(path int, size uint64) {
 	grow := additiveIncrease * float64(size)
-	if c.cfg.PerPathCC {
-		i := ccIndex(path)
-		w := c.pathWindow[i]
-		c.pathWindow[i] = minF(w+grow/w, float64(c.cfg.MaxWindow)/float64(len(c.pathWindow)))
-		return
-	}
-	c.window = minF(c.window+grow/c.window, float64(c.cfg.MaxWindow))
-}
-
-func minF(a, b float64) float64 {
-	if a < b {
-		return a
-	}
-	return b
+	x := c.ctx(path)
+	x.window = min(x.window+grow/x.window, c.ccCeil)
 }
 
 // handleAck processes an ack for seq.
 func (c *Conn) handleAck(p *fabric.Packet) {
-	if c.state == FlowError || c.state == FlowReconnecting {
+	if c.ferr != nil {
 		// The QP is in error: completions are flushed, not delivered.
 		// The packet stays unacked and is replayed by Reconnect (the
 		// receiver dedupes, so the data is not double-counted).
@@ -741,7 +717,7 @@ func (c *Conn) handleAck(p *fabric.Packet) {
 	if tr := c.eng.Tracer(); tr.Enabled() {
 		tr.SpanEnd(o.span, c.src.label, "transport", "pkt", "packet",
 			trace.D("rtt", rtt), trace.B("ecn", ecn), trace.B("stale", stale))
-		tr.Counter(c.src.label, "transport", "cwnd", c.window)
+		tr.Counter(c.src.label, "transport", "cwnd", c.cc[0].window)
 	}
 	if stale {
 		c.StaleAcks++
@@ -758,11 +734,6 @@ func (c *Conn) handleAck(p *fabric.Packet) {
 			c.decrease(o.path, 0.95)
 		default:
 			c.increase(o.path, o.size)
-		}
-		// A fresh (current-epoch) ack is proof the repathed data path
-		// works again: leave Degraded.
-		if c.state == FlowDegraded {
-			c.setState(FlowActive)
 		}
 	}
 
@@ -792,9 +763,7 @@ func (c *Conn) handleAck(p *fabric.Packet) {
 						trace.U("flow", c.Flow))
 				}
 				if head.done != nil {
-					head.done(head.completedAt)
-				} else if head.adone != nil {
-					head.adone(head.arg, head.completedAt)
+					head.done(head.arg, head.completedAt)
 				}
 				c.releaseMessage(head)
 			}
@@ -861,41 +830,12 @@ func slotEntry[T any](table []*T, i uint32) *T {
 	return nil
 }
 
-// rxOf returns the open receiver of flow, nil if there is none. When
-// several senders opened the same flow id toward this endpoint, the
-// newest wins.
-func (e *Endpoint) rxOf(flow uint64) *receiver {
-	for i := len(e.rxs) - 1; i >= 0; i-- {
-		if r := e.rxs[i]; r != nil && r.flow == flow {
-			return r
-		}
-	}
-	return nil
-}
-
-// ReceivedBytes reports deduplicated payload bytes received for a flow.
-func (e *Endpoint) ReceivedBytes(flow uint64) uint64 {
-	if r := e.rxOf(flow); r != nil {
-		return r.bytes
-	}
-	return 0
-}
-
 // PeerReceivedBytes reports the deduplicated payload bytes the remote
 // endpoint has received on this connection's flow — the goodput counter
 // recovery observers sample.
 func (c *Conn) PeerReceivedBytes() uint64 {
 	if r := c.dst.rxs[c.rxSlot]; r != nil {
 		return r.bytes
-	}
-	return 0
-}
-
-// MaxReorderDistance reports the deepest out-of-order arrival observed
-// on a flow.
-func (e *Endpoint) MaxReorderDistance(flow uint64) uint64 {
-	if r := e.rxOf(flow); r != nil {
-		return r.reorder
 	}
 	return 0
 }

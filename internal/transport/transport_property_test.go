@@ -40,7 +40,7 @@ func TestEveryByteDeliveredExactlyOnce(t *testing.T) {
 		c.Send(size, func(sim.Time) { completed = true })
 		eng.RunAll()
 		return completed &&
-			dst.ReceivedBytes(1) == size &&
+			c.PeerReceivedBytes() == size &&
 			c.BytesAcked == size &&
 			c.Outstanding() == 0
 	}
@@ -51,32 +51,57 @@ func TestEveryByteDeliveredExactlyOnce(t *testing.T) {
 }
 
 // TestWindowStaysWithinBounds checks the CC invariant under arbitrary
-// congestion: the shared window never exceeds MaxWindow nor drops below
-// minWindow.
+// congestion: the shared window stays within [minWindow, MaxWindow], and
+// under PerPathCC each of the n paths' windows within [MTU, MaxWindow/n].
+// A steep ECN back-off and a small MaxWindow drive every context to
+// both ends of its range, so the bounds are exercised, not just obeyed.
 func TestWindowStaysWithinBounds(t *testing.T) {
-	eng := sim.NewEngine(3)
-	fb := fabric.New(eng, fabric.Config{
-		Segments: 2, HostsPerSegment: 2, Aggs: 2,
-		HostLinkBW: 12.5e9, FabricLinkBW: 1e9, // savage bottleneck
-		LinkDelay: time.Microsecond, QueueLimit: 256 << 10, ECNThreshold: 32 << 10,
-	})
-	cfg := Config{LossBeta: 0.5}
-	src := NewEndpoint(fb, 0, cfg)
-	dst := NewEndpoint(fb, 2, cfg)
-	c, err := Connect(src, dst, 1, multipath.OBS, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	c.Send(8<<20, nil)
-	min, max := uint64(minWindow), src.Config().MaxWindow
-	for eng.Step() {
-		w := c.Window()
-		if w < min || w > max {
-			t.Fatalf("window %d outside [%d, %d]", w, min, max)
+	for _, tc := range []struct {
+		cfg    Config
+		paths  int
+		lo, hi float64
+	}{
+		{Config{InitialWindow: 32 << 10, MaxWindow: 96 << 10}, 2, minWindow, 96 << 10},
+		{Config{InitialWindow: 128 << 10, MaxWindow: 256 << 10, PerPathCC: true}, 8, float64(DefaultConfig().MTU), (256 << 10) / 8},
+	} {
+		eng := sim.NewEngine(3)
+		fb := fabric.New(eng, fabric.Config{
+			Segments: 2, HostsPerSegment: 2, Aggs: 2,
+			HostLinkBW: 12.5e9, FabricLinkBW: 1e9, // savage bottleneck
+			LinkDelay: time.Microsecond, QueueLimit: 256 << 10, ECNThreshold: 32 << 10,
+		})
+		tc.cfg.LossBeta, tc.cfg.ECNBeta = 0.5, 0.1
+		src := NewEndpoint(fb, 0, tc.cfg)
+		dst := NewEndpoint(fb, 2, tc.cfg)
+		c, err := Connect(src, dst, 1, multipath.OBS, tc.paths)
+		if err != nil {
+			t.Fatal(err)
 		}
-	}
-	if c.ECNAcks == 0 && c.Retransmits == 0 {
-		t.Error("bottleneck produced no congestion signals; test is vacuous")
+		contexts := 1
+		if tc.cfg.PerPathCC {
+			contexts = tc.paths
+		}
+		if len(c.cc) != contexts {
+			t.Fatalf("PerPathCC=%v: %d CC contexts, want %d", tc.cfg.PerPathCC, len(c.cc), contexts)
+		}
+		c.Send(8<<20, nil)
+		hitLo, hitHi := make([]bool, contexts), make([]bool, contexts)
+		for eng.Step() {
+			for i, x := range c.cc {
+				if x.window < tc.lo || x.window > tc.hi {
+					t.Fatalf("PerPathCC=%v: context %d window %.0f outside [%.0f, %.0f]",
+						tc.cfg.PerPathCC, i, x.window, tc.lo, tc.hi)
+				}
+				hitLo[i] = hitLo[i] || x.window == tc.lo
+				hitHi[i] = hitHi[i] || x.window == tc.hi
+			}
+		}
+		for i := range c.cc {
+			if !hitLo[i] || !hitHi[i] {
+				t.Errorf("PerPathCC=%v: context %d reached floor %v, ceiling %v; test is vacuous",
+					tc.cfg.PerPathCC, i, hitLo[i], hitHi[i])
+			}
+		}
 	}
 }
 
@@ -129,8 +154,8 @@ func TestPerPathInflightBalances(t *testing.T) {
 	if c.Outstanding() != 0 {
 		t.Errorf("Outstanding = %d after drain", c.Outstanding())
 	}
-	if dst.ReceivedBytes(1) != 2<<20 {
-		t.Errorf("ReceivedBytes = %d", dst.ReceivedBytes(1))
+	if got := c.PeerReceivedBytes(); got != 2<<20 {
+		t.Errorf("PeerReceivedBytes = %d", got)
 	}
 }
 

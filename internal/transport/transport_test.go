@@ -59,8 +59,8 @@ func TestMessageDelivery(t *testing.T) {
 	if doneAt == 0 {
 		t.Fatal("message never completed")
 	}
-	if got := r.eps[4].ReceivedBytes(1); got != 1<<20 {
-		t.Errorf("ReceivedBytes = %d, want %d", got, 1<<20)
+	if got := c.PeerReceivedBytes(); got != 1<<20 {
+		t.Errorf("PeerReceivedBytes = %d, want %d", got, 1<<20)
 	}
 	if c.BytesAcked != 1<<20 {
 		t.Errorf("BytesAcked = %d", c.BytesAcked)
@@ -142,8 +142,11 @@ func TestRetransmitRecoversFromLoss(t *testing.T) {
 	if c.Retransmits == 0 {
 		t.Error("no retransmits despite 10% loss")
 	}
-	if got := r.eps[4].ReceivedBytes(1); got != 4<<20 {
-		t.Errorf("ReceivedBytes = %d", got)
+	if c.Err() != nil {
+		t.Errorf("Err() = %v: repathing after an RTO is not a failure", c.Err())
+	}
+	if got := c.PeerReceivedBytes(); got != 4<<20 {
+		t.Errorf("PeerReceivedBytes = %d", got)
 	}
 }
 
@@ -213,10 +216,10 @@ func TestOutOfOrderPlacement(t *testing.T) {
 	if doneAt == 0 {
 		t.Fatal("transfer incomplete")
 	}
-	if got := r.eps[4].ReceivedBytes(1); got != 8<<20 {
-		t.Errorf("ReceivedBytes = %d (dup or loss in placement)", got)
+	if got := c.PeerReceivedBytes(); got != 8<<20 {
+		t.Errorf("PeerReceivedBytes = %d (dup or loss in placement)", got)
 	}
-	if r.eps[4].MaxReorderDistance(1) == 0 {
+	if c.dst.rxs[c.rxSlot].reorder == 0 {
 		t.Log("note: no reordering observed (acceptable but unusual)")
 	}
 }
@@ -230,8 +233,8 @@ func TestPerPathCCStillCompletes(t *testing.T) {
 	if doneAt == 0 {
 		t.Fatal("per-path CC transfer incomplete")
 	}
-	if got := r.eps[4].ReceivedBytes(1); got != 8<<20 {
-		t.Errorf("ReceivedBytes = %d", got)
+	if got := c.PeerReceivedBytes(); got != 8<<20 {
+		t.Errorf("PeerReceivedBytes = %d", got)
 	}
 }
 
@@ -282,11 +285,8 @@ func TestClosedFlowPacketsDoNotReachSuccessor(t *testing.T) {
 		t.Fatal(err)
 	}
 	r.eng.RunAll()
-	if got := r.eps[4].ReceivedBytes(1); got != 0 {
-		t.Errorf("successor flow received %d bytes of its predecessor's packets, want 0", got)
-	}
 	if got := next.PeerReceivedBytes(); got != 0 {
-		t.Errorf("successor PeerReceivedBytes = %d, want 0", got)
+		t.Errorf("successor flow received %d bytes of its predecessor's packets, want 0", got)
 	}
 }
 
@@ -358,8 +358,8 @@ func TestOutOfOrderMessageCompletionTime(t *testing.T) {
 		t.Fatal(err)
 	}
 	var t1, t2 sim.Time
-	m1 := &message{remaining: 4096, done: func(at sim.Time) { t1 = at }}
-	m2 := &message{remaining: 4096, done: func(at sim.Time) { t2 = at }}
+	m1 := &message{remaining: 4096, done: callDone, arg: func(at sim.Time) { t1 = at }}
+	m2 := &message{remaining: 4096, done: callDone, arg: func(at sim.Time) { t2 = at }}
 	c.messages = []*message{m1, m2}
 	for seq, m := range []*message{m1, m2} {
 		o := c.allocOutstanding()
