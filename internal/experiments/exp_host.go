@@ -200,14 +200,15 @@ func Fig8(s *Session) (*Table, error) {
 
 // Fig13 regenerates the microbenchmark figure: write latency and
 // bandwidth across message sizes for bare metal, vStellar, and the
-// CX7 VF+VxLAN stack.
+// CX7 VF+VxLAN stack. vStellar's data path is bare metal's (§8.1), so
+// one sweep fills both columns.
 func Fig13(s *Session) (*Table, error) {
 	t := &Table{
 		ID:     "fig13",
 		Title:  "RDMA write latency/throughput (paper: vStellar == bare metal; VF+VxLAN +7% lat, -9% bw)",
 		Header: []string{"size", "bare lat(us)", "vstellar lat(us)", "vf lat(us)", "bare Gbps", "vstellar Gbps", "vf Gbps"},
 	}
-	stacks := []perftest.StackOverhead{perftest.BareMetal(), perftest.VStellar(), perftest.VFVxLAN()}
+	stacks := []perftest.StackOverhead{perftest.VStellar(), perftest.VFVxLAN()}
 	sizes := []uint64{8, 256, 4096, 64 << 10, 1 << 20, 8 << 20}
 	results := make([][]perftest.Point, len(stacks))
 	for i, st := range stacks {
@@ -223,15 +224,16 @@ func Fig13(s *Session) (*Table, error) {
 		}
 		results[i] = pts
 	}
+	vs, vf := results[0], results[1]
 	for j, size := range sizes {
+		lat := fmt.Sprintf("%.2f", float64(vs[j].Latency)/1e3)
+		bw := fmt.Sprintf("%.0f", perftest.Gbps(vs[j].Bandwidth))
 		t.AddRow(
 			fmtSize(size),
-			fmt.Sprintf("%.2f", float64(results[0][j].Latency)/1e3),
-			fmt.Sprintf("%.2f", float64(results[1][j].Latency)/1e3),
-			fmt.Sprintf("%.2f", float64(results[2][j].Latency)/1e3),
-			fmt.Sprintf("%.0f", perftest.Gbps(results[0][j].Bandwidth)),
-			fmt.Sprintf("%.0f", perftest.Gbps(results[1][j].Bandwidth)),
-			fmt.Sprintf("%.0f", perftest.Gbps(results[2][j].Bandwidth)),
+			lat, lat,
+			fmt.Sprintf("%.2f", float64(vf[j].Latency)/1e3),
+			bw, bw,
+			fmt.Sprintf("%.0f", perftest.Gbps(vf[j].Bandwidth)),
 		)
 	}
 	return t, nil
@@ -239,6 +241,8 @@ func Fig13(s *Session) (*Table, error) {
 
 // Fig14 regenerates the GDR throughput comparison: vStellar and bare
 // metal via the eMTT direct path vs HyV/MasQ through the Root Complex.
+// Bare metal and vStellar share the eMTT path, so one run fills both
+// rows.
 func Fig14(s *Session) (*Table, error) {
 	t := &Table{
 		ID:     "fig14",
@@ -246,10 +250,10 @@ func Fig14(s *Session) (*Table, error) {
 		Header: []string{"stack", "route", "Gbps"},
 	}
 	type sys struct {
-		name string
-		mode gdrMode
+		names []string
+		mode  gdrMode
 	}
-	for _, sc := range []sys{{"bare-metal-stellar", modeEMTT}, {"vstellar", modeEMTT}, {"hyv-masq", modeRC}} {
+	for _, sc := range []sys{{[]string{"bare-metal-stellar", "vstellar"}, modeEMTT}, {[]string{"hyv-masq"}, modeRC}} {
 		cfg := rnic.DefaultConfig("rnic0")
 		rig, err := newGDRRig(s, cfg, sc.mode, 64<<20)
 		if err != nil {
@@ -264,7 +268,9 @@ func Fig14(s *Session) (*Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		t.AddRow(sc.name, res.Route.String(), fmt.Sprintf("%.0f", perftest.Gbps(pts[0].Bandwidth)))
+		for _, name := range sc.names {
+			t.AddRow(name, res.Route.String(), fmt.Sprintf("%.0f", perftest.Gbps(pts[0].Bandwidth)))
+		}
 	}
 	t.Notes = append(t.Notes, "HyV/MasQ GDR routes via the Root Complex (~36% of vStellar's bandwidth)")
 	return t, nil

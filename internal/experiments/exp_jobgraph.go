@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"time"
 
-	"repro/internal/fabric"
 	"repro/internal/jobgraph"
 	"repro/internal/multipath"
 	"repro/internal/sim"
@@ -12,12 +11,32 @@ import (
 	"repro/internal/workload"
 )
 
+// contendedJob is one job of the contended-cluster schedule: its graph,
+// the fleet hosts offered to it and the seed a random placement
+// shuffles them with.
+type contendedJob struct {
+	name, kind string
+	g          *jobgraph.Graph
+	hosts      []int
+	seed       uint64
+}
+
+// place seats the job on a fleet: its offered hosts, ordered by the
+// placement policy, one per rank.
+func (j contendedJob) place(fleet []*transport.Endpoint, p workload.Placement) []*transport.Endpoint {
+	offered := make([]*transport.Endpoint, len(j.hosts))
+	for k, h := range j.hosts {
+		offered[k] = fleet[h]
+	}
+	return workload.OrderHosts(offered, p, j.seed)[:j.g.Ranks]
+}
+
 // contendedJobs is the fixed four-job schedule of the contended-cluster
 // experiment: two Table-1 training jobs, an inference burst and a
 // storage stream, on deliberately overlapping host sets that span both
 // segments (so rings cross the aggregation layer and jobs compete for
-// the same uplinks and host NICs).
-func contendedJobs(seed uint64, placement workload.Placement, alg multipath.Algorithm, paths int) ([]jobgraph.JobSpec, error) {
+// the same uplinks and host NICs). Job i places with seed+i.
+func contendedJobs(seed uint64) ([]contendedJob, error) {
 	plat := workload.DefaultPlatform()
 	trainA, err := jobgraph.FromModel(jobgraph.GenConfig{
 		Model: workload.Table1()[0], Platform: plat,
@@ -43,34 +62,33 @@ func contendedJobs(seed uint64, placement workload.Placement, alg multipath.Algo
 	if err != nil {
 		return nil, err
 	}
-	mk := func(i int, name string, kind jobgraph.JobKind, g *jobgraph.Graph, hosts []int) jobgraph.JobSpec {
-		return jobgraph.JobSpec{
-			Name: name, Kind: kind, Graph: g, Alg: alg, Paths: paths,
-			Placement: placement, PlacementSeed: seed + uint64(i),
-			Hosts: hosts,
-		}
-	}
 	// Hosts 0-15 sit in segment 0, 16-31 in segment 1; every job's set
 	// straddles the segment boundary and overlaps its neighbours'.
-	return []jobgraph.JobSpec{
-		mk(0, "train-"+workload.Table1()[0].Name, jobgraph.Training, trainA,
-			[]int{0, 1, 2, 3, 16, 17, 18, 19}),
-		mk(1, "train-"+workload.Table1()[1].Name, jobgraph.Training, trainB,
-			[]int{4, 5, 6, 7, 20, 21, 22, 23}),
-		mk(2, "inference-burst", jobgraph.Inference, infer,
-			[]int{2, 3, 4, 5, 18, 19, 20, 21}),
-		mk(3, "storage-stream", jobgraph.Storage, store,
-			[]int{0, 1, 6, 7, 16, 17, 22, 23}),
-	}, nil
+	jobs := []contendedJob{
+		{name: "train-" + workload.Table1()[0].Name, kind: "training", g: trainA,
+			hosts: []int{0, 1, 2, 3, 16, 17, 18, 19}},
+		{name: "train-" + workload.Table1()[1].Name, kind: "training", g: trainB,
+			hosts: []int{4, 5, 6, 7, 20, 21, 22, 23}},
+		{name: "inference-burst", kind: "inference", g: infer,
+			hosts: []int{2, 3, 4, 5, 18, 19, 20, 21}},
+		{name: "storage-stream", kind: "storage", g: store,
+			hosts: []int{0, 1, 6, 7, 16, 17, 22, 23}},
+	}
+	for i := range jobs {
+		jobs[i].seed = seed + uint64(i)
+	}
+	return jobs, nil
 }
 
 // ContendedCluster is the multi-job interference experiment: the
 // four-job schedule above, swept over placement policy x transport
 // stack. For every cell each job first runs alone on a fresh fleet
-// (its isolated baseline), then the whole schedule shares one fleet;
-// the slowdown column is contended/isolated makespan, and the cell's
-// peak uplink queue is the fabric-level interference signal. This is
-// Fig 15/16's single-job story promoted to contended-cluster numbers.
+// (its isolated baseline), then the whole schedule shares one more
+// fleet, each job replaying on the same engine with its own flow-ID
+// range; the slowdown column is contended/isolated makespan, and the
+// shared fleet's peak uplink queue is the fabric-level interference
+// signal. This is Fig 15/16's single-job story promoted to
+// contended-cluster numbers.
 func ContendedCluster(s *Session) (*Table, error) {
 	t := &Table{
 		ID:     "contended-cluster",
@@ -96,42 +114,59 @@ func ContendedCluster(s *Session) (*Table, error) {
 			cells = append(cells, cellCfg{placement, stack.name, stack.alg, stack.paths})
 		}
 	}
-	type cellOut struct {
-		outcomes []jobgraph.Outcome
-		maxQ     uint64
-	}
-	outs := make([]cellOut, len(cells))
+	rows := make([][][]string, len(cells))
 	err := s.runCells(len(cells), func(i int) error {
 		cfg := cells[i]
-		jobs, err := contendedJobs(s.Seed, cfg.placement, cfg.alg, cfg.paths)
+		jobs, err := contendedJobs(s.Seed)
 		if err != nil {
 			return err
 		}
-		// RunContended builds the shared fleet last, so f is the fabric
-		// the whole schedule contended on.
-		var f *fabric.Fabric
-		outcomes, err := jobgraph.RunContended(func() (*sim.Engine, []*transport.Endpoint, error) {
-			eng, fab, eps := s.cluster(netConfig(16, 60), transport.Config{})
-			f = fab
-			return eng, eps, s.armChaos(eng, fab)
-		}, jobs)
-		if err != nil {
+		opts := jobgraph.Options{Alg: cfg.alg, Paths: cfg.paths, FlowBase: 1}
+		isolated := make([]sim.Duration, len(jobs))
+		for k, j := range jobs {
+			eng, f, eps := s.cluster(netConfig(16, 60), transport.Config{})
+			if err := s.armChaos(eng, f); err != nil {
+				return err
+			}
+			res, err := jobgraph.Run(eng, j.place(eps, cfg.placement), j.g, opts)
+			if err != nil {
+				return fmt.Errorf("isolated %q: %w", j.name, err)
+			}
+			isolated[k] = res.Makespan
+		}
+		eng, f, eps := s.cluster(netConfig(16, 60), transport.Config{})
+		if err := s.armChaos(eng, f); err != nil {
 			return err
 		}
-		outs[i] = cellOut{outcomes: outcomes, maxQ: maxUplinkQueue(f, 2)}
+		replays := make([]*jobgraph.Replay, len(jobs))
+		for k, j := range jobs {
+			opts.FlowBase = 1 + uint64(k)<<20
+			rp, err := jobgraph.NewReplay(eng, j.place(eps, cfg.placement), j.g, opts)
+			if err != nil {
+				return fmt.Errorf("contended %q: %w", j.name, err)
+			}
+			defer rp.Close()
+			rp.Start(nil)
+			replays[k] = rp
+		}
+		eng.RunAll()
+		maxQ := fmt.Sprintf("%.0f", float64(maxUplinkQueue(f, 2))/1024)
+		for k, rp := range replays {
+			res, err := rp.Result()
+			if err != nil {
+				return fmt.Errorf("contended %q: %w", jobs[k].name, err)
+			}
+			iso, con := isolated[k].Seconds(), res.Makespan.Seconds()
+			rows[i] = append(rows[i], []string{cfg.placement.String(), cfg.stack, jobs[k].name, jobs[k].kind,
+				fmt.Sprintf("%.2f", iso*1e3), fmt.Sprintf("%.2f", con*1e3), fmt.Sprintf("%.3f", con/iso), maxQ})
+		}
 		return nil
 	})
 	if err != nil {
 		return nil, err
 	}
-	for i, cfg := range cells {
-		for _, o := range outs[i].outcomes {
-			t.AddRow(cfg.placement.String(), cfg.stack, o.Name, string(o.Kind),
-				fmt.Sprintf("%.2f", o.Isolated.Seconds()*1e3),
-				fmt.Sprintf("%.2f", o.Contended.Seconds()*1e3),
-				fmt.Sprintf("%.3f", o.Slowdown),
-				fmt.Sprintf("%.0f", float64(outs[i].maxQ)/1024))
-		}
+	for _, cell := range rows {
+		t.Rows = append(t.Rows, cell...)
 	}
 	t.Notes = append(t.Notes,
 		"slowdown = contended/isolated makespan on identical fleets; 1.000 means perfect bandwidth isolation",
@@ -152,6 +187,18 @@ func JobGraphRunner(g *jobgraph.Graph) Runner {
 				ID:     id,
 				Title:  fmt.Sprintf("Job-graph replay: %s (%d ranks, %d ops)", g.Name, g.Ranks, len(g.Ops)),
 				Header: []string{"stack", "makespan (ms)", "wire (MB)", "slowest rank", "rank spread (ms)"},
+			}
+			// Spread and slowest rank count only ranks that own or join
+			// an op: an idle rank never finishes anything.
+			active := make([]bool, g.Ranks)
+			for _, op := range g.Ops {
+				if op.Kind == jobgraph.OpCollective {
+					for _, r := range op.Ranks {
+						active[r] = true
+					}
+				} else {
+					active[op.Rank] = true
+				}
 			}
 			hostsPerSeg := (g.Ranks + 1) / 2
 			if hostsPerSeg < 2 {
@@ -175,12 +222,16 @@ func JobGraphRunner(g *jobgraph.Graph) Runner {
 				if err != nil {
 					return nil, err
 				}
-				slowest, first, last := 0, res.RankEnd[0], res.RankEnd[0]
+				slowest := -1
+				var first, last sim.Time
 				for r, end := range res.RankEnd {
-					if end > last {
-						last, slowest = end, r
-					}
-					if end < first {
+					switch {
+					case !active[r]:
+					case slowest < 0:
+						slowest, first, last = r, end, end
+					case end > last:
+						slowest, last = r, end
+					case end < first:
 						first = end
 					}
 				}

@@ -31,3 +31,21 @@ func TestJobGraphRunnerReplaysLoadedGraph(t *testing.T) {
 		}
 	}
 }
+
+func TestJobGraphRunnerSpreadSkipsIdleRanks(t *testing.T) {
+	// Rank 2 runs no op; ranks 0 and 1 finish the one collective
+	// together, so the spread is zero on both stacks.
+	g, err := jobgraph.Load([]byte(`{"name":"idle","ranks":3,"ops":[{"id":"ar","kind":"collective","ranks":[0,1],"bytes":4194304}]}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	tb, err := JobGraphRunner(g).Fn(NewSession(42))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, row := range tb.Rows {
+		if row[3] != "0" || row[4] != "0.000" {
+			t.Errorf("stack %s: slowest rank %s, spread %s; want 0, 0.000", row[0], row[3], row[4])
+		}
+	}
+}

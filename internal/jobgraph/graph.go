@@ -4,10 +4,11 @@
 // replayed deterministically onto the fabric simulator. Where
 // internal/workload is a closed-form step model for one training job,
 // jobgraph expresses arbitrary application shapes (a Table-1 training
-// step, an inference burst, bulk storage traffic) and lets a cluster
-// scheduler place several of them onto one simulated fleet, which is
-// what turns single-job figures into contended-cluster figures:
-// inter-job interference, stragglers and bandwidth isolation.
+// step, an inference burst, bulk storage traffic). A Replay drives one
+// graph on a set of endpoints; several replays started on one engine
+// share its fleet, which is how the contended-cluster experiment turns
+// single-job figures into inter-job interference, stragglers and
+// bandwidth isolation.
 //
 // A Graph is built either with the fluent Builder, loaded from JSON
 // (see json.go for the wire format), or synthesized from a

@@ -18,12 +18,9 @@ type Options struct {
 	// for Stellar, SinglePath for the ECMP baseline).
 	Alg   multipath.Algorithm
 	Paths int
-	// FlowBase offsets the replay's flow IDs; concurrent jobs on one
-	// fleet must use disjoint ranges (the scheduler handles this).
+	// FlowBase offsets the replay's flow IDs; replays that share an
+	// engine must use disjoint ranges.
 	FlowBase uint64
-	// Start delays the root ops by this much virtual time after
-	// Replay.Start is called.
-	Start sim.Duration
 }
 
 // Result summarises one completed replay.
@@ -59,8 +56,6 @@ var ErrTooFewEndpoints = errors.New("jobgraph: fewer endpoints than ranks")
 type Replay struct {
 	g   *Graph
 	eng *sim.Engine
-	eps []*transport.Endpoint // eps[r] is rank r's endpoint
-	opt Options
 
 	indeg  []int
 	succ   [][]int
@@ -110,7 +105,7 @@ func NewReplay(eng *sim.Engine, eps []*transport.Endpoint, g *Graph, opts Option
 		opts.Paths = 1
 	}
 	r := &Replay{
-		g: g, eng: eng, eps: eps[:g.Ranks], opt: opts,
+		g: g, eng: eng,
 		indeg:    make([]int, len(g.Ops)),
 		succ:     make([][]int, len(g.Ops)),
 		opEnd:    make([]sim.Time, len(g.Ops)),
@@ -190,16 +185,18 @@ func NewReplay(eng *sim.Engine, eps []*transport.Endpoint, g *Graph, opts Option
 	return r, nil
 }
 
-// Start launches the replay: root ops fire opts.Start after the
-// current virtual time, and done (optional) fires when the last op
-// completes. The caller still owns the engine loop (eng.RunAll).
+// Start launches the replay: root ops fire at the current virtual
+// time, behind any events already queued for it, and done (optional)
+// fires when the last op completes. The caller still owns the engine
+// loop (eng.RunAll), so several replays started on one engine run
+// concurrently.
 func (r *Replay) Start(done func(Result)) {
 	if r.started {
 		panic("jobgraph: Replay started twice")
 	}
 	r.started = true
 	r.done = done
-	r.eng.After(r.opt.Start, func() {
+	r.eng.After(0, func() {
 		r.launch = r.eng.Now()
 		for i, d := range r.indeg {
 			if d == 0 {

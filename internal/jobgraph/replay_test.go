@@ -114,23 +114,40 @@ func TestLateRecvCompletesWhenReady(t *testing.T) {
 	}
 }
 
-func TestReplayStartDelayShiftsNotStretches(t *testing.T) {
-	g := chain(t)
-	run := func(start sim.Duration) Result {
-		eng, eps := newFleet(t, 11, 2)
-		res, err := Run(eng, eps, g, Options{Alg: multipath.OBS, Paths: 32, FlowBase: 1, Start: start})
+func TestReplaysShareOneEngine(t *testing.T) {
+	// Two jobs on one engine, on endpoint sets that share host 1, with
+	// disjoint flow-ID ranges: both must run to completion.
+	eng, eps := newFleet(t, 11, 2)
+	infer, err := InferenceBurst("inf", 3, 4, 128<<10, 200*time.Microsecond)
+	if err != nil {
+		t.Fatal(err)
+	}
+	jobs := []struct {
+		g   *Graph
+		eps []*transport.Endpoint
+	}{
+		{chain(t), eps[0:2]},
+		{infer, eps[1:4]},
+	}
+	replays := make([]*Replay, len(jobs))
+	for i, j := range jobs {
+		rp, err := NewReplay(eng, j.eps, j.g, Options{Alg: multipath.OBS, Paths: 32, FlowBase: 1 + uint64(i)<<20})
 		if err != nil {
-			t.Fatal(err)
+			t.Fatalf("job %d: %v", i, err)
 		}
-		return res
+		defer rp.Close()
+		rp.Start(nil)
+		replays[i] = rp
 	}
-	at0 := run(0)
-	at5 := run(5 * time.Millisecond)
-	if at5.Start != sim.Time(0).Add(5*time.Millisecond) {
-		t.Errorf("delayed start = %v", at5.Start)
-	}
-	if at0.Makespan != at5.Makespan {
-		t.Errorf("makespan changed with start offset: %v vs %v", at0.Makespan, at5.Makespan)
+	eng.RunAll()
+	for i, rp := range replays {
+		res, err := rp.Result()
+		if err != nil {
+			t.Fatalf("job %d: %v", i, err)
+		}
+		if res.Makespan <= 0 {
+			t.Errorf("job %d: makespan %v", i, res.Makespan)
+		}
 	}
 }
 

@@ -18,31 +18,27 @@ import (
 var ErrNoSizes = errors.New("perftest: no message sizes")
 
 // StackOverhead models what the virtualization stack adds around each
-// RDMA operation and on the wire. Bare metal and vStellar are zero
-// (direct-mapped data path); the VF+VxLAN stack pays encapsulation and
-// steering costs — Figure 13's 7% latency / 9% bandwidth gap.
+// RDMA operation and on the wire. vStellar adds nothing, so it is bare
+// metal (direct-mapped data path); the VF+VxLAN stack pays
+// encapsulation and steering costs — Figure 13's 7% latency / 9%
+// bandwidth gap.
 type StackOverhead struct {
 	// PerOpLatency is added to every operation (doorbell indirection,
 	// vSwitch steering, VxLAN encap).
 	PerOpLatency sim.Duration
 	// BandwidthFactor scales achievable bandwidth (1.0 = no loss).
 	BandwidthFactor float64
-	// Name labels the stack in reports.
-	Name string
 }
 
-// BareMetal is the no-virtualization reference stack.
-func BareMetal() StackOverhead { return StackOverhead{BandwidthFactor: 1, Name: "bare-metal"} }
-
-// VStellar matches bare metal: the data path is direct-mapped (§8.1
+// VStellar is bare metal: the data path is direct-mapped (§8.1
 // "virtualization overhead is negligible").
-func VStellar() StackOverhead { return StackOverhead{BandwidthFactor: 1, Name: "vstellar"} }
+func VStellar() StackOverhead { return StackOverhead{BandwidthFactor: 1} }
 
 // VFVxLAN is the legacy SR-IOV stack on a CX7: VxLAN encapsulation and
 // shared hardware steering cost ~7% latency on small messages and ~9%
 // bandwidth on large ones (Figure 13).
 func VFVxLAN() StackOverhead {
-	return StackOverhead{PerOpLatency: 160 * time.Nanosecond, BandwidthFactor: 0.91, Name: "vf-vxlan"}
+	return StackOverhead{PerOpLatency: 160 * time.Nanosecond, BandwidthFactor: 0.91}
 }
 
 // Point is one sweep measurement.

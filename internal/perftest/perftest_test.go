@@ -129,7 +129,7 @@ func TestATSModeBandwidthDropsWhenATCThrashes(t *testing.T) {
 	cfg.ATCCapacityPages = 512 // 2 MiB reach at 4 KiB pages
 	b := newGDRBench(t, cfg, false, 256<<20)
 	s := &Sweep{RNIC: b.rnic, QP: b.qp, Key: b.key, VABase: b.vaBase,
-		Stack: BareMetal(), Iterations: 2}
+		Stack: VStellar(), Iterations: 2}
 
 	small, err := s.Run([]uint64{1 << 20}) // fits: second iteration hits
 	if err != nil {
@@ -170,25 +170,6 @@ func TestVFVxLANOverheadVsVStellar(t *testing.T) {
 	bwLoss := 1 - vf[1].Bandwidth/vs[1].Bandwidth
 	if bwLoss < 0.05 || bwLoss > 0.15 {
 		t.Errorf("VF bandwidth loss = %.1f%%, want ~9%%", bwLoss*100)
-	}
-}
-
-func TestBareMetalEqualsVStellar(t *testing.T) {
-	// §8.1: vStellar and bare metal are indistinguishable.
-	run := func(stack StackOverhead) []Point {
-		b := newGDRBench(t, rnic.DefaultConfig("rnic0"), true, 64<<20)
-		s := &Sweep{RNIC: b.rnic, QP: b.qp, Key: b.key, VABase: b.vaBase, Stack: stack}
-		pts, err := s.Run([]uint64{4096, 1 << 20})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return pts
-	}
-	bm, vs := run(BareMetal()), run(VStellar())
-	for i := range bm {
-		if bm[i].Latency != vs[i].Latency || bm[i].Bandwidth != vs[i].Bandwidth {
-			t.Errorf("size %d: bare-metal and vstellar differ", bm[i].Size)
-		}
 	}
 }
 

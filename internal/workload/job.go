@@ -59,7 +59,7 @@ func (r StepResult) Speed() float64 {
 // Reranked returns the input order (contiguous, co-located ranks);
 // RandomRanking applies a deterministic seeded shuffle. The input
 // slice is never mutated. Shared by the DP rings of Figures 15 and 16
-// and the jobgraph cluster scheduler, so both layers place identically.
+// and the contended-cluster jobs, so both place identically.
 // The permutation depends only on the list's length, so ordering host
 // indices predicts the ring an endpoint list of that length gets.
 func OrderHosts[T any](hosts []T, p Placement, seed uint64) []T {
