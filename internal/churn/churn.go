@@ -17,16 +17,23 @@
 // merged after the run in host-index order and distribution quantiles
 // are computed over sorted samples, making every report a pure
 // function of (config, seed).
+//
+// Each host-side fact has one owner: live pinned bytes are the host
+// memory ledger's (mem.Memory.PinnedBytes), and held slots and parked
+// waiters are the device pool's. The driver reads them and keeps no
+// copy.
 package churn
 
 import (
+	"errors"
 	"fmt"
+	"math"
+	"sort"
 	"time"
 
 	"repro/internal/addr"
 	"repro/internal/iommu"
 	"repro/internal/mem"
-	"repro/internal/metrics"
 	"repro/internal/pcie"
 	"repro/internal/pvdma"
 	"repro/internal/rnic"
@@ -35,6 +42,11 @@ import (
 	"repro/internal/trace"
 	"repro/internal/vnet"
 )
+
+// ErrNotDrained is returned by Run when a host still holds resources
+// after the run drained: every lifecycle tears down, so a quiescent
+// host pins no memory and its pool holds no slot and parks no waiter.
+var ErrNotDrained = errors.New("churn: host did not drain")
 
 // Config parameterises one fleet run.
 type Config struct {
@@ -174,15 +186,25 @@ type Dist struct {
 	Mean, P50, P99, P999, Max float64
 }
 
+// distOf summarises samples with nearest-rank quantiles. It sums the
+// samples in input order, then sorts a copy, so the caller's slice
+// keeps its completion order.
 func distOf(samples []float64) Dist {
-	var h metrics.Histogram
-	for _, s := range samples {
-		h.Observe(s)
+	n := len(samples)
+	if n == 0 {
+		return Dist{}
 	}
+	var sum float64
+	for _, s := range samples {
+		sum += s
+	}
+	sorted := append([]float64(nil), samples...)
+	sort.Float64s(sorted)
+	rank := func(q float64) float64 { return sorted[int(math.Ceil(q*float64(n)))-1] }
 	return Dist{
-		N: h.Count(), Mean: h.Mean(),
-		P50: h.Quantile(0.50), P99: h.Quantile(0.99), P999: h.Quantile(0.999),
-		Max: h.Max(),
+		N: n, Mean: sum / float64(n),
+		P50: rank(0.50), P99: rank(0.99), P999: rank(0.999),
+		Max: sorted[n-1],
 	}
 }
 
@@ -235,8 +257,6 @@ type host struct {
 
 	fifo     []*mapEntry
 	fifoHead int
-	pinned   uint64
-	active   int
 	nextID   int
 	idle     map[uint64][]*rund.Container // recycle lists by size
 
@@ -284,6 +304,9 @@ func Run(se *sim.ShardedEngine, cfg Config) (*Report, error) {
 	// single round.
 	se.SetLookahead(sim.Duration(1) << 40)
 	se.RunAll()
+	if err := drained(hosts); err != nil {
+		return nil, err
+	}
 
 	rep := &Report{Hosts: cfg.Hosts}
 	var cold, vf, pin, vnetS, td []float64
@@ -299,10 +322,10 @@ func Run(se *sim.ShardedEngine, cfg Config) (*Report, error) {
 		rep.Recycled += s.Recycled
 		rep.WaitedGrants += s.WaitedGrants
 		rep.Evictions += s.Evictions
-		rep.PeakPinned = max64(rep.PeakPinned, s.PeakPinned)
-		rep.PeakActive = maxInt(rep.PeakActive, s.PeakActive)
-		rep.PeakOccupancy = maxInt(rep.PeakOccupancy, s.PeakOccupancy)
-		rep.PeakQueued = maxInt(rep.PeakQueued, s.PeakQueued)
+		rep.PeakPinned = max(rep.PeakPinned, s.PeakPinned)
+		rep.PeakActive = max(rep.PeakActive, s.PeakActive)
+		rep.PeakOccupancy = max(rep.PeakOccupancy, s.PeakOccupancy)
+		rep.PeakQueued = max(rep.PeakQueued, s.PeakQueued)
 		cold = append(cold, s.ColdStart...)
 		vf = append(vf, s.VFSpan...)
 		pin = append(pin, s.PinSpan...)
@@ -378,8 +401,8 @@ func (h *host) sample() {
 		T:           t,
 		Occupancy:   h.pool.InUse(),
 		Queued:      h.pool.Waiting(),
-		Active:      h.active,
-		PinnedBytes: h.pinned,
+		Active:      h.pool.InUse(),
+		PinnedBytes: h.mem.PinnedBytes(),
 	})
 	if t < h.cfg.Window {
 		h.eng.After(samplePeriod, h.sample)
@@ -419,8 +442,6 @@ func (lc *lifecycle) granted(slot rnic.DevSlot) {
 		h.stats.WaitedGrants++
 	}
 	lc.vfSpan = wait + vfGrantLatency
-	h.active++
-	h.stats.PeakActive = maxInt(h.stats.PeakActive, h.active)
 	h.eng.After(vfGrantLatency, lc.boot)
 }
 
@@ -445,7 +466,7 @@ func (lc *lifecycle) boot() {
 		return
 	}
 	if h.cfg.Mode == rund.PinFull {
-		h.setPinned(h.pinned + lc.size)
+		h.notePinned()
 	}
 	lc.pinSpan = spans.Pin + spans.IOMMUMap
 	h.eng.After(spans.Total(), lc.mapWorkingSet)
@@ -476,7 +497,6 @@ func (lc *lifecycle) fail(what string, err error) {
 	h.stats.MemFailures++
 	h.tr.Instant(h.label, "churn", "churn", "start-fail",
 		trace.S("ct", lc.name), trace.S("stage", what), trace.S("err", err.Error()))
-	h.active--
 	if rerr := h.pool.Release(lc.slot); rerr != nil {
 		panic(fmt.Sprintf("churn: release after failed start: %v", rerr))
 	}
@@ -507,13 +527,12 @@ func (lc *lifecycle) mapWorkingSet() {
 			if err != nil {
 				break // working set truncated by guest RAM; not fatal
 			}
-			before := lc.mgr.Stats().PinnedBytes
 			cost, err := lc.mgr.MapDMA(addr.GPA(gpa.Start), gpa.Size)
 			if err != nil {
 				break
 			}
 			mapCost += cost
-			h.setPinned(h.pinned + lc.mgr.Stats().PinnedBytes - before)
+			h.notePinned()
 			e := &mapEntry{lc: lc, gpa: addr.GPA(gpa.Start), size: gpa.Size}
 			lc.entries = append(lc.entries, e)
 			h.fifo = append(h.fifo, e)
@@ -528,7 +547,7 @@ func (lc *lifecycle) mapWorkingSet() {
 // enforceBudget force-releases the oldest live chunks on the host until
 // pinned bytes fit the budget — eviction pressure across containers.
 func (h *host) enforceBudget() {
-	for h.pinned > pinBudgetBytes && h.fifoHead < len(h.fifo) {
+	for h.mem.PinnedBytes() > pinBudgetBytes && h.fifoHead < len(h.fifo) {
 		e := h.fifo[h.fifoHead]
 		h.fifoHead++
 		if e.evicted {
@@ -545,13 +564,11 @@ func (h *host) enforceBudget() {
 	}
 }
 
-// release drops one chunk's DMA mappings and updates pinned accounting.
+// release drops one chunk's DMA mappings.
 func (h *host) release(e *mapEntry) {
-	before := e.lc.mgr.Stats().PinnedBytes
 	if err := e.lc.mgr.ReleaseDMA(e.gpa, e.size); err != nil {
 		panic(fmt.Sprintf("churn: release chunk: %v", err))
 	}
-	h.setPinned(h.pinned - (before - e.lc.mgr.Stats().PinnedBytes))
 	e.evicted = true
 }
 
@@ -642,15 +659,11 @@ func (lc *lifecycle) teardown() {
 	if err := lc.ct.Stop(); err != nil {
 		h.stats.TeardownFaults++
 	}
-	if h.cfg.Mode == rund.PinFull {
-		h.setPinned(h.pinned - lc.size)
-	}
 	cost := teardownBase +
 		sim.Duration(float64(lc.size)/float64(1<<30)*float64(teardownPerGiB))
 	h.eng.After(cost, func() {
 		h.stats.Teardowns++
 		h.stats.Teardown = append(h.stats.Teardown, cost.Seconds())
-		h.active--
 		if h.cfg.Recycle {
 			h.idle[lc.size] = append(h.idle[lc.size], lc.ct)
 		}
@@ -664,31 +677,32 @@ func (lc *lifecycle) teardown() {
 	})
 }
 
-func (h *host) setPinned(v uint64) {
-	h.pinned = v
-	if v > h.stats.PeakPinned {
-		h.stats.PeakPinned = v
-	}
+// notePinned raises PeakPinned to the host's live pinned bytes. Pins
+// rise only at a full-pin boot and at each MapDMA chunk.
+func (h *host) notePinned() {
+	h.stats.PeakPinned = max(h.stats.PeakPinned, h.mem.PinnedBytes())
 }
 
-// finalize snapshots the host's stats after the run drained.
+// finalize snapshots the host's stats after the run drained. A slot is
+// held exactly from grant to teardown-complete, so the pool's peak is
+// both the active and the occupancy peak.
 func (h *host) finalize() HostStats {
 	s := h.stats
-	s.PeakOccupancy = int(h.pool.Occupancy().Max())
-	s.PeakQueued = int(h.pool.Queued().Max())
+	s.PeakActive = h.pool.PeakInUse()
+	s.PeakOccupancy = h.pool.PeakInUse()
+	s.PeakQueued = h.pool.PeakWaiting()
 	return s
 }
 
-func max64(a, b uint64) uint64 {
-	if a > b {
-		return a
+// drained returns an ErrNotDrained naming the first host whose memory
+// ledger still pins bytes or whose pool still holds a slot or a waiter.
+func drained(hosts []*host) error {
+	for _, h := range hosts {
+		pinned, held, waiting := h.mem.PinnedBytes(), h.pool.InUse(), h.pool.Waiting()
+		if pinned != 0 || held != 0 || waiting != 0 {
+			return fmt.Errorf("%w: host %d: %d bytes pinned, %d slots held, %d waiters",
+				ErrNotDrained, h.idx, pinned, held, waiting)
+		}
 	}
-	return b
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
+	return nil
 }

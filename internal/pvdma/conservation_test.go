@@ -12,7 +12,6 @@ import (
 type state struct {
 	Cached, Refs int
 	Pinned       uint64
-	Gauge, Max   int64
 	Entries      int
 	RegionPinned uint64
 }
@@ -22,8 +21,6 @@ func (w *world) state() state {
 		Cached:       w.mgr.CachedBlocks(),
 		Refs:         w.mgr.InflightRefs(),
 		Pinned:       w.mgr.Stats().PinnedBytes,
-		Gauge:        w.mgr.PinnedGauge().Value(),
-		Max:          w.mgr.PinnedGauge().Max(),
 		Entries:      w.hyp.IOMMU().Entries(),
 		RegionPinned: w.container.GuestMemory().PinnedBytes(),
 	}
@@ -110,8 +107,7 @@ func (w *world) expectRegister(idx uint64) blockModel {
 // TestConservationUnderRandomOps interleaves MapDMA, ReleaseDMA,
 // doorbell direct maps that split blocks in the EPT, and FenceDMA, and
 // after every call checks the manager against a reference model:
-// pinned bytes agree across Stats, the gauge, the guest region and the
-// model, and IOMMU entries, cached blocks and references match it.
+// pinned bytes agree across Stats, the guest region and the model, and IOMMU entries, cached blocks and references match it.
 // Failed calls must change nothing.
 func TestConservationUnderRandomOps(t *testing.T) {
 	for seed := uint64(1); seed <= 12; seed++ {
@@ -145,11 +141,9 @@ func runConservation(t *testing.T, seed uint64) {
 			refs += b.refs
 		}
 		st := w.mgr.Stats()
-		if st.PinnedBytes != pinned ||
-			w.mgr.PinnedGauge().Value() != int64(pinned) ||
-			w.container.GuestMemory().PinnedBytes() != pinned {
-			t.Fatalf("seed %d step %d (%s): pinned stats %d, gauge %d, region %d, model %d", seed, step, op,
-				st.PinnedBytes, w.mgr.PinnedGauge().Value(), w.container.GuestMemory().PinnedBytes(), pinned)
+		if st.PinnedBytes != pinned || w.container.GuestMemory().PinnedBytes() != pinned {
+			t.Fatalf("seed %d step %d (%s): pinned stats %d, region %d, model %d", seed, step, op,
+				st.PinnedBytes, w.container.GuestMemory().PinnedBytes(), pinned)
 		}
 		if got := w.hyp.IOMMU().Entries() - baseEntries; got != entries {
 			t.Fatalf("seed %d step %d (%s): IOMMU entries %d, model %d", seed, step, op, got, entries)

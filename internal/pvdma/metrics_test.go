@@ -9,6 +9,9 @@ import (
 	"repro/internal/sim"
 )
 
+// TestPinnedGaugeAndEvictions: the manager's pinned bytes track the
+// guest region's pin ledger, and a full release evicts every block it
+// registered.
 func TestPinnedGaugeAndEvictions(t *testing.T) {
 	w := newWorld(t, Config{})
 	_, gpa, err := w.container.AllocGuestBuffer(4 << 20)
@@ -19,36 +22,26 @@ func TestPinnedGaugeAndEvictions(t *testing.T) {
 		t.Fatal(err)
 	}
 	st := w.mgr.Stats()
-	if got := w.mgr.PinnedGauge().Value(); uint64(got) != st.PinnedBytes {
-		t.Errorf("pinned gauge = %d, stats say %d", got, st.PinnedBytes)
+	if got := w.container.GuestMemory().PinnedBytes(); got != st.PinnedBytes {
+		t.Errorf("region pins %d bytes, stats say %d", got, st.PinnedBytes)
 	}
 	if st.PinnedBytes == 0 {
 		t.Fatal("nothing pinned")
 	}
-	if w.mgr.Evictions().Value() != 0 {
-		t.Errorf("evictions = %d before any release", w.mgr.Evictions().Value())
+	if st.BlocksReleased != 0 {
+		t.Errorf("evictions = %d before any release", st.BlocksReleased)
 	}
 	if err := w.mgr.ReleaseDMA(addr.GPA(gpa.Start), gpa.Size); err != nil {
 		t.Fatal(err)
 	}
-	if got := w.mgr.PinnedGauge().Value(); got != 0 {
-		t.Errorf("pinned gauge = %d after full release", got)
+	after := w.mgr.Stats()
+	if after.PinnedBytes != 0 || w.container.GuestMemory().PinnedBytes() != 0 {
+		t.Errorf("pinned stats %d, region %d after full release",
+			after.PinnedBytes, w.container.GuestMemory().PinnedBytes())
 	}
-	if got := w.mgr.PinnedGauge().Max(); uint64(got) != st.PinnedBytes {
-		t.Errorf("pinned high-water = %d, want %d", got, st.PinnedBytes)
-	}
-	if got, want := w.mgr.Evictions().Value(), st.BlocksRegistered; got != want {
+	if got, want := after.BlocksReleased, st.BlocksRegistered; got != want {
 		t.Errorf("evictions = %d, want %d (every registered block evicted)", got, want)
 	}
-}
-
-// pressureResult captures everything a seeded eviction-pressure run
-// observes, so identical seeds can be compared across serial and
-// concurrent executions.
-type pressureResult struct {
-	Stats     Stats
-	PeakPin   int64
-	Evictions uint64
 }
 
 // runEvictionPressure drives one isolated host through a seeded
@@ -56,8 +49,10 @@ type pressureResult struct {
 // random, and when live pinned bytes exceed the budget the oldest
 // mappings are released FIFO until back under — the same governor the
 // churn driver uses. The whole object graph (memory, IOMMU, page
-// tables, manager) is private to the call.
-func runEvictionPressure(t *testing.T, seed uint64) pressureResult {
+// tables, manager) is private to the call. It returns the manager's
+// counters, so identical seeds can be compared across serial and
+// concurrent executions.
+func runEvictionPressure(t *testing.T, seed uint64) Stats {
 	t.Helper()
 	w := newWorld(t, Config{})
 	rng := sim.NewRNG(seed)
@@ -98,33 +93,30 @@ func runEvictionPressure(t *testing.T, seed uint64) pressureResult {
 			t.Fatalf("drain ReleaseDMA: %v", err)
 		}
 	}
-	if got := w.mgr.PinnedGauge().Value(); got != 0 {
-		t.Fatalf("pinned gauge = %d after drain", got)
+	st := w.mgr.Stats()
+	if st.PinnedBytes != 0 {
+		t.Fatalf("pinned bytes = %d after drain", st.PinnedBytes)
 	}
-	return pressureResult{
-		Stats:     w.mgr.Stats(),
-		PeakPin:   w.mgr.PinnedGauge().Max(),
-		Evictions: w.mgr.Evictions().Value(),
-	}
+	return st
 }
 
 // TestEvictionPressureConcurrentMapDMA is the satellite race test:
 // four seeded eviction-pressure runs execute on concurrent goroutines,
 // each over a fully isolated host. Under -race this proves the pvdma /
-// mem / pagetable / metrics stack shares no hidden mutable state
+// mem / pagetable stack shares no hidden mutable state
 // between hosts — the property that makes the sharded churn fleet's
 // parallel windows legal — and the results must equal the same seeds
 // run serially.
 func TestEvictionPressureConcurrentMapDMA(t *testing.T) {
 	seeds := []uint64{11, 22, 33, 44}
-	serial := make([]pressureResult, len(seeds))
+	serial := make([]Stats, len(seeds))
 	for i, s := range seeds {
 		serial[i] = runEvictionPressure(t, s)
 	}
-	if serial[0].Evictions == 0 {
+	if serial[0].BlocksReleased == 0 {
 		t.Fatal("pressure run produced no evictions; budget too generous to test anything")
 	}
-	concurrent := make([]pressureResult, len(seeds))
+	concurrent := make([]Stats, len(seeds))
 	var wg sync.WaitGroup
 	for i, s := range seeds {
 		wg.Add(1)

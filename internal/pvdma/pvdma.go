@@ -21,7 +21,6 @@ import (
 	"time"
 
 	"repro/internal/addr"
-	"repro/internal/metrics"
 	"repro/internal/rund"
 	"repro/internal/sim"
 	"repro/internal/trace"
@@ -56,8 +55,10 @@ type Stats struct {
 	CacheHits        uint64
 	CacheMisses      uint64
 	BlocksRegistered uint64
-	BlocksReleased   uint64
-	PinnedBytes      uint64
+	// BlocksReleased counts Map Cache blocks torn down: refcount-zero
+	// releases and fence-forced evictions alike.
+	BlocksReleased uint64
+	PinnedBytes    uint64
 	// UnmapErrors counts IOMMU unmap failures on the evict path —
 	// each one is a translation entry that may still be live after the
 	// block was dropped from the Map Cache.
@@ -83,9 +84,6 @@ type Manager struct {
 	cached     int // blocks in the Map Cache
 	refs       int // MapDMA references across cached blocks
 	stats      Stats
-	unmapErrs  metrics.Counter // mirrors Stats.UnmapErrors, scrape-safe
-	pinned     metrics.Gauge   // live pinned bytes; Max is the high-water mark
-	evictions  metrics.Counter // blocks evicted (refcount zero or fenced)
 
 	tr   *trace.Tracer
 	host string
@@ -226,14 +224,6 @@ func (m *Manager) lookup(idx uint64) *slot {
 	return nil
 }
 
-// movePinned adds the pinned-byte change since before to the gauge, in
-// one move per call.
-func (m *Manager) movePinned(before uint64) {
-	if d := int64(m.stats.PinnedBytes - before); d != 0 {
-		m.pinned.Add(d)
-	}
-}
-
 // MapDMA prepares [gpa, gpa+size) for device DMA, registering and
 // pinning any blocks not yet in the Map Cache, and returns the
 // virtual-time cost (stage ①–③ of Figure 4). Every call takes a
@@ -247,7 +237,6 @@ func (m *Manager) MapDMA(gpa addr.GPA, size uint64) (sim.Duration, error) {
 	if m.container.Stopped() {
 		return 0, fmt.Errorf("%w: %s", ErrContainerStopped, m.container.Name())
 	}
-	pinnedBefore := m.stats.PinnedBytes
 	var cost sim.Duration
 	var hits, misses uint64
 	first, last := m.blockAlign(gpa, size)
@@ -270,7 +259,6 @@ func (m *Manager) MapDMA(gpa addr.GPA, size uint64) (sim.Duration, error) {
 				if b > first {
 					m.release(first, b-m.cfg.BlockSize)
 				}
-				m.movePinned(pinnedBefore)
 				return cost, err
 			}
 			cost += c
@@ -284,7 +272,6 @@ func (m *Manager) MapDMA(gpa addr.GPA, size uint64) (sim.Duration, error) {
 		}
 		idx++
 	}
-	m.movePinned(pinnedBefore)
 	if m.tr.Enabled() {
 		m.tr.Complete(m.host, "pvdma", "pvdma", "map-dma", cost,
 			trace.U("bytes", size), trace.U("cache-hit", hits),
@@ -374,9 +361,7 @@ func (m *Manager) ReleaseDMA(gpa addr.GPA, size uint64) error {
 			break
 		}
 	}
-	pinnedBefore := m.stats.PinnedBytes
 	m.release(first, last)
-	m.movePinned(pinnedBefore)
 	return nil
 }
 
@@ -427,7 +412,6 @@ func (m *Manager) evict(ref *leafRef, i int) {
 	*s = slot{}
 	m.cached--
 	m.stats.BlocksReleased++
-	m.evictions.Inc()
 	if ref.live--; ref.live == 0 {
 		m.dropLeaf(ref)
 	}
@@ -440,7 +424,6 @@ func (m *Manager) unmap(da addr.DA) {
 		// diverged) — either way a translation may still be live.
 		// Count it; silently dropping the error hides exactly the
 		// stale-entry class of bug Figure 5 is about.
-		m.unmapErrs.Inc()
 		m.stats.UnmapErrors++
 		m.tr.Instant(m.host, "pvdma", "pvdma", "unmap-error",
 			trace.U("da", uint64(da)), trace.S("err", err.Error()))
@@ -458,18 +441,6 @@ func (m *Manager) unpin(p pinRec) {
 	m.stats.PinnedBytes -= p.size
 }
 
-// PinnedGauge exposes live pinned bytes as a gauge; its Max is the
-// run's pinned high-water mark, the number the churn experiment's
-// pinned-bytes column reports.
-func (m *Manager) PinnedGauge() *metrics.Gauge { return &m.pinned }
-
-// Evictions counts Map Cache blocks torn down — refcount-zero releases
-// and fence-forced evictions alike.
-func (m *Manager) Evictions() *metrics.Counter { return &m.evictions }
-
-// UnmapErrors exposes the evict-path IOMMU failure counter.
-func (m *Manager) UnmapErrors() *metrics.Counter { return &m.unmapErrs }
-
 // InflightRefs implements rund.DMAFence: outstanding MapDMA references
 // across all cached blocks.
 func (m *Manager) InflightRefs() int { return m.refs }
@@ -479,7 +450,6 @@ func (m *Manager) InflightRefs() int { return m.refs }
 // by Container.Stop after device quiesce and before guest memory is
 // unpinned; blocks go in GPA order so the trace is deterministic.
 func (m *Manager) FenceDMA() int {
-	pinnedBefore := m.stats.PinnedBytes
 	n := m.cached
 	for len(m.dir) > 0 {
 		ref := &m.dir[0]
@@ -495,7 +465,6 @@ func (m *Manager) FenceDMA() int {
 			}
 		}
 	}
-	m.movePinned(pinnedBefore)
 	return n
 }
 

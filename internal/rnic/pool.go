@@ -3,8 +3,6 @@ package rnic
 import (
 	"errors"
 	"fmt"
-
-	"repro/internal/metrics"
 )
 
 // DeviceMode selects how containers on a host see its RDMA devices,
@@ -34,7 +32,7 @@ func (m DeviceMode) String() string {
 
 var (
 	// ErrPoolExhausted is returned by Acquire in fail mode when no slot
-	// is free (and by TryAcquire's ok=false path semantically).
+	// is free.
 	ErrPoolExhausted = errors.New("rnic: device pool exhausted")
 	// ErrPoolConfig rejects an invalid pool configuration.
 	ErrPoolConfig = errors.New("rnic: invalid device pool config")
@@ -81,10 +79,8 @@ type DevPool struct {
 	held    []bool
 	waiters []func(DevSlot) // FIFO, served inside Release
 
-	occupancy metrics.Gauge   // slots currently held (Max = peak)
-	queued    metrics.Gauge   // waiters currently parked (Max = peak)
-	exhausted metrics.Counter // acquire attempts that found no free slot
-	failures  metrics.Counter // fail-mode rejections
+	peakInUse   int // most slots ever held at once
+	peakWaiting int // most waiters ever parked at once
 }
 
 // NewDevPool builds an inventory of cfg.Capacity free slots.
@@ -115,17 +111,8 @@ func (p *DevPool) grant() DevSlot {
 	idx := p.free[0]
 	p.free = p.free[1:]
 	p.held[idx] = true
-	p.occupancy.Add(1)
+	p.peakInUse = max(p.peakInUse, p.InUse())
 	return p.slot(idx)
-}
-
-// TryAcquire grants a slot if one is free, never queueing.
-func (p *DevPool) TryAcquire() (DevSlot, bool) {
-	if len(p.free) == 0 {
-		p.exhausted.Inc()
-		return DevSlot{}, false
-	}
-	return p.grant(), true
 }
 
 // Acquire requests a slot. If one is free, grant runs synchronously
@@ -137,13 +124,11 @@ func (p *DevPool) Acquire(grant func(DevSlot)) error {
 		grant(p.grant())
 		return nil
 	}
-	p.exhausted.Inc()
 	if !p.cfg.Queue {
-		p.failures.Inc()
 		return ErrPoolExhausted
 	}
 	p.waiters = append(p.waiters, grant)
-	p.queued.Add(1)
+	p.peakWaiting = max(p.peakWaiting, len(p.waiters))
 	return nil
 }
 
@@ -158,7 +143,6 @@ func (p *DevPool) Release(s DevSlot) error {
 	if len(p.waiters) > 0 {
 		w := p.waiters[0]
 		p.waiters = p.waiters[1:]
-		p.queued.Add(-1)
 		// Occupancy is unchanged: the slot moves holder without ever
 		// being free.
 		w(p.slot(s.Index))
@@ -166,12 +150,11 @@ func (p *DevPool) Release(s DevSlot) error {
 	}
 	p.held[s.Index] = false
 	p.free = append(p.free, s.Index)
-	p.occupancy.Add(-1)
 	return nil
 }
 
 // InUse returns the number of slots currently held.
-func (p *DevPool) InUse() int { return int(p.occupancy.Value()) }
+func (p *DevPool) InUse() int { return p.cfg.Capacity - len(p.free) }
 
 // Free returns the number of grantable slots.
 func (p *DevPool) Free() int { return len(p.free) }
@@ -179,14 +162,8 @@ func (p *DevPool) Free() int { return len(p.free) }
 // Waiting returns the number of parked acquirers.
 func (p *DevPool) Waiting() int { return len(p.waiters) }
 
-// Occupancy exposes the held-slot gauge (Max is the peak).
-func (p *DevPool) Occupancy() *metrics.Gauge { return &p.occupancy }
+// PeakInUse returns the most slots held at once since the pool was built.
+func (p *DevPool) PeakInUse() int { return p.peakInUse }
 
-// Queued exposes the parked-waiter gauge (Max is the peak queue depth).
-func (p *DevPool) Queued() *metrics.Gauge { return &p.queued }
-
-// Exhaustions counts acquire attempts that found the pool empty.
-func (p *DevPool) Exhaustions() *metrics.Counter { return &p.exhausted }
-
-// Failures counts fail-mode rejections.
-func (p *DevPool) Failures() *metrics.Counter { return &p.failures }
+// PeakWaiting returns the deepest the waiter queue has been.
+func (p *DevPool) PeakWaiting() int { return p.peakWaiting }

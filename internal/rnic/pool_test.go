@@ -14,6 +14,20 @@ func mustPool(t *testing.T, cfg DevPoolConfig) *DevPool {
 	return p
 }
 
+// acquire grants a slot through Acquire, failing the test unless one is
+// free and handed over before Acquire returns.
+func acquire(t *testing.T, p *DevPool) DevSlot {
+	t.Helper()
+	var got *DevSlot
+	if err := p.Acquire(func(s DevSlot) { got = &s }); err != nil {
+		t.Fatalf("acquire: %v", err)
+	}
+	if got == nil {
+		t.Fatal("acquire queued with free slots")
+	}
+	return *got
+}
+
 func TestDevPoolConfigValidation(t *testing.T) {
 	for _, cfg := range []DevPoolConfig{
 		{Mode: DeviceExclusive, Capacity: 0, Devices: 4},
@@ -47,11 +61,9 @@ func TestDevPoolExhaustionFailMode(t *testing.T) {
 	if len(got) != 2 || got[0].Index != 0 || got[1].Index != 1 {
 		t.Fatalf("grants = %+v, want slots 0,1", got)
 	}
-	if p.Failures().Value() != 1 || p.Exhaustions().Value() != 1 {
-		t.Fatalf("failures=%d exhaustions=%d, want 1,1", p.Failures().Value(), p.Exhaustions().Value())
-	}
-	if _, ok := p.TryAcquire(); ok {
-		t.Fatal("TryAcquire succeeded on an exhausted pool")
+	if p.InUse() != 2 || p.Free() != 0 || p.Waiting() != 0 {
+		t.Fatalf("in-use=%d free=%d waiting=%d after a rejection, want 2,0,0",
+			p.InUse(), p.Free(), p.Waiting())
 	}
 }
 
@@ -62,11 +74,7 @@ func TestDevPoolReuseAfterTeardown(t *testing.T) {
 	p := mustPool(t, DevPoolConfig{Mode: DeviceExclusive, Capacity: 4, Devices: 4})
 	slots := make([]DevSlot, 4)
 	for i := range slots {
-		s, ok := p.TryAcquire()
-		if !ok {
-			t.Fatalf("acquire %d failed", i)
-		}
-		slots[i] = s
+		slots[i] = acquire(t, p)
 	}
 	// Tear down out of order: 2, 0, 3, 1.
 	for _, i := range []int{2, 0, 3, 1} {
@@ -76,11 +84,7 @@ func TestDevPoolReuseAfterTeardown(t *testing.T) {
 	}
 	want := []int{2, 0, 3, 1}
 	for _, w := range want {
-		s, ok := p.TryAcquire()
-		if !ok {
-			t.Fatal("reacquire failed with free slots")
-		}
-		if s.Index != w {
+		if s := acquire(t, p); s.Index != w {
 			t.Fatalf("reuse order broken: got slot %d, want %d", s.Index, w)
 		}
 	}
@@ -91,10 +95,7 @@ func TestDevPoolReuseAfterTeardown(t *testing.T) {
 // slot ever appearing free.
 func TestDevPoolQueueMode(t *testing.T) {
 	p := mustPool(t, DevPoolConfig{Mode: DeviceExclusive, Capacity: 1, Devices: 1, Queue: true})
-	first, ok := p.TryAcquire()
-	if !ok {
-		t.Fatal("initial acquire failed")
-	}
+	first := acquire(t, p)
 	var served []int
 	for i := 0; i < 3; i++ {
 		i := i
@@ -105,7 +106,7 @@ func TestDevPoolQueueMode(t *testing.T) {
 	if p.Waiting() != 3 {
 		t.Fatalf("Waiting() = %d, want 3", p.Waiting())
 	}
-	if got := p.Queued().Max(); got != 3 {
+	if got := p.PeakWaiting(); got != 3 {
 		t.Fatalf("peak queue depth = %d, want 3", got)
 	}
 	if err := p.Release(first); err != nil {
@@ -127,14 +128,15 @@ func TestDevPoolQueueMode(t *testing.T) {
 	if want := []int{0, 1, 2}; len(served) != 3 || served[0] != want[0] || served[1] != want[1] || served[2] != want[2] {
 		t.Fatalf("served = %v, want %v", served, want)
 	}
-	if p.Failures().Value() != 0 {
-		t.Fatalf("queue mode recorded %d failures", p.Failures().Value())
+	if p.Waiting() != 0 || p.InUse() != 1 || p.PeakInUse() != 1 {
+		t.Fatalf("waiting=%d in-use=%d peak=%d after drain, want 0,1,1",
+			p.Waiting(), p.InUse(), p.PeakInUse())
 	}
 }
 
 func TestDevPoolDoubleRelease(t *testing.T) {
 	p := mustPool(t, DevPoolConfig{Mode: DeviceExclusive, Capacity: 2, Devices: 2})
-	s, _ := p.TryAcquire()
+	s := acquire(t, p)
 	if err := p.Release(s); err != nil {
 		t.Fatal(err)
 	}
@@ -149,10 +151,7 @@ func TestDevPoolDoubleRelease(t *testing.T) {
 func TestDevPoolSharedDeviceMapping(t *testing.T) {
 	p := mustPool(t, DevPoolConfig{Mode: DeviceShared, Capacity: 6, Devices: 2})
 	for i := 0; i < 6; i++ {
-		s, ok := p.TryAcquire()
-		if !ok {
-			t.Fatalf("acquire %d failed", i)
-		}
+		s := acquire(t, p)
 		if s.Device != i%2 {
 			t.Fatalf("slot %d on device %d, want round-robin %d", s.Index, s.Device, i%2)
 		}
@@ -160,7 +159,7 @@ func TestDevPoolSharedDeviceMapping(t *testing.T) {
 			t.Fatalf("slot mode = %v", s.Mode)
 		}
 	}
-	if got := p.Occupancy().Max(); got != 6 {
+	if got := p.PeakInUse(); got != 6 {
 		t.Fatalf("peak occupancy = %d, want 6", got)
 	}
 }
