@@ -117,14 +117,14 @@ func TestRefusesAbsurdJobGraph(t *testing.T) {
 }
 
 // TestChaosBindErrorFailsExperiment: a scenario that does not fit an
-// experiment's topology (NIC faults on a fabric-only run, a link on a
-// host the fabric does not have) fails that experiment with exit 1 and
+// experiment's topology (a reboot of a switch or a link on a host the
+// fabric does not have) fails that experiment with exit 1 and
 // a "failed" line, not a panic.
 func TestChaosBindErrorFailsExperiment(t *testing.T) {
 	dir := t.TempDir()
 	for name, scenario := range map[string]string{
-		"nic-reset": `{"name": "nic-reset", "events": [{"at": "100us", "kind": "nic-reset-qps", "nic": "*"}]}`,
-		"far-host":  `{"name": "far-host", "events": [{"at": "100us", "kind": "link-down", "link": {"tier": "host", "dir": "up", "host": 5000}}]}`,
+		"far-agg":  `{"name": "far-agg", "events": [{"at": "100us", "kind": "switch-reboot", "switch": "agg", "index": 99, "for": "1ms"}]}`,
+		"far-host": `{"name": "far-host", "events": [{"at": "100us", "kind": "link-down", "link": {"tier": "host", "dir": "up", "host": 5000}}]}`,
 	} {
 		path := filepath.Join(dir, name+".json")
 		if err := os.WriteFile(path, []byte(scenario), 0o644); err != nil {

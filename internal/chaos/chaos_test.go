@@ -21,34 +21,42 @@ func testFabric(eng *sim.Engine) *fabric.Fabric {
 }
 
 func sampleScenario() *Scenario {
-	return NewScenario("sample").WithJitter(100*time.Microsecond).
+	return NewScenario("sample").
 		LinkDown(time.Millisecond, fabric.Uplink(0, 1), 2*time.Millisecond).
 		Gray(2*time.Millisecond, fabric.Downlink(1, 2),
 			GraySpec{Loss: 0.05, Delay: 10 * time.Microsecond, BWFactor: 0.5}, time.Millisecond).
 		SwitchReboot(4*time.Millisecond, fabric.SwitchAgg, 3, time.Millisecond).
 		HostStall(5*time.Millisecond, 2, time.Millisecond).
-		Reroute(6*time.Millisecond, fabric.Uplink(0, 0), 2*time.Millisecond).
-		ResetQPs(7*time.Millisecond, "*").
-		ResetQPs(8*time.Millisecond, "nic0")
+		Reroute(6*time.Millisecond, fabric.Uplink(0, 0), 2*time.Millisecond)
 }
 
-// TestScenarioJSONRoundTrip: builder → JSON → Load must reproduce the
-// scenario exactly (jitter, gray parameters, switch kinds included).
+// record collects every firing the engine applies, in order.
+func record(ce *Engine) *[]Firing {
+	var log []Firing
+	ce.Subscribe(func(f Firing) { log = append(log, f) })
+	return &log
+}
+
+// TestScenarioJSONRoundTrip: a scenario file must load to exactly the
+// scenario the builder makes (jitter, gray parameters, switch kinds and
+// link references included).
 func TestScenarioJSONRoundTrip(t *testing.T) {
-	sc := sampleScenario()
-	b, err := sc.JSON()
-	if err != nil {
-		t.Fatal(err)
-	}
+	b := []byte(`{"name": "sample", "events": [
+	  {"at": "1ms", "jitter": "100us", "kind": "link-down",
+	   "link": {"tier": "tor-agg", "dir": "up", "agg": 1}, "for": "2ms"},
+	  {"at": "2ms", "kind": "gray", "link": {"tier": "tor-agg", "dir": "down", "segment": 1, "agg": 2},
+	   "loss": 0.05, "delay": "10us", "bw_factor": 0.5, "for": "1ms"},
+	  {"at": "4ms", "kind": "switch-reboot", "switch": "agg", "index": 3, "for": "1ms"},
+	  {"at": "5ms", "kind": "host-stall", "host": 2, "for": "1ms"},
+	  {"at": "6ms", "kind": "reroute", "link": {"tier": "tor-agg", "dir": "up"}, "for": "2ms"}]}`)
 	got, err := Load(b)
 	if err != nil {
-		t.Fatalf("Load: %v\n%s", err, b)
+		t.Fatalf("Load: %v", err)
 	}
-	if got.Name != sc.Name {
-		t.Errorf("name = %q", got.Name)
-	}
-	if !reflect.DeepEqual(got.Events, sc.Events) {
-		t.Errorf("round trip changed events:\n %+v\nvs %+v", got.Events, sc.Events)
+	want := sampleScenario()
+	want.Events[0].Jitter = 100 * time.Microsecond
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("loaded scenario differs from the builder's:\n %+v\nvs %+v", got, want)
 	}
 }
 
@@ -69,15 +77,18 @@ func TestScenarioValidation(t *testing.T) {
 		{"reroute of a downlink", NewScenario("x").Reroute(0, fabric.Downlink(0, 0), 0)},
 		{"reroute of a host link", NewScenario("x").Reroute(0, fabric.HostLink(0, fabric.DirUp), 0)},
 		{"removed kind", NewScenario("x").Add(Event{Kind: "repair"})},
+		{"removed NIC kind", NewScenario("x").Add(Event{Kind: "nic-reset-qps"})},
 	}
 	for _, c := range cases {
 		if err := c.sc.Validate(); err == nil {
 			t.Errorf("%s: validated", c.name)
 		}
 	}
-	if err := NewScenario("x").Add(Event{Kind: NICResetQPs, For: time.Millisecond}).Validate(); err == nil ||
-		!strings.Contains(err.Error(), string(NICResetQPs)) {
-		t.Errorf("for on a QP reset: err = %v, want one naming %s", err, NICResetQPs)
+	// A QP reset is no fabric fault: a scenario file naming one fails
+	// to load as an unknown kind.
+	b := []byte(`{"name": "x", "events": [{"at": "1ms", "kind": "nic-reset-qps", "nic": "*"}]}`)
+	if _, err := Load(b); err == nil || !strings.Contains(err.Error(), "unknown fault kind") {
+		t.Errorf("nic-reset-qps file: err = %v, want an unknown fault kind", err)
 	}
 	if err := sampleScenario().Validate(); err != nil {
 		t.Errorf("sample scenario rejected: %v", err)
@@ -106,10 +117,10 @@ func TestLoadRejectsOverflowingOffsets(t *testing.T) {
 		t.Error("at+for past the end of virtual time loaded")
 	}
 	near := time.Duration(math.MaxInt64 - 10)
-	if err := NewScenario("x").Add(Event{At: near, Jitter: time.Second, Kind: NICResetQPs}).Validate(); err == nil {
+	if err := NewScenario("x").Add(Event{At: near, Jitter: time.Second, Kind: LinkDown}).Validate(); err == nil {
 		t.Error("at+jitter past the end of virtual time validated")
 	}
-	if err := NewScenario("x").Add(Event{At: near, Kind: NICResetQPs}).Validate(); err != nil {
+	if err := NewScenario("x").Add(Event{At: near, Kind: LinkDown}).Validate(); err != nil {
 		t.Errorf("offset at the end of virtual time rejected: %v", err)
 	}
 }
@@ -137,41 +148,39 @@ func TestPlayRejectsOverflowPastNow(t *testing.T) {
 	eng := sim.NewEngine(1)
 	eng.After(time.Millisecond, func() {})
 	eng.RunAll()
-	ce := New(eng, nil)
-	ce.RegisterNIC(&fakeNIC{name: "rnic0"})
-	sc := NewScenario("late").ResetQPs(time.Duration(math.MaxInt64-int64(time.Microsecond)), "*")
+	ce := New(eng, testFabric(eng))
+	log := record(ce)
+	sc := NewScenario("late").LinkDown(time.Duration(math.MaxInt64-int64(time.Microsecond)), fabric.Uplink(0, 0), 0)
 	if err := ce.Play(sc); err == nil {
 		t.Fatal("offset past the end of virtual time played")
 	}
 	eng.RunAll()
-	if len(ce.Log()) != 0 {
-		t.Error("rejected scenario left firings in the log")
+	if len(*log) != 0 {
+		t.Error("rejected scenario fired")
 	}
 }
 
 // TestPlayRejectsUnboundTargets: Play must fail up front — before
 // scheduling anything — when the scenario addresses links, switches or
-// NICs the bound topology does not have.
+// hosts the bound topology does not have.
 func TestPlayRejectsUnboundTargets(t *testing.T) {
 	eng := sim.NewEngine(1)
 	ce := New(eng, testFabric(eng))
+	log := record(ce)
 	for _, sc := range []*Scenario{
 		NewScenario("bad-link").LinkDown(0, fabric.Uplink(0, 99), 0),
 		NewScenario("bad-switch").SwitchReboot(0, fabric.SwitchCore, 0, time.Millisecond), // no core tier
-		NewScenario("bad-nic").ResetQPs(0, "nope"),
-		NewScenario("no-nics").ResetQPs(0, "*"),
+		NewScenario("bad-host").HostStall(0, 99, time.Millisecond),
+		// A valid first event does not schedule when a later one fails.
+		NewScenario("late-bad-link").LinkDown(0, fabric.Uplink(0, 0), 0).Gray(0, fabric.Downlink(9, 0), GraySpec{Loss: 0.1}, 0),
 	} {
 		if err := ce.Play(sc); err == nil {
 			t.Errorf("%s: played", sc.Name)
 		}
 	}
-	if len(ce.Log()) != 0 {
-		t.Error("rejected scenarios left firings in the log")
-	}
-	// No fabric at all: link faults are rejected, NIC faults still work.
-	hostOnly := New(eng, nil)
-	if err := hostOnly.Play(NewScenario("x").LinkDown(0, fabric.Uplink(0, 0), 0)); err == nil {
-		t.Error("link fault played without a fabric")
+	eng.RunAll()
+	if len(*log) != 0 {
+		t.Error("rejected scenarios fired")
 	}
 }
 
@@ -182,6 +191,7 @@ func TestPlaybackAppliesAndClears(t *testing.T) {
 	eng := sim.NewEngine(1)
 	f := testFabric(eng)
 	ce := New(eng, f)
+	log := record(ce)
 	sc := NewScenario("updown").
 		LinkDown(time.Millisecond, fabric.Uplink(0, 1), time.Millisecond).
 		Gray(time.Millisecond, fabric.Downlink(1, 2), GraySpec{Loss: 0.1}, time.Millisecond).
@@ -217,7 +227,7 @@ func TestPlaybackAppliesAndClears(t *testing.T) {
 	eng.RunAll()
 	check("after auto-clear", false)
 	injected := 0
-	for _, f := range ce.Log() {
+	for _, f := range *log {
 		if f.Phase == PhaseInject && f.Event.Kind == LinkDown {
 			injected++
 		}
@@ -226,19 +236,20 @@ func TestPlaybackAppliesAndClears(t *testing.T) {
 		t.Errorf("link-down injections = %d, want 1", injected)
 	}
 	// 4 injections + 4 auto-clears.
-	if got := len(ce.Log()); got != 8 {
-		t.Errorf("log length = %d, want 8", got)
+	if got := len(*log); got != 8 {
+		t.Errorf("firings = %d, want 8", got)
 	}
 }
 
 // TestRerouteSteersThenRestores: a reroute withdraws the uplink from
 // routing for For and then restores it, leaving the link's Down bit to
-// the link-down event. The log carries both phases of each, and only
-// the link-down firings name the link as taken down.
+// the link-down event. Both phases of each fire, and only the link-down
+// firings name the link as taken down.
 func TestRerouteSteersThenRestores(t *testing.T) {
 	eng := sim.NewEngine(1)
 	f := testFabric(eng)
 	ce := New(eng, f)
+	log := record(ce)
 	up := fabric.Uplink(0, 1)
 	sc := NewScenario("reroute").
 		LinkDown(time.Millisecond, up, 3*time.Millisecond).
@@ -286,7 +297,7 @@ func TestRerouteSteersThenRestores(t *testing.T) {
 		links []fabric.LinkRef
 	}
 	var got []firing
-	for _, fr := range ce.Log() {
+	for _, fr := range *log {
 		got = append(got, firing{fr.Event.Kind, fr.Phase, fr.Links})
 	}
 	want := []firing{
@@ -296,7 +307,67 @@ func TestRerouteSteersThenRestores(t *testing.T) {
 		{LinkDown, PhaseClear, []fabric.LinkRef{up}},
 	}
 	if !reflect.DeepEqual(got, want) {
-		t.Errorf("log = %+v, want %+v", got, want)
+		t.Errorf("firings = %+v, want %+v", got, want)
+	}
+}
+
+// TestOverlappingFaultsHoldLink: a link two faults hold down comes back
+// only when the last of them clears. The switch reboot's clear must not
+// restore the uplink the longer link-down still holds, and the firings
+// name only the links whose Down bit flipped.
+func TestOverlappingFaultsHoldLink(t *testing.T) {
+	eng := sim.NewEngine(1)
+	f := testFabric(eng)
+	ce := New(eng, f)
+	log := record(ce)
+	up := fabric.Uplink(0, 1)
+	sc := NewScenario("overlap").
+		LinkDown(time.Millisecond, up, 10*time.Millisecond).
+		SwitchReboot(2*time.Millisecond, fabric.SwitchAgg, 1, time.Millisecond)
+	if err := ce.Play(sc); err != nil {
+		t.Fatal(err)
+	}
+	down := func(ref fabric.LinkRef) bool {
+		ft, err := f.FaultOf(ref)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return ft.Down
+	}
+	for _, step := range []struct {
+		until           time.Duration
+		upDown, sibDown bool
+	}{
+		{2500 * time.Microsecond, true, true},
+		{5 * time.Millisecond, true, false},
+		{12 * time.Millisecond, false, false},
+	} {
+		eng.Run(sim.Time(step.until))
+		if got := down(up); got != step.upDown {
+			t.Errorf("at %v: %v Down = %v, want %v", step.until, up, got, step.upDown)
+		}
+		if got := down(fabric.Uplink(1, 1)); got != step.sibDown {
+			t.Errorf("at %v: %v Down = %v, want %v", step.until, fabric.Uplink(1, 1), got, step.sibDown)
+		}
+	}
+	agg, err := f.SwitchLinks(fabric.SwitchAgg, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var others []fabric.LinkRef
+	for _, ref := range agg {
+		if ref != up {
+			others = append(others, ref)
+		}
+	}
+	if len(*log) != 4 {
+		t.Fatalf("firings = %d, want 4", len(*log))
+	}
+	for i, want := range [][]fabric.LinkRef{{up}, others, others, {up}} {
+		if got := (*log)[i].Links; !reflect.DeepEqual(got, want) {
+			t.Errorf("firing %d (%s %s): links = %v, want %v",
+				i, (*log)[i].Event.Kind, (*log)[i].Phase, got, want)
+		}
 	}
 }
 
@@ -308,16 +379,20 @@ func TestPlaybackJitterDeterministic(t *testing.T) {
 		eng := sim.NewEngine(42)
 		f := testFabric(eng)
 		ce := New(eng, f)
-		sc := NewScenario("jittered").WithJitter(300*time.Microsecond).
+		log := record(ce)
+		sc := NewScenario("jittered").
 			LinkDown(time.Millisecond, fabric.Uplink(0, 1), time.Millisecond).
 			SwitchReboot(2*time.Millisecond, fabric.SwitchToR, 1, time.Millisecond).
 			HostStall(3*time.Millisecond, 5, time.Millisecond).
 			Reroute(4*time.Millisecond, fabric.Uplink(0, 2), 2*time.Millisecond)
+		for i := range sc.Events {
+			sc.Events[i].Jitter = 300 * time.Microsecond
+		}
 		if err := ce.Play(sc); err != nil {
 			t.Fatal(err)
 		}
 		eng.RunAll()
-		return ce.Log()
+		return *log
 	}
 	first, second := timeline(), timeline()
 	if !reflect.DeepEqual(first, second) {
@@ -329,49 +404,6 @@ func TestPlaybackJitterDeterministic(t *testing.T) {
 	// Jitter must actually move the nominal times.
 	if first[0].At == sim.Time(0).Add(time.Millisecond) {
 		t.Error("jitter not applied")
-	}
-}
-
-type fakeNIC struct {
-	name    string
-	resets  int
-	liveQPs int
-}
-
-func (n *fakeNIC) Name() string { return n.name }
-func (n *fakeNIC) ResetQPs() int {
-	n.resets++
-	return n.liveQPs
-}
-
-// TestNICFaults: "*" targets every registered NIC in registration
-// order; a name targets exactly one.
-func TestNICFaults(t *testing.T) {
-	eng := sim.NewEngine(1)
-	ce := New(eng, nil)
-	a := &fakeNIC{name: "nic0", liveQPs: 3}
-	b := &fakeNIC{name: "nic1", liveQPs: 2}
-	ce.RegisterNIC(a)
-	ce.RegisterNIC(b)
-	sc := NewScenario("nics").
-		ResetQPs(time.Millisecond, "*").
-		ResetQPs(2*time.Millisecond, "nic0")
-	if err := ce.Play(sc); err != nil {
-		t.Fatal(err)
-	}
-	eng.RunAll()
-	if a.resets != 2 || b.resets != 1 {
-		t.Errorf("resets = %d,%d", a.resets, b.resets)
-	}
-	log := ce.Log()
-	if len(log) != 2 {
-		t.Fatalf("log = %d entries", len(log))
-	}
-	if log[0].Detail != "reset 5 QPs" {
-		t.Errorf("all-NIC reset detail = %q", log[0].Detail)
-	}
-	if log[1].Detail != "reset 3 QPs" {
-		t.Errorf("one-NIC reset detail = %q", log[1].Detail)
 	}
 }
 

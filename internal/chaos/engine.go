@@ -10,16 +10,6 @@ import (
 	"repro/internal/trace"
 )
 
-// NIC is the chaos-facing surface of an RDMA NIC: the QP-error entry
-// point (rnic.RNIC implements it).
-type NIC interface {
-	// Name identifies the NIC for scenario targeting.
-	Name() string
-	// ResetQPs forces every queue pair into the error state, returning
-	// how many were live.
-	ResetQPs() int
-}
-
 // Phase says whether a firing injected a fault or cleared one.
 type Phase uint8
 
@@ -37,8 +27,7 @@ func (p Phase) String() string {
 	return "inject"
 }
 
-// Firing is one applied fault action, delivered to subscribers and kept
-// in the engine's log.
+// Firing is one applied fault action, delivered to subscribers.
 type Firing struct {
 	// At is the virtual time the action was applied (jitter included).
 	At sim.Time
@@ -46,56 +35,42 @@ type Firing struct {
 	Phase Phase
 	// Event is the scenario event that fired.
 	Event Event
-	// Links are the links whose Down bit this action set (inject) or
-	// cleared (clear), which is how subscribers learn what a fault takes
-	// down. Gray and reroute actions leave it empty.
+	// Links are the links whose Down bit this action flipped: set
+	// (inject) or cleared (clear). A link another active fault still
+	// holds down is not cleared, so it is not listed. Gray and reroute
+	// actions leave it empty.
 	Links []fabric.LinkRef
-	// Detail is a human-readable outcome ("reset 12 QPs").
-	Detail string
 }
 
-// Engine binds scenarios to one fabric (and any registered NICs) on one
-// sim engine. Jitter is drawn from a forked RNG stream at Play time, in
-// scenario order, so the failure timeline is a pure function of
-// (scenario, seed) — independent of event-dispatch interleaving and of
-// everything else the simulation does with randomness.
+// Engine binds scenarios to one fabric on one sim engine. Jitter is
+// drawn from a forked RNG stream at Play time, in scenario order, so
+// the failure timeline is a pure function of (scenario, seed) —
+// independent of event-dispatch interleaving and of everything else the
+// simulation does with randomness.
 type Engine struct {
-	eng *sim.Engine
-	fab *fabric.Fabric // nil: link faults are rejected at Play
-	rng *sim.RNG
-
-	nics     map[string]NIC
-	nicOrder []string
-	subs     []func(Firing)
-	log      []Firing
+	eng  *sim.Engine
+	fab  *fabric.Fabric
+	rng  *sim.RNG
+	subs []func(Firing)
+	// held counts, per link (keyed by its canonical name), the active
+	// link-down, switch-reboot and host-stall faults holding it down.
+	held map[string]int
 }
 
-// New creates a chaos engine. fab may be nil for host-only (NIC fault)
-// playback.
+// New creates a chaos engine that plays faults on fab.
 func New(eng *sim.Engine, fab *fabric.Fabric) *Engine {
 	return &Engine{
 		eng:  eng,
 		fab:  fab,
 		rng:  eng.RNG().Fork(0xc4a05),
-		nics: make(map[string]NIC),
+		held: make(map[string]int),
 	}
-}
-
-// RegisterNIC makes a NIC targetable by scenario events.
-func (e *Engine) RegisterNIC(n NIC) {
-	if _, dup := e.nics[n.Name()]; !dup {
-		e.nicOrder = append(e.nicOrder, n.Name())
-	}
-	e.nics[n.Name()] = n
 }
 
 // Subscribe registers an observer called synchronously for every applied
 // fault action (injection and clearing). The transport-facing wiring —
 // path blacklisting, recovery observers — hangs off this bus.
 func (e *Engine) Subscribe(fn func(Firing)) { e.subs = append(e.subs, fn) }
-
-// Log returns every fault action applied so far, in application order.
-func (e *Engine) Log() []Firing { return e.log }
 
 // Play validates the scenario against the bound topology and schedules
 // every event, drawing jitter now. Playback offsets are relative to the
@@ -108,11 +83,13 @@ func (e *Engine) Play(sc *Scenario) error {
 	type planned struct {
 		at    sim.Time
 		ev    Event
+		links []fabric.LinkRef
 		phase Phase
 	}
 	var plan []planned
 	for i, ev := range sc.Events {
-		if err := e.bindCheck(ev); err != nil {
+		links, err := e.bind(ev)
+		if err != nil {
 			return fmt.Errorf("chaos: %s event %d: %w", sc.Name, i, err)
 		}
 		// The clear action lands at most At+Jitter+For past base.
@@ -124,93 +101,64 @@ func (e *Engine) Play(sc *Scenario) error {
 		if ev.Jitter > 0 {
 			at = at.Add(time.Duration(e.rng.Intn(int(ev.Jitter))))
 		}
-		plan = append(plan, planned{at: at, ev: ev, phase: PhaseInject})
+		plan = append(plan, planned{at: at, ev: ev, links: links, phase: PhaseInject})
 		if ev.For > 0 {
-			plan = append(plan, planned{at: at.Add(ev.For), ev: ev, phase: PhaseClear})
+			plan = append(plan, planned{at: at.Add(ev.For), ev: ev, links: links, phase: PhaseClear})
 		}
 	}
 	for _, p := range plan {
 		p := p
-		e.eng.At(p.at, func() { e.apply(p.ev, p.phase) })
+		e.eng.At(p.at, func() { e.apply(p.ev, p.links, p.phase) })
 	}
 	return nil
 }
 
-// bindCheck validates an event against the bound fabric/NICs without
-// mutating anything.
-func (e *Engine) bindCheck(ev Event) error {
+// bind resolves the links an event addresses on the bound fabric: the
+// named link, every link incident to a switch, or a host's two access
+// links. It fails for a target the topology does not have.
+func (e *Engine) bind(ev Event) ([]fabric.LinkRef, error) {
 	switch ev.Kind {
-	case LinkDown, Gray, Reroute:
-		if e.fab == nil {
-			return fmt.Errorf("no fabric bound for %s", ev.Kind)
-		}
-		_, err := e.fab.FaultOf(ev.Link)
-		return err
 	case SwitchReboot:
-		if e.fab == nil {
-			return fmt.Errorf("no fabric bound for %s", ev.Kind)
-		}
-		_, err := e.fab.SwitchLinks(ev.Switch, ev.Index)
-		return err
+		return e.fab.SwitchLinks(ev.Switch, ev.Index)
 	case HostStall:
-		if e.fab == nil {
-			return fmt.Errorf("no fabric bound for %s", ev.Kind)
-		}
-		_, err := e.fab.FaultOf(fabric.HostLink(fabric.HostID(ev.Host), fabric.DirUp))
-		return err
-	case NICResetQPs:
-		if ev.NIC != "" && ev.NIC != "*" {
-			if _, ok := e.nics[ev.NIC]; !ok {
-				return fmt.Errorf("unknown NIC %q", ev.NIC)
-			}
-		} else if len(e.nics) == 0 {
-			return fmt.Errorf("no NICs registered for %s", ev.Kind)
-		}
+		h := fabric.HostID(ev.Host)
+		links := []fabric.LinkRef{fabric.HostLink(h, fabric.DirUp), fabric.HostLink(h, fabric.DirDown)}
+		_, err := e.fab.FaultOf(links[0])
+		return links, err
+	default:
+		_, err := e.fab.FaultOf(ev.Link)
+		return []fabric.LinkRef{ev.Link}, err
 	}
-	return nil
 }
 
-// targets resolves the NIC set an event addresses, in registration
-// order (deterministic).
-func (e *Engine) targets(name string) []NIC {
-	if name != "" && name != "*" {
-		return []NIC{e.nics[name]}
-	}
-	out := make([]NIC, 0, len(e.nicOrder))
-	for _, n := range e.nicOrder {
-		out = append(out, e.nics[n])
-	}
-	return out
-}
-
-// setDown flips only the Down bit of each link, preserving gray and
-// routing state.
-func (e *Engine) setDown(refs []fabric.LinkRef, down bool) {
-	for _, ref := range refs {
+// hold adds delta to each link's count of active faults holding it down
+// and sets the link's Down bit to count > 0, preserving gray and routing
+// state, so the first of two overlapping faults to clear leaves the link
+// down. It returns the links whose Down bit flipped.
+func (e *Engine) hold(links []fabric.LinkRef, delta int) []fabric.LinkRef {
+	var flipped []fabric.LinkRef
+	for _, ref := range links {
+		key := ref.String()
+		n := e.held[key] + delta
+		e.held[key] = n
 		ft, _ := e.fab.FaultOf(ref)
-		ft.Down = down
-		_ = e.fab.SetFault(ref, ft)
+		if down := n > 0; ft.Down != down {
+			ft.Down = down
+			_ = e.fab.SetFault(ref, ft)
+			flipped = append(flipped, ref)
+		}
 	}
+	return flipped
 }
 
-// apply executes one fault action at its fire time. Play's bindCheck
-// has already resolved every link the event names, and validate has
+// apply executes one fault action at its fire time. Play's bind has
+// already resolved every link the event names, and validate has
 // rejected every fault SetFault refuses, so the fabric calls here
 // cannot fail.
-func (e *Engine) apply(ev Event, phase Phase) {
-	var links []fabric.LinkRef
-	detail := ""
+func (e *Engine) apply(ev Event, links []fabric.LinkRef, phase Phase) {
 	clear := phase == PhaseClear
+	var flipped []fabric.LinkRef
 	switch ev.Kind {
-	case LinkDown:
-		links = []fabric.LinkRef{ev.Link}
-	case SwitchReboot:
-		links, _ = e.fab.SwitchLinks(ev.Switch, ev.Index)
-	case HostStall:
-		links = []fabric.LinkRef{
-			fabric.HostLink(fabric.HostID(ev.Host), fabric.DirUp),
-			fabric.HostLink(fabric.HostID(ev.Host), fabric.DirDown),
-		}
 	case Gray:
 		ft, _ := e.fab.FaultOf(ev.Link)
 		g := ev.Gray
@@ -223,19 +171,16 @@ func (e *Engine) apply(ev Event, phase Phase) {
 		ft, _ := e.fab.FaultOf(ev.Link)
 		ft.Withdrawn = !clear
 		_ = e.fab.SetFault(ev.Link, ft)
-	case NICResetQPs:
-		n := 0
-		for _, nic := range e.targets(ev.NIC) {
-			n += nic.ResetQPs()
+	default:
+		delta := 1
+		if clear {
+			delta = -1
 		}
-		detail = fmt.Sprintf("reset %d QPs", n)
+		flipped = e.hold(links, delta)
 	}
-	e.setDown(links, !clear)
-	f := Firing{At: e.eng.Now(), Phase: phase, Event: ev, Links: links, Detail: detail}
-	e.log = append(e.log, f)
+	f := Firing{At: e.eng.Now(), Phase: phase, Event: ev, Links: flipped}
 	if tr := e.eng.Tracer(); tr.Enabled() {
-		tr.Instant("chaos", "chaos", "fault", string(ev.Kind),
-			trace.S("phase", phase.String()), trace.S("detail", detail))
+		tr.Instant("chaos", "chaos", "fault", string(ev.Kind), trace.S("phase", phase.String()))
 	}
 	for _, s := range e.subs {
 		s(f)

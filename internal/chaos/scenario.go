@@ -1,13 +1,14 @@
-// Package chaos is the deterministic fault-injection subsystem: a
-// Scenario is a declarative timeline of typed faults — link failures at
-// any tier, gray degradation (loss, latency inflation, bandwidth caps),
-// whole-switch reboots, host stalls, control-plane reroutes, NIC QP
-// resets — played back on the sim virtual clock by an Engine against a
-// fabric and registered NICs. Every fault may carry seeded jitter drawn
-// from the engine's deterministic RNG, so the same scenario + seed
-// reproduces the same failure timeline byte-for-byte. The
-// Recovery observer watches transport counters through the faults and
-// reports per-flow time-to-detect, time-to-recover, goodput-dip area
+// Package chaos is the deterministic fabric-fault player: a Scenario is
+// a declarative timeline of typed link faults — link failures at any
+// tier, gray degradation (loss, latency inflation, bandwidth caps),
+// whole-switch reboots, host stalls and control-plane reroutes — played
+// back on the sim virtual clock by an Engine against one fabric. Every
+// fault may carry seeded jitter drawn from the engine's deterministic
+// RNG, so the same scenario + seed reproduces the same failure timeline
+// byte-for-byte. Faults that are not link state, such as a NIC's QP
+// reset, are scheduled by their experiment on the sim engine directly.
+// The Recovery observer watches transport counters through the faults
+// and reports per-flow time-to-detect, time-to-recover, goodput-dip area
 // and stalls.
 //
 // Scenarios are built either with the fluent Go API:
@@ -41,8 +42,7 @@ import (
 type Kind string
 
 // The fault taxonomy. A non-zero For clears a fault that long after it
-// is injected; every kind but NICResetQPs has a clear, and For is the
-// only way to schedule one.
+// is injected; For is the only way to schedule a clear.
 const (
 	// LinkDown blackholes a link (Link).
 	LinkDown Kind = "link-down"
@@ -60,10 +60,6 @@ const (
 	// next aggregation switch. The link's Down and gray state stay as
 	// they are.
 	Reroute Kind = "reroute"
-	// NICResetQPs forces the queue pairs of the NIC(s) named by NIC
-	// ("" or "*" = all registered) into the error state. It has nothing
-	// to clear, so it takes no For.
-	NICResetQPs Kind = "nic-reset-qps"
 )
 
 // ErrNoTarget is returned by Load for a scenario-file event whose kind
@@ -104,9 +100,6 @@ type Event struct {
 	Index  int
 	// Host addresses a host for HostStall.
 	Host int
-	// NIC names the target NIC for NICResetQPs; "" or "*"
-	// targets every registered NIC.
-	NIC string
 }
 
 // eventJSON is the wire form: durations as Go duration strings, gray
@@ -123,14 +116,6 @@ type eventJSON struct {
 	Switch string          `json:"switch,omitempty"`
 	Index  int             `json:"index,omitempty"`
 	Host   int             `json:"host,omitempty"`
-	NIC    string          `json:"nic,omitempty"`
-}
-
-func fmtDur(d time.Duration) string {
-	if d == 0 {
-		return ""
-	}
-	return d.String()
 }
 
 func parseDur(field, s string) (time.Duration, error) {
@@ -142,23 +127,6 @@ func parseDur(field, s string) (time.Duration, error) {
 		return 0, fmt.Errorf("chaos: bad %s duration %q: %v", field, s, err)
 	}
 	return d, nil
-}
-
-// MarshalJSON encodes the event in the scenario-file form.
-func (e Event) MarshalJSON() ([]byte, error) {
-	j := eventJSON{
-		At: e.At.String(), Jitter: fmtDur(e.Jitter), For: fmtDur(e.For), Kind: e.Kind,
-		Loss: e.Gray.Loss, Delay: fmtDur(e.Gray.Delay), BW: e.Gray.BWFactor,
-		Index: e.Index, Host: e.Host, NIC: e.NIC,
-	}
-	switch e.Kind {
-	case LinkDown, Gray, Reroute:
-		link := e.Link
-		j.Link = &link
-	case SwitchReboot:
-		j.Switch = e.Switch.String()
-	}
-	return json.Marshal(j)
 }
 
 // UnmarshalJSON decodes the scenario-file form.
@@ -197,14 +165,14 @@ func (e *Event) UnmarshalJSON(b []byte) error {
 			return err
 		}
 	}
-	e.Index, e.Host, e.NIC = j.Index, j.Host, j.NIC
+	e.Index, e.Host = j.Index, j.Host
 	return nil
 }
 
 // validate rejects malformed events before anything is scheduled.
 func (e Event) validate() error {
 	switch e.Kind {
-	case LinkDown, Gray, SwitchReboot, HostStall, Reroute, NICResetQPs:
+	case LinkDown, Gray, SwitchReboot, HostStall, Reroute:
 	case "":
 		return fmt.Errorf("chaos: event at %v has no kind", e.At)
 	default:
@@ -215,9 +183,6 @@ func (e Event) validate() error {
 	}
 	if e.Jitter > math.MaxInt64-e.At || e.For > math.MaxInt64-e.At-e.Jitter {
 		return fmt.Errorf("chaos: %s: at+jitter+for overflows virtual time", e.Kind)
-	}
-	if e.Kind == NICResetQPs && e.For != 0 {
-		return fmt.Errorf("chaos: %s event at %v: a QP reset has nothing to clear, so it takes no for", e.Kind, e.At)
 	}
 	if e.Kind == Reroute && (e.Link.Tier != fabric.TierTorAgg || e.Link.Dir != fabric.DirUp) {
 		return fmt.Errorf("chaos: %s event at %v: %s is not a ToR→Agg uplink", e.Kind, e.At, e.Link)
@@ -236,25 +201,13 @@ func (e Event) validate() error {
 type Scenario struct {
 	Name   string  `json:"name"`
 	Events []Event `json:"events"`
-
-	jitter time.Duration // builder default applied by add
 }
 
 // NewScenario starts an empty scenario.
 func NewScenario(name string) *Scenario { return &Scenario{Name: name} }
 
-// WithJitter sets the default jitter applied to events added after it.
-func (s *Scenario) WithJitter(j time.Duration) *Scenario {
-	s.jitter = j
-	return s
-}
-
-// Add appends one event, applying the builder's default jitter when the
-// event carries none.
+// Add appends one event.
 func (s *Scenario) Add(e Event) *Scenario {
-	if e.Jitter == 0 {
-		e.Jitter = s.jitter
-	}
 	s.Events = append(s.Events, e)
 	return s
 }
@@ -283,12 +236,6 @@ func (s *Scenario) HostStall(at time.Duration, host int, dur time.Duration) *Sce
 // restores its route after dur.
 func (s *Scenario) Reroute(at time.Duration, ref fabric.LinkRef, dur time.Duration) *Scenario {
 	return s.Add(Event{At: at, Kind: Reroute, Link: ref, For: dur})
-}
-
-// ResetQPs forces the named NIC's queue pairs to the error state at the
-// offset ("" or "*" = every registered NIC).
-func (s *Scenario) ResetQPs(at time.Duration, nic string) *Scenario {
-	return s.Add(Event{At: at, Kind: NICResetQPs, NIC: nic})
 }
 
 // Validate checks every event without binding to a topology.
@@ -323,9 +270,4 @@ func LoadFile(path string) (*Scenario, error) {
 		return nil, fmt.Errorf("chaos: %w", err)
 	}
 	return Load(b)
-}
-
-// JSON renders the scenario as indented scenario-file JSON.
-func (s *Scenario) JSON() ([]byte, error) {
-	return json.MarshalIndent(s, "", "  ")
 }

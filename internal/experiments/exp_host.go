@@ -6,9 +6,6 @@ import (
 
 	"repro/internal/addr"
 	stellar "repro/internal/core"
-	"repro/internal/iommu"
-	"repro/internal/mem"
-	"repro/internal/pcie"
 	"repro/internal/perftest"
 	"repro/internal/pvdma"
 	"repro/internal/rnic"
@@ -430,14 +427,11 @@ func AblationPVDMABlock(s *Session) (*Table, error) {
 		Header: []string{"block", "registrations", "map cost (ms)", "pinned (MiB)"},
 	}
 	for _, bs := range []uint64{addr.PageSize4K, 64 << 10, addr.PageSize2M, 16 << 20} {
-		u, err := iommu.New(iommu.Config{Mode: iommu.ModeNoPT, ATSEnabled: true})
+		h, err := s.host(podHost(16 << 30))
 		if err != nil {
 			return nil, err
 		}
-		m := mem.New(mem.Config{TotalBytes: 16 << 30})
-		cx := pcie.NewComplex(pcie.Config{}, u, m)
-		hyp := rund.NewHypervisor(cx)
-		c, err := hyp.CreateContainer(rund.DefaultConfig("ab", 1<<30))
+		c, err := h.Hypervisor.CreateContainer(rund.DefaultConfig("ab", 1<<30))
 		if err != nil {
 			return nil, err
 		}

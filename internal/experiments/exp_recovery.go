@@ -6,10 +6,8 @@ import (
 	"time"
 
 	"repro/internal/chaos"
-	"repro/internal/iommu"
-	"repro/internal/mem"
+	stellar "repro/internal/core"
 	"repro/internal/multipath"
-	"repro/internal/pcie"
 	"repro/internal/rnic"
 	"repro/internal/sim"
 	"repro/internal/transport"
@@ -19,20 +17,22 @@ import (
 // hit mid-flight by a whole-NIC fault, and the run measures whether the
 // stack completes it anyway. Two fault classes:
 //
-//   - qp-reset: RNIC firmware resets every QP. The WQE flush propagates
-//     through OnQPError → Conn.Fail, the flow fails and quiesces, and
-//     (with recovery on) a controller re-cycles the QP to RTS and calls
-//     Reconnect.
-//   - rto-budget: the host's links blackhole. Exponential RTO backoff
-//     (with seeded jitter) spreads the retries; the retry budget then
-//     fails the flow instead of retransmitting forever, and the
-//     controller reconnects after the link repairs.
+//   - qp-reset: RNIC firmware resets every QP; the run calls the
+//     RNIC's ResetQPs at the fault time, since it is no fabric fault.
+//     The WQE flush propagates through OnQPError → Conn.Fail, the flow
+//     fails and quiesces, and (with recovery on) a controller re-cycles
+//     the QP to RTS and calls Reconnect.
+//   - rto-budget: a chaos host stall blackholes the host's links.
+//     Exponential RTO backoff (with seeded jitter) spreads the retries;
+//     the retry budget then fails the flow instead of retransmitting
+//     forever, and the controller reconnects after the link repairs.
 //
 // Each condition runs with the recovery controller on and off; a second
 // flow on an unaffected host rides along as the control. The recovery
 // observer watches both flows' goodput for stalls. With recovery the faulted
 // flow must complete every message; without it the flow must end the
-// run failed — the assertions in exp_recovery_test.go.
+// run failed — the assertions of TestChaosRecoveryOutcomes in
+// claims_test.go.
 func ChaosRecovery(s *Session) (*Table, error) {
 	t := &Table{
 		ID:    "chaos-recovery",
@@ -67,21 +67,15 @@ func ChaosRecovery(s *Session) (*Table, error) {
 			RetryBudget: 3,
 		})
 
-		// The faulted flow's hardware context: one RNIC on host 0's PCIe
-		// complex, one QP cycled up to RTS.
-		u, err := iommu.New(iommu.Config{Mode: iommu.ModeNoPT, ATSEnabled: true})
+		// The faulted flow's hardware context: host 0's one RNIC, one QP
+		// cycled up to RTS.
+		hc := stellar.DefaultHostConfig()
+		hc.MemoryBytes, hc.NumSwitches, hc.NumRNICs, hc.NumGPUs = 8<<30, 1, 1, 1
+		h, err := s.host(hc)
 		if err != nil {
 			return nil, err
 		}
-		px := pcie.NewComplex(pcie.Config{}, u, mem.New(mem.Config{TotalBytes: 8 << 30}))
-		sw := px.AddSwitch("sw0")
-		nic, err := rnic.New(px, sw, rnic.DefaultConfig("rnic0"))
-		if err != nil {
-			return nil, err
-		}
-		if s.Tracer != nil {
-			nic.SetTracer(s.Tracer, "host0")
-		}
+		nic := h.RNICs[0]
 		pd := nic.AllocPD()
 		qp, err := nic.CreateQP(pd)
 		if err != nil {
@@ -134,21 +128,18 @@ func ChaosRecovery(s *Session) (*Table, error) {
 			})
 		}
 
-		ce := chaos.New(eng, f)
-		ce.RegisterNIC(nic)
 		obs.Start()
 
-		sc := chaos.NewScenario(cond)
 		switch cond {
 		case "qp-reset":
-			sc.ResetQPs(faultAt, "*")
+			eng.At(eng.Now().Add(faultAt), func() { nic.ResetQPs() })
 		case "rto-budget":
-			sc.HostStall(faultAt, 0, stallFor)
+			sc := chaos.NewScenario(cond).HostStall(faultAt, 0, stallFor)
+			if err := chaos.New(eng, f).Play(sc); err != nil {
+				return nil, err
+			}
 		default:
 			return nil, fmt.Errorf("chaos-recovery: unknown condition %q", cond)
-		}
-		if err := ce.Play(sc); err != nil {
-			return nil, err
 		}
 		eng.Run(sim.Time(horizon))
 

@@ -217,7 +217,7 @@ func (s *Session) Fired() uint64 {
 
 // armChaos plays the session's scenario, if any, on a freshly built
 // fabric. Scenario shape is validated at load time; an error here means
-// the scenario targets links, hosts or NICs this experiment's topology
+// the scenario targets links, switches or hosts this experiment's topology
 // does not have, and it fails the experiment.
 func (s *Session) armChaos(eng *sim.Engine, f *fabric.Fabric) error {
 	if s.Chaos == nil {

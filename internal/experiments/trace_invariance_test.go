@@ -49,13 +49,14 @@ func TestTracingDoesNotPerturbResults(t *testing.T) {
 	}
 
 	// The flight recorder should have seen the whole vertical: spans and
-	// slices from the engine, transport, multipath, fabric, and the
-	// collective layer at minimum.
+	// slices from the engine, transport, fabric, and the collective
+	// layer at minimum. Path decisions are steps of the transport's
+	// packet spans.
 	comps := map[string]bool{}
 	for _, e := range tr.Events() {
 		comps[e.Comp] = true
 	}
-	for _, want := range []string{"engine", "transport", "multipath", "fabric", "collective"} {
+	for _, want := range []string{"engine", "transport", "fabric", "collective"} {
 		if !comps[want] {
 			t.Errorf("no events from component %q (saw %v)", want, comps)
 		}

@@ -45,9 +45,6 @@ func (t Tier) String() string {
 	}
 }
 
-// MarshalText encodes the tier for JSON scenario files.
-func (t Tier) MarshalText() ([]byte, error) { return []byte(t.String()), nil }
-
 // UnmarshalText decodes the tier from JSON scenario files.
 func (t *Tier) UnmarshalText(b []byte) error {
 	v, err := ParseTier(string(b))
@@ -89,9 +86,6 @@ func (d Dir) String() string {
 	}
 	return "up"
 }
-
-// MarshalText encodes the direction for JSON scenario files.
-func (d Dir) MarshalText() ([]byte, error) { return []byte(d.String()), nil }
 
 // UnmarshalText decodes the direction from JSON scenario files.
 func (d *Dir) UnmarshalText(b []byte) error {

@@ -43,7 +43,6 @@ type Blacklist struct {
 	picks       uint64
 }
 
-func (b *Blacklist) Name() string  { return b.inner.Name() }
 func (b *Blacklist) NumPaths() int { return b.inner.NumPaths() }
 
 // NextPath skips quarantined paths, except for periodic probes that

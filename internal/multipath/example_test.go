@@ -11,7 +11,7 @@ import (
 // Spraying over 128 paths, one selector per connection.
 func ExampleNew() {
 	sel := multipath.New(multipath.OBS, 128, sim.NewRNG(42))
-	fmt.Println(sel.Name(), sel.NumPaths())
+	fmt.Println(multipath.OBS, sel.NumPaths())
 	inRange := true
 	for i := 0; i < 1000; i++ {
 		if p := sel.NextPath(); p < 0 || p >= 128 {

@@ -57,7 +57,6 @@ func newFlowlet(n int, rng *sim.RNG) *flowlet {
 	}
 }
 
-func (f *flowlet) Name() string  { return Flowlet.String() }
 func (f *flowlet) NumPaths() int { return f.n }
 
 // SetClock installs the virtual-time source.
@@ -95,7 +94,6 @@ func newPathAware(n int, rng *sim.RNG) *pathAware {
 	return &pathAware{n: n, rng: rng, cooldown: make([]uint8, n)}
 }
 
-func (p *pathAware) Name() string  { return PathAware.String() }
 func (p *pathAware) NumPaths() int { return p.n }
 
 func (p *pathAware) NextPath() int {
@@ -148,7 +146,6 @@ const PathSwitchDecides = -1
 
 type switchAR struct{ n int }
 
-func (s *switchAR) Name() string                           { return SwitchAR.String() }
 func (s *switchAR) NextPath() int                          { return PathSwitchDecides }
 func (s *switchAR) Feedback(int, sim.Duration, bool, bool) {}
 func (s *switchAR) NumPaths() int                          { return s.n }
@@ -165,7 +162,6 @@ func NewPinned(path, numPaths int) Selector {
 
 type pinned struct{ path, n int }
 
-func (p *pinned) Name() string                           { return "te-pinned" }
 func (p *pinned) NextPath() int                          { return p.path }
 func (p *pinned) Feedback(int, sim.Duration, bool, bool) {}
 func (p *pinned) NumPaths() int                          { return p.n }

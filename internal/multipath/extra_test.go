@@ -94,7 +94,7 @@ func TestExtraAlgorithmsRegistered(t *testing.T) {
 		for i := 0; i < 200; i++ {
 			p := s.NextPath()
 			if p < 0 || p >= 16 {
-				t.Fatalf("%s out of range", s.Name())
+				t.Fatalf("%s out of range", alg)
 			}
 			s.Feedback(p, 10*time.Microsecond, i%5 == 0, i%13 == 0)
 		}

@@ -61,8 +61,6 @@ func Algorithms() []Algorithm {
 
 // Selector chooses a path in [0, NumPaths) for each outgoing packet.
 type Selector interface {
-	// Name identifies the algorithm.
-	Name() string
 	// NextPath returns the path for the next packet.
 	NextPath() int
 	// Feedback reports an ack/loss observation for a path.
@@ -107,7 +105,6 @@ type singlePath struct {
 	path, n int
 }
 
-func (s *singlePath) Name() string                           { return SinglePath.String() }
 func (s *singlePath) NextPath() int                          { return s.path }
 func (s *singlePath) Feedback(int, sim.Duration, bool, bool) {}
 func (s *singlePath) NumPaths() int                          { return s.n }
@@ -117,7 +114,6 @@ type roundRobin struct {
 	n, next int
 }
 
-func (r *roundRobin) Name() string { return RoundRobin.String() }
 func (r *roundRobin) NextPath() int {
 	p := r.next
 	r.next = (r.next + 1) % r.n
@@ -135,7 +131,6 @@ type obs struct {
 	rng *sim.RNG
 }
 
-func (o *obs) Name() string                           { return OBS.String() }
 func (o *obs) NextPath() int                          { return o.rng.Intn(o.n) }
 func (o *obs) Feedback(int, sim.Duration, bool, bool) {}
 func (o *obs) NumPaths() int                          { return o.n }
@@ -167,7 +162,6 @@ func newDWRR(n int, rng *sim.RNG) *dwrr {
 	return d
 }
 
-func (d *dwrr) Name() string  { return DWRR.String() }
 func (d *dwrr) NumPaths() int { return d.n }
 
 func (d *dwrr) NextPath() int {
@@ -236,7 +230,6 @@ func newBestRTT(n int, rng *sim.RNG) *bestRTT {
 	return &bestRTT{n: n, srtt: make([]float64, n), rng: rng}
 }
 
-func (b *bestRTT) Name() string  { return BestRTT.String() }
 func (b *bestRTT) NumPaths() int { return b.n }
 
 func (b *bestRTT) NextPath() int {
@@ -288,7 +281,6 @@ func newMPRDMA(n int, rng *sim.RNG) *mprdma {
 	return &mprdma{n: n, next: rng.Intn(n), cooldown: make([]uint64, n)}
 }
 
-func (m *mprdma) Name() string  { return MPRDMA.String() }
 func (m *mprdma) NumPaths() int { return m.n }
 
 func (m *mprdma) NextPath() int {

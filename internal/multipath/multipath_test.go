@@ -198,7 +198,7 @@ func TestFeedbackIgnoresBadPath(t *testing.T) {
 		s.Feedback(99, time.Microsecond, true, true)
 		p := s.NextPath()
 		if p < 0 || p >= 4 {
-			t.Errorf("%s broken by out-of-range feedback", s.Name())
+			t.Errorf("%s broken by out-of-range feedback", alg)
 		}
 	}
 }

@@ -385,9 +385,6 @@ func ConnectWithSelector(src, dst *Endpoint, flow uint64, sel multipath.Selector
 			return nil, fmt.Errorf("%w: %d", ErrFlowExists, flow)
 		}
 	}
-	if tr := src.eng.Tracer(); tr.Enabled() {
-		sel = multipath.WithTrace(sel, tr, src.label)
-	}
 	cfg := src.cfg
 	c := &Conn{
 		Flow: flow,
