@@ -175,8 +175,8 @@ func BenchmarkEngineBurst(b *testing.B) {
 	}
 }
 
-// BenchmarkSchedulerRTOWheel emulates the transport's per-packet timer
-// pattern: every "packet" arms an RTO 250 µs out and cancels it ~1 µs
+// BenchmarkSchedulerRTOWheel emulates a per-packet timer pattern:
+// every "packet" arms an RTO 250 µs out and cancels it ~1 µs
 // later when the "ack" arrives, with a standing population of armed
 // timers — the cancel-heavy workload the timer wheel exists for.
 func BenchmarkSchedulerRTOWheel(b *testing.B) {
@@ -301,10 +301,10 @@ func BenchmarkTransportThroughput(b *testing.B) {
 }
 
 func BenchmarkTransportRTOHeavy(b *testing.B) {
-	// The worst case for the scheduler: a deep in-flight window keeps
-	// hundreds of armed RTOs queued, loss makes some of them fire, and
-	// every delivered packet cancels one — the workload §7.2's 250 µs
-	// RTO imposes on the event queue at cluster scale.
+	// The worst case for the RTO path: a deep in-flight window keeps
+	// hundreds of RTOs armed, loss makes some of them fire, and every
+	// delivered packet detaches one — the workload §7.2's 250 µs RTO
+	// imposes at cluster scale.
 	eng := sim.NewEngine(1)
 	f := fabric.New(eng, fabric.Config{
 		Segments: 2, HostsPerSegment: 2, Aggs: 8,

@@ -51,6 +51,29 @@ func TestAdvanceWithOccupiedWheelKeepsWatermark(t *testing.T) {
 	}
 }
 
+// TestFarCandidateKeepsWatermark: a pending event beyond the wheel's
+// horizon must not drag the flushed watermark ahead of the clock. Only
+// the bucket before it that holds the near event is flushed, so a hop
+// scheduled 2 µs after that event fires still lands in the wheel.
+func TestFarCandidateKeepsWatermark(t *testing.T) {
+	e := NewEngine(1)
+	fn := func(any) {}
+	e.Post(Time(10*time.Millisecond), fn, nil) // a chaos-style far event
+	e.Post(Time(time.Microsecond), fn, nil)
+	if !e.Step() || e.Now() != Time(time.Microsecond) {
+		t.Fatalf("first Step ran to %v, want 1µs", e.Now())
+	}
+	e.Post(e.Now().Add(2*time.Microsecond), fn, nil)
+	if e.wheelCount != 1 {
+		t.Fatalf("hop 2 µs out missed the wheel: flushed=%d (clock bucket %d) wheel=%d run=%d heap=%d",
+			e.flushed, bucketOf(e.Now()), e.wheelCount, len(e.run)-e.runHead, len(e.queue))
+	}
+	e.RunAll()
+	if e.Fired() != 3 || e.Pending() != 0 {
+		t.Fatalf("fired=%d pending=%d, want 3/0", e.Fired(), e.Pending())
+	}
+}
+
 // TestAtInstantEndRunsAfterInstant checks the callback fires after every
 // event at the current instant — including events those events schedule
 // at the same time — and before the clock advances.

@@ -11,18 +11,22 @@
 // # Scheduler
 //
 // The engine is a two-tier scheduler. Short-horizon events — per-hop
-// packet departures, the transport's 250 µs RTOs, anything within the
-// next ~4 ms of virtual time — land in a timer wheel of fixed-width
-// buckets: O(1) insert and O(1) cancel. Canceling a wheel event
-// tombstones its entry in place and gives its handle back at once, and
-// a block of entries that are all tombstones goes back to the pool, so
-// an RTO that is armed and canceled on every packet never touches the
-// heap and holds no memory past its ack. Far or irregular events go
-// straight into a binary heap. Queues hold events by value, and buckets
-// are flushed strictly in time order before any event they could
-// precede is popped, so the dispatch order — (time, then scheduling
-// sequence) — is byte-identical to a plain heap; SchedulerHeap disables
-// the wheel for differential tests only.
+// packet departures, anything within the next ~4 ms of virtual time —
+// land in a timer wheel of fixed-width buckets: O(1) insert and O(1)
+// cancel. Canceling a wheel event tombstones its entry in place and
+// gives its handle back at once, and a block of entries that are all
+// tombstones goes back to the pool. Far or irregular events go straight
+// into a binary heap. Queues hold events by value, and buckets are
+// flushed strictly in time order, and no further than the first
+// occupied one, before any event they could precede is popped, so the
+// dispatch order — (time, then scheduling sequence) — is byte-identical
+// to a plain heap; SchedulerHeap disables the wheel for differential
+// tests only.
+//
+// A timer that moves often, such as a connection's retransmission
+// timer tracking its earliest armed RTO, is a Deadline: one heap entry
+// however often it moves, keyed by a sequence number taken with
+// Reserve, so it fires exactly where a per-packet event would have.
 //
 // Post needs no cancel handle. The *Event handles At, After and AfterArg
 // return are recycled through a per-engine free list (safe because the
@@ -98,10 +102,9 @@ func DefaultSchedulerMode() SchedulerMode { return SchedulerWheel }
 // horizon. The bucket is deliberately finer than a packet's
 // serialization time (655 ns for 4 KiB at 50 Gbps), so back-to-back
 // hop departures land in *future* buckets and take the O(1) wheel path
-// instead of crowding the current one; the span reaches past both the
-// transport's 250 µs RTO and the drain time of a full switch queue
-// (16 MiB at 50 Gbps ≈ 2.6 ms), the two timer populations the fabric
-// actually produces. 64 KiB of slot pointers per engine.
+// instead of crowding the current one; the span reaches past the drain
+// time of a full switch queue (16 MiB at 50 Gbps ≈ 2.6 ms) and a 250 µs
+// RTO armed with After. 64 KiB of slot pointers per engine.
 const (
 	bucketBits = 9 // 512 ns per bucket
 	bucketNs   = 1 << bucketBits
@@ -152,7 +155,8 @@ func (e *Event) Cancel() {
 func (e *Event) Canceled() bool { return e.canceled }
 
 // entry is one queued event, held by value in the wheel blocks, the run
-// and the heap. ev is its cancel handle, nil for Post.
+// and the heap. ev is its cancel handle, nil for Post. A heap entry with
+// fn nil is a Deadline's: arg is the *Deadline, which holds the callback.
 type entry struct {
 	when Time
 	seq  uint64
@@ -297,9 +301,10 @@ func (e *Engine) Tracer() *trace.Tracer { return e.tracer }
 func (e *Engine) Fired() uint64 { return e.fired }
 
 // Pending reports how many events are queued: live ones, canceled run
-// and heap entries not yet reaped, and the tombstones of wheel blocks
-// that still hold a live entry. A block's tombstones stop counting when
-// its last live entry is canceled.
+// and heap entries not yet reaped, the tombstones of wheel blocks that
+// still hold a live entry, and deadline entries, stale or stopped ones
+// included until they reach the heap top. A block's tombstones stop
+// counting when its last live entry is canceled.
 func (e *Engine) Pending() int { return len(e.queue) + e.wheelCount + len(e.run) - e.runHead }
 
 // EngineSnapshot is an engine's externally observable state at a
@@ -489,9 +494,14 @@ func (e *Engine) pop() {
 	q := e.queue
 	n := len(q) - 1
 	q[0], q[n] = q[n], entry{}
-	q = q[:n]
-	e.queue = q
-	for i := 0; 2*i+1 < n; {
+	e.queue = q[:n]
+	e.down(0)
+}
+
+// down restores the heap order below position i.
+func (e *Engine) down(i int) {
+	q := e.queue
+	for n := len(q); 2*i+1 < n; {
 		m := 2*i + 1
 		if m+1 < n && q[m+1].before(&q[m]) {
 			m++
@@ -531,7 +541,7 @@ func (e *Engine) After(d Duration, fn func()) *Event {
 }
 
 // AfterArg schedules fn(arg) to run d from now and returns its cancel
-// handle: the closure-free form of After, for timers like the RTO.
+// handle: the closure-free form of After.
 func (e *Engine) AfterArg(d Duration, fn func(any), arg any) *Event {
 	t := e.now.Add(d)
 	ev := e.handle(t)
@@ -539,23 +549,115 @@ func (e *Engine) AfterArg(d Duration, fn func(any), arg any) *Event {
 	return ev
 }
 
-// flushBucketsTo drains wheel buckets (flushed, target] into the sorted
-// run.
-func (e *Engine) flushBucketsTo(target uint64) {
-	limit := min(target, e.flushed+wheelSlots)
-	if e.runHead > 0 {
-		// Compact the consumed prefix so the run never grows unboundedly.
-		e.run = e.run[:copy(e.run, e.run[e.runHead:])]
-		e.runHead = 0
+// Deadline is a caller-owned timer that holds at most one entry in the
+// engine's queue however often it moves: the shape of a connection's
+// retransmission timer, which always tracks the earliest of its armed
+// RTOs. SetDeadline arms it at (when, seq) with seq from Reserve, so it
+// fires exactly where an event scheduled with that seq would. Its entry
+// lives in the heap and is settled lazily when it reaches the top: a
+// deadline moved later is re-keyed there and sifted down (not a
+// dispatch, so Fired does not count it), a stopped one's is dropped,
+// and an entry superseded by a move earlier is recognised by its key
+// and dropped. So moving a deadline later, the common case, is a few
+// field writes.
+// The zero Deadline is stopped; Init gives it its callback. A Deadline
+// must not be copied once armed, and, like an Event, belongs to one
+// engine's goroutine.
+type Deadline struct {
+	fn   func(any)
+	arg  any
+	when Time
+	seq  uint64
+	set  bool // armed at (when, seq)
+	// queued reports that the heap holds the entry keyed (qwhen, qseq)
+	// that speaks for this deadline; any other entry naming it is stale.
+	queued bool
+	qwhen  Time
+	qseq   uint64
+}
+
+// Init sets the callback the deadline runs, fn(arg), when it fires.
+func (d *Deadline) Init(fn func(any), arg any) { d.fn, d.arg = fn, arg }
+
+// Stop disarms the deadline. Its queued entry is dropped when it
+// reaches the heap top; a SetDeadline before then reuses it.
+func (d *Deadline) Stop() { d.set = false }
+
+// Reserve takes the next scheduling sequence number without queueing
+// anything, as the key for a SetDeadline: the seq an At or AfterArg at
+// this point would take, so every other event keeps its own.
+func (e *Engine) Reserve() uint64 {
+	s := e.seq
+	e.seq++
+	return s
+}
+
+// SetDeadline arms d to fire at (when, seq), where seq came from
+// Reserve, replacing any earlier arming. A key no earlier than the
+// queued entry's only rewrites d; an earlier one queues a new entry.
+// Scheduling in the past panics, as for Post.
+func (e *Engine) SetDeadline(d *Deadline, when Time, seq uint64) {
+	if when < e.now {
+		panic(fmt.Sprintf("sim: deadline at %v before now %v", when, e.now))
 	}
+	d.when, d.seq, d.set = when, seq, true
+	if d.queued && (when > d.qwhen || when == d.qwhen && seq >= d.qseq) {
+		return
+	}
+	// Straight into the heap, never through schedule: the wheel's
+	// counting sort and the run's insert both assume a new entry's seq
+	// is the largest queued, and a reserved one need not be.
+	d.queued, d.qwhen, d.qseq = true, when, seq
+	e.queue = append(e.queue, entry{when: when, seq: seq, arg: d})
+	e.up(len(e.queue) - 1)
+}
+
+// settleDeadline resolves the deadline entry at the heap top (fn nil,
+// arg its *Deadline) and reports whether it is live at its key. A stale
+// entry or a stopped deadline's is dropped, and a deadline moved later
+// is re-keyed in place; either way the heap changed and the caller
+// looks again.
+func (e *Engine) settleDeadline() bool {
+	top := &e.queue[0]
+	d := top.arg.(*Deadline)
+	switch {
+	case !d.queued || top.when != d.qwhen || top.seq != d.qseq:
+		e.pop()
+	case !d.set:
+		d.queued = false
+		e.pop()
+	case top.when == d.when && top.seq == d.seq:
+		return true
+	default:
+		top.when, top.seq = d.when, d.seq
+		d.qwhen, d.qseq = d.when, d.seq
+		e.down(0)
+	}
+	return false
+}
+
+// flushFirst drains the first occupied wheel bucket in (flushed, limit]
+// into the sorted run and moves flushed up to it, reporting whether
+// there was one. It never moves flushed past an occupied bucket: a
+// watermark ahead of the clock would send every event scheduled before
+// it to a run insert or the heap instead of the wheel.
+func (e *Engine) flushFirst(limit uint64) bool {
+	limit = min(limit, e.flushed+wheelSlots)
 	for b := e.flushed + 1; b <= limit; b++ {
 		slot := b & wheelMask
 		if head := e.wheel[slot]; head != nil {
+			if e.runHead > 0 {
+				// Compact the consumed prefix so the run never grows unboundedly.
+				e.run = e.run[:copy(e.run, e.run[e.runHead:])]
+				e.runHead = 0
+			}
 			e.wheel[slot] = nil
 			e.flushBucket(head)
+			e.flushed = b
+			return true
 		}
 	}
-	e.flushed = limit
+	return false
 }
 
 // flushBucket appends one bucket's live entries to the run in (when,
@@ -669,6 +771,9 @@ func (e *Engine) peek() *entry {
 				continue
 			}
 			if c == nil || top.before(c) {
+				if top.fn == nil && !e.settleDeadline() {
+					continue
+				}
 				c = top
 			}
 		}
@@ -679,32 +784,22 @@ func (e *Engine) peek() *entry {
 				}
 				return nil
 			}
-			// Flush only up to the first occupied bucket: draining the
-			// whole window would fast-forward flushed so far that every
-			// event scheduled next falls behind it and bypasses the wheel.
-			b := e.flushed + 1
-			for e.wheel[b&wheelMask] == nil {
-				b++
-			}
-			e.flushBucketsTo(b)
+			e.flushFirst(e.flushed + wheelSlots)
 			continue
 		}
-		cb := bucketOf(c.when)
-		if cb <= e.flushed {
-			if e.stepInstantEnd(c) {
+		if cb := bucketOf(c.when); cb > e.flushed {
+			// Only a heap candidate lies past the watermark. Flush the
+			// first occupied bucket up to it, if any, and look again;
+			// otherwise nothing in the wheel can precede it.
+			if e.wheelCount > 0 && e.flushFirst(cb) {
 				continue
 			}
-			return c
-		}
-		if e.wheelCount == 0 {
-			// Nothing in the wheel can precede the candidate.
 			e.flushed = cb
-			if e.stepInstantEnd(c) {
-				continue
-			}
-			return c
 		}
-		e.flushBucketsTo(cb)
+		if e.stepInstantEnd(c) {
+			continue
+		}
+		return c
 	}
 }
 
@@ -751,6 +846,11 @@ func (e *Engine) dispatch(x *entry) {
 		}
 	} else {
 		e.pop()
+		if fn == nil {
+			d := arg.(*Deadline)
+			d.set, d.queued = false, false
+			fn, arg = d.fn, d.arg
+		}
 	}
 	e.fire(when, fn, arg, ev)
 }

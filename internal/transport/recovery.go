@@ -90,19 +90,68 @@ func (c *Conn) Reconnect() {
 	c.pump()
 }
 
-// detachRTO cancels and drops the packet's pending RTO. It runs on the
-// source endpoint's engine (c.eng), the one that armed the timer, as
-// Cancel requires. A canceled RTO still in the wheel releases its
-// reference to the outstanding record and its handle at once; one
-// already flushed never fires and is reaped at the queue head. Either
-// way recycling the record is safe. Dropping the handle is required:
-// the engine may hand it to the very next timer it arms, and a second
-// Cancel through a stale o.rto would cancel that timer instead.
-func (c *Conn) detachRTO(o *outstanding) {
-	if o.rto != nil {
-		o.rto.Cancel()
-		o.rto = nil
+// arm arms o's RTO to fire after d. Its key is (now+d, a seq from
+// Reserve): the seq a per-packet timer event would take here, so every
+// other event keeps its own. The record is filed in the armed list,
+// which stays sorted by (deadline, rtoSeq), the order per-packet timers
+// would fire in. o holds the newest rtoSeq, so the scan back from the
+// tail stops at the first record due no later than o; with a fixed RTO
+// that is the tail itself, and only a backed-off or jittered retransmit
+// walks back. A new head moves the deadline to it.
+func (c *Conn) arm(o *outstanding, d sim.Duration) {
+	o.deadline, o.rtoSeq = c.eng.Now().Add(d), c.eng.Reserve()
+	at := c.armTail
+	for at != nil && at.deadline > o.deadline {
+		at = at.prev
 	}
+	o.prev = at
+	if at == nil {
+		o.next, c.armHead = c.armHead, o
+		c.eng.SetDeadline(&c.rto, o.deadline, o.rtoSeq)
+	} else {
+		o.next, at.next = at.next, o
+	}
+	if o.next == nil {
+		c.armTail = o
+	} else {
+		o.next.prev = o
+	}
+}
+
+// detachRTO unlinks the packet's RTO from the armed list, if it is
+// armed. Unlinking the head points the deadline at the new head, due no
+// earlier, which only rewrites the deadline's fields; emptying the list
+// stops it. Nothing of the packet's stays in the engine, so recycling
+// the record is safe at once.
+func (c *Conn) detachRTO(o *outstanding) {
+	switch {
+	case o.prev != nil:
+		o.prev.next = o.next
+	case c.armHead == o:
+		c.armHead = o.next
+		if h := o.next; h != nil {
+			c.eng.SetDeadline(&c.rto, h.deadline, h.rtoSeq)
+		} else {
+			c.rto.Stop()
+		}
+	default:
+		return // not armed
+	}
+	if o.next == nil {
+		c.armTail = o.prev
+	} else {
+		o.next.prev = o.prev
+	}
+	o.next, o.prev = nil, nil
+}
+
+// fireRTO is the deadline's callback: the armed list's head is the RTO
+// due now.
+func fireRTO(a any) {
+	c := a.(*Conn)
+	o := c.armHead
+	c.detachRTO(o)
+	c.timeout(o)
 }
 
 // rtoInterval is the timeout for the packet's next (re)transmission:

@@ -2,6 +2,7 @@ package transport
 
 import (
 	"errors"
+	"slices"
 	"testing"
 	"time"
 
@@ -145,22 +146,97 @@ func TestFailNilPanics(t *testing.T) {
 	c.Fail(nil)
 }
 
-// TestCloseDuringPendingRTOIsInert is the regression test for the
-// free-list aliasing hazard: Close used to return outstanding records
-// to the pool while their lazily-canceled RTO events still referenced
-// them. A canceled RTO never fires, so the drained events are inert.
-func TestCloseDuringPendingRTOIsInert(t *testing.T) {
-	r := newRig(t, 9, smallCfg(), Config{})
-	blackhole(t, r)
-	c, _ := Connect(r.eps[0], r.eps[4], 1, multipath.OBS, 8)
-	c.Send(256<<10, nil)
-	r.eng.Run(sim.Time(100 * time.Microsecond)) // in flight, RTOs armed
-	if c.Outstanding() == 0 {
-		t.Fatal("expected in-flight packets before Close")
+// armedSeqs walks c's armed list from the head, checking its back links
+// and its (deadline, rtoSeq) order, and returns the packet seqs in it.
+func armedSeqs(t *testing.T, c *Conn) []uint64 {
+	t.Helper()
+	var seqs []uint64
+	var prev *outstanding
+	for o := c.armHead; o != nil; prev, o = o, o.next {
+		if o.prev != prev {
+			t.Fatalf("seq %d: back link does not name its predecessor", o.seq)
+		}
+		if prev != nil && (o.deadline < prev.deadline || o.deadline == prev.deadline && o.rtoSeq < prev.rtoSeq) {
+			t.Fatalf("seq %d filed after seq %d, which is due later", o.seq, prev.seq)
+		}
+		seqs = append(seqs, o.seq)
 	}
-	c.Close()
-	r.eng.RunAll() // pending RTO events must drain without firing
-	if c.Retransmits != 0 {
-		t.Errorf("Retransmits = %d after Close; canceled RTO fired", c.Retransmits)
+	if c.armTail != prev {
+		t.Fatal("armTail is not the list's last record")
+	}
+	return seqs
+}
+
+// TestCloseAndFailDisarm: Close and a failure each detach every armed
+// RTO and stop the connection's deadline, so no RTO fires afterwards
+// on a record the connection has recycled or quiesced.
+func TestCloseAndFailDisarm(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		stop func(*Conn)
+	}{
+		{"close", (*Conn).Close},
+		{"fail", func(c *Conn) { c.Fail(errors.New("qp flushed")) }},
+	} {
+		r := newRig(t, 9, smallCfg(), Config{})
+		blackhole(t, r)
+		c, _ := Connect(r.eps[0], r.eps[4], 1, multipath.OBS, 8)
+		c.Send(256<<10, nil)
+		r.eng.Run(sim.Time(100 * time.Microsecond))
+		if len(armedSeqs(t, c)) == 0 {
+			t.Fatalf("%s: no RTO armed before teardown", tc.name)
+		}
+		tc.stop(c)
+		if n := len(armedSeqs(t, c)); n != 0 {
+			t.Errorf("%s: %d RTOs still armed", tc.name, n)
+		}
+		// A deadline left armed would run this instead of fireRTO.
+		fired := 0
+		c.rto.Init(func(any) { fired++ }, nil)
+		r.eng.RunAll()
+		if fired != 0 || c.Retransmits != 0 || r.eng.Pending() != 0 {
+			t.Errorf("%s: deadline fired %d times, Retransmits=%d, Pending=%d after drain; want 0/0/0",
+				tc.name, fired, c.Retransmits, r.eng.Pending())
+		}
+	}
+}
+
+// TestBackedOffRTOFiresInDeadlineOrder: with every packet dropped and a
+// 3x backoff, packet 0's retransmit is due at 400 µs, behind packets 1
+// and 2 first sent later. Packet 2, sent after that retransmit, walks
+// back past it in the armed list. Each RTO must still fire at its own
+// deadline, in (deadline, seq) order.
+func TestBackedOffRTOFiresInDeadlineOrder(t *testing.T) {
+	const us = sim.Time(time.Microsecond)
+	r := newRig(t, 2, smallCfg(), Config{
+		RTO: 100 * time.Microsecond, RTOBackoff: 3, RTOMax: 10 * time.Millisecond,
+	})
+	faultSegment(t, r.f, 0, fabric.Fault{DropProb: 1})
+	c, _ := Connect(r.eps[0], r.eps[4], 1, multipath.OBS, 8)
+	c.Send(1024, nil)
+	r.eng.At(50*us, func() { c.Send(1024, nil) })
+	r.eng.At(120*us, func() {
+		c.Send(1024, nil)
+		if got, want := armedSeqs(t, c), []uint64{1, 2, 0}; !slices.Equal(got, want) {
+			t.Errorf("armed list at 120µs = %v, want %v", got, want)
+		}
+	})
+	type firing struct {
+		at  sim.Time
+		seq uint64
+	}
+	var got []firing
+	retries := map[uint64]uint32{}
+	for len(got) < 6 && r.eng.Step() {
+		c.unacked.each(func(o *outstanding) {
+			if o.retries != retries[o.seq] {
+				retries[o.seq] = o.retries
+				got = append(got, firing{r.eng.Now(), o.seq})
+			}
+		})
+	}
+	want := []firing{{100 * us, 0}, {150 * us, 1}, {220 * us, 2}, {400 * us, 0}, {450 * us, 1}, {520 * us, 2}}
+	if !slices.Equal(got, want) {
+		t.Errorf("RTO firings (time, seq) = %v, want %v", got, want)
 	}
 }

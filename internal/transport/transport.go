@@ -236,6 +236,12 @@ type Conn struct {
 	failCB func(error) // failure observer
 	rtoRNG *sim.RNG    // per-flow backoff-jitter stream
 
+	// The retransmission timer (see recovery.go): the armed RTOs, in
+	// (deadline, rtoSeq) order from armHead to armTail, and the one
+	// engine deadline, which tracks the head.
+	armHead, armTail *outstanding
+	rto              sim.Deadline
+
 	// Stats.
 	BytesAcked  uint64
 	Retransmits uint64
@@ -257,7 +263,6 @@ type Conn struct {
 
 	freeOut *outstanding // recycled outstanding records
 	freeMsg *message     // recycled message records
-	rtoFn   func(any)    // pre-bound timeout dispatcher: no closure per packet
 }
 
 // ccCtx is one congestion-control context: a window and the bytes in
@@ -274,10 +279,15 @@ type outstanding struct {
 	epoch   uint32 // transmit epoch: bumped on every retransmission
 	retries uint32 // RTO firings for this packet; reset by Reconnect
 	sentAt  sim.Time
-	rto     *sim.Event
-	msg     *message
-	span    trace.ID     // packet lifecycle span (zero when untraced)
-	next    *outstanding // free-list link
+	// deadline and rtoSeq key the armed RTO: when it is due, and the
+	// engine sequence number Reserve gave it at transmit.
+	deadline sim.Time
+	rtoSeq   uint64
+	msg      *message
+	span     trace.ID // packet lifecycle span (zero when untraced)
+	// next links the free list, or the armed list while the RTO is
+	// armed (a record is never both); prev is the armed list's back link.
+	next, prev *outstanding
 }
 
 type message struct {
@@ -397,7 +407,7 @@ func ConnectWithSelector(src, dst *Endpoint, flow uint64, sel multipath.Selector
 		// the selector's (flow*2+1) without perturbing either.
 		rtoRNG: src.eng.RNG().Fork(flow*2 + 0x52544f),
 	}
-	c.rtoFn = func(a any) { c.timeout(a.(*outstanding)) }
+	c.rto.Init(fireRTO, c)
 	if cs, ok := c.sel.(multipath.ClockedSelector); ok {
 		cs.SetClock(func() sim.Time { return src.eng.Now() })
 	}
@@ -570,8 +580,7 @@ func (c *Conn) charge(path int, size uint64)  { c.ctx(path).inflight += size }
 func (c *Conn) release(path int, size uint64) { c.ctx(path).inflight -= size }
 
 // allocOutstanding recycles per-packet send records; with the fabric's
-// packet pool and the engine's event pool this makes the steady-state
-// data path allocation-free.
+// packet pool this makes the steady-state data path allocation-free.
 func (c *Conn) allocOutstanding() *outstanding {
 	o := c.freeOut
 	if o == nil {
@@ -610,19 +619,12 @@ func (c *Conn) transmit(o *outstanding) {
 	if err := c.src.f.Send(p); err != nil {
 		panic(err)
 	}
-	o.rto = c.eng.AfterArg(c.rtoInterval(o), c.rtoFn, o)
+	c.arm(o, c.rtoInterval(o))
 }
 
 // timeout retransmits on a different path — "a short RTO to retransmit
 // lost packets on a different path for instant recovery" (§7.2).
 func (c *Conn) timeout(o *outstanding) {
-	if c.unacked.get(o.seq) == nil {
-		return
-	}
-	// The event just fired and will be recycled by the engine; drop the
-	// reference before anything below (fail, Close from a callback)
-	// walks unacked detaching timers.
-	o.rto = nil
 	o.retries++
 	if uint64(o.retries) > c.MaxRetries {
 		c.MaxRetries = uint64(o.retries)
@@ -838,10 +840,8 @@ func (c *Conn) PeerReceivedBytes() uint64 {
 }
 
 // Close tears down a flow on both ends. Every pending RTO is detached
-// before its outstanding record goes back to the free list: the cancel
-// keeps the timer from firing on a record the connection may reuse, and
-// dropping o.rto keeps a later detach from canceling whichever timer
-// the engine hands the recycled handle to next.
+// before its outstanding record goes back to the free list, which
+// reuses the armed list's link; the last detach stops the deadline.
 func (c *Conn) Close() {
 	c.unacked.each(func(o *outstanding) {
 		c.detachRTO(o)

@@ -364,7 +364,7 @@ func TestOutOfOrderMessageCompletionTime(t *testing.T) {
 	for seq, m := range []*message{m1, m2} {
 		o := c.allocOutstanding()
 		o.seq, o.size, o.msg = uint64(seq), 4096, m
-		o.rto = c.eng.After(c.cfg.RTO, func() {})
+		c.arm(o, c.cfg.RTO)
 		c.unacked.put(uint64(seq), o)
 		c.charge(o.path, o.size)
 	}
