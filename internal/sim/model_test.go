@@ -39,8 +39,8 @@ func (m *refQueue) Now() Time { return m.now }
 func (m *refQueue) Post(t Time, fn func(any), arg any) { m.add(t, fn, arg, nil) }
 
 func (m *refQueue) AfterArg(d Duration, fn func(any), arg any) *Event {
-	ev := &Event{when: m.now.Add(d)}
-	m.add(ev.when, fn, arg, ev)
+	ev := &Event{}
+	m.add(m.now.Add(d), fn, arg, ev)
 	return ev
 }
 
@@ -70,12 +70,12 @@ func (m *refQueue) RunAll() Time {
 }
 
 // engineQ adapts an Engine to queueAPI and tallies, from the engine's
-// internals, which queue paths the workload reached. parked maps each
-// handle a wheel cancel gave back to the bucket its tombstone sits in.
+// internals, which queue paths the workload reached. due maps each
+// handle AfterArg gave out to its event's time.
 type engineQ struct {
 	*Engine
-	tally  map[string]int
-	parked map[*Event]uint64
+	tally map[string]int
+	due   map[*Event]Time
 }
 
 func (q engineQ) Post(t Time, fn func(any), arg any) {
@@ -84,42 +84,48 @@ func (q engineQ) Post(t Time, fn func(any), arg any) {
 }
 
 func (q engineQ) AfterArg(d Duration, fn func(any), arg any) *Event {
-	q.classify(q.Now().Add(d))
+	t := q.Now().Add(d)
+	q.classify(t)
 	ev := q.Engine.AfterArg(d, fn, arg)
-	if b, ok := q.parked[ev]; ok {
-		if b > q.flushed {
-			q.tally["handle reused before its bucket flushed"]++
-		}
-		delete(q.parked, ev)
-	}
+	q.due[ev] = t
 	return ev
 }
 
+// Cancel tallies where the canceled entry sits. One still in the wheel
+// stays there and is flushed with its bucket, so a cancel in a chain of
+// 3+ blocks sends it through the counting sort.
 func (q engineQ) Cancel(ev *Event) {
-	if bucketOf(ev.when) <= q.flushed {
+	b := bucketOf(q.due[ev])
+	if b <= q.flushed {
 		q.tally["cancel after flush"]++
 	} else {
 		q.tally["cancel before flush"]++
 	}
-	if ev.wheel {
-		b := (*block)(ev.link)
-		switch {
-		case b.live > 1:
-			chain := 0
-			for c := q.wheel[bucketOf(ev.when)&wheelMask]; c != nil; c = c.next {
-				chain++
-			}
-			if chain >= 3 {
-				q.tally["tombstone in a 3+ block chain"]++
-			}
-		case b.n == blockLen:
-			q.tally["cancel empties a full block"]++
-		case b.prev == nil:
-			q.tally["cancel empties the chain head being filled"]++
-		}
-		q.parked[ev] = bucketOf(ev.when)
+	if head := q.wheel[b&wheelMask]; chainHolds(head, ev) && chainLen(head) >= 3 {
+		q.tally["canceled entry flushed through a 3+ block chain"]++
 	}
 	ev.Cancel()
+}
+
+// chainLen counts the blocks of a wheel bucket's chain.
+func chainLen(head *block) int {
+	n := 0
+	for b := head; b != nil; b = b.next {
+		n++
+	}
+	return n
+}
+
+// chainHolds reports whether a wheel bucket's chain holds ev's entry.
+func chainHolds(head *block, ev *Event) bool {
+	for b := head; b != nil; b = b.next {
+		for i := range b.ents[:b.n] {
+			if b.ents[i].ev == ev {
+				return true
+			}
+		}
+	}
+	return false
 }
 
 // classify names the tier an event at t is about to enter.
@@ -137,11 +143,7 @@ func (q engineQ) classify(t Time) {
 	case b > e.flushed+wheelSlots:
 		q.tally["far"]++
 	default:
-		chain := 0
-		for blk := e.wheel[b&wheelMask]; blk != nil; blk = blk.next {
-			chain++
-		}
-		if chain >= 3 {
+		if chainLen(e.wheel[b&wheelMask]) >= 3 {
 			q.tally["bucket of 3+ blocks"]++
 		}
 	}
@@ -167,10 +169,9 @@ type modelRec struct {
 // it is dense), dense bursts into one future bucket, RTO-like timers,
 // events beyond the wheel, and cancels of armed events before and after
 // their bucket flushes. An RTO wave arms a multi-block chain of timers
-// in one future bucket and cancels all of them (every block, the
-// chain head being filled included, empties and leaves its chain) or
-// most of them (tombstones that the counting sort must skip), in random
-// order, so handles come back while their old bucket is still pending.
+// in one future bucket and cancels all or most of them, in random
+// order: canceled entries that the flush's counting sort carries into
+// the run, where they are reaped at the head.
 func modelWorkload(q queueAPI, seed uint64) []firing {
 	r := NewRNG(seed)
 	var log []firing
@@ -279,7 +280,7 @@ func TestQueueMatchesReferenceModel(t *testing.T) {
 			t.Fatalf("seed %d: model fired only %d events", seed, len(want))
 		}
 		for _, mode := range []SchedulerMode{SchedulerWheel, SchedulerHeap} {
-			q := engineQ{NewEngineMode(1, mode), map[string]int{}, map[*Event]uint64{}}
+			q := engineQ{NewEngineMode(1, mode), map[string]int{}, map[*Event]Time{}}
 			got := modelWorkload(q, seed)
 			if len(got) != len(want) {
 				t.Fatalf("seed %d mode %d: fired %d events, model %d", seed, mode, len(got), len(want))
@@ -297,8 +298,7 @@ func TestQueueMatchesReferenceModel(t *testing.T) {
 			}
 			for _, path := range []string{"run overflow to heap", "far", "bucket of 3+ blocks",
 				"cancel before flush", "cancel after flush",
-				"cancel empties a full block", "cancel empties the chain head being filled",
-				"tombstone in a 3+ block chain", "handle reused before its bucket flushed"} {
+				"canceled entry flushed through a 3+ block chain"} {
 				if q.tally[path] == 0 {
 					t.Errorf("seed %d: workload never reached %q (tally %v)", seed, path, q.tally)
 				}

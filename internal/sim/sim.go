@@ -12,29 +12,28 @@
 //
 // The engine is a two-tier scheduler. Short-horizon events — per-hop
 // packet departures, anything within the next ~4 ms of virtual time —
-// land in a timer wheel of fixed-width buckets: O(1) insert and O(1)
-// cancel. Canceling a wheel event tombstones its entry in place and
-// gives its handle back at once, and a block of entries that are all
-// tombstones goes back to the pool. Far or irregular events go straight
-// into a binary heap. Queues hold events by value, and buckets are
-// flushed strictly in time order, and no further than the first
-// occupied one, before any event they could precede is popped, so the
-// dispatch order — (time, then scheduling sequence) — is byte-identical
-// to a plain heap; SchedulerHeap disables the wheel for differential
-// tests only.
+// land in a timer wheel of fixed-width buckets: O(1) insert. Far or
+// irregular events go straight into a binary heap. Queues hold events
+// by value, and buckets are flushed strictly in time order, and no
+// further than the first occupied one, before any event they could
+// precede is popped, so the dispatch order — (time, then scheduling
+// sequence) — is byte-identical to a plain heap; SchedulerHeap disables
+// the wheel for differential tests only.
 //
 // A timer that moves often, such as a connection's retransmission
 // timer tracking its earliest armed RTO, is a Deadline: one heap entry
 // however often it moves, keyed by a sequence number taken with
 // Reserve, so it fires exactly where a per-packet event would have.
 //
-// Post needs no cancel handle. The *Event handles At, After and AfterArg
-// return are recycled through a per-engine free list (safe because the
-// engine is single-threaded) as soon as the event fires or, in the
-// wheel, is canceled. So an *Event must not be retained after its
-// callback has run or after Cancel: calling Cancel again is harmless
-// only until the engine reuses the handle, which may be the very next
-// At, After or AfterArg.
+// Post, At and After hand out nothing; AfterArg alone returns a cancel
+// handle. Cancel only sets a flag: the entry stays where it was queued,
+// wheel, run or heap, and is dropped when it reaches the head of the
+// run or the heap. Its handle is recycled through a per-engine free list
+// (safe because the engine is single-threaded) when the event fires or
+// that dropped entry is reaped. So an *Event must not be retained after
+// its callback has run or after Cancel: calling Cancel again is harmless
+// only until the engine reuses the handle, which may be the next
+// AfterArg.
 package sim
 
 import (
@@ -86,7 +85,7 @@ type SchedulerMode int
 
 const (
 	// SchedulerWheel is the two-tier scheduler: a timer wheel for
-	// short-horizon, cancel-heavy events over a heap for the rest.
+	// short-horizon events over a heap for the rest.
 	SchedulerWheel SchedulerMode = iota
 	// SchedulerHeap uses the binary heap alone — the reference
 	// implementation the wheel must match event-for-event.
@@ -104,7 +103,7 @@ func DefaultSchedulerMode() SchedulerMode { return SchedulerWheel }
 // hop departures land in *future* buckets and take the O(1) wheel path
 // instead of crowding the current one; the span reaches past the drain
 // time of a full switch queue (16 MiB at 50 Gbps ≈ 2.6 ms) and a 250 µs
-// RTO armed with After. 64 KiB of slot pointers per engine.
+// RTO armed with AfterArg. 64 KiB of slot pointers per engine.
 const (
 	bucketBits = 9 // 512 ns per bucket
 	bucketNs   = 1 << bucketBits
@@ -115,48 +114,30 @@ const (
 // bucketOf maps a virtual time to its absolute wheel bucket.
 func bucketOf(t Time) uint64 { return uint64(t) >> bucketBits }
 
-// Event is the cancel handle of an event scheduled with At, After or
-// AfterArg. The callback lives in the queued entry; the queue reads the
-// handle only for cancelable events. While the event sits in the wheel,
-// link points at its block and slot is its entry's index there; while
-// the handle is free, link is the free-list successor. A handle in the
-// run or the heap, or one that fired, has wheel false and is reaped by
-// its canceled flag. Keeping one link for both roles holds the handle
-// at 24 bytes.
+// Event is the cancel handle of an event scheduled with AfterArg. The
+// callback lives in the queued entry; the queue reads the handle only
+// at the run or heap head, where a canceled entry is reaped. next links
+// the engine's free list while the handle is unused.
 type Event struct {
-	when     Time
-	slot     uint8
-	wheel    bool // link is the block holding the entry
 	canceled bool
-	link     unsafe.Pointer // *block while wheel, else *Event free-list link
+	next     *Event
 }
 
-// Cancel prevents the event from firing. An event still in the wheel
-// gives its memory back at once: its entry becomes a tombstone, its
-// handle returns to the free list (the next At, After or AfterArg may
-// hand it out again) and a block left with only tombstones returns to
-// the block pool. An event already flushed to the run or the heap is
-// flagged and reaped when it reaches the head. Cancel writes the engine
-// that armed the event, so it must run on that engine's goroutine: from
-// one of its callbacks, or while it is not running. Safe to call again
-// until the handle is reused; on an event that already fired it is a
-// no-op, but only until the engine recycles the handle — do not retain
-// event pointers past their firing time or their cancel.
-func (e *Event) Cancel() {
-	e.canceled = true
-	if e.wheel {
-		b := (*block)(e.link)
-		b.eng.tombstone(b, e)
-	}
-}
-
-// Canceled reports whether Cancel was called. It stays truthful until
-// the engine reuses the handle.
-func (e *Event) Canceled() bool { return e.canceled }
+// Cancel prevents the event from firing. It only sets a flag: the entry
+// stays queued, in the wheel, the run or the heap, and it and its handle
+// are released when it reaches the run or heap head, at the latest when
+// its time comes. Cancel writes memory the engine reads, so it must run
+// on that engine's goroutine: from one of its callbacks, or while it is
+// not running. Safe to call again until the handle is reused; on an
+// event that already fired it is a no-op, but only until the engine
+// recycles the handle — do not retain event pointers past their firing
+// time or their cancel.
+func (e *Event) Cancel() { e.canceled = true }
 
 // entry is one queued event, held by value in the wheel blocks, the run
-// and the heap. ev is its cancel handle, nil for Post. A heap entry with
-// fn nil is a Deadline's: arg is the *Deadline, which holds the callback.
+// and the heap. ev is its cancel handle, nil unless it came from
+// AfterArg. A heap entry with fn nil is a Deadline's: arg is the
+// *Deadline, which holds the callback.
 type entry struct {
 	when Time
 	seq  uint64
@@ -174,8 +155,8 @@ func (x *entry) before(y *entry) bool {
 	return x.seq < y.seq
 }
 
-// dead reports whether a run or heap entry was canceled; a Post has no
-// handle to load. Wheel entries are tombstoned at Cancel instead.
+// dead reports whether an entry was canceled; one without a handle has
+// nothing to load.
 func (x *entry) dead() bool { return x.ev != nil && x.ev.canceled }
 
 // argData returns the data word of the interface *a, nil when *a is nil.
@@ -198,19 +179,15 @@ const prefetchAhead = 4
 // enough that a dense one is a short chain of contiguous entries.
 const blockLen = 16
 
-// block is one link of a wheel bucket's chain, newest first (prev is
-// the newer neighbour, nil at the head); its entries are in scheduling
-// order. A canceled entry stays in its slot as a tombstone (fn, arg and
-// ev nil, when kept), so positions never move; live counts the rest,
-// and a block whose live count drops to zero leaves its chain at once.
-// Blocks freed by a flush keep their stale entries until reused
-// (zeroing costs the single-event path ~10%), pinning at most the
+// block is one link of a wheel bucket's chain, newest first; its
+// entries are in scheduling order, canceled ones included until the
+// bucket flushes. Blocks freed by a flush keep their stale entries until
+// reused (zeroing costs the single-event path ~10%), pinning at most the
 // engine's peak bucket population of spent callbacks and args.
 type block struct {
-	n, live    int32
-	next, prev *block
-	eng        *Engine
-	ents       [blockLen]entry
+	n    int32
+	next *block
+	ents [blockLen]entry
 }
 
 // Engine is a single-threaded discrete-event simulator. It is not safe for
@@ -253,7 +230,7 @@ type Engine struct {
 	freeBlock *block // recycled wheel blocks
 
 	// offCount and offUsed are the multi-block flush's counting-sort
-	// scratch: live entries per nanosecond offset within the bucket, and
+	// scratch: entries per nanosecond offset within the bucket, and
 	// a bitmap of the offsets that hold any, so building the prefix sums
 	// and resetting the counts visit only occupied offsets. All zero
 	// between flushes.
@@ -300,11 +277,9 @@ func (e *Engine) Tracer() *trace.Tracer { return e.tracer }
 // Fired reports how many events have executed so far.
 func (e *Engine) Fired() uint64 { return e.fired }
 
-// Pending reports how many events are queued: live ones, canceled run
-// and heap entries not yet reaped, the tombstones of wheel blocks that
-// still hold a live entry, and deadline entries, stale or stopped ones
-// included until they reach the heap top. A block's tombstones stop
-// counting when its last live entry is canceled.
+// Pending reports how many entries are queued: live events, canceled
+// ones not yet reaped at the run or heap head, and deadline entries,
+// stale or stopped ones included until they reach the heap top.
 func (e *Engine) Pending() int { return len(e.queue) + e.wheelCount + len(e.run) - e.runHead }
 
 // EngineSnapshot is an engine's externally observable state at a
@@ -317,9 +292,9 @@ type EngineSnapshot struct {
 	Now Time
 	// Fired is the number of events dispatched so far.
 	Fired uint64
-	// Pending counts still-queued events, as Engine.Pending does
-	// (including canceled ones not yet released); zero once the engine
-	// has drained.
+	// Pending counts still-queued entries, as Engine.Pending does
+	// (canceled ones included until they are reaped); zero once the
+	// engine has drained.
 	Pending int
 	// RNG is the engine's root RNG state. Component streams are forked
 	// from it by stable tags, so an identical root state on an identical
@@ -333,53 +308,21 @@ func (e *Engine) Snapshot() EngineSnapshot {
 	return EngineSnapshot{Now: e.now, Fired: e.fired, Pending: e.Pending(), RNG: e.rng.State()}
 }
 
-// handle takes a cancel handle from the free list (or the allocator)
-// for an event at t.
-func (e *Engine) handle(t Time) *Event {
+// handle takes a cancel handle from the free list (or the allocator).
+func (e *Engine) handle() *Event {
 	ev := e.free
 	if ev == nil {
-		return &Event{when: t}
+		return &Event{}
 	}
-	e.free = (*Event)(ev.link)
-	*ev = Event{when: t}
+	e.free = ev.next
+	*ev = Event{}
 	return ev
 }
 
-// recycle returns a fired, reaped or wheel-canceled handle to the free
-// list. The canceled flag is deliberately left as-is so Canceled() stays
-// truthful on a pointer the caller still holds; handle resets it on
-// reuse.
+// recycle returns a fired or reaped handle to the free list.
 func (e *Engine) recycle(ev *Event) {
-	ev.link = unsafe.Pointer(e.free)
+	ev.next = e.free
 	e.free = ev
-}
-
-// tombstone releases canceled wheel event ev at slot ev.slot of b: the
-// entry keeps its position (and its when) so the block's scheduling
-// order and the flush's counting sort stay valid, but drops its
-// references, and the handle goes back to the free list. The block
-// leaves its chain when its last live entry goes; wheelCount keeps
-// counting its slots until then.
-func (e *Engine) tombstone(b *block, ev *Event) {
-	x := &b.ents[ev.slot]
-	x.fn, x.arg, x.ev = nil, nil, nil
-	ev.wheel = false
-	e.recycle(ev)
-	if b.live--; b.live > 0 {
-		return
-	}
-	if b.prev == nil {
-		e.wheel[bucketOf(b.ents[0].when)&wheelMask] = b.next
-	} else {
-		b.prev.next = b.next
-	}
-	if b.next != nil {
-		b.next.prev = b.prev
-	}
-	e.wheelCount -= int(b.n)
-	b.n = 0
-	b.next = e.freeBlock
-	e.freeBlock = b
 }
 
 // maxRunShift bounds the memmove a run insertion may pay. Past it the
@@ -409,12 +352,8 @@ func (e *Engine) schedule(t Time, fn func(any), arg any, ev *Event) {
 			blk = e.newBlock(blk)
 			e.wheel[slot] = blk
 		}
-		if ev != nil {
-			ev.slot, ev.wheel, ev.link = uint8(blk.n), true, unsafe.Pointer(blk)
-		}
 		x = &blk.ents[blk.n]
 		blk.n++
-		blk.live++
 		e.wheelCount++
 	default:
 		// After every entry with when ≤ t (the new seq is the largest).
@@ -456,23 +395,19 @@ func (e *Engine) openRun(i int) *entry {
 }
 
 // newBlock takes an empty block from the pool, linked ahead of next. Ten
-// blocks (8000 bytes) fill an 8 KiB size class; a lone 800-byte block
+// blocks (7840 bytes) fill an 8 KiB size class; a lone 784-byte block
 // would waste a tenth of its 896-byte class.
 func (e *Engine) newBlock(next *block) *block {
 	if e.freeBlock == nil {
 		slab := new([10]block)
 		for i := range slab {
-			slab[i].eng = e
 			slab[i].next = e.freeBlock
 			e.freeBlock = &slab[i]
 		}
 	}
 	b := e.freeBlock
 	e.freeBlock = b.next
-	b.next, b.prev = next, nil
-	if next != nil {
-		next.prev = b
-	}
+	b.next = next
 	return b
 }
 
@@ -523,29 +458,22 @@ func (e *Engine) Post(t Time, fn func(any), arg any) {
 	e.schedule(t, fn, arg, nil)
 }
 
-// At schedules fn to run at virtual time t and returns its cancel
-// handle. Scheduling in the past panics, as for Post.
-func (e *Engine) At(t Time, fn func()) *Event {
-	ev := e.handle(t)
-	e.schedule(t, callFunc, fn, ev)
-	return ev
-}
+// At schedules fn to run at virtual time t. Scheduling in the past
+// panics, as for Post.
+func (e *Engine) At(t Time, fn func()) { e.Post(t, callFunc, fn) }
 
 // callFunc runs an At callback. A func value is pointer-shaped, so
 // carrying it as the entry's arg does not allocate.
 func callFunc(fn any) { fn.(func())() }
 
-// After schedules fn to run d from now. Negative d panics via At.
-func (e *Engine) After(d Duration, fn func()) *Event {
-	return e.At(e.now.Add(d), fn)
-}
+// After schedules fn to run d from now. Negative d panics, as for Post.
+func (e *Engine) After(d Duration, fn func()) { e.Post(e.now.Add(d), callFunc, fn) }
 
 // AfterArg schedules fn(arg) to run d from now and returns its cancel
-// handle: the closure-free form of After.
+// handle, the only call that hands one out.
 func (e *Engine) AfterArg(d Duration, fn func(any), arg any) *Event {
-	t := e.now.Add(d)
-	ev := e.handle(t)
-	e.schedule(t, fn, arg, ev)
+	ev := e.handle()
+	e.schedule(e.now.Add(d), fn, arg, ev)
 	return ev
 }
 
@@ -584,7 +512,7 @@ func (d *Deadline) Init(fn func(any), arg any) { d.fn, d.arg = fn, arg }
 func (d *Deadline) Stop() { d.set = false }
 
 // Reserve takes the next scheduling sequence number without queueing
-// anything, as the key for a SetDeadline: the seq an At or AfterArg at
+// anything, as the key for a SetDeadline: the seq a Post or AfterArg at
 // this point would take, so every other event keeps its own.
 func (e *Engine) Reserve() uint64 {
 	s := e.seq
@@ -660,29 +588,21 @@ func (e *Engine) flushFirst(limit uint64) bool {
 	return false
 }
 
-// flushBucket appends one bucket's live entries to the run in (when,
-// seq) order and returns its blocks to the pool. Tombstones (fn nil)
-// are skipped without loading a handle; each live cancelable entry's
-// handle leaves the wheel, so a later Cancel flags it for reaping at the
-// run or heap head. Buckets cover disjoint time ranges and entries
-// arrive in seq order, so a stable sort of this bucket by when keeps the
-// whole run sorted. A single block is insertion-sorted; a longer chain
-// is counting-sorted on the 512 offsets within the bucket, scattering
-// newest first to just below each offset's end so that every offset's
-// entries land in ascending seq. The counting sort walks only the
-// offsets its bitmap marks: a chain holds a few dozen live entries, and
+// flushBucket appends one bucket's entries, canceled ones included, to
+// the run in (when, seq) order and returns its blocks to the pool.
+// Buckets cover disjoint time ranges and entries arrive in seq order, so
+// a stable sort of this bucket by when keeps the whole run sorted. A
+// single block is insertion-sorted; a longer chain is counting-sorted on
+// the 512 offsets within the bucket, scattering newest first to just
+// below each offset's end so that every offset's entries land in
+// ascending seq. The counting sort walks only the
+// offsets its bitmap marks: a chain holds a few dozen entries, and
 // scanning and zeroing all 512 counts would cost more than sorting them.
 func (e *Engine) flushBucket(head *block) {
 	start := len(e.run)
 	if head.next == nil {
 		for i := range head.ents[:head.n] {
 			x := &head.ents[i]
-			if x.fn == nil {
-				continue
-			}
-			if x.ev != nil {
-				x.ev.wheel, x.ev.link = false, nil
-			}
 			j := len(e.run)
 			for j > start && x.when < e.run[j-1].when {
 				j--
@@ -694,18 +614,11 @@ func (e *Engine) flushBucket(head *block) {
 		n := 0
 		for b := head; b != nil; b = b.next {
 			for i := range b.ents[:b.n] {
-				x := &b.ents[i]
-				if x.fn == nil {
-					continue
-				}
-				if x.ev != nil {
-					x.ev.wheel, x.ev.link = false, nil
-				}
-				k := int(x.when) & (bucketNs - 1)
+				k := int(b.ents[i].when) & (bucketNs - 1)
 				ends[k]++
 				used[k>>6] |= 1 << (k & 63)
-				n++
 			}
+			n += int(b.n)
 		}
 		r := slices.Grow(e.run, n)[:start+n]
 		end := start
@@ -718,11 +631,10 @@ func (e *Engine) flushBucket(head *block) {
 		}
 		for b := head; b != nil; b = b.next {
 			for i := b.n - 1; i >= 0; i-- {
-				if x := &b.ents[i]; x.fn != nil {
-					k := int(x.when) & (bucketNs - 1)
-					ends[k]--
-					r[ends[k]] = *x
-				}
+				x := &b.ents[i]
+				k := int(x.when) & (bucketNs - 1)
+				ends[k]--
+				r[ends[k]] = *x
 			}
 		}
 		for w, word := range used {
@@ -736,7 +648,7 @@ func (e *Engine) flushBucket(head *block) {
 	for b := head; b != nil; {
 		next := b.next
 		e.wheelCount -= int(b.n)
-		b.n, b.live = 0, 0
+		b.n = 0
 		b.next = e.freeBlock
 		e.freeBlock = b
 		b = next

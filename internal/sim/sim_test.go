@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"fmt"
 	"testing"
 	"testing/quick"
 	"time"
@@ -55,14 +56,14 @@ func TestEngineAfterUsesCurrentTime(t *testing.T) {
 func TestEngineCancel(t *testing.T) {
 	e := NewEngine(1)
 	ran := false
-	ev := e.At(10, func() { ran = true })
+	ev := e.AfterArg(10, func(any) { ran = true }, nil)
 	ev.Cancel()
 	e.RunAll()
 	if ran {
 		t.Error("canceled event still ran")
 	}
-	if !ev.Canceled() {
-		t.Error("Canceled() = false after Cancel")
+	if !ev.canceled {
+		t.Error("canceled flag not set after Cancel")
 	}
 }
 
@@ -142,7 +143,7 @@ func TestAdvanceReapsCanceledHead(t *testing.T) {
 	// Regression: a canceled event at the queue head must not mask a
 	// live event behind it — Advance has to panic for the live one.
 	e := NewEngine(1)
-	ev := e.At(10, func() {})
+	ev := e.AfterArg(10, func(any) {}, nil)
 	e.At(20, func() {})
 	ev.Cancel()
 	defer func() {
@@ -155,8 +156,8 @@ func TestAdvanceReapsCanceledHead(t *testing.T) {
 
 func TestAdvancePastOnlyCanceledEvents(t *testing.T) {
 	e := NewEngine(1)
-	for i := Time(10); i <= 50; i += 10 {
-		e.At(i, func() {}).Cancel()
+	for d := Duration(10); d <= 50; d += 10 {
+		e.AfterArg(d, func(any) {}, nil).Cancel()
 	}
 	e.Advance(100 * time.Nanosecond) // must not panic: nothing live pends
 	if e.Now() != 100 {
@@ -212,44 +213,55 @@ func TestEventPoolingIsAllocationFree(t *testing.T) {
 	}
 }
 
-// TestCanceledRTOAllocFree is the footprint gate of the transport's
-// timer pattern: each round arms 4096 RTOs 250 µs out, acks (cancels)
-// them all and moves the clock 1 µs. A live guard event 2 µs out stands
-// in for the packets in flight: without one, Advance would flush the
-// armed bucket at once and reap its canceled entries whatever Cancel
-// did. Canceling a wheel event returns its handle and its emptied block
-// at once, so after one warm-up round no round allocates, long before
-// the first armed bucket comes due.
+// TestCanceledRTOAllocFree is the steady-state footprint gate of a
+// cancel-heavy timer pattern: each round arms 4096 RTOs 250 µs out,
+// acks (cancels) them all and moves the clock 10 µs. A live guard event
+// 20 µs out stands in for the packets in flight: without one, Advance
+// would flush every armed bucket at once and reap its canceled entries.
+// A canceled entry stays queued until its bucket comes due, so the
+// engine holds one 250 µs window of them. Once warm-up rounds have
+// covered that window, the handles and blocks each round arms come from
+// the ones the due bucket gives back, and no round allocates.
 func TestCanceledRTOAllocFree(t *testing.T) {
+	const (
+		rto      = 250 * time.Microsecond
+		step     = 10 * time.Microsecond
+		perRound = 4096
+		window   = int(rto / step)
+	)
 	e := NewEngine(1)
 	fn := func(any) {}
-	evs := make([]*Event, 4096)
-	guard := e.AfterArg(2*time.Microsecond, fn, nil)
+	evs := make([]*Event, perRound)
+	guard := e.AfterArg(2*step, fn, nil)
 	round := func() {
 		for i := range evs {
-			evs[i] = e.AfterArg(250*time.Microsecond, fn, nil)
+			evs[i] = e.AfterArg(rto, fn, nil)
 		}
 		for _, ev := range evs {
 			ev.Cancel()
 		}
 		guard.Cancel()
-		guard = e.AfterArg(2*time.Microsecond, fn, nil)
-		e.Advance(time.Microsecond)
+		guard = e.AfterArg(2*step, fn, nil)
+		e.Advance(step)
 	}
-	// AllocsPerRun's own warm-up call is the one warm-up round.
-	if allocs := testing.AllocsPerRun(500, round); allocs != 0 {
+	for i := 0; i < window+2; i++ {
+		round()
+	}
+	if allocs := testing.AllocsPerRun(50, round); allocs != 0 {
 		t.Errorf("arm+cancel round allocated %.1f objects, want 0", allocs)
 	}
-	if e.Pending() != 1 {
-		t.Errorf("Pending() = %d with only the guard live, want 1", e.Pending())
+	// One window of canceled RTOs, the canceled guards inside it and the
+	// live guard.
+	if n, limit := e.Pending(), (window+1)*(perRound+1)+1; n > limit {
+		t.Errorf("Pending() = %d, want at most one window: %d", n, limit)
 	}
 }
 
-// TestEventHandleSize pins the cancel handle at 24 bytes: the wheel
-// position shares the free-list link.
+// TestEventHandleSize pins the cancel handle at 16 bytes: a canceled
+// flag and the free-list link.
 func TestEventHandleSize(t *testing.T) {
-	if n := unsafe.Sizeof(Event{}); n != 24 {
-		t.Errorf("sizeof(Event) = %d bytes, want 24", n)
+	if n := unsafe.Sizeof(Event{}); n != 16 {
+		t.Errorf("sizeof(Event) = %d bytes, want 16", n)
 	}
 }
 
@@ -299,12 +311,12 @@ func TestHeapWheelEquivalence(t *testing.T) {
 			default:
 				d = Duration(1+rng.Intn(20)) * time.Millisecond
 			}
-			ev := e.After(d, func() {
+			ev := e.AfterArg(d, func(any) {
 				got = append(got, firing{e.Now(), me})
 				if depth < 3 && rng.Intn(3) == 0 {
 					spawn(depth + 1)
 				}
-			})
+			}, nil)
 			// Cancel the bulk, like RTOs that are almost always acked.
 			if rng.Intn(10) < 7 {
 				ev.Cancel()
@@ -445,86 +457,97 @@ func TestTimeHelpers(t *testing.T) {
 	}
 }
 
-// TestCanceledAfterArgRecycled pins when Cancel gives a handle back. A
-// wheel-resident event's handle returns to the free list at once: the
-// next After into the same bucket gets it back, that event fires, and
-// the canceled callback, a tombstone in the same block, never does.
-// Pending drops back once the block holds only tombstones. An event
-// already in the run or the heap is only flagged: its handle is recycled
-// when it is reaped at the head, and not before.
-func TestCanceledAfterArgRecycled(t *testing.T) {
-	e := NewEngine(1)
-	type payload struct{ n int }
-	canceledRan, ok := false, false
-	dead := func(any) { canceledRan = true }
+// TestCanceledEntryReapedAtHead pins the cancel contract in each place
+// a canceled AfterArg can sit: a one-block wheel bucket, a multi-block
+// bucket that the flush counting-sorts, the run and the heap. The
+// canceled callback never runs, and its handle reaches the free list
+// only when its entry is reaped at the head: not at Cancel, not when its
+// bucket flushes, but as the first live event after it comes up.
+func TestCanceledEntryReapedAtHead(t *testing.T) {
+	nop := func(any) {}
+	base := Time(10 * time.Microsecond)
+	for _, tc := range []struct {
+		place string
+		at    Time // when the canceled event is due
+		// arm queues live events before and after at and returns the
+		// handle of an AfterArg due at at.
+		arm func(e *Engine, at Time, dead func(any)) *Event
+	}{
+		{"1-block wheel bucket", base + 100, func(e *Engine, at Time, dead func(any)) *Event {
+			e.Post(base, nop, nil)
+			ev := e.AfterArg(at.Sub(e.Now()), dead, nil)
+			e.Post(base+200, nop, nil)
+			return ev
+		}},
+		{"3-block wheel bucket", base + 100, func(e *Engine, at Time, dead func(any)) *Event {
+			for i := 0; i < 20; i++ {
+				e.Post(base+Time(i%7), nop, nil)
+			}
+			ev := e.AfterArg(at.Sub(e.Now()), dead, nil)
+			for i := 0; i < 20; i++ {
+				e.Post(base+200+Time(i%7), nop, nil)
+			}
+			return ev
+		}},
+		{"run", base + 100, func(e *Engine, at Time, dead func(any)) *Event {
+			e.Post(base, nop, nil)
+			ev := e.AfterArg(at.Sub(e.Now()), dead, nil)
+			e.Post(base+200, nop, nil)
+			e.Step() // flushes the bucket into the run
+			return ev
+		}},
+		{"heap", Time(20 * time.Millisecond), func(e *Engine, at Time, dead func(any)) *Event {
+			e.Post(at-Time(10*time.Millisecond), nop, nil)
+			ev := e.AfterArg(at.Sub(e.Now()), dead, nil)
+			e.Post(at+Time(10*time.Millisecond), nop, nil)
+			return ev
+		}},
+	} {
+		e := NewEngine(1)
+		ran := false
+		ev := tc.arm(e, tc.at, func(any) { ran = true })
+		if got := placeOf(e, ev); got != tc.place {
+			t.Fatalf("%s: entry sits in %s", tc.place, got)
+		}
+		ev.Cancel()
+		if inFreeList(e, ev) {
+			t.Fatalf("%s: handle recycled at Cancel", tc.place)
+		}
+		for e.Step() {
+			if got, want := inFreeList(e, ev), e.Now() > tc.at; got != want {
+				t.Fatalf("%s: at %v handle on free list = %v, want %v", tc.place, e.Now(), got, want)
+			}
+		}
+		if ran || !inFreeList(e, ev) || e.Pending() != 0 {
+			t.Errorf("%s: ran=%v recycled=%v pending=%d, want false/true/0",
+				tc.place, ran, inFreeList(e, ev), e.Pending())
+		}
+	}
+}
 
-	// A live neighbour keeps the block: the tombstone stays beside it.
-	e.Post(Time(10*time.Microsecond), func(any) {}, nil)
-	ev := e.AfterArg(10*time.Microsecond, dead, &payload{n: 42})
-	ev.Cancel()
-	if !ev.Canceled() {
-		t.Error("Canceled() = false after Cancel")
+// placeOf names the queue that holds ev's entry.
+func placeOf(e *Engine, ev *Event) string {
+	for _, head := range e.wheel {
+		if chainHolds(head, ev) {
+			return fmt.Sprintf("%d-block wheel bucket", chainLen(head))
+		}
 	}
-	if !inFreeList(e, ev) {
-		t.Fatal("wheel-resident handle not recycled at Cancel")
+	for i := e.runHead; i < len(e.run); i++ {
+		if e.run[i].ev == ev {
+			return "run"
+		}
 	}
-	if got := e.After(10*time.Microsecond+100, func() { ok = true }); got != ev {
-		t.Fatal("next After into the same bucket did not reuse the canceled handle")
+	for i := range e.queue {
+		if e.queue[i].ev == ev {
+			return "heap"
+		}
 	}
-	if b := e.wheel[bucketOf(ev.when)&wheelMask]; b == nil || b.next != nil || b.n != 3 || b.live != 2 {
-		t.Fatalf("bucket is not one block of 3 entries with 2 live: %+v", b)
-	}
-	e.RunAll()
-	if canceledRan {
-		t.Error("canceled event fired")
-	}
-	if !ok || e.Fired() != 2 {
-		t.Fatalf("reused handle's event: ok=%v fired=%d, want true/2", ok, e.Fired())
-	}
-
-	// Alone in its block: the block empties and Pending drops back.
-	before := e.Pending()
-	ev = e.AfterArg(250*time.Microsecond, dead, &payload{n: 7})
-	if e.Pending() != before+1 {
-		t.Fatalf("Pending() = %d after AfterArg, want %d", e.Pending(), before+1)
-	}
-	ev.Cancel()
-	if e.Pending() != before || e.wheel[bucketOf(ev.when)&wheelMask] != nil {
-		t.Fatalf("Pending() = %d after the block emptied, want %d", e.Pending(), before)
-	}
-
-	// Run-resident: the bucket flushes when its first event fires.
-	at := e.Now().Add(20 * time.Microsecond)
-	e.At(at, func() {})
-	ev = e.AfterArg(at.Add(100).Sub(e.Now()), dead, nil)
-	e.Step()
-	ev.Cancel()
-	if inFreeList(e, ev) {
-		t.Fatal("run-resident handle recycled before it was reaped")
-	}
-	e.Advance(at.Add(200).Sub(e.Now()))
-	if !inFreeList(e, ev) {
-		t.Fatal("run-resident handle not recycled at reap")
-	}
-
-	// Heap-resident: beyond the wheel's horizon.
-	ev = e.AfterArg(20*time.Millisecond, dead, nil)
-	ev.Cancel()
-	if inFreeList(e, ev) {
-		t.Fatal("heap-resident handle recycled before it was reaped")
-	}
-	e.RunAll()
-	if !inFreeList(e, ev) {
-		t.Fatal("heap-resident handle not recycled at reap")
-	}
-	if canceledRan || e.Pending() != 0 {
-		t.Errorf("canceledRan=%v pending=%d, want false/0", canceledRan, e.Pending())
-	}
+	return "no queue"
 }
 
 // inFreeList reports whether ev is on e's handle free list.
 func inFreeList(e *Engine, ev *Event) bool {
-	for f := e.free; f != nil; f = (*Event)(f.link) {
+	for f := e.free; f != nil; f = f.next {
 		if f == ev {
 			return true
 		}
